@@ -12,21 +12,21 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import (
+    Echelon,
     Matrix,
     Vector,
-    coords_in_basis,
+    basis_coordinates,
     extend_basis,
-    identity,
-    in_span,
+    integer_row,
     intersect_spaces,
     is_zero_vector,
     matmul,
     matvec,
     nullspace,
-    rank,
+    rref,
+    rref_coords,
     row_basis,
     solve,
-    trace,
     vec_add,
     vec_scale,
     vector,
@@ -54,6 +54,8 @@ class LieAlgebra:
 
     table[i][j] is the coordinate vector of [e_i, e_j].  The constructor
     checks shape only; call validate() for antisymmetry and Jacobi.
+    `_cache` memoises derived data (Killing form, radical) that passed
+    its self-checks.
     """
 
     __slots__ = ("table", "labels", "_ad_basis", "_cache")
@@ -231,25 +233,24 @@ def lie_algebra_from_matrices(
     if not mats:
         return LieAlgebra([], labels)
     flat = tuple(tuple(x for row in m for x in row) for m in mats)
-    if rank(flat) != len(mats):
+    if Echelon(flat).rank != len(mats):
         raise StructureError("matrices are linearly dependent")
     n = len(mats)
-    table = []
+    coords = basis_coordinates(flat)
+    zero = zero_vector(n)
+    table = [[zero] * n for _ in range(n)]
+    # [m_j, m_i] = -[m_i, m_j], so only i < j is computed; a commutator
+    # leaving the span is still reported at its first (i, j) in row order.
     for i in range(n):
-        row = []
-        for j in range(n):
-            comm_m = matmul(mats[i], mats[j])
+        for j in range(i + 1, n):
+            prod = matmul(mats[i], mats[j])
             anti = matmul(mats[j], mats[i])
-            comm = tuple(
-                tuple(comm_m[r][c] - anti[r][c] for c in range(len(comm_m[0])))
-                for r in range(len(comm_m))
-            )
-            cf = tuple(x for rr in comm for x in rr)
-            coords = coords_in_basis(flat, cf)
-            if coords is None:
+            cf = tuple(x - y for rp, ra in zip(prod, anti) for x, y in zip(rp, ra))
+            c = coords(cf)
+            if c is None:
                 raise StructureError(f"commutator of basis {i},{j} leaves the span")
-            row.append(coords)
-        table.append(row)
+            table[i][j] = c
+            table[j][i] = tuple(-x for x in c)
     return LieAlgebra(table, labels)
 
 
@@ -257,9 +258,13 @@ def lie_algebra_from_matrices(
 
 
 class Subspace:
-    """Subspace of an algebra with a canonical echelon basis."""
+    """Subspace of an algebra with a canonical echelon basis.
 
-    __slots__ = ("algebra", "basis")
+    `basis` is the nonzero part of a reduced row echelon form and `pivots`
+    its pivot columns, so membership and coordinates need no elimination.
+    """
+
+    __slots__ = ("algebra", "basis", "pivots")
 
     def __init__(self, algebra: LieAlgebra, vectors: Iterable[Vector] = ()):
         self.algebra = algebra
@@ -267,7 +272,8 @@ class Subspace:
         for v in rows:
             if len(v) != algebra.dim:
                 raise ValidationError("subspace vector length does not match dimension")
-        self.basis: Matrix = row_basis(rows)
+        red, self.pivots = rref(rows)
+        self.basis: Matrix = red[: len(self.pivots)]
 
     @property
     def dim(self) -> int:
@@ -287,7 +293,7 @@ class Subspace:
         return hash((id(self.algebra), self.basis))
 
     def contains(self, v: Vector) -> bool:
-        return in_span(self.basis, v)
+        return rref_coords(self.basis, self.pivots, v) is not None
 
     def contains_space(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)
@@ -330,7 +336,7 @@ class Subalgebra(Subspace):
         super().__init__(algebra, vectors)
         for x in self.basis:
             for y in self.basis:
-                if not in_span(self.basis, algebra.bracket(x, y)):
+                if not self.contains(algebra.bracket(x, y)):
                     raise StructureError("span is not closed under the bracket")
 
     def as_algebra(self) -> tuple[LieAlgebra, Matrix]:
@@ -341,8 +347,7 @@ class Subalgebra(Subspace):
         for x in bs:
             row = []
             for y in bs:
-                c = coords_in_basis(bs, g.bracket(x, y))
-                row.append(c)
+                row.append(rref_coords(bs, self.pivots, g.bracket(x, y)))
             table.append(row)
         return LieAlgebra(table), bs
 
@@ -431,7 +436,10 @@ def subspace_is_solvable(s: Subspace) -> bool:
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
-    """K[i][j] = trace(ad e_i . ad e_j)."""
+    """K[i][j] = trace(ad e_i . ad e_j), memoised on g."""
+    cached = g._cache.get("killing_form")
+    if cached is not None:
+        return cached
     n = g.dim
     ads = g.ad_basis
     out = []
@@ -442,44 +450,57 @@ def killing_form(g: LieAlgebra) -> Matrix:
             row.append(sum((a[r][c] * b[c][r] for r in range(n) for c in range(n)),
                            _ZERO))
         out.append(row)
-    return tuple(
+    k = tuple(
         tuple(out[i][j] if j <= i else out[j][i] for j in range(n)) for i in range(n)
     )
+    g._cache["killing_form"] = k
+    return k
 
 
 def radical(g: LieAlgebra) -> Subspace:
-    """Largest solvable ideal: the Killing-orthogonal of [g, g]."""
+    """Largest solvable ideal: the Killing-orthogonal of [g, g].
+
+    Memoised on g once it has passed its ideal and solvability checks.
+    """
+    cached = g._cache.get("radical")
+    if cached is not None:
+        return cached
     k = killing_form(g)
     derived = bracket_space(full_space(g), full_space(g))
     if derived.dim == 0:
-        return full_space(g)
-    rows = tuple(matvec(k, d) for d in derived.basis)
-    rad = Subspace(g, nullspace(rows))
-    if not rad.is_ideal() or not subspace_is_solvable(rad):
-        raise AlgebraError("radical computation produced a non-solvable span")
+        rad = full_space(g)
+    else:
+        rows = tuple(matvec(k, d) for d in derived.basis)
+        rad = Subspace(g, nullspace(rows))
+        if not rad.is_ideal() or not subspace_is_solvable(rad):
+            raise AlgebraError("radical computation produced a non-solvable span")
+    g._cache["radical"] = rad
     return rad
 
 
 def _unital_envelope(mats: Sequence[Matrix], n: int) -> Matrix:
-    """Row basis (flattened) of the unital associative algebra generated."""
-    gens = [tuple(x for row in m for x in row) for m in mats]
-    eye = tuple(x for row in identity(n) for x in row)
-    span = row_basis(tuple(gens) + (eye,))
-    while True:
-        new_rows = list(span)
-        grew = False
-        for gflat in gens:
-            gm = tuple(tuple(gflat[r * n + c] for c in range(n)) for r in range(n))
-            for s in span:
-                sm = tuple(tuple(s[r * n + c] for c in range(n)) for r in range(n))
-                prod = matmul(gm, sm)
-                pf = tuple(x for row in prod for x in row)
-                if not in_span(tuple(new_rows), pf):
-                    new_rows.append(pf)
-                    grew = True
-        if not grew:
-            return row_basis(tuple(new_rows))
-        span = row_basis(tuple(new_rows))
+    """Row basis (flattened) of the unital associative algebra generated.
+
+    Worklist closure: the span of words in the generators is the smallest
+    span holding the identity and closed under left multiplication by each
+    generator, so every new word is multiplied once by every generator.
+    Scaling a generator does not change that span, so the words are built
+    from primitive integer multiples of the generators.
+    """
+    gens = []
+    for m in mats:
+        flat = integer_row(tuple(x for row in m for x in row))
+        gens.append(tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
+    span = Echelon()
+    found: list[tuple[int, ...]] = []
+    work = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    while work:
+        m = work.pop()
+        flat = tuple(x for row in m for x in row)
+        if span.add(flat):
+            found.append(flat)
+            work.extend(matmul(gen, m) for gen in gens)
+    return row_basis(tuple(found))
 
 
 def nilradical(g: LieAlgebra) -> Subspace:
@@ -499,11 +520,16 @@ def nilradical(g: LieAlgebra) -> Subspace:
     n = g.dim
     ads = [g.ad(r) for r in rad.basis]
     env = _unital_envelope(ads, n)
-    # Conditions on coefficients c: sum_r c_r trace(ad(rad_r) . B) = 0.
-    rows = []
-    for bflat in env:
-        bm = tuple(tuple(bflat[r * n + c] for c in range(n)) for r in range(n))
-        rows.append(tuple(trace(matmul(adr, bm)) for adr in ads))
+    # Conditions on coefficients c: sum_r c_r trace(ad(rad_r) . B) = 0,
+    # with trace(A . B) = sum_ij A[i][j] B[j][i] over the nonzero A[i][j].
+    pairings = [
+        tuple((j * n + i, x) for i, row in enumerate(adr) for j, x in enumerate(row) if x)
+        for adr in ads
+    ]
+    rows = [
+        tuple(sum((x * bflat[k] for k, x in terms), _ZERO) for terms in pairings)
+        for bflat in env
+    ]
     coeff_ker = nullspace(tuple(rows))
     vecs = []
     for coef in coeff_ker:
@@ -560,10 +586,8 @@ def quotient_by_ideal(g: LieAlgebra, ideal: Subspace) -> Quotient:
     full = ideal.basis + tuple(g.basis_vector(j) for j in comp)
     k = ideal.dim
     # projection: coordinates in `full`, keeping the complement block
-    inv_cols = []
-    for i in range(n):
-        c = coords_in_basis(full, g.basis_vector(i))
-        inv_cols.append(c)
+    coords = basis_coordinates(full)
+    inv_cols = [coords(g.basis_vector(i)) for i in range(n)]
     projection = tuple(
         tuple(inv_cols[i][k + a] for i in range(n)) for a in range(q)
     )
@@ -629,7 +653,8 @@ def _levi_complement(g: LieAlgebra, rad: Subspace) -> Subspace:
     q = len(xs)
     k = rad.dim
     full = rad.basis + tuple(xs)
-    inv = [coords_in_basis(full, g.basis_vector(i)) for i in range(n)]
+    coords = basis_coordinates(full)
+    inv = [coords(g.basis_vector(i)) for i in range(n)]
     proj_rad = tuple(tuple(inv[i][a] for i in range(n)) for a in range(k))
     proj_comp = tuple(tuple(inv[i][k + a] for i in range(n)) for a in range(q))
     # quotient structure constants cbar[a][b] in the complement coordinates

@@ -27,6 +27,9 @@ from .linalg import Matrix, Vector
 from .poly import RationalPolynomial
 
 FORMAT_VERSION = "1"
+# Largest accepted `dim`: the structure table holds dim**2 vectors of
+# length dim, so a larger document is refused before anything is built.
+MAX_DIM = 128
 
 
 class DocumentError(Exception):
@@ -161,6 +164,8 @@ def parse_document(text: str) -> AlgebraDocument:
     dim = obj.get("dim")
     if not isinstance(dim, int) or dim < 0:
         raise DocumentError("dim: expected a nonnegative integer")
+    if dim > MAX_DIM:
+        raise DocumentError(f"dim: {dim} exceeds the maximum {MAX_DIM}")
     labels_obj = obj.get("basis_labels", [f"e{i}" for i in range(dim)])
     if not isinstance(labels_obj, list) or len(labels_obj) != dim:
         raise DocumentError(f"basis_labels: expected a list of {dim} strings")
@@ -396,7 +401,7 @@ SCHEMA: dict = {
     "required": ["format_version", "dim", "structure_constants"],
     "properties": {
         "format_version": {"const": FORMAT_VERSION},
-        "dim": {"type": "integer", "minimum": 0},
+        "dim": {"type": "integer", "minimum": 0, "maximum": MAX_DIM},
         "name": {"type": "string"},
         "basis_labels": {"type": "array", "items": {"type": "string"}},
         "structure_constants": {

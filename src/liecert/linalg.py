@@ -1,15 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Everything in this module works on tuples of ``fractions.Fraction`` and is
-deterministic: elimination always pivots on the first usable row/column in
-input order, so bases, complements and echelon forms are reproducible.
+At the API boundary everything is tuples of ``fractions.Fraction``.  Inside,
+elimination is fraction-free: each row is scaled to a primitive integer row
+(denominators cleared, content divided out), rows are combined in integers
+with gcd normalisation, and a reduced row is divided by its pivot only when
+it is emitted.  The reduced row echelon form is unique, so the results are
+the same canonical ``Fraction`` rows and pivots as textbook Gauss-Jordan,
+and bases, complements and echelon forms are reproducible.  ``Echelon``
+keeps a growing span in the same integer form, so membership tests and
+insertions cost O(rank * n) instead of a fresh elimination.
 No floating point enters here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from math import gcd, lcm
+from typing import Callable, Iterable
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -62,10 +69,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
@@ -92,10 +95,6 @@ def dot(a: Vector, b: Vector) -> Fraction:
 
 def is_zero_vector(v: Vector) -> bool:
     return all(x == 0 for x in v)
-
-
-def is_zero_matrix(m: Matrix) -> bool:
-    return all(is_zero_vector(r) for r in m)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -128,32 +127,53 @@ def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), _ZERO)
 
 
+def integer_row(v) -> list[int]:
+    """Primitive integer row spanning the same line as the rational row v."""
+    den = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*w)
+    return [a // g for a in w] if g > 1 else w
+
+
+def _combine(p: int, w: list[int], f: int, row: list[int]) -> list[int]:
+    """Primitive part of p*w - f*row."""
+    out = [p * a - f * b for a, b in zip(w, row)]
+    g = gcd(*out)
+    return [a // g for a in out] if g > 1 else out
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with deterministic first-nonzero pivoting.
 
     Returns (echelon matrix, pivot column indices). Zero rows are kept at
-    the bottom so the shape is preserved.
+    the bottom so the shape is preserved.  Elimination runs on primitive
+    integer rows; each pivot row is divided by its pivot on the way out.
     """
-    rows = [list(r) for r in m]
+    rows = [integer_row(r) for r in m]
     nr, nc = len(rows), len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(nc):
         if r == nr:
             break
-        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nr) if rows[i][c]), None)
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = _ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for i in range(nr):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                rows[i] = _combine(p, rows[i], f, prow)
         pivots.append(c)
         r += 1
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    out = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        out.append(tuple(Fraction(a, p) if a else _ZERO for a in row))
+    out.extend(((_ZERO,) * nc,) * (nr - r))
+    return tuple(out), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -164,22 +184,6 @@ def row_basis(m: Matrix) -> Matrix:
     """Canonical basis of the row space: nonzero rows of the rref."""
     red, piv = rref(m)
     return red[: len(piv)]
-
-
-def independent_rows(m: Matrix) -> tuple[int, ...]:
-    """Indices of the first maximal linearly independent subset of rows."""
-    kept: list[int] = []
-    acc: list[Vector] = []
-    r = 0
-    for i, row in enumerate(m):
-        acc.append(row)
-        red, piv = rref(tuple(acc))
-        if len(piv) > r:
-            kept.append(i)
-            r += 1
-        else:
-            acc.pop()
-    return tuple(kept)
 
 
 def nullspace(m: Matrix) -> tuple[Vector, ...]:
@@ -266,23 +270,99 @@ def charpoly(a: Matrix) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+class Echelon:
+    """Growing span kept as primitive integer rows with distinct pivots.
+
+    Each row is reduced against the rows before it, so it is zero at their
+    pivot columns, and one pass in insertion order reduces a vector: add(v),
+    contains(v) and the rank cost O(rank * n), never a fresh elimination.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Iterable[Vector] = ()):
+        self._rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
+        for v in rows:
+            self.add(v)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, v) -> list[int]:
+        w = integer_row(v)
+        for c, row in self._rows:
+            f = w[c]
+            if f:
+                w = _combine(row[c], w, f, row)
+        return w
+
+    def contains(self, v) -> bool:
+        return not any(self._reduce(v))
+
+    def add(self, v) -> bool:
+        """Insert v; True when it enlarged the span."""
+        w = self._reduce(v)
+        c = next((j for j, a in enumerate(w) if a), None)
+        if c is None:
+            return False
+        self._rows.append((c, w))
+        return True
+
+
 def in_span(rows: Matrix, v: Vector) -> bool:
     if is_zero_vector(v):
         return True
     if not rows:
         return False
-    return rank(rows) == rank(rows + (v,))
+    return Echelon(rows).contains(v)
+
+
+def rref_coords(red: Matrix, pivots: tuple[int, ...], v: Vector) -> Vector | None:
+    """Coordinates of v in the nonzero rows of a reduced echelon form.
+
+    They are v's entries at the pivot columns; v lies in the span exactly
+    when that combination matches v at every other column.  No elimination.
+    """
+    coords = tuple(v[c] for c in pivots)
+    pivset = set(pivots)
+    for j, x in enumerate(v):
+        if j not in pivset and x != sum(
+            (a * row[j] for a, row in zip(coords, red) if a), _ZERO
+        ):
+            return None
+    return coords
+
+
+def basis_coordinates(basis: Matrix) -> Callable[[Vector], Vector | None]:
+    """Coordinate map of an independent row basis, eliminating it once.
+
+    One rref of [basis | I] gives the reduced basis and the transform back
+    to `basis`; each call then costs O(rank * n) Fraction operations.
+    """
+    k = len(basis)
+    if not k:
+        return lambda v: () if is_zero_vector(v) else None
+    n = len(basis[0])
+    red, piv = rref(tuple(row + e for row, e in zip(basis, identity(k))))
+    piv = tuple(c for c in piv if c < n)
+    left = tuple(row[:n] for row in red[: len(piv)])
+    back = tuple(row[n:] for row in red[: len(piv)])
+
+    def coords(v: Vector) -> Vector | None:
+        c = rref_coords(left, piv, v)
+        if c is None:
+            return None
+        return tuple(
+            sum((a * t[i] for a, t in zip(c, back) if a), _ZERO) for i in range(k)
+        )
+
+    return coords
 
 
 def coords_in_basis(basis: Matrix, v: Vector) -> Vector | None:
     """Coordinates of v in the given (independent) row basis, or None."""
-    if not basis:
-        return () if is_zero_vector(v) else None
-    return solve(transpose(basis), v)
-
-
-def span_contains_space(rows: Matrix, other: Matrix) -> bool:
-    return all(in_span(rows, v) for v in other)
+    return basis_coordinates(basis)(v)
 
 
 def spaces_equal(a: Matrix, b: Matrix) -> bool:
@@ -319,18 +399,13 @@ def extend_basis(rows: Matrix, n: int) -> tuple[int, ...]:
     Scans e_0, e_1, ... in order and keeps those that enlarge the span;
     this is the deterministic complement used for quotients.
     """
-    acc = list(rows)
-    r = rank(rows)
+    span = Echelon(rows)
     picked: list[int] = []
     for j in range(n):
-        e = tuple(_ONE if i == j else _ZERO for i in range(n))
-        cand = tuple(acc) + (e,)
-        if rank(cand) > r:
-            acc.append(e)
-            r += 1
-            picked.append(j)
-        if r == n:
+        if span.rank == n:
             break
+        if span.add(tuple(1 if i == j else 0 for i in range(n))):
+            picked.append(j)
     return tuple(picked)
 
 
@@ -392,10 +467,10 @@ def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
     """
     if not basis:
         return ()
+    coords = basis_coordinates(basis)
     cols = []
     for b in basis:
-        img = matvec(m, b)
-        c = coords_in_basis(basis, img)
+        c = coords(matvec(m, b))
         if c is None:
             return None
         cols.append(c)
@@ -419,12 +494,12 @@ def quotient_operator(
     full = tuple(basis) + tuple(
         tuple(_ONE if i == j else _ZERO for i in range(n)) for j in comp
     )
+    coords = basis_coordinates(full)
     k = len(basis)
     cols = []
     for j in comp:
         e = tuple(_ONE if i == j else _ZERO for i in range(n))
-        img = matvec(m, e)
-        c = coords_in_basis(full, img)
+        c = coords(matvec(m, e))
         if c is None:
             raise AssertionError("complement construction failed")
         cols.append(c[k:])

@@ -7,6 +7,7 @@ import pytest
 
 from liecert.algebra import (
     LieAlgebra,
+    _unital_envelope,
     StructureError,
     Subalgebra,
     Subspace,
@@ -28,7 +29,9 @@ from liecert.algebra import (
     radical,
     subspace_is_nilpotent,
 )
-from liecert.linalg import det, mat_sub, matmul, matrix, rank, vector
+from liecert.builders import build_example, catalog_names
+from liecert.linalg import det, identity, mat_sub, matmul, matrix, rank, vector
+from test_linalg import reference_rref
 
 
 def sl2() -> LieAlgebra:
@@ -203,6 +206,43 @@ def test_nilradical_affine():
 
 def test_nilradical_heisenberg_is_everything():
     assert nilradical(heisenberg()).dim == 3
+
+
+def naive_envelope(mats, n):
+    """Multiply the whole span by every generator until it stops growing."""
+
+    def basis_of(rows):
+        red, piv = reference_rref(tuple(rows))
+        return red[: len(piv)]
+
+    flat = lambda m: tuple(x for row in m for x in row)
+    span = basis_of([flat(m) for m in mats] + [flat(identity(n))])
+    while True:
+        prods = [
+            flat(matmul(m, tuple(s[r * n : (r + 1) * n] for r in range(n))))
+            for m in mats
+            for s in span
+        ]
+        grown = basis_of(list(span) + prods)
+        if len(grown) == len(span):
+            return span
+        span = grown
+
+
+def test_unital_envelope_matches_naive_closure():
+    algebras = [build_example(name).ambient for name in catalog_names()]
+    rng = random.Random(5)
+    algebras += [random_solvable(rng, 3, 2) for _ in range(4)]
+    for g in algebras:
+        ads = [g.ad(r) for r in radical(g).basis]
+        assert _unital_envelope(ads, g.dim) == naive_envelope(ads, g.dim)
+
+
+def test_killing_form_and_radical_are_memoised():
+    g = affine_line()
+    assert killing_form(g) is killing_form(g)
+    assert radical(g) is radical(g)
+    assert radical(g).dim == 2
 
 
 def test_nilradical_trace_counterexample():

@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 
+import liecert
 from liecert import action_to_document, build_suspension, serialize_document
 from liecert.cli import build_parser, main
+from liecert.documents import MAX_DIM
 
 SL2_DOC = json.dumps(
     {
@@ -112,6 +115,18 @@ def test_bad_json_is_input_error(monkeypatch, capsys):
     code, _, err = run(["validate"], "{nope", monkeypatch, capsys)
     assert code == 3
     assert "input error" in err
+
+
+def test_oversized_dim_is_input_error(monkeypatch, capsys):
+    def no_table(doc):
+        raise AssertionError("table built for an oversized dim")
+
+    monkeypatch.setattr("liecert.cli.document_to_algebra", no_table)
+    doc = json.dumps({"format_version": "1", "dim": MAX_DIM + 1})
+    code, out, err = run(["validate"], doc, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert "exceeds the maximum" in err
 
 
 def test_wrong_h0_length_is_input_error(monkeypatch, capsys):
@@ -241,10 +256,15 @@ def test_env_defaults(monkeypatch):
 
 
 def test_shell_pipeline():
+    # the child interpreters import the same liecert as this test
+    src = os.path.dirname(os.path.dirname(liecert.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
     build = subprocess.run(
         [sys.executable, "-m", "liecert.cli", "build", "heisenberg-starkov"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert build.returncode == 0
     classify = subprocess.run(
@@ -252,6 +272,7 @@ def test_shell_pipeline():
         input=build.stdout,
         capture_output=True,
         text=True,
+        env=env,
     )
     assert classify.returncode == 0
     assert json.loads(classify.stdout)["result"]["case"] == "solvable"

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from liecert import documents
 from liecert import (
     DocumentError,
     action_to_document,
@@ -114,6 +115,20 @@ def test_wrong_format_version():
 def test_missing_dim():
     with pytest.raises(DocumentError, match="dim"):
         parse_document(json.dumps({"format_version": "1"}))
+
+
+def test_dim_bound_is_checked_before_anything_is_sized_by_dim(monkeypatch):
+    def guarded_range(*args):
+        if max(args, default=0) > documents.MAX_DIM:
+            raise AssertionError("built something sized by an oversized dim")
+        return range(*args)
+
+    monkeypatch.setattr(documents, "range", guarded_range, raising=False)
+    for dim in (documents.MAX_DIM + 1, 10**9):
+        with pytest.raises(DocumentError, match="exceeds the maximum"):
+            parse_document(json.dumps({"format_version": "1", "dim": dim}))
+    doc = parse_document(json.dumps({"format_version": "1", "dim": documents.MAX_DIM}))
+    assert len(doc.labels) == documents.MAX_DIM
 
 
 def test_diagonal_entry_rejected():

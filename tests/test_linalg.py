@@ -3,9 +3,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liecert.linalg import (
+    Echelon,
     charpoly,
     coords_in_basis,
     det,
@@ -190,3 +191,146 @@ def test_spaces_equal_under_row_ops(rows):
     nonzero_rows = tuple(r for r in m if any(x != 0 for x in r))
     nonzero_doubled = tuple(r for r in doubled if any(x != 0 for x in r))
     assert spaces_equal(nonzero_rows, nonzero_doubled)
+
+
+# -- the fraction-free kernel against textbook Gauss-Jordan ------------------------
+
+
+def reference_rref(m):
+    """Fraction Gauss-Jordan with first-nonzero pivoting (the former kernel)."""
+    rows = [list(r) for r in m]
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r == nr:
+            break
+        pr = next((i for i in range(r, nr) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def reference_rank(m):
+    return len(reference_rref(m)[1])
+
+
+def reference_in_span(rows, v):
+    if all(x == 0 for x in v):
+        return True
+    return bool(rows) and reference_rank(rows) == reference_rank(rows + (v,))
+
+
+def reference_extend_basis(rows, n):
+    acc = list(rows)
+    r = reference_rank(rows)
+    picked = []
+    for j in range(n):
+        e = tuple(F(int(i == j)) for i in range(n))
+        if reference_rank(tuple(acc) + (e,)) > r:
+            acc.append(e)
+            r += 1
+            picked.append(j)
+        if r == n:
+            break
+    return tuple(picked)
+
+
+def reference_coords(basis, v):
+    """Solve sum_i c_i basis[i] = v through the reference rref, or None."""
+    k = len(basis)
+    aug = tuple(tuple(b[j] for b in basis) + (v[j],) for j in range(len(v)))
+    red, piv = reference_rref(aug)
+    if k in piv:
+        return None
+    c = [F(0)] * k
+    for r, pc in enumerate(piv):
+        c[pc] = red[r][k]
+    return tuple(c)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=7, max_cols=7):
+    """Empty, zero-row, tall and wide rational matrices, often rank-deficient."""
+    nr = draw(st.integers(0, max_rows))
+    nc = draw(st.integers(0, max_cols))
+    entry = st.one_of(st.just(F(0)), rationals)
+    rows = [draw(st.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)]
+    # repeat combinations of earlier rows so dependencies are common
+    for i in range(1, nr):
+        if draw(st.booleans()):
+            a, b = draw(rationals), draw(rationals)
+            j = draw(st.integers(0, i - 1))
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[i - 1])]
+        if draw(st.integers(0, 5)) == 0:
+            rows[i] = [F(0)] * nc
+    return matrix(rows) if nr else ()
+
+
+@given(rational_matrices())
+@example(())
+@example(matrix([[0, 0, 0], [0, 0, 0]]))
+@example(matrix([[1], [2], [F(1, 3)], [0]]))
+@example(matrix([[0, F(-2, 3), 5, 1, 0, 7]]))
+@settings(max_examples=150, deadline=None)
+def test_rref_and_rank_match_reference(m):
+    assert rref(m) == reference_rref(m)
+    assert rank(m) == reference_rank(m)
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_span_queries_match_reference(m, data):
+    n = len(m[0]) if m else data.draw(st.integers(0, 5))
+    inside = [F(0)] * n
+    for row in m:
+        c = data.draw(rationals)
+        inside = [x + c * y for x, y in zip(inside, row)]
+    outside = data.draw(st.lists(rationals, min_size=n, max_size=n))
+    for v in (tuple(inside), tuple(outside), (F(0),) * n):
+        assert in_span(m, v) == reference_in_span(m, v)
+    assert extend_basis(m, n) == reference_extend_basis(m, n)
+
+
+@given(rational_matrices(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_coords_in_basis_matches_reference(m, data):
+    basis = tuple(r for r in m if any(r))
+    if reference_rank(basis) != len(basis):
+        basis = reference_rref(basis)[0][: reference_rank(basis)]
+    n = len(m[0]) if m else 0
+    coeffs = data.draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
+    inside = tuple(sum((c * b[j] for c, b in zip(coeffs, basis)), F(0)) for j in range(n))
+    outside = tuple(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+    for v in (inside, outside):
+        assert coords_in_basis(basis, v) == reference_coords(basis, v)
+    if basis:
+        assert coords_in_basis(basis, inside) == tuple(coeffs)
+
+
+@given(rational_matrices(), st.lists(st.lists(rationals, min_size=7, max_size=7), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_reference(m, probes):
+    n = len(m[0]) if m else 0
+    span = Echelon()
+    added = []
+    for i, row in enumerate(m):
+        grew = reference_rank(tuple(added) + (row,)) > len(added)
+        assert span.add(row) == grew
+        if grew:
+            added.append(row)
+        assert span.rank == len(added) == reference_rank(m[: i + 1])
+    for p in probes:
+        v = tuple(p[:n])
+        assert span.contains(v) == reference_in_span(tuple(added), v)
+    for row in m:
+        assert span.contains(row)
