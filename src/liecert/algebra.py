@@ -54,8 +54,8 @@ class LieAlgebra:
 
     table[i][j] is the coordinate vector of [e_i, e_j].  The constructor
     checks shape only; call validate() for antisymmetry and Jacobi.
-    `_cache` memoises derived data (Killing form, radical) that passed
-    its self-checks.
+    `_cache` memoises derived data (Killing form, radical basis) that
+    passed its self-checks; it holds nothing that refers back to the algebra.
     """
 
     __slots__ = ("table", "labels", "_ad_basis", "_cache")
@@ -460,11 +460,13 @@ def killing_form(g: LieAlgebra) -> Matrix:
 def radical(g: LieAlgebra) -> Subspace:
     """Largest solvable ideal: the Killing-orthogonal of [g, g].
 
-    Memoised on g once it has passed its ideal and solvability checks.
+    Its basis is memoised on g once it has passed its ideal and solvability
+    checks.  Only the basis: a Subspace refers back to g, and that cycle
+    would keep every analysed algebra alive until a full garbage collection.
     """
     cached = g._cache.get("radical")
     if cached is not None:
-        return cached
+        return Subspace(g, cached)
     k = killing_form(g)
     derived = bracket_space(full_space(g), full_space(g))
     if derived.dim == 0:
@@ -474,7 +476,7 @@ def radical(g: LieAlgebra) -> Subspace:
         rad = Subspace(g, nullspace(rows))
         if not rad.is_ideal() or not subspace_is_solvable(rad):
             raise AlgebraError("radical computation produced a non-solvable span")
-    g._cache["radical"] = rad
+    g._cache["radical"] = rad.basis
     return rad
 
 

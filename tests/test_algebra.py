@@ -1,13 +1,14 @@
 """Core algebra operations on hand-built and randomized examples."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from liecert.algebra import (
+    AlgebraError,
     LieAlgebra,
-    _unital_envelope,
     StructureError,
     Subalgebra,
     Subspace,
@@ -28,6 +29,7 @@ from liecert.algebra import (
     quotient_by_ideal,
     radical,
     subspace_is_nilpotent,
+    _unital_envelope,
 )
 from liecert.builders import build_example, catalog_names
 from liecert.linalg import det, identity, mat_sub, matmul, matrix, rank, vector
@@ -240,8 +242,22 @@ def test_unital_envelope_matches_naive_closure():
 
 def test_killing_form_and_radical_are_memoised():
     g = affine_line()
+    refs = sys.getrefcount(g)
     assert killing_form(g) is killing_form(g)
-    assert radical(g) is radical(g)
+    assert radical(g) == radical(g)
+    assert radical(g).dim == 2
+    assert set(g._cache) == {"killing_form", "radical"}
+    # the memo holds no reference back to g, so g is freed without the gc
+    assert sys.getrefcount(g) == refs
+
+
+def test_radical_failing_its_self_check_is_not_memoised(monkeypatch):
+    g = affine_line()
+    monkeypatch.setattr("liecert.algebra.subspace_is_solvable", lambda s: False)
+    with pytest.raises(AlgebraError):
+        radical(g)
+    assert "radical" not in g._cache
+    monkeypatch.undo()
     assert radical(g).dim == 2
 
 
