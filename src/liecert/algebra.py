@@ -27,6 +27,7 @@ from .linalg import (
     rref_coords,
     row_basis,
     solve,
+    transpose,
     vec_add,
     vec_scale,
     vector,
@@ -330,26 +331,30 @@ def bracket_space(a: Subspace, b: Subspace) -> Subspace:
 
 
 class Subalgebra(Subspace):
-    """Subspace validated to be closed under the bracket."""
+    """Subspace validated to be closed under the bracket.
+
+    The closure check finds the coordinates of every bracket of the basis;
+    `_table` keeps them (Fractions only) as the structure constants.
+    """
+
+    __slots__ = ("_table",)
 
     def __init__(self, algebra: LieAlgebra, vectors: Iterable[Vector] = ()):
         super().__init__(algebra, vectors)
+        table = []
         for x in self.basis:
+            row = []
             for y in self.basis:
-                if not self.contains(algebra.bracket(x, y)):
+                c = rref_coords(self.basis, self.pivots, algebra.bracket(x, y))
+                if c is None:
                     raise StructureError("span is not closed under the bracket")
+                row.append(c)
+            table.append(tuple(row))
+        self._table = tuple(table)
 
     def as_algebra(self) -> tuple[LieAlgebra, Matrix]:
         """Structure constants in the canonical basis, plus that basis."""
-        g = self.algebra
-        bs = self.basis
-        table = []
-        for x in bs:
-            row = []
-            for y in bs:
-                row.append(rref_coords(bs, self.pivots, g.bracket(x, y)))
-            table.append(row)
-        return LieAlgebra(table), bs
+        return LieAlgebra(self._table), self.basis
 
 
 def as_subalgebra(s: Subspace) -> Subalgebra:
@@ -440,19 +445,11 @@ def killing_form(g: LieAlgebra) -> Matrix:
     cached = g._cache.get("killing_form")
     if cached is not None:
         return cached
-    n = g.dim
     ads = g.ad_basis
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(i + 1):
-            a, b = ads[i], ads[j]
-            row.append(sum((a[r][c] * b[c][r] for r in range(n) for c in range(n)),
-                           _ZERO))
-        out.append(row)
-    k = tuple(
-        tuple(out[i][j] if j <= i else out[j][i] for j in range(n)) for i in range(n)
-    )
+    # trace(a b) is the dot product of a, read by rows, with b, read by columns
+    by_rows = tuple(tuple(x for row in a for x in row) for a in ads)
+    by_cols = tuple(tuple(x for col in zip(*b) for x in col) for b in ads)
+    k = matmul(by_rows, transpose(by_cols))
     g._cache["killing_form"] = k
     return k
 
@@ -472,8 +469,7 @@ def radical(g: LieAlgebra) -> Subspace:
     if derived.dim == 0:
         rad = full_space(g)
     else:
-        rows = tuple(matvec(k, d) for d in derived.basis)
-        rad = Subspace(g, nullspace(rows))
+        rad = Subspace(g, nullspace(matmul(derived.basis, k)))  # k is symmetric
         if not rad.is_ideal() or not subspace_is_solvable(rad):
             raise AlgebraError("radical computation produced a non-solvable span")
     g._cache["radical"] = rad.basis

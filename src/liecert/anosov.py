@@ -51,12 +51,10 @@ from .linalg import (
     Matrix,
     Vector,
     coords_in_basis,
+    generalized_kernel,
     is_zero_vector,
-    mat_pow,
-    nullspace,
     restrict_operator,
     quotient_operator,
-    row_basis,
     solve,
     vec_add,
     vec_scale,
@@ -68,6 +66,7 @@ from .spectral import (
     InvariantSplitting,
     apply_poly,
     char_poly,
+    factor_with_multiplicity,
     invariant_splitting,
     is_hyperbolic,
     spectral_gap,
@@ -236,11 +235,9 @@ def _signed_factor_split(
     Returns (None, None) when some irreducible factor has roots on both
     sides of the axis, in which case no rational splitting exists.
     """
-    from .cartan import _sympy_factors_with_multiplicity
-
     left = RationalPolynomial([_ONE])
     right = RationalPolynomial([_ONE])
-    for phi, mult in _sympy_factors_with_multiplicity(p):
+    for phi, mult in factor_with_multiplicity(p):
         c = root_sign_counts(phi)
         if c.n_neg == phi.degree:
             for _ in range(mult):
@@ -253,8 +250,8 @@ def _signed_factor_split(
     return left, right
 
 
-def _char_subspace(op: Matrix, p: RationalPolynomial, n: int) -> Matrix:
-    return row_basis(nullspace(mat_pow(apply_poly(p, op), max(1, n))))
+def _char_subspace(op: Matrix, p: RationalPolynomial) -> Matrix:
+    return generalized_kernel(apply_poly(p, op))
 
 
 def check_anosov(
@@ -272,7 +269,6 @@ def check_anosov(
     if not action.flow.contains(h0):
         raise StructureError("candidate element is outside the flow span")
     g = action.ambient
-    n = g.dim
     a = g.ad(h0)
     w = action.joint
     restricted = restrict_operator(a, w.basis)
@@ -297,7 +293,7 @@ def check_anosov(
             )
         return AnosovRefusal(h0, "; ".join(bits), counts_out.n_zero_real, off_inside)
     dim_s, dim_u = counts_out.n_neg, counts_out.n_pos
-    carrier = _char_subspace(a, p_q, n) if p_q.degree > 0 else ()
+    carrier = _char_subspace(a, p_q) if p_q.degree > 0 else ()
     if len(carrier) != dim_s + dim_u:
         raise AlgebraError("off-axis characteristic space has the wrong dimension")
     if Subspace(g, carrier).intersect(w).dim != 0:
@@ -306,8 +302,8 @@ def check_anosov(
     stable_exact = None
     unstable_exact = None
     if left is not None:
-        stable_exact = _char_subspace(a, left, n) if left.degree else ()
-        unstable_exact = _char_subspace(a, right, n) if right.degree else ()
+        stable_exact = _char_subspace(a, left) if left.degree else ()
+        unstable_exact = _char_subspace(a, right) if right.degree else ()
         if len(stable_exact) != dim_s or len(unstable_exact) != dim_u:
             raise AlgebraError("signed characteristic spaces have wrong dimensions")
     gap, gap_exact = spectral_gap(p_q) if p_q.degree > 0 else (None, True)

@@ -38,6 +38,7 @@ from .linalg import (
     Matrix,
     Vector,
     dot,
+    generalized_kernel,
     identity,
     is_zero_vector,
     mat_pow,
@@ -55,7 +56,13 @@ from .linalg import (
     zero_vector,
 )
 from .poly import RationalPolynomial, count_real_roots_squarefree, squarefree_part
-from .spectral import apply_poly, char_poly, jordan_chevalley, operator_sign_counts
+from .spectral import (
+    apply_poly,
+    char_poly,
+    factor_with_multiplicity,
+    jordan_chevalley,
+    operator_sign_counts,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -66,12 +73,7 @@ _ONE = Fraction(1)
 
 def engel_subalgebra(g: LieAlgebra, x: Vector) -> Subspace:
     """Generalized null space of ad(x); always a subalgebra containing x."""
-    n = g.dim
-    if n == 0:
-        return zero_space(g)
-    a = g.ad(x)
-    m = 1 << max(0, (n - 1).bit_length())
-    return Subspace(g, nullspace(mat_pow(a, m)))
+    return Subspace(g, generalized_kernel(g.ad(x)))
 
 
 def is_csa(g: LieAlgebra, s: Subspace) -> bool:
@@ -466,25 +468,6 @@ class RootSystem:
         return tuple(r for r in self.roots if not r.is_zero)
 
 
-def _sympy_factors_with_multiplicity(p: RationalPolynomial):
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * x**i
-        for i, c in enumerate(p.coeffs)
-    )
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = fac.all_coeffs()[::-1]
-        q = RationalPolynomial(
-            [Fraction(int(sympy.Rational(c).p), int(sympy.Rational(c).q)) for c in cs]
-        )
-        out.append((q.monic(), int(mult)))
-    return out
-
-
 def _is_nilpotent_matrix(m: Matrix) -> bool:
     n = len(m)
     if n == 0:
@@ -552,11 +535,9 @@ def restricted_roots(
         for c, v in zip(coeffs, a.basis):
             star = vec_add(star, vec_scale(c, v))
         a_star = g.ad(star)
-        factors = _sympy_factors_with_multiplicity(char_poly(a_star))
         blocks = []
-        for phi, _ in factors:
-            ker = row_basis(nullspace(mat_pow(apply_poly(phi, a_star), n)))
-            blocks.append((phi, ker))
+        for phi, _ in factor_with_multiplicity(char_poly(a_star)):
+            blocks.append((phi, generalized_kernel(apply_poly(phi, a_star))))
         if sum(len(k) for _, k in blocks) != n:
             continue
         last_blocks = blocks

@@ -9,6 +9,12 @@ the same canonical ``Fraction`` rows and pivots as textbook Gauss-Jordan,
 and bases, complements and echelon forms are reproducible.  ``Echelon``
 keeps a growing span in the same integer form, so membership tests and
 insertions cost O(rank * n) instead of a fresh elimination.
+
+Products, powers, characteristic polynomials and polynomials in a matrix
+run on integer matrices: a matrix is written as integer rows over one
+common denominator d, the work is done in integers, and the result is
+divided by the matching power of d once, on the way out.  Generalized
+kernels stop multiplying as soon as the rank stops falling.
 No floating point enters here.
 """
 
@@ -16,7 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable
+from operator import mul
+from typing import Callable, Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -97,13 +104,30 @@ def is_zero_vector(v: Vector) -> bool:
     return all(x == 0 for x in v)
 
 
+def _integer_form(m: Matrix) -> tuple[list[list[int]], int]:
+    """(rows, d) with m = rows / d: integer rows over one common denominator."""
+    d = lcm(*(x.denominator for row in m for x in row))
+    if d == 1:
+        return [[x.numerator for x in row] for row in m], 1
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+
+
+def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
+def _from_integer(rows: list[list[int]], d: int) -> Matrix:
+    """The Fraction matrix rows / d."""
+    return tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in rows)
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     if not a or not b:
         return zeros(len(a), len(b[0]) if b else 0)
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    ia, da = _integer_form(a)
+    ib, db = _integer_form(b)
+    return _from_integer(_int_matmul(ia, ib), da * db)
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
@@ -111,45 +135,79 @@ def matvec(a: Matrix, v: Vector) -> Vector:
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
+    """a^k by squaring and multiplying in integers, divided by d^k once."""
+    if k == 0:
+        return identity(len(a))
+    base, d = _integer_form(a)
+    out = None
+    e = k
+    while e:
+        if e & 1:
+            out = base if out is None else _int_matmul(out, base)
+        e >>= 1
+        if e:
+            base = _int_matmul(base, base)
+    return _from_integer(out, d**k)
+
+
+def mat_poly(coeffs: Sequence[Fraction], a: Matrix) -> Matrix:
+    """sum_i coeffs[i] a^i for ascending coefficients.
+
+    With a = C / d and coeffs[i] = k_i / e, this is P(C) / (e d^deg) for
+    the integer polynomial P = sum_i k_i d^(deg - i) t^i, evaluated by
+    Horner, so degree k costs k - 1 products.
+    """
     n = len(a)
-    out = identity(n)
-    base = a
-    while k > 0:
-        if k & 1:
-            out = matmul(out, base)
-        k >>= 1
-        if k:
-            base = matmul(base, base)
-    return out
+    cs = list(coeffs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        return zeros(n, n)
+    if len(cs) == 1:
+        return mat_scale(cs[0], identity(n))
+    e = lcm(*(c.denominator for c in cs))
+    ks = [c.numerator * (e // c.denominator) for c in cs]
+    rows, d = _integer_form(a)
+    deg = len(ks) - 1
+    acc = [[ks[deg] * x for x in row] for row in rows]
+    for i in range(deg - 1, -1, -1):
+        s = ks[i] * d ** (deg - i)
+        if s:
+            for j in range(n):
+                acc[j][j] += s
+        if i:
+            acc = _int_matmul(acc, rows)
+    return _from_integer(acc, e * d**deg)
 
 
 def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), _ZERO)
 
 
-def integer_row(v) -> list[int]:
-    """Primitive integer row spanning the same line as the rational row v."""
-    den = lcm(*(x.denominator for x in v))
-    w = [x.numerator * (den // x.denominator) for x in v]
+def _primitive(w: list[int]) -> list[int]:
+    """w divided by the gcd of its entries."""
     g = gcd(*w)
     return [a // g for a in w] if g > 1 else w
 
 
+def integer_row(v) -> list[int]:
+    """Primitive integer row spanning the same line as the rational row v."""
+    den = lcm(*(x.denominator for x in v))
+    return _primitive([x.numerator * (den // x.denominator) for x in v])
+
+
 def _combine(p: int, w: list[int], f: int, row: list[int]) -> list[int]:
     """Primitive part of p*w - f*row."""
-    out = [p * a - f * b for a, b in zip(w, row)]
-    g = gcd(*out)
-    return [a // g for a in out] if g > 1 else out
+    return _primitive([p * a - f * b for a, b in zip(w, row)])
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form with deterministic first-nonzero pivoting.
+def _eliminate(rows: list[list[int]]) -> list[int]:
+    """Bring primitive integer rows to reduced echelon form; return the pivots.
 
-    Returns (echelon matrix, pivot column indices). Zero rows are kept at
-    the bottom so the shape is preserved.  Elimination runs on primitive
-    integer rows; each pivot row is divided by its pivot on the way out.
+    `rows` is rearranged in place: the pivot rows come first, in pivot
+    order, each primitive and zero at every other pivot column; the rest
+    are zero.  Pivoting is deterministic, first nonzero entry.
     """
-    rows = [integer_row(r) for r in m]
     nr, nc = len(rows), len(rows[0]) if rows else 0
     pivots: list[int] = []
     r = 0
@@ -168,11 +226,24 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
                 rows[i] = _combine(p, rows[i], f, prow)
         pivots.append(c)
         r += 1
+    return pivots
+
+
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form with deterministic first-nonzero pivoting.
+
+    Returns (echelon matrix, pivot column indices). Zero rows are kept at
+    the bottom so the shape is preserved.  Elimination runs on primitive
+    integer rows; each pivot row is divided by its pivot on the way out.
+    """
+    rows = [integer_row(r) for r in m]
+    nc = len(rows[0]) if rows else 0
+    pivots = _eliminate(rows)
     out = []
     for row, c in zip(rows, pivots):
         p = row[c]
         out.append(tuple(Fraction(a, p) if a else _ZERO for a in row))
-    out.extend(((_ZERO,) * nc,) * (nr - r))
+    out.extend(((_ZERO,) * nc,) * (len(rows) - len(pivots)))
     return tuple(out), tuple(pivots)
 
 
@@ -186,24 +257,47 @@ def row_basis(m: Matrix) -> Matrix:
     return red[: len(piv)]
 
 
-def nullspace(m: Matrix) -> tuple[Vector, ...]:
-    """Deterministic basis of the right kernel, free columns in order."""
-    nr, nc = shape(m)
-    if nc == 0:
-        return ()
-    if nr == 0:
-        return identity(nc)
-    red, piv = rref(m)
-    pivset = set(piv)
-    free = [c for c in range(nc) if c not in pivset]
+def _kernel(rows: list[list[int]], pivots: list[int], nc: int) -> tuple[Vector, ...]:
+    """Right kernel read off reduced integer pivot rows, free columns in order."""
+    pivset = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(nc):
+        if fc in pivset:
+            continue
         v = [_ZERO] * nc
         v[fc] = _ONE
-        for r, pc in enumerate(piv):
-            v[pc] = -red[r][fc]
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return tuple(basis)
+
+
+def nullspace(m: Matrix) -> tuple[Vector, ...]:
+    """Deterministic basis of the right kernel, free columns in order."""
+    rows = [integer_row(r) for r in m]
+    return _kernel(rows, _eliminate(rows), shape(m)[1])
+
+
+def generalized_kernel(b: Matrix) -> Matrix:
+    """Canonical basis of the generalized kernel of the square matrix b.
+
+    ker b^j grows with j until the Fitting index and is constant from
+    there on, so the first j with rank b^(j+1) = rank b^j gives it, and the
+    result equals row_basis(nullspace(b^n)).  The reduced rows of b^j have
+    the kernel of b^j, so each step multiplies those rank-many rows by b.
+    An invertible b stops at once.
+    """
+    rows, _ = _integer_form(b)
+    red = [_primitive(r) for r in rows]
+    piv = _eliminate(red)
+    while 0 < len(piv) < len(rows):
+        nxt = [_primitive(r) for r in _int_matmul(red[: len(piv)], rows)]
+        npiv = _eliminate(nxt)
+        if len(npiv) == len(piv):
+            break
+        red, piv = nxt, npiv
+    return row_basis(_kernel(red, piv, len(rows)))
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -251,23 +345,29 @@ def det(a: Matrix) -> Fraction:
 def charpoly(a: Matrix) -> tuple[Fraction, ...]:
     """Characteristic polynomial det(tI - A), ascending coefficients.
 
-    Faddeev-LeVerrier: exact over Q, divisions are by integers only.
+    Faddeev-LeVerrier on the integer matrix C = dA, where every M_k and
+    every coefficient is an integer, so each division by k is exact.
+    Coefficient i of det(tI - C) is d^(n-i) times that of det(tI - A).
     """
-    n = len(a)
-    coeffs = [_ZERO] * (n + 1)
-    coeffs[n] = _ONE
-    if n == 0:
-        return tuple(coeffs)
-    b = a  # invariant: b = A . M_k after each step
-    coeffs[n - 1] = -trace(b)
+    c, d = _integer_form(a)
+    n = len(c)
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    b = c  # invariant: b = C . M_k after each step
+    if n:
+        coeffs[n - 1] = -sum(b[i][i] for i in range(n))
     for k in range(2, n + 1):
-        m = tuple(
-            tuple(b[i][j] + (coeffs[n - k + 1] if i == j else _ZERO) for j in range(n))
-            for i in range(n)
-        )
-        b = matmul(a, m)
-        coeffs[n - k] = -trace(b) / k
-    return tuple(coeffs)
+        m = [row[:] for row in b]
+        for i in range(n):
+            m[i][i] += coeffs[n - k + 1]
+        b = _int_matmul(c, m)
+        q, r = divmod(-sum(b[i][i] for i in range(n)), k)
+        if r:
+            from .algebra import AlgebraError  # algebra imports this module
+
+            raise AlgebraError("Faddeev-LeVerrier division is not exact")
+        coeffs[n - k] = q
+    return tuple(Fraction(x, d ** (n - i)) if x else _ZERO for i, x in enumerate(coeffs))
 
 
 class Echelon:
@@ -469,8 +569,8 @@ def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
         return ()
     coords = basis_coordinates(basis)
     cols = []
-    for b in basis:
-        c = coords(matvec(m, b))
+    for image in matmul(basis, transpose(m)):  # rows (m b)^T
+        c = coords(image)
         if c is None:
             return None
         cols.append(c)
@@ -495,11 +595,11 @@ def quotient_operator(
         tuple(_ONE if i == j else _ZERO for i in range(n)) for j in comp
     )
     coords = basis_coordinates(full)
+    columns = transpose(m)
     k = len(basis)
     cols = []
     for j in comp:
-        e = tuple(_ONE if i == j else _ZERO for i in range(n))
-        c = coords(matvec(m, e))
+        c = coords(columns[j])
         if c is None:
             raise AssertionError("complement construction failed")
         cols.append(c[k:])

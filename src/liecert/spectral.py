@@ -19,8 +19,10 @@ from .linalg import (
     Matrix,
     charpoly,
     frac,
+    generalized_kernel,
     identity,
     inverse,
+    mat_poly,
     mat_pow,
     mat_scale,
     mat_sub,
@@ -48,6 +50,27 @@ _ONE = Fraction(1)
 def char_poly(op: Matrix) -> RationalPolynomial:
     """Characteristic polynomial det(tI - op)."""
     return RationalPolynomial(charpoly(op))
+
+
+def factor_with_multiplicity(
+    p: RationalPolynomial,
+) -> list[tuple[RationalPolynomial, int]]:
+    """Monic irreducible factors of p over Q with their multiplicities.
+
+    This is the one bridge to sympy's factorization.
+    """
+    x = sympy.Symbol("x")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * x**i
+        for i, c in enumerate(p.coeffs)
+    )
+    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    out = []
+    for fac, mult in factors:
+        cs = map(sympy.Rational, fac.all_coeffs()[::-1])
+        q = RationalPolynomial([Fraction(int(c.p), int(c.q)) for c in cs])
+        out.append((q.monic(), int(mult)))
+    return out
 
 
 def operator_sign_counts(op: Matrix) -> RootSignCount:
@@ -80,16 +103,8 @@ def is_partially_hyperbolic(op: Matrix) -> bool:
 
 
 def apply_poly(p: RationalPolynomial, op: Matrix) -> Matrix:
-    n = len(op)
-    acc = mat_scale(_ZERO, identity(n))
-    power = identity(n)
-    for c in p.coeffs:
-        if c != 0:
-            acc = tuple(
-                tuple(acc[i][j] + c * power[i][j] for j in range(n)) for i in range(n)
-            )
-        power = matmul(power, op)
-    return acc
+    """p(op), by Horner on the integer form of op."""
+    return mat_poly(p.coeffs, op)
 
 
 # -- axis factor ----------------------------------------------------------
@@ -183,19 +198,6 @@ def _newton_semisimple(op: Matrix, f: RationalPolynomial) -> Matrix:
     return s
 
 
-def _irreducible_factors(p: RationalPolynomial) -> list[RationalPolynomial]:
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
-               for i, c in enumerate(p.coeffs))
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
-    out = []
-    for fac, mult in factors:
-        cs = fac.all_coeffs()[::-1]
-        q = RationalPolynomial([Fraction(int(c.p), int(c.q)) for c in map(sympy.Rational, cs)])
-        out.append(q.monic())
-    return out
-
-
 def jordan_chevalley(op: Matrix) -> JordanChevalley:
     import numpy as np
 
@@ -210,11 +212,10 @@ def jordan_chevalley(op: Matrix) -> JordanChevalley:
     if not all(all(x == 0 for x in row) for row in mat_pow(nil, n)):
         raise AlgebraError("nilpotent part is not nilpotent")
     # refinement into hyperbolic + elliptic
-    factors = _irreducible_factors(f)
     exact = True
     hyper: Matrix | None = None
     parts = []
-    for phi in factors:
+    for phi, _ in factor_with_multiplicity(f):
         d = phi.degree
         mean = -phi.coeffs[d - 1] / (d * phi.coeffs[d])
         if count_real_roots_squarefree(phi) == d:
@@ -404,9 +405,8 @@ def invariant_splitting(op: Matrix, tolerance: float = 1e-9) -> InvariantSplitti
             neutral_rows = ()
             off_rows = tuple(identity(n))
         else:
-            neutral_rows = row_basis(nullspace(mat_pow(apply_poly(ax, op), n)))
-            b = f // ax
-            off_rows = row_basis(nullspace(mat_pow(apply_poly(b, op), n)))
+            neutral_rows = generalized_kernel(apply_poly(ax, op))
+            off_rows = generalized_kernel(apply_poly(f // ax, op))
             if len(neutral_rows) != counts.n_zero_real:
                 raise AlgebraError("axis kernel has wrong dimension")
             if len(off_rows) != counts.n_neg + counts.n_pos:

@@ -385,3 +385,21 @@ def test_subalgebra_rejects_nonclosed():
     g = sl2()
     with pytest.raises(StructureError):
         Subalgebra(g, [g.basis_vector(1), g.basis_vector(2)])
+
+
+def test_as_algebra_table_matches_direct_brackets():
+    from liecert.cartan import find_csa
+    from liecert.linalg import coords_in_basis
+
+    for name in catalog_names():
+        g = build_example(name).ambient
+        whole = full_space(g)
+        spans = [whole, bracket_space(whole, whole), radical(g), nilradical(g), center(g), find_csa(g)]
+        for s in spans:
+            sub, basis = as_subalgebra(s).as_algebra()
+            assert basis == s.basis
+            direct = tuple(
+                tuple(coords_in_basis(basis, g.bracket(x, y)) for y in basis) for x in basis
+            )
+            assert sub.table == direct
+            assert all(type(c) is F for row in sub.table for v in row for c in v)

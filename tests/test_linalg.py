@@ -12,10 +12,12 @@ from liecert.linalg import (
     det,
     extend_basis,
     frac,
+    generalized_kernel,
     identity,
     in_span,
     intersect_spaces,
     inverse,
+    mat_pow,
     matmul,
     matrix,
     matvec,
@@ -30,6 +32,8 @@ from liecert.linalg import (
     trace,
     vector,
 )
+from liecert.poly import RationalPolynomial
+from liecert.spectral import apply_poly
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -334,3 +338,225 @@ def test_echelon_matches_reference(m, probes):
         assert span.contains(v) == reference_in_span(tuple(added), v)
     for row in m:
         assert span.contains(row)
+
+
+# -- the integer product kernel against the former Fraction routines ---------------
+
+
+def reference_matmul(a, b):
+    """Dense Fraction product (the former matmul)."""
+    if not a or not b:
+        return tuple((F(0),) * (len(b[0]) if b else 0) for _ in a)
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def reference_mat_pow(a, k):
+    out = identity(len(a))
+    base = a
+    while k > 0:
+        if k & 1:
+            out = reference_matmul(out, base)
+        k >>= 1
+        if k:
+            base = reference_matmul(base, base)
+    return out
+
+
+def reference_charpoly(a):
+    """Faddeev-LeVerrier in Fractions (the former charpoly)."""
+    n = len(a)
+    coeffs = [F(0)] * (n + 1)
+    coeffs[n] = F(1)
+    if n == 0:
+        return tuple(coeffs)
+    b = a
+    coeffs[n - 1] = -trace(b)
+    for k in range(2, n + 1):
+        m = tuple(
+            tuple(b[i][j] + (coeffs[n - k + 1] if i == j else 0) for j in range(n))
+            for i in range(n)
+        )
+        b = reference_matmul(a, m)
+        coeffs[n - k] = -trace(b) / k
+    return tuple(coeffs)
+
+
+def reference_apply_poly(coeffs, a):
+    """sum c_i a^i with one product per coefficient (the former apply_poly)."""
+    n = len(a)
+    acc = [[F(0)] * n for _ in range(n)]
+    power = identity(n)
+    for c in coeffs:
+        for i in range(n):
+            for j in range(n):
+                acc[i][j] += c * power[i][j]
+        power = reference_matmul(power, a)
+    return tuple(tuple(row) for row in acc)
+
+
+def reference_nullspace(m):
+    nc = len(m[0]) if m else 0
+    red, piv = reference_rref(m)
+    basis = []
+    for fc in range(nc):
+        if fc not in piv:
+            v = [F(0)] * nc
+            v[fc] = F(1)
+            for r, pc in enumerate(piv):
+                v[pc] = -red[r][fc]
+            basis.append(tuple(v))
+    return tuple(basis)
+
+
+def reference_generalized_kernel(b):
+    red, piv = reference_rref(reference_nullspace(reference_mat_pow(b, len(b))))
+    return red[: len(piv)]
+
+
+def jordan_block(n, value=0):
+    return matrix([[value if i == j else int(j == i + 1) for j in range(n)] for i in range(n)])
+
+
+def all_fractions(m):
+    return all(type(x) is F for row in m for x in row)
+
+
+# large denominators, so the common denominator of a matrix is far from 1
+wide_rationals = st.one_of(
+    st.just(F(0)),
+    rationals,
+    st.fractions(min_value=-5, max_value=5, max_denominator=10**9),
+)
+
+
+@st.composite
+def square_matrices(draw, max_n=5):
+    """Dense, nilpotent and singular square matrices, conjugated to hide it."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["dense", "nilpotent", "singular"]))
+    rows = [[draw(wide_rationals) for _ in range(n)] for _ in range(n)]
+    if kind != "dense":
+        for i in range(n):
+            for j in range(i + 1):
+                if j < i or kind == "nilpotent" or draw(st.booleans()):
+                    rows[i][j] = F(0)
+    if n > 1 and draw(st.booleans()):
+        # conjugate by a unitriangular s: b -> s b s^-1
+        s = [[F(int(i == j)) if j >= i else draw(rationals) for j in range(n)] for i in range(n)]
+        m = matrix(rows)
+        rows = reference_matmul(reference_matmul(matrix(s), m), inverse(matrix(s)))
+    return matrix(rows) if n else ()
+
+
+EXAMPLE_SQUARES = [
+    (),
+    matrix([[F(3, 7)]]),
+    matrix([[0]]),
+    matrix([[0] * 3] * 3),
+    jordan_block(1),
+    jordan_block(4),
+    jordan_block(6),
+    jordan_block(3, F(-2, 5)),
+    matrix([[F(1, 10**9), F(-7, 3)], [F(5, 999983), F(2, 10**9 + 7)]]),
+]
+
+
+def with_examples(*rest):
+    """Add each of EXAMPLE_SQUARES as an explicit example, followed by `rest`."""
+
+    def add(test):
+        for m in EXAMPLE_SQUARES:
+            test = example(m, *rest)(test)
+        return test
+
+    return add
+
+
+@st.composite
+def product_pairs(draw, max_n=4):
+    """(a, b) with a r x k and b k x c, any of r, k, c possibly zero."""
+    r, k, c = (draw(st.integers(0, max_n)) for _ in range(3))
+
+    def block(rows, cols):
+        return matrix([[draw(wide_rationals) for _ in range(cols)] for _ in range(rows)]) if rows else ()
+
+    return block(r, k), block(k, c)
+
+
+@given(product_pairs())
+@example(((), ()))
+@example((matrix([[0, 0], [0, 0]]), matrix([[0, 0], [0, 0]])))
+@example((matrix([[F(1, 10**9)]]), matrix([[F(-10**9, 7)]])))
+@settings(max_examples=150, deadline=None)
+def test_matmul_matches_reference(pair):
+    a, b = pair
+    out = matmul(a, b)
+    assert out == reference_matmul(a, b)
+    assert all_fractions(out)
+
+
+@with_examples()
+@given(square_matrices())
+@settings(max_examples=100, deadline=None)
+def test_mat_pow_matches_reference(m):
+    for k in range(7):
+        out = mat_pow(m, k)
+        assert out == reference_mat_pow(m, k)
+        assert all_fractions(out)
+
+
+@with_examples()
+@given(square_matrices())
+@settings(max_examples=100, deadline=None)
+def test_charpoly_matches_reference(m):
+    cp = charpoly(m)
+    assert cp == reference_charpoly(m)
+    assert all(type(x) is F for x in cp)
+
+
+@with_examples([F(1, 2), F(-3, 10**9), F(7, 5)])
+@given(square_matrices(), st.lists(wide_rationals, max_size=6))
+@example((), [])
+@example(matrix([[F(1, 3), 2], [0, F(-5, 7)]]), [])
+@example(matrix([[F(1, 3), 2], [0, F(-5, 7)]]), [F(-9, 10**9)])
+@example(jordan_block(3), [F(4), F(0), F(0)])
+@settings(max_examples=100, deadline=None)
+def test_apply_poly_matches_reference(m, coeffs):
+    p = RationalPolynomial(coeffs)
+    out = apply_poly(p, m)
+    assert out == reference_apply_poly(p.coeffs, m)
+    assert all_fractions(out)
+
+
+@with_examples()
+@given(square_matrices())
+@settings(max_examples=150, deadline=None)
+def test_generalized_kernel_matches_reference(m):
+    assert generalized_kernel(m) == reference_generalized_kernel(m)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_generalized_kernel_of_a_jordan_block_needs_its_full_fitting_index(n):
+    j = jordan_block(n)
+    assert rank(mat_pow(j, n - 1)) == 1
+    assert generalized_kernel(j) == identity(n)
+    # an invertible block beside it adds nothing to the kernel
+    big = matrix(
+        [[j[i][k] if i < n and k < n else int(i == k) for k in range(n + 2)] for i in range(n + 2)]
+    )
+    assert generalized_kernel(big) == identity(n + 2)[:n]
+
+
+def test_charpoly_self_check_raises_algebra_error(monkeypatch):
+    from liecert import linalg
+    from liecert.algebra import AlgebraError
+
+    def broken(a, b):
+        out = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+        out[0][0] += 1
+        return out
+
+    monkeypatch.setattr(linalg, "_int_matmul", broken)
+    with pytest.raises(AlgebraError):
+        charpoly(matrix([[0, 0], [0, 0]]))
