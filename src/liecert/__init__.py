@@ -95,7 +95,6 @@ from .documents import (
     algebra_to_document,
     document_to_action,
     document_to_algebra,
-    parse_algebra,
     parse_document,
     serialize_document,
 )

@@ -16,6 +16,7 @@ from .linalg import (
     Matrix,
     Vector,
     basis_coordinates,
+    combine,
     extend_basis,
     integer_row,
     intersect_spaces,
@@ -29,7 +30,6 @@ from .linalg import (
     solve,
     transpose,
     vec_add,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -528,14 +528,7 @@ def nilradical(g: LieAlgebra) -> Subspace:
         tuple(sum((x * bflat[k] for k, x in terms), _ZERO) for terms in pairings)
         for bflat in env
     ]
-    coeff_ker = nullspace(tuple(rows))
-    vecs = []
-    for coef in coeff_ker:
-        v = zero_vector(n)
-        for r, c in enumerate(coef):
-            v = vec_add(v, vec_scale(c, rad.basis[r]))
-        vecs.append(v)
-    nil = Subspace(g, vecs)
+    nil = Subspace(g, matmul(nullspace(tuple(rows)), rad.basis))
     if not nil.is_ideal() or not subspace_is_nilpotent(nil):
         raise AlgebraError("nilradical computation produced a non-nilpotent span")
     if not nil.contains_space(bracket_space(full_space(g), rad)):
@@ -637,13 +630,7 @@ def _levi_complement(g: LieAlgebra, rad: Subspace) -> Subspace:
         pre = quo.pull_space(qlevi)
         sub, bs = as_subalgebra(pre).as_algebra()
         inner = _levi_complement(sub, radical(sub))
-        vecs = []
-        for v in inner.basis:
-            w = zero_vector(g.dim)
-            for c, b in zip(v, bs):
-                w = vec_add(w, vec_scale(c, b))
-            vecs.append(w)
-        return Subspace(g, vecs)
+        return Subspace(g, matmul(inner.basis, bs))
     # abelian radical: correct the deterministic complement section
     n = g.dim
     comp = extend_basis(rad.basis, n)
@@ -691,10 +678,7 @@ def _levi_complement(g: LieAlgebra, rad: Subspace) -> Subspace:
             raise AlgebraError("Levi correction system is inconsistent")
     else:
         sol = tuple([_ZERO] * unknowns)
-    vecs = []
-    for a in range(q):
-        w = xs[a]
-        for c in range(k):
-            w = vec_add(w, vec_scale(sol[a * k + c], rad_vec[c]))
-        vecs.append(w)
+    vecs = [
+        vec_add(xs[a], combine(sol[a * k : (a + 1) * k], rad_vec, n)) for a in range(q)
+    ]
     return Subspace(g, vecs)

@@ -37,29 +37,25 @@ from .cartan import (
     ActionCsa,
     ChamberSet,
     cartan_subspace,
-    compact_levi_split,
     csa_from_action,
     ellipticity_proxy,
     find_csa,
-    hyperbolic_part,
+    hyperbolic_span,
+    inner_corrected_flow,
     is_csa,
     restricted_roots,
     weyl_chambers,
-    _inner_representative,
 )
 from .linalg import (
     Matrix,
     Vector,
+    combine,
     coords_in_basis,
     generalized_kernel,
     is_zero_vector,
     restrict_operator,
     quotient_operator,
     solve,
-    vec_add,
-    vec_scale,
-    vec_sub,
-    zero_vector,
 )
 from .poly import RationalPolynomial, root_sign_counts
 from .spectral import (
@@ -429,31 +425,16 @@ def _chamber_samples(action: ActionSpec) -> tuple[Vector, ...] | None:
     g = action.ambient
     if radical(g).dim != 0:
         return None
-    hyp = []
-    for v in action.flow.basis:
-        h = hyperbolic_part(g, v)
-        if h is None:
-            return None
-        if not is_zero_vector(h):
-            hyp.append(h)
-    a_h = Subspace(g, hyp)
-    if a_h.dim == 0 or not action.flow.contains_space(a_h):
+    a_h = hyperbolic_span(g, action.flow.basis)
+    if a_h is None or a_h.dim == 0 or not action.flow.contains_space(a_h):
         return None
-    for i, v in enumerate(a_h.basis):
-        for w in a_h.basis[i + 1:]:
-            if not is_zero_vector(g.bracket(v, w)):
-                return None
+    if not a_h.is_abelian():
+        return None
     rs = restricted_roots(g, a_h)
     if not rs.exact:
         return None
     chambers = weyl_chambers(rs)
-    samples = []
-    for ch in chambers.chambers:
-        v = zero_vector(g.dim)
-        for c, b in zip(ch.sample, a_h.basis):
-            v = vec_add(v, vec_scale(c, b))
-        samples.append(v)
-    return tuple(samples)
+    return tuple(combine(ch.sample, a_h.basis, g.dim) for ch in chambers.chambers)
 
 
 def _primitive_ray(v: Vector) -> Vector:
@@ -505,25 +486,21 @@ def find_anosov_elements(
         for v in samples:
             try_candidate(v)
         return tuple(found)
+    n = action.ambient.dim
+    basis = action.flow.basis
     spent = 0
     for height in range(1, 8):
         for coords in itertools.product(range(-height, height + 1), repeat=d):
             if max((abs(c) for c in coords), default=0) != height:
                 continue
-            v = zero_vector(action.ambient.dim)
-            for c, b in zip(coords, action.flow.basis):
-                v = vec_add(v, vec_scale(Fraction(c), b))
-            try_candidate(v)
+            try_candidate(combine(coords, basis, n))
             spent += 1
             if spent >= budget or len(found) >= max_found:
                 return tuple(found)
     rng = random.Random(seed)
     while spent < budget and len(found) < max_found:
-        v = zero_vector(action.ambient.dim)
-        for b in action.flow.basis:
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            v = vec_add(v, vec_scale(c, b))
-        try_candidate(v)
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis]
+        try_candidate(combine(coeffs, basis, n))
         spent += 1
     return tuple(found)
 
@@ -556,27 +533,9 @@ def simplification(action: ActionSpec) -> ActionSpec:
     """
     action.require_valid()
     g = action.ambient
-    split = compact_levi_split(g, action.isotropy)
-    if not split.reductive:
-        raise StructureError(
-            "isotropy does not split as derived subalgebra plus center"
-        )
-    kstar, t1 = split.semisimple, split.central
-    flow_vecs = []
-    for v in action.flow.basis:
-        if all(is_zero_vector(g.bracket(v, x)) for x in kstar.basis):
-            flow_vecs.append(v)
-            continue
-        nu = _inner_representative(g, kstar.basis, v)
-        if nu is None:
-            raise StructureError(
-                "flow generator does not act on the isotropy by an inner "
-                "derivation"
-            )
-        flow_vecs.append(vec_sub(v, nu))
-    new_flow = Subspace(g, flow_vecs).sum(t1)
+    flow, split, _ = inner_corrected_flow(g, action.flow, action.isotropy)
     name = f"{action.name}-simplified" if action.name else None
-    out = ActionSpec(g, new_flow, kstar, name=name)
+    out = ActionSpec(g, flow.sum(split.central), split.semisimple, name=name)
     out.require_valid()
     if out.joint != action.joint:
         raise AlgebraError("simplification changed the flow + isotropy span")
@@ -623,16 +582,10 @@ def _classify_semisimple(
 ) -> ClassificationReport:
     g = action.ambient
     simp = simplification(action)
-    hyp = []
-    for v in simp.flow.basis:
-        h = hyperbolic_part(g, v)
-        if h is None:
-            raise Inconclusive(
-                "flow generator has an irrational semisimple refinement"
-            )
-        if not is_zero_vector(h):
-            hyp.append(h)
-    a = cartan_subspace(g, hint=Subspace(g, hyp))
+    hint = hyperbolic_span(g, simp.flow.basis)
+    if hint is None:
+        raise Inconclusive("flow generator has an irrational semisimple refinement")
+    a = cartan_subspace(g, hint=hint)
     rs = restricted_roots(g, a)
     k0 = Subspace(g, rs.zero_complement or ())
     chcsa = a.sum(k0) == action.joint
@@ -712,9 +665,7 @@ def _classify_mixed(
     if not in_rad and rad.intersect(action.flow).dim > 0:
         inter = rad.intersect(action.flow)
         for coords in itertools.product(range(-2, 3), repeat=inter.dim):
-            v = zero_vector(g.dim)
-            for c, b in zip(coords, inter.basis):
-                v = vec_add(v, vec_scale(Fraction(c), b))
+            v = combine(coords, inter.basis, g.dim)
             if is_zero_vector(v):
                 continue
             if isinstance(check_anosov(action, v), AnosovCertificate):
@@ -832,9 +783,7 @@ def nil_suspension_check(
     expand = solve(tuple(zip(*pushed)), base_cert.h0)
     if expand is None:
         raise StructureError("base Anosov element does not lift to the flow span")
-    lift = zero_vector(g.dim)
-    for c, b in zip(expand, total.flow.basis):
-        lift = vec_add(lift, vec_scale(c, b))
+    lift = combine(expand, total.flow.basis, g.dim)
     fixed = total.flow.intersect(fiber)
     adl = g.ad(lift)
     on_fiber = restrict_operator(adl, fiber.basis)

@@ -37,11 +37,13 @@ from .algebra import (
 from .linalg import (
     Matrix,
     Vector,
+    combine,
     dot,
     generalized_kernel,
     identity,
     is_zero_vector,
     mat_pow,
+    matmul,
     matvec,
     nullspace,
     restrict_operator,
@@ -49,11 +51,8 @@ from .linalg import (
     solve,
     symmetric_inertia,
     trace,
-    vec_add,
-    vec_scale,
     vec_sub,
     vector,
-    zero_vector,
 )
 from .poly import RationalPolynomial, count_real_roots_squarefree, squarefree_part
 from .spectral import (
@@ -89,17 +88,6 @@ def is_csa(g: LieAlgebra, s: Subspace) -> bool:
     return normalizer(g, s).basis == s.basis
 
 
-def _lift_rows(rows: Matrix, basis: Matrix, n: int) -> tuple[Vector, ...]:
-    """Rows of coordinates w.r.t. `basis` back to ambient vectors."""
-    out = []
-    for r in rows:
-        v = zero_vector(n)
-        for c, b in zip(r, basis):
-            v = vec_add(v, vec_scale(c, b))
-        out.append(v)
-    return tuple(out)
-
-
 def find_csa(g: LieAlgebra, seed: int = 0, max_attempts: int = 400) -> Subspace:
     """Cartan subalgebra by Engel-kernel descent.
 
@@ -111,7 +99,6 @@ def find_csa(g: LieAlgebra, seed: int = 0, max_attempts: int = 400) -> Subspace:
     """
     if g.dim == 0:
         return zero_space(g)
-    n = g.dim
     current = full_space(g)
     sub, basis = as_subalgebra(current).as_algebra()
     rng = random.Random(seed)
@@ -128,7 +115,7 @@ def find_csa(g: LieAlgebra, seed: int = 0, max_attempts: int = 400) -> Subspace:
                 continue
         e_local = engel_subalgebra(sub, x_local)
         if e_local.dim < d:
-            current = Subspace(g, _lift_rows(e_local.basis, basis, n))
+            current = Subspace(g, matmul(e_local.basis, basis))
             sub, basis = as_subalgebra(current).as_algebra()
             continue
         if is_nilpotent(sub) and normalizer(g, current).basis == current.basis:
@@ -221,40 +208,50 @@ def _inner_representative(g: LieAlgebra, kstar: Matrix, h: Vector) -> Vector | N
     sol = solve(tuple(rows), tuple(rhs))
     if sol is None:
         return None
-    nu = zero_vector(g.dim)
-    for c, kj in zip(sol, kstar):
-        nu = vec_add(nu, vec_scale(c, kj))
-    return nu
+    return combine(sol, kstar, g.dim)
 
 
-def csa_from_action(g: LieAlgebra, h: Subspace, k: Subspace) -> ActionCsa:
-    """Assemble flow + maximal abelian of [k, k] + center(k) into a CSA.
+def inner_corrected_flow(
+    g: LieAlgebra, h: Subspace, k: Subspace
+) -> tuple[Subspace, CompactSplit, bool]:
+    """The flow span corrected to commute with [k, k], and the split of k.
 
-    When the flow span fails to commute with [k, k], each flow generator
-    is corrected by the inner representative of its action on [k, k].
-    The assembled span is verified by is_csa; failure raises, signalling
-    an inconsistent input rather than a wrong certificate.
+    Each flow generator that fails to commute with [k, k] is replaced by
+    itself minus the inner representative of its action on [k, k]; the
+    flag says whether any generator was replaced.  Raises when k does not
+    split as [k, k] + center(k) or a generator has no inner representative.
     """
     split = compact_levi_split(g, k)
     if not split.reductive:
         raise StructureError(
             "isotropy span does not split as derived subalgebra plus center"
         )
-    kstar, t1 = split.semisimple, split.central
+    kstar = split.semisimple.basis
     corrected = False
     flow_vecs = []
     for v in h.basis:
-        if all(is_zero_vector(g.bracket(v, x)) for x in kstar.basis):
+        if all(is_zero_vector(g.bracket(v, x)) for x in kstar):
             flow_vecs.append(v)
             continue
-        nu = _inner_representative(g, kstar.basis, v)
+        nu = _inner_representative(g, kstar, v)
         if nu is None:
             raise StructureError(
                 "flow generator does not act on the isotropy by an inner derivation"
             )
         corrected = True
         flow_vecs.append(vec_sub(v, nu))
-    flow = Subspace(g, flow_vecs)
+    return Subspace(g, flow_vecs), split, corrected
+
+
+def csa_from_action(g: LieAlgebra, h: Subspace, k: Subspace) -> ActionCsa:
+    """Assemble flow + maximal abelian of [k, k] + center(k) into a CSA.
+
+    The flow span is inner-corrected to commute with [k, k] first.  The
+    assembled span is verified by is_csa; failure raises, signalling an
+    inconsistent input rather than a wrong certificate.
+    """
+    flow, split, corrected = inner_corrected_flow(g, h, k)
+    kstar, t1 = split.semisimple, split.central
     a0 = zero_space(g)
     while True:
         c = kstar if a0.dim == 0 else centralizer(g, a0).intersect(kstar)
@@ -313,6 +310,17 @@ def hyperbolic_part(g: LieAlgebra, x: Vector) -> Vector | None:
     return solve_ad(g, jc.hyperbolic)
 
 
+def hyperbolic_span(g: LieAlgebra, vectors: Sequence[Vector]) -> Subspace | None:
+    """Span of the hyperbolic parts of `vectors`; None once one is not exact."""
+    parts = []
+    for v in vectors:
+        h = hyperbolic_part(g, v)
+        if h is None:
+            return None
+        parts.append(h)
+    return Subspace(g, parts)
+
+
 def cartan_subspace(g: LieAlgebra, hint: Subspace | None = None) -> Subspace:
     """Maximal abelian span of ad-hyperbolic elements, grown greedily.
 
@@ -329,10 +337,8 @@ def cartan_subspace(g: LieAlgebra, hint: Subspace | None = None) -> Subspace:
         for v in hint.basis:
             if not is_ad_hyperbolic(g, v):
                 raise StructureError("hint element is not ad-hyperbolic")
-        for i, v in enumerate(hint.basis):
-            for w in hint.basis[i + 1:]:
-                if not is_zero_vector(g.bracket(v, w)):
-                    raise StructureError("hint is not abelian")
+        if not hint.is_abelian():
+            raise StructureError("hint is not abelian")
         a = Subspace(g, hint.basis)
     while True:
         c = full_space(g) if a.dim == 0 else centralizer(g, a)
@@ -411,15 +417,8 @@ def is_hyperbolic_csa(g: LieAlgebra, csa: Subspace) -> bool:
     q = quotient_by_ideal(g, rad)
     qg = q.quotient
     proj = q.push_space(csa)
-    hint_vecs = []
-    for v in proj.basis:
-        h = hyperbolic_part(qg, v)
-        if h is None:
-            return False
-        if not is_zero_vector(h):
-            hint_vecs.append(h)
-    hint = Subspace(qg, hint_vecs)
-    if not proj.contains_space(hint):
+    hint = hyperbolic_span(qg, proj.basis)
+    if hint is None or not proj.contains_space(hint):
         return False
     grown = cartan_subspace(qg, hint=hint)
     return proj.contains_space(grown)
@@ -488,13 +487,7 @@ def _zero_complement(g: LieAlgebra, base: Matrix, zero_rows: Matrix) -> Matrix:
         combos = nullspace(m)
     else:
         combos = tuple(identity(len(zero_rows)))
-    out = []
-    for c in combos:
-        v = zero_vector(g.dim)
-        for x, z in zip(c, zero_rows):
-            v = vec_add(v, vec_scale(x, z))
-        out.append(v)
-    comp = row_basis(tuple(out))
+    comp = row_basis(matmul(combos, zero_rows))
     a_space = Subspace(g, base)
     c_space = Subspace(g, comp)
     if a_space.intersect(c_space).dim != 0:
@@ -522,19 +515,14 @@ def restricted_roots(
     if a.dim == 0:
         whole = RootInfo(n, tuple(identity(n)), (), None, (), True)
         return RootSystem((), (whole,), True, whole.space)
-    for i, v in enumerate(a.basis):
-        for w in a.basis[i + 1:]:
-            if not is_zero_vector(g.bracket(v, w)):
-                raise StructureError("root decomposition requires an abelian base")
+    if not a.is_abelian():
+        raise StructureError("root decomposition requires an abelian base")
     ads = [g.ad(v) for v in a.basis]
     last_blocks = None
     saw_all_linear = False
     for lam in range(1, max_generic_tries + 1):
         coeffs = [Fraction(lam) ** i for i in range(a.dim)]
-        star = zero_vector(n)
-        for c, v in zip(coeffs, a.basis):
-            star = vec_add(star, vec_scale(c, v))
-        a_star = g.ad(star)
+        a_star = g.ad(combine(coeffs, a.basis, n))
         blocks = []
         for phi, _ in factor_with_multiplicity(char_poly(a_star)):
             blocks.append((phi, generalized_kernel(apply_poly(phi, a_star))))

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success or accepted; 1 verified negative (invalid table,
 Anosov refusal); 2 inconclusive (search budget exhausted); 3 input
-error.  Reports are deterministic JSON (or a text rendering of the same
-data) so that fixed inputs and seeds reproduce byte-identical output.
+error, a malformed command line included.  Reports are deterministic
+JSON (or a text rendering of the same data) so that fixed inputs and
+seeds reproduce byte-identical output.
 """
 
 from __future__ import annotations
@@ -210,8 +211,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    if args.param:
-        raise DocumentError("catalog builders take no parameters")
     try:
         action = build_example(args.name)
     except KeyError:
@@ -244,8 +243,16 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error, not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DocumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="liecert",
         description="exact certificates for algebra-level Anosov actions",
     )
@@ -290,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("anosov", help="certify an element or search for one")
     common(p)
     p.add_argument("--h0", default=None, help="candidate element, comma-separated")
-    p.add_argument("--search", action="store_true", help="search the flow span")
     p.add_argument("--budget", type=int, default=200, help="search budget")
     p.set_defaults(func=_cmd_anosov)
 
@@ -301,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="emit a catalog example as a document")
     p.add_argument("name", help="example name; see the catalog command")
-    p.add_argument("--param", action="append", default=[], help="builder parameter")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_build)
 
@@ -313,9 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ spectral quantity in a report is tagged exact or certified-numeric.
 from __future__ import annotations
 
 import hashlib
+import importlib.resources
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +21,6 @@ from .anosov import (
     AnosovRefusal,
     ClassificationReport,
     InvarianceReport,
-    NilSuspensionReport,
 )
 from .cartan import Chamber, ChamberSet, RootInfo, RootSystem
 from .linalg import Matrix, Vector
@@ -223,11 +223,6 @@ def parse_document(text: str) -> AlgebraDocument:
     return AlgebraDocument(dim, labels, tuple(entries), subspaces, name)
 
 
-def parse_algebra(text: str) -> tuple[AlgebraDocument, LieAlgebra]:
-    doc = parse_document(text)
-    return doc, document_to_algebra(doc)
-
-
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -237,14 +232,6 @@ def serialize_document(doc: AlgebraDocument) -> str:
 
 
 # -- report payloads -----------------------------------------------------------
-
-
-def exact_value(x: Fraction) -> dict:
-    return {"exact": True, "value": frac_str(x)}
-
-
-def numeric_value(x: float) -> dict:
-    return {"exact": False, "value": float(x)}
 
 
 def _poly_strs(p: RationalPolynomial) -> list[str]:
@@ -362,17 +349,6 @@ def classification_payload(rep: ClassificationReport) -> dict:
     }
 
 
-def nil_suspension_payload(rep: NilSuspensionReport) -> dict:
-    return {
-        "structure_ok": rep.structure_ok,
-        "induced_hyperbolic": rep.induced_hyperbolic,
-        "anosov": rep.anosov,
-        "kind": rep.kind,
-        "fiber_dim": rep.fiber_dim,
-        "fixed_dim": rep.fixed_dim,
-    }
-
-
 def subspace_payload(s: Subspace) -> dict:
     return {"dim": s.dim, "basis": mat_strs(s.basis)}
 
@@ -387,48 +363,8 @@ def provenance(text: str, command: str, seed: int, tolerance: float) -> dict:
     }
 
 
-def report_document(prov: dict, payload: dict) -> str:
-    return dump_json({"provenance": prov, "result": payload})
-
-
 # -- schema --------------------------------------------------------------------
 
-SCHEMA: dict = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "$id": f"liecert-algebra-document-v{FORMAT_VERSION}",
-    "title": "Algebra document",
-    "type": "object",
-    "required": ["format_version", "dim", "structure_constants"],
-    "properties": {
-        "format_version": {"const": FORMAT_VERSION},
-        "dim": {"type": "integer", "minimum": 0, "maximum": MAX_DIM},
-        "name": {"type": "string"},
-        "basis_labels": {"type": "array", "items": {"type": "string"}},
-        "structure_constants": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "minItems": 5,
-                "maxItems": 5,
-                "items": [
-                    {"type": "integer", "minimum": 0},
-                    {"type": "integer", "minimum": 0},
-                    {"type": "integer", "minimum": 0},
-                    {"type": "string", "pattern": "^-?[0-9]+$"},
-                    {"type": "string", "pattern": "^-?[0-9]+$"},
-                ],
-            },
-            "description": "sparse (i, j, k, numerator, denominator) with i < j",
-        },
-        "subspaces": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "array",
-                "items": {
-                    "type": "array",
-                    "items": {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"},
-                },
-            },
-        },
-    },
-}
+SCHEMA: dict = json.loads(
+    importlib.resources.files(__package__).joinpath("schema-v1.json").read_text()
+)

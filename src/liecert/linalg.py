@@ -92,10 +92,6 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(c: Fraction, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def dot(a: Vector, b: Vector) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
@@ -128,6 +124,13 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     ia, da = _integer_form(a)
     ib, db = _integer_form(b)
     return _from_integer(_int_matmul(ia, ib), da * db)
+
+
+def combine(coeffs: Sequence[Fraction], rows: Matrix, n: int) -> Vector:
+    """sum_i coeffs[i] rows[i]; the zero vector of length n when rows is empty."""
+    if not rows:
+        return zero_vector(n)
+    return matmul((tuple(coeffs),), rows)[0]
 
 
 def matvec(a: Matrix, v: Vector) -> Vector:
@@ -484,13 +487,7 @@ def intersect_spaces(a: Matrix, b: Matrix) -> Matrix:
     for i in range(n):
         sys_rows.append(tuple(a[r][i] for r in range(na)) + tuple(-b[r][i] for r in range(nb)))
     ker = nullspace(tuple(sys_rows))
-    vecs = []
-    for coef in ker:
-        v = zero_vector(n)
-        for r in range(na):
-            v = vec_add(v, vec_scale(coef[r], a[r]))
-        vecs.append(v)
-    return row_basis(tuple(vecs))
+    return row_basis(matmul(tuple(coef[:na] for coef in ker), a))
 
 
 def extend_basis(rows: Matrix, n: int) -> tuple[int, ...]:

@@ -151,9 +151,6 @@ def poly(coeffs: Iterable) -> RationalPolynomial:
     return RationalPolynomial(coeffs)
 
 
-X = RationalPolynomial([0, 1])
-
-
 def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
     """Monic gcd over Q."""
     while not b.is_zero:
@@ -397,7 +394,8 @@ def axis_parts(
     return RationalPolynomial(re), RationalPolynomial(im)
 
 
-def _axis_gcd(p: RationalPolynomial) -> RationalPolynomial:
+def axis_gcd(p: RationalPolynomial) -> RationalPolynomial:
+    """gcd of the real and imaginary parts of p(iy): its real roots are p's axis roots."""
     re, im = axis_parts(p)
     if re.is_zero:
         return im.monic()
@@ -410,7 +408,7 @@ def axis_root_count_squarefree(f: RationalPolynomial) -> int:
     """Number of roots of squarefree f lying on the imaginary axis."""
     if f.degree <= 0:
         return 0
-    g = _axis_gcd(f)
+    g = axis_gcd(f)
     if g.degree <= 0:
         return 0
     return count_real_roots_squarefree(squarefree_part(g))

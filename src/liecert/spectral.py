@@ -35,6 +35,7 @@ from .linalg import (
 from .poly import (
     RationalPolynomial,
     RootSignCount,
+    axis_gcd,
     axis_root_count_squarefree,
     count_real_roots_squarefree,
     poly_gcd,
@@ -121,17 +122,9 @@ def axis_factor(p: RationalPolynomial) -> RationalPolynomial | None:
     Returns None when g0 has nonreal roots: the axis factor is irrational
     (p = t^4 - 2 is the standard witness) and no rational carrier exists.
     """
-    from .poly import axis_parts
-
     if p.degree <= 0:
         return RationalPolynomial([_ONE])
-    re, im = axis_parts(p)
-    if re.is_zero:
-        g = im.monic()
-    elif im.is_zero:
-        g = re.monic()
-    else:
-        g = poly_gcd(re, im)
+    g = axis_gcd(p)
     if g.degree <= 0:
         return RationalPolynomial([_ONE])
     g0 = squarefree_part(g)

@@ -324,7 +324,7 @@ def test_cli_exit_code_table(monkeypatch, capsys):
     flat = serialize_document(
         action_to_document(build_suspension([[[0, 0], [0, 0]]]))
     )
-    inc, _, _ = _cli(["anosov", "--search", "--budget", "10"], flat, monkeypatch, capsys)
+    inc, _, _ = _cli(["anosov", "--budget", "10"], flat, monkeypatch, capsys)
     bad, _, _ = _cli(["validate"], "not json", monkeypatch, capsys)
     assert (ok, neg, inc, bad) == (0, 1, 2, 3)
 

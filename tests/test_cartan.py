@@ -22,6 +22,7 @@ from liecert.cartan import (
     engel_subalgebra,
     find_csa,
     hyperbolic_part,
+    hyperbolic_span,
     is_ad_hyperbolic,
     is_csa,
     is_hyperbolic_csa,
@@ -354,6 +355,39 @@ def test_hyperbolic_part_of_elliptic_is_zero():
 def test_hyperbolic_part_fixes_hyperbolic():
     g = sl2()
     assert hyperbolic_part(g, g.basis_vector(0)) == g.basis_vector(0)
+
+
+def _twisted_r4() -> LieAlgebra:
+    """R x R^4, t acting by the companion matrix of t^4 - 2t^2 + 9.
+
+    Its roots +-sqrt(2) +- i are neither all real nor on one vertical
+    line, so the hyperbolic/elliptic refinement of ad(t) is irrational.
+    """
+    comp = [[0, 0, 0, -9], [1, 0, 0, 0], [0, 1, 0, 2], [0, 0, 1, 0]]
+    z = tuple(F(0) for _ in range(5))
+    t = [[z] * 5 for _ in range(5)]
+    for j in range(4):
+        img = (F(0),) + tuple(F(comp[i][j]) for i in range(4))
+        t[0][j + 1] = img
+        t[j + 1][0] = tuple(-x for x in img)
+    return LieAlgebra(t)
+
+
+def test_hyperbolic_span_is_none_on_an_irrational_refinement():
+    g = _twisted_r4()
+    t, v = g.basis_vector(0), g.basis_vector(1)
+    assert hyperbolic_part(g, t) is None
+    assert hyperbolic_span(g, [v, t]) is None
+    # ad(v) is nilpotent: its hyperbolic part is zero
+    assert hyperbolic_span(g, [v]) == zero_space(g)
+
+
+def test_hyperbolic_span_spans_the_hyperbolic_parts():
+    g = sl2()
+    h, e, f = (g.basis_vector(i) for i in range(3))
+    rot = tuple(a - b for a, b in zip(e, f))
+    assert hyperbolic_span(g, [h, rot, e]) == Subspace(g, [h])
+    assert hyperbolic_span(g, []) == zero_space(g)
 
 
 def test_cartan_subspace_sl2():

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import liecert
 from liecert import action_to_document, build_suspension, serialize_document
 from liecert.cli import build_parser, main
@@ -80,7 +82,7 @@ def test_anosov_refuses_zero_element(monkeypatch, capsys):
 
 
 def test_anosov_search_succeeds(monkeypatch, capsys):
-    code, out, _ = run(["anosov", "--search"], SL2_DOC, monkeypatch, capsys)
+    code, out, _ = run(["anosov"], SL2_DOC, monkeypatch, capsys)
     assert code == 0
     assert len(json.loads(out)["result"]["found"]) == 2
 
@@ -90,7 +92,7 @@ def test_anosov_search_inconclusive(monkeypatch, capsys):
         action_to_document(build_suspension([[[0, 0], [0, 0]]]))
     )
     code, out, _ = run(
-        ["anosov", "--search", "--budget", "20"], doc, monkeypatch, capsys
+        ["anosov", "--budget", "20"], doc, monkeypatch, capsys
     )
     assert code == 2
     assert json.loads(out)["result"]["found"] == []
@@ -146,6 +148,23 @@ def test_unknown_build_name_is_input_error(monkeypatch, capsys):
     code, _, err = run(["build", "nope"], "", monkeypatch, capsys)
     assert code == 3
     assert "sl2-geodesic" in err  # choices are listed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["anosov", "--bogus"],
+        [],
+        ["anosov", "--search"],
+        ["classify", "--budget", "many"],
+    ],
+    ids=["unknown-flag", "missing-subcommand", "removed-search", "bad-int"],
+)
+def test_usage_errors_are_input_errors(argv, monkeypatch, capsys):
+    code, out, err = run(argv, SL2_DOC, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert "input error" in err
 
 
 def test_build_rejects_parameters(monkeypatch, capsys):

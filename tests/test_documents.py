@@ -306,11 +306,15 @@ def test_dump_json_is_deterministic():
 # -- schema ------------------------------------------------------------------------
 
 
-def test_schema_file_matches_inline_schema():
+def test_shipped_schema_agrees_with_the_code():
     text = (
         importlib.resources.files("liecert").joinpath("schema-v1.json").read_text()
     )
-    assert json.loads(text) == SCHEMA
+    shipped = json.loads(text)
+    assert shipped["properties"]["dim"]["maximum"] == documents.MAX_DIM
+    assert shipped["properties"]["format_version"]["const"] == documents.FORMAT_VERSION
+    assert shipped["$id"] == f"liecert-algebra-document-v{documents.FORMAT_VERSION}"
+    assert SCHEMA == shipped
 
 
 def test_canonical_documents_satisfy_schema_patterns():

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from liecert.linalg import (
     Echelon,
     charpoly,
+    combine,
     coords_in_basis,
     det,
     extend_basis,
@@ -30,6 +31,7 @@ from liecert.linalg import (
     sum_spaces,
     symmetric_inertia,
     trace,
+    vec_add,
     vector,
 )
 from liecert.poly import RationalPolynomial
@@ -560,3 +562,42 @@ def test_charpoly_self_check_raises_algebra_error(monkeypatch):
     monkeypatch.setattr(linalg, "_int_matmul", broken)
     with pytest.raises(AlgebraError):
         charpoly(matrix([[0, 0], [0, 0]]))
+
+
+def reference_combine(coeffs, rows, n):
+    """The former fold: zero_vector(n), then vec_add(v, vec_scale(c, row)) per row."""
+    v = (F(0),) * n
+    for c, row in zip(coeffs, rows):
+        v = vec_add(v, tuple(c * x for x in row))
+    return v
+
+
+@st.composite
+def combinations(draw, max_rows=5, max_n=6):
+    """(coefficient rows, basis, n): r x k coefficients over a k x n basis.
+
+    Coefficients are rationals, or plain ints as in the integer grid search.
+    """
+    r, k, n = draw(st.integers(0, 4)), draw(st.integers(0, max_rows)), draw(st.integers(0, max_n))
+    coeff = draw(st.sampled_from([wide_rationals, st.integers(-7, 7)]))
+    coeff_rows = tuple(tuple(draw(coeff) for _ in range(k)) for _ in range(r))
+    basis = tuple(tuple(draw(wide_rationals) for _ in range(n)) for _ in range(k))
+    return coeff_rows, basis, n
+
+
+@given(combinations())
+@example((((), ()), (), 4))
+@example((((2, -1),), (vector([F(1, 3), 0]), vector([F(2, 3), 0])), 2))
+@settings(max_examples=150, deadline=None)
+def test_combine_matches_reference_fold(case):
+    coeff_rows, basis, n = case
+    for coeffs in coeff_rows:
+        out = combine(coeffs, basis, n)
+        assert out == reference_combine(coeffs, basis, n)
+        assert len(out) == n and all(type(x) is F for x in out)
+    # a whole coefficient matrix folds as one product (rows of length n
+    # need at least one basis row to fix n)
+    if basis:
+        out = matmul(coeff_rows, basis)
+        assert out == tuple(reference_combine(c, basis, n) for c in coeff_rows)
+        assert all_fractions(out)
