@@ -313,7 +313,10 @@ class Subspace:
         return self.contains_space(bracket_space(g, self))
 
     def is_abelian(self) -> bool:
-        return bracket_space(self, self).dim == 0
+        g, b = self.algebra, self.basis
+        return all(
+            is_zero_vector(g.bracket(x, y)) for i, x in enumerate(b) for y in b[i + 1 :]
+        )
 
 
 def full_space(g: LieAlgebra) -> Subspace:

@@ -41,6 +41,7 @@ from .linalg import (
     dot,
     generalized_kernel,
     identity,
+    integer_row,
     is_zero_vector,
     mat_pow,
     matmul,
@@ -629,70 +630,84 @@ class ChamberSet:
         return len(self.chambers)
 
 
-def _fm_split(rows: Sequence[Vector], k: int):
-    lows, ups, keep = [], [], []
-    for r in rows:
-        c = r[k - 1]
-        if c > 0:
-            lows.append(r)
-        elif c < 0:
-            ups.append(r)
+def _fm_levels(
+    rows: Sequence[tuple[int, ...]], k: int
+) -> list[tuple[tuple[int, ...], ...]] | None:
+    """Fourier-Motzkin elimination of {x in Q^k : r . x > 0 for all rows}.
+
+    rows are primitive integer rows.  Returns the systems in k, k-1, ...,
+    1 variables, each combination made primitive and duplicates dropped,
+    or None when the set is empty (exact).  Positive scaling and
+    repetition change neither the set nor the sample bounds.
+    """
+    levels = []
+    current = tuple(dict.fromkeys(rows))
+    for j in range(k - 1, -1, -1):
+        if any(not any(r) for r in current):
+            return None
+        levels.append(current)
+        lows, ups, reduced = [], [], []
+        for r in current:
+            c = r[j]
+            if c > 0:
+                lows.append(r)
+            elif c < 0:
+                ups.append(r)
+            else:
+                reduced.append(r[:j])
+        for lo in lows:
+            for up in ups:
+                reduced.append(
+                    tuple(integer_row([lo[j] * up[i] - up[j] * lo[i] for i in range(j)]))
+                )
+        current = tuple(dict.fromkeys(reduced))
+    return None if current else levels
+
+
+def _fm_sample(levels: Sequence[tuple[tuple[int, ...], ...]]) -> Vector:
+    """Rational interior point of a nonempty system, from its `_fm_levels`.
+
+    Coordinate j is the midpoint of its bounds -(r . x)/r_j given the
+    earlier coordinates, or one past the only bound, or 1.
+    """
+    x: tuple[Fraction, ...] = ()
+    for rows in reversed(levels):
+        j = len(x)
+        lo_bound = None
+        up_bound = None
+        for r in rows:
+            c = r[j]
+            if c == 0:
+                continue
+            val = -sum((r[i] * x[i] for i in range(j)), _ZERO) / c
+            if c > 0:
+                if lo_bound is None or val > lo_bound:
+                    lo_bound = val
+            elif up_bound is None or val < up_bound:
+                up_bound = val
+        if lo_bound is not None and up_bound is not None:
+            v = (lo_bound + up_bound) / 2
+        elif lo_bound is not None:
+            v = lo_bound + 1
+        elif up_bound is not None:
+            v = up_bound - 1
         else:
-            keep.append(r[: k - 1])
-    reduced = list(keep)
-    for lo in lows:
-        for up in ups:
-            reduced.append(
-                tuple(lo[k - 1] * up[i] - up[k - 1] * lo[i] for i in range(k - 1))
-            )
-    return lows, ups, tuple(reduced)
-
-
-def _fm_feasible(rows: Sequence[Vector], k: int) -> bool:
-    """Whether {x : r . x > 0 for all rows} is nonempty (exact)."""
-    if any(is_zero_vector(r) for r in rows):
-        return False
-    if k == 0:
-        return not rows
-    _, _, reduced = _fm_split(rows, k)
-    return _fm_feasible(reduced, k - 1)
-
-
-def _fm_sample(rows: Sequence[Vector], k: int) -> Vector | None:
-    """Rational interior point of {x : r . x > 0}, or None if empty."""
-    if not _fm_feasible(rows, k):
-        return None
-    if k == 0:
-        return ()
-    lows, ups, reduced = _fm_split(rows, k)
-    prefix = _fm_sample(reduced, k - 1)
-    lo_bound = None
-    up_bound = None
-    for r in lows:
-        val = -sum((r[i] * prefix[i] for i in range(k - 1)), _ZERO) / r[k - 1]
-        if lo_bound is None or val > lo_bound:
-            lo_bound = val
-    for r in ups:
-        val = -sum((r[i] * prefix[i] for i in range(k - 1)), _ZERO) / r[k - 1]
-        if up_bound is None or val < up_bound:
-            up_bound = val
-    if lo_bound is not None and up_bound is not None:
-        x = (lo_bound + up_bound) / 2
-    elif lo_bound is not None:
-        x = lo_bound + 1
-    elif up_bound is not None:
-        x = up_bound - 1
-    else:
-        x = _ONE
-    return prefix + (x,)
+            v = _ONE
+        x += (v,)
+    return x
 
 
 def weyl_chambers(rs: RootSystem) -> ChamberSet:
     """Connected components of the base minus the root hyperplanes.
 
-    Each sign vector over the root representatives is decided by exact
-    Fourier-Motzkin elimination, and every returned sample point is
-    re-verified against its strict inequalities.
+    Signs are assigned depth first, from the last root representative to
+    the first and + before -, so chambers come out in the order of the
+    sign vectors read as binary numbers (- is a one bit, the first
+    representative the lowest bit).  A partial assignment is extended only
+    while its system is feasible, decided by exact Fourier-Motzkin
+    elimination on primitive integer rows, so at most 2|reps| systems are
+    eliminated per chamber instead of one per sign vector.  Every returned
+    sample point is re-verified against its strict inequalities.
     """
     if not rs.exact:
         raise StructureError("chamber enumeration requires exact root values")
@@ -709,15 +724,23 @@ def weyl_chambers(rs: RootSystem) -> ChamberSet:
             v = tuple(-x for x in v)
         if v not in reps:
             reps.append(v)
+    rows = [tuple(integer_row(rep)) for rep in reps]
     chambers = []
-    for mask in range(1 << len(reps)):
-        signs = tuple(1 if (mask >> i) & 1 == 0 else -1 for i in range(len(reps)))
-        rows = tuple(tuple(s * x for x in rep) for s, rep in zip(signs, reps))
-        sample = _fm_sample(rows, k)
-        if sample is None:
-            continue
-        for s, rep in zip(signs, reps):
-            if s * dot(rep, sample) <= 0:
-                raise AlgebraError("chamber sample point fails its inequalities")
-        chambers.append(Chamber(signs, sample))
+
+    def visit(i: int, signs: tuple[int, ...], system: tuple, levels) -> None:
+        # system: the rows of reps[i:] signed by signs; levels: its elimination
+        if i == 0:
+            sample = _fm_sample(levels)
+            for s, rep in zip(signs, reps):
+                if s * dot(rep, sample) <= 0:
+                    raise AlgebraError("chamber sample point fails its inequalities")
+            chambers.append(Chamber(signs, sample))
+            return
+        for s in (1, -1):
+            extended = (tuple(s * x for x in rows[i - 1]),) + system
+            extended_levels = _fm_levels(extended, k)
+            if extended_levels is not None:
+                visit(i - 1, (s,) + signs, extended, extended_levels)
+
+    visit(len(reps), (), (), _fm_levels((), k))
     return ChamberSet(tuple(reps), tuple(chambers))

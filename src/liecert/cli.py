@@ -10,6 +10,7 @@ seeds reproduce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -244,13 +245,26 @@ def _cmd_catalog(args) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a malformed command line as an input error, not argparse's exit 2."""
+    """Reports a malformed command line as an input error, not argparse's exit 2.
+
+    `--seed` and `--tolerance` default to LIECERT_SEED and
+    LIECERT_TOLERANCE as set when the command line is parsed.
+    """
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise DocumentError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        ns, extras = super().parse_known_args(args, namespace)
+        if "tolerance" in ns and ns.tolerance is None:
+            ns.tolerance = float(os.environ.get("LIECERT_TOLERANCE", "1e-9"))
+        if "seed" in ns and ns.seed is None:
+            ns.seed = int(os.environ.get("LIECERT_SEED", "0"))
+        return ns, extras
 
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="liecert",
@@ -268,13 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--tolerance",
             type=float,
-            default=float(os.environ.get("LIECERT_TOLERANCE", "1e-9")),
+            default=None,
             help="numeric tolerance for certified-numeric data",
         )
         p.add_argument(
             "--seed",
             type=int,
-            default=int(os.environ.get("LIECERT_SEED", "0")),
+            default=None,
             help="seed for randomized searches",
         )
 

@@ -9,9 +9,13 @@ The counting machinery is Sturm-chain based throughout:
 
 The axis factor of a rational polynomial is generally *not* rational
 (p = t^4 - 2 has axis roots +-i 2^(1/4)), so nothing here ever tries to
-split off axis roots by polynomial division.  Instead, counts around the
-axis are obtained by exact shifts p(t +- d) with dyadic d, validated by
-the count identity n_neg + n_zero + n_pos = degree.
+split off axis roots by polynomial division.  It need not: common factors
+of the real and imaginary parts of f(iy) cancel in the Cauchy index, and
+they carry exactly the axis roots and the pairs lambda, -conj(lambda),
+one root of each pair on either side.  So for squarefree f with n0 axis
+roots the index is still n_neg - n_pos, and n_neg = (n - n0 + index) / 2
+(the singular case of the Routh-Hurwitz theorem; Gantmacher, *The Theory
+of Matrices*, vol. II, ch. XV).
 """
 
 from __future__ import annotations
@@ -295,6 +299,31 @@ def root_bound(p: RationalPolynomial) -> Fraction:
     return _ONE + m / lead
 
 
+def _ceil_log2(q: Fraction) -> int:
+    """Least integer e with 2^e >= q, for q > 0."""
+    num, den = q.numerator, q.denominator
+    e = num.bit_length() - den.bit_length()  # 2^(e-1) < q < 2^(e+1)
+    within = num <= den << e if e >= 0 else num << -e <= den
+    return e if within else e + 1
+
+
+def power_of_two_root_bound(p: RationalPolynomial) -> Fraction:
+    """Least power of two B at or above Fujiwara's bound: every root has |z| <= B.
+
+    Fujiwara (1916): |z| <= 2 max(|a_{n-1}/a_n|, |a_{n-2}/a_n|^(1/2), ...,
+    |a_1/a_n|^(1/(n-1)), |a_0/(2 a_n)|^(1/n)).  B = 2^(t+1) for the least
+    integer t with 2^(t j) >= |a_{n-j}/a_n| for every j (a_0 halved).  Zero
+    when every root is zero.
+    """
+    n = p.degree
+    exponents = []
+    for j in range(1, n + 1):
+        q = abs(p.coeffs[n - j] / p.leading) / (2 if j == n else 1)
+        if q:
+            exponents.append(-(-_ceil_log2(q) // j))
+    return Fraction(2) ** (max(exponents) + 1) if exponents else _ZERO
+
+
 def isolate_real_roots(
     f: RationalPolynomial,
 ) -> list[tuple[Fraction, Fraction]]:
@@ -415,10 +444,12 @@ def axis_root_count_squarefree(f: RationalPolynomial) -> int:
 
 
 def _hurwitz_index(f: RationalPolynomial) -> int:
-    """n_neg - n_pos for f with no imaginary-axis roots.
+    """n_neg - n_pos for squarefree f.
 
     Routh-Hurwitz via the Cauchy index of the real/imaginary pair of
-    f(iy); the orientation depends on the degree parity.
+    f(iy); the orientation depends on the degree parity.  Axis roots and
+    pairs lambda, -conj(lambda) are common zeros of the pair and drop out
+    (see the module docstring).
     """
     re, im = axis_parts(f)
     if f.degree % 2 == 1:
@@ -426,38 +457,19 @@ def _hurwitz_index(f: RationalPolynomial) -> int:
     return -cauchy_index(re, im)
 
 
-def _counts_squarefree(f: RationalPolynomial) -> RootSignCount:
+def squarefree_sign_counts(f: RationalPolynomial) -> RootSignCount:
+    """(n_neg, n_zero_real, n_pos) for squarefree f: each distinct root once."""
     n = f.degree
     if n <= 0:
         return RootSignCount(0, 0, 0)
     n0 = axis_root_count_squarefree(f)
     if n0 == n:
         return RootSignCount(0, n, 0)
-    if n0 == 0:
-        d = _hurwitz_index(f)
-        n_neg = (n + d) // 2
-        if (n + d) % 2 != 0:
-            raise AssertionError("parity failure in Hurwitz index")
-        return RootSignCount(n_neg, 0, n - n_neg)
-    # Axis roots present: count strictly right of +delta and strictly left
-    # of -delta for shrinking dyadic delta until every off-axis root is
-    # accounted for.  The axis factor itself need not be rational, so no
-    # division happens here.
-    off = n - n0
-    delta = _ONE
-    while True:
-        delta /= 2
-        fp = f.shift(delta)   # roots of f moved left by delta
-        fm = f.shift(-delta)  # roots of f moved right by delta
-        if axis_root_count_squarefree(fp) or axis_root_count_squarefree(fm):
-            continue  # delta hit the real part of some root exactly
-        dp = _hurwitz_index(fp)
-        dm = _hurwitz_index(fm)
-        n_right = (n - dp) // 2   # roots with Re > +delta
-        n_left = (n + dm) // 2    # roots with Re < -delta
-        if n_right + n_left == off:
-            return RootSignCount(n_left, n0, n_right)
-        # Some root has 0 < |Re| <= delta; tighten.
+    d = _hurwitz_index(f)
+    if (n - n0 + d) % 2 != 0:
+        raise AssertionError("parity failure in Hurwitz index")
+    n_neg = (n - n0 + d) // 2
+    return RootSignCount(n_neg, n0, n - n0 - n_neg)
 
 
 def root_sign_counts(p: RationalPolynomial) -> RootSignCount:
@@ -466,5 +478,5 @@ def root_sign_counts(p: RationalPolynomial) -> RootSignCount:
         raise ValueError("zero polynomial")
     total = RootSignCount(0, 0, 0)
     for f, k in squarefree_decomposition(p):
-        total = total + _counts_squarefree(f).scaled(k)
+        total = total + squarefree_sign_counts(f).scaled(k)
     return total

@@ -18,7 +18,6 @@ from .algebra import AlgebraError
 from .linalg import (
     Matrix,
     charpoly,
-    frac,
     generalized_kernel,
     identity,
     inverse,
@@ -39,9 +38,11 @@ from .poly import (
     axis_root_count_squarefree,
     count_real_roots_squarefree,
     poly_gcd,
+    power_of_two_root_bound,
     root_bound,
     root_sign_counts,
     squarefree_part,
+    squarefree_sign_counts,
 )
 
 _ZERO = Fraction(0)
@@ -275,34 +276,34 @@ def _inverse_mod(a: RationalPolynomial, m: RationalPolynomial) -> RationalPolyno
 # -- spectral gap ----------------------------------------------------------
 
 
-def counts_at(p: RationalPolynomial, c: Fraction) -> RootSignCount:
-    """(roots with Re < c, Re = c, Re > c), exactly."""
-    return root_sign_counts(p.shift(frac(c)))
-
-
 def spectral_gap(p: RationalPolynomial, bits: int = 30) -> tuple[Fraction | None, bool]:
     """(bound, exact): off-axis roots satisfy |Re| >= bound.
 
     exact=True means some root attains |Re| = bound.  Returns (None, True)
     when every root is on the axis.  Bisection endpoints are powers of
-    two, so gaps at dyadic rationals are detected exactly.
+    two, so gaps at dyadic rationals are detected exactly.  The start of
+    the bisection is fixed by p's Cauchy bound; steps above the tighter
+    power-of-two Fujiwara bound need no count, since every root lies in
+    their band.  Counts are taken on the squarefree part, since a band is
+    decided by whether it holds a root, not by how many.
     """
     if p.degree < 1:
         return None, True
-    base = root_sign_counts(p)
-    n_off = base.n_neg + base.n_pos
-    if n_off == 0:
+    f = squarefree_part(p)
+    base = squarefree_sign_counts(f)
+    if base.n_neg + base.n_pos == 0:
         return None, True
     hi = _ONE
     bound = root_bound(p)
     while hi < bound:
         hi *= 2
+    top = power_of_two_root_bound(f)
     lo = _ZERO
 
     def band_empty(delta: Fraction) -> tuple[bool, bool]:
         """(no off-axis root with |Re| < delta, some root with |Re| = delta)."""
-        right = counts_at(p, delta)
-        left = counts_at(p, -delta)
+        right = squarefree_sign_counts(f.shift(delta))
+        left = squarefree_sign_counts(f.shift(-delta))
         attained = (right.n_zero_real > 0) or (left.n_zero_real > 0)
         inside = (base.n_pos - right.n_pos - right.n_zero_real) + (
             base.n_neg - left.n_neg - left.n_zero_real
@@ -312,6 +313,10 @@ def spectral_gap(p: RationalPolynomial, bits: int = 30) -> tuple[Fraction | None
     # hi exceeds every |root|, so the open band below hi misses nothing
     for _ in range(bits):
         mid = (lo + hi) / 2
+        if mid > top:
+            # every root has |Re| <= top < mid: the band holds them all
+            hi = mid
+            continue
         empty, attained = band_empty(mid)
         if empty and attained:
             return mid, True

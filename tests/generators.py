@@ -4,14 +4,21 @@ Solvable algebras come from Lie closures inside upper-triangular 3x3
 matrices, so every draw is genuinely solvable and has dimension at most
 6.  Action data comes from nilpotent-by-abelian extensions with exact
 integer derivation spectra, so hyperbolicity facts are known at
-construction time.
+construction time.  Polynomials are products of factors whose roots
+are known by construction: rational (dyadic among them), irrational
+real, on the imaginary axis, off-axis conjugate pairs and the
+negation-symmetric quartics t^4 + c t^2 + d, whose roots come in pairs
+lambda, -conj(lambda); factors may repeat.
 """
 
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from liecert.algebra import LieAlgebra, lie_algebra_from_matrices
 from liecert.linalg import in_span, mat_sub, matmul
+from liecert.poly import RationalPolynomial
 
 F = Fraction
 
@@ -83,3 +90,35 @@ def random_hyperbolic_suspension(rng: random.Random):
     stable = sum(1 for w in weights if w < 0)
     unstable = sum(1 for w in weights if w > 0)
     return g, flow, stable, unstable
+
+
+_small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+_positive = st.fractions(min_value=F(1, 4), max_value=9, max_denominator=4)
+_dyadic = st.builds(lambda k, e: F(k, 2**e), st.integers(-12, 12), st.integers(0, 4))
+
+
+def _factor(kind: str, a: Fraction, b: Fraction) -> RationalPolynomial:
+    if kind == "rational":
+        return RationalPolynomial([-a, 1])
+    if kind == "real-pair":  # a +- sqrt(b)
+        return RationalPolynomial([a * a - b, -2 * a, 1])
+    if kind == "axis":  # +- i sqrt(b), or 0
+        return RationalPolynomial([b, 0, 1]) if a > 0 else RationalPolynomial([0, 1])
+    if kind == "conjugate-pair":  # a +- i sqrt(b)
+        return RationalPolynomial([a * a + b, -2 * a, 1])
+    return RationalPolynomial([b, 0, a, 0, 1])  # t^4 + a t^2 + b
+
+
+@st.composite
+def root_polynomials(draw, max_factors: int = 4, max_multiplicity: int = 3):
+    """A nonconstant product of known-root factors, each to a small power."""
+    p = RationalPolynomial([draw(st.sampled_from([F(1), F(-3), F(2, 5)]))])
+    kinds = ("rational", "real-pair", "axis", "conjugate-pair", "symmetric-quartic")
+    for _ in range(draw(st.integers(1, max_factors))):
+        kind = draw(st.sampled_from(kinds))
+        a = draw(st.one_of(_dyadic, _small))
+        b = draw(_positive) if kind != "symmetric-quartic" else draw(_small)
+        f = _factor(kind, a, b)
+        for _ in range(draw(st.integers(1, max_multiplicity))):
+            p = p * f
+    return p

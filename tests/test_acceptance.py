@@ -2,9 +2,10 @@
 
 Six sections: golden examples, universal certificate properties on
 randomized inputs, the sign-counting kernel against a floating-point
-oracle, the Cartan machinery at scale, chamber completeness, and the
-command-line contract.  Wall-clock budgets are asserted where the
-section is a batch run; fixed seeds make every run reproducible.
+oracle, the Cartan machinery at scale, chamber completeness (up to
+sl(6, R) and its 720 chambers), and the command-line contract.
+Wall-clock budgets are asserted where the section is a batch run; fixed
+seeds make every run reproducible.
 """
 
 import io
@@ -46,8 +47,9 @@ from liecert import (
     splitting_invariance,
     weyl_chambers,
 )
+from liecert.algebra import lie_algebra_from_matrices
 from liecert.builders import _sl2, build_weyl_chamber
-from liecert.cartan import engel_subalgebra
+from liecert.cartan import RootInfo, RootSystem, engel_subalgebra
 from liecert.cli import main
 from liecert.documents import AlgebraDocument
 
@@ -294,6 +296,66 @@ def test_chamber_completeness(make, count):
         cert = check_anosov(action, h0)
         assert cert.accepted
         assert cert.dim_stable == cert.dim_unstable
+
+
+def _sl_basis(n):
+    """sl(n, R): the diagonal differences E_ii - E_i+1,i+1, then every E_ij, i != j."""
+
+    def unit(entries):
+        return tuple(
+            tuple(F(entries.get((r, c), 0)) for c in range(n)) for r in range(n)
+        )
+
+    diag = [unit({(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
+    return tuple(diag + [unit({(i, j): 1}) for i in range(n) for j in range(n) if i != j])
+
+
+def _sl_diagonal(d):
+    """Coordinates of diag(d), trace zero, in `_sl_basis(len(d))`."""
+    n = len(d)
+    head = [sum(d[: i + 1]) for i in range(n - 1)]
+    return tuple(F(x) for x in head) + (F(0),) * (n * n - n)
+
+
+def test_sl6_ladder():
+    # roots, chambers and one decision each way on sl(6, R), dim 35
+    g = lie_algebra_from_matrices(_sl_basis(6))
+    assert g.dim == 35
+    action = ActionSpec(g, cartan_subspace(g))
+    rs = restricted_roots(g, action.flow)
+    assert rs.exact
+    assert weyl_chambers(rs).count == 720
+    cert = check_anosov(action, _sl_diagonal([5, 3, 1, -1, -3, -5]))
+    assert cert.accepted
+    assert (cert.dim_stable, cert.dim_unstable) == (15, 15)
+    assert not check_anosov(action, _sl_diagonal([1, 1, -2, 0, 0, 0])).accepted
+
+
+def _functional_system(positive):
+    k = len(positive[0])
+    roots = []
+    for v in positive:
+        for s in (1, -1):
+            w = tuple(F(s * x) for x in v)
+            roots.append(RootInfo(1, (), w, None, tuple((float(x), 0.0) for x in w), True))
+    base = tuple(tuple(F(int(i == j)) for j in range(k)) for i in range(k))
+    return RootSystem(base, tuple(roots), True, ())
+
+
+@pytest.mark.parametrize(
+    "positive,count",
+    [
+        ([tuple(int(i <= c <= j) for c in range(5)) for i in range(5) for j in range(i, 5)], 720),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+          (1, 1, 1), (0, 1, 2), (1, 1, 2), (1, 2, 2)], 48),
+    ],
+    ids=["A5", "B3"],
+)
+def test_synthetic_chamber_counts(positive, count):
+    # positive roots in simple-root coordinates; the count is |W|
+    chambers = weyl_chambers(_functional_system(positive))
+    assert chambers.count == count
+    assert len({ch.signs for ch in chambers.chambers}) == count
 
 
 # -- 6. command-line contract ---------------------------------------------------------

@@ -403,3 +403,26 @@ def test_as_algebra_table_matches_direct_brackets():
             )
             assert sub.table == direct
             assert all(type(c) is F for row in sub.table for v in row for c in v)
+
+
+def test_is_abelian_matches_bracket_span_and_stops_early(monkeypatch):
+    from liecert.cartan import find_csa
+
+    calls = []
+    real = LieAlgebra.bracket
+    monkeypatch.setattr(
+        LieAlgebra, "bracket", lambda self, x, y: calls.append(1) or real(self, x, y)
+    )
+    rng = random.Random(8)
+    for name in catalog_names():
+        g = build_example(name).ambient
+        spans = [full_space(g), center(g), find_csa(g), nilradical(g)]
+        spans.append(Subspace(g, [g.basis_vector(i) for i in rng.sample(range(g.dim), 2)]))
+        for s in spans:
+            calls.clear()
+            got = s.is_abelian()
+            assert len(calls) <= s.dim * (s.dim - 1) // 2  # pairs i < j only
+            assert got == (bracket_space(s, s).dim == 0)
+    calls.clear()
+    assert not full_space(sl2()).is_abelian()
+    assert len(calls) == 1  # [h, e] = 2e ends the check

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from liecert.algebra import (
     AlgebraError,
@@ -14,7 +15,12 @@ from liecert.algebra import (
     zero_space,
 )
 from liecert.cartan import (
+    Chamber,
     ChamberSet,
+    RootInfo,
+    RootSystem,
+    _fm_levels,
+    _fm_sample,
     cartan_subspace,
     compact_levi_split,
     csa_from_action,
@@ -30,7 +36,7 @@ from liecert.cartan import (
     split_hyperbolic_csa,
     weyl_chambers,
 )
-from liecert.linalg import frac, matrix
+from liecert.linalg import dot, frac, integer_row, matrix
 from liecert.poly import poly
 
 F = Fraction
@@ -570,3 +576,192 @@ def test_chambers_rank_zero_empty():
     g = so3()
     rs = restricted_roots(g, zero_space(g))
     assert weyl_chambers(rs) == ChamberSet((), ())
+
+
+# -- chambers by pruned search, checked against the former 2^m sweep -------------
+
+
+def reference_fm_split(rows, k):
+    lows, ups, keep = [], [], []
+    for r in rows:
+        c = r[k - 1]
+        if c > 0:
+            lows.append(r)
+        elif c < 0:
+            ups.append(r)
+        else:
+            keep.append(r[: k - 1])
+    reduced = list(keep)
+    for lo in lows:
+        for up in ups:
+            reduced.append(
+                tuple(lo[k - 1] * up[i] - up[k - 1] * lo[i] for i in range(k - 1))
+            )
+    return lows, ups, tuple(reduced)
+
+
+def reference_fm_feasible(rows, k):
+    if any(all(x == 0 for x in r) for r in rows):
+        return False
+    if k == 0:
+        return not rows
+    return reference_fm_feasible(reference_fm_split(rows, k)[2], k - 1)
+
+
+def reference_fm_sample(rows, k):
+    """The former Fourier-Motzkin sample on Fraction rows, no deduplication."""
+    if not reference_fm_feasible(rows, k):
+        return None
+    if k == 0:
+        return ()
+    lows, ups, reduced = reference_fm_split(rows, k)
+    prefix = reference_fm_sample(reduced, k - 1)
+    lo_bound = up_bound = None
+    for r in lows:
+        val = -sum((r[i] * prefix[i] for i in range(k - 1)), F(0)) / r[k - 1]
+        if lo_bound is None or val > lo_bound:
+            lo_bound = val
+    for r in ups:
+        val = -sum((r[i] * prefix[i] for i in range(k - 1)), F(0)) / r[k - 1]
+        if up_bound is None or val < up_bound:
+            up_bound = val
+    if lo_bound is not None and up_bound is not None:
+        x = (lo_bound + up_bound) / 2
+    elif lo_bound is not None:
+        x = lo_bound + 1
+    elif up_bound is not None:
+        x = up_bound - 1
+    else:
+        x = F(1)
+    return prefix + (x,)
+
+
+def reference_weyl_chambers(rs):
+    """The former sweep: one Fourier-Motzkin run per sign vector, 2^m of them."""
+    k = len(rs.base)
+    if k == 0:
+        return ChamberSet((), ())
+    reps = []
+    for r in rs.nonzero_roots():
+        v = tuple(F(x) for x in r.values)
+        lead = next((x for x in v if x != 0), None)
+        if lead is None:
+            continue
+        if lead < 0:
+            v = tuple(-x for x in v)
+        if v not in reps:
+            reps.append(v)
+    chambers = []
+    for mask in range(1 << len(reps)):
+        signs = tuple(1 if (mask >> i) & 1 == 0 else -1 for i in range(len(reps)))
+        rows = tuple(tuple(s * x for x in rep) for s, rep in zip(signs, reps))
+        sample = reference_fm_sample(rows, k)
+        if sample is not None:
+            chambers.append(Chamber(signs, sample))
+    return ChamberSet(tuple(reps), tuple(chambers))
+
+
+def functional_root_system(values, k):
+    """A root system over the standard base of Q^k carrying +-v for each value."""
+    roots = []
+    for v in values:
+        for s in (1, -1):
+            w = tuple(F(s * x) for x in v)
+            roots.append(RootInfo(1, (), w, None, tuple((float(x), 0.0) for x in w), True))
+    base = tuple(tuple(F(int(i == j)) for j in range(k)) for i in range(k))
+    return RootSystem(base, tuple(roots), True, ())
+
+
+def positive_roots_a(rank):
+    """A_rank positive roots in simple-root coordinates."""
+    return [
+        tuple(1 if i <= c <= j else 0 for c in range(rank))
+        for i in range(rank)
+        for j in range(i, rank)
+    ]
+
+
+B3_POSITIVE = [
+    (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1),
+    (1, 1, 1), (0, 1, 2), (1, 1, 2), (1, 2, 2),
+]
+
+_entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def arrangements(draw):
+    """Rational functionals on Q^k, k = 1..4, with repeats and (v, 2v) pairs."""
+    k = draw(st.integers(1, 4))
+    vec = st.tuples(*[_entries] * k)
+    values = draw(st.lists(vec, min_size=0, max_size=(4, 7, 6, 5)[k - 1]))
+    for _ in range(draw(st.integers(0, 2))):
+        if values:
+            v = draw(st.sampled_from(values))
+            c = draw(st.sampled_from([F(1), F(2), F(-1), F(-1, 2)]))
+            at = draw(st.integers(0, len(values)))
+            values.insert(at, tuple(c * x for x in v))
+    return values, k
+
+
+@given(arrangements())
+@example(([(1, 0), (2, 0), (0, 1)], 2))
+@example(([(1, 1), (-1, -1), (1, 1)], 2))
+@example(([], 3))
+@example(([(0, 0, 0), (1, 2, 3)], 3))
+@settings(max_examples=120, deadline=None)
+def test_weyl_chambers_match_reference(arr):
+    values, k = arr
+    rs = functional_root_system(values, k)
+    assert weyl_chambers(rs) == reference_weyl_chambers(rs)
+
+
+@pytest.mark.parametrize(
+    "positive, count",
+    [(positive_roots_a(4), 120), (B3_POSITIVE, 48), ([(1, 0), (0, 1), (1, 1), (1, 2)], 8)],
+    ids=["A4", "B3", "B2"],
+)
+def test_weyl_chambers_of_root_systems_match_reference(positive, count):
+    rng = random.Random(count)
+    signs = rng.choices([1, -1], k=len(positive))
+    values = [tuple(s * x for x in v) for v, s in zip(positive, signs)]
+    rng.shuffle(values)
+    rs = functional_root_system(values, len(positive[0]))
+    got = weyl_chambers(rs)
+    assert got.count == count
+    assert got == reference_weyl_chambers(rs)
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(*[_entries] * k), min_size=0, max_size=9)
+)))
+@example((2, [(1, 1), (1, 1), (2, 2), (-1, 1)]))
+@example((3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)]))
+@settings(max_examples=200, deadline=None)
+def test_fm_sample_matches_reference(case):
+    k, rows = case
+    rows = [tuple(F(x) for x in r) for r in rows]
+    levels = _fm_levels([tuple(integer_row(r)) for r in rows], k)
+    want = reference_fm_sample(tuple(rows), k)
+    if want is None:
+        assert levels is None
+        return
+    assert levels is not None
+    assert _fm_sample(levels) == want
+    assert all(dot(r, want) > 0 for r in rows)
+
+
+def test_fm_levels_are_primitive_and_distinct():
+    # a B3 chamber (alpha_3 negated), every row twice and one doubled:
+    # the first elimination makes 8 combinations, only 4 of them distinct
+    rows = [tuple(F(-x if v == (0, 0, 1) else x) for x in v) for v in B3_POSITIVE]
+    rows += rows + [tuple(2 * x for x in rows[-1])]
+    levels = _fm_levels([tuple(integer_row(r)) for r in rows], 3)
+    assert levels is not None and len(levels) == 3
+    assert levels[0] == tuple(tuple(integer_row(r)) for r in rows[: len(B3_POSITIVE)])
+    assert len(levels[1]) == 4
+    for level in levels:
+        assert len(set(level)) == len(level)
+        for r in level:
+            assert r == tuple(integer_row(r))
+    assert _fm_sample(levels) == reference_fm_sample(tuple(rows), 3)

@@ -274,6 +274,18 @@ def test_env_defaults(monkeypatch):
     assert args.seed == 5 and args.tolerance == 1e-6
 
 
+def test_parser_is_built_once_and_reads_the_environment_per_parse(monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.delenv("LIECERT_SEED", raising=False)
+    monkeypatch.delenv("LIECERT_TOLERANCE", raising=False)
+    args = build_parser().parse_args(["anosov"])
+    assert (args.seed, args.tolerance) == (0, 1e-9)
+    monkeypatch.setenv("LIECERT_SEED", "6")
+    assert build_parser().parse_args(["anosov"]).seed == 6
+    assert build_parser().parse_args(["anosov", "--seed", "2"]).seed == 2
+    assert not hasattr(build_parser().parse_args(["build", "sl2-geodesic"]), "seed")
+
+
 def test_shell_pipeline():
     # the child interpreters import the same liecert as this test
     src = os.path.dirname(os.path.dirname(liecert.__file__))

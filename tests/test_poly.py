@@ -5,20 +5,27 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import liecert.poly
+from generators import root_polynomials
 from liecert.poly import (
     RationalPolynomial as P,
+    RootSignCount,
+    _hurwitz_index,
     axis_parts,
+    axis_root_count_squarefree,
     cauchy_index,
     count_real_roots,
     count_real_roots_in_interval,
     count_real_roots_squarefree,
     isolate_real_roots,
     poly_gcd,
+    power_of_two_root_bound,
     root_sign_counts,
     squarefree_decomposition,
     squarefree_part,
+    squarefree_sign_counts,
 )
 
 
@@ -220,3 +227,96 @@ def test_squarefree_part_has_same_distinct_roots(cs):
         count_real_roots_squarefree(f) for f, _ in squarefree_decomposition(p)
     )
     assert count_real_roots_squarefree(sf) == total
+
+
+# -- axis roots without shifts, checked against the former delta loop ---------
+
+
+def reference_counts_squarefree(f):
+    """The former count: shrink dyadic shifts f(t +- delta) around the axis."""
+    n = f.degree
+    if n <= 0:
+        return RootSignCount(0, 0, 0)
+    n0 = axis_root_count_squarefree(f)
+    if n0 == n:
+        return RootSignCount(0, n, 0)
+    if n0 == 0:
+        d = _hurwitz_index(f)
+        assert (n + d) % 2 == 0
+        return RootSignCount((n + d) // 2, 0, n - (n + d) // 2)
+    off = n - n0
+    delta = F(1)
+    while True:
+        delta /= 2
+        fp = f.shift(delta)
+        fm = f.shift(-delta)
+        if axis_root_count_squarefree(fp) or axis_root_count_squarefree(fm):
+            continue
+        n_right = (n - _hurwitz_index(fp)) // 2
+        n_left = (n + _hurwitz_index(fm)) // 2
+        if n_right + n_left == off:
+            return RootSignCount(n_left, n0, n_right)
+
+
+def reference_root_sign_counts(p):
+    total = RootSignCount(0, 0, 0)
+    for f, k in squarefree_decomposition(p):
+        total = total + reference_counts_squarefree(f).scaled(k)
+    return total
+
+
+@given(root_polynomials())
+@example(P([-2, 0, 0, 0, 1]))  # axis roots +-i 2^(1/4), real +-2^(1/4)
+@example(P([25, 0, 6, 0, 1]))  # +-1 +- 2i: pairs lambda, -conj(lambda)
+@example(P([0, 1]) * P([1, 0, 1]) * P([-1, 1]) * P([5, -2, 1]))
+@example(P([1, 0, 1]) * P([F(1, 1024), 0, 1]) * P([F(-1, 4), 1]))
+@settings(max_examples=150, deadline=None)
+def test_sign_counts_match_delta_loop(p):
+    f = squarefree_part(p)
+    assert squarefree_sign_counts(f) == reference_counts_squarefree(f)
+    assert root_sign_counts(p) == reference_root_sign_counts(p)
+
+
+@pytest.mark.parametrize(
+    "f",
+    [P([-1, 0, 1]), P([0, 1]) * P([1, 0, 1]) * P([-2, 1]), P([-2, 0, 0, 0, 1])],
+    ids=["no-axis-roots", "axis-roots", "irrational-axis-roots"],
+)
+def test_parity_failure_is_raised(monkeypatch, f):
+    monkeypatch.setattr(liecert.poly, "_hurwitz_index", lambda g: _hurwitz_index(g) + 1)
+    with pytest.raises(AssertionError, match="parity"):
+        squarefree_sign_counts(f)
+
+
+@given(root_polynomials(max_multiplicity=2))
+@example(P([-2, 1]))  # Fujiwara is exact here: the bound is the root
+@example(P([0, 0, 1]))
+@settings(max_examples=100, deadline=None)
+def test_power_of_two_root_bound(p):
+    b = power_of_two_root_bound(p)
+    roots = np.roots([float(c) for c in reversed(p.coeffs)])
+    top = max((abs(z) for z in roots), default=0.0)
+    if top == 0:
+        assert b == 0
+        return
+    m = b.numerator * b.denominator
+    assert 1 in (b.numerator, b.denominator) and m & (m - 1) == 0  # a power of two
+    assert top <= float(b) * (1 + 1e-9)
+    # at least Fujiwara's bound 2 max(terms) and less than twice it
+    n, lead = p.degree, abs(float(p.leading))
+    terms = [(abs(float(p.coeffs[n - j])) / lead) ** (1 / j) for j in range(1, n)]
+    terms.append((abs(float(p.coeffs[0])) / (2 * lead)) ** (1 / n))
+    assert 2 * max(terms) * (1 - 1e-9) <= float(b) < 4 * max(terms) * (1 + 1e-9)
+
+
+def test_power_of_two_root_bound_values():
+    assert power_of_two_root_bound(P([-2, 1])) == 2
+    assert power_of_two_root_bound(P([1, 1])) == 1
+    assert power_of_two_root_bound(P([F(-1, 8), 1])) == F(1, 8)
+    assert power_of_two_root_bound(P([0, 0, 0, 1])) == 0
+    p = P([1])
+    for _ in range(12):
+        p = p * P([1, 1])
+    # (t + 1)^12: Cauchy's bound is 925 and Fujiwara's 24; its squarefree part gives 1
+    assert power_of_two_root_bound(p) == 32
+    assert power_of_two_root_bound(squarefree_part(p)) == 1

@@ -5,14 +5,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
+import liecert.spectral
+from generators import root_polynomials
 from liecert.algebra import StructureError
 from liecert.linalg import identity, mat_sub, matmul, matrix, vector
-from liecert.poly import RationalPolynomial as P, root_sign_counts
+from liecert.poly import RationalPolynomial as P, root_bound, root_sign_counts
 from liecert.spectral import (
     axis_factor,
     char_poly,
-    counts_at,
     invariant_splitting,
     is_hyperbolic,
     is_partially_hyperbolic,
@@ -176,11 +178,73 @@ def test_spectral_gap_all_axis():
     assert spectral_gap(P([1, 0, 1])) == (None, True)
 
 
-def test_counts_at_moves_the_line():
+def reference_spectral_gap(p, bits=30):
+    """The former bisection: two full counts of shifted p at every step."""
+    if p.degree < 1:
+        return None, True
+    base = root_sign_counts(p)
+    if base.n_neg + base.n_pos == 0:
+        return None, True
+    hi = F(1)
+    bound = root_bound(p)
+    while hi < bound:
+        hi *= 2
+    lo = F(0)
+    for _ in range(bits):
+        mid = (lo + hi) / 2
+        right = root_sign_counts(p.shift(mid))
+        left = root_sign_counts(p.shift(-mid))
+        attained = right.n_zero_real > 0 or left.n_zero_real > 0
+        inside = (base.n_pos - right.n_pos - right.n_zero_real) + (
+            base.n_neg - left.n_neg - left.n_zero_real
+        )
+        if inside == 0 and attained:
+            return mid, True
+        if inside == 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, False
+
+
+def _power(f, k):
+    p = P([1])
+    for _ in range(k):
+        p = p * f
+    return p
+
+
+@given(root_polynomials(max_factors=3, max_multiplicity=2))
+@example(P([-2, 1]))  # the only root sits on the power-of-two bound
+@example(P([2, 1]) * P([1, 0, 1]))
+@example(_power(P([1, 1]), 12))
+@example(P([-2, 0, 0, 0, 1]))
+@example(P([25, 0, 6, 0, 1]) * P([0, 1]))
+@example(P([-1, -1, 1]) * P([F(1, 3), 1]))
+@settings(max_examples=60, deadline=None)
+def test_spectral_gap_matches_reference(p):
+    assert spectral_gap(p) == reference_spectral_gap(p)
+
+
+def test_spectral_gap_counts_only_below_the_bound(monkeypatch):
+    calls = []
+    real = liecert.spectral.squarefree_sign_counts
+    monkeypatch.setattr(
+        liecert.spectral, "squarefree_sign_counts", lambda f: calls.append(f) or real(f)
+    )
+    # (t + 1)^12: Cauchy's bound 925 starts the bisection at 1024, but the
+    # squarefree part t + 1 puts every root within 1, where the first count
+    # finds the gap
+    assert spectral_gap(_power(P([1, 1]), 12)) == (F(1), True)
+    assert len(calls) == 3
+    assert all(f.degree == 1 for f in calls)
+
+
+def test_shifted_counts_move_the_line():
     p = P([-1, 0, 1])  # roots +-1
-    c = counts_at(p, F(2))
+    c = root_sign_counts(p.shift(F(2)))
     assert (c.n_neg, c.n_zero_real, c.n_pos) == (2, 0, 0)
-    c = counts_at(p, F(1))
+    c = root_sign_counts(p.shift(F(1)))
     assert (c.n_neg, c.n_zero_real, c.n_pos) == (1, 1, 0)
 
 
