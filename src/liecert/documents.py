@@ -154,6 +154,8 @@ def parse_document(text: str) -> AlgebraDocument:
         raise DocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer beyond the interpreter's digit limit
+        raise DocumentError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentError("top level: expected an object")
     version = obj.get("format_version")

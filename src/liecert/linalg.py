@@ -187,7 +187,7 @@ def trace(a: Matrix) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), _ZERO)
 
 
-def _primitive(w: list[int]) -> list[int]:
+def primitive(w: list[int]) -> list[int]:
     """w divided by the gcd of its entries."""
     g = gcd(*w)
     return [a // g for a in w] if g > 1 else w
@@ -196,12 +196,12 @@ def _primitive(w: list[int]) -> list[int]:
 def integer_row(v) -> list[int]:
     """Primitive integer row spanning the same line as the rational row v."""
     den = lcm(*(x.denominator for x in v))
-    return _primitive([x.numerator * (den // x.denominator) for x in v])
+    return primitive([x.numerator * (den // x.denominator) for x in v])
 
 
 def _combine(p: int, w: list[int], f: int, row: list[int]) -> list[int]:
     """Primitive part of p*w - f*row."""
-    return _primitive([p * a - f * b for a, b in zip(w, row)])
+    return primitive([p * a - f * b for a, b in zip(w, row)])
 
 
 def _eliminate(rows: list[list[int]]) -> list[int]:
@@ -292,10 +292,10 @@ def generalized_kernel(b: Matrix) -> Matrix:
     An invertible b stops at once.
     """
     rows, _ = _integer_form(b)
-    red = [_primitive(r) for r in rows]
+    red = [primitive(r) for r in rows]
     piv = _eliminate(red)
     while 0 < len(piv) < len(rows):
-        nxt = [_primitive(r) for r in _int_matmul(red[: len(piv)], rows)]
+        nxt = [primitive(r) for r in _int_matmul(red[: len(piv)], rows)]
         npiv = _eliminate(nxt)
         if len(npiv) == len(piv):
             break

@@ -15,16 +15,39 @@ they carry exactly the axis roots and the pairs lambda, -conj(lambda),
 one root of each pair on either side.  So for squarefree f with n0 axis
 roots the index is still n_neg - n_pos, and n_neg = (n - n0 + index) / 2
 (the singular case of the Routh-Hurwitz theorem; Gantmacher, *The Theory
-of Matrices*, vol. II, ch. XV).
+of Matrices*, vol. II, ch. XV).  The last member of that chain is the
+gcd of the pair, so one chain gives both the index and the axis roots.
+
+Every count, gcd and shift runs on primitive integer coefficient lists
+(ascending, like `RationalPolynomial.coeffs`); `Fraction` appears only
+where a `RationalPolynomial` comes in or goes out.  Three facts keep the
+answers exact:
+
+* Multiplying members of a remainder chain by positive constants changes
+  no sign anywhere, so the sign variations at every point, the Sturm
+  counts and the Cauchy index stay the same.  Remainders are therefore
+  pseudo-remainders with a positive multiplier (the divisor is negated
+  first when its leading coefficient is negative, which does not change
+  the remainder), divided by their positive content: the primitive
+  polynomial remainder sequence (Collins 1967; Brown & Traub 1971).
+* A gcd is only defined up to a constant.  Quotients by a primitive
+  divisor of an integer polynomial are integer polynomials (Gauss's
+  lemma), so Yun's algorithm runs on exact integer quotients, and gcds
+  and factors are made monic when they are returned.
+* A rational shift delta = a/b (b > 0) is taken as b^n f((s + a)/b), an
+  integer Taylor shift.  Its roots are b (lambda - delta): the roots of
+  f(t + delta) scaled by b > 0, which keeps the sign of every real part,
+  so the half-plane counts of f(t + delta) are unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .linalg import frac
+from .linalg import frac, integer_row, primitive
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -136,13 +159,20 @@ class RationalPolynomial:
         return RationalPolynomial([c * inv for c in self.coeffs])
 
     def shift(self, c: Fraction) -> "RationalPolynomial":
-        """Compose with t + c, i.e. return p(t + c)."""
+        """Compose with t + c, i.e. return p(t + c).
+
+        With c = a/b and p = P/d for integer P: p(t + c) = h(bt) / (d b^n),
+        where h(s) = b^n P((s + a)/b) is the integer Taylor shift.
+        """
         c = frac(c)
-        out = RationalPolynomial([])
-        t_plus_c = RationalPolynomial([c, _ONE])
-        for coeff in reversed(self.coeffs):
-            out = out * t_plus_c + RationalPolynomial([coeff])
-        return out
+        if not c or self.degree <= 0:
+            return self
+        d = lcm(*(x.denominator for x in self.coeffs))
+        ints = [x.numerator * (d // x.denominator) for x in self.coeffs]
+        b = c.denominator
+        h = _scaled_shift(ints, c.numerator, b)
+        scale = d * b**self.degree
+        return RationalPolynomial([Fraction(x * b**k, scale) for k, x in enumerate(h)])
 
     def reflect(self) -> "RationalPolynomial":
         """Return p(-t)."""
@@ -155,77 +185,151 @@ def poly(coeffs: Iterable) -> RationalPolynomial:
     return RationalPolynomial(coeffs)
 
 
-def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd over Q."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+# -- integer kernel: coefficient lists, ascending, no trailing zeros -------
 
 
-def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
-    if p.degree <= 0:
-        return p.monic()
-    return (p // poly_gcd(p, p.derivative())).monic()
+def _trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
-def squarefree_decomposition(
-    p: RationalPolynomial,
-) -> list[tuple[RationalPolynomial, int]]:
-    """Yun's algorithm: p = c * prod f_k^k with the f_k squarefree, coprime.
+def _derivative(cs: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(cs)][1:]
 
-    Returns [(f_k, k)] for the nonconstant f_k only.
+
+def _difference(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return _trim([x - (b[i] if i < len(b) else 0) for i, x in enumerate(a)])
+
+
+def _monic(cs: list[int]) -> RationalPolynomial:
+    """The monic rational polynomial proportional to cs (zero stays zero)."""
+    return RationalPolynomial([Fraction(c, cs[-1]) for c in cs] if cs else [])
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b times a positive integer (b nonzero)."""
+    if b[-1] < 0:
+        b = [-c for c in b]
+    lb, db = b[-1], len(b) - 1
+    r = list(a)
+    while len(r) > db:
+        k = len(r) - 1 - db
+        g = gcd(r[-1], lb)
+        m, q = lb // g, r[-1] // g
+        if m != 1:
+            r = [m * c for c in r]
+        for i in range(db):
+            r[k + i] -= q * b[i]
+        r.pop()
+        _trim(r)
+    return r
+
+
+def _remainder_chain(a: list[int], b: list[int]) -> list[list[int]]:
+    """Signed remainder chain a, b, -rem(a, b), ... to its last nonzero member.
+
+    Each member from the third on is primitive and a positive multiple of
+    the member of the chain over Q; the last member is a gcd of a and b.
     """
-    if p.degree <= 0:
-        return []
-    p = p.monic()
-    dp = p.derivative()
-    a = poly_gcd(p, dp)
-    b = p // a
-    c = dp // a
-    d = c - b.derivative()
-    out: list[tuple[RationalPolynomial, int]] = []
+    chain = [a]
+    while b:
+        chain.append(b)
+        a, b = b, [-c for c in primitive(_prem(a, b))]
+    return chain
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two integer polynomials; zero when both are zero."""
+    return primitive(_remainder_chain(a, b)[-1])
+
+
+def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a multiple a of a primitive b: an integer polynomial."""
+    lb, db = b[-1], len(b) - 1
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + db], lb)
+        if rest:
+            raise ArithmeticError("polynomial division is not exact")
+        q[k] = c
+        for i in range(db + 1):
+            r[k + i] -= c * b[i]
+    if any(r):
+        raise ArithmeticError("polynomial division is not exact")
+    return q
+
+
+def _yun(cs: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm on integers: [(f_k, k)] for the nonconstant f_k, degree >= 1."""
+    dp = _derivative(cs)
+    a = _gcd(cs, dp)
+    b = _exact_quotient(cs, a)
+    d = _difference(_exact_quotient(dp, a), _derivative(b))
+    out: list[tuple[list[int], int]] = []
     k = 1
-    while b.degree > 0:
-        f = poly_gcd(b, d)
-        if f.degree > 0:
-            out.append((f.monic(), k))
-        b2 = b // f
-        c2 = d // f
-        d = c2 - b2.derivative()
+    while len(b) > 1:
+        f = _gcd(b, d)
+        if len(f) > 1:
+            out.append((f, k))
+        b2 = _exact_quotient(b, f)
+        d = _difference(_exact_quotient(d, f), _derivative(b2))
         b = b2
         k += 1
     return out
 
 
-# -- sign variations and Sturm machinery --------------------------------
+def _scaled_shift(cs: list[int], a: int, b: int) -> list[int]:
+    """b^n f((s + a)/b) for f = cs of degree n and b > 0.
+
+    Scale the coefficients to b^(n-i) c_i, then Taylor-shift by the
+    integer a (Horner rows, O(n^2) integer additions).
+    """
+    n = len(cs) - 1
+    out = [c * b ** (n - i) for i, c in enumerate(cs)]
+    if a:
+        for i in range(n):
+            for j in range(n - 1, i - 1, -1):
+                out[j] += a * out[j + 1]
+    return out
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+# -- sign variations and Sturm counts ------------------------------------
 
 
-def _variations(signs: Sequence[int]) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+def _variations(values: Sequence[int]) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sign_at_inf(p: RationalPolynomial, positive: bool) -> int:
-    if p.is_zero:
+def _index(chain: list[list[int]]) -> int:
+    """V(-oo) - V(+oo) over a remainder chain of nonzero members."""
+    plus = [c[-1] for c in chain]
+    minus = [c[-1] if len(c) % 2 else -c[-1] for c in chain]
+    return _variations(minus) - _variations(plus)
+
+
+def _scaled_value(cs: list[int], x: Fraction) -> int:
+    """den^n f(num/den) for x = num/den: the sign of f(x), by Horner."""
+    num, den = x.numerator, x.denominator
+    acc, scale = 0, 1
+    for c in reversed(cs):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _cauchy_index(a: list[int], b: list[int]) -> int:
+    if not a or not b:
         return 0
-    s = _sign(p.leading)
-    if not positive and p.degree % 2 == 1:
-        s = -s
-    return s
-
-
-def sturm_chain(
-    f: RationalPolynomial, g: RationalPolynomial
-) -> list[RationalPolynomial]:
-    chain = [f, g]
-    while not chain[-1].is_zero:
-        chain.append(-(chain[-2] % chain[-1]))
-    chain.pop()
-    return chain
+    if len(b) >= len(a):
+        b = primitive(_prem(b, a))
+        if not b:
+            return 0
+    return _index(_remainder_chain(a, b))
 
 
 def cauchy_index(
@@ -238,37 +342,49 @@ def cauchy_index(
     chain started at (f, g).  The index only depends on g mod f, so g is
     reduced first when its degree is not already smaller.
     """
-    if f.is_zero or g.is_zero:
-        return 0
-    if g.degree >= f.degree:
-        g = g % f
-        if g.is_zero:
-            return 0
-    chain = sturm_chain(f, g)
-    vm = _variations([_sign_at_inf(p, positive=False) for p in chain])
-    vp = _variations([_sign_at_inf(p, positive=True) for p in chain])
-    return vm - vp
+    return _cauchy_index(integer_row(f.coeffs), integer_row(g.coeffs))
+
+
+def _real_root_count(cs: list[int]) -> int:
+    """Distinct real roots of cs: the Cauchy index of cs'/cs."""
+    return _cauchy_index(cs, _derivative(cs))
 
 
 def count_real_roots_squarefree(f: RationalPolynomial) -> int:
     """Distinct real roots of a squarefree f, whole line."""
-    if f.degree <= 0:
-        return 0
-    return cauchy_index(f, f.derivative())
+    return _real_root_count(integer_row(f.coeffs))
 
 
 def count_real_roots(p: RationalPolynomial) -> int:
     """Real roots of p counted with multiplicity."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    total = 0
-    for f, k in squarefree_decomposition(p):
-        total += k * count_real_roots_squarefree(f)
-    return total
+    cs = integer_row(p.coeffs)
+    if len(cs) <= 1:
+        return 0
+    return sum(k * _real_root_count(f) for f, k in _yun(cs))
 
 
-def _variations_at(chain: Sequence[RationalPolynomial], x: Fraction) -> int:
-    return _variations([_sign(p(x)) for p in chain])
+def _sturm_chain(cs: list[int]) -> list[list[int]]:
+    """Sturm chain of the squarefree part of cs, degree >= 1."""
+    chain = _remainder_chain(cs, _derivative(cs))
+    g = primitive(chain[-1])
+    if len(g) > 1:
+        cs = _exact_quotient(cs, g)
+        chain = _remainder_chain(cs, _derivative(cs))
+    return chain
+
+
+def _roots_between(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
+    """Distinct roots of the squarefree chain[0] in the open interval (a, b).
+
+    V(x) drops by one across each root, and at a root, where chain[0] is
+    left out, it already takes its value just right of the root.  So
+    V(a) - V(b) counts the roots in (a, b], and a root at b is taken off.
+    """
+    va = _variations([_scaled_value(c, a) for c in chain])
+    vb = _variations([_scaled_value(c, b) for c in chain])
+    return va - vb - (_scaled_value(chain[0], b) == 0)
 
 
 def count_real_roots_in_interval(
@@ -276,18 +392,12 @@ def count_real_roots_in_interval(
 ) -> int:
     """Distinct real roots of squarefree f in the open interval (a, b).
 
-    Endpoints that are themselves roots are excluded by dividing them out.
+    Endpoints that are themselves roots are not counted.
     """
     a, b = frac(a), frac(b)
     if f.degree <= 0 or a >= b:
         return 0
-    for r in (a, b):
-        while f(r) == 0:
-            f = f // RationalPolynomial([-r, _ONE])
-    if f.degree <= 0:
-        return 0
-    chain = sturm_chain(f, f.derivative())
-    return _variations_at(chain, a) - _variations_at(chain, b)
+    return _roots_between(_sturm_chain(integer_row(f.coeffs)), a, b)
 
 
 def root_bound(p: RationalPolynomial) -> Fraction:
@@ -336,34 +446,38 @@ def isolate_real_roots(
     if f.degree <= 0:
         return []
     bound = root_bound(f)
+    chain = _sturm_chain(integer_row(f.coeffs))
     out: list[tuple[Fraction, Fraction]] = []
+
+    def is_root(x: Fraction) -> bool:
+        return _scaled_value(chain[0], x) == 0
 
     def emit(a: Fraction, b: Fraction) -> None:
         # Exactly one root lies in the open interval; shrink until both
         # endpoints are nonroots so downstream sign queries are safe.
-        while f(a) == 0 or f(b) == 0:
+        while is_root(a) or is_root(b):
             mid = (a + b) / 2
-            if f(mid) == 0:
+            if is_root(mid):
                 out.append((mid, mid))
                 return
-            if count_real_roots_in_interval(f, a, mid) == 1:
+            if _roots_between(chain, a, mid) == 1:
                 b = mid
             else:
                 a = mid
         out.append((a, b))
 
     def _refine_open(a: Fraction, b: Fraction, k: int) -> None:
-        # a or b may be an exact root; counts use the root-excluding helper.
+        # a or b may be an exact root; the counts exclude the endpoints.
         if k == 0:
             return
         mid = (a + b) / 2
-        if f(mid) == 0:
+        if is_root(mid):
             out.append((mid, mid))
-            _refine_open(a, mid, count_real_roots_in_interval(f, a, mid))
-            _refine_open(mid, b, count_real_roots_in_interval(f, mid, b))
+            _refine_open(a, mid, _roots_between(chain, a, mid))
+            _refine_open(mid, b, _roots_between(chain, mid, b))
             return
-        kl = count_real_roots_in_interval(f, a, mid)
-        kr = count_real_roots_in_interval(f, mid, b)
+        kl = _roots_between(chain, a, mid)
+        kr = _roots_between(chain, mid, b)
         if kl == 1:
             emit(a, mid)
         elif kl > 1:
@@ -373,9 +487,35 @@ def isolate_real_roots(
         elif kr > 1:
             _refine_open(mid, b, kr)
 
-    total = count_real_roots_squarefree(f)
-    _refine_open(-bound, bound, total)
+    _refine_open(-bound, bound, _index(chain))
     return sorted(out, key=lambda ab: ab[0])
+
+
+# -- gcd and squarefree decomposition ------------------------------------
+
+
+def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
+    """Monic gcd over Q."""
+    return _monic(_gcd(integer_row(a.coeffs), integer_row(b.coeffs)))
+
+
+def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
+    if p.degree <= 0:
+        return p.monic()
+    cs = integer_row(p.coeffs)
+    return _monic(_exact_quotient(cs, _gcd(cs, _derivative(cs))))
+
+
+def squarefree_decomposition(
+    p: RationalPolynomial,
+) -> list[tuple[RationalPolynomial, int]]:
+    """Yun's algorithm: p = c * prod f_k^k with the f_k squarefree, coprime.
+
+    Returns [(f_k, k)] for the nonconstant f_k only, each f_k monic.
+    """
+    if p.degree <= 0:
+        return []
+    return [(_monic(f), k) for f, k in _yun(integer_row(p.coeffs))]
 
 
 # -- half-plane counting -------------------------------------------------
@@ -404,79 +544,81 @@ class RootSignCount:
         return RootSignCount(k * self.n_neg, k * self.n_zero_real, k * self.n_pos)
 
 
-def axis_parts(
-    p: RationalPolynomial,
-) -> tuple[RationalPolynomial, RationalPolynomial]:
-    """Real and imaginary part of p(iy) as real polynomials in y."""
-    re = [_ZERO] * len(p.coeffs)
-    im = [_ZERO] * len(p.coeffs)
-    for j, c in enumerate(p.coeffs):
-        r = j % 4
-        if r == 0:
-            re[j] = c
-        elif r == 1:
-            im[j] = c
-        elif r == 2:
-            re[j] = -c
-        else:
-            im[j] = -c
-    return RationalPolynomial(re), RationalPolynomial(im)
+def _axis_pair(cs: list) -> tuple[list, list]:
+    """Real and imaginary part of f(iy) as coefficient lists in y."""
+    re = [c * (1, 0, -1, 0)[j % 4] for j, c in enumerate(cs)]
+    im = [c * (0, 1, 0, -1)[j % 4] for j, c in enumerate(cs)]
+    return _trim(re), _trim(im)
+
+
+def _axis_chain(cs: list[int]) -> list[list[int]]:
+    """Remainder chain of the real and imaginary parts of f(iy).
+
+    It starts at (Im, Re) for odd degree and at (Re, -Im) for even degree,
+    so that its index is n_neg - n_pos (see _hurwitz_index).  Its last
+    member is gcd(Re, Im), whose real roots y are the axis roots iy of f.
+    """
+    re, im = _axis_pair(cs)
+    if len(cs) % 2 == 0:
+        return _remainder_chain(im, re)
+    return _remainder_chain(re, [-c for c in im])
 
 
 def axis_gcd(p: RationalPolynomial) -> RationalPolynomial:
     """gcd of the real and imaginary parts of p(iy): its real roots are p's axis roots."""
-    re, im = axis_parts(p)
-    if re.is_zero:
-        return im.monic()
-    if im.is_zero:
-        return re.monic()
-    return poly_gcd(re, im)
+    return _monic(_axis_chain(integer_row(p.coeffs))[-1])
 
 
-def axis_root_count_squarefree(f: RationalPolynomial) -> int:
-    """Number of roots of squarefree f lying on the imaginary axis."""
-    if f.degree <= 0:
-        return 0
-    g = axis_gcd(f)
-    if g.degree <= 0:
-        return 0
-    return count_real_roots_squarefree(squarefree_part(g))
-
-
-def _hurwitz_index(f: RationalPolynomial) -> int:
-    """n_neg - n_pos for squarefree f.
+def _hurwitz_index(chain: list[list[int]]) -> int:
+    """n_neg - n_pos for squarefree f, from its axis chain `_axis_chain(f)`.
 
     Routh-Hurwitz via the Cauchy index of the real/imaginary pair of
     f(iy); the orientation depends on the degree parity.  Axis roots and
     pairs lambda, -conj(lambda) are common zeros of the pair and drop out
     (see the module docstring).
     """
-    re, im = axis_parts(f)
-    if f.degree % 2 == 1:
-        return cauchy_index(im, re)
-    return -cauchy_index(re, im)
+    return _index(chain)
 
 
-def squarefree_sign_counts(f: RationalPolynomial) -> RootSignCount:
-    """(n_neg, n_zero_real, n_pos) for squarefree f: each distinct root once."""
-    n = f.degree
+def _sign_counts(cs: list[int]) -> RootSignCount:
+    """(n_neg, n_zero_real, n_pos) for squarefree integer cs, from one axis chain."""
+    n = len(cs) - 1
     if n <= 0:
         return RootSignCount(0, 0, 0)
-    n0 = axis_root_count_squarefree(f)
+    chain = _axis_chain(cs)
+    # the real roots y of gcd(Re, Im) are the axis roots iy, each simple in f
+    n0 = _real_root_count(chain[-1])
     if n0 == n:
         return RootSignCount(0, n, 0)
-    d = _hurwitz_index(f)
+    d = _hurwitz_index(chain)
     if (n - n0 + d) % 2 != 0:
         raise AssertionError("parity failure in Hurwitz index")
     n_neg = (n - n0 + d) // 2
     return RootSignCount(n_neg, n0, n - n0 - n_neg)
 
 
+def squarefree_sign_counts(
+    f: RationalPolynomial, shift: Fraction = _ZERO
+) -> RootSignCount:
+    """(n_neg, n_zero_real, n_pos) of squarefree f(t + shift), each root once.
+
+    That is, the roots lambda of f by the sign of Re(lambda) - shift,
+    counted on the integer shift b^n f((s + a)/b) for shift = a/b.
+    """
+    cs = integer_row(f.coeffs)
+    shift = frac(shift)
+    if shift and len(cs) > 1:
+        cs = primitive(_scaled_shift(cs, shift.numerator, shift.denominator))
+    return _sign_counts(cs)
+
+
 def root_sign_counts(p: RationalPolynomial) -> RootSignCount:
     """Exact (n_neg, n_zero_real, n_pos) for the roots of p, multiplicity included."""
     if p.is_zero:
         raise ValueError("zero polynomial")
+    cs = integer_row(p.coeffs)
     total = RootSignCount(0, 0, 0)
-    for f, k in squarefree_decomposition(p):
-        total = total + squarefree_sign_counts(f).scaled(k)
+    if len(cs) > 1:
+        for f, k in _yun(cs):
+            total = total + _sign_counts(f).scaled(k)
     return total

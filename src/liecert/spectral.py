@@ -20,6 +20,7 @@ from .linalg import (
     charpoly,
     generalized_kernel,
     identity,
+    integer_row,
     inverse,
     mat_poly,
     mat_pow,
@@ -35,7 +36,6 @@ from .poly import (
     RationalPolynomial,
     RootSignCount,
     axis_gcd,
-    axis_root_count_squarefree,
     count_real_roots_squarefree,
     poly_gcd,
     power_of_two_root_bound,
@@ -59,18 +59,16 @@ def factor_with_multiplicity(
 ) -> list[tuple[RationalPolynomial, int]]:
     """Monic irreducible factors of p over Q with their multiplicities.
 
-    This is the one bridge to sympy's factorization.
+    This is the one bridge to sympy's factorization.  It hands sympy the
+    primitive integer coefficients of p; factors over Z and over Q agree up
+    to constants, which `monic` removes.
     """
-    x = sympy.Symbol("x")
-    expr = sum(
-        sympy.Rational(c.numerator, c.denominator) * x**i
-        for i, c in enumerate(p.coeffs)
-    )
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    ints = integer_row(p.coeffs)[::-1]
+    poly_zz = sympy.Poly.from_list(ints, sympy.Symbol("x"), domain=sympy.ZZ)
+    _, factors = poly_zz.factor_list()
     out = []
     for fac, mult in factors:
-        cs = map(sympy.Rational, fac.all_coeffs()[::-1])
-        q = RationalPolynomial([Fraction(int(c.p), int(c.q)) for c in cs])
+        q = RationalPolynomial([int(c) for c in reversed(fac.all_coeffs())])
         out.append((q.monic(), int(mult)))
     return out
 
@@ -214,7 +212,7 @@ def jordan_chevalley(op: Matrix) -> JordanChevalley:
         mean = -phi.coeffs[d - 1] / (d * phi.coeffs[d])
         if count_real_roots_squarefree(phi) == d:
             parts.append(("real", phi, mean))
-        elif axis_root_count_squarefree(phi.shift(mean)) == d:
+        elif squarefree_sign_counts(phi, mean).n_zero_real == d:
             parts.append(("line", phi, mean))
         else:
             exact = False
@@ -302,8 +300,8 @@ def spectral_gap(p: RationalPolynomial, bits: int = 30) -> tuple[Fraction | None
 
     def band_empty(delta: Fraction) -> tuple[bool, bool]:
         """(no off-axis root with |Re| < delta, some root with |Re| = delta)."""
-        right = squarefree_sign_counts(f.shift(delta))
-        left = squarefree_sign_counts(f.shift(-delta))
+        right = squarefree_sign_counts(f, delta)
+        left = squarefree_sign_counts(f, -delta)
         attained = (right.n_zero_real > 0) or (left.n_zero_real > 0)
         inside = (base.n_pos - right.n_pos - right.n_zero_real) + (
             base.n_neg - left.n_neg - left.n_zero_real

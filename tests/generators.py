@@ -92,8 +92,6 @@ def random_hyperbolic_suspension(rng: random.Random):
     return g, flow, stable, unstable
 
 
-_small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-_positive = st.fractions(min_value=F(1, 4), max_value=9, max_denominator=4)
 _dyadic = st.builds(lambda k, e: F(k, 2**e), st.integers(-12, 12), st.integers(0, 4))
 
 
@@ -110,14 +108,28 @@ def _factor(kind: str, a: Fraction, b: Fraction) -> RationalPolynomial:
 
 
 @st.composite
-def root_polynomials(draw, max_factors: int = 4, max_multiplicity: int = 3):
-    """A nonconstant product of known-root factors, each to a small power."""
-    p = RationalPolynomial([draw(st.sampled_from([F(1), F(-3), F(2, 5)]))])
+def root_polynomials(
+    draw, max_factors: int = 4, max_multiplicity: int = 3, max_denominator: int = 4
+):
+    """A nonconstant product of known-root factors, each to a small power.
+
+    Factor parameters are dyadic or have denominators up to
+    max_denominator.  The leading coefficient is 1, -3 or 2/5; above the
+    default max_denominator it is any nonzero rational of either sign
+    with such a denominator.
+    """
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=max_denominator)
+    positive = st.fractions(min_value=F(1, 4), max_value=9, max_denominator=max_denominator)
+    if max_denominator <= 4:
+        lead = draw(st.sampled_from([F(1), F(-3), F(2, 5)]))
+    else:
+        lead = draw(small.filter(bool))
+    p = RationalPolynomial([lead])
     kinds = ("rational", "real-pair", "axis", "conjugate-pair", "symmetric-quartic")
     for _ in range(draw(st.integers(1, max_factors))):
         kind = draw(st.sampled_from(kinds))
-        a = draw(st.one_of(_dyadic, _small))
-        b = draw(_positive) if kind != "symmetric-quartic" else draw(_small)
+        a = draw(st.one_of(_dyadic, small))
+        b = draw(positive) if kind != "symmetric-quartic" else draw(small)
         f = _factor(kind, a, b)
         for _ in range(draw(st.integers(1, max_multiplicity))):
             p = p * f

@@ -119,6 +119,22 @@ def test_bad_json_is_input_error(monkeypatch, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("where", ["json-integer", "rational-string"])
+def test_oversized_number_is_input_error(monkeypatch, capsys, where):
+    # 5000 digits: past the interpreter's 4300-digit limit for int(str)
+    big = "7" * 5000
+    doc = json.loads(SL2_DOC)
+    if where == "json-integer":
+        text = SL2_DOC.replace('"dim": 3', f'"dim": {big}')
+    else:
+        doc["structure_constants"][0][3] = f"1/{big}"
+        text = json.dumps(doc)
+    code, out, err = run(["validate"], text, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: ")
+
+
 def test_oversized_dim_is_input_error(monkeypatch, capsys):
     def no_table(doc):
         raise AssertionError("table built for an oversized dim")

@@ -1,4 +1,8 @@
-"""Root counting by half-plane, checked against numpy and hand-built products."""
+"""Root counting by half-plane, checked against numpy and hand-built products.
+
+The integer kernel of liecert.poly is also checked for exact equality
+against the former Fraction routines, kept below as references.
+"""
 
 import random
 from fractions import Fraction as F
@@ -8,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import liecert.poly
-from generators import root_polynomials
+from generators import _dyadic, root_polynomials
+from liecert.linalg import integer_row
 from liecert.poly import (
     RationalPolynomial as P,
     RootSignCount,
+    _axis_pair,
     _hurwitz_index,
-    axis_parts,
-    axis_root_count_squarefree,
+    axis_gcd,
     cauchy_index,
     count_real_roots,
     count_real_roots_in_interval,
@@ -87,9 +92,9 @@ def test_constant_has_no_roots():
 
 def test_axis_parts_signs():
     # p(t) = t^4 + t^3 + t^2 + t + 1 at t = iy
-    re, im = axis_parts(P([1, 1, 1, 1, 1]))
-    assert re.coeffs == (F(1), F(0), F(-1), F(0), F(1))
-    assert im.coeffs == (F(0), F(1), F(0), F(-1))
+    re, im = _axis_pair([1, 1, 1, 1, 1])
+    assert re == [1, 0, -1, 0, 1]
+    assert im == [0, 1, 0, -1]
 
 
 def test_squarefree_decomposition_structure():
@@ -229,38 +234,188 @@ def test_squarefree_part_has_same_distinct_roots(cs):
     assert count_real_roots_squarefree(sf) == total
 
 
-# -- axis roots without shifts, checked against the former delta loop ---------
+# -- the former Fraction routines, kept as references ---------------------
 
 
-def reference_counts_squarefree(f):
-    """The former count: shrink dyadic shifts f(t +- delta) around the axis."""
+def ref_shift(p, c):
+    """p(t + c) by Horner on RationalPolynomial arithmetic."""
+    out = P([])
+    for coeff in reversed(p.coeffs):
+        out = out * P([c, 1]) + P([coeff])
+    return out
+
+
+def ref_poly_gcd(a, b):
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
+
+
+def ref_squarefree_part(p):
+    if p.degree <= 0:
+        return p.monic()
+    return (p // ref_poly_gcd(p, p.derivative())).monic()
+
+
+def ref_squarefree_decomposition(p):
+    if p.degree <= 0:
+        return []
+    p = p.monic()
+    dp = p.derivative()
+    a = ref_poly_gcd(p, dp)
+    b = p // a
+    d = dp // a - b.derivative()
+    out = []
+    k = 1
+    while b.degree > 0:
+        f = ref_poly_gcd(b, d)
+        if f.degree > 0:
+            out.append((f.monic(), k))
+        b2 = b // f
+        d = d // f - b2.derivative()
+        b = b2
+        k += 1
+    return out
+
+
+def _ref_sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _ref_variations(signs):
+    seq = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(seq, seq[1:]) if a != b)
+
+
+def _ref_sign_at_inf(p, positive):
+    s = _ref_sign(p.leading)
+    return s if positive or p.degree % 2 == 0 else -s
+
+
+def ref_sturm_chain(f, g):
+    chain = [f, g]
+    while not chain[-1].is_zero:
+        chain.append(-(chain[-2] % chain[-1]))
+    chain.pop()
+    return chain
+
+
+def ref_cauchy_index(f, g):
+    if f.is_zero or g.is_zero:
+        return 0
+    if g.degree >= f.degree:
+        g = g % f
+        if g.is_zero:
+            return 0
+    chain = ref_sturm_chain(f, g)
+    vm = _ref_variations([_ref_sign_at_inf(p, positive=False) for p in chain])
+    vp = _ref_variations([_ref_sign_at_inf(p, positive=True) for p in chain])
+    return vm - vp
+
+
+def ref_count_real_roots_squarefree(f):
+    return ref_cauchy_index(f, f.derivative()) if f.degree > 0 else 0
+
+
+def ref_count_real_roots_in_interval(f, a, b):
+    if f.degree <= 0 or a >= b:
+        return 0
+    for r in (a, b):
+        while f(r) == 0:
+            f = f // P([-r, 1])
+    if f.degree <= 0:
+        return 0
+    chain = ref_sturm_chain(f, f.derivative())
+    return _ref_variations([_ref_sign(p(a)) for p in chain]) - _ref_variations(
+        [_ref_sign(p(b)) for p in chain]
+    )
+
+
+def ref_axis_parts(p):
+    re = [F(0)] * len(p.coeffs)
+    im = [F(0)] * len(p.coeffs)
+    for j, c in enumerate(p.coeffs):
+        r = j % 4
+        if r == 0:
+            re[j] = c
+        elif r == 1:
+            im[j] = c
+        elif r == 2:
+            re[j] = -c
+        else:
+            im[j] = -c
+    return P(re), P(im)
+
+
+def ref_axis_root_count_squarefree(f):
+    if f.degree <= 0:
+        return 0
+    re, im = ref_axis_parts(f)
+    g = im.monic() if re.is_zero else re.monic() if im.is_zero else ref_poly_gcd(re, im)
+    if g.degree <= 0:
+        return 0
+    return ref_count_real_roots_squarefree(ref_squarefree_part(g))
+
+
+def ref_hurwitz_index(f):
+    re, im = ref_axis_parts(f)
+    if f.degree % 2 == 1:
+        return ref_cauchy_index(im, re)
+    return -ref_cauchy_index(re, im)
+
+
+def ref_squarefree_sign_counts(f):
     n = f.degree
     if n <= 0:
         return RootSignCount(0, 0, 0)
-    n0 = axis_root_count_squarefree(f)
+    n0 = ref_axis_root_count_squarefree(f)
+    if n0 == n:
+        return RootSignCount(0, n, 0)
+    d = ref_hurwitz_index(f)
+    assert (n - n0 + d) % 2 == 0
+    n_neg = (n - n0 + d) // 2
+    return RootSignCount(n_neg, n0, n - n0 - n_neg)
+
+
+def ref_root_sign_counts(p):
+    total = RootSignCount(0, 0, 0)
+    for f, k in ref_squarefree_decomposition(p):
+        total = total + ref_squarefree_sign_counts(f).scaled(k)
+    return total
+
+
+def reference_counts_squarefree(f):
+    """The count before axis roots were read off the index.
+
+    It shrinks dyadic shifts f(t +- delta) until no root is on the axis.
+    """
+    n = f.degree
+    if n <= 0:
+        return RootSignCount(0, 0, 0)
+    n0 = ref_axis_root_count_squarefree(f)
     if n0 == n:
         return RootSignCount(0, n, 0)
     if n0 == 0:
-        d = _hurwitz_index(f)
+        d = ref_hurwitz_index(f)
         assert (n + d) % 2 == 0
         return RootSignCount((n + d) // 2, 0, n - (n + d) // 2)
     off = n - n0
     delta = F(1)
     while True:
         delta /= 2
-        fp = f.shift(delta)
-        fm = f.shift(-delta)
-        if axis_root_count_squarefree(fp) or axis_root_count_squarefree(fm):
+        fp = ref_shift(f, delta)
+        fm = ref_shift(f, -delta)
+        if ref_axis_root_count_squarefree(fp) or ref_axis_root_count_squarefree(fm):
             continue
-        n_right = (n - _hurwitz_index(fp)) // 2
-        n_left = (n + _hurwitz_index(fm)) // 2
+        n_right = (n - ref_hurwitz_index(fp)) // 2
+        n_left = (n + ref_hurwitz_index(fm)) // 2
         if n_right + n_left == off:
             return RootSignCount(n_left, n0, n_right)
 
 
 def reference_root_sign_counts(p):
     total = RootSignCount(0, 0, 0)
-    for f, k in squarefree_decomposition(p):
+    for f, k in ref_squarefree_decomposition(p):
         total = total + reference_counts_squarefree(f).scaled(k)
     return total
 
@@ -320,3 +475,138 @@ def test_power_of_two_root_bound_values():
     # (t + 1)^12: Cauchy's bound is 925 and Fujiwara's 24; its squarefree part gives 1
     assert power_of_two_root_bound(p) == 32
     assert power_of_two_root_bound(squarefree_part(p)) == 1
+
+
+# -- the integer kernel equals the former Fraction routines ------------------
+
+# negative leading coefficients and denominators up to 10^9
+wide_polynomials = root_polynomials(
+    max_factors=3, max_multiplicity=2, max_denominator=10**9
+)
+any_polynomials = st.one_of(root_polynomials(), wide_polynomials)
+shifts = st.one_of(
+    _dyadic, st.fractions(min_value=-8, max_value=8, max_denominator=10**9)
+)
+
+
+@given(any_polynomials, any_polynomials)
+@example(P([-2, 0, 0, 0, 1]), P([0, 1]))
+@example(P([0, 1]), P([-1]))
+@example(P([1, 0, 1]), P([0, 0, 0, -5]))  # g reduced mod f first
+@example(P([-1, 1]) * P([2, 1]), P([-1, 1]) * P([F(7, 3)]))  # g mod f is zero
+@settings(max_examples=80, deadline=None)
+def test_cauchy_index_matches_reference(f, g):
+    assert cauchy_index(f, g) == ref_cauchy_index(f, g)
+    assert cauchy_index(f, f.derivative()) == ref_cauchy_index(f, f.derivative())
+
+
+@given(any_polynomials, any_polynomials, any_polynomials)
+@example(P([F(-1, 3)]), P([0, 1]), P([-2, 0, 0, 0, 1]))
+@settings(max_examples=80, deadline=None)
+def test_gcd_and_yun_match_reference(p, q, common):
+    a, b = p * common, q * common
+    assert poly_gcd(a, b) == ref_poly_gcd(a, b)
+    assert poly_gcd(a, P([])) == ref_poly_gcd(a, P([]))
+    assert squarefree_part(a) == ref_squarefree_part(a)
+    assert squarefree_decomposition(a) == ref_squarefree_decomposition(a)
+    assert count_real_roots(a) == sum(
+        k * ref_count_real_roots_squarefree(f) for f, k in ref_squarefree_decomposition(a)
+    )
+
+
+@given(any_polynomials)
+@example(P([F(-7, 10**9), 0, 0, 0, F(-3, 5)]))
+@example(P([0, 1]) * P([1, 0, 1]) * P([-1, 1]) * P([5, -2, 1]) * -1)
+@settings(max_examples=120, deadline=None)
+def test_sign_counts_match_reference(p):
+    f = squarefree_part(p)
+    assert squarefree_sign_counts(f) == ref_squarefree_sign_counts(f)
+    assert squarefree_sign_counts(f * F(-2, 3)) == ref_squarefree_sign_counts(f)
+    assert root_sign_counts(p) == ref_root_sign_counts(p)
+    assert axis_gcd(p) == ref_axis_gcd(p)
+
+
+def ref_axis_gcd(p):
+    re, im = ref_axis_parts(p)
+    return im.monic() if re.is_zero else re.monic() if im.is_zero else ref_poly_gcd(re, im)
+
+
+@given(any_polynomials, shifts)
+@example(P([1, 2, 3]), F(1, 3))
+@example(P([0, 0, 1]) * P([1, 0, 1]), F(-5, 2))
+@example(P([-1, 0, 1]), F(1))  # a root moves onto the axis
+@settings(max_examples=100, deadline=None)
+def test_shift_matches_reference(p, c):
+    assert p.shift(c) == ref_shift(p, c)
+    f = squarefree_part(p)
+    assert squarefree_sign_counts(f, c) == ref_squarefree_sign_counts(ref_shift(f, c))
+
+
+def _real_rational_roots(p):
+    return [-f.coeffs[0] for f, _ in ref_squarefree_decomposition(p) if f.degree == 1]
+
+
+@given(any_polynomials, shifts, shifts, st.data())
+@example(P([0, -2, 0, 1]), F(0), F(2), None)
+@example(P([-1, 1]) * P([1, 1]) * P([-4, 0, 1]), F(-1), F(1), None)
+@settings(max_examples=100, deadline=None)
+def test_interval_counts_match_reference(p, a, b, data):
+    f = squarefree_part(p)
+    if data is not None:
+        roots = _real_rational_roots(f)
+        if roots:  # endpoints on roots
+            a = data.draw(st.sampled_from(roots + [a]))
+            b = data.draw(st.sampled_from(roots + [b]))
+    for lo, hi in ((a, b), (b, a)):
+        assert count_real_roots_in_interval(f, lo, hi) == ref_count_real_roots_in_interval(
+            f, lo, hi
+        )
+    # a repeated root at an endpoint is divided out entirely, as before
+    assert count_real_roots_in_interval(p, a, b) == ref_count_real_roots_in_interval(p, a, b)
+
+
+@given(any_polynomials)
+@example(P([0, -2, 0, 1]))
+@example(P([-1, 1]) * P([F(-1, 2), 1]) * P([-2, 0, 1]))
+@settings(max_examples=60, deadline=None)
+def test_isolation_matches_reference_counts(p):
+    f = squarefree_part(p)
+    ivs = isolate_real_roots(f)
+    assert len(ivs) == ref_count_real_roots_squarefree(f)
+    for a, b in ivs:
+        if a == b:
+            assert f(a) == 0
+        else:
+            assert f(a) != 0 and f(b) != 0
+            assert ref_count_real_roots_in_interval(f, a, b) == 1
+    assert all(b1 <= a2 for (_, b1), (a2, _) in zip(ivs, ivs[1:]))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [P([-1, 0, 1]), P([0, 1]) * P([1, 0, 1]) * P([-2, 1]), P([-2, 0, 0, 0, 1])],
+    ids=["no-axis-roots", "axis-roots", "irrational-axis-roots"],
+)
+def test_one_axis_chain_per_count(monkeypatch, f):
+    """The index and the axis gcd come from one chain on Re/Im of f(iy)."""
+    gcd_degree = axis_gcd(f).degree
+    re, im = _axis_pair(integer_row(f.coeffs))
+    pair = {tuple(abs(c) for c in re), tuple(abs(c) for c in im)} - {()}
+    chains = []
+    real = liecert.poly._remainder_chain
+    monkeypatch.setattr(
+        liecert.poly, "_remainder_chain", lambda a, b: chains.append((a, b)) or real(a, b)
+    )
+    assert squarefree_sign_counts(f) == ref_squarefree_sign_counts(f)
+    started = [
+        {tuple(abs(c) for c in a), tuple(abs(c) for c in b)} - {()} for a, b in chains
+    ]
+    assert started.count(pair) == 1
+    # the only other chain is the Sturm chain of the axis gcd, when it has roots
+    assert len(chains) == 1 + (gcd_degree > 0)
+
+
+def test_parity_failure_is_raised_on_shifted_counts(monkeypatch):
+    monkeypatch.setattr(liecert.poly, "_hurwitz_index", lambda g: _hurwitz_index(g) + 1)
+    with pytest.raises(AssertionError, match="parity"):
+        squarefree_sign_counts(P([-1, 0, 1]) * P([5, -2, 1]), F(1, 3))

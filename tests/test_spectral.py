@@ -5,7 +5,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
 import liecert.spectral
 from generators import root_polynomials
@@ -15,6 +16,7 @@ from liecert.poly import RationalPolynomial as P, root_bound, root_sign_counts
 from liecert.spectral import (
     axis_factor,
     char_poly,
+    factor_with_multiplicity,
     invariant_splitting,
     is_hyperbolic,
     is_partially_hyperbolic,
@@ -23,6 +25,7 @@ from liecert.spectral import (
     restrict_and_quotient,
     spectral_gap,
 )
+from test_poly import ref_root_sign_counts, ref_shift, wide_polynomials
 
 
 def test_char_poly_companion():
@@ -179,10 +182,10 @@ def test_spectral_gap_all_axis():
 
 
 def reference_spectral_gap(p, bits=30):
-    """The former bisection: two full counts of shifted p at every step."""
+    """The former bisection: two full Fraction counts of shifted p at every step."""
     if p.degree < 1:
         return None, True
-    base = root_sign_counts(p)
+    base = ref_root_sign_counts(p)
     if base.n_neg + base.n_pos == 0:
         return None, True
     hi = F(1)
@@ -192,8 +195,8 @@ def reference_spectral_gap(p, bits=30):
     lo = F(0)
     for _ in range(bits):
         mid = (lo + hi) / 2
-        right = root_sign_counts(p.shift(mid))
-        left = root_sign_counts(p.shift(-mid))
+        right = ref_root_sign_counts(ref_shift(p, mid))
+        left = ref_root_sign_counts(ref_shift(p, -mid))
         attained = right.n_zero_real > 0 or left.n_zero_real > 0
         inside = (base.n_pos - right.n_pos - right.n_zero_real) + (
             base.n_neg - left.n_neg - left.n_zero_real
@@ -226,11 +229,20 @@ def test_spectral_gap_matches_reference(p):
     assert spectral_gap(p) == reference_spectral_gap(p)
 
 
+@given(wide_polynomials)
+@example(P([F(-1, 10**9), 1]) * P([F(3, 7), 1]) * -1)
+@settings(max_examples=25, deadline=None)
+def test_spectral_gap_matches_reference_on_wide_coefficients(p):
+    assert spectral_gap(p) == reference_spectral_gap(p)
+
+
 def test_spectral_gap_counts_only_below_the_bound(monkeypatch):
     calls = []
     real = liecert.spectral.squarefree_sign_counts
     monkeypatch.setattr(
-        liecert.spectral, "squarefree_sign_counts", lambda f: calls.append(f) or real(f)
+        liecert.spectral,
+        "squarefree_sign_counts",
+        lambda f, shift=0: calls.append(f) or real(f, shift),
     )
     # (t + 1)^12: Cauchy's bound 925 starts the bisection at 1024, but the
     # squarefree part t + 1 puts every root within 1, where the first count
@@ -301,3 +313,29 @@ def test_jordan_chevalley_random_consistency():
             )
             hc = root_sign_counts(char_poly(jc.hyperbolic))
             assert hc.n_zero_real >= operator_sign_counts(m).n_zero_real
+
+
+def reference_factor_with_multiplicity(p):
+    """The former bridge: a sympy expression built term by term, factored over QQ."""
+    x = sympy.Symbol("x")
+    expr = sum(
+        sympy.Rational(c.numerator, c.denominator) * x**i
+        for i, c in enumerate(p.coeffs)
+    )
+    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    out = []
+    for fac, mult in factors:
+        cs = map(sympy.Rational, fac.all_coeffs()[::-1])
+        q = P([F(int(c.p), int(c.q)) for c in cs])
+        out.append((q.monic(), int(mult)))
+    return out
+
+
+@given(st.one_of(root_polynomials(), wide_polynomials))
+@example(P([-2, 0, 0, 0, 1]) * P([F(-1, 3)]))
+@example(P([1, 1]) * P([1, 1]) * P([2, 0, 1]) * P([F(5, 7), -1]))
+@example(P([F(1, 10**9), 0, 1]) * P([F(-7, 10**9), 1]) * -1)
+@settings(max_examples=80, deadline=None)
+def test_factor_bridge_matches_reference(p):
+    assert factor_with_multiplicity(p) == reference_factor_with_multiplicity(p)
+
