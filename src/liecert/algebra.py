@@ -12,12 +12,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import (
+    Coordinates,
     Echelon,
     Matrix,
     Vector,
-    basis_coordinates,
     combine,
     extend_basis,
+    identity,
     integer_row,
     intersect_spaces,
     is_zero_vector,
@@ -55,11 +56,15 @@ class LieAlgebra:
 
     table[i][j] is the coordinate vector of [e_i, e_j].  The constructor
     checks shape only; call validate() for antisymmetry and Jacobi.
+    `_constants` is the same table kept sparse: for each (i, j) the tuple
+    of (k, c) with c != 0, built from every entry, (j, i) included, so it
+    is exact for a table that is not antisymmetric too.  `bracket`, `ad`
+    and `ad_basis` read it and pay only for nonzero structure constants.
     `_cache` memoises derived data (Killing form, radical basis) that
     passed its self-checks; it holds nothing that refers back to the algebra.
     """
 
-    __slots__ = ("table", "labels", "_ad_basis", "_cache")
+    __slots__ = ("table", "labels", "_constants", "_cache")
 
     def __init__(self, table, labels: Sequence[str] | None = None):
         rows = []
@@ -76,7 +81,10 @@ class LieAlgebra:
             self.labels = tuple(str(s) for s in labels)
         else:
             self.labels = tuple(f"e{i}" for i in range(n))
-        self._ad_basis: tuple[Matrix, ...] | None = None
+        self._constants = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
+            for row in rows
+        )
         self._cache: dict = {}
 
     @property
@@ -95,47 +103,41 @@ class LieAlgebra:
     # -- bracket and adjoint ---------------------------------------------
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        n = self.dim
-        out = [_ZERO] * n
-        for i, xi in enumerate(x):
-            if xi == 0:
+        out = [_ZERO] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for xi, row in zip(x, self._constants):
+            if not xi:
                 continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                cij = row[j]
-                f = xi * yj
-                for k, c in enumerate(cij):
-                    if c != 0:
+            for j, yj in ys:
+                terms = row[j]
+                if terms:
+                    f = xi * yj
+                    for k, c in terms:
                         out[k] += f * c
         return tuple(out)
 
     @property
     def ad_basis(self) -> tuple[Matrix, ...]:
-        """ad(e_a) for each basis vector, cached."""
-        if self._ad_basis is None:
-            n = self.dim
-            mats = []
-            for a in range(n):
-                row = self.table[a]
-                mats.append(tuple(tuple(row[j][i] for j in range(n)) for i in range(n)))
-            self._ad_basis = tuple(mats)
-        return self._ad_basis
+        """ad(e_a) for each basis vector: entry (k, j) is c_aj^k."""
+        n = self.dim
+        mats = []
+        for row in self._constants:
+            m = [[_ZERO] * n for _ in range(n)]
+            for j, terms in enumerate(row):
+                for k, c in terms:
+                    m[k][j] = c
+            mats.append(tuple(tuple(r) for r in m))
+        return tuple(mats)
 
     def ad(self, x: Vector) -> Matrix:
         n = self.dim
         out = [[_ZERO] * n for _ in range(n)]
-        for a, xa in enumerate(x):
-            if xa == 0:
+        for xa, row in zip(x, self._constants):
+            if not xa:
                 continue
-            m = self.ad_basis[a]
-            for i in range(n):
-                mi = m[i]
-                oi = out[i]
-                for j in range(n):
-                    if mi[j] != 0:
-                        oi[j] += xa * mi[j]
+            for j, terms in enumerate(row):
+                for k, c in terms:
+                    out[k][j] += xa * c
         return tuple(tuple(r) for r in out)
 
     def basis_vector(self, i: int) -> Vector:
@@ -237,21 +239,24 @@ def lie_algebra_from_matrices(
     if Echelon(flat).rank != len(mats):
         raise StructureError("matrices are linearly dependent")
     n = len(mats)
-    coords = basis_coordinates(flat)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    commutators = []
+    for i, j in pairs:
+        prod = matmul(mats[i], mats[j])
+        anti = matmul(mats[j], mats[i])
+        commutators.append(
+            tuple(x - y for rp, ra in zip(prod, anti) for x, y in zip(rp, ra))
+        )
     zero = zero_vector(n)
     table = [[zero] * n for _ in range(n)]
-    # [m_j, m_i] = -[m_i, m_j], so only i < j is computed; a commutator
-    # leaving the span is still reported at its first (i, j) in row order.
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod = matmul(mats[i], mats[j])
-            anti = matmul(mats[j], mats[i])
-            cf = tuple(x - y for rp, ra in zip(prod, anti) for x, y in zip(rp, ra))
-            c = coords(cf)
-            if c is None:
-                raise StructureError(f"commutator of basis {i},{j} leaves the span")
-            table[i][j] = c
-            table[j][i] = tuple(-x for x in c)
+    # [m_j, m_i] = -[m_i, m_j], so only i < j is computed and the whole
+    # block is mapped at once; a commutator leaving the span is reported
+    # at its first (i, j) in row order.
+    for (i, j), c in zip(pairs, Coordinates(flat).map(tuple(commutators))):
+        if c is None:
+            raise StructureError(f"commutator of basis {i},{j} leaves the span")
+        table[i][j] = c
+        table[j][i] = tuple(-x for x in c)
     return LieAlgebra(table, labels)
 
 
@@ -580,8 +585,7 @@ def quotient_by_ideal(g: LieAlgebra, ideal: Subspace) -> Quotient:
     full = ideal.basis + tuple(g.basis_vector(j) for j in comp)
     k = ideal.dim
     # projection: coordinates in `full`, keeping the complement block
-    coords = basis_coordinates(full)
-    inv_cols = [coords(g.basis_vector(i)) for i in range(n)]
+    inv_cols = Coordinates(full).map(identity(n))
     projection = tuple(
         tuple(inv_cols[i][k + a] for i in range(n)) for a in range(q)
     )
@@ -641,8 +645,7 @@ def _levi_complement(g: LieAlgebra, rad: Subspace) -> Subspace:
     q = len(xs)
     k = rad.dim
     full = rad.basis + tuple(xs)
-    coords = basis_coordinates(full)
-    inv = [coords(g.basis_vector(i)) for i in range(n)]
+    inv = Coordinates(full).map(identity(n))
     proj_rad = tuple(tuple(inv[i][a] for i in range(n)) for a in range(k))
     proj_comp = tuple(tuple(inv[i][k + a] for i in range(n)) for a in range(q))
     # quotient structure constants cbar[a][b] in the complement coordinates

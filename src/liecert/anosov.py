@@ -52,6 +52,7 @@ from .linalg import (
     combine,
     coords_in_basis,
     generalized_kernel,
+    invariant_under,
     is_zero_vector,
     restrict_operator,
     quotient_operator,
@@ -340,26 +341,29 @@ def splitting_invariance(
     import numpy as np
 
     g = action.ambient
+    ads = [g.ad(h) for h in action.flow.basis]
     violations: list[str] = []
     exact_carrier = True
-    for i, h in enumerate(action.flow.basis):
-        adh = g.ad(h)
-        if cert.carrier and restrict_operator(adh, cert.carrier) is None:
-            exact_carrier = False
-            violations.append(f"carrier not invariant under flow generator {i}")
+    if cert.carrier:
+        for i, ok in enumerate(invariant_under(ads, cert.carrier)):
+            if not ok:
+                exact_carrier = False
+                violations.append(f"carrier not invariant under flow generator {i}")
     exact_stable: bool | None = None
     exact_unstable: bool | None = None
     if cert.stable_exact is not None:
         exact_stable = True
         exact_unstable = True
-        for i, h in enumerate(action.flow.basis):
-            adh = g.ad(h)
-            if cert.stable_exact and restrict_operator(adh, cert.stable_exact) is None:
+        every = [True] * len(ads)
+        stable = invariant_under(ads, cert.stable_exact) if cert.stable_exact else every
+        unstable = (
+            invariant_under(ads, cert.unstable_exact) if cert.unstable_exact else every
+        )
+        for i, (stable_ok, unstable_ok) in enumerate(zip(stable, unstable)):
+            if not stable_ok:
                 exact_stable = False
                 violations.append(f"stable space not invariant under generator {i}")
-            if cert.unstable_exact and (
-                restrict_operator(adh, cert.unstable_exact) is None
-            ):
+            if not unstable_ok:
                 exact_unstable = False
                 violations.append(f"unstable space not invariant under generator {i}")
     residual: float | None = None
@@ -378,8 +382,8 @@ def splitting_invariance(
             [[float(x) for x in row] for row in cert.carrier]
         )
         worst = 0.0
-        for h in action.flow.basis:
-            adh = np.array([[float(x) for x in row] for row in g.ad(h)])
+        for ad_exact in ads:
+            adh = np.array([[float(x) for x in row] for row in ad_exact])
             for rows in (spl.stable_basis, spl.unstable_basis):
                 if not rows:
                     continue

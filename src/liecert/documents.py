@@ -44,6 +44,11 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
+# Longest rejected string quoted whole in an error message; a longer one is
+# shown by its prefix and length, so the message stays one short line.
+QUOTED_CHARS = 40
+
+
 def parse_frac(s, path: str) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
@@ -52,7 +57,14 @@ def parse_frac(s, path: str) -> Fraction:
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"{path}: bad rational {s!r} ({exc})") from None
+        reason = str(exc)
+        if len(s) > QUOTED_CHARS:
+            # the exception text may repeat the whole string
+            reason = f"{len(s)} characters; " + (
+                "not a rational literal" if s in reason else reason
+            )
+            s = s[:QUOTED_CHARS] + "..."
+        raise DocumentError(f"{path}: bad rational {s!r} ({reason})") from None
 
 
 def vec_strs(v: Vector) -> list[str]:

@@ -15,15 +15,30 @@ run on integer matrices: a matrix is written as integer rows over one
 common denominator d, the work is done in integers, and the result is
 divided by the matching power of d once, on the way out.  Generalized
 kernels stop multiplying as soon as the rank stops falling.
+
+The matrices met here, ad(x) and polynomials in it, are mostly zeros, so
+the integer product takes each left row by its density: a row with at
+most half its entries nonzero is summed as x_j b_j over its nonzero x_j
+(a zero row costs nothing), a denser row by dot products with the columns
+of b.  Callers put the sparse factor on the left.  Horner's step for a
+polynomial in A is A . acc rather than acc . A: acc is itself a
+polynomial in A, and polynomials in A commute with A, so both give the
+same matrix.
+
+Coordinates in a basis come from one integer elimination of [basis | I]
+and map whole blocks of vectors with two integer products (membership,
+then coordinates); restriction to and quotient by a subspace, and the
+invariance tests, are such block maps.
 No floating point enters here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
-from operator import mul
-from typing import Callable, Iterable, Sequence
+from operator import add, mul, sub
+from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -109,8 +124,36 @@ def _integer_form(m: Matrix) -> tuple[list[list[int]], int]:
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    bt = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+    """a . b on integer rows, each row of a by the cheaper of two loops.
+
+    A row with at most half its entries nonzero is the sum of x_j b_j over
+    its nonzero x_j (a zero row costs nothing); a denser row takes dot
+    products with the columns of b.  Both loops run inside map and sum.
+    """
+    m = len(b[0]) if b else 0
+    bt = None
+    out = []
+    for row in a:
+        if 2 * (len(row) - row.count(0)) > len(row):
+            if bt is None:
+                bt = list(zip(*b))
+            out.append([sum(map(mul, row, col)) for col in bt])
+            continue
+        acc = None
+        for j, x in enumerate(row):
+            if not x:
+                continue
+            bj = b[j]
+            if acc is None:
+                acc = list(bj) if x == 1 else [x * y for y in bj]
+            elif x == 1:
+                acc = list(map(add, acc, bj))
+            elif x == -1:
+                acc = list(map(sub, acc, bj))
+            else:
+                acc = list(map(add, acc, map(mul, repeat(x), bj)))
+        out.append([0] * m if acc is None else acc)
+    return out
 
 
 def _from_integer(rows: list[list[int]], d: int) -> Matrix:
@@ -179,7 +222,7 @@ def mat_poly(coeffs: Sequence[Fraction], a: Matrix) -> Matrix:
             for j in range(n):
                 acc[j][j] += s
         if i:
-            acc = _int_matmul(acc, rows)
+            acc = _int_matmul(rows, acc)
     return _from_integer(acc, e * d**deg)
 
 
@@ -289,7 +332,8 @@ def generalized_kernel(b: Matrix) -> Matrix:
     there on, so the first j with rank b^(j+1) = rank b^j gives it, and the
     result equals row_basis(nullspace(b^n)).  The reduced rows of b^j have
     the kernel of b^j, so each step multiplies those rank-many rows by b.
-    An invertible b stops at once.
+    The rows stay the left factor: the kernel is read off the row space of
+    b^j, which b . rows^T would not give.  An invertible b stops at once.
     """
     rows, _ = _integer_form(b)
     red = [primitive(r) for r in rows]
@@ -437,35 +481,74 @@ def rref_coords(red: Matrix, pivots: tuple[int, ...], v: Vector) -> Vector | Non
     return coords
 
 
-def basis_coordinates(basis: Matrix) -> Callable[[Vector], Vector | None]:
-    """Coordinate map of an independent row basis, eliminating it once.
+class Coordinates:
+    """Coordinates in an independent row basis, from one integer elimination.
 
-    One rref of [basis | I] gives the reduced basis and the transform back
-    to `basis`; each call then costs O(rank * n) Fraction operations.
+    [basis | I] is eliminated once on primitive integer rows; scaled to one
+    common denominator e, its pivot rows give the reduced basis at the
+    non-pivot columns and the transform back to `basis`.  A block V = W/d
+    of vectors is mapped with two integer products of its pivot entries
+    W[:, pivots]: against the non-pivot columns, where a member must
+    reproduce e W (the membership test), and against the back transform,
+    which gives the coordinates times d e.
     """
-    k = len(basis)
-    if not k:
-        return lambda v: () if is_zero_vector(v) else None
-    n = len(basis[0])
-    red, piv = rref(tuple(row + e for row, e in zip(basis, identity(k))))
-    piv = tuple(c for c in piv if c < n)
-    left = tuple(row[:n] for row in red[: len(piv)])
-    back = tuple(row[n:] for row in red[: len(piv)])
 
-    def coords(v: Vector) -> Vector | None:
-        c = rref_coords(left, piv, v)
-        if c is None:
-            return None
+    __slots__ = ("_k", "_pivots", "_free", "_left", "_back", "_den")
+
+    def __init__(self, basis: Matrix):
+        k = self._k = len(basis)
+        n = len(basis[0]) if basis else 0
+        rows = [integer_row(tuple(row) + e) for row, e in zip(basis, identity(k))]
+        pivots = [c for c in _eliminate(rows) if c < n]
+        rows = rows[: len(pivots)]
+        den = lcm(*(row[c] for row, c in zip(rows, pivots)))
+        rows = [[a * (den // row[c]) for a in row] for row, c in zip(rows, pivots)]
+        pivset = set(pivots)
+        self._pivots = pivots
+        self._free = [j for j in range(n) if j not in pivset]
+        self._left = [[row[j] for j in self._free] for row in rows]
+        self._back = [row[n:] for row in rows]
+        self._den = den
+
+    def _members(self, block: Matrix) -> tuple[list[list[int]], int, list[bool]]:
+        """(W[:, pivots], d, membership of each row) for the block W/d."""
+        w, d = _integer_form(block)
+        lead = [[row[c] for c in self._pivots] for row in w]
+        e, free = self._den, self._free
+        found = _int_matmul(lead, self._left)
+        inside = [
+            all(x == e * row[j] for x, j in zip(got, free))
+            for got, row in zip(found, w)
+        ]
+        return lead, d, inside
+
+    def contains(self, block: Matrix) -> list[bool]:
+        """Whether each row of the block lies in the span."""
+        if not block:
+            return []
+        if not self._pivots:
+            return [is_zero_vector(v) for v in block]
+        return self._members(block)[2]
+
+    def map(self, block: Matrix) -> tuple[Vector | None, ...]:
+        """Coordinates of each row of the block; None for a row outside."""
+        if not block:
+            return ()
+        if not self._pivots:
+            zero = (_ZERO,) * self._k
+            return tuple(zero if is_zero_vector(v) else None for v in block)
+        lead, d, inside = self._members(block)
+        coords = iter(_int_matmul([c for c, ok in zip(lead, inside) if ok], self._back))
+        den = d * self._den
         return tuple(
-            sum((a * t[i] for a, t in zip(c, back) if a), _ZERO) for i in range(k)
+            tuple(Fraction(x, den) if x else _ZERO for x in next(coords)) if ok else None
+            for ok in inside
         )
-
-    return coords
 
 
 def coords_in_basis(basis: Matrix, v: Vector) -> Vector | None:
     """Coordinates of v in the given (independent) row basis, or None."""
-    return basis_coordinates(basis)(v)
+    return Coordinates(basis).map((v,))[0]
 
 
 def spaces_equal(a: Matrix, b: Matrix) -> bool:
@@ -556,23 +639,33 @@ def symmetric_inertia(m: Matrix) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
+def image_rows(m: Matrix, basis: Matrix) -> Matrix:
+    """The rows (m b)^T for the rows b of `basis`, with m as the left factor."""
+    return transpose(matmul(m, transpose(basis)))
+
+
+def invariant_under(ops: Sequence[Matrix], basis: Matrix) -> list[bool]:
+    """For each operator, whether it maps the span of `basis` into itself.
+
+    The basis is eliminated once; each operator's images are tested as
+    one block.
+    """
+    span = Coordinates(basis)
+    return [all(span.contains(image_rows(m, basis))) for m in ops]
+
+
 def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
     """Matrix of m on the span of `basis`, in that basis.
 
     Returns None when the span is not invariant under m.  The basis rows
-    must be independent.
+    must be independent.  All images are mapped as one block.
     """
     if not basis:
         return ()
-    coords = basis_coordinates(basis)
-    cols = []
-    for image in matmul(basis, transpose(m)):  # rows (m b)^T
-        c = coords(image)
-        if c is None:
-            return None
-        cols.append(c)
-    k = len(basis)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
+    cols = Coordinates(basis).map(image_rows(m, basis))
+    if None in cols:
+        return None
+    return transpose(cols)
 
 
 def quotient_operator(
@@ -582,23 +675,22 @@ def quotient_operator(
 
     The quotient is coordinatized by the deterministic complement of
     standard basis vectors from extend_basis.  Returns (matrix, indices)
-    or None when the span is not invariant.
+    or None when the span is not invariant.  One elimination of basis +
+    complement maps the images of the basis, whose complement coordinates
+    vanish exactly when the span is invariant, and the columns of m at the
+    complement, whose complement coordinates are the quotient matrix.
     """
     n = len(m)
-    if restrict_operator(m, basis) is None and basis:
-        return None
     comp = extend_basis(basis, n)
+    k = len(basis)
     full = tuple(basis) + tuple(
         tuple(_ONE if i == j else _ZERO for i in range(n)) for j in comp
     )
-    coords = basis_coordinates(full)
     columns = transpose(m)
-    k = len(basis)
-    cols = []
-    for j in comp:
-        c = coords(columns[j])
-        if c is None:
-            raise AssertionError("complement construction failed")
-        cols.append(c[k:])
-    q = len(comp)
-    return tuple(tuple(cols[j][i] for j in range(q)) for i in range(q)), comp
+    block = (image_rows(m, basis) if basis else ()) + tuple(columns[j] for j in comp)
+    coords = Coordinates(full).map(block)
+    if None in coords:
+        raise AssertionError("complement construction failed")
+    if any(any(c[k:]) for c in coords[:k]):
+        return None
+    return transpose([c[k:] for c in coords[k:]]), comp

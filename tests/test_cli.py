@@ -133,6 +133,10 @@ def test_oversized_number_is_input_error(monkeypatch, capsys, where):
     assert code == 3
     assert out == ""
     assert err.startswith("input error: ")
+    if where == "rational-string":
+        # the message quotes a bounded prefix, not the 5000-digit string
+        assert err.count("\n") <= 1
+        assert len(err.encode()) < 300
 
 
 def test_oversized_dim_is_input_error(monkeypatch, capsys):
