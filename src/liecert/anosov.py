@@ -344,21 +344,17 @@ def splitting_invariance(
     ads = [g.ad(h) for h in action.flow.basis]
     violations: list[str] = []
     exact_carrier = True
-    if cert.carrier:
-        for i, ok in enumerate(invariant_under(ads, cert.carrier)):
-            if not ok:
-                exact_carrier = False
-                violations.append(f"carrier not invariant under flow generator {i}")
+    for i, ok in enumerate(invariant_under(ads, cert.carrier)):
+        if not ok:
+            exact_carrier = False
+            violations.append(f"carrier not invariant under flow generator {i}")
     exact_stable: bool | None = None
     exact_unstable: bool | None = None
     if cert.stable_exact is not None:
         exact_stable = True
         exact_unstable = True
-        every = [True] * len(ads)
-        stable = invariant_under(ads, cert.stable_exact) if cert.stable_exact else every
-        unstable = (
-            invariant_under(ads, cert.unstable_exact) if cert.unstable_exact else every
-        )
+        stable = invariant_under(ads, cert.stable_exact)
+        unstable = invariant_under(ads, cert.unstable_exact)
         for i, (stable_ok, unstable_ok) in enumerate(zip(stable, unstable)):
             if not stable_ok:
                 exact_stable = False

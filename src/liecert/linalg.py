@@ -524,16 +524,12 @@ class Coordinates:
 
     def contains(self, block: Matrix) -> list[bool]:
         """Whether each row of the block lies in the span."""
-        if not block:
-            return []
         if not self._pivots:
             return [is_zero_vector(v) for v in block]
         return self._members(block)[2]
 
     def map(self, block: Matrix) -> tuple[Vector | None, ...]:
         """Coordinates of each row of the block; None for a row outside."""
-        if not block:
-            return ()
         if not self._pivots:
             zero = (_ZERO,) * self._k
             return tuple(zero if is_zero_vector(v) else None for v in block)
@@ -648,8 +644,10 @@ def invariant_under(ops: Sequence[Matrix], basis: Matrix) -> list[bool]:
     """For each operator, whether it maps the span of `basis` into itself.
 
     The basis is eliminated once; each operator's images are tested as
-    one block.
+    one block.  Every operator keeps the zero space.
     """
+    if not basis:
+        return [True] * len(ops)
     span = Coordinates(basis)
     return [all(span.contains(image_rows(m, basis))) for m in ops]
 

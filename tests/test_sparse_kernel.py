@@ -266,8 +266,7 @@ def test_restriction_and_quotient_match_reference(case):
     assert quotient_operator(m, basis) == reference_quotient_operator(m, basis)
     if invariant:
         assert restricted is not None
-    if basis:
-        assert invariant_under([m], basis) == [restricted is not None]
+    assert invariant_under([m], basis) == [restricted is not None]
 
 
 def test_non_invariant_span_is_none_on_both_sides():
