@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt, lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -16,8 +18,12 @@ from .linalg import (
     Echelon,
     Matrix,
     Vector,
+    _from_integer,
+    _int_matmul,
+    _integer_form,
     combine,
     extend_basis,
+    frac,
     identity,
     integer_row,
     intersect_spaces,
@@ -32,7 +38,6 @@ from .linalg import (
     transpose,
     vec_add,
     vector,
-    zero_vector,
 )
 
 _ZERO = Fraction(0)
@@ -56,89 +61,183 @@ class LieAlgebra:
 
     table[i][j] is the coordinate vector of [e_i, e_j].  The constructor
     checks shape only; call validate() for antisymmetry and Jacobi.
-    `_constants` is the same table kept sparse: for each (i, j) the tuple
-    of (k, c) with c != 0, built from every entry, (j, i) included, so it
-    is exact for a table that is not antisymmetric too.  `bracket`, `ad`
-    and `ad_basis` read it and pay only for nonzero structure constants.
-    `_cache` memoises derived data (Killing form, radical basis) that
-    passed its self-checks; it holds nothing that refers back to the algebra.
+    The structure constants are held once, as integers over one common
+    denominator `_den` (the lcm of their denominators): `_constants[i][j]`
+    is the tuple of (k, c) with c != 0 and c / _den the k-th coordinate of
+    [e_i, e_j].  It is built from every entry, (j, i) included, so it is
+    exact for a table that is not antisymmetric too.  `bracket`,
+    `brackets`, `ad` and `ad_basis` take the integer form of their
+    arguments once, accumulate in integers over the nonzero constants and
+    build one `Fraction` per nonzero output entry.  `table` is the dense
+    `Fraction` view, rebuilt on each access.  `_cache` memoises derived
+    data (Killing form, radical basis) that passed its self-checks; it
+    holds nothing that refers back to the algebra.
     """
 
-    __slots__ = ("table", "labels", "_constants", "_cache")
+    __slots__ = ("labels", "_constants", "_den", "_cache")
 
     def __init__(self, table, labels: Sequence[str] | None = None):
-        rows = []
         n = len(table)
+        rows = []
         for i, trow in enumerate(table):
             if len(trow) != n:
                 raise ValidationError(f"table row {i} has {len(trow)} entries, expected {n}")
-            rows.append(tuple(vector(v) if len(v) == n else _bad(i, j, len(v), n)
-                              for j, v in enumerate(trow)))
-        self.table: tuple[tuple[Vector, ...], ...] = tuple(rows)
+            rows.append([
+                [(k, c) for k, c in enumerate(map(frac, v)) if c]
+                if len(v) == n else _bad(i, j, len(v), n)
+                for j, v in enumerate(trow)
+            ])
+        self._set_fractions(rows, labels)
+
+    @classmethod
+    def from_entries(
+        cls, dim: int, entries: Iterable[tuple], labels: Sequence[str] | None = None
+    ) -> "LieAlgebra":
+        """The algebra whose [e_i, e_j] has coordinate v at k for each (i, j, k, v).
+
+        Every other structure constant is zero; nothing is implied by
+        antisymmetry, and a repeated (i, j, k) keeps its last value.  The
+        cost is O(entries + dim**2), with no dense table.
+        """
+        cells: dict[tuple[int, int], dict[int, Fraction]] = {}
+        for i, j, k, v in entries:
+            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+                raise ValidationError(f"entry ({i},{j},{k}) is out of range for dim {dim}")
+            cells.setdefault((i, j), {})[k] = frac(v)
+        rows = [
+            [sorted((k, c) for k, c in cells.get((i, j), {}).items() if c) for j in range(dim)]
+            for i in range(dim)
+        ]
+        alg = cls.__new__(cls)
+        alg._set_fractions(rows, labels)
+        return alg
+
+    def _set_fractions(self, rows, labels: Sequence[str] | None) -> None:
+        """Set the table from nonzero (k, Fraction) lists per (i, j), k ascending."""
+        den = lcm(*(c.denominator for row in rows for terms in row for _, c in terms))
+        constants = tuple(
+            tuple(
+                tuple((k, c.numerator * (den // c.denominator)) for k, c in terms)
+                for terms in row
+            )
+            for row in rows
+        )
+        self._set(constants, den, labels)
+
+    def _set(self, constants, den: int, labels: Sequence[str] | None) -> None:
+        n = len(constants)
         if labels is not None:
             if len(labels) != n:
                 raise ValidationError("labels length does not match dimension")
             self.labels = tuple(str(s) for s in labels)
         else:
             self.labels = tuple(f"e{i}" for i in range(n))
-        self._constants = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row)
-            for row in rows
-        )
+        self._constants = constants
+        self._den = den
         self._cache: dict = {}
+
+    @classmethod
+    def _from_block(
+        cls, rows: list[list[int]], den: int, labels: Sequence[str] | None = None
+    ) -> "LieAlgebra":
+        """The algebra of dimension q with [e_a, e_b] = rows[a q + b] / den.
+
+        The common factor of den and every entry is divided out, so `_den`
+        is the lcm of the reduced denominators, as the constructor makes it.
+        """
+        q = isqrt(len(rows))
+        g = gcd(den, *(x for row in rows for x in row))
+        constants = tuple(
+            tuple(
+                tuple((k, x // g) for k, x in enumerate(rows[a * q + b]) if x)
+                for b in range(q)
+            )
+            for a in range(q)
+        )
+        alg = cls.__new__(cls)
+        alg._set(constants, den // g, labels)
+        return alg
 
     @property
     def dim(self) -> int:
-        return len(self.table)
+        return len(self._constants)
+
+    @property
+    def table(self) -> tuple[tuple[Vector, ...], ...]:
+        """The dense Fraction table, built from the integer one."""
+        n, d = self.dim, self._den
+        out = []
+        for row in self._constants:
+            trow = []
+            for terms in row:
+                v = [_ZERO] * n
+                for k, c in terms:
+                    v[k] = Fraction(c, d)
+                trow.append(tuple(v))
+            out.append(tuple(trow))
+        return tuple(out)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim})"
 
     def __eq__(self, other):
-        return isinstance(other, LieAlgebra) and self.table == other.table
+        # the integer table over the lcm of the denominators is canonical
+        return (
+            isinstance(other, LieAlgebra)
+            and self._den == other._den
+            and self._constants == other._constants
+        )
 
     def __hash__(self):
-        return hash(self.table)
+        return hash((self._den, self._constants))
 
     # -- bracket and adjoint ---------------------------------------------
 
+    def _int_brackets(self, xs, ys) -> list[list[int]]:
+        """Integer [x, y] for (index, integer) term lists, x-major, times _den."""
+        n, table = self.dim, self._constants
+        out = []
+        for x in xs:
+            for y in ys:
+                acc = [0] * n
+                for i, xi in x:
+                    row = table[i]
+                    for j, yj in y:
+                        terms = row[j]
+                        if terms:
+                            f = xi * yj
+                            for k, c in terms:
+                                acc[k] += f * c
+                out.append(acc)
+        return out
+
+    def brackets(self, xs: Sequence[Vector], ys: Sequence[Vector]) -> Matrix:
+        """[x, y] for every x in xs and y in ys, x-major."""
+        ix, dx = _integer_terms(xs)
+        iy, dy = _integer_terms(ys)
+        return _from_integer(self._int_brackets(ix, iy), dx * dy * self._den)
+
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        out = [_ZERO] * self.dim
-        ys = [(j, yj) for j, yj in enumerate(y) if yj]
-        for xi, row in zip(x, self._constants):
-            if not xi:
-                continue
-            for j, yj in ys:
-                terms = row[j]
-                if terms:
-                    f = xi * yj
-                    for k, c in terms:
-                        out[k] += f * c
-        return tuple(out)
+        return self.brackets((x,), (y,))[0]
+
+    def _int_ad(self, x) -> list[list[int]]:
+        """Integer ad(x) times _den for an (index, integer) term list x."""
+        n = self.dim
+        out = [[0] * n for _ in range(n)]
+        for a, xa in x:
+            for j, terms in enumerate(self._constants[a]):
+                for k, c in terms:
+                    out[k][j] += xa * c
+        return out
 
     @property
     def ad_basis(self) -> tuple[Matrix, ...]:
         """ad(e_a) for each basis vector: entry (k, j) is c_aj^k."""
-        n = self.dim
-        mats = []
-        for row in self._constants:
-            m = [[_ZERO] * n for _ in range(n)]
-            for j, terms in enumerate(row):
-                for k, c in terms:
-                    m[k][j] = c
-            mats.append(tuple(tuple(r) for r in m))
-        return tuple(mats)
+        return tuple(_from_integer(self._int_ad(((a, 1),)), self._den) for a in range(self.dim))
 
     def ad(self, x: Vector) -> Matrix:
-        n = self.dim
-        out = [[_ZERO] * n for _ in range(n)]
-        for xa, row in zip(x, self._constants):
-            if not xa:
-                continue
-            for j, terms in enumerate(row):
-                for k, c in terms:
-                    out[k][j] += xa * c
-        return tuple(tuple(r) for r in out)
+        (terms,), d = _integer_terms((x,))
+        return _from_integer(self._int_ad(terms), d * self._den)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
@@ -152,34 +251,42 @@ class LieAlgebra:
     # -- validation --------------------------------------------------------
 
     def validate(self) -> "ValidationReport":
+        n, d, table = self.dim, self._den, self._constants
         anti = []
-        jac = []
-        n = self.dim
         for i in range(n):
             for j in range(i, n):
-                defect = vec_add(self.table[i][j], self.table[j][i])
-                if i == j:
-                    defect = self.table[i][i]
-                if not is_zero_vector(defect):
-                    anti.append((i, j, defect))
-        basis = [self.basis_vector(i) for i in range(n)]
+                defect = [0] * n
+                for k, c in table[i][j] + (table[j][i] if j != i else ()):
+                    defect[k] += c
+                if any(defect):
+                    anti.append((i, j, _from_integer((defect,), d)[0]))
+        # Jacobi at i < j < k: [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]],
+        # the inner brackets read off the table as given, one block per i
+        jac = []
+        unit = [((a, 1),) for a in range(n)]
         for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    d = vec_add(
-                        vec_add(
-                            self.bracket(basis[i], self.table[j][k]),
-                            self.bracket(basis[j], self.table[k][i]),
-                        ),
-                        self.bracket(basis[k], self.table[i][j]),
-                    )
-                    if not is_zero_vector(d):
-                        jac.append((i, j, k, d))
+            later = range(i + 1, n)
+            inner = [table[j][k] for j in later for k in range(j + 1, n)]
+            first = iter(self._int_brackets((unit[i],), inner))
+            for j in later:
+                rest = range(j + 1, n)
+                second = self._int_brackets((unit[j],), [table[k][i] for k in rest])
+                third = self._int_brackets([unit[k] for k in rest], (table[i][j],))
+                for k, b, c in zip(rest, second, third):
+                    s = list(map(add, next(first), map(add, b, c)))
+                    if any(s):
+                        jac.append((i, j, k, _from_integer((s,), d * d)[0]))
         return ValidationReport(
             dim=n,
             antisymmetry_failures=tuple(anti),
             jacobi_failures=tuple(jac),
         )
+
+
+def _integer_terms(vs: Sequence[Vector]) -> tuple[list[list[tuple[int, int]]], int]:
+    """(terms, d): each vector's nonzero (index, integer) pairs over one denominator d."""
+    rows, d = _integer_form(vs)
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows], d
 
 
 def _bad(i, j, got, want):
@@ -215,14 +322,15 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
     """Block sum in which the two summands commute."""
     na, nb = a.dim, b.dim
     n = na + nb
+    ta, tb = a.table, b.table
     zero = tuple(_ZERO for _ in range(n))
     table = [[zero] * n for _ in range(n)]
     for i in range(na):
         for j in range(na):
-            table[i][j] = a.table[i][j] + (_ZERO,) * nb
+            table[i][j] = ta[i][j] + (_ZERO,) * nb
     for i in range(nb):
         for j in range(nb):
-            table[na + i][na + j] = (_ZERO,) * na + b.table[i][j]
+            table[na + i][na + j] = (_ZERO,) * na + tb[i][j]
     return LieAlgebra(table, a.labels + b.labels)
 
 
@@ -239,25 +347,29 @@ def lie_algebra_from_matrices(
     if Echelon(flat).rank != len(mats):
         raise StructureError("matrices are linearly dependent")
     n = len(mats)
+    # the matrices as integer matrices over one denominator d, so the
+    # commutators are integer matrices over d^2
+    ints, d = _integer_form(flat)
+    size = len(mats[0])
+    square = [[row[r * size : (r + 1) * size] for r in range(size)] for row in ints]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     commutators = []
     for i, j in pairs:
-        prod = matmul(mats[i], mats[j])
-        anti = matmul(mats[j], mats[i])
-        commutators.append(
-            tuple(x - y for rp, ra in zip(prod, anti) for x, y in zip(rp, ra))
-        )
-    zero = zero_vector(n)
-    table = [[zero] * n for _ in range(n)]
+        prod = _int_matmul(square[i], square[j])
+        anti = _int_matmul(square[j], square[i])
+        commutators.append([x - y for rp, ra in zip(prod, anti) for x, y in zip(rp, ra)])
+    zero = [0] * n
+    rows = [zero] * (n * n)
     # [m_j, m_i] = -[m_i, m_j], so only i < j is computed and the whole
     # block is mapped at once; a commutator leaving the span is reported
     # at its first (i, j) in row order.
-    for (i, j), c in zip(pairs, Coordinates(flat).map(tuple(commutators))):
+    coords, den = Coordinates(flat).map_integer(commutators, d * d)
+    for (i, j), c in zip(pairs, coords):
         if c is None:
             raise StructureError(f"commutator of basis {i},{j} leaves the span")
-        table[i][j] = c
-        table[j][i] = tuple(-x for x in c)
-    return LieAlgebra(table, labels)
+        rows[i * n + j] = c
+        rows[j * n + i] = [-x for x in c]
+    return LieAlgebra._from_block(rows, den, labels)
 
 
 # -- subspaces -----------------------------------------------------------
@@ -334,35 +446,32 @@ def zero_space(g: LieAlgebra) -> Subspace:
 
 def bracket_space(a: Subspace, b: Subspace) -> Subspace:
     g = a.algebra
-    vecs = [g.bracket(x, y) for x in a.basis for y in b.basis]
-    return Subspace(g, vecs)
+    return Subspace(g, g.brackets(a.basis, b.basis))
 
 
 class Subalgebra(Subspace):
     """Subspace validated to be closed under the bracket.
 
-    The closure check finds the coordinates of every bracket of the basis;
-    `_table` keeps them (Fractions only) as the structure constants.
+    The closure check maps the brackets of every ordered pair of basis
+    vectors, antisymmetry not assumed, as one integer block through the
+    coordinates in the basis; `_table` keeps that block and its
+    denominator as the structure constants.
     """
 
     __slots__ = ("_table",)
 
     def __init__(self, algebra: LieAlgebra, vectors: Iterable[Vector] = ()):
         super().__init__(algebra, vectors)
-        table = []
-        for x in self.basis:
-            row = []
-            for y in self.basis:
-                c = rref_coords(self.basis, self.pivots, algebra.bracket(x, y))
-                if c is None:
-                    raise StructureError("span is not closed under the bracket")
-                row.append(c)
-            table.append(tuple(row))
-        self._table = tuple(table)
+        terms, d = _integer_terms(self.basis)
+        block = algebra._int_brackets(terms, terms)
+        coords, den = Coordinates(self.basis).map_integer(block, d * d * algebra._den)
+        if None in coords:
+            raise StructureError("span is not closed under the bracket")
+        self._table = (coords, den)
 
     def as_algebra(self) -> tuple[LieAlgebra, Matrix]:
         """Structure constants in the canonical basis, plus that basis."""
-        return LieAlgebra(self._table), self.basis
+        return LieAlgebra._from_block(*self._table), self.basis
 
 
 def as_subalgebra(s: Subspace) -> Subalgebra:
@@ -394,12 +503,11 @@ def normalizer(g: LieAlgebra, s: Subspace) -> Subalgebra:
     ann = nullspace(s.basis)
     if not ann:
         return Subalgebra(g, tuple(g.basis_vector(i) for i in range(g.dim)))
+    # x is in the normalizer when w . [v, x] = -(w . ad(v)) x vanishes for
+    # every v in s and w in the annihilator of s; the sign leaves the kernel
     stacked = []
     for v in s.basis:
-        adv = g.ad(v)
-        for w in ann:
-            stacked.append(tuple(-sum(w[r] * adv[r][c] for r in range(g.dim))
-                                 for c in range(g.dim)))
+        stacked.extend(matmul(ann, g.ad(v)))
     ker = nullspace(tuple(stacked))
     return Subalgebra(g, ker)
 
@@ -453,11 +561,11 @@ def killing_form(g: LieAlgebra) -> Matrix:
     cached = g._cache.get("killing_form")
     if cached is not None:
         return cached
-    ads = g.ad_basis
+    ads = [g._int_ad(((a, 1),)) for a in range(g.dim)]  # ad(e_a) times _den
     # trace(a b) is the dot product of a, read by rows, with b, read by columns
-    by_rows = tuple(tuple(x for row in a for x in row) for a in ads)
-    by_cols = tuple(tuple(x for col in zip(*b) for x in col) for b in ads)
-    k = matmul(by_rows, transpose(by_cols))
+    by_rows = [[x for row in a for x in row] for a in ads]
+    by_cols = [[x for col in zip(*b) for x in col] for b in ads]
+    k = _from_integer(_int_matmul(by_rows, transpose(by_cols)), g._den**2)
     g._cache["killing_form"] = k
     return k
 
@@ -491,22 +599,22 @@ def _unital_envelope(mats: Sequence[Matrix], n: int) -> Matrix:
     span holding the identity and closed under left multiplication by each
     generator, so every new word is multiplied once by every generator.
     Scaling a generator does not change that span, so the words are built
-    from primitive integer multiples of the generators.
+    in integers from primitive integer multiples of the generators.
     """
     gens = []
     for m in mats:
-        flat = integer_row(tuple(x for row in m for x in row))
-        gens.append(tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
+        flat = integer_row([x for row in m for x in row])
+        gens.append([flat[r * n : (r + 1) * n] for r in range(n)])
     span = Echelon()
-    found: list[tuple[int, ...]] = []
-    work = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    found: list[list[int]] = []
+    work = [[[int(i == j) for j in range(n)] for i in range(n)]]
     while work:
         m = work.pop()
-        flat = tuple(x for row in m for x in row)
+        flat = [x for row in m for x in row]
         if span.add(flat):
             found.append(flat)
-            work.extend(matmul(gen, m) for gen in gens)
-    return row_basis(tuple(found))
+            work.extend(_int_matmul(gen, m) for gen in gens)
+    return row_basis(found)
 
 
 def nilradical(g: LieAlgebra) -> Subspace:
@@ -524,19 +632,16 @@ def nilradical(g: LieAlgebra) -> Subspace:
     if rad.dim == 0:
         return rad
     n = g.dim
-    ads = [g.ad(r) for r in rad.basis]
+    # ad(rad_r) times one common denominator: a common scale changes
+    # neither the envelope nor the kernel of the pairing
+    terms, _ = _integer_terms(rad.basis)
+    ads = [g._int_ad(t) for t in terms]
     env = _unital_envelope(ads, n)
-    # Conditions on coefficients c: sum_r c_r trace(ad(rad_r) . B) = 0,
-    # with trace(A . B) = sum_ij A[i][j] B[j][i] over the nonzero A[i][j].
-    pairings = [
-        tuple((j * n + i, x) for i, row in enumerate(adr) for j, x in enumerate(row) if x)
-        for adr in ads
-    ]
-    rows = [
-        tuple(sum((x * bflat[k] for k, x in terms), _ZERO) for terms in pairings)
-        for bflat in env
-    ]
-    nil = Subspace(g, matmul(nullspace(tuple(rows)), rad.basis))
+    # Conditions on coefficients c: sum_r c_r trace(ad(rad_r) . B) = 0, and
+    # trace(A . B) is the dot product of A^T and B, both flattened by rows
+    pairing = tuple(tuple(x for col in zip(*a) for x in col) for a in ads)
+    rows = matmul(env, transpose(pairing))
+    nil = Subspace(g, matmul(nullspace(rows), rad.basis))
     if not nil.is_ideal() or not subspace_is_nilpotent(nil):
         raise AlgebraError("nilradical computation produced a non-nilpotent span")
     if not nil.contains_space(bracket_space(full_space(g), rad)):
@@ -585,22 +690,19 @@ def quotient_by_ideal(g: LieAlgebra, ideal: Subspace) -> Quotient:
     full = ideal.basis + tuple(g.basis_vector(j) for j in comp)
     k = ideal.dim
     # projection: coordinates in `full`, keeping the complement block
-    inv_cols = Coordinates(full).map(identity(n))
+    coords = Coordinates(full)
+    inv_cols = coords.map(identity(n))
     projection = tuple(
         tuple(inv_cols[i][k + a] for i in range(n)) for a in range(q)
     )
     section = tuple(
         tuple(_ONE if comp[a] == i else _ZERO for a in range(q)) for i in range(n)
     )
-    table = []
-    for a in range(q):
-        row = []
-        for b in range(q):
-            br = g.bracket(g.basis_vector(comp[a]), g.basis_vector(comp[b]))
-            row.append(matvec(projection, br))
-        table.append(row)
+    # the quotient brackets are the complement coordinates of [e_a, e_b]
+    xs = [((j, 1),) for j in comp]
+    br, den = coords.map_integer(g._int_brackets(xs, xs), g._den)
     labels = tuple(g.labels[j] for j in comp)
-    qalg = LieAlgebra(table, labels)
+    qalg = LieAlgebra._from_block([c[k:] for c in br], den, labels)
     return Quotient(g, ideal, qalg, projection, section)
 
 
@@ -645,21 +747,19 @@ def _levi_complement(g: LieAlgebra, rad: Subspace) -> Subspace:
     q = len(xs)
     k = rad.dim
     full = rad.basis + tuple(xs)
-    inv = Coordinates(full).map(identity(n))
-    proj_rad = tuple(tuple(inv[i][a] for i in range(n)) for a in range(k))
-    proj_comp = tuple(tuple(inv[i][k + a] for i in range(n)) for a in range(q))
+    coords = Coordinates(full)
+    # [x_a, x_b] in coordinates of `full`: the radical part phi[a][b] and the
     # quotient structure constants cbar[a][b] in the complement coordinates
-    cbar = [[matvec(proj_comp, g.bracket(xs[a], xs[b])) for b in range(q)] for a in range(q)]
-    phi = [[matvec(proj_rad, g.bracket(xs[a], xs[b])) for b in range(q)] for a in range(q)]
+    pairs = coords.map(g.brackets(xs, xs))
+    cbar = [[pairs[a * q + b][k:] for b in range(q)] for a in range(q)]
+    phi = [[pairs[a * q + b][:k] for b in range(q)] for a in range(q)]
     # unknown mu: q vectors in R^k; equations over pairs a < b:
     # phi_ab + rad-part([x_a, mu_b] - [x_b, mu_a]) - sum_c cbar_ab^c mu_c = 0
     rad_vec = [rad.basis[r] for r in range(k)]
+    images = coords.map(g.brackets(xs, rad_vec))
     ad_on_rad = []  # ad(x_a) restricted: k x k matrix on rad coordinates
     for a in range(q):
-        cols = []
-        for r in range(k):
-            img = g.bracket(xs[a], rad_vec[r])
-            cols.append(matvec(proj_rad, img))
+        cols = images[a * k : (a + 1) * k]
         ad_on_rad.append(tuple(tuple(cols[c][r] for c in range(k)) for r in range(k)))
     unknowns = q * k
     rows = []

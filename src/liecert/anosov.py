@@ -763,7 +763,7 @@ def nil_suspension_check(
     if not fiber.is_ideal() or not subspace_is_nilpotent(fiber):
         raise StructureError("fiber is not a nilpotent ideal")
     q = quotient_by_ideal(g, fiber)
-    if q.quotient.table != base.ambient.table:
+    if q.quotient != base.ambient:  # compares the structure constants
         raise StructureError(
             "quotient structure constants do not match the base algebra"
         )

@@ -101,9 +101,10 @@ def build_central_extension(
     n = p + ell
     zero = tuple(_ZERO for _ in range(n))
     table = [[zero] * n for _ in range(n)]
+    t0 = g0.table
     for i in range(p):
         for j in range(p):
-            table[i][j] = g0.table[i][j] + tuple(m[i][j] for m in omegas)
+            table[i][j] = t0[i][j] + tuple(m[i][j] for m in omegas)
     labels = list(g0.labels) + [f"z{m}" for m in range(ell)]
     g = LieAlgebra(table, labels)
     report = g.validate()

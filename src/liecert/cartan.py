@@ -198,11 +198,14 @@ class ActionCsa:
 
 def _inner_representative(g: LieAlgebra, kstar: Matrix, h: Vector) -> Vector | None:
     """k* in span(kstar) acting on that span exactly as h does, or None."""
+    # unknowns c_j with sum_j c_j [kstar_j, x] = [h, x] for every x in kstar
+    m = len(kstar)
+    brs = g.brackets(kstar, kstar)  # [kstar_j, kstar_x] at j * m + x
+    targets = g.brackets((h,), kstar)
     rows = []
     rhs = []
-    cols = [[g.bracket(kj, x) for kj in kstar] for x in kstar]
-    for x, col in zip(kstar, cols):
-        target = g.bracket(h, x)
+    for x, target in enumerate(targets):
+        col = brs[x::m]
         for r in range(g.dim):
             rows.append(tuple(c[r] for c in col))
             rhs.append(target[r])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -244,11 +245,21 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _from_environment(name: str, default: str, kind):
+    text = os.environ.get(name, default)
+    try:
+        return kind(text)
+    except ValueError:
+        raise DocumentError(f"{name}: expected {kind.__name__}, got {text!r}") from None
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as an input error, not argparse's exit 2.
 
     `--seed` and `--tolerance` default to LIECERT_SEED and
-    LIECERT_TOLERANCE as set when the command line is parsed.
+    LIECERT_TOLERANCE as set when the command line is parsed.  A tolerance,
+    from either source, must be a finite number >= 0: NaN would switch the
+    numeric residual check off and print a report that is not JSON.
     """
 
     def error(self, message):
@@ -257,10 +268,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         ns, extras = super().parse_known_args(args, namespace)
-        if "tolerance" in ns and ns.tolerance is None:
-            ns.tolerance = float(os.environ.get("LIECERT_TOLERANCE", "1e-9"))
+        if "tolerance" in ns:
+            source = "--tolerance"
+            if ns.tolerance is None:
+                source = "LIECERT_TOLERANCE"
+                ns.tolerance = _from_environment(source, "1e-9", float)
+            if not (math.isfinite(ns.tolerance) and ns.tolerance >= 0):
+                raise DocumentError(
+                    f"{source}: expected a finite number >= 0, got {ns.tolerance!r}"
+                )
         if "seed" in ns and ns.seed is None:
-            ns.seed = int(os.environ.get("LIECERT_SEED", "0"))
+            ns.seed = _from_environment("LIECERT_SEED", "0", int)
         return ns, extras
 
 

@@ -30,6 +30,11 @@ FORMAT_VERSION = "1"
 # Largest accepted `dim`: the structure table holds dim**2 vectors of
 # length dim, so a larger document is refused before anything is built.
 MAX_DIM = 128
+# Largest accepted total of decimal digits over the numerators and
+# denominators of all structure constants.  The algebra keeps its
+# constants as integers over the lcm of their denominators, whose size
+# only this total bounds; a larger document is refused while it is read.
+MAX_CONSTANT_DIGITS = 100_000
 
 
 class DocumentError(Exception):
@@ -116,9 +121,10 @@ def algebra_to_document(
     name: str | None = None,
 ) -> AlgebraDocument:
     entries = []
+    table = g.table
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
-            for k, v in enumerate(g.table[i][j]):
+            for k, v in enumerate(table[i][j]):
                 if v != 0:
                     entries.append((i, j, k, Fraction(v)))
     return AlgebraDocument(
@@ -135,17 +141,9 @@ def action_to_document(action: ActionSpec) -> AlgebraDocument:
 
 
 def document_to_algebra(doc: AlgebraDocument) -> LieAlgebra:
-    n = doc.dim
-    zero = tuple(Fraction(0) for _ in range(n))
-    table = [[zero] * n for _ in range(n)]
-    for i, j, k, v in doc.entries:
-        row = list(table[i][j])
-        row[k] = v
-        table[i][j] = tuple(row)
-        row = list(table[j][i])
-        row[k] = -v
-        table[j][i] = tuple(row)
-    return LieAlgebra(table, doc.labels)
+    """The algebra of a document, built in O(entries + dim**2)."""
+    entries = [e for i, j, k, v in doc.entries for e in ((i, j, k, v), (j, i, k, -v))]
+    return LieAlgebra.from_entries(doc.dim, entries, doc.labels)
 
 
 def document_to_action(doc: AlgebraDocument) -> ActionSpec:
@@ -189,6 +187,7 @@ def parse_document(text: str) -> AlgebraDocument:
         raise DocumentError("structure_constants: expected a list")
     entries = []
     seen = set()
+    digits = 0
     for idx, entry in enumerate(raw):
         path = f"structure_constants[{idx}]"
         if not isinstance(entry, list) or len(entry) != 5:
@@ -216,6 +215,11 @@ def parse_document(text: str) -> AlgebraDocument:
             raise DocumentError(f"{path}: numerator and denominator must be integers")
         if n_den == 0:
             raise DocumentError(f"{path}: zero denominator")
+        digits += len(str(abs(n_num.numerator))) + len(str(abs(n_den.numerator)))
+        if digits > MAX_CONSTANT_DIGITS:
+            raise DocumentError(
+                f"{path}: structure constants exceed {MAX_CONSTANT_DIGITS} digits in total"
+            )
         v = Fraction(n_num.numerator, n_den.numerator)
         if v != 0:
             entries.append((i, j, k, v))

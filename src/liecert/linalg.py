@@ -28,7 +28,15 @@ same matrix.
 Coordinates in a basis come from one integer elimination of [basis | I]
 and map whole blocks of vectors with two integer products (membership,
 then coordinates); restriction to and quotient by a subspace, and the
-invariance tests, are such block maps.
+invariance tests, are such block maps.  `Coordinates.map_integer` takes
+and returns integer rows over one denominator, so a caller that already
+holds integers (the structure layer) never builds a `Fraction` between
+two integer steps.
+
+The structure layer (`algebra.LieAlgebra`) uses the same forms: its
+structure constants are integers over one common denominator, brackets
+and adjoints are accumulated in integers, and a `Fraction` is built once
+per nonzero output entry.
 No floating point enters here.
 """
 
@@ -510,9 +518,8 @@ class Coordinates:
         self._back = [row[n:] for row in rows]
         self._den = den
 
-    def _members(self, block: Matrix) -> tuple[list[list[int]], int, list[bool]]:
-        """(W[:, pivots], d, membership of each row) for the block W/d."""
-        w, d = _integer_form(block)
+    def _members(self, w: list[list[int]]) -> tuple[list[list[int]], list[bool]]:
+        """(W[:, pivots], membership of each row) for integer rows W."""
         lead = [[row[c] for c in self._pivots] for row in w]
         e, free = self._den, self._free
         found = _int_matmul(lead, self._left)
@@ -520,25 +527,33 @@ class Coordinates:
             all(x == e * row[j] for x, j in zip(got, free))
             for got, row in zip(found, w)
         ]
-        return lead, d, inside
+        return lead, inside
 
     def contains(self, block: Matrix) -> list[bool]:
         """Whether each row of the block lies in the span."""
         if not self._pivots:
             return [is_zero_vector(v) for v in block]
-        return self._members(block)[2]
+        return self._members(_integer_form(block)[0])[1]
+
+    def map_integer(
+        self, w: list[list[int]], d: int
+    ) -> tuple[list[list[int] | None], int]:
+        """Coordinates of the rows of W/d as integer rows over one denominator.
+
+        Returns (rows, denominator); a row outside the span maps to None.
+        """
+        if not self._pivots:
+            return [None if any(row) else [0] * self._k for row in w], d
+        lead, inside = self._members(w)
+        coords = iter(_int_matmul([c for c, ok in zip(lead, inside) if ok], self._back))
+        return [next(coords) if ok else None for ok in inside], d * self._den
 
     def map(self, block: Matrix) -> tuple[Vector | None, ...]:
         """Coordinates of each row of the block; None for a row outside."""
-        if not self._pivots:
-            zero = (_ZERO,) * self._k
-            return tuple(zero if is_zero_vector(v) else None for v in block)
-        lead, d, inside = self._members(block)
-        coords = iter(_int_matmul([c for c, ok in zip(lead, inside) if ok], self._back))
-        den = d * self._den
+        rows, den = self.map_integer(*_integer_form(block))
         return tuple(
-            tuple(Fraction(x, den) if x else _ZERO for x in next(coords)) if ok else None
-            for ok in inside
+            None if c is None else tuple(Fraction(x, den) if x else _ZERO for x in c)
+            for c in rows
         )
 
 

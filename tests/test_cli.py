@@ -11,7 +11,7 @@ import pytest
 import liecert
 from liecert import action_to_document, build_suspension, serialize_document
 from liecert.cli import build_parser, main
-from liecert.documents import MAX_DIM
+from liecert.documents import MAX_CONSTANT_DIGITS, MAX_DIM
 
 SL2_DOC = json.dumps(
     {
@@ -149,6 +149,88 @@ def test_oversized_dim_is_input_error(monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert "exceeds the maximum" in err
+
+
+def _digits_document(total: int) -> str:
+    """A dim-5 document whose constants have `total` decimal digits in all.
+
+    The digits sit in numerators of at most 4000 digits, below the
+    interpreter's limit for one integer; every denominator is 1.
+    """
+    slots = [(i, j, k) for i in range(5) for j in range(i + 1, 5) for k in range(5)]
+    entries = []
+    left = total
+    for i, j, k in slots:
+        if left <= 1:
+            break
+        digits = min(4000, left - 1)
+        entries.append([i, j, k, "7" * digits, "1"])
+        left -= digits + 1
+    assert left == 0, "the slots hold too few digits"
+    return json.dumps({"format_version": "1", "dim": 5, "structure_constants": entries})
+
+
+def test_constant_digits_just_under_the_cap_are_accepted(monkeypatch, capsys):
+    code, out, err = run(["validate"], _digits_document(MAX_CONSTANT_DIGITS), monkeypatch, capsys)
+    assert code in (0, 1), err  # a report, valid or not, never an input error
+    assert json.loads(out)["result"]["dim"] == 5
+
+
+def test_constant_digits_over_the_cap_are_refused_before_any_table(monkeypatch, capsys):
+    def no_table(doc):
+        raise AssertionError("table built for a document over the digit cap")
+
+    monkeypatch.setattr("liecert.cli.document_to_algebra", no_table)
+    code, out, err = run(["validate"], _digits_document(MAX_CONSTANT_DIGITS + 1), monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert f"exceed {MAX_CONSTANT_DIGITS} digits" in err
+
+
+# -- tolerance and environment -------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("source", ["--tolerance", "LIECERT_TOLERANCE"])
+def test_tolerance_must_be_finite_and_nonnegative(monkeypatch, capsys, value, source):
+    argv = ["anosov", "--h0", "1,0,0"]
+    if source == "--tolerance":
+        argv.append(f"--tolerance={value}")
+    else:
+        monkeypatch.setenv("LIECERT_TOLERANCE", value)
+    code, out, err = run(argv, SL2_DOC, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"input error: {source}: expected a finite number >= 0")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("LIECERT_TOLERANCE", "abc"), ("LIECERT_TOLERANCE", ""), ("LIECERT_SEED", "1.5"), ("LIECERT_SEED", "x")],
+)
+def test_malformed_environment_value_is_input_error(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(["validate"], SL2_DOC, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"input error: {name}: expected ")
+
+
+@pytest.mark.parametrize("value", ["0", "1e-9"])
+def test_zero_and_default_tolerance_are_accepted(monkeypatch, capsys, value):
+    monkeypatch.delenv("LIECERT_TOLERANCE", raising=False)
+    argv = ["anosov", "--h0", "1,0,0"]
+    code, out, _ = run(argv + [f"--tolerance={value}"], SL2_DOC, monkeypatch, capsys)
+    base_code, base_out, _ = run(argv, SL2_DOC, monkeypatch, capsys)
+    assert code == base_code == 0
+    if value == "1e-9":  # the default, given explicitly
+        assert out == base_out
+    report, base = json.loads(out), json.loads(base_out)
+    assert report["provenance"]["tolerance"] == float(value)
+    for part in ("invariance", "splitting"):
+        assert report["result"][part].pop("tolerance") == float(value)
+        base["result"][part].pop("tolerance")
+    assert report["result"] == base["result"]
 
 
 def test_wrong_h0_length_is_input_error(monkeypatch, capsys):

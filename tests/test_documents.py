@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from liecert import documents
+from liecert.algebra import LieAlgebra, ValidationError
 from liecert import (
     DocumentError,
     action_to_document,
@@ -51,6 +52,44 @@ def test_round_trip_catalog(name):
     assert action.isotropy.basis == ref.isotropy.basis
     # canonical text is a fixed point of parse + serialize
     assert serialize_document(doc) == text
+
+
+def _dense_algebra(doc):
+    """The algebra of a document built through the dense table constructor."""
+    n = doc.dim
+    table = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, v in doc.entries:
+        table[i][j][k] = v
+        table[j][i][k] = -v
+    return LieAlgebra(table, doc.labels)
+
+
+def test_document_to_algebra_builds_no_dense_table(monkeypatch):
+    docs = [parse_document(_doc_text(name)) for name in catalog_names()]
+    big = documents.MAX_DIM
+    docs.append(parse_document(json.dumps({
+        "format_version": "1",
+        "dim": big,
+        "structure_constants": [[0, big - 1, 5, "-3", "999999937"], [2, 7, big - 1, "4", "6"]],
+    })))
+    expected = [_dense_algebra(doc) for doc in docs]
+
+    def dense(*args, **kwargs):
+        raise AssertionError("dense table constructor used")
+
+    monkeypatch.setattr(LieAlgebra, "__init__", dense)
+    for doc, ref in zip(docs, expected):
+        g = document_to_algebra(doc)
+        assert g == ref and g.labels == ref.labels
+    assert g.bracket(g.basis_vector(0), g.basis_vector(big - 1))[5] == F(-3, 999999937)
+
+
+def test_from_entries_reads_entries_as_given():
+    # no antisymmetry implied, a repeated entry keeps its last value, zeros vanish
+    g = LieAlgebra.from_entries(2, [(0, 1, 1, F(1, 3)), (0, 1, 1, 2), (1, 1, 0, "5"), (1, 0, 0, 0)])
+    assert g.table == (((0, 0), (0, 2)), ((0, 0), (5, 0)))
+    with pytest.raises(ValidationError, match="out of range"):
+        LieAlgebra.from_entries(2, [(0, 2, 0, 1)])
 
 
 def test_round_trip_preserves_labels_and_name():

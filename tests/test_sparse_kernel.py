@@ -11,24 +11,47 @@ import random
 from fractions import Fraction as F
 from operator import mul
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from generators import random_solvable
-from liecert.algebra import LieAlgebra, lie_algebra_from_matrices
+from liecert.algebra import (
+    LieAlgebra,
+    StructureError,
+    Subspace,
+    _unital_envelope,
+    as_subalgebra,
+    bracket_space,
+    full_space,
+    levi_decomposition,
+    lie_algebra_from_matrices,
+    nilradical,
+    normalizer,
+    quotient_by_ideal,
+    radical,
+    zero_space,
+)
 from liecert.builders import build_example, catalog_names
 from liecert.linalg import (
     Coordinates,
+    Echelon,
     _int_matmul,
+    combine,
     coords_in_basis,
     extend_basis,
     identity,
+    integer_row,
     invariant_under,
     matmul,
     matrix,
+    matvec,
+    nullspace,
     quotient_operator,
     restrict_operator,
     row_basis,
+    solve,
     transpose,
+    vec_add,
 )
 from liecert.poly import RationalPolynomial
 from liecert.spectral import apply_poly
@@ -288,7 +311,7 @@ def test_non_invariant_span_is_none_on_both_sides():
 
 def reference_bracket(g, x, y):
     """The former bracket: a triple loop over the dense table."""
-    n = g.dim
+    n, table = g.dim, g.table
     out = [F(0)] * n
     for i, xi in enumerate(x):
         if xi == 0:
@@ -296,16 +319,16 @@ def reference_bracket(g, x, y):
         for j, yj in enumerate(y):
             if yj == 0:
                 continue
-            for k, c in enumerate(g.table[i][j]):
+            for k, c in enumerate(table[i][j]):
                 if c != 0:
                     out[k] += xi * yj * c
     return tuple(out)
 
 
 def reference_ad_basis(g):
-    n = g.dim
+    n, table = g.dim, g.table
     return tuple(
-        tuple(tuple(g.table[a][j][i] for j in range(n)) for i in range(n)) for a in range(n)
+        tuple(tuple(table[a][j][i] for j in range(n)) for i in range(n)) for a in range(n)
     )
 
 
@@ -370,6 +393,7 @@ def test_lie_algebra_from_matrices_maps_the_commutator_block_like_the_reference(
     mats = [matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]), matrix([[0, 0, 0], [0, 1, 0], [0, 0, -1]])]
     mats += [e(i, j) for i in range(3) for j in range(3) if i != j]
     g = lie_algebra_from_matrices(mats)
+    table = g.table
     flat = tuple(tuple(x for row in m for x in row) for m in mats)
     coords = reference_basis_coordinates(flat)
     for i, a in enumerate(mats):
@@ -377,4 +401,441 @@ def test_lie_algebra_from_matrices_maps_the_commutator_block_like_the_reference(
             comm = reference_matmul(a, b)
             anti = reference_matmul(b, a)
             cf = tuple(x - y for rp, ra in zip(comm, anti) for x, y in zip(rp, ra))
-            assert g.table[i][j] == coords(cf)
+            assert table[i][j] == coords(cf)
+
+
+# -- integer structure constants ------------------------------------------------
+#
+# `LieAlgebra` keeps its structure constants as integers over one common
+# denominator, and brackets, adjoints, closure checks, the nilradical's
+# envelope and pairing, the normalizer rows, quotient tables and the Levi
+# equations all run on them.  The references below are the former Fraction
+# routines.  They read the Fraction table an algebra was built from, never
+# the algebra's own `table`, which is derived from the integer one.
+
+PRIMES = (2, 3, 5, 7, 997, 99991, 9999991, 999999937, 999999929, 999999893, 999999883)
+denominators = st.one_of(st.integers(1, 10**9), st.sampled_from(PRIMES))
+scalars = st.builds(F, st.integers(-9, 9).filter(bool), denominators)
+
+
+class Former:
+    """The former Fraction bracket and adjoint over a Fraction table."""
+
+    def __init__(self, table):
+        self.dim = len(table)
+        self.constants = tuple(
+            tuple(tuple((k, c) for k, c in enumerate(v) if c) for v in row) for row in table
+        )
+
+    def bracket(self, x, y):
+        out = [F(0)] * self.dim
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        for xi, row in zip(x, self.constants):
+            if not xi:
+                continue
+            for j, yj in ys:
+                terms = row[j]
+                if terms:
+                    f = xi * yj
+                    for k, c in terms:
+                        out[k] += f * c
+        return tuple(out)
+
+    def ad(self, x):
+        n = self.dim
+        out = [[F(0)] * n for _ in range(n)]
+        for xa, row in zip(x, self.constants):
+            if not xa:
+                continue
+            for j, terms in enumerate(row):
+                for k, c in terms:
+                    out[k][j] += xa * c
+        return tuple(tuple(r) for r in out)
+
+
+def former_validate(ref, table):
+    """(antisymmetry failures, Jacobi failures) of the former validate."""
+    n = ref.dim
+    anti = []
+    for i in range(n):
+        for j in range(i, n):
+            defect = table[i][i] if i == j else vec_add(table[i][j], table[j][i])
+            if any(defect):
+                anti.append((i, j, defect))
+    basis = identity(n)
+    jac = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                d = vec_add(
+                    vec_add(ref.bracket(basis[i], table[j][k]), ref.bracket(basis[j], table[k][i])),
+                    ref.bracket(basis[k], table[i][j]),
+                )
+                if any(d):
+                    jac.append((i, j, k, d))
+    return tuple(anti), tuple(jac)
+
+
+def former_closure(ref, s):
+    """The former Subalgebra closure loop: one rref_coords per ordered pair."""
+    table = []
+    for x in s.basis:
+        row = []
+        for y in s.basis:
+            c = reference_rref_coords(s.basis, s.pivots, ref.bracket(x, y))
+            if c is None:
+                raise StructureError("span is not closed under the bracket")
+            row.append(c)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def former_bracket_space(ref, a, b):
+    return Subspace(a.algebra, [ref.bracket(x, y) for x in a.basis for y in b.basis])
+
+
+def former_normalizer(ref, s):
+    """The former normalizer: a Fraction row -(w . ad(v)) per v in s and w in ann(s)."""
+    g, n = s.algebra, s.algebra.dim
+    ann = nullspace(s.basis) if s.dim else ()
+    if not ann:
+        vecs = identity(n)
+    else:
+        stacked = []
+        for v in s.basis:
+            adv = ref.ad(v)
+            for w in ann:
+                stacked.append(tuple(-sum(w[r] * adv[r][c] for r in range(n)) for c in range(n)))
+        vecs = nullspace(tuple(stacked))
+    return Subspace(g, vecs)
+
+
+def former_envelope(mats, n):
+    """The former _unital_envelope: every word multiplied with the Fraction matmul."""
+    gens = []
+    for m in mats:
+        flat = integer_row(tuple(x for row in m for x in row))
+        gens.append(tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
+    span = Echelon()
+    found = []
+    work = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    while work:
+        m = work.pop()
+        flat = tuple(x for row in m for x in row)
+        if span.add(flat):
+            found.append(flat)
+            work.extend(matmul(gen, m) for gen in gens)
+    return row_basis(tuple(found))
+
+
+def former_radical(ref, g):
+    n = g.dim
+    ads = [ref.ad(e) for e in identity(n)]
+    killing = tuple(
+        tuple(sum((x * y for ra, cb in zip(a, zip(*b)) for x, y in zip(ra, cb)), F(0)) for b in ads)
+        for a in ads
+    )
+    full = Subspace(g, identity(n))
+    derived = former_bracket_space(ref, full, full)
+    if derived.dim == 0:
+        return full
+    return Subspace(g, nullspace(matmul(derived.basis, killing)))
+
+
+def former_nilradical(ref, g):
+    """The former nilradical: the trace pairing as one Fraction sum per entry."""
+    rad = former_radical(ref, g)
+    if rad.dim == 0:
+        return rad
+    n = g.dim
+    ads = [ref.ad(r) for r in rad.basis]
+    env = former_envelope(ads, n)
+    pairings = [
+        tuple((j * n + i, x) for i, row in enumerate(adr) for j, x in enumerate(row) if x)
+        for adr in ads
+    ]
+    rows = [
+        tuple(sum((x * bflat[k] for k, x in terms), F(0)) for terms in pairings) for bflat in env
+    ]
+    return Subspace(g, matmul(nullspace(tuple(rows)), rad.basis))
+
+
+def former_quotient(ref, ideal):
+    """The former quotient: a bracket and a Fraction matvec per table entry."""
+    n = ref.dim
+    unit = identity(n)
+    comp = extend_basis(ideal.basis, n)
+    k, q = ideal.dim, len(comp)
+    coords = reference_basis_coordinates(ideal.basis + tuple(unit[j] for j in comp))
+    inv = [coords(e) for e in unit]
+    projection = tuple(tuple(inv[i][k + a] for i in range(n)) for a in range(q))
+    section = tuple(tuple(F(int(comp[a] == i)) for a in range(q)) for i in range(n))
+    table = tuple(
+        tuple(matvec(projection, ref.bracket(unit[comp[a]], unit[comp[b]])) for b in range(q))
+        for a in range(q)
+    )
+    return table, projection, section
+
+
+def former_levi(ref, g, rad):
+    """The former _levi_complement on the former quotient, closure and radical."""
+    n = g.dim
+    if rad.dim == 0:
+        return Subspace(g, identity(n))
+    if rad.dim == n:
+        return Subspace(g, ())
+    rad_derived = former_bracket_space(ref, rad, rad)
+    if rad_derived.dim > 0:
+        table, projection, section = former_quotient(ref, rad_derived)
+        qg = LieAlgebra(table)
+        qrad = Subspace(qg, [matvec(projection, v) for v in rad.basis])
+        qlevi = former_levi(Former(table), qg, qrad)
+        pre = Subspace(g, tuple(matvec(section, v) for v in qlevi.basis) + rad_derived.basis)
+        sub_table = former_closure(ref, pre)
+        sref, sg = Former(sub_table), LieAlgebra(sub_table)
+        inner = former_levi(sref, sg, former_radical(sref, sg))
+        return Subspace(g, matmul(inner.basis, pre.basis))
+    unit = identity(n)
+    comp = extend_basis(rad.basis, n)
+    xs = [unit[j] for j in comp]
+    q, k = len(xs), rad.dim
+    coords = reference_basis_coordinates(rad.basis + tuple(xs))
+    inv = [coords(e) for e in unit]
+    proj_rad = tuple(tuple(inv[i][a] for i in range(n)) for a in range(k))
+    proj_comp = tuple(tuple(inv[i][k + a] for i in range(n)) for a in range(q))
+    cbar = [[matvec(proj_comp, ref.bracket(xs[a], xs[b])) for b in range(q)] for a in range(q)]
+    phi = [[matvec(proj_rad, ref.bracket(xs[a], xs[b])) for b in range(q)] for a in range(q)]
+    rad_vec = list(rad.basis)
+    ad_on_rad = []
+    for a in range(q):
+        cols = [matvec(proj_rad, ref.bracket(xs[a], rad_vec[r])) for r in range(k)]
+        ad_on_rad.append(tuple(tuple(cols[c][r] for c in range(k)) for r in range(k)))
+    rows, rhs = [], []
+    for a in range(q):
+        for b in range(a + 1, q):
+            for r in range(k):
+                row = [F(0)] * (q * k)
+                for c in range(k):
+                    row[b * k + c] += ad_on_rad[a][r][c]
+                    row[a * k + c] -= ad_on_rad[b][r][c]
+                for cidx in range(q):
+                    if cbar[a][b][cidx] != 0:
+                        row[cidx * k + r] -= cbar[a][b][cidx]
+                rows.append(tuple(row))
+                rhs.append(-phi[a][b][r])
+    sol = solve(tuple(rows), tuple(rhs)) if rows else (F(0),) * (q * k)
+    return Subspace(g, [vec_add(xs[a], combine(sol[a * k : (a + 1) * k], rad_vec, n)) for a in range(q)])
+
+
+def assert_brackets_match_former(g, table, xs, ys):
+    ref = Former(table)
+    expected = tuple(ref.bracket(x, y) for x in xs for y in ys)
+    assert g.brackets(xs, ys) == expected
+    assert all(type(c) is F for v in expected for c in v)
+    for x in xs:
+        assert g.ad(x) == ref.ad(x)
+        for y in ys:
+            assert g.bracket(x, y) == ref.bracket(x, y)
+
+
+def assert_structure_matches_former(g, table):
+    """Every touched structure routine of g against the former routines."""
+    ref = Former(table)
+    n = g.dim
+    full = full_space(g)
+    assert_brackets_match_former(g, table, full.basis, full.basis)
+    assert g.ad_basis == tuple(ref.ad(e) for e in identity(n))
+    report = g.validate()
+    assert (report.antisymmetry_failures, report.jacobi_failures) == former_validate(ref, table)
+    rad = radical(g)
+    assert rad == former_radical(ref, g)
+    ads = [g.ad(r) for r in rad.basis]
+    assert _unital_envelope(ads, n) == former_envelope([ref.ad(r) for r in rad.basis], n)
+    nil = nilradical(g)
+    assert nil == former_nilradical(ref, g)
+    derived = bracket_space(full, full)
+    assert derived == former_bracket_space(ref, full, full)
+    assert bracket_space(full, rad) == former_bracket_space(ref, full, rad)
+    first = Subspace(g, identity(n)[:1])
+    for s in (full, rad, nil, derived, zero_space(g), first):
+        assert normalizer(g, s) == former_normalizer(ref, s)
+        try:
+            expected = former_closure(ref, s)
+        except StructureError:
+            with pytest.raises(StructureError):
+                as_subalgebra(s)
+            continue
+        sub, basis = as_subalgebra(s).as_algebra()
+        assert sub.table == expected and basis == s.basis
+        assert sub == LieAlgebra(expected)
+    for ideal in (rad, nil, derived):
+        quo = quotient_by_ideal(g, ideal)
+        expected, projection, section = former_quotient(ref, ideal)
+        assert quo.quotient.table == expected
+        assert quo.quotient == LieAlgebra(expected)
+        assert (quo.projection, quo.section) == (projection, section)
+    levi, rad_again = levi_decomposition(g)
+    assert rad_again == rad
+    assert levi == former_levi(ref, g, former_radical(ref, g))
+
+
+@st.composite
+def fraction_tables(draw, max_n=5):
+    """A Fraction table, antisymmetric or not, with denominators up to 10^9.
+
+    With `distinct` the m-th entry has the m-th prime of PRIMES as its
+    denominator, so the common denominator is their product.
+    """
+    n = draw(st.integers(0, max_n))
+    antisymmetric = draw(st.booleans())
+    distinct = draw(st.booleans())
+    index = st.integers(0, max(n - 1, 0))
+    cells = draw(st.lists(st.tuples(index, index, index, scalars), max_size=3 * n * n if n else 0))
+    table = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for m, (i, j, k, v) in enumerate(cells):
+        if distinct and m < len(PRIMES):
+            v = F(v.numerator, PRIMES[m])
+        if antisymmetric:
+            if i == j:
+                continue
+            table[j][i][k] = -v
+        table[i][j][k] = v
+    return tuple(tuple(tuple(v) for v in row) for row in table)
+
+
+def vectors(n):
+    return st.lists(st.one_of(st.just(F(0)), scalars), min_size=n, max_size=n).map(tuple)
+
+
+@given(fraction_tables(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_table_brackets_and_validate_match_former(table, data):
+    n = len(table)
+    g = LieAlgebra(table)
+    assert g.table == table
+    assert g == LieAlgebra(g.table) and hash(g) == hash(LieAlgebra(g.table))
+    xs = data.draw(st.lists(vectors(n), max_size=3))
+    ys = data.draw(st.lists(vectors(n), max_size=3))
+    xs.append((F(0),) * n)  # a zero vector on the left
+    assert_brackets_match_former(g, table, tuple(xs), tuple(ys))
+    assert g.brackets((), ys) == () and g.brackets(xs, ()) == ()
+    report = g.validate()
+    assert (report.antisymmetry_failures, report.jacobi_failures) == former_validate(Former(table), table)
+
+
+def _closed_span(ref, vecs):
+    """The span of vecs closed under the former bracket."""
+    rows = row_basis(tuple(vecs)) if vecs else ()
+    while True:
+        grown = row_basis(rows + tuple(ref.bracket(x, y) for x in rows for y in rows)) if rows else ()
+        if len(grown) == len(rows):
+            return rows
+        rows = grown
+
+
+@given(fraction_tables(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_closure_check_and_normalizer_match_former_on_any_table(table, data):
+    # spans that are closed (the closure of random vectors) and spans that
+    # are mostly not; a table that is not antisymmetric is checked on every
+    # ordered pair, and both sides raise StructureError on the same spans
+    n = len(table)
+    g, ref = LieAlgebra(table), Former(table)
+    vecs = data.draw(st.lists(vectors(n), max_size=3))
+    if data.draw(st.booleans()):
+        vecs = _closed_span(ref, vecs)
+    s = Subspace(g, vecs)
+    other = Subspace(g, data.draw(st.lists(vectors(n), max_size=2)))
+    assert bracket_space(s, other) == former_bracket_space(ref, s, other)
+    try:
+        expected = former_closure(ref, s)
+    except StructureError:
+        with pytest.raises(StructureError):
+            as_subalgebra(s)
+    else:
+        sub, basis = as_subalgebra(s).as_algebra()
+        assert sub.table == expected and basis == s.basis
+    try:
+        expected_normalizer = former_normalizer(ref, s)
+        former_closure(ref, expected_normalizer)
+    except StructureError:
+        with pytest.raises(StructureError):
+            normalizer(g, s)
+    else:
+        assert normalizer(g, s) == expected_normalizer
+
+
+def test_closure_of_a_span_that_is_not_closed_raises_on_both_sides():
+    # [e0, e1] = e2 leaves span(e0, e1); the table is not antisymmetric, and
+    # only the pair (1, 0) leaves span(e0, e2)
+    z = (F(0),) * 3
+    table = ((z, (0, 0, F(1, 999999937)), z), (z, z, z), (z, z, z))
+    table = tuple(tuple(tuple(F(c) for c in v) for v in row) for row in table)
+    g, ref = LieAlgebra(table), Former(table)
+    for vecs in (identity(3)[:2], ((1, 0, 0), (0, 1, 1))):
+        s = Subspace(g, vecs)
+        with pytest.raises(StructureError):
+            former_closure(ref, s)
+        with pytest.raises(StructureError):
+            as_subalgebra(s)
+    lower = ((z, z, z), ((F(0), F(0), F(1)), z, z), (z, z, z))
+    s = Subspace(LieAlgebra(lower), ((1, 0, 0), (0, 0, 1)))
+    assert as_subalgebra(s).as_algebra()[0].dim == 2  # (0, 1) and (1, 0) stay inside
+    s = Subspace(LieAlgebra(lower), identity(3)[:2])
+    with pytest.raises(StructureError):  # only (1, 0) leaves the span
+        as_subalgebra(s)
+
+
+def _matrix_unit(i, j, n=3):
+    return matrix([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+
+
+def _affine(with_center):
+    """aff(sl2) or aff(gl2) as 3x3 matrices: a Levi part and a radical.
+
+    The radical of aff(gl2) is not abelian, so Levi takes its recursive branch.
+    """
+    mats = [matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]), _matrix_unit(0, 1), _matrix_unit(1, 0)]
+    if with_center:
+        mats.append(matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]]))
+    return lie_algebra_from_matrices(mats + [_matrix_unit(0, 2), _matrix_unit(1, 2)])
+
+
+def _base_algebras():
+    rng = random.Random(17)
+    base = [build_example(name).ambient for name in catalog_names()]
+    base += [_affine(False), _affine(True)]
+    base += [random_solvable(rng, 3, 6) for _ in range(4)]
+    return base
+
+
+BASE_ALGEBRAS = _base_algebras()
+
+
+def rescaled(table, lams):
+    """The table in the basis lam_i e_i: c_ij^k lam_i lam_j / lam_k."""
+    n = len(table)
+    return tuple(
+        tuple(tuple(table[i][j][k] * lams[i] * lams[j] / lams[k] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def test_structure_matches_former_on_the_catalog_and_random_solvable_closures():
+    for g in BASE_ALGEBRAS:
+        assert_structure_matches_former(g, g.table)
+
+
+@given(st.sampled_from(range(len(BASE_ALGEBRAS))), st.data())
+@settings(max_examples=40, deadline=None)
+def test_structure_matches_former_with_large_and_distinct_prime_denominators(which, data):
+    base = BASE_ALGEBRAS[which].table
+    n = len(base)
+    if data.draw(st.booleans()):
+        lams = [F(data.draw(st.integers(1, 9)), p) for p in data.draw(st.permutations(PRIMES))[:n]]
+    else:
+        lams = [data.draw(scalars) for _ in range(n)]
+    table = rescaled(base, lams)
+    g = LieAlgebra(table)
+    assert g.table == table
+    assert_structure_matches_former(g, table)
