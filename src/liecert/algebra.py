@@ -261,7 +261,8 @@ class LieAlgebra:
                 if any(defect):
                     anti.append((i, j, _from_integer((defect,), d)[0]))
         # Jacobi at i < j < k: [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]],
-        # the inner brackets read off the table as given, one block per i
+        # the inner brackets read off the table as given; the first terms
+        # are one block per i, the other two one block each per (i, j)
         jac = []
         unit = [((a, 1),) for a in range(n)]
         for i in range(n):
