@@ -394,6 +394,13 @@ class Subspace:
         red, self.pivots = rref(rows)
         self.basis: Matrix = red[: len(self.pivots)]
 
+    @classmethod
+    def _echelon(cls, algebra: LieAlgebra, basis: Matrix, pivots: tuple[int, ...]):
+        """The subspace with a known reduced echelon basis; no elimination."""
+        s = cls.__new__(cls)
+        s.algebra, s.basis, s.pivots = algebra, basis, pivots
+        return s
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -438,7 +445,12 @@ class Subspace:
 
 
 def full_space(g: LieAlgebra) -> Subspace:
-    return Subspace(g, tuple(g.basis_vector(i) for i in range(g.dim)))
+    """All of g, around its known echelon basis: the identity, pivots 0..n-1.
+
+    Nothing is memoised: a `Subspace` in `g._cache` would refer back to g.
+    """
+    n = g.dim
+    return Subspace._echelon(g, tuple(g.basis_vector(i) for i in range(n)), tuple(range(n)))
 
 
 def zero_space(g: LieAlgebra) -> Subspace:

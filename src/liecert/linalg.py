@@ -529,11 +529,11 @@ class Coordinates:
         ]
         return lead, inside
 
-    def contains(self, block: Matrix) -> list[bool]:
-        """Whether each row of the block lies in the span."""
+    def contains(self, w: list[list[int]]) -> list[bool]:
+        """Whether each of the integer rows W lies in the span."""
         if not self._pivots:
-            return [is_zero_vector(v) for v in block]
-        return self._members(_integer_form(block)[0])[1]
+            return [not any(row) for row in w]
+        return self._members(w)[1]
 
     def map_integer(
         self, w: list[list[int]], d: int
@@ -550,11 +550,17 @@ class Coordinates:
 
     def map(self, block: Matrix) -> tuple[Vector | None, ...]:
         """Coordinates of each row of the block; None for a row outside."""
-        rows, den = self.map_integer(*_integer_form(block))
-        return tuple(
-            None if c is None else tuple(Fraction(x, den) if x else _ZERO for x in c)
-            for c in rows
-        )
+        return _fraction_rows(*self.map_integer(*_integer_form(block)))
+
+
+def _fraction_rows(
+    rows: list[list[int] | None], den: int
+) -> tuple[Vector | None, ...]:
+    """The rows rows / den as `Fraction` vectors; None stays None."""
+    return tuple(
+        None if c is None else tuple(Fraction(x, den) if x else _ZERO for x in c)
+        for c in rows
+    )
 
 
 def coords_in_basis(basis: Matrix, v: Vector) -> Vector | None:
@@ -650,9 +656,12 @@ def symmetric_inertia(m: Matrix) -> tuple[int, int, int]:
     return pos, neg, zero
 
 
-def image_rows(m: Matrix, basis: Matrix) -> Matrix:
-    """The rows (m b)^T for the rows b of `basis`, with m as the left factor."""
-    return transpose(matmul(m, transpose(basis)))
+def _image_rows(m: Matrix, basis: Matrix) -> tuple[list[list[int]], int]:
+    """The rows (m b)^T for the rows b of `basis`, as integer rows over one
+    denominator: the integer basis times the integer m^T, never a `Fraction`."""
+    im, dm = _integer_form(m)
+    ib, db = _integer_form(basis)
+    return _int_matmul(ib, [list(col) for col in zip(*im)]), dm * db
 
 
 def invariant_under(ops: Sequence[Matrix], basis: Matrix) -> list[bool]:
@@ -664,7 +673,7 @@ def invariant_under(ops: Sequence[Matrix], basis: Matrix) -> list[bool]:
     if not basis:
         return [True] * len(ops)
     span = Coordinates(basis)
-    return [all(span.contains(image_rows(m, basis))) for m in ops]
+    return [all(span.contains(_image_rows(m, basis)[0])) for m in ops]
 
 
 def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
@@ -675,10 +684,10 @@ def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
     """
     if not basis:
         return ()
-    cols = Coordinates(basis).map(image_rows(m, basis))
-    if None in cols:
+    rows, den = Coordinates(basis).map_integer(*_image_rows(m, basis))
+    if None in rows:
         return None
-    return transpose(cols)
+    return transpose(_fraction_rows(rows, den))
 
 
 def quotient_operator(
@@ -699,11 +708,10 @@ def quotient_operator(
     full = tuple(basis) + tuple(
         tuple(_ONE if i == j else _ZERO for i in range(n)) for j in comp
     )
-    columns = transpose(m)
-    block = (image_rows(m, basis) if basis else ()) + tuple(columns[j] for j in comp)
-    coords = Coordinates(full).map(block)
-    if None in coords:
+    # the image of the complement vector e_j is column j of m
+    rows, den = Coordinates(full).map_integer(*_image_rows(m, full))
+    if None in rows:
         raise AssertionError("complement construction failed")
-    if any(any(c[k:]) for c in coords[:k]):
+    if any(any(c[k:]) for c in rows[:k]):
         return None
-    return transpose([c[k:] for c in coords[k:]]), comp
+    return transpose(_fraction_rows([c[k:] for c in rows[k:]], den)), comp

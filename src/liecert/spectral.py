@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from .algebra import AlgebraError
 from .linalg import (
     Matrix,
@@ -35,6 +33,8 @@ from .linalg import (
 from .poly import (
     RationalPolynomial,
     RootSignCount,
+    _exact_quotient,
+    _monic,
     axis_gcd,
     count_real_roots_squarefree,
     poly_gcd,
@@ -54,23 +54,93 @@ def char_poly(op: Matrix) -> RationalPolynomial:
     return RationalPolynomial(charpoly(op))
 
 
+def _linear_factors(cs: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
+    """Divide the rational roots proposed by numeric root finding out of cs.
+
+    cs is a primitive integer polynomial, ascending, with cs[0] != 0.  Each
+    round takes the roots of the current cofactor in floating point (the
+    coefficients shifted right until they fit a float) and turns every
+    finite, not clearly complex one into a candidate a/b with
+    b <= |leading coefficient|.  A candidate is tried only when a divides
+    the constant and b the leading coefficient, as for every rational root;
+    (b t - a) is then divided out exactly, as often as it goes.  Rounds
+    repeat on the deflated cofactor until one peels nothing: a multiple
+    root comes out of floating point as a cluster spread by about
+    eps^(1/m), which may round wrongly until its neighbours are gone
+    (three copies of (t - 1)...(t - 10) take two rounds).  Returns the
+    cofactor and the peeled factors b t - a, b > 0, as ([-a, b], mult).
+    """
+    import numpy as np
+
+    peeled: list[tuple[list[int], int]] = []
+    found = True
+    while found and len(cs) > 2:
+        found = False
+        shift = max(0, max(abs(c).bit_length() for c in cs) - 1000)
+        try:
+            roots = np.roots([float(c >> shift) for c in reversed(cs)])
+        except np.linalg.LinAlgError:  # no proposals: sympy factors the rest
+            break
+        tried = set()
+        for z in roots:
+            if not np.isfinite(z) or abs(z.imag) > 0.25 * max(1.0, abs(z)):
+                continue
+            r = Fraction(float(z.real)).limit_denominator(abs(cs[-1]))
+            a, b = r.numerator, r.denominator
+            if r in tried or not a or cs[0] % a or cs[-1] % b:
+                continue
+            tried.add(r)
+            mult = 0
+            while len(cs) > 1:
+                try:
+                    cs = _exact_quotient(cs, [-a, b])
+                except ArithmeticError:
+                    break
+                mult += 1
+            if mult:
+                peeled.append(([-a, b], mult))
+                found = True
+    return cs, peeled
+
+
 def factor_with_multiplicity(
     p: RationalPolynomial,
 ) -> list[tuple[RationalPolynomial, int]]:
     """Monic irreducible factors of p over Q with their multiplicities.
 
-    This is the one bridge to sympy's factorization.  It hands sympy the
-    primitive integer coefficients of p; factors over Z and over Q agree up
-    to constants, which `monic` removes.
+    This is the one bridge to sympy's factorization, and it returns exactly
+    the list that sympy's `factor_list` gives for the primitive integer
+    coefficients of p, order included; factors over Z and over Q agree up
+    to constants, which `monic` removes.  Most of the polynomials met here
+    split over Q (restricted roots of split Cartan subspaces are rational),
+    so the linear factors are peeled first, in integers: the zero root is
+    stripped, then `_linear_factors` divides out the candidates that
+    numeric roots propose.  Numerics only propose; exact division decides,
+    and a root they miss stays in the cofactor.  Only a cofactor of degree
+    >= 2 goes to sympy.  The factorization into primitive irreducibles
+    with positive leading coefficient is unique, so the peeled factors and
+    sympy's are together the same set with the same multiplicities, and
+    sorting them by sympy's own key (`polyutils._sort_factors`: length,
+    multiplicity, then coefficients from the highest) gives sympy's order.
     """
-    ints = integer_row(p.coeffs)[::-1]
-    poly_zz = sympy.Poly.from_list(ints, sympy.Symbol("x"), domain=sympy.ZZ)
-    _, factors = poly_zz.factor_list()
-    out = []
-    for fac, mult in factors:
-        q = RationalPolynomial([int(c) for c in reversed(fac.all_coeffs())])
-        out.append((q.monic(), int(mult)))
-    return out
+    cs = integer_row(p.coeffs)
+    zeros = 0
+    while zeros < len(cs) - 1 and not cs[zeros]:
+        zeros += 1
+    cs, factors = _linear_factors(cs[zeros:])
+    if zeros:
+        factors.append(([0, 1], zeros))
+    if len(cs) == 2:
+        factors.append(([c if cs[1] > 0 else -c for c in cs], 1))
+    elif len(cs) > 2:
+        import sympy
+
+        poly_zz = sympy.Poly.from_list(cs[::-1], sympy.Symbol("x"), domain=sympy.ZZ)
+        _, rest = poly_zz.factor_list()
+        for fac, mult in rest:
+            factors.append(([int(c) for c in reversed(fac.all_coeffs())], int(mult)))
+    factors.sort(key=lambda f: (len(f[0]), f[1], f[0][::-1]))
+    return [(_monic(fac), mult) for fac, mult in factors]
 
 
 def operator_sign_counts(op: Matrix) -> RootSignCount:

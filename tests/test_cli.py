@@ -409,3 +409,52 @@ def test_shell_pipeline():
     )
     assert classify.returncode == 0
     assert json.loads(classify.stdout)["result"]["case"] == "solvable"
+
+
+_LAZY_SYMPY = """
+import json, sys
+from fractions import Fraction as F
+
+import liecert.cli
+checks = {"cli": "sympy" in sys.modules}
+
+from liecert import ActionSpec, RationalPolynomial, cartan_subspace, check_anosov
+from liecert import lie_algebra_from_matrices, restricted_roots
+from liecert.spectral import factor_with_multiplicity
+
+
+def unit(entries):
+    return [[F(entries.get((r, c), 0)) for c in range(3)] for r in range(3)]
+
+
+basis = [unit({(0, 0): 1, (1, 1): -1}), unit({(1, 1): 1, (2, 2): -1})]
+basis += [unit({(i, j): 1}) for i in range(3) for j in range(3) if i != j]
+g = lie_algebra_from_matrices(basis)
+action = ActionSpec(g, cartan_subspace(g))
+zero = (F(0),) * 6
+verdicts = (
+    restricted_roots(g, action.flow).exact,
+    check_anosov(action, (F(2), F(2)) + zero).accepted,  # diag(2, 0, -2)
+    check_anosov(action, (F(1), F(2)) + zero).accepted,  # diag(1, 1, -2)
+)
+checks["sl3"] = "sympy" in sys.modules
+factor_with_multiplicity(RationalPolynomial([-2, 0, 0, 0, 1]))
+checks["quartic"] = "sympy" in sys.modules
+print(json.dumps({"checks": checks, "verdicts": verdicts}))
+"""
+
+
+def test_sympy_is_imported_only_for_an_irreducible_residual():
+    # a fresh interpreter: the CLI and split spectra leave sympy unloaded
+    src = os.path.dirname(os.path.dirname(liecert.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", _LAZY_SYMPY],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["verdicts"] == [True, True, False]
+    assert out["checks"] == {"cli": False, "sl3": False, "quartic": True}

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import liecert.spectral
 from generators import root_polynomials
-from liecert.algebra import StructureError
+from liecert.algebra import StructureError, lie_algebra_from_matrices
+from liecert.anosov import ActionSpec, check_anosov
+from liecert.cartan import cartan_subspace, restricted_roots
 from liecert.linalg import identity, mat_sub, matmul, matrix, vector
 from liecert.poly import RationalPolynomial as P, root_bound, root_sign_counts
 from liecert.spectral import (
@@ -25,6 +27,7 @@ from liecert.spectral import (
     restrict_and_quotient,
     spectral_gap,
 )
+from test_acceptance import _sl_basis, _sl_diagonal
 from test_poly import ref_root_sign_counts, ref_shift, wide_polynomials
 
 
@@ -331,11 +334,92 @@ def reference_factor_with_multiplicity(p):
     return out
 
 
-@given(st.one_of(root_polynomials(), wide_polynomials))
+def _product(factors):
+    out = P([1])
+    for f in factors:
+        out = out * f
+    return out
+
+
+@st.composite
+def split_polynomials(draw):
+    """A rational constant times rational linear factors, each to a power,
+    zero roots and non-monic roots such as 2/3 and -5/7 among them, and
+    sometimes one of the irreducible t^2 + 1, t^2 - 2, t^4 - 2."""
+    roots = st.one_of(
+        st.sampled_from([F(0), F(1), F(-1), F(2, 3), F(-5, 7)]),
+        st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    )
+    lead = draw(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool))
+    factors = [P([lead])]
+    for _ in range(draw(st.integers(0, 6))):
+        factors += [P([-draw(roots), 1])] * draw(st.integers(1, 4))
+    for q in draw(st.lists(st.sampled_from([(1, 0, 1), (-2, 0, 1), (-2, 0, 0, 0, 1)]), max_size=2)):
+        factors.append(P(q))
+    return _product(factors)
+
+
+@given(st.one_of(root_polynomials(), wide_polynomials, split_polynomials()))
 @example(P([-2, 0, 0, 0, 1]) * P([F(-1, 3)]))
 @example(P([1, 1]) * P([1, 1]) * P([2, 0, 1]) * P([F(5, 7), -1]))
 @example(P([F(1, 10**9), 0, 1]) * P([F(-7, 10**9), 1]) * -1)
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_factor_bridge_matches_reference(p):
     assert factor_with_multiplicity(p) == reference_factor_with_multiplicity(p)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        _product(P([-k, 1]) for k in range(1, 21)),  # Wilkinson's polynomial
+        _product(P([-k, 1]) for k in range(1, 11) for _ in range(3)),
+        _product([P([-(2**3000 + 1), 1]), P([-(2**3000 + 3), 1]), P([2, 0, 1])]),
+        _product([P([-(2**3000 + 1), 1]), P([1, 1]), P([F(-2, 3), 1])]),
+        _product([P([0, 1])] * 4 + [P([-1, 1])] * 4 + [P([F(1, 2), 1])] * 5),
+        P([5]),
+        P([]),
+        P([3, -2]),
+    ],
+    ids=["wilkinson-20", "three-copies", "beyond-float", "beyond-float-split",
+         "multiple-roots", "constant", "zero", "linear-negative-lead"],
+)
+def test_factor_bridge_matches_reference_on_hard_inputs(p):
+    assert factor_with_multiplicity(p) == reference_factor_with_multiplicity(p)
+
+
+def test_split_polynomials_never_reach_sympy(monkeypatch):
+    # rational restricted roots: every factor is peeled before sympy
+    calls = []
+
+    def refuse(self, *args, **kwargs):
+        calls.append(self)
+        raise AssertionError("split polynomial sent to sympy")
+
+    monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
+    g = lie_algebra_from_matrices(_sl_basis(4))
+    action = ActionSpec(g, cartan_subspace(g))
+    assert restricted_roots(g, action.flow).exact
+    assert check_anosov(action, _sl_diagonal([3, 1, -1, -3])).accepted
+    assert not check_anosov(action, _sl_diagonal([1, 1, -2, 0])).accepted
+    assert factor_with_multiplicity(_product([P([F(2, 3), 1])] * 3 + [P([0, 1])])) == [
+        (P([0, 1]), 1),
+        (P([F(2, 3), 1]), 3),
+    ]
+    assert calls == []
+
+
+def test_only_an_irreducible_residual_reaches_sympy(monkeypatch):
+    calls = []
+    real = sympy.Poly.factor_list
+    monkeypatch.setattr(
+        sympy.Poly, "factor_list", lambda self: calls.append(self.all_coeffs()) or real(self)
+    )
+    p = _product([P([-2, 0, 0, 0, 1]), P([1, 1]), P([1, 1]), P([F(-5, 7), 1]), P([0, 1])])
+    assert factor_with_multiplicity(p) == [
+        (P([0, 1]), 1),
+        (P([F(-5, 7), 1]), 1),
+        (P([1, 1]), 2),
+        (P([-2, 0, 0, 0, 1]), 1),
+    ]
+    assert calls == [[1, 0, 0, 0, -2]]
 
