@@ -209,10 +209,6 @@ class AnosovCertificate:
 
     accepted = True
 
-    @property
-    def codim_u(self) -> int:
-        return self.dim_unstable
-
 
 @dataclass(frozen=True)
 class AnosovRefusal:

@@ -50,7 +50,6 @@ from .linalg import (
     restrict_operator,
     row_basis,
     solve,
-    symmetric_inertia,
     trace,
     vec_sub,
     vector,
@@ -179,9 +178,13 @@ def ellipticity_proxy(g: LieAlgebra, k: Subspace) -> EllipticityReport:
         sub, _ = as_subalgebra(k).as_algebra()
     except StructureError:
         return EllipticityReport(all_axis, False, False, _ELLIPTIC_CAVEAT)
-    pos, _, zero = symmetric_inertia(killing_form(sub))
+    # a symmetric matrix has only real eigenvalues, so the sign counts of
+    # its characteristic polynomial are its inertia (Sylvester)
+    inertia = operator_sign_counts(killing_form(sub))
     zdim = center(sub).dim
-    return EllipticityReport(all_axis, pos == 0, zero == zdim, _ELLIPTIC_CAVEAT)
+    return EllipticityReport(
+        all_axis, inertia.n_pos == 0, inertia.n_zero_real == zdim, _ELLIPTIC_CAVEAT
+    )
 
 
 # -- the Cartan subalgebra attached to an action datum ------------------------

@@ -9,7 +9,6 @@ spectral quantity in a report is tagged exact or certified-numeric.
 from __future__ import annotations
 
 import hashlib
-import importlib.resources
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -379,10 +378,3 @@ def provenance(text: str, command: str, seed: int, tolerance: float) -> dict:
         "seed": seed,
         "tolerance": tolerance,
     }
-
-
-# -- schema --------------------------------------------------------------------
-
-SCHEMA: dict = json.loads(
-    importlib.resources.files(__package__).joinpath("schema-v1.json").read_text()
-)

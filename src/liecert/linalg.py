@@ -1,14 +1,18 @@
 """Exact linear algebra over the rationals.
 
 At the API boundary everything is tuples of ``fractions.Fraction``.  Inside,
-elimination is fraction-free: each row is scaled to a primitive integer row
-(denominators cleared, content divided out), rows are combined in integers
-with gcd normalisation, and a reduced row is divided by its pivot only when
-it is emitted.  The reduced row echelon form is unique, so the results are
-the same canonical ``Fraction`` rows and pivots as textbook Gauss-Jordan,
-and bases, complements and echelon forms are reproducible.  ``Echelon``
-keeps a growing span in the same integer form, so membership tests and
-insertions cost O(rank * n) instead of a fresh elimination.
+there is one row elimination, `Echelon`, and it is fraction-free: each row
+is scaled to a primitive integer row (denominators cleared, content divided
+out), rows are combined in integers with gcd normalisation, and a reduced
+row is divided by its pivot only when it is emitted.  `Echelon` inserts
+rows one at a time, each reduced against the rows before it, so a growing
+span answers membership and insertion in O(rank * n); its `reduced`
+finishes the reduced row echelon form with one back-substitution.
+`rref`, `rank`, `nullspace`, `generalized_kernel` and `Coordinates` all
+eliminate through it.  The reduced row echelon form is unique, so the
+results are the same canonical ``Fraction`` rows and pivots as textbook
+Gauss-Jordan, whatever the order of the rows, and bases, complements and
+echelon forms are reproducible.
 
 Products, powers, characteristic polynomials and polynomials in a matrix
 run on integer matrices: a matrix is written as integer rows over one
@@ -164,9 +168,12 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _from_integer(rows: list[list[int]], d: int) -> Matrix:
-    """The Fraction matrix rows / d."""
-    return tuple(tuple(Fraction(x, d) if x else _ZERO for x in row) for row in rows)
+def _from_integer(rows: list[list[int] | None], d: int) -> Matrix:
+    """The Fraction matrix rows / d; a None row stays None."""
+    return tuple(
+        None if row is None else tuple(Fraction(x, d) if x else _ZERO for x in row)
+        for row in rows
+    )
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -255,54 +262,24 @@ def _combine(p: int, w: list[int], f: int, row: list[int]) -> list[int]:
     return primitive([p * a - f * b for a, b in zip(w, row)])
 
 
-def _eliminate(rows: list[list[int]]) -> list[int]:
-    """Bring primitive integer rows to reduced echelon form; return the pivots.
-
-    `rows` is rearranged in place: the pivot rows come first, in pivot
-    order, each primitive and zero at every other pivot column; the rest
-    are zero.  Pivoting is deterministic, first nonzero entry.
-    """
-    nr, nc = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r == nr:
-            break
-        pr = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for i in range(nr):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = _combine(p, rows[i], f, prow)
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with deterministic first-nonzero pivoting.
 
     Returns (echelon matrix, pivot column indices). Zero rows are kept at
-    the bottom so the shape is preserved.  Elimination runs on primitive
-    integer rows; each pivot row is divided by its pivot on the way out.
+    the bottom so the shape is preserved.  The reduced integer rows come
+    from `Echelon`; each is divided by its pivot on the way out.
     """
-    rows = [integer_row(r) for r in m]
-    nc = len(rows[0]) if rows else 0
-    pivots = _eliminate(rows)
+    rows, pivots = Echelon(m).reduced()
     out = []
     for row, c in zip(rows, pivots):
         p = row[c]
         out.append(tuple(Fraction(a, p) if a else _ZERO for a in row))
-    out.extend(((_ZERO,) * nc,) * (len(rows) - len(pivots)))
+    out.extend(((_ZERO,) * (len(m[0]) if m else 0),) * (len(m) - len(pivots)))
     return tuple(out), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return Echelon(m).rank
 
 
 def row_basis(m: Matrix) -> Matrix:
@@ -329,8 +306,7 @@ def _kernel(rows: list[list[int]], pivots: list[int], nc: int) -> tuple[Vector, 
 
 def nullspace(m: Matrix) -> tuple[Vector, ...]:
     """Deterministic basis of the right kernel, free columns in order."""
-    rows = [integer_row(r) for r in m]
-    return _kernel(rows, _eliminate(rows), shape(m)[1])
+    return _kernel(*Echelon(m).reduced(), shape(m)[1])
 
 
 def generalized_kernel(b: Matrix) -> Matrix:
@@ -344,11 +320,9 @@ def generalized_kernel(b: Matrix) -> Matrix:
     b^j, which b . rows^T would not give.  An invertible b stops at once.
     """
     rows, _ = _integer_form(b)
-    red = [primitive(r) for r in rows]
-    piv = _eliminate(red)
+    red, piv = _integer_reduced(rows)
     while 0 < len(piv) < len(rows):
-        nxt = [primitive(r) for r in _int_matmul(red[: len(piv)], rows)]
-        npiv = _eliminate(nxt)
+        nxt, npiv = _integer_reduced(_int_matmul(red, rows))
         if len(npiv) == len(piv):
             break
         red, piv = nxt, npiv
@@ -426,19 +400,36 @@ def charpoly(a: Matrix) -> tuple[Fraction, ...]:
 
 
 class Echelon:
-    """Growing span kept as primitive integer rows with distinct pivots.
+    """A span kept as primitive integer rows with distinct pivots.
 
-    Each row is reduced against the rows before it, so it is zero at their
-    pivot columns, and one pass in insertion order reduces a vector: add(v),
+    This is the one Gauss-Jordan elimination of the module.  A row is
+    reduced against the rows before it, so it is zero at their pivot
+    columns and, since its pivot is its first nonzero entry, left of its
+    own pivot: one pass in insertion order reduces a vector, and add(v),
     contains(v) and the rank cost O(rank * n), never a fresh elimination.
+    Sorted by pivot the rows are an echelon form; `reduced` clears each
+    pivot column above its pivot too, which gives the reduced echelon form.
+    Rows may be rational (`Fraction`) or integer vectors.
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[Vector] = ()):
         self._rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
-        for v in rows:
-            self.add(v)
+        self._insert(map(integer_row, rows))
+
+    def _insert(self, ws: Iterable[list[int]]) -> None:
+        """Insert primitive integer rows, each reduced against the rows before it."""
+        out = self._rows
+        for w in ws:
+            for c, row in out:
+                f = w[c]
+                if f:
+                    w = _combine(row[c], w, f, row)
+            for c, a in enumerate(w):
+                if a:
+                    out.append((c, w))
+                    break
 
     @property
     def rank(self) -> int:
@@ -457,12 +448,37 @@ class Echelon:
 
     def add(self, v) -> bool:
         """Insert v; True when it enlarged the span."""
-        w = self._reduce(v)
-        c = next((j for j, a in enumerate(w) if a), None)
-        if c is None:
-            return False
-        self._rows.append((c, w))
-        return True
+        rank = len(self._rows)
+        self._insert((integer_row(v),))
+        return len(self._rows) > rank
+
+    def reduced(self) -> tuple[list[list[int]], list[int]]:
+        """(rows, pivots) of the reduced echelon form, in pivot order.
+
+        The rows are primitive integer rows, each zero at every other
+        pivot column; divided by their pivots they are the canonical
+        rref.  One back-substitution, last pivot first: when pivot k
+        is cleared from the rows above it, row k is already zero at every
+        later pivot.
+        """
+        ordered = sorted(self._rows)  # the pivots are distinct
+        pivots = [c for c, _ in ordered]
+        rows = [row for _, row in ordered]
+        for k in range(len(rows) - 1, 0, -1):
+            c, prow = pivots[k], rows[k]
+            p = prow[c]
+            for i in range(k):
+                f = rows[i][c]
+                if f:
+                    rows[i] = _combine(p, rows[i], f, prow)
+        return rows, pivots
+
+
+def _integer_reduced(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """`Echelon(rows).reduced()` for integer rows: only their content is divided out."""
+    span = Echelon()
+    span._insert(map(primitive, rows))
+    return span.reduced()
 
 
 def in_span(rows: Matrix, v: Vector) -> bool:
@@ -506,8 +522,8 @@ class Coordinates:
     def __init__(self, basis: Matrix):
         k = self._k = len(basis)
         n = len(basis[0]) if basis else 0
-        rows = [integer_row(tuple(row) + e) for row, e in zip(basis, identity(k))]
-        pivots = [c for c in _eliminate(rows) if c < n]
+        rows, pivots = Echelon(tuple(row) + e for row, e in zip(basis, identity(k))).reduced()
+        pivots = [c for c in pivots if c < n]
         rows = rows[: len(pivots)]
         den = lcm(*(row[c] for row, c in zip(rows, pivots)))
         rows = [[a * (den // row[c]) for a in row] for row, c in zip(rows, pivots)]
@@ -550,30 +566,12 @@ class Coordinates:
 
     def map(self, block: Matrix) -> tuple[Vector | None, ...]:
         """Coordinates of each row of the block; None for a row outside."""
-        return _fraction_rows(*self.map_integer(*_integer_form(block)))
-
-
-def _fraction_rows(
-    rows: list[list[int] | None], den: int
-) -> tuple[Vector | None, ...]:
-    """The rows rows / den as `Fraction` vectors; None stays None."""
-    return tuple(
-        None if c is None else tuple(Fraction(x, den) if x else _ZERO for x in c)
-        for c in rows
-    )
+        return _from_integer(*self.map_integer(*_integer_form(block)))
 
 
 def coords_in_basis(basis: Matrix, v: Vector) -> Vector | None:
     """Coordinates of v in the given (independent) row basis, or None."""
     return Coordinates(basis).map((v,))[0]
-
-
-def spaces_equal(a: Matrix, b: Matrix) -> bool:
-    return row_basis(a) == row_basis(b)
-
-
-def sum_spaces(a: Matrix, b: Matrix) -> Matrix:
-    return row_basis(a + b)
 
 
 def intersect_spaces(a: Matrix, b: Matrix) -> Matrix:
@@ -604,56 +602,6 @@ def extend_basis(rows: Matrix, n: int) -> tuple[int, ...]:
         if span.add(tuple(1 if i == j else 0 for i in range(n))):
             picked.append(j)
     return tuple(picked)
-
-
-def symmetric_inertia(m: Matrix) -> tuple[int, int, int]:
-    """Sylvester inertia (n_pos, n_neg, n_zero) of a symmetric matrix.
-
-    Congruence diagonalization over Q; exact. The off-diagonal repair step
-    (adding row j to row i) preserves congruence class.
-    """
-    n = len(m)
-    a = [list(r) for r in m]
-    pos = neg = zero = 0
-    idx = list(range(n))
-    for k in range(n):
-        if a[k][k] == 0:
-            jd = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if jd is not None:
-                # Swap rows and columns k <-> jd (a congruence).
-                a[k], a[jd] = a[jd], a[k]
-                for r in range(n):
-                    a[r][k], a[r][jd] = a[r][jd], a[r][k]
-            else:
-                jo = next((j for j in range(k + 1, n) if a[j][k] != 0), None)
-                if jo is None:
-                    zero += 1
-                    continue
-                # Trailing diagonal is all zero, so the new pivot is
-                # 2 a[jo][k] != 0 after adding row and column jo.
-                for c in range(n):
-                    a[k][c] += a[jo][c]
-                for r in range(n):
-                    a[r][k] += a[r][jo]
-        p = a[k][k]
-        if p == 0:
-            raise AssertionError("pivot repair failed in symmetric_inertia")
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        inv = _ONE / p
-        for r in range(k + 1, n):
-            if a[r][k] != 0:
-                f = a[r][k] * inv
-                for c in range(n):
-                    a[r][c] -= f * a[k][c]
-        for c in range(k + 1, n):
-            if a[k][c] != 0:
-                f = a[k][c] * inv
-                for r in range(n):
-                    a[r][c] -= f * a[r][k]
-    return pos, neg, zero
 
 
 def _image_rows(m: Matrix, basis: Matrix) -> tuple[list[list[int]], int]:
@@ -687,7 +635,7 @@ def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
     rows, den = Coordinates(basis).map_integer(*_image_rows(m, basis))
     if None in rows:
         return None
-    return transpose(_fraction_rows(rows, den))
+    return transpose(_from_integer(rows, den))
 
 
 def quotient_operator(
@@ -714,4 +662,4 @@ def quotient_operator(
         raise AssertionError("complement construction failed")
     if any(any(c[k:]) for c in rows[:k]):
         return None
-    return transpose(_fraction_rows([c[k:] for c in rows[k:]], den)), comp
+    return transpose(_from_integer([c[k:] for c in rows[k:]], den)), comp

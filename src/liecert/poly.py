@@ -312,16 +312,6 @@ def _index(chain: list[list[int]]) -> int:
     return _variations(minus) - _variations(plus)
 
 
-def _scaled_value(cs: list[int], x: Fraction) -> int:
-    """den^n f(num/den) for x = num/den: the sign of f(x), by Horner."""
-    num, den = x.numerator, x.denominator
-    acc, scale = 0, 1
-    for c in reversed(cs):
-        acc = acc * num + c * scale
-        scale *= den
-    return acc
-
-
 def _cauchy_index(a: list[int], b: list[int]) -> int:
     if not a or not b:
         return 0
@@ -332,19 +322,6 @@ def _cauchy_index(a: list[int], b: list[int]) -> int:
     return _index(_remainder_chain(a, b))
 
 
-def cauchy_index(
-    f: RationalPolynomial, g: RationalPolynomial
-) -> int:
-    """Cauchy index of g/f over the whole real line.
-
-    Counts jumps of g/f from -oo to +oo minus jumps from +oo to -oo at the
-    real poles.  Computed as V(-oo) - V(+oo) over the signed remainder
-    chain started at (f, g).  The index only depends on g mod f, so g is
-    reduced first when its degree is not already smaller.
-    """
-    return _cauchy_index(integer_row(f.coeffs), integer_row(g.coeffs))
-
-
 def _real_root_count(cs: list[int]) -> int:
     """Distinct real roots of cs: the Cauchy index of cs'/cs."""
     return _cauchy_index(cs, _derivative(cs))
@@ -353,51 +330,6 @@ def _real_root_count(cs: list[int]) -> int:
 def count_real_roots_squarefree(f: RationalPolynomial) -> int:
     """Distinct real roots of a squarefree f, whole line."""
     return _real_root_count(integer_row(f.coeffs))
-
-
-def count_real_roots(p: RationalPolynomial) -> int:
-    """Real roots of p counted with multiplicity."""
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    cs = integer_row(p.coeffs)
-    if len(cs) <= 1:
-        return 0
-    return sum(k * _real_root_count(f) for f, k in _yun(cs))
-
-
-def _sturm_chain(cs: list[int]) -> list[list[int]]:
-    """Sturm chain of the squarefree part of cs, degree >= 1."""
-    chain = _remainder_chain(cs, _derivative(cs))
-    g = primitive(chain[-1])
-    if len(g) > 1:
-        cs = _exact_quotient(cs, g)
-        chain = _remainder_chain(cs, _derivative(cs))
-    return chain
-
-
-def _roots_between(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
-    """Distinct roots of the squarefree chain[0] in the open interval (a, b).
-
-    V(x) drops by one across each root, and at a root, where chain[0] is
-    left out, it already takes its value just right of the root.  So
-    V(a) - V(b) counts the roots in (a, b], and a root at b is taken off.
-    """
-    va = _variations([_scaled_value(c, a) for c in chain])
-    vb = _variations([_scaled_value(c, b) for c in chain])
-    return va - vb - (_scaled_value(chain[0], b) == 0)
-
-
-def count_real_roots_in_interval(
-    f: RationalPolynomial, a: Fraction, b: Fraction
-) -> int:
-    """Distinct real roots of squarefree f in the open interval (a, b).
-
-    Endpoints that are themselves roots are not counted.
-    """
-    a, b = frac(a), frac(b)
-    if f.degree <= 0 or a >= b:
-        return 0
-    return _roots_between(_sturm_chain(integer_row(f.coeffs)), a, b)
 
 
 def root_bound(p: RationalPolynomial) -> Fraction:
@@ -434,63 +366,6 @@ def power_of_two_root_bound(p: RationalPolynomial) -> Fraction:
     return Fraction(2) ** (max(exponents) + 1) if exponents else _ZERO
 
 
-def isolate_real_roots(
-    f: RationalPolynomial,
-) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint isolating intervals for the real roots of squarefree f.
-
-    Returns [(a, b)] sorted increasingly; an exact rational root r is
-    returned as the degenerate pair (r, r).  Open intervals (a, b) contain
-    exactly one root each and have nonroot endpoints.
-    """
-    if f.degree <= 0:
-        return []
-    bound = root_bound(f)
-    chain = _sturm_chain(integer_row(f.coeffs))
-    out: list[tuple[Fraction, Fraction]] = []
-
-    def is_root(x: Fraction) -> bool:
-        return _scaled_value(chain[0], x) == 0
-
-    def emit(a: Fraction, b: Fraction) -> None:
-        # Exactly one root lies in the open interval; shrink until both
-        # endpoints are nonroots so downstream sign queries are safe.
-        while is_root(a) or is_root(b):
-            mid = (a + b) / 2
-            if is_root(mid):
-                out.append((mid, mid))
-                return
-            if _roots_between(chain, a, mid) == 1:
-                b = mid
-            else:
-                a = mid
-        out.append((a, b))
-
-    def _refine_open(a: Fraction, b: Fraction, k: int) -> None:
-        # a or b may be an exact root; the counts exclude the endpoints.
-        if k == 0:
-            return
-        mid = (a + b) / 2
-        if is_root(mid):
-            out.append((mid, mid))
-            _refine_open(a, mid, _roots_between(chain, a, mid))
-            _refine_open(mid, b, _roots_between(chain, mid, b))
-            return
-        kl = _roots_between(chain, a, mid)
-        kr = _roots_between(chain, mid, b)
-        if kl == 1:
-            emit(a, mid)
-        elif kl > 1:
-            _refine_open(a, mid, kl)
-        if kr == 1:
-            emit(mid, b)
-        elif kr > 1:
-            _refine_open(mid, b, kr)
-
-    _refine_open(-bound, bound, _index(chain))
-    return sorted(out, key=lambda ab: ab[0])
-
-
 # -- gcd and squarefree decomposition ------------------------------------
 
 
@@ -504,18 +379,6 @@ def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
         return p.monic()
     cs = integer_row(p.coeffs)
     return _monic(_exact_quotient(cs, _gcd(cs, _derivative(cs))))
-
-
-def squarefree_decomposition(
-    p: RationalPolynomial,
-) -> list[tuple[RationalPolynomial, int]]:
-    """Yun's algorithm: p = c * prod f_k^k with the f_k squarefree, coprime.
-
-    Returns [(f_k, k)] for the nonconstant f_k only, each f_k monic.
-    """
-    if p.degree <= 0:
-        return []
-    return [(_monic(f), k) for f, k in _yun(integer_row(p.coeffs))]
 
 
 # -- half-plane counting -------------------------------------------------

@@ -25,10 +25,8 @@ from .linalg import (
     mat_scale,
     mat_sub,
     matmul,
-    nullspace,
     quotient_operator,
     restrict_operator,
-    row_basis,
 )
 from .poly import (
     RationalPolynomial,
@@ -152,24 +150,6 @@ def is_hyperbolic(op: Matrix) -> bool:
     if not op:
         return True
     return operator_sign_counts(op).n_zero_real == 0
-
-
-def is_partially_hyperbolic(op: Matrix) -> bool:
-    """The operator induced on V / Ker(op) is hyperbolic.
-
-    The kernel here is the exact kernel, not the generalized one, so a
-    nilpotent block of size two is not partially hyperbolic.
-    """
-    if not op:
-        return True
-    ker = nullspace(op)
-    if not ker:
-        return is_hyperbolic(op)
-    quo = quotient_operator(op, row_basis(ker))
-    if quo is None:
-        raise AlgebraError("kernel is expected to be invariant")
-    qop, _ = quo
-    return is_hyperbolic(qop) if qop else True
 
 
 def apply_poly(p: RationalPolynomial, op: Matrix) -> Matrix:

@@ -1,6 +1,7 @@
 """Exact linear algebra: determinism, correctness against brute force."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -27,15 +28,12 @@ from liecert.linalg import (
     rref,
     row_basis,
     solve,
-    spaces_equal,
-    sum_spaces,
-    symmetric_inertia,
     trace,
     vec_add,
     vector,
 )
 from liecert.poly import RationalPolynomial
-from liecert.spectral import apply_poly
+from liecert.spectral import apply_poly, operator_sign_counts
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -123,7 +121,7 @@ def test_charpoly_cayley_hamilton():
 def test_span_operations():
     a = (vector([1, 0, 0]), vector([0, 1, 0]))
     b = (vector([0, 1, 0]), vector([0, 0, 1]))
-    s = sum_spaces(a, b)
+    s = row_basis(a + b)
     assert len(row_basis(s)) == 3
     i = intersect_spaces(a, b)
     assert len(i) == 1
@@ -144,15 +142,22 @@ def test_extend_basis_deterministic():
     assert idx == (0, 2)
 
 
+def inertia(m):
+    """(n_pos, n_neg, n_zero) of a symmetric matrix, read off the sign counts
+    of its characteristic polynomial, as `cartan.ellipticity_proxy` does."""
+    c = operator_sign_counts(m)
+    return c.n_pos, c.n_neg, c.n_zero_real
+
+
 def test_symmetric_inertia_diagonal():
     m = sq([[2, 0, 0], [0, -3, 0], [0, 0, 0]])
-    assert symmetric_inertia(m) == (1, 1, 1)
+    assert inertia(m) == (1, 1, 1)
 
 
 def test_symmetric_inertia_zero_diagonal_pivot():
     # hyperbolic plane: eigenvalues +-1
     m = sq([[0, 1], [1, 0]])
-    assert symmetric_inertia(m) == (1, 1, 0)
+    assert inertia(m) == (1, 1, 0)
 
 
 @given(
@@ -196,7 +201,7 @@ def test_spaces_equal_under_row_ops(rows):
     doubled = matrix([[2 * x for x in row] for row in rows])
     nonzero_rows = tuple(r for r in m if any(x != 0 for x in r))
     nonzero_doubled = tuple(r for r in doubled if any(x != 0 for x in r))
-    assert spaces_equal(nonzero_rows, nonzero_doubled)
+    assert row_basis(nonzero_rows) == row_basis(nonzero_doubled)
 
 
 # -- the fraction-free kernel against textbook Gauss-Jordan ------------------------
@@ -340,6 +345,109 @@ def test_echelon_matches_reference(m, probes):
         assert span.contains(v) == reference_in_span(tuple(added), v)
     for row in m:
         assert span.contains(row)
+
+
+@given(rational_matrices(), st.data())
+@example(matrix([[0, 2, 4], [0, 1, 2], [3, 0, 1]]), None)
+@settings(max_examples=150, deadline=None)
+def test_echelon_reduced_is_the_rref_in_any_row_order(m, data):
+    red, piv = reference_rref(m)
+    expected = (red[: len(piv)], piv)
+    orders = [list(m), list(reversed(m))]
+    if data is not None:
+        orders += [data.draw(st.permutations(list(m))) for _ in range(3)]
+    for rows in orders:
+        span = Echelon(rows)
+        ints, pivots = span.reduced()
+        assert all(gcd(*row) == 1 for row in ints)
+        emitted = tuple(tuple(F(a, row[c]) for a in row) for row, c in zip(ints, pivots))
+        assert (emitted, tuple(pivots)) == expected
+        # the span still answers after it has been reduced
+        assert span.rank == len(piv) and all(span.contains(row) for row in m)
+
+
+def reference_inertia(m):
+    """Sylvester inertia (n_pos, n_neg, n_zero) of a symmetric matrix.
+
+    Congruence diagonalization over Q (the former `linalg.symmetric_inertia`).
+    The off-diagonal repair step (adding row j to row i) preserves the
+    congruence class.
+    """
+    n = len(m)
+    a = [list(r) for r in m]
+    pos = neg = zero = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            jd = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if jd is not None:
+                # Swap rows and columns k <-> jd (a congruence).
+                a[k], a[jd] = a[jd], a[k]
+                for r in range(n):
+                    a[r][k], a[r][jd] = a[r][jd], a[r][k]
+            else:
+                jo = next((j for j in range(k + 1, n) if a[j][k] != 0), None)
+                if jo is None:
+                    zero += 1
+                    continue
+                # Trailing diagonal is all zero, so the new pivot is
+                # 2 a[jo][k] != 0 after adding row and column jo.
+                for c in range(n):
+                    a[k][c] += a[jo][c]
+                for r in range(n):
+                    a[r][k] += a[r][jo]
+        p = a[k][k]
+        assert p != 0, "pivot repair failed"
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(k + 1, n):
+            if a[r][k] != 0:
+                f = a[r][k] / p
+                for c in range(n):
+                    a[r][c] -= f * a[k][c]
+        for c in range(k + 1, n):
+            if a[k][c] != 0:
+                f = a[k][c] / p
+                for r in range(n):
+                    a[r][c] -= f * a[r][k]
+    return pos, neg, zero
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=6):
+    """Symmetric rational matrices, some with a zero diagonal, some singular."""
+    n = draw(st.integers(0, max_n))
+    kind = draw(st.sampled_from(["dense", "zero-diagonal", "singular"]))
+    entry = st.one_of(st.just(F(0)), rationals)
+    if kind == "singular" and n:
+        # c^T diag(d) c has rank at most k < n
+        k = draw(st.integers(0, n - 1))
+        c = [[draw(entry) for _ in range(n)] for _ in range(k)]
+        d = [draw(entry) for _ in range(k)]
+        rows = [
+            [sum((d[r] * c[r][i] * c[r][j] for r in range(k)), F(0)) for j in range(n)]
+            for i in range(n)
+        ]
+    else:
+        rows = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(entry)
+        if kind == "zero-diagonal":
+            for i in range(n):
+                rows[i][i] = F(0)
+    return matrix(rows) if n else ()
+
+
+@given(symmetric_matrices())
+@example(sq([[2, 0, 0], [0, -3, 0], [0, 0, 0]]))
+@example(sq([[0, 1], [1, 0]]))
+@example(())
+@example(sq([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+@settings(max_examples=150, deadline=None)
+def test_charpoly_sign_counts_are_the_inertia(m):
+    assert inertia(m) == reference_inertia(m)
 
 
 # -- the integer product kernel against the former Fraction routines ---------------

@@ -18,20 +18,30 @@ from liecert.poly import (
     RationalPolynomial as P,
     RootSignCount,
     _axis_pair,
+    _cauchy_index,
     _hurwitz_index,
+    _monic,
+    _yun,
     axis_gcd,
-    cauchy_index,
-    count_real_roots,
-    count_real_roots_in_interval,
     count_real_roots_squarefree,
-    isolate_real_roots,
     poly_gcd,
     power_of_two_root_bound,
     root_sign_counts,
-    squarefree_decomposition,
     squarefree_part,
     squarefree_sign_counts,
 )
+
+
+def yun_monic(p):
+    """[(f_k, k)] from the integer Yun's algorithm, each f_k monic."""
+    if p.degree <= 0:
+        return []
+    return [(_monic(f), k) for f, k in _yun(integer_row(p.coeffs))]
+
+
+def cauchy(f, g):
+    """Cauchy index of g/f through the integer chain of liecert.poly."""
+    return _cauchy_index(integer_row(f.coeffs), integer_row(g.coeffs))
 
 
 def counts(p):
@@ -99,7 +109,7 @@ def test_axis_parts_signs():
 
 def test_squarefree_decomposition_structure():
     p = P([0, 0, 1]) * P([-1, 1]) * P([-1, 1]) * P([-1, 1])
-    parts = squarefree_decomposition(p)
+    parts = yun_monic(p)
     assert [(tuple(f.coeffs), k) for f, k in parts] == [
         ((F(0), F(1)), 2),
         ((F(-1), F(1)), 3),
@@ -113,34 +123,11 @@ def test_gcd_monic():
     assert g == P([-1, 0, 1])
 
 
-def test_real_root_counts_with_multiplicity():
-    p = P([-1, 1]) * P([-1, 1]) * P([4, 0, 1])
-    assert count_real_roots(p) == 2
-
-
-def test_interval_count_excludes_endpoints():
-    f = P([0, -2, 0, 1])  # roots -sqrt2, 0, sqrt2
-    assert count_real_roots_in_interval(f, F(0), F(2)) == 1
-    assert count_real_roots_in_interval(f, F(-2), F(2)) == 3
-
-
-def test_isolation_separates_and_covers():
-    f = P([0, -2, 0, 1])
-    ivs = isolate_real_roots(f)
-    assert len(ivs) == 3
-    assert ivs[1] == (F(0), F(0))
-    for a, b in ivs:
-        if a == b:
-            assert f(a) == 0
-        else:
-            assert f(a) * f(b) < 0
-
-
 def test_cauchy_index_simple_pole():
     # 1/t jumps -oo -> +oo at 0: index +1
-    assert cauchy_index(P([0, 1]), P([1])) == 1
+    assert cauchy(P([0, 1]), P([1])) == 1
     # -1/t: index -1
-    assert cauchy_index(P([0, 1]), P([-1])) == -1
+    assert cauchy(P([0, 1]), P([-1])) == -1
 
 
 # -- randomized cross-checks --------------------------------------------
@@ -229,7 +216,7 @@ def test_squarefree_part_has_same_distinct_roots(cs):
         return
     sf = squarefree_part(p)
     total = sum(
-        count_real_roots_squarefree(f) for f, _ in squarefree_decomposition(p)
+        count_real_roots_squarefree(f) for f, _ in yun_monic(p)
     )
     assert count_real_roots_squarefree(sf) == total
 
@@ -315,20 +302,6 @@ def ref_cauchy_index(f, g):
 
 def ref_count_real_roots_squarefree(f):
     return ref_cauchy_index(f, f.derivative()) if f.degree > 0 else 0
-
-
-def ref_count_real_roots_in_interval(f, a, b):
-    if f.degree <= 0 or a >= b:
-        return 0
-    for r in (a, b):
-        while f(r) == 0:
-            f = f // P([-r, 1])
-    if f.degree <= 0:
-        return 0
-    chain = ref_sturm_chain(f, f.derivative())
-    return _ref_variations([_ref_sign(p(a)) for p in chain]) - _ref_variations(
-        [_ref_sign(p(b)) for p in chain]
-    )
 
 
 def ref_axis_parts(p):
@@ -496,8 +469,8 @@ shifts = st.one_of(
 @example(P([-1, 1]) * P([2, 1]), P([-1, 1]) * P([F(7, 3)]))  # g mod f is zero
 @settings(max_examples=80, deadline=None)
 def test_cauchy_index_matches_reference(f, g):
-    assert cauchy_index(f, g) == ref_cauchy_index(f, g)
-    assert cauchy_index(f, f.derivative()) == ref_cauchy_index(f, f.derivative())
+    assert cauchy(f, g) == ref_cauchy_index(f, g)
+    assert cauchy(f, f.derivative()) == ref_cauchy_index(f, f.derivative())
 
 
 @given(any_polynomials, any_polynomials, any_polynomials)
@@ -508,8 +481,8 @@ def test_gcd_and_yun_match_reference(p, q, common):
     assert poly_gcd(a, b) == ref_poly_gcd(a, b)
     assert poly_gcd(a, P([])) == ref_poly_gcd(a, P([]))
     assert squarefree_part(a) == ref_squarefree_part(a)
-    assert squarefree_decomposition(a) == ref_squarefree_decomposition(a)
-    assert count_real_roots(a) == sum(
+    assert yun_monic(a) == ref_squarefree_decomposition(a)
+    assert sum(k * count_real_roots_squarefree(f) for f, k in yun_monic(a)) == sum(
         k * ref_count_real_roots_squarefree(f) for f, k in ref_squarefree_decomposition(a)
     )
 
@@ -540,46 +513,6 @@ def test_shift_matches_reference(p, c):
     assert p.shift(c) == ref_shift(p, c)
     f = squarefree_part(p)
     assert squarefree_sign_counts(f, c) == ref_squarefree_sign_counts(ref_shift(f, c))
-
-
-def _real_rational_roots(p):
-    return [-f.coeffs[0] for f, _ in ref_squarefree_decomposition(p) if f.degree == 1]
-
-
-@given(any_polynomials, shifts, shifts, st.data())
-@example(P([0, -2, 0, 1]), F(0), F(2), None)
-@example(P([-1, 1]) * P([1, 1]) * P([-4, 0, 1]), F(-1), F(1), None)
-@settings(max_examples=100, deadline=None)
-def test_interval_counts_match_reference(p, a, b, data):
-    f = squarefree_part(p)
-    if data is not None:
-        roots = _real_rational_roots(f)
-        if roots:  # endpoints on roots
-            a = data.draw(st.sampled_from(roots + [a]))
-            b = data.draw(st.sampled_from(roots + [b]))
-    for lo, hi in ((a, b), (b, a)):
-        assert count_real_roots_in_interval(f, lo, hi) == ref_count_real_roots_in_interval(
-            f, lo, hi
-        )
-    # a repeated root at an endpoint is divided out entirely, as before
-    assert count_real_roots_in_interval(p, a, b) == ref_count_real_roots_in_interval(p, a, b)
-
-
-@given(any_polynomials)
-@example(P([0, -2, 0, 1]))
-@example(P([-1, 1]) * P([F(-1, 2), 1]) * P([-2, 0, 1]))
-@settings(max_examples=60, deadline=None)
-def test_isolation_matches_reference_counts(p):
-    f = squarefree_part(p)
-    ivs = isolate_real_roots(f)
-    assert len(ivs) == ref_count_real_roots_squarefree(f)
-    for a, b in ivs:
-        if a == b:
-            assert f(a) == 0
-        else:
-            assert f(a) != 0 and f(b) != 0
-            assert ref_count_real_roots_in_interval(f, a, b) == 1
-    assert all(b1 <= a2 for (_, b1), (a2, _) in zip(ivs, ivs[1:]))
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from liecert.spectral import (
     factor_with_multiplicity,
     invariant_splitting,
     is_hyperbolic,
-    is_partially_hyperbolic,
     jordan_chevalley,
     operator_sign_counts,
     restrict_and_quotient,
@@ -40,9 +39,6 @@ def test_char_poly_companion():
 def test_hyperbolicity_flags():
     assert is_hyperbolic(matrix([[1, 0], [0, -1]]))
     assert not is_hyperbolic(matrix([[0, -1], [1, 0]]))
-    assert is_partially_hyperbolic(matrix([[0, 0], [0, 1]]))
-    assert not is_partially_hyperbolic(matrix([[0, 1], [0, 0]]))
-    assert is_partially_hyperbolic(matrix([[1, 0], [0, -1]]))
 
 
 def test_jordan_chevalley_jordan_block():
