@@ -242,12 +242,6 @@ class LieAlgebra:
     def basis_vector(self, i: int) -> Vector:
         return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
 
-    def element(self, coeffs: Iterable) -> Vector:
-        v = vector(coeffs)
-        if len(v) != self.dim:
-            raise ValidationError("element length does not match dimension")
-        return v
-
     # -- validation --------------------------------------------------------
 
     def validate(self) -> "ValidationReport":

@@ -489,10 +489,10 @@ def find_anosov_elements(
         for coords in itertools.product(range(-height, height + 1), repeat=d):
             if max((abs(c) for c in coords), default=0) != height:
                 continue
-            try_candidate(combine(coords, basis, n))
-            spent += 1
             if spent >= budget or len(found) >= max_found:
                 return tuple(found)
+            try_candidate(combine(coords, basis, n))
+            spent += 1
     rng = random.Random(seed)
     while spent < budget and len(found) < max_found:
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis]

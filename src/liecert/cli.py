@@ -259,7 +259,8 @@ class _ArgumentParser(argparse.ArgumentParser):
     `--seed` and `--tolerance` default to LIECERT_SEED and
     LIECERT_TOLERANCE as set when the command line is parsed.  A tolerance,
     from either source, must be a finite number >= 0: NaN would switch the
-    numeric residual check off and print a report that is not JSON.
+    numeric residual check off and print a report that is not JSON.  A
+    search budget must be >= 0.
     """
 
     def error(self, message):
@@ -277,6 +278,8 @@ class _ArgumentParser(argparse.ArgumentParser):
                 raise DocumentError(
                     f"{source}: expected a finite number >= 0, got {ns.tolerance!r}"
                 )
+        if "budget" in ns and ns.budget < 0:
+            raise DocumentError(f"--budget: expected an integer >= 0, got {ns.budget}")
         if "seed" in ns and ns.seed is None:
             ns.seed = _from_environment("LIECERT_SEED", "0", int)
         return ns, extras

@@ -74,13 +74,6 @@ def vector(xs: Iterable) -> Vector:
     return tuple(frac(x) for x in xs)
 
 
-def matrix(rows: Iterable[Iterable]) -> Matrix:
-    out = tuple(vector(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged matrix")
-    return out
-
-
 def zero_vector(n: int) -> Vector:
     return (_ZERO,) * n
 
@@ -349,26 +342,6 @@ def inverse(a: Matrix) -> Matrix | None:
     if tuple(piv[:n]) != tuple(range(n)):
         return None
     return tuple(row[n:] for row in red[:n])
-
-
-def det(a: Matrix) -> Fraction:
-    rows = [list(r) for r in a]
-    n = len(rows)
-    d = _ONE
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pr is None:
-            return _ZERO
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            d = -d
-        d *= rows[c][c]
-        inv = _ONE / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return d
 
 
 def charpoly(a: Matrix) -> tuple[Fraction, ...]:

@@ -174,16 +174,6 @@ class RationalPolynomial:
         scale = d * b**self.degree
         return RationalPolynomial([Fraction(x * b**k, scale) for k, x in enumerate(h)])
 
-    def reflect(self) -> "RationalPolynomial":
-        """Return p(-t)."""
-        return RationalPolynomial(
-            [c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)]
-        )
-
-
-def poly(coeffs: Iterable) -> RationalPolynomial:
-    return RationalPolynomial(coeffs)
-
 
 # -- integer kernel: coefficient lists, ascending, no trailing zeros -------
 
@@ -369,11 +359,6 @@ def power_of_two_root_bound(p: RationalPolynomial) -> Fraction:
 # -- gcd and squarefree decomposition ------------------------------------
 
 
-def poly_gcd(a: RationalPolynomial, b: RationalPolynomial) -> RationalPolynomial:
-    """Monic gcd over Q."""
-    return _monic(_gcd(integer_row(a.coeffs), integer_row(b.coeffs)))
-
-
 def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
     if p.degree <= 0:
         return p.monic()
@@ -418,29 +403,13 @@ def _axis_chain(cs: list[int]) -> list[list[int]]:
     """Remainder chain of the real and imaginary parts of f(iy).
 
     It starts at (Im, Re) for odd degree and at (Re, -Im) for even degree,
-    so that its index is n_neg - n_pos (see _hurwitz_index).  Its last
+    so that its index is n_neg - n_pos (see _sign_counts).  Its last
     member is gcd(Re, Im), whose real roots y are the axis roots iy of f.
     """
     re, im = _axis_pair(cs)
     if len(cs) % 2 == 0:
         return _remainder_chain(im, re)
     return _remainder_chain(re, [-c for c in im])
-
-
-def axis_gcd(p: RationalPolynomial) -> RationalPolynomial:
-    """gcd of the real and imaginary parts of p(iy): its real roots are p's axis roots."""
-    return _monic(_axis_chain(integer_row(p.coeffs))[-1])
-
-
-def _hurwitz_index(chain: list[list[int]]) -> int:
-    """n_neg - n_pos for squarefree f, from its axis chain `_axis_chain(f)`.
-
-    Routh-Hurwitz via the Cauchy index of the real/imaginary pair of
-    f(iy); the orientation depends on the degree parity.  Axis roots and
-    pairs lambda, -conj(lambda) are common zeros of the pair and drop out
-    (see the module docstring).
-    """
-    return _index(chain)
 
 
 def _sign_counts(cs: list[int]) -> RootSignCount:
@@ -453,7 +422,11 @@ def _sign_counts(cs: list[int]) -> RootSignCount:
     n0 = _real_root_count(chain[-1])
     if n0 == n:
         return RootSignCount(0, n, 0)
-    d = _hurwitz_index(chain)
+    # Routh-Hurwitz: the Cauchy index of the pair is n_neg - n_pos; the
+    # orientation of the chain depends on the degree parity.  Axis roots and
+    # pairs lambda, -conj(lambda) are common zeros of the pair and drop out
+    # (see the module docstring).
+    d = _index(chain)
     if (n - n0 + d) % 2 != 0:
         raise AssertionError("parity failure in Hurwitz index")
     n_neg = (n - n0 + d) // 2

@@ -1,10 +1,14 @@
 """Spectral analysis of exact rational operators.
 
 Counts of eigenvalues by the sign of their real part are always exact.
-Bases for stable and unstable subspaces are certified numerically: their
-ranks are pinned to the exact counts and an invariance residual is
-reported against a tolerance.  When even that is unattainable the result
-degrades to counts only, and says so.
+Stable and unstable bases are computed in floating point, and only for
+an operator with no eigenvalue on the imaginary axis: `check_anosov`
+certifies that exactly before it asks for a splitting, because the
+neutral space of an Anosov element is exactly flow + isotropy and is
+split off by exact linear algebra.  The bases' ranks are pinned to the
+exact counts and an invariance residual is reported against a
+tolerance; when that is unattainable the result degrades to counts
+only, and says so.
 """
 
 from __future__ import annotations
@@ -12,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError
+from .algebra import AlgebraError, StructureError
 from .linalg import (
     Matrix,
     charpoly,
-    generalized_kernel,
-    identity,
     integer_row,
     inverse,
     mat_poly,
@@ -33,9 +35,7 @@ from .poly import (
     RootSignCount,
     _exact_quotient,
     _monic,
-    axis_gcd,
     count_real_roots_squarefree,
-    poly_gcd,
     power_of_two_root_bound,
     root_bound,
     root_sign_counts,
@@ -157,46 +157,6 @@ def apply_poly(p: RationalPolynomial, op: Matrix) -> Matrix:
     return mat_poly(p.coeffs, op)
 
 
-# -- axis factor ----------------------------------------------------------
-
-
-def axis_factor(p: RationalPolynomial) -> RationalPolynomial | None:
-    """Rational factor of squarefree p carrying exactly its axis roots.
-
-    p(iy) = R(y) + i I(y); the real roots y of g = gcd(R, I) are exactly
-    the axis roots iy of p.  When the squarefree part g0 of g has only
-    real roots, its root set is symmetric, so g0(y) = y^m G(y^2) with m in
-    {0, 1}, and a(t) = t^m G(-t^2) is a rational polynomial whose roots
-    are precisely the axis roots of p.  The factor is then gcd(p, a).
-    Returns None when g0 has nonreal roots: the axis factor is irrational
-    (p = t^4 - 2 is the standard witness) and no rational carrier exists.
-    """
-    if p.degree <= 0:
-        return RationalPolynomial([_ONE])
-    g = axis_gcd(p)
-    if g.degree <= 0:
-        return RationalPolynomial([_ONE])
-    g0 = squarefree_part(g)
-    if count_real_roots_squarefree(g0) != g0.degree:
-        return None
-    cs = g0.coeffs
-    m = 1 if cs[0] == 0 else 0
-    if m == 1:
-        cs = cs[1:]
-    # cs must now be even: c_1 = c_3 = ... = 0
-    if any(c != 0 for i, c in enumerate(cs) if i % 2 == 1):
-        raise AlgebraError("axis polynomial lost its root symmetry")
-    big_g = [cs[i] for i in range(0, len(cs), 2)]
-    # G(-t^2), degree doubles
-    a_coeffs = [_ZERO] * (2 * (len(big_g) - 1) + 1)
-    for i, c in enumerate(big_g):
-        a_coeffs[2 * i] = c * ((-1) ** i)
-    a = RationalPolynomial(a_coeffs)
-    if m == 1:
-        a = a * RationalPolynomial([_ZERO, _ONE])
-    return poly_gcd(p, a)
-
-
 # -- Jordan-Chevalley ------------------------------------------------------
 
 
@@ -208,8 +168,7 @@ class JordanChevalley:
     (commuting, real vs purely imaginary spectrum).  That refinement is
     exact when each irreducible factor of the minimal polynomial has
     either all-real roots or all roots on one vertical line with rational
-    real part; otherwise only float approximations are given and `exact`
-    is False.
+    real part; otherwise `exact` is False and both parts are None.
     """
 
     semisimple: Matrix
@@ -217,8 +176,6 @@ class JordanChevalley:
     exact: bool
     hyperbolic: Matrix | None
     elliptic: Matrix | None
-    hyperbolic_float: tuple
-    elliptic_float: tuple
 
 
 def _newton_semisimple(op: Matrix, f: RationalPolynomial) -> Matrix:
@@ -241,11 +198,9 @@ def _newton_semisimple(op: Matrix, f: RationalPolynomial) -> Matrix:
 
 
 def jordan_chevalley(op: Matrix) -> JordanChevalley:
-    import numpy as np
-
     n = len(op)
     if n == 0:
-        return JordanChevalley((), (), True, (), (), (), ())
+        return JordanChevalley((), (), True, (), ())
     f = squarefree_part(char_poly(op))
     s = _newton_semisimple(op, f)
     nil = mat_sub(op, s)
@@ -254,8 +209,6 @@ def jordan_chevalley(op: Matrix) -> JordanChevalley:
     if not all(all(x == 0 for x in row) for row in mat_pow(nil, n)):
         raise AlgebraError("nilpotent part is not nilpotent")
     # refinement into hyperbolic + elliptic
-    exact = True
-    hyper: Matrix | None = None
     parts = []
     for phi, _ in factor_with_multiplicity(f):
         d = phi.degree
@@ -265,38 +218,18 @@ def jordan_chevalley(op: Matrix) -> JordanChevalley:
         elif squarefree_sign_counts(phi, mean).n_zero_real == d:
             parts.append(("line", phi, mean))
         else:
-            exact = False
-            break
-    if exact:
-        acc = tuple(tuple(_ZERO for _ in range(n)) for _ in range(n))
-        for kind, phi, mean in parts:
-            proj = _crt_projector(f, phi, s)
-            if kind == "real":
-                block = matmul(s, proj)
-            else:
-                block = mat_scale(mean, proj)
-            acc = tuple(
-                tuple(acc[i][j] + block[i][j] for j in range(n)) for i in range(n)
-            )
-        hyper = acc
-        ell = mat_sub(s, hyper)
-        hf = tuple(tuple(float(x) for x in row) for row in hyper)
-        ef = tuple(tuple(float(x) for x in row) for row in ell)
-        return JordanChevalley(s, nil, True, hyper, ell, hf, ef)
-    sf = np.array([[float(x) for x in row] for row in s])
-    vals, vecs = np.linalg.eig(sf)
-    hyp_f = vecs @ np.diag(vals.real) @ np.linalg.inv(vecs)
-    hyp_f = hyp_f.real
-    ell_f = sf - hyp_f
-    return JordanChevalley(
-        s,
-        nil,
-        False,
-        None,
-        None,
-        tuple(tuple(float(x) for x in row) for row in hyp_f),
-        tuple(tuple(float(x) for x in row) for row in ell_f),
-    )
+            return JordanChevalley(s, nil, False, None, None)
+    hyper = tuple(tuple(_ZERO for _ in range(n)) for _ in range(n))
+    for kind, phi, mean in parts:
+        proj = _crt_projector(f, phi, s)
+        if kind == "real":
+            block = matmul(s, proj)
+        else:
+            block = mat_scale(mean, proj)
+        hyper = tuple(
+            tuple(hyper[i][j] + block[i][j] for j in range(n)) for i in range(n)
+        )
+    return JordanChevalley(s, nil, True, hyper, mat_sub(s, hyper))
 
 
 def _crt_projector(f: RationalPolynomial, phi: RationalPolynomial, s: Matrix) -> Matrix:
@@ -380,35 +313,20 @@ def spectral_gap(p: RationalPolynomial, bits: int = 30) -> tuple[Fraction | None
 
 @dataclass(frozen=True)
 class InvariantSplitting:
-    """Stable / neutral / unstable data for one operator.
+    """Stable / unstable data for one operator with no imaginary-axis eigenvalue.
 
-    counts are always exact.  neutral_basis is exact (rational rows) when
-    the axis factor of the characteristic polynomial is rational; the
-    stable and unstable bases are floating point with rank pinned to the
-    exact counts and `residual` the verified invariance defect.  When a
-    basis could not be certified at the tolerance the corresponding field
-    is None and `degraded` explains why.
+    counts are always exact.  The stable and unstable bases are floating
+    point rows with rank pinned to the exact counts and `residual` the
+    verified invariance defect.  When the bases could not be certified at
+    the tolerance both are None and `degraded` explains why.
     """
 
     counts: RootSignCount
-    neutral_basis: Matrix | None
     stable_basis: tuple | None
     unstable_basis: tuple | None
     residual: float | None
     tolerance: float
     degraded: str | None
-
-    @property
-    def stable_dim(self) -> int:
-        return self.counts.n_neg
-
-    @property
-    def neutral_dim(self) -> int:
-        return self.counts.n_zero_real
-
-    @property
-    def unstable_dim(self) -> int:
-        return self.counts.n_pos
 
 
 def _sign_newton(a, tol=1e-13, iters=80):
@@ -435,127 +353,45 @@ def _basis_from_projector(p, dim: int):
 
 
 def invariant_splitting(op: Matrix, tolerance: float = 1e-9) -> InvariantSplitting:
+    """Stable and unstable bases of op, which must be free of axis eigenvalues.
+
+    The sign function of op, by scaled Newton iteration, gives the two
+    spectral projectors; their leading singular vectors, as many as the
+    exact counts, are the bases.  Raises StructureError when op has an
+    eigenvalue on the imaginary axis.
+    """
     import numpy as np
 
     n = len(op)
-    cp = char_poly(op)
-    counts = root_sign_counts(cp) if n else RootSignCount(0, 0, 0)
     if n == 0:
-        return InvariantSplitting(counts, (), (), (), 0.0, tolerance, None)
-    f = squarefree_part(cp)
-    ax = axis_factor(f)
-    neutral_rows: Matrix | None = None
-    off_rows: Matrix | None = None
-    if ax is not None:
-        if ax.degree == 0:
-            neutral_rows = ()
-            off_rows = tuple(identity(n))
-        else:
-            neutral_rows = generalized_kernel(apply_poly(ax, op))
-            off_rows = generalized_kernel(apply_poly(f // ax, op))
-            if len(neutral_rows) != counts.n_zero_real:
-                raise AlgebraError("axis kernel has wrong dimension")
-            if len(off_rows) != counts.n_neg + counts.n_pos:
-                raise AlgebraError("off-axis kernel has wrong dimension")
-    if counts.n_neg + counts.n_pos == 0:
-        return InvariantSplitting(
-            counts, neutral_rows, (), (), 0.0, tolerance, None
-        )
-    # numeric stable/unstable bases
-    if off_rows is not None:
-        restricted = restrict_operator(op, off_rows)
-        if restricted is None:
-            raise AlgebraError("off-axis subspace is expected to be invariant")
-        a = np.array([[float(x) for x in row] for row in restricted])
-        carrier = np.array([[float(x) for x in row] for row in off_rows])
-    elif counts.n_zero_real == 0:
-        a = np.array([[float(x) for x in row] for row in op])
-        carrier = np.eye(n)
-    else:
-        # no rational axis carrier: fall back to eigenvector clustering
-        return _splitting_by_eig(op, counts, tolerance)
-    s = _sign_newton(a)
-    eye = np.eye(a.shape[0])
-    p_stable = 0.5 * (eye - s)
-    p_unstable = 0.5 * (eye + s)
-    sb = _basis_from_projector(p_stable, counts.n_neg)
-    ub = _basis_from_projector(p_unstable, counts.n_pos)
-    # back to ambient coordinates (rows of carrier span the invariant subspace)
-    sb_amb = (carrier.T @ sb).T if sb.size else np.zeros((0, n))
-    ub_amb = (carrier.T @ ub).T if ub.size else np.zeros((0, n))
+        return InvariantSplitting(RootSignCount(0, 0, 0), (), (), 0.0, tolerance, None)
+    counts = root_sign_counts(char_poly(op))
+    if counts.n_zero_real:
+        raise StructureError("operator has eigenvalues on the imaginary axis")
     opf = np.array([[float(x) for x in row] for row in op])
+    s = _sign_newton(opf)
+    eye = np.eye(n)
+    bases = (
+        _basis_from_projector(0.5 * (eye - s), counts.n_neg),
+        _basis_from_projector(0.5 * (eye + s), counts.n_pos),
+    )
     residual = 0.0
-    for rows in (sb_amb, ub_amb):
-        if rows.shape[0] == 0:
-            continue
-        v = rows.T  # columns span the subspace
-        av = opf @ v
-        proj, *_ = np.linalg.lstsq(v, av, rcond=None)
-        residual = max(residual, float(np.linalg.norm(av - v @ proj)))
+    for v in bases:  # columns span the subspace
+        if v.shape[1]:
+            av = opf @ v
+            proj, *_ = np.linalg.lstsq(v, av, rcond=None)
+            residual = max(residual, float(np.linalg.norm(av - v @ proj)))
     if residual > tolerance:
         return InvariantSplitting(
             counts,
-            neutral_rows,
             None,
             None,
             residual,
             tolerance,
             f"invariance residual {residual:.3e} exceeds tolerance",
         )
-    return InvariantSplitting(
-        counts,
-        neutral_rows,
-        tuple(tuple(float(x) for x in row) for row in sb_amb),
-        tuple(tuple(float(x) for x in row) for row in ub_amb),
-        residual,
-        tolerance,
-        None,
-    )
-
-
-def _splitting_by_eig(op: Matrix, counts: RootSignCount, tolerance: float):
-    import numpy as np
-
-    n = len(op)
-    a = np.array([[float(x) for x in row] for row in op])
-    vals, vecs = np.linalg.eig(a)
-    order = np.argsort(vals.real)
-    stable_cols = []
-    unstable_cols = []
-    for idx in order[: counts.n_neg]:
-        stable_cols.append(vecs[:, idx])
-    for idx in order[n - counts.n_pos:]:
-        unstable_cols.append(vecs[:, idx])
-
-    def realify(cols, dim):
-        if not dim:
-            return np.zeros((0, n)), 0.0
-        m = np.array(cols).T
-        stacked = np.hstack([m.real, m.imag])
-        u, sv, _ = np.linalg.svd(stacked)
-        basis = u[:, :dim]
-        av = a @ basis
-        proj, *_ = np.linalg.lstsq(basis, av, rcond=None)
-        res = float(np.linalg.norm(av - basis @ proj))
-        return basis.T, res
-
-    sb, r1 = realify(stable_cols, counts.n_neg)
-    ub, r2 = realify(unstable_cols, counts.n_pos)
-    residual = max(r1, r2)
-    if residual > tolerance:
-        return InvariantSplitting(
-            counts, None, None, None, residual, tolerance,
-            "no rational axis carrier and eigenvector bases failed the residual check",
-        )
-    return InvariantSplitting(
-        counts,
-        None,
-        tuple(tuple(float(x) for x in row) for row in sb),
-        tuple(tuple(float(x) for x in row) for row in ub),
-        residual,
-        tolerance,
-        "neutral basis unavailable: axis factor is irrational",
-    )
+    stable, unstable = (tuple(tuple(map(float, col)) for col in v.T) for v in bases)
+    return InvariantSplitting(counts, stable, unstable, residual, tolerance, None)
 
 
 # -- restriction and quotient ------------------------------------------------
@@ -575,8 +411,6 @@ def restrict_and_quotient(op: Matrix, basis: Matrix) -> RestrictionQuotient:
 
     Raises StructureError when the span is not invariant.
     """
-    from .algebra import StructureError
-
     restricted = restrict_operator(op, basis)
     if restricted is None:
         raise StructureError("subspace is not invariant under the operator")

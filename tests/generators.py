@@ -17,10 +17,17 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from liecert.algebra import LieAlgebra, lie_algebra_from_matrices
-from liecert.linalg import in_span, mat_sub, matmul
+from liecert.linalg import in_span, mat_sub, matmul, vector
 from liecert.poly import RationalPolynomial
 
 F = Fraction
+
+
+def matrix(rows) -> tuple:
+    """An exact matrix from rows of ints, Fractions or strings like '3/4'."""
+    out = tuple(vector(r) for r in rows)
+    assert all(len(r) == len(out[0]) for r in out), "ragged matrix"
+    return out
 
 
 def random_solvable(rng: random.Random, min_dim: int = 2, max_dim: int = 6) -> LieAlgebra:

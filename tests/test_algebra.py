@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from generators import matrix
 from liecert.algebra import (
     AlgebraError,
     LieAlgebra,
@@ -32,7 +33,7 @@ from liecert.algebra import (
     _unital_envelope,
 )
 from liecert.builders import build_example, catalog_names
-from liecert.linalg import det, identity, mat_sub, matmul, matrix, rank, vector
+from liecert.linalg import identity, mat_sub, matmul, rank, vector
 from test_linalg import reference_rref
 
 
@@ -188,7 +189,7 @@ def test_series_sl2():
 
 def test_killing_form_sl2_nondegenerate():
     k = killing_form(sl2())
-    assert det(k) != 0
+    assert rank(k) == 3
     # standard values: K(h,h) = 8, K(e,f) = 4
     assert k[0][0] == 8 and k[1][2] == 4
 
@@ -288,7 +289,7 @@ def test_quotient_heisenberg_by_center():
         for i in range(2)
         for j in range(2)
     )
-    v = g.element([2, 3, 5])
+    v = vector([2, 3, 5])
     assert q.push(q.lift(q.push(v))) == q.push(v)
 
 
@@ -354,7 +355,7 @@ def test_levi_with_nonabelian_radical():
     assert rad.dim == 3 and levi.dim == 3
     assert levi.is_subalgebra()
     sub, _ = as_subalgebra(levi).as_algebra()
-    assert det(killing_form(sub)) != 0
+    assert rank(killing_form(sub)) == sub.dim
 
 
 def test_random_solvable_algebras_have_full_radical():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import liecert.anosov
 from liecert.algebra import (
     LieAlgebra,
     StructureError,
@@ -193,7 +194,7 @@ def test_irrational_split_uses_numeric_bases():
     assert isinstance(res, AnosovCertificate)
     assert res.stable_exact is None and res.unstable_exact is None
     assert len(res.carrier) == 2  # the carrier stays rational
-    assert res.splitting.stable_dim == 1 and res.splitting.unstable_dim == 1
+    assert (res.splitting.counts.n_neg, res.splitting.counts.n_pos) == (1, 1)
     assert not res.gap_exact and 0 < res.gap < 2
     assert res.invariance.ok
     assert res.invariance.numeric_residual < 1e-9
@@ -298,6 +299,19 @@ def test_search_deterministic():
     a = find_anosov_elements(spec, budget=25, seed=7)
     b = find_anosov_elements(spec, budget=25, seed=7)
     assert [v for v, _ in a] == [v for v, _ in b]
+
+
+@pytest.mark.parametrize("budget", [-5, 0, 1, 3])
+def test_search_tries_at_most_budget_candidates(monkeypatch, budget):
+    spec = build_heisenberg_starkov()  # no root system: the grid search runs
+    tried = []
+    real = liecert.anosov.check_anosov
+    monkeypatch.setattr(
+        liecert.anosov, "check_anosov", lambda *a, **k: tried.append(a[1]) or real(*a, **k)
+    )
+    found = find_anosov_elements(spec, budget=budget)
+    assert len(tried) == max(budget, 0)
+    assert len(found) <= len(tried)
 
 
 # -- codimension and derived ideal ----------------------------------------------

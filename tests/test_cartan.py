@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from generators import matrix
 from liecert.algebra import (
     AlgebraError,
     LieAlgebra,
@@ -36,8 +37,8 @@ from liecert.cartan import (
     split_hyperbolic_csa,
     weyl_chambers,
 )
-from liecert.linalg import dot, frac, integer_row, matrix
-from liecert.poly import poly
+from liecert.linalg import dot, frac, integer_row
+from liecert.poly import RationalPolynomial
 
 F = Fraction
 
@@ -528,7 +529,7 @@ def test_restricted_roots_irrational_block():
     assert len(blocks) == 1
     b = blocks[0]
     assert b.multiplicity == 2
-    assert b.value_minpolys[0] == poly([-8, 0, 1])
+    assert b.value_minpolys[0] == RationalPolynomial([-8, 0, 1])
     zero = [r for r in rs.roots if r.exact]
     assert len(zero) == 1 and zero[0].is_zero and zero[0].multiplicity == 1
 

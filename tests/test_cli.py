@@ -204,6 +204,14 @@ def test_tolerance_must_be_finite_and_nonnegative(monkeypatch, capsys, value, so
     assert err.startswith(f"input error: {source}: expected a finite number >= 0")
 
 
+@pytest.mark.parametrize("command", ["anosov", "classify"])
+def test_negative_budget_is_input_error(monkeypatch, capsys, command):
+    code, out, err = run([command, "--budget", "-5"], SL2_DOC, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: --budget: expected an integer >= 0")
+
+
 @pytest.mark.parametrize(
     "name, value",
     [("LIECERT_TOLERANCE", "abc"), ("LIECERT_TOLERANCE", ""), ("LIECERT_SEED", "1.5"), ("LIECERT_SEED", "x")],

@@ -1,17 +1,21 @@
 """Every top-level name of the package is used by a program path.
 
 Each module in src/liecert is parsed with ast.  A top-level function,
-class or constant passes when its name occurs as a word in src/ or
-perfbench/ outside its own definition and the package's re-export.  The
-public names that liecert/__init__.py re-exports may be used by the
-tests alone; any other name that only the tests use is dead code: delete
-it, and move what a test still needs of it into the tests.
+class or constant passes when src/ or perfbench/ uses it outside its own
+definition.  A use is an `ast.Name` or the attribute of an
+`ast.Attribute` with that name that is read, so a word in a comment, a
+docstring or a string does not count, and neither does an import or an
+assignment.  The (module, name) pairs of perfbench/tracing.py's PROFILED
+table count as uses too: the benchmark profiles those functions by name,
+so each of them must exist.  The public names that
+liecert/__init__.py re-exports may be used by the tests alone; any other
+name that only the tests use is dead code: delete it, and move what a
+test still needs of it into the tests.
 """
 
 import ast
 import collections
 import pathlib
-import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "liecert"
@@ -41,27 +45,45 @@ def _exported() -> set[str]:
     }
 
 
-def _word_index(tops) -> dict[str, list[tuple[pathlib.Path, int]]]:
-    """word -> every (file, line number) it occurs at, package re-export left out."""
+def _profiled() -> set[tuple[str, str]]:
+    """The (module, function) pairs of the PROFILED table in perfbench/tracing.py."""
+    for node in ast.parse((ROOT / "perfbench" / "tracing.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "PROFILED" for t in node.targets
+        ):
+            return {tuple(ast.literal_eval(v)) for v in node.value.values}
+    raise AssertionError("perfbench/tracing.py defines no PROFILED table")
+
+
+def _use_index(tops) -> dict[str, list[tuple[pathlib.Path, int]]]:
+    """name -> every (file, line number) where a Name or an Attribute uses it."""
     index = collections.defaultdict(list)
     for top in tops:
         for path in top.rglob("*.py"):
-            if path == PACKAGE / "__init__.py":
-                continue
-            for lineno, line in enumerate(path.read_text().splitlines(), 1):
-                for word in set(re.findall(r"\w+", line)):
-                    index[word].append((path, lineno))
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    index[node.id].append((path, node.lineno))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    index[node.attr].append((path, node.lineno))
     return index
 
 
+def test_profiled_functions_exist():
+    defined = {(p.stem, name) for p in PACKAGE.glob("*.py") for name, _ in _definitions(p)}
+    profiled = _profiled()
+    assert ("linalg", "in_span") in profiled
+    assert profiled <= defined
+
+
 def test_every_top_level_name_is_used():
-    program = _word_index(PROGRAM)
-    everywhere = _word_index(PROGRAM + (TESTS,))
+    program = _use_index(PROGRAM)
+    everywhere = _use_index(PROGRAM + (TESTS,))
     exported = _exported()
+    profiled = _profiled()
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, node in _definitions(path):
-            if name.startswith("__"):
+            if name.startswith("__") or (path.stem, name) in profiled:
                 continue
             index = everywhere if name in exported else program
             uses = [

@@ -17,14 +17,13 @@ from liecert.linalg import integer_row
 from liecert.poly import (
     RationalPolynomial as P,
     RootSignCount,
+    _axis_chain,
     _axis_pair,
     _cauchy_index,
-    _hurwitz_index,
+    _gcd,
     _monic,
     _yun,
-    axis_gcd,
     count_real_roots_squarefree,
-    poly_gcd,
     power_of_two_root_bound,
     root_sign_counts,
     squarefree_part,
@@ -42,6 +41,28 @@ def yun_monic(p):
 def cauchy(f, g):
     """Cauchy index of g/f through the integer chain of liecert.poly."""
     return _cauchy_index(integer_row(f.coeffs), integer_row(g.coeffs))
+
+
+def monic_gcd(a, b):
+    """Monic gcd over Q through the integer chain of liecert.poly."""
+    return _monic(_gcd(integer_row(a.coeffs), integer_row(b.coeffs)))
+
+
+def axis_gcd(p):
+    """gcd of the real and imaginary parts of p(iy): the last member of its axis chain."""
+    return _monic(_axis_chain(integer_row(p.coeffs))[-1])
+
+
+def skew_axis_index(monkeypatch):
+    """Make the Cauchy index of every axis chain one too large."""
+    axis_chains = []
+    axis_chain, index = liecert.poly._axis_chain, liecert.poly._index
+    monkeypatch.setattr(
+        liecert.poly, "_axis_chain", lambda cs: axis_chains.append(axis_chain(cs)) or axis_chains[-1]
+    )
+    monkeypatch.setattr(
+        liecert.poly, "_index", lambda chain: index(chain) + any(chain is c for c in axis_chains)
+    )
 
 
 def counts(p):
@@ -119,7 +140,7 @@ def test_squarefree_decomposition_structure():
 def test_gcd_monic():
     a = P([-1, 0, 1]) * P([2, 1]) * 3
     b = P([-1, 0, 1]) * P([5, 1]) * 7
-    g = poly_gcd(a, b)
+    g = monic_gcd(a, b)
     assert g == P([-1, 0, 1])
 
 
@@ -204,7 +225,8 @@ def test_reflection_swaps_halves(cs):
     if p.degree < 1:
         return
     r = root_sign_counts(p)
-    q = root_sign_counts(p.reflect())
+    reflected = P([c if i % 2 == 0 else -c for i, c in enumerate(p.coeffs)])  # p(-t)
+    q = root_sign_counts(reflected)
     assert (r.n_neg, r.n_zero_real, r.n_pos) == (q.n_pos, q.n_zero_real, q.n_neg)
 
 
@@ -411,7 +433,7 @@ def test_sign_counts_match_delta_loop(p):
     ids=["no-axis-roots", "axis-roots", "irrational-axis-roots"],
 )
 def test_parity_failure_is_raised(monkeypatch, f):
-    monkeypatch.setattr(liecert.poly, "_hurwitz_index", lambda g: _hurwitz_index(g) + 1)
+    skew_axis_index(monkeypatch)
     with pytest.raises(AssertionError, match="parity"):
         squarefree_sign_counts(f)
 
@@ -478,8 +500,8 @@ def test_cauchy_index_matches_reference(f, g):
 @settings(max_examples=80, deadline=None)
 def test_gcd_and_yun_match_reference(p, q, common):
     a, b = p * common, q * common
-    assert poly_gcd(a, b) == ref_poly_gcd(a, b)
-    assert poly_gcd(a, P([])) == ref_poly_gcd(a, P([]))
+    assert monic_gcd(a, b) == ref_poly_gcd(a, b)
+    assert monic_gcd(a, P([])) == ref_poly_gcd(a, P([]))
     assert squarefree_part(a) == ref_squarefree_part(a)
     assert yun_monic(a) == ref_squarefree_decomposition(a)
     assert sum(k * count_real_roots_squarefree(f) for f, k in yun_monic(a)) == sum(
@@ -540,6 +562,6 @@ def test_one_axis_chain_per_count(monkeypatch, f):
 
 
 def test_parity_failure_is_raised_on_shifted_counts(monkeypatch):
-    monkeypatch.setattr(liecert.poly, "_hurwitz_index", lambda g: _hurwitz_index(g) + 1)
+    skew_axis_index(monkeypatch)
     with pytest.raises(AssertionError, match="parity"):
         squarefree_sign_counts(P([-1, 0, 1]) * P([5, -2, 1]), F(1, 3))

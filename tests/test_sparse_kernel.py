@@ -14,7 +14,7 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from generators import random_solvable
+from generators import matrix, random_solvable
 from liecert.algebra import (
     LieAlgebra,
     StructureError,
@@ -43,7 +43,6 @@ from liecert.linalg import (
     integer_row,
     invariant_under,
     matmul,
-    matrix,
     matvec,
     nullspace,
     quotient_operator,

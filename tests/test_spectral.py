@@ -6,17 +6,16 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import liecert.spectral
-from generators import root_polynomials
+from generators import matrix, root_polynomials
 from liecert.algebra import StructureError, lie_algebra_from_matrices
 from liecert.anosov import ActionSpec, check_anosov
 from liecert.cartan import cartan_subspace, restricted_roots
-from liecert.linalg import identity, mat_sub, matmul, matrix, vector
-from liecert.poly import RationalPolynomial as P, root_bound, root_sign_counts
+from liecert.linalg import identity, mat_sub, matmul, vector
+from liecert.poly import RationalPolynomial as P, RootSignCount, root_bound, root_sign_counts
 from liecert.spectral import (
-    axis_factor,
     char_poly,
     factor_with_multiplicity,
     invariant_splitting,
@@ -73,17 +72,10 @@ def test_jordan_chevalley_honest_inexact():
     # companion of t^4 - 2: real parts 0, +-2^(1/4); no rational refinement
     m = matrix([[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     jc = jordan_chevalley(m)
+    assert jc.semisimple == m
     assert jc.nilpotent == tuple(tuple(F(0) for _ in range(4)) for _ in range(4))
     assert not jc.exact
-    assert jc.hyperbolic is None
-    hf = np.array(jc.hyperbolic_float)
-    ef = np.array(jc.elliptic_float)
-    sf = np.array([[float(x) for x in row] for row in jc.semisimple])
-    assert np.allclose(hf + ef, sf, atol=1e-8)
-    # float parts commute and have the right spectra
-    assert np.allclose(hf @ ef, ef @ hf, atol=1e-8)
-    assert np.allclose(sorted(np.linalg.eigvals(hf).real),
-                       sorted([-2**0.25, 0.0, 0.0, 2**0.25]), atol=1e-8)
+    assert jc.hyperbolic is jc.elliptic is None
 
 
 def test_jordan_chevalley_mixed_block():
@@ -104,47 +96,29 @@ def test_jordan_chevalley_mixed_block():
     ])
 
 
-def test_axis_factor_simple():
-    # (t^2 + 1)(t - 2): axis factor t^2 + 1
-    p = P([1, 0, 1]) * P([-2, 1])
-    assert axis_factor(p) == P([1, 0, 1])
-
-
-def test_axis_factor_with_zero():
-    p = P([0, 1]) * P([4, 0, 1]) * P([-1, 1])
-    assert axis_factor(p) == P([0, 1]) * P([4, 0, 1])
-
-
-def test_axis_factor_irrational_returns_none():
-    assert axis_factor(P([-2, 0, 0, 0, 1])) is None
-
-
 def test_invariant_splitting_diagonal():
-    m = matrix([[-1, 0, 0], [0, 0, 0], [0, 0, 2]])
-    s = invariant_splitting(m)
-    assert (s.stable_dim, s.neutral_dim, s.unstable_dim) == (1, 1, 1)
-    assert s.neutral_basis == (vector([0, 1, 0]),)
+    with pytest.raises(StructureError, match="imaginary axis"):
+        invariant_splitting(matrix([[-1, 0, 0], [0, 0, 0], [0, 0, 2]]))
+    s = invariant_splitting(matrix([[-1, 0], [0, 2]]))
+    assert s.counts == RootSignCount(1, 0, 1)
     assert s.degraded is None
     assert s.residual <= 1e-9
     sb = np.array(s.stable_basis)
-    assert np.allclose(np.abs(sb), [[1, 0, 0]], atol=1e-8)
+    assert np.allclose(np.abs(sb), [[1, 0]], atol=1e-8)
     ub = np.array(s.unstable_basis)
-    assert np.allclose(np.abs(ub), [[0, 0, 1]], atol=1e-8)
+    assert np.allclose(np.abs(ub), [[0, 1]], atol=1e-8)
 
 
 def test_invariant_splitting_nilpotent_block():
-    m = matrix([[0, 1], [0, 0]])
-    s = invariant_splitting(m)
-    assert (s.stable_dim, s.neutral_dim, s.unstable_dim) == (0, 2, 0)
-    assert len(s.neutral_basis) == 2
-    assert s.stable_basis == () and s.unstable_basis == ()
+    with pytest.raises(StructureError, match="imaginary axis"):
+        invariant_splitting(matrix([[0, 1], [0, 0]]))
 
 
 def test_invariant_splitting_defective_stable():
     # stable Jordan block plus an unstable direction
     m = matrix([[-1, 1, 0], [0, -1, 0], [0, 0, 3]])
     s = invariant_splitting(m)
-    assert (s.stable_dim, s.neutral_dim, s.unstable_dim) == (2, 0, 1)
+    assert s.counts == RootSignCount(2, 0, 1)
     assert s.degraded is None
     sb = np.array(s.stable_basis)
     # stable subspace is the x-y plane
@@ -153,13 +127,35 @@ def test_invariant_splitting_defective_stable():
 
 
 def test_invariant_splitting_irrational_axis():
-    # companion of t^4 - 2: neutral basis is irrational, counts still exact
+    # companion of t^4 - 2: two of its roots, +-i 2^(1/4), are on the axis
     m = matrix([[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    with pytest.raises(StructureError, match="imaginary axis"):
+        invariant_splitting(m)
+
+
+@st.composite
+def axis_free_matrices(draw):
+    """Square integer matrices with no eigenvalue on the imaginary axis."""
+    n = draw(st.integers(1, 5))
+    m = matrix([[draw(st.integers(-4, 4)) for _ in range(n)] for _ in range(n)])
+    assume(operator_sign_counts(m).n_zero_real == 0)
+    return m
+
+
+@given(axis_free_matrices())
+@example(matrix([[1, -1], [1, 1]]))  # 1 +- i: one complex pair, both unstable
+@example(matrix([[2, 1, 0], [0, 2, 1], [0, 0, 2]]))  # a single unstable Jordan block
+@settings(max_examples=150, deadline=None)
+def test_invariant_splitting_ranks_match_exact_counts(m):
     s = invariant_splitting(m)
-    assert (s.stable_dim, s.neutral_dim, s.unstable_dim) == (1, 2, 1)
-    assert s.neutral_basis is None
-    assert s.degraded is not None
-    assert s.stable_basis is not None and len(s.stable_basis) == 1
+    assert s.degraded is None and s.residual <= s.tolerance
+    n = len(m)
+    for rows, dim in ((s.stable_basis, s.counts.n_neg), (s.unstable_basis, s.counts.n_pos)):
+        assert len(rows) == dim
+        assert dim == 0 or np.linalg.matrix_rank(np.array(rows), tol=1e-8) == dim
+    # the two spans are complementary
+    both = np.array(s.stable_basis + s.unstable_basis)
+    assert np.linalg.matrix_rank(both, tol=1e-8) == n
 
 
 def test_spectral_gap_exact_dyadic():
