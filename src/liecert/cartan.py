@@ -15,6 +15,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .algebra import (
@@ -47,6 +49,7 @@ from .linalg import (
     matmul,
     matvec,
     nullspace,
+    primitive,
     restrict_operator,
     row_basis,
     solve,
@@ -636,84 +639,139 @@ class ChamberSet:
         return len(self.chambers)
 
 
+def _fm_extend(
+    levels: tuple[tuple[tuple[int, ...], ...], ...], row: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
+    """The `_fm_levels` of a feasible system with the row . x > 0 added.
+
+    levels[d] is the system in k - d variables; eliminating its last
+    variable gives levels[d + 1].  Only the rows the new row creates are
+    added.  At each level, the rows not yet in it eliminate its last
+    variable: a row whose coefficient there is 0 is truncated, any other
+    is combined (made primitive) with every row of the level of the
+    opposite sign, the other new rows included.  So each level holds the
+    same set of rows as eliminating the whole system again.  Returns None
+    when the system becomes empty, that is when a zero row appears; after
+    the last elimination every row is the empty, zero row.
+    """
+    k = len(levels)
+    out = []
+    new = [row]
+    for d, level in enumerate(levels):
+        seen = set(level)
+        fresh = []
+        for r in new:
+            if r not in seen:
+                if not any(r):
+                    return None
+                seen.add(r)
+                fresh.append(r)
+        if not fresh:
+            return (*out, *levels[d:])
+        out.append(level + tuple(fresh))
+        j = k - 1 - d
+        new = []
+        lows = ups = None
+        for r in fresh:
+            c = r[j]
+            if c == 0:
+                new.append(r[:j])
+                continue
+            if lows is None:
+                lows = [o for o in level if o[j] > 0]
+                ups = [o for o in level if o[j] < 0]
+            if c > 0:
+                new.extend(_fm_combine(r, up, j) for up in ups)
+                lows.append(r)
+            else:
+                new.extend(_fm_combine(lo, r, j) for lo in lows)
+                ups.append(r)
+    return None if new else tuple(out)
+
+
+def _fm_combine(lo: tuple[int, ...], up: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Primitive combination of lo (lo[j] > 0) and up (up[j] < 0) free of x_j."""
+    a, b = lo[j], up[j]
+    return tuple(primitive([a * up[i] - b * lo[i] for i in range(j)]))
+
+
 def _fm_levels(
     rows: Sequence[tuple[int, ...]], k: int
-) -> list[tuple[tuple[int, ...], ...]] | None:
+) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
     """Fourier-Motzkin elimination of {x in Q^k : r . x > 0 for all rows}.
 
     rows are primitive integer rows.  Returns the systems in k, k-1, ...,
     1 variables, each combination made primitive and duplicates dropped,
-    or None when the set is empty (exact).  Positive scaling and
-    repetition change neither the set nor the sample bounds.
+    or None when the set is empty (exact).  This is `_fm_extend` folded
+    over rows from k empty levels, so level 0 keeps the rows in their
+    order.  Positive scaling and repetition change neither the set nor
+    the sample bounds.
     """
-    levels = []
-    current = tuple(dict.fromkeys(rows))
-    for j in range(k - 1, -1, -1):
-        if any(not any(r) for r in current):
+    levels: tuple | None = ((),) * k
+    for r in rows:
+        levels = _fm_extend(levels, tuple(r))
+        if levels is None:
             return None
-        levels.append(current)
-        lows, ups, reduced = [], [], []
-        for r in current:
-            c = r[j]
-            if c > 0:
-                lows.append(r)
-            elif c < 0:
-                ups.append(r)
-            else:
-                reduced.append(r[:j])
-        for lo in lows:
-            for up in ups:
-                reduced.append(
-                    tuple(integer_row([lo[j] * up[i] - up[j] * lo[i] for i in range(j)]))
-                )
-        current = tuple(dict.fromkeys(reduced))
-    return None if current else levels
+    return levels
 
 
 def _fm_sample(levels: Sequence[tuple[tuple[int, ...], ...]]) -> Vector:
     """Rational interior point of a nonempty system, from its `_fm_levels`.
 
-    Coordinate j is the midpoint of its bounds -(r . x)/r_j given the
-    earlier coordinates, or one past the only bound, or 1.
+    Back-substitution from the one-variable level up: coordinate j is the
+    midpoint of its bounds -(r . x)/r_j given the earlier coordinates, or
+    one past the only bound, or 1.  The earlier coordinates are held as
+    integer numerators over one common denominator, so each bound is an
+    integer over that denominator times r_j; bounds are compared by
+    cross-multiplication and a `Fraction` is built only for the chosen
+    coordinate.
     """
-    x: tuple[Fraction, ...] = ()
+    x: list[Fraction] = []
+    nums: list[int] = []  # x = nums / den
+    den = 1
     for rows in reversed(levels):
-        j = len(x)
-        lo_bound = None
-        up_bound = None
+        j = len(nums)
+        lo = up = None  # (s, c): the bound -s / (den c)
         for r in rows:
             c = r[j]
             if c == 0:
                 continue
-            val = -sum((r[i] * x[i] for i in range(j)), _ZERO) / c
+            s = sum(map(mul, r, nums))
             if c > 0:
-                if lo_bound is None or val > lo_bound:
-                    lo_bound = val
-            elif up_bound is None or val < up_bound:
-                up_bound = val
-        if lo_bound is not None and up_bound is not None:
-            v = (lo_bound + up_bound) / 2
-        elif lo_bound is not None:
-            v = lo_bound + 1
-        elif up_bound is not None:
-            v = up_bound - 1
+                if lo is None or lo[0] * c > s * lo[1]:
+                    lo = (s, c)
+            elif up is None or up[0] * c < s * up[1]:
+                up = (s, c)
+        if lo is not None and up is not None:
+            v = Fraction(-(lo[0] * up[1] + up[0] * lo[1]), 2 * den * lo[1] * up[1])
+        elif lo is not None:
+            v = Fraction(den * lo[1] - lo[0], den * lo[1])
+        elif up is not None:
+            v = Fraction(-den * up[1] - up[0], den * up[1])
         else:
             v = _ONE
-        x += (v,)
-    return x
+        scale = lcm(den, v.denominator) // den
+        if scale != 1:
+            nums = [n * scale for n in nums]
+            den *= scale
+        nums.append(v.numerator * (den // v.denominator))
+        x.append(v)
+    return tuple(x)
 
 
 def weyl_chambers(rs: RootSystem) -> ChamberSet:
     """Connected components of the base minus the root hyperplanes.
 
-    Signs are assigned depth first, from the last root representative to
-    the first and + before -, so chambers come out in the order of the
-    sign vectors read as binary numbers (- is a one bit, the first
-    representative the lowest bit).  A partial assignment is extended only
-    while its system is feasible, decided by exact Fourier-Motzkin
-    elimination on primitive integer rows, so at most 2|reps| systems are
-    eliminated per chamber instead of one per sign vector.  Every returned
-    sample point is re-verified against its strict inequalities.
+    The hyperplanes may be any rational arrangement, not only those of a
+    root system.  Signs are assigned depth first, from the last root
+    representative to the first and + before -, so chambers come out in
+    the order of the sign vectors read as binary numbers (- is a one bit,
+    the first representative the lowest bit).  A partial assignment is
+    extended only while its system is feasible, decided by exact
+    Fourier-Motzkin elimination on primitive integer rows; each node of
+    the search extends its parent's elimination by its one new row
+    (`_fm_extend`).  Every sample point is re-checked against all its
+    strict inequalities, in integers, and a failure raises AlgebraError.
     """
     if not rs.exact:
         raise StructureError("chamber enumeration requires exact root values")
@@ -730,23 +788,25 @@ def weyl_chambers(rs: RootSystem) -> ChamberSet:
             v = tuple(-x for x in v)
         if v not in reps:
             reps.append(v)
+    # positive multiples of reps, so each has the sign of its representative
     rows = [tuple(integer_row(rep)) for rep in reps]
     chambers = []
 
-    def visit(i: int, signs: tuple[int, ...], system: tuple, levels) -> None:
-        # system: the rows of reps[i:] signed by signs; levels: its elimination
+    def visit(i: int, signs: tuple[int, ...], levels) -> None:
+        # levels: the elimination of the rows of reps[i:] signed by signs
         if i == 0:
             sample = _fm_sample(levels)
-            for s, rep in zip(signs, reps):
-                if s * dot(rep, sample) <= 0:
+            point = integer_row(sample)  # a positive multiple of sample
+            for s, row in zip(signs, rows):
+                if s * sum(map(mul, row, point)) <= 0:
                     raise AlgebraError("chamber sample point fails its inequalities")
             chambers.append(Chamber(signs, sample))
             return
-        for s in (1, -1):
-            extended = (tuple(s * x for x in rows[i - 1]),) + system
-            extended_levels = _fm_levels(extended, k)
-            if extended_levels is not None:
-                visit(i - 1, (s,) + signs, extended, extended_levels)
+        row = rows[i - 1]
+        for s, signed in ((1, row), (-1, tuple(-x for x in row))):
+            extended = _fm_extend(levels, signed)
+            if extended is not None:
+                visit(i - 1, (s,) + signs, extended)
 
-    visit(len(reps), (), (), _fm_levels((), k))
+    visit(len(reps), (), _fm_levels((), k))
     return ChamberSet(tuple(reps), tuple(chambers))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .algebra import AlgebraError, StructureError
 from .linalg import (
@@ -101,6 +102,10 @@ def _linear_factors(cs: list[int]) -> tuple[list[int], list[tuple[list[int], int
     return cs, peeled
 
 
+def _is_square(n: int) -> bool:
+    return n >= 0 and isqrt(n) ** 2 == n
+
+
 def factor_with_multiplicity(
     p: RationalPolynomial,
 ) -> list[tuple[RationalPolynomial, int]]:
@@ -114,12 +119,16 @@ def factor_with_multiplicity(
     so the linear factors are peeled first, in integers: the zero root is
     stripped, then `_linear_factors` divides out the candidates that
     numeric roots propose.  Numerics only propose; exact division decides,
-    and a root they miss stays in the cofactor.  Only a cofactor of degree
-    >= 2 goes to sympy.  The factorization into primitive irreducibles
-    with positive leading coefficient is unique, so the peeled factors and
-    sympy's are together the same set with the same multiplicities, and
-    sorting them by sympy's own key (`polyutils._sort_factors`: length,
-    multiplicity, then coefficients from the highest) gives sympy's order.
+    and a root they miss stays in the cofactor.  A quadratic cofactor
+    whose discriminant is not a square has no rational root, so it is
+    irreducible; any other cofactor of degree >= 2 goes to sympy.  Each
+    cofactor is primitive, being a primitive polynomial divided by
+    primitive ones (Gauss's lemma).  The factorization into primitive
+    irreducibles with positive leading coefficient is unique, so the peeled
+    factors and sympy's are together the same set with the same
+    multiplicities, and sorting them by sympy's own key
+    (`polyutils._sort_factors`: length, multiplicity, then coefficients
+    from the highest) gives sympy's order.
     """
     cs = integer_row(p.coeffs)
     zeros = 0
@@ -128,8 +137,8 @@ def factor_with_multiplicity(
     cs, factors = _linear_factors(cs[zeros:])
     if zeros:
         factors.append(([0, 1], zeros))
-    if len(cs) == 2:
-        factors.append(([c if cs[1] > 0 else -c for c in cs], 1))
+    if len(cs) == 2 or (len(cs) == 3 and not _is_square(cs[1] ** 2 - 4 * cs[0] * cs[2])):
+        factors.append(([c if cs[-1] > 0 else -c for c in cs], 1))
     elif len(cs) > 2:
         import sympy
 

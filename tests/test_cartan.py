@@ -20,6 +20,7 @@ from liecert.cartan import (
     ChamberSet,
     RootInfo,
     RootSystem,
+    _fm_extend,
     _fm_levels,
     _fm_sample,
     cartan_subspace,
@@ -766,3 +767,158 @@ def test_fm_levels_are_primitive_and_distinct():
         for r in level:
             assert r == tuple(integer_row(r))
     assert _fm_sample(levels) == reference_fm_sample(tuple(rows), 3)
+
+
+# -- the incremental search, checked against the former prefix search -----------
+
+
+def reference_fm_levels(rows, k):
+    """The former elimination: the whole system, from scratch."""
+    levels = []
+    current = tuple(dict.fromkeys(rows))
+    for j in range(k - 1, -1, -1):
+        if any(not any(r) for r in current):
+            return None
+        levels.append(current)
+        lows, ups, reduced = [], [], []
+        for r in current:
+            c = r[j]
+            if c > 0:
+                lows.append(r)
+            elif c < 0:
+                ups.append(r)
+            else:
+                reduced.append(r[:j])
+        for lo in lows:
+            for up in ups:
+                reduced.append(
+                    tuple(integer_row([lo[j] * up[i] - up[j] * lo[i] for i in range(j)]))
+                )
+        current = tuple(dict.fromkeys(reduced))
+    return None if current else levels
+
+
+def reference_levels_sample(levels):
+    """The former back-substitution, in Fraction arithmetic."""
+    x = ()
+    for rows in reversed(levels):
+        j = len(x)
+        lo_bound = up_bound = None
+        for r in rows:
+            c = r[j]
+            if c == 0:
+                continue
+            val = -sum((r[i] * x[i] for i in range(j)), F(0)) / c
+            if c > 0:
+                if lo_bound is None or val > lo_bound:
+                    lo_bound = val
+            elif up_bound is None or val < up_bound:
+                up_bound = val
+        if lo_bound is not None and up_bound is not None:
+            v = (lo_bound + up_bound) / 2
+        elif lo_bound is not None:
+            v = lo_bound + 1
+        elif up_bound is not None:
+            v = up_bound - 1
+        else:
+            v = F(1)
+        x += (v,)
+    return x
+
+
+def reference_prefix_chambers(rs):
+    """The former search: each node eliminates its whole signed prefix again."""
+    k = len(rs.base)
+    if k == 0:
+        return ChamberSet((), ())
+    reps = []
+    for r in rs.nonzero_roots():
+        v = tuple(F(x) for x in r.values)
+        lead = next((x for x in v if x != 0), None)
+        if lead is None:
+            continue
+        if lead < 0:
+            v = tuple(-x for x in v)
+        if v not in reps:
+            reps.append(v)
+    rows = [tuple(integer_row(rep)) for rep in reps]
+    chambers = []
+
+    def visit(i, signs, system, levels):
+        if i == 0:
+            chambers.append(Chamber(signs, reference_levels_sample(levels)))
+            return
+        for s in (1, -1):
+            extended = (tuple(s * x for x in rows[i - 1]),) + system
+            extended_levels = reference_fm_levels(extended, k)
+            if extended_levels is not None:
+                visit(i - 1, (s,) + signs, extended, extended_levels)
+
+    visit(len(reps), (), (), reference_fm_levels((), k))
+    return ChamberSet(tuple(reps), tuple(chambers))
+
+
+_int_rows = st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.tuples(*[st.integers(-3, 3)] * k).map(lambda r: tuple(integer_row(r))),
+             min_size=0, max_size=9),
+))
+
+
+@given(_int_rows)
+@example((2, [(1, 0), (1, 0), (-1, 0)]))
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 0)]))
+@example((3, [(1, 1, 0), (1, -1, 0), (-1, 0, 1), (-1, 0, -1)]))
+@settings(max_examples=200, deadline=None)
+def test_fm_extend_matches_full_elimination_on_every_prefix(case):
+    k, rows = case
+    levels = _fm_levels((), k)
+    for n, row in enumerate(rows, 1):
+        want = reference_fm_levels(rows[:n], k)
+        if levels is not None:
+            levels = _fm_extend(levels, row)
+        if want is None:
+            assert levels is None
+            continue
+        assert levels is not None
+        assert [set(level) for level in levels] == [set(level) for level in want]
+        assert all(len(set(level)) == len(level) for level in levels)
+
+
+BC2_VALUES = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, -1)]
+C3_VALUES = [
+    (1, -1, 0), (0, 1, -1), (1, 0, -1), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+    (2, 0, 0), (0, 2, 0), (0, 0, 2),
+]
+G2_POSITIVE = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize(
+    "values, count",
+    [
+        (positive_roots_a(5), 720),
+        (B3_POSITIVE, 48),
+        (C3_VALUES, 48),
+        (BC2_VALUES, 8),
+        (G2_POSITIVE, 12),
+    ],
+    ids=["A5", "B3", "C3", "BC2", "G2"],
+)
+def test_weyl_chambers_match_prefix_search(values, count):
+    rng = random.Random(count)
+    signs = rng.choices([1, -1], k=len(values))
+    values = [tuple(s * x for x in v) for v, s in zip(values, signs)]
+    rng.shuffle(values)
+    rs = functional_root_system(values, len(values[0]))
+    got = weyl_chambers(rs)
+    assert got.count == count
+    assert got == reference_prefix_chambers(rs)
+
+
+def test_chamber_sample_on_a_wall_is_refused(monkeypatch):
+    import liecert.cartan as cartan
+
+    rs = functional_root_system([(1, 0), (0, 1)], 2)
+    monkeypatch.setattr(cartan, "_fm_sample", lambda levels: (F(0), F(1)))
+    with pytest.raises(AlgebraError, match="fails its inequalities"):
+        weyl_chambers(rs)

@@ -466,3 +466,32 @@ def test_sympy_is_imported_only_for_an_irreducible_residual():
     out = json.loads(run.stdout)
     assert out["verdicts"] == [True, True, False]
     assert out["checks"] == {"cli": False, "sl3": False, "quartic": True}
+
+
+_ROOTS_WITHOUT_SYMPY = """
+import contextlib, io, json, sys
+
+from liecert.cli import main
+
+doc = io.StringIO()
+with contextlib.redirect_stdout(doc):
+    built = main(["build", "so13-frame-flow"])
+sys.stdin = io.StringIO(doc.getvalue())
+with contextlib.redirect_stdout(io.StringIO()):
+    roots = main(["roots"])
+print(json.dumps({"exit": [built, roots], "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_roots_of_so13_leave_sympy_unloaded():
+    # t^2 + 1, the only irreducible residual there, is decided by its discriminant
+    src = os.path.dirname(os.path.dirname(liecert.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", _ROOTS_WITHOUT_SYMPY],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {"exit": [0, 0], "sympy": False}

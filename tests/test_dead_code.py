@@ -11,10 +11,18 @@ so each of them must exist.  The public names that
 liecert/__init__.py re-exports may be used by the tests alone; any other
 name that only the tests use is dead code: delete it, and move what a
 test still needs of it into the tests.
+
+Methods and properties defined in the package's classes are held to the
+same rule, but only src/ and perfbench/ count, whatever the class: a
+member is used when one of them reads an attribute of that name outside
+the member's own definition.  Dunders are exempt, and so is a member
+that overrides a method of a base class from outside the package (such
+as argparse's `parse_known_args`), because that class calls it.
 """
 
 import ast
 import collections
+import importlib
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -93,4 +101,38 @@ def test_every_top_level_name_is_used():
             ]
             if not uses:
                 unused.append(f"{path.name}: {name}")
+    assert unused == []
+
+
+def _members(path: pathlib.Path):
+    """(class, method or property, node) for every function defined in a class body."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, item.name, item
+
+
+def _overrides(module: str, cls: str, name: str) -> bool:
+    """Whether cls.name overrides a method of a base class from outside the package."""
+    bases = getattr(importlib.import_module(f"liecert.{module}"), cls).__mro__[1:]
+    return any(
+        not b.__module__.startswith("liecert") and name in vars(b) for b in bases
+    )
+
+
+def test_every_class_member_is_used():
+    program = _use_index(PROGRAM)
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, name, node in _members(path):
+            if name.startswith("__") or _overrides(path.stem, cls, name):
+                continue
+            uses = [
+                (p, line)
+                for p, line in program.get(name, ())
+                if not (p == path and node.lineno <= line <= node.end_lineno)
+            ]
+            if not uses:
+                unused.append(f"{path.name}: {cls}.{name}")
     assert unused == []
