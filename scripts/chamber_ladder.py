@@ -21,7 +21,8 @@ core count) and two tables:
   columns mean identical chambers, order, signs and samples;
 - `sl`: for sl(n, R), n = 3..7, built from matrices, the median of 3
   runs of each stage: `cartan_subspace`, `restricted_roots` on it,
-  `weyl_chambers` and one `check_anosov` of diag(n-1, n-3, ..., 1-n).
+  `weyl_chambers` and one `check_anosov` of diag(n-1, n-3, ..., 1-n),
+  each run on a freshly built algebra.
 
 The script is a measurement, not a test; no test runs it.
 """
@@ -102,13 +103,17 @@ def _sl_regular(n):
     return tuple(F(sum(d[: i + 1])) for i in range(n - 1)) + (F(0),) * (n * n - n)
 
 
-def _median_time(fn, *args):
-    times, result = [], None
-    for _ in range(RUNS):
-        start = time.perf_counter()
-        result = fn(*args)
-        times.append(time.perf_counter() - start)
-    return round(statistics.median(times), 4), result
+def _timed(times: dict, stage: str, fn, *args):
+    """fn(*args), its seconds recorded as times[stage]."""
+    start = time.perf_counter()
+    result = fn(*args)
+    times[stage] = time.perf_counter() - start
+    return result
+
+
+def _medians(runs: list[dict]) -> dict:
+    """Each stage's median over the runs, in seconds."""
+    return {stage: round(statistics.median(r[stage] for r in runs), 4) for stage in runs[0]}
 
 
 def _digest(obj) -> str:
@@ -124,7 +129,7 @@ def _provenance(src: Path) -> dict:
         return run.stdout.strip() if run.returncode == 0 else None
 
     commit = git("rev-parse", "HEAD")
-    if commit and git("status", "--porcelain", "--untracked-files=no"):
+    if commit and git("status", "--porcelain", "--untracked-files=no", "--", "."):
         commit += "-dirty"
     return {
         "commit": commit,
@@ -148,30 +153,39 @@ def main(argv: list[str]) -> int:
 
     arrangements = {}
     for name, positive in _arrangements().items():
-        seconds, chambers = _median_time(cartan.weyl_chambers, _root_system(cartan, positive))
+        rs = _root_system(cartan, positive)
+        runs = []
+        for _ in range(RUNS):
+            times = {}
+            chambers = _timed(times, "weyl_chambers_s", cartan.weyl_chambers, rs)
+            runs.append(times)
         arrangements[name] = {
             "chambers": chambers.count,
-            "weyl_chambers_s": seconds,
             "digest": _digest(chambers),
+            **_medians(runs),
         }
-        print(f"{column} {name}: {chambers.count} chambers, {seconds} s", file=sys.stderr)
+        print(f"{column} {name}: {arrangements[name]}", file=sys.stderr)
 
     ladder = {}
     for n in range(3, 8):
-        g = lie_algebra_from_matrices(_sl_basis(n))
-        t_csa, a = _median_time(cartan.cartan_subspace, g)
-        t_roots, rs = _median_time(cartan.restricted_roots, g, a)
-        t_chambers, chambers = _median_time(cartan.weyl_chambers, rs)
-        t_check, cert = _median_time(check_anosov, ActionSpec(g, a), _sl_regular(n))
+        # each run builds a fresh algebra: it caches its radical and Killing form
+        runs = []
+        for _ in range(RUNS):
+            g = lie_algebra_from_matrices(_sl_basis(n))
+            times = {}
+            a = _timed(times, "cartan_subspace_s", cartan.cartan_subspace, g)
+            rs = _timed(times, "restricted_roots_s", cartan.restricted_roots, g, a)
+            chambers = _timed(times, "weyl_chambers_s", cartan.weyl_chambers, rs)
+            cert = _timed(
+                times, "check_anosov_s", check_anosov, ActionSpec(g, a), _sl_regular(n)
+            )
+            runs.append(times)
         ladder[f"sl{n}"] = {
             "dim": g.dim,
             "chambers": chambers.count,
             "accepted": cert.accepted,
             "digest": _digest(chambers),
-            "cartan_subspace_s": t_csa,
-            "restricted_roots_s": t_roots,
-            "weyl_chambers_s": t_chambers,
-            "check_anosov_s": t_check,
+            **_medians(runs),
         }
         print(f"{column} sl({n}): {ladder[f'sl{n}']}", file=sys.stderr)
 

@@ -351,11 +351,31 @@ def split_polynomials(draw):
     return _product(factors)
 
 
-@given(st.one_of(root_polynomials(), wide_polynomials, split_polynomials()))
+_big = st.integers(-(10**200), 10**200)
+
+
+@st.composite
+def quadratics(draw):
+    """a t^2 + b t + c with a != 0: small, non-monic or 200-digit entries,
+    and products (p t - q)(r t - s) whose discriminant is a square."""
+    ints = draw(st.sampled_from([st.integers(-30, 30), _big]))
+    if draw(st.booleans()):
+        p, r = draw(ints.filter(bool)), draw(ints.filter(bool))
+        q, s = draw(ints), draw(ints)
+        return P([q * s, -(p * s + q * r), p * r]) * draw(
+            st.fractions(max_denominator=9).filter(bool)
+        )
+    return P([draw(ints), draw(ints), draw(ints.filter(bool))])
+
+
+@given(st.one_of(root_polynomials(), wide_polynomials, split_polynomials(), quadratics()))
 @example(P([-2, 0, 0, 0, 1]) * P([F(-1, 3)]))
 @example(P([1, 1]) * P([1, 1]) * P([2, 0, 1]) * P([F(5, 7), -1]))
 @example(P([F(1, 10**9), 0, 1]) * P([F(-7, 10**9), 1]) * -1)
-@settings(max_examples=120, deadline=None)
+@example(P([3, 5, -7]))
+@example(P([1, 2, 1]))
+@example(P([10**200 + 1, 0, -3]))
+@settings(max_examples=160, deadline=None)
 def test_factor_bridge_matches_reference(p):
     assert factor_with_multiplicity(p) == reference_factor_with_multiplicity(p)
 
@@ -414,35 +434,6 @@ def test_only_an_irreducible_residual_reaches_sympy(monkeypatch):
         (P([-2, 0, 0, 0, 1]), 1),
     ]
     assert calls == [[1, 0, 0, 0, -2]]
-
-
-
-_big = st.integers(-(10**200), 10**200)
-
-
-@st.composite
-def quadratics(draw):
-    """a t^2 + b t + c with a != 0: small, non-monic or 200-digit entries,
-    and products (p t - q)(r t - s) whose discriminant is a square."""
-    ints = draw(st.sampled_from([st.integers(-30, 30), _big]))
-    if draw(st.booleans()):
-        p, r = draw(ints.filter(bool)), draw(ints.filter(bool))
-        q, s = draw(ints), draw(ints)
-        return P([q * s, -(p * s + q * r), p * r]) * draw(
-            st.fractions(max_denominator=9).filter(bool)
-        )
-    return P([draw(ints), draw(ints), draw(ints.filter(bool))])
-
-
-@given(quadratics())
-@example(P([1, 0, 1]))
-@example(P([-2, 0, 1]))
-@example(P([3, 5, -7]))
-@example(P([1, 2, 1]))
-@example(P([10**200 + 1, 0, -3]))
-@settings(max_examples=150, deadline=None)
-def test_quadratics_match_reference(p):
-    assert factor_with_multiplicity(p) == reference_factor_with_multiplicity(p)
 
 
 def test_irreducible_quadratic_residual_skips_sympy(monkeypatch):
