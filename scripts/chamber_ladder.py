@@ -2,15 +2,16 @@
 
 Usage, from the repository root:
 
-    python scripts/chamber_ladder.py COLUMN [SRC]
+    python scripts/chamber_ladder.py OUT COLUMN [SRC]
 
 imports liecert from SRC (default: this checkout's src/) and writes the
-column COLUMN of BENCH_12.json at the repository root, keeping the
-file's other columns.  Timing a second checkout, for example the parent
-commit, gives the before/after pair:
+column COLUMN of the JSON file OUT, keeping the file's other columns.
+Each change records its pair in a file of its own, so a run never
+rewrites another change's record.  Timing a second checkout, for
+example the parent commit, gives the before/after pair:
 
-    python scripts/chamber_ladder.py parent /path/to/parent/src
-    python scripts/chamber_ladder.py change
+    python scripts/chamber_ladder.py BENCH_13.json parent /path/to/parent/src
+    python scripts/chamber_ladder.py BENCH_13.json change
 
 A column holds its provenance (commit, Python, numpy and sympy versions,
 core count) and two tables:
@@ -41,7 +42,6 @@ from fractions import Fraction as F
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-OUT = ROOT / "BENCH_12.json"
 RUNS = 3
 
 
@@ -143,11 +143,11 @@ def _provenance(src: Path) -> dict:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
+    if len(argv) not in (2, 3):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    column = argv[0]
-    src = Path(argv[1] if len(argv) == 2 else ROOT / "src").resolve()
+    out, column = Path(argv[0]), argv[1]
+    src = Path(argv[2] if len(argv) == 3 else ROOT / "src").resolve()
     sys.path.insert(0, str(src))
     from liecert import ActionSpec, cartan, check_anosov, lie_algebra_from_matrices
 
@@ -189,13 +189,13 @@ def main(argv: list[str]) -> int:
         }
         print(f"{column} sl({n}): {ladder[f'sl{n}']}", file=sys.stderr)
 
-    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc = json.loads(out.read_text()) if out.exists() else {}
     doc[column] = {
         "provenance": _provenance(src),
         "arrangements": arrangements,
         "sl": ladder,
     }
-    OUT.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
 

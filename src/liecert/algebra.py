@@ -1,8 +1,12 @@
 """Finite-dimensional Lie algebras over Q given by structure constants.
 
-Everything is exact.  Subspaces carry canonical reduced-row-echelon bases,
-so equal spans compare equal and every derived object (series, radical,
-quotient bases) is deterministic for a given input table.
+Everything is exact.  A `Subspace` is held as its canonical reduced
+echelon form in integers (`linalg.Echelon.reduced`: primitive rows with
+positive pivots), so equal spans compare equal, membership, sums and
+bracket spans run in integers, and every derived object (series,
+radical, quotient bases) is deterministic for a given input table.  Its
+`Fraction` basis, the rref, is built only when something reads it, such
+as structure constants or coordinates in that basis.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .linalg import (
     _from_integer,
     _int_matmul,
     _integer_form,
+    _rref_rows,
     combine,
     extend_basis,
     frac,
@@ -31,13 +36,10 @@ from .linalg import (
     matmul,
     matvec,
     nullspace,
-    rref,
-    rref_coords,
     row_basis,
     solve,
     transpose,
     vec_add,
-    vector,
 )
 
 _ZERO = Fraction(0)
@@ -371,33 +373,38 @@ def lie_algebra_from_matrices(
 
 
 class Subspace:
-    """Subspace of an algebra with a canonical echelon basis.
+    """Subspace of an algebra, held as its canonical reduced echelon form.
 
-    `basis` is the nonzero part of a reduced row echelon form and `pivots`
-    its pivot columns, so membership and coordinates need no elimination.
+    The span is an `Echelon` brought to its reduced form: primitive
+    integer rows with positive pivots, each zero at every other pivot
+    column, in pivot order.  A span has exactly one such form, so equality
+    and hashing compare the integer rows, and membership is one pass of
+    `Echelon`'s reduction.  `pivots` are the pivot columns.  `basis` is
+    the `Fraction` rref, each row divided by its pivot; it is built on
+    first read, and anything in coordinates of the basis uses it.
     """
 
-    __slots__ = ("algebra", "basis", "pivots")
+    __slots__ = ("algebra", "pivots", "_span", "_rows", "_basis")
 
     def __init__(self, algebra: LieAlgebra, vectors: Iterable[Vector] = ()):
+        vectors = tuple(vectors)
+        if any(len(v) != algebra.dim for v in vectors):
+            raise ValidationError("subspace vector length does not match dimension")
         self.algebra = algebra
-        rows = tuple(vector(v) for v in vectors)
-        for v in rows:
-            if len(v) != algebra.dim:
-                raise ValidationError("subspace vector length does not match dimension")
-        red, self.pivots = rref(rows)
-        self.basis: Matrix = red[: len(self.pivots)]
+        self._span = Echelon(vectors)
+        self._rows, pivots = self._span.reduced()
+        self.pivots = tuple(pivots)
+        self._basis = None
 
-    @classmethod
-    def _echelon(cls, algebra: LieAlgebra, basis: Matrix, pivots: tuple[int, ...]):
-        """The subspace with a known reduced echelon basis; no elimination."""
-        s = cls.__new__(cls)
-        s.algebra, s.basis, s.pivots = algebra, basis, pivots
-        return s
+    @property
+    def basis(self) -> Matrix:
+        if self._basis is None:
+            self._basis = _rref_rows(self._rows, self.pivots)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
@@ -406,23 +413,23 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.algebra is other.algebra
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.basis))
+        return hash((id(self.algebra), tuple(map(tuple, self._rows))))
 
     def contains(self, v: Vector) -> bool:
-        return rref_coords(self.basis, self.pivots, v) is not None
+        return self._span.contains(v)
 
     def contains_space(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return all(map(self._span.contains, other._rows))
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.algebra, self.basis + other.basis)
+        return Subspace(self.algebra, self._rows + other._rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.algebra, intersect_spaces(self.basis, other.basis))
+        return Subspace(self.algebra, intersect_spaces(self._rows, other._rows))
 
     def is_subalgebra(self) -> bool:
         return self.contains_space(bracket_space(self, self))
@@ -439,12 +446,9 @@ class Subspace:
 
 
 def full_space(g: LieAlgebra) -> Subspace:
-    """All of g, around its known echelon basis: the identity, pivots 0..n-1.
-
-    Nothing is memoised: a `Subspace` in `g._cache` would refer back to g.
-    """
+    """All of g.  Nothing is memoised: a `Subspace` in `g._cache` would refer back to g."""
     n = g.dim
-    return Subspace._echelon(g, tuple(g.basis_vector(i) for i in range(n)), tuple(range(n)))
+    return Subspace(g, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def zero_space(g: LieAlgebra) -> Subspace:
@@ -452,8 +456,8 @@ def zero_space(g: LieAlgebra) -> Subspace:
 
 
 def bracket_space(a: Subspace, b: Subspace) -> Subspace:
-    g = a.algebra
-    return Subspace(g, g.brackets(a.basis, b.basis))
+    g, (xs, _), (ys, _) = a.algebra, _integer_terms(a._rows), _integer_terms(b._rows)
+    return Subspace(g, g._int_brackets(xs, ys))
 
 
 class Subalgebra(Subspace):
@@ -580,9 +584,10 @@ def killing_form(g: LieAlgebra) -> Matrix:
 def radical(g: LieAlgebra) -> Subspace:
     """Largest solvable ideal: the Killing-orthogonal of [g, g].
 
-    Its basis is memoised on g once it has passed its ideal and solvability
-    checks.  Only the basis: a Subspace refers back to g, and that cycle
-    would keep every analysed algebra alive until a full garbage collection.
+    Its integer rows are memoised on g once it has passed its ideal and
+    solvability checks.  Only the rows: a Subspace refers back to g, and
+    that cycle would keep every analysed algebra alive until a full garbage
+    collection.
     """
     cached = g._cache.get("radical")
     if cached is not None:
@@ -595,7 +600,7 @@ def radical(g: LieAlgebra) -> Subspace:
         rad = Subspace(g, nullspace(matmul(derived.basis, k)))  # k is symmetric
         if not rad.is_ideal() or not subspace_is_solvable(rad):
             raise AlgebraError("radical computation produced a non-solvable span")
-    g._cache["radical"] = rad.basis
+    g._cache["radical"] = rad._rows
     return rad
 
 

@@ -12,7 +12,6 @@ numerically with their invariance defect measured and reported.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -52,6 +51,7 @@ from .linalg import (
     combine,
     coords_in_basis,
     generalized_kernel,
+    integer_row,
     invariant_under,
     is_zero_vector,
     restrict_operator,
@@ -433,12 +433,8 @@ def _chamber_samples(action: ActionSpec) -> tuple[Vector, ...] | None:
     return tuple(combine(ch.sample, a_h.basis, g.dim) for ch in chambers.chambers)
 
 
-def _primitive_ray(v: Vector) -> Vector:
-    """Integer vector with coprime entries on the same positive ray as v."""
-    scale = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (scale // x.denominator) for x in v]
-    g = math.gcd(*(abs(i) for i in ints))
-    return tuple(Fraction(i, g) for i in ints)
+# verified elements after which the grid/random search stops
+MAX_FOUND = 8
 
 
 def find_anosov_elements(
@@ -446,7 +442,6 @@ def find_anosov_elements(
     budget: int = 200,
     seed: int = 0,
     tolerance: float = 1e-9,
-    max_found: int = 8,
 ) -> tuple[tuple[Vector, AnosovCertificate], ...]:
     """Verified Anosov elements of the action.
 
@@ -455,7 +450,7 @@ def find_anosov_elements(
     otherwise integer grid points in the flow span followed by seeded
     rational samples, up to the budget.  Positive rescalings of a tried
     element are skipped (they certify the same splitting) and the
-    grid/random walk stops after max_found verified elements.  Only
+    grid/random walk stops after MAX_FOUND verified elements.  Only
     elements whose certificate verifies are returned; an empty result is
     inconclusive, never a proof of non-Anosov.
     """
@@ -469,7 +464,7 @@ def find_anosov_elements(
     def try_candidate(v: Vector) -> None:
         if is_zero_vector(v):
             return
-        ray = _primitive_ray(v)
+        ray = tuple(integer_row(v))
         if ray in rays:
             return
         rays.add(ray)
@@ -489,12 +484,12 @@ def find_anosov_elements(
         for coords in itertools.product(range(-height, height + 1), repeat=d):
             if max((abs(c) for c in coords), default=0) != height:
                 continue
-            if spent >= budget or len(found) >= max_found:
+            if spent >= budget or len(found) >= MAX_FOUND:
                 return tuple(found)
             try_candidate(combine(coords, basis, n))
             spent += 1
     rng = random.Random(seed)
-    while spent < budget and len(found) < max_found:
+    while spent < budget and len(found) < MAX_FOUND:
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis]
         try_candidate(combine(coeffs, basis, n))
         spent += 1

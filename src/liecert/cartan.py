@@ -91,7 +91,11 @@ def is_csa(g: LieAlgebra, s: Subspace) -> bool:
     return normalizer(g, s).basis == s.basis
 
 
-def find_csa(g: LieAlgebra, seed: int = 0, max_attempts: int = 400) -> Subspace:
+# elements sampled by find_csa before it gives up
+CSA_ATTEMPTS = 400
+
+
+def find_csa(g: LieAlgebra, seed: int = 0) -> Subspace:
     """Cartan subalgebra by Engel-kernel descent.
 
     Samples rational elements of growing coefficient height, takes the
@@ -105,7 +109,7 @@ def find_csa(g: LieAlgebra, seed: int = 0, max_attempts: int = 400) -> Subspace:
     current = full_space(g)
     sub, basis = as_subalgebra(current).as_algebra()
     rng = random.Random(seed)
-    for attempt in range(max_attempts):
+    for attempt in range(CSA_ATTEMPTS):
         d = sub.dim
         if attempt < d:
             x_local = sub.basis_vector(attempt)
@@ -121,7 +125,7 @@ def find_csa(g: LieAlgebra, seed: int = 0, max_attempts: int = 400) -> Subspace:
             current = Subspace(g, matmul(e_local.basis, basis))
             sub, basis = as_subalgebra(current).as_algebra()
             continue
-        if is_nilpotent(sub) and normalizer(g, current).basis == current.basis:
+        if is_nilpotent(sub) and normalizer(g, current) == current:
             return current
     raise AlgebraError("no Cartan subalgebra found within the attempt budget")
 
@@ -466,13 +470,6 @@ class RootSystem:
     exact: bool
     zero_complement: Matrix | None  # Killing-perp of the base in the zero space
 
-    @property
-    def zero_space(self) -> Matrix | None:
-        for r in self.roots:
-            if r.is_zero:
-                return r.space
-        return None
-
     def nonzero_roots(self) -> tuple[RootInfo, ...]:
         return tuple(r for r in self.roots if not r.is_zero)
 
@@ -507,9 +504,11 @@ def _zero_complement(g: LieAlgebra, base: Matrix, zero_rows: Matrix) -> Matrix:
     return c_space.basis
 
 
-def restricted_roots(
-    g: LieAlgebra, a: Subspace, max_generic_tries: int = 60
-) -> RootSystem:
+# generic elements of the Cartan subspace restricted_roots tries for exact blocks
+GENERIC_TRIES = 60
+
+
+def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
     """Joint spectral decomposition of g under a Cartan subspace.
 
     A generic element of `a` is chosen deterministically; its primary
@@ -530,7 +529,7 @@ def restricted_roots(
     ads = [g.ad(v) for v in a.basis]
     last_blocks = None
     saw_all_linear = False
-    for lam in range(1, max_generic_tries + 1):
+    for lam in range(1, GENERIC_TRIES + 1):
         coeffs = [Fraction(lam) ** i for i in range(a.dim)]
         a_star = g.ad(combine(coeffs, a.basis, n))
         blocks = []
@@ -642,10 +641,15 @@ class ChamberSet:
 def _fm_extend(
     levels: tuple[tuple[tuple[int, ...], ...], ...], row: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
-    """The `_fm_levels` of a feasible system with the row . x > 0 added.
+    """The Fourier-Motzkin levels of a feasible system with the row . x > 0 added.
 
-    levels[d] is the system in k - d variables; eliminating its last
-    variable gives levels[d + 1].  Only the rows the new row creates are
+    A system {x in Q^k : r . x > 0 for every row r} of primitive integer
+    rows is held as its levels: levels[d] is the system in k - d
+    variables, each combination made primitive and duplicates dropped,
+    and eliminating its last variable gives levels[d + 1].  The empty
+    system is k empty levels, and level 0 keeps the rows in the order they
+    were added.  Positive scaling and repetition of a row change neither
+    the set nor the sample bounds.  Only the rows the new row creates are
     added.  At each level, the rows not yet in it eliminate its last
     variable: a row whose coefficient there is 0 is truncated, any other
     is combined (made primitive) with every row of the level of the
@@ -695,28 +699,8 @@ def _fm_combine(lo: tuple[int, ...], up: tuple[int, ...], j: int) -> tuple[int, 
     return tuple(primitive([a * up[i] - b * lo[i] for i in range(j)]))
 
 
-def _fm_levels(
-    rows: Sequence[tuple[int, ...]], k: int
-) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
-    """Fourier-Motzkin elimination of {x in Q^k : r . x > 0 for all rows}.
-
-    rows are primitive integer rows.  Returns the systems in k, k-1, ...,
-    1 variables, each combination made primitive and duplicates dropped,
-    or None when the set is empty (exact).  This is `_fm_extend` folded
-    over rows from k empty levels, so level 0 keeps the rows in their
-    order.  Positive scaling and repetition change neither the set nor
-    the sample bounds.
-    """
-    levels: tuple | None = ((),) * k
-    for r in rows:
-        levels = _fm_extend(levels, tuple(r))
-        if levels is None:
-            return None
-    return levels
-
-
 def _fm_sample(levels: Sequence[tuple[tuple[int, ...], ...]]) -> Vector:
-    """Rational interior point of a nonempty system, from its `_fm_levels`.
+    """Rational interior point of a nonempty system, from its levels (`_fm_extend`).
 
     Back-substitution from the one-variable level up: coordinate j is the
     midpoint of its bounds -(r . x)/r_j given the earlier coordinates, or
@@ -808,5 +792,5 @@ def weyl_chambers(rs: RootSystem) -> ChamberSet:
             if extended is not None:
                 visit(i - 1, (s,) + signs, extended)
 
-    visit(len(reps), (), _fm_levels((), k))
+    visit(len(reps), (), ((),) * k)
     return ChamberSet(tuple(reps), tuple(chambers))

@@ -7,9 +7,11 @@ out), rows are combined in integers with gcd normalisation, and a reduced
 row is divided by its pivot only when it is emitted.  `Echelon` inserts
 rows one at a time, each reduced against the rows before it, so a growing
 span answers membership and insertion in O(rank * n); its `reduced`
-finishes the reduced row echelon form with one back-substitution.
-`rref`, `rank`, `nullspace`, `generalized_kernel` and `Coordinates` all
-eliminate through it.  The reduced row echelon form is unique, so the
+finishes the reduced row echelon form with one back-substitution.  Its
+rows are then primitive with positive pivots: that integer form is
+unique to the span, it is what `algebra.Subspace` holds, and divided by
+the pivots it is the rref.  `rref`, `rank`, `nullspace`,
+`generalized_kernel` and `Coordinates` all eliminate through it, so the
 results are the same canonical ``Fraction`` rows and pivots as textbook
 Gauss-Jordan, whatever the order of the rows, and bases, complements and
 echelon forms are reproducible.
@@ -40,7 +42,8 @@ two integer steps.
 The structure layer (`algebra.LieAlgebra`) uses the same forms: its
 structure constants are integers over one common denominator, brackets
 and adjoints are accumulated in integers, and a `Fraction` is built once
-per nonzero output entry.
+per nonzero output entry; a span of brackets goes from the integer
+brackets straight into an `Echelon`.
 No floating point enters here.
 """
 
@@ -245,8 +248,14 @@ def primitive(w: list[int]) -> list[int]:
 
 
 def integer_row(v) -> list[int]:
-    """Primitive integer row spanning the same line as the rational row v."""
-    den = lcm(*(x.denominator for x in v))
+    """Primitive integer row spanning the same line as the row v of ints and Fractions.
+
+    Any other entry, a float for one, raises TypeError.
+    """
+    try:
+        den = lcm(*(x.denominator for x in v))
+    except AttributeError:
+        raise TypeError(f"not an exact rational row: {v!r}") from None
     return primitive([x.numerator * (den // x.denominator) for x in v])
 
 
@@ -263,12 +272,16 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     from `Echelon`; each is divided by its pivot on the way out.
     """
     rows, pivots = Echelon(m).reduced()
-    out = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        out.append(tuple(Fraction(a, p) if a else _ZERO for a in row))
-    out.extend(((_ZERO,) * (len(m[0]) if m else 0),) * (len(m) - len(pivots)))
-    return tuple(out), tuple(pivots)
+    zero = ((_ZERO,) * (len(m[0]) if m else 0),)
+    return _rref_rows(rows, pivots) + zero * (len(m) - len(pivots)), tuple(pivots)
+
+
+def _rref_rows(rows: Sequence[list[int]], pivots: Sequence[int]) -> Matrix:
+    """Reduced integer echelon rows, each divided by its pivot: the nonzero rows of the rref."""
+    return tuple(
+        tuple(Fraction(a, row[c]) if a else _ZERO for a in row)
+        for row, c in zip(rows, pivots)
+    )
 
 
 def rank(m: Matrix) -> int:
@@ -313,9 +326,9 @@ def generalized_kernel(b: Matrix) -> Matrix:
     b^j, which b . rows^T would not give.  An invertible b stops at once.
     """
     rows, _ = _integer_form(b)
-    red, piv = _integer_reduced(rows)
+    red, piv = Echelon(rows).reduced()
     while 0 < len(piv) < len(rows):
-        nxt, npiv = _integer_reduced(_int_matmul(red, rows))
+        nxt, npiv = Echelon(_int_matmul(red, rows)).reduced()
         if len(npiv) == len(piv):
             break
         red, piv = nxt, npiv
@@ -391,14 +404,19 @@ class Echelon:
         self._rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
         self._insert(map(integer_row, rows))
 
+    def _reduce(self, w: list[int]) -> list[int]:
+        """The integer row w reduced against every row of the span."""
+        for c, row in self._rows:
+            f = w[c]
+            if f:
+                w = _combine(row[c], w, f, row)
+        return w
+
     def _insert(self, ws: Iterable[list[int]]) -> None:
         """Insert primitive integer rows, each reduced against the rows before it."""
         out = self._rows
         for w in ws:
-            for c, row in out:
-                f = w[c]
-                if f:
-                    w = _combine(row[c], w, f, row)
+            w = self._reduce(w)
             for c, a in enumerate(w):
                 if a:
                     out.append((c, w))
@@ -408,16 +426,8 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, v) -> list[int]:
-        w = integer_row(v)
-        for c, row in self._rows:
-            f = w[c]
-            if f:
-                w = _combine(row[c], w, f, row)
-        return w
-
     def contains(self, v) -> bool:
-        return not any(self._reduce(v))
+        return not any(self._reduce(integer_row(v)))
 
     def add(self, v) -> bool:
         """Insert v; True when it enlarged the span."""
@@ -426,17 +436,19 @@ class Echelon:
         return len(self._rows) > rank
 
     def reduced(self) -> tuple[list[list[int]], list[int]]:
-        """(rows, pivots) of the reduced echelon form, in pivot order.
+        """(rows, pivots) of the canonical reduced echelon form, in pivot order.
 
-        The rows are primitive integer rows, each zero at every other
-        pivot column; divided by their pivots they are the canonical
-        rref.  One back-substitution, last pivot first: when pivot k
-        is cleared from the rows above it, row k is already zero at every
-        later pivot.
+        The rows are primitive integer rows with positive pivots, each
+        zero at every other pivot column: a span has exactly one such
+        form, and divided by their pivots the rows are its rref.  One
+        back-substitution, last pivot first: when pivot k is cleared from
+        the rows above it, row k is already zero at every later pivot.
+        The span keeps the reduced rows, which reduce a vector as well as
+        the rows they replace.
         """
         ordered = sorted(self._rows)  # the pivots are distinct
         pivots = [c for c, _ in ordered]
-        rows = [row for _, row in ordered]
+        rows = [row if row[c] > 0 else [-a for a in row] for c, row in ordered]
         for k in range(len(rows) - 1, 0, -1):
             c, prow = pivots[k], rows[k]
             p = prow[c]
@@ -444,38 +456,12 @@ class Echelon:
                 f = rows[i][c]
                 if f:
                     rows[i] = _combine(p, rows[i], f, prow)
+        self._rows = list(zip(pivots, rows))
         return rows, pivots
 
 
-def _integer_reduced(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """`Echelon(rows).reduced()` for integer rows: only their content is divided out."""
-    span = Echelon()
-    span._insert(map(primitive, rows))
-    return span.reduced()
-
-
 def in_span(rows: Matrix, v: Vector) -> bool:
-    if is_zero_vector(v):
-        return True
-    if not rows:
-        return False
     return Echelon(rows).contains(v)
-
-
-def rref_coords(red: Matrix, pivots: tuple[int, ...], v: Vector) -> Vector | None:
-    """Coordinates of v in the nonzero rows of a reduced echelon form.
-
-    They are v's entries at the pivot columns; v lies in the span exactly
-    when that combination matches v at every other column.  No elimination.
-    """
-    coords = tuple(v[c] for c in pivots)
-    pivset = set(pivots)
-    for j, x in enumerate(v):
-        if j not in pivset and x != sum(
-            (a * row[j] for a, row in zip(coords, red) if a), _ZERO
-        ):
-            return None
-    return coords
 
 
 class Coordinates:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 from .linalg import frac, integer_row, primitive
@@ -157,22 +157,6 @@ class RationalPolynomial:
             return self
         inv = _ONE / self.leading
         return RationalPolynomial([c * inv for c in self.coeffs])
-
-    def shift(self, c: Fraction) -> "RationalPolynomial":
-        """Compose with t + c, i.e. return p(t + c).
-
-        With c = a/b and p = P/d for integer P: p(t + c) = h(bt) / (d b^n),
-        where h(s) = b^n P((s + a)/b) is the integer Taylor shift.
-        """
-        c = frac(c)
-        if not c or self.degree <= 0:
-            return self
-        d = lcm(*(x.denominator for x in self.coeffs))
-        ints = [x.numerator * (d // x.denominator) for x in self.coeffs]
-        b = c.denominator
-        h = _scaled_shift(ints, c.numerator, b)
-        scale = d * b**self.degree
-        return RationalPolynomial([Fraction(x * b**k, scale) for k, x in enumerate(h)])
 
 
 # -- integer kernel: coefficient lists, ascending, no trailing zeros -------
@@ -376,10 +360,6 @@ class RootSignCount:
     n_neg: int
     n_zero_real: int
     n_pos: int
-
-    @property
-    def total(self) -> int:
-        return self.n_neg + self.n_zero_real + self.n_pos
 
     def __add__(self, other: "RootSignCount") -> "RootSignCount":
         return RootSignCount(

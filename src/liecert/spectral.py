@@ -266,7 +266,11 @@ def _inverse_mod(a: RationalPolynomial, m: RationalPolynomial) -> RationalPolyno
 # -- spectral gap ----------------------------------------------------------
 
 
-def spectral_gap(p: RationalPolynomial, bits: int = 30) -> tuple[Fraction | None, bool]:
+# bisection steps of spectral_gap
+GAP_BITS = 30
+
+
+def spectral_gap(p: RationalPolynomial) -> tuple[Fraction | None, bool]:
     """(bound, exact): off-axis roots satisfy |Re| >= bound.
 
     exact=True means some root attains |Re| = bound.  Returns (None, True)
@@ -301,7 +305,7 @@ def spectral_gap(p: RationalPolynomial, bits: int = 30) -> tuple[Fraction | None
         return inside == 0, attained
 
     # hi exceeds every |root|, so the open band below hi misses nothing
-    for _ in range(bits):
+    for _ in range(GAP_BITS):
         mid = (lo + hi) / 2
         if mid > top:
             # every root has |Re| <= top < mid: the band holds them all
@@ -338,17 +342,23 @@ class InvariantSplitting:
     degraded: str | None
 
 
-def _sign_newton(a, tol=1e-13, iters=80):
+# stopping rule of the sign-function Newton iteration
+NEWTON_TOL = 1e-13
+NEWTON_ITERS = 80
+
+
+def _sign_newton(a):
     import numpy as np
 
     s = a.copy()
     n = a.shape[0]
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         inv = np.linalg.inv(s)
         d = abs(np.linalg.det(s))
         mu = d ** (-1.0 / n) if d > 0 else 1.0
         s_next = 0.5 * (mu * s + inv / mu)
-        if np.linalg.norm(s_next - s, "fro") <= tol * max(1.0, np.linalg.norm(s, "fro")):
+        step = np.linalg.norm(s_next - s, "fro")
+        if step <= NEWTON_TOL * max(1.0, np.linalg.norm(s, "fro")):
             return s_next
         s = s_next
     return s

@@ -190,7 +190,8 @@ def test_universal_certificate_properties():
             cert.dim_unstable,
         ):
             failures.append(f"{label}: quotient counts disagree with the certificate")
-        if rq.restricted_counts.total + rq.quotient_counts.total != g.dim:
+        both = rq.restricted_counts + rq.quotient_counts
+        if both.n_neg + both.n_zero_real + both.n_pos != g.dim:
             failures.append(f"{label}: counts do not sum to the dimension")
     assert not failures, "\n".join(failures)
 

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from generators import matrix
 from liecert.algebra import (
@@ -35,6 +36,7 @@ from liecert.algebra import (
 from liecert.builders import build_example, catalog_names
 from liecert.linalg import identity, mat_sub, matmul, rank, vector
 from test_linalg import reference_rref
+from test_sparse_kernel import reference_rref_coords
 
 
 def sl2() -> LieAlgebra:
@@ -427,3 +429,93 @@ def test_is_abelian_matches_bracket_span_and_stops_early(monkeypatch):
     calls.clear()
     assert not full_space(sl2()).is_abelian()
     assert len(calls) == 1  # [h, e] = 2e ends the check
+
+
+# -- Subspace against the former Fraction implementation ---------------------
+
+
+class ReferenceSubspace:
+    """The former Subspace: a Fraction rref, and membership read off it
+    by `rref_coords` (its entries at the pivots must rebuild the vector)."""
+
+    def __init__(self, rows):
+        red, self.pivots = reference_rref(tuple(vector(r) for r in rows))
+        self.basis = red[: len(self.pivots)]
+
+    def contains(self, v):
+        return reference_rref_coords(self.basis, self.pivots, vector(v)) is not None
+
+    def contains_space(self, other):
+        return all(self.contains(v) for v in other.basis)
+
+
+@st.composite
+def spans(draw, n):
+    """Rows of ints or of Fractions: empty, repeated, zero or full spans."""
+    entry = draw(st.sampled_from([
+        st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    ]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from(rows)))  # a repeated row
+    if draw(st.integers(0, 4)) == 0:
+        rows.append([0] * n)
+    if draw(st.integers(0, 4)) == 0:
+        rows.extend([int(i == j) for j in range(n)] for i in range(n))  # the full space
+    return [tuple(r) for r in draw(st.permutations(rows))]
+
+
+def _combination(rows, n, coeffs):
+    return tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), F(0)) for j in range(n))
+
+
+@given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+    st.just(n), spans(n), spans(n),
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=6, max_size=6),
+)))
+@example((0, [], [()], [F(1)] * 6))
+@example((2, [(1, 2), (1, 1)], [(0, 1)], [F(1)] * 6))  # (1, 1) reduces to (0, -1)
+@example((3, [(0, -3, 6), (F(-1, 2), 0, 1)], [(1, 0, -2)], [F(-1)] * 6))  # negative leads
+@example((3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [], [F(2)] * 6))
+@settings(max_examples=200, deadline=None)
+def test_subspace_matches_fraction_reference(case):
+    n, a_rows, b_rows, coeffs = case
+    g = LieAlgebra.from_entries(n, [])
+    s, t = Subspace(g, a_rows), Subspace(g, b_rows)
+    rs, rt = ReferenceSubspace(a_rows), ReferenceSubspace(b_rows)
+    for got, want in ((s, rs), (t, rt)):
+        assert got.basis == want.basis
+        assert all(type(x) is F for row in got.basis for x in row)
+        assert got.pivots == want.pivots
+        assert got.dim == len(want.pivots)
+    probes = [vector(r) for r in a_rows + b_rows] + [
+        _combination(a_rows, n, coeffs),
+        _combination(a_rows + b_rows, n, coeffs),
+        vector(coeffs[:n]),
+    ]
+    for v in probes:
+        assert s.contains(v) == rs.contains(v)
+        assert t.contains(v) == rt.contains(v)
+    assert s.contains_space(t) == rs.contains_space(rt)
+    assert t.contains_space(s) == rt.contains_space(rs)
+    both = s.sum(t)
+    assert both.basis == ReferenceSubspace(rs.basis + rt.basis).basis
+    # the intersection: inside both spans, of dimension dim s + dim t - dim(s + t)
+    meet = s.intersect(t)
+    assert meet.dim == s.dim + t.dim - both.dim
+    assert rs.contains_space(meet) and rt.contains_space(meet)
+    assert meet.basis == ReferenceSubspace(meet.basis).basis
+    assert (s == t) == (rs.basis == rt.basis)
+    # the same span from other rows: reversed, scaled and with a combination added
+    again = Subspace(g, [tuple(-3 * x for x in r) for r in reversed(a_rows)] + probes[-3:-2])
+    assert again == s and hash(again) == hash(s)
+    assert (s == both) == (rs.basis == ReferenceSubspace(rs.basis + rt.basis).basis)
+    if s == t:
+        assert hash(s) == hash(t)
+
+
+def test_subspace_rejects_floats():
+    g = LieAlgebra.from_entries(2, [])
+    for rows in ([(1.5, 0)], [(F(1), 0.25)], [(1, 2), (0.0, 1)]):
+        with pytest.raises(TypeError):
+            Subspace(g, rows)

@@ -15,7 +15,9 @@ test still needs of it into the tests.
 Methods and properties defined in the package's classes are held to the
 same rule, but only src/ and perfbench/ count, whatever the class: a
 member is used when one of them reads an attribute of that name outside
-the member's own definition.  Dunders are exempt, and so is a member
+the member's own definition.  Only an `ast.Attribute` counts here, so a
+local variable that shares a member's name does not keep it alive.
+Dunders are exempt, and so is a member
 that overrides a method of a base class from outside the package (such
 as argparse's `parse_known_args`), because that class calls it.
 """
@@ -63,13 +65,14 @@ def _profiled() -> set[tuple[str, str]]:
     raise AssertionError("perfbench/tracing.py defines no PROFILED table")
 
 
-def _use_index(tops) -> dict[str, list[tuple[pathlib.Path, int]]]:
-    """name -> every (file, line number) where a Name or an Attribute uses it."""
+def _use_index(tops, names: bool = True) -> dict[str, list[tuple[pathlib.Path, int]]]:
+    """name -> every (file, line number) where an Attribute, or with `names`
+    a Name, reads it."""
     index = collections.defaultdict(list)
     for top in tops:
         for path in top.rglob("*.py"):
             for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if names and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     index[node.id].append((path, node.lineno))
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     index[node.attr].append((path, node.lineno))
@@ -122,7 +125,7 @@ def _overrides(module: str, cls: str, name: str) -> bool:
 
 
 def test_every_class_member_is_used():
-    program = _use_index(PROGRAM)
+    program = _use_index(PROGRAM, names=False)
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for cls, name, node in _members(path):
