@@ -527,7 +527,7 @@ def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
     """g = g1, g_{k+1} = [g, g_k], until stable."""
     out = [full_space(g)]
     while True:
-        nxt = bracket_space(full_space(g), out[-1])
+        nxt = bracket_space(out[0], out[-1])
         if nxt == out[-1]:
             break
         out.append(nxt)
@@ -593,9 +593,10 @@ def radical(g: LieAlgebra) -> Subspace:
     if cached is not None:
         return Subspace(g, cached)
     k = killing_form(g)
-    derived = bracket_space(full_space(g), full_space(g))
+    whole = full_space(g)
+    derived = bracket_space(whole, whole)
     if derived.dim == 0:
-        rad = full_space(g)
+        rad = whole
     else:
         rad = Subspace(g, nullspace(matmul(derived.basis, k)))  # k is symmetric
         if not rad.is_ideal() or not subspace_is_solvable(rad):

@@ -253,10 +253,13 @@ def integer_row(v) -> list[int]:
     Any other entry, a float for one, raises TypeError.
     """
     try:
-        den = lcm(*(x.denominator for x in v))
+        dens = [x.denominator for x in v]
     except AttributeError:
         raise TypeError(f"not an exact rational row: {v!r}") from None
-    return primitive([x.numerator * (den // x.denominator) for x in v])
+    den = lcm(*dens)
+    if den == 1:
+        return primitive([x.numerator for x in v])
+    return primitive([x.numerator * (den // d) for x, d in zip(v, dens)])
 
 
 def _combine(p: int, w: list[int], f: int, row: list[int]) -> list[int]:
@@ -326,9 +329,9 @@ def generalized_kernel(b: Matrix) -> Matrix:
     b^j, which b . rows^T would not give.  An invertible b stops at once.
     """
     rows, _ = _integer_form(b)
-    red, piv = Echelon(rows).reduced()
+    red, piv = _integer_reduced(rows)
     while 0 < len(piv) < len(rows):
-        nxt, npiv = Echelon(_int_matmul(red, rows)).reduced()
+        nxt, npiv = _integer_reduced(_int_matmul(red, rows))
         if len(npiv) == len(piv):
             break
         red, piv = nxt, npiv
@@ -458,6 +461,13 @@ class Echelon:
                     rows[i] = _combine(p, rows[i], f, prow)
         self._rows = list(zip(pivots, rows))
         return rows, pivots
+
+
+def _integer_reduced(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """`Echelon(rows).reduced()` for integer rows: only their content is divided out."""
+    span = Echelon()
+    span._insert(map(primitive, rows))
+    return span.reduced()
 
 
 def in_span(rows: Matrix, v: Vector) -> bool:
