@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 from .linalg import (
     Coordinates,
     Echelon,
+    IntMatrix,
     Matrix,
     Vector,
     _from_integer,
@@ -32,7 +33,6 @@ from .linalg import (
     identity,
     integer_row,
     intersect_spaces,
-    is_zero_vector,
     matmul,
     matvec,
     nullspace,
@@ -68,12 +68,14 @@ class LieAlgebra:
     is the tuple of (k, c) with c != 0 and c / _den the k-th coordinate of
     [e_i, e_j].  It is built from every entry, (j, i) included, so it is
     exact for a table that is not antisymmetric too.  `bracket`,
-    `brackets`, `ad` and `ad_basis` take the integer form of their
-    arguments once, accumulate in integers over the nonzero constants and
-    build one `Fraction` per nonzero output entry.  `table` is the dense
-    `Fraction` view, rebuilt on each access.  `_cache` memoises derived
-    data (Killing form, radical basis) that passed its self-checks; it
-    holds nothing that refers back to the algebra.
+    `brackets` and `ad_integer` take the integer form of their arguments
+    once and accumulate in integers over the nonzero constants; the
+    brackets build one `Fraction` per nonzero output entry, while ad(x)
+    stays a `linalg.IntMatrix` through the kernel, and `ad` and `ad_basis`
+    are its `Fraction` view.  `table` is the dense `Fraction` view,
+    rebuilt on each access.  `_cache` memoises derived data (Killing
+    form, radical basis) that passed its self-checks; it holds nothing
+    that refers back to the algebra.
     """
 
     __slots__ = ("labels", "_constants", "_den", "_cache")
@@ -237,9 +239,13 @@ class LieAlgebra:
         """ad(e_a) for each basis vector: entry (k, j) is c_aj^k."""
         return tuple(_from_integer(self._int_ad(((a, 1),)), self._den) for a in range(self.dim))
 
-    def ad(self, x: Vector) -> Matrix:
+    def ad_integer(self, x: Vector) -> IntMatrix:
+        """ad(x) as integer rows over one denominator."""
         (terms,), d = _integer_terms((x,))
-        return _from_integer(self._int_ad(terms), d * self._den)
+        return IntMatrix(self._int_ad(terms), d * self._den)
+
+    def ad(self, x: Vector) -> Matrix:
+        return _from_integer(*self.ad_integer(x))
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
@@ -439,16 +445,19 @@ class Subspace:
         return self.contains_space(bracket_space(g, self))
 
     def is_abelian(self) -> bool:
-        g, b = self.algebra, self.basis
-        return all(
-            is_zero_vector(g.bracket(x, y)) for i, x in enumerate(b) for y in b[i + 1 :]
-        )
+        g, (terms, _) = self.algebra, _integer_terms(self._rows)
+        pairs = ((x, y) for i, x in enumerate(terms) for y in terms[i + 1 :])
+        return not any(any(g._int_brackets((x,), (y,))[0]) for x, y in pairs)
 
 
 def full_space(g: LieAlgebra) -> Subspace:
-    """All of g.  Nothing is memoised: a `Subspace` in `g._cache` would refer back to g."""
-    n = g.dim
-    return Subspace(g, [[int(i == j) for j in range(n)] for i in range(n)])
+    """All of g; the identity is its reduced form, so nothing is eliminated.
+    Nothing is memoised: a `Subspace` in `g._cache` would refer back to g."""
+    s = Subspace(g)
+    s.pivots = tuple(range(g.dim))
+    s._rows = [[0] * i + [1] + [0] * (g.dim - 1 - i) for i in s.pivots]
+    s._span._rows = list(zip(s.pivots, s._rows))
+    return s
 
 
 def zero_space(g: LieAlgebra) -> Subspace:

@@ -46,6 +46,7 @@ from .cartan import (
     weyl_chambers,
 )
 from .linalg import (
+    IntMatrix,
     Matrix,
     Vector,
     combine,
@@ -243,7 +244,7 @@ def _signed_factor_split(
     return left, right
 
 
-def _char_subspace(op: Matrix, p: RationalPolynomial) -> Matrix:
+def _char_subspace(op: IntMatrix, p: RationalPolynomial) -> Matrix:
     return generalized_kernel(apply_poly(p, op))
 
 
@@ -262,7 +263,7 @@ def check_anosov(
     if not action.flow.contains(h0):
         raise StructureError("candidate element is outside the flow span")
     g = action.ambient
-    a = g.ad(h0)
+    a = g.ad_integer(h0)
     w = action.joint
     restricted = restrict_operator(a, w.basis)
     if restricted is None:
@@ -337,7 +338,7 @@ def splitting_invariance(
     import numpy as np
 
     g = action.ambient
-    ads = [g.ad(h) for h in action.flow.basis]
+    ads = [g.ad_integer(h) for h in action.flow.basis]
     violations: list[str] = []
     exact_carrier = True
     for i, ok in enumerate(invariant_under(ads, cert.carrier)):
@@ -374,8 +375,8 @@ def splitting_invariance(
             [[float(x) for x in row] for row in cert.carrier]
         )
         worst = 0.0
-        for ad_exact in ads:
-            adh = np.array([[float(x) for x in row] for row in ad_exact])
+        for rows_ad, den in ads:
+            adh = np.array([[x / den for x in row] for row in rows_ad])
             for rows in (spl.stable_basis, spl.unstable_basis):
                 if not rows:
                     continue
@@ -776,7 +777,7 @@ def nil_suspension_check(
         raise StructureError("base Anosov element does not lift to the flow span")
     lift = combine(expand, total.flow.basis, g.dim)
     fixed = total.flow.intersect(fiber)
-    adl = g.ad(lift)
+    adl = g.ad_integer(lift)
     on_fiber = restrict_operator(adl, fiber.basis)
     if on_fiber is None:
         raise AlgebraError("fiber is expected to be invariant")

@@ -37,6 +37,7 @@ from .algebra import (
     zero_space,
 )
 from .linalg import (
+    IntMatrix,
     Matrix,
     Vector,
     combine,
@@ -53,7 +54,6 @@ from .linalg import (
     restrict_operator,
     row_basis,
     solve,
-    trace,
     vec_sub,
     vector,
 )
@@ -75,7 +75,7 @@ _ONE = Fraction(1)
 
 def engel_subalgebra(g: LieAlgebra, x: Vector) -> Subspace:
     """Generalized null space of ad(x); always a subalgebra containing x."""
-    return Subspace(g, generalized_kernel(g.ad(x)))
+    return Subspace(g, generalized_kernel(g.ad_integer(x)))
 
 
 def is_csa(g: LieAlgebra, s: Subspace) -> bool:
@@ -175,7 +175,7 @@ def ellipticity_proxy(g: LieAlgebra, k: Subspace) -> EllipticityReport:
     """Necessary conditions for k to integrate to a compact isotropy."""
     all_axis = True
     for v in k.basis:
-        c = operator_sign_counts(g.ad(v))
+        c = operator_sign_counts(g.ad_integer(v))
         if c.n_neg or c.n_pos:
             all_axis = False
             break
@@ -291,12 +291,11 @@ def csa_from_action(g: LieAlgebra, h: Subspace, k: Subspace) -> ActionCsa:
 
 def is_ad_hyperbolic(g: LieAlgebra, x: Vector) -> bool:
     """ad(x) is semisimple with all-real spectrum."""
-    a = g.ad(x)
+    a = g.ad_integer(x)
     m = squarefree_part(char_poly(a))
     if count_real_roots_squarefree(m) != m.degree:
         return False
-    fx = apply_poly(m, a)
-    return all(all(v == 0 for v in row) for row in fx)
+    return not any(map(any, apply_poly(m, a).rows))
 
 
 def solve_ad(g: LieAlgebra, target: Matrix) -> Vector | None:
@@ -474,8 +473,8 @@ class RootSystem:
         return tuple(r for r in self.roots if not r.is_zero)
 
 
-def _is_nilpotent_matrix(m: Matrix) -> bool:
-    n = len(m)
+def _is_nilpotent_matrix(m: IntMatrix) -> bool:
+    n = len(m.rows)
     if n == 0:
         return True
     p = mat_pow(m, 1 << max(0, (n - 1).bit_length()))
@@ -526,12 +525,12 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
         return RootSystem((), (whole,), True, whole.space)
     if not a.is_abelian():
         raise StructureError("root decomposition requires an abelian base")
-    ads = [g.ad(v) for v in a.basis]
+    ads = [g.ad_integer(v) for v in a.basis]
     last_blocks = None
     saw_all_linear = False
     for lam in range(1, GENERIC_TRIES + 1):
         coeffs = [Fraction(lam) ** i for i in range(a.dim)]
-        a_star = g.ad(combine(coeffs, a.basis, n))
+        a_star = g.ad_integer(combine(coeffs, a.basis, n))
         blocks = []
         for phi, _ in factor_with_multiplicity(char_poly(a_star)):
             blocks.append((phi, generalized_kernel(apply_poly(phi, a_star))))
@@ -550,7 +549,7 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
                         good = False
                         break
                     d = len(ker)
-                    alpha = trace(r) / d
+                    alpha = Fraction(sum(r.rows[i][i] for i in range(d)), r.den * d)
                     acc = RationalPolynomial([_ONE])
                     lin = RationalPolynomial([-alpha, _ONE])
                     for _ in range(d):
@@ -608,7 +607,7 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
         for r in restrictions:
             m = squarefree_part(char_poly(r))
             minpolys.append(m)
-            rf = np.array([[float(x) for x in row] for row in r])
+            rf = np.array([[x / r.den for x in row] for row in r.rows])
             ev = np.linalg.eigvals(rf)
             pick = ev[int(np.argmax(np.abs(ev)))]
             floats.append((float(pick.real), float(pick.imag)))

@@ -17,10 +17,13 @@ Gauss-Jordan, whatever the order of the rows, and bases, complements and
 echelon forms are reproducible.
 
 Products, powers, characteristic polynomials and polynomials in a matrix
-run on integer matrices: a matrix is written as integer rows over one
-common denominator d, the work is done in integers, and the result is
-divided by the matching power of d once, on the way out.  Generalized
-kernels stop multiplying as soon as the rank stops falling.
+run on `IntMatrix(rows, den)`, integer rows over one common denominator.
+`_integer_form` is the one conversion from a `Fraction` matrix and
+returns an `IntMatrix` as it is, so every kernel entry point takes either
+kind, and the integer value passes between kernel calls: `mat_poly`,
+`restrict_operator` and `quotient_operator` return an `IntMatrix` when
+given one, and a `Fraction` is built only where a public function returns
+one.  Generalized kernels stop multiplying as soon as the rank stops falling.
 
 The matrices met here, ad(x) and polynomials in it, are mostly zeros, so
 the integer product takes each left row by its density: a row with at
@@ -53,7 +56,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -123,12 +126,27 @@ def is_zero_vector(v: Vector) -> bool:
     return all(x == 0 for x in v)
 
 
-def _integer_form(m: Matrix) -> tuple[list[list[int]], int]:
-    """(rows, d) with m = rows / d: integer rows over one common denominator."""
+class IntMatrix(NamedTuple):
+    """rows / den: integer rows over one positive, not necessarily minimal,
+    denominator.  Rows may be shared between values: never change them in place."""
+
+    rows: list[list[int]]
+    den: int
+
+
+def _integer_form(m) -> IntMatrix:
+    """m as integer rows over one common denominator; an IntMatrix as it is."""
+    if isinstance(m, IntMatrix):
+        return m
     d = lcm(*(x.denominator for row in m for x in row))
     if d == 1:
-        return [[x.numerator for x in row] for row in m], 1
-    return [[x.numerator * (d // x.denominator) for x in row] for row in m], d
+        return IntMatrix([[x.numerator for x in row] for row in m], 1)
+    return IntMatrix([[x.numerator * (d // x.denominator) for x in row] for row in m], d)
+
+
+def _like(m, rows: list[list[int]], den: int):
+    """rows / den of the kind of m: an IntMatrix for an IntMatrix, else a Fraction matrix."""
+    return IntMatrix(rows, den) if isinstance(m, IntMatrix) else _from_integer(rows, den)
 
 
 def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -193,9 +211,9 @@ def matvec(a: Matrix, v: Vector) -> Vector:
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
     """a^k by squaring and multiplying in integers, divided by d^k once."""
-    if k == 0:
-        return identity(len(a))
     base, d = _integer_form(a)
+    if k == 0:
+        return identity(len(base))
     out = None
     e = k
     while e:
@@ -208,23 +226,23 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
 
 
 def mat_poly(coeffs: Sequence[Fraction], a: Matrix) -> Matrix:
-    """sum_i coeffs[i] a^i for ascending coefficients.
+    """sum_i coeffs[i] a^i for ascending coefficients, of the kind of a.
 
     With a = C / d and coeffs[i] = k_i / e, this is P(C) / (e d^deg) for
     the integer polynomial P = sum_i k_i d^(deg - i) t^i, evaluated by
     Horner, so degree k costs k - 1 products.
     """
-    n = len(a)
+    rows, d = _integer_form(a)
+    n = len(rows)
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
-    if not cs:
-        return zeros(n, n)
-    if len(cs) == 1:
-        return mat_scale(cs[0], identity(n))
+    if len(cs) < 2:
+        c = cs[0] if cs else _ZERO
+        scalar = [[c.numerator if i == j else 0 for j in range(n)] for i in range(n)]
+        return _like(a, scalar, c.denominator)
     e = lcm(*(c.denominator for c in cs))
     ks = [c.numerator * (e // c.denominator) for c in cs]
-    rows, d = _integer_form(a)
     deg = len(ks) - 1
     acc = [[ks[deg] * x for x in row] for row in rows]
     for i in range(deg - 1, -1, -1):
@@ -234,11 +252,7 @@ def mat_poly(coeffs: Sequence[Fraction], a: Matrix) -> Matrix:
                 acc[j][j] += s
         if i:
             acc = _int_matmul(rows, acc)
-    return _from_integer(acc, e * d**deg)
-
-
-def trace(a: Matrix) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), _ZERO)
+    return _like(a, acc, e * d**deg)
 
 
 def primitive(w: list[int]) -> list[int]:
@@ -594,23 +608,23 @@ def invariant_under(ops: Sequence[Matrix], basis: Matrix) -> list[bool]:
 
 
 def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
-    """Matrix of m on the span of `basis`, in that basis.
+    """Matrix of m on the span of `basis`, in that basis, of the kind of m.
 
     Returns None when the span is not invariant under m.  The basis rows
     must be independent.  All images are mapped as one block.
     """
     if not basis:
-        return ()
+        return _like(m, [], 1)
     rows, den = Coordinates(basis).map_integer(*_image_rows(m, basis))
     if None in rows:
         return None
-    return transpose(_from_integer(rows, den))
+    return _like(m, [list(col) for col in zip(*rows)], den)
 
 
 def quotient_operator(
     m: Matrix, basis: Matrix
 ) -> tuple[Matrix, tuple[int, ...]] | None:
-    """Matrix induced by m on the quotient by the span of `basis`.
+    """Matrix induced by m on the quotient by the span of `basis`, of the kind of m.
 
     The quotient is coordinatized by the deterministic complement of
     standard basis vectors from extend_basis.  Returns (matrix, indices)
@@ -619,16 +633,17 @@ def quotient_operator(
     vanish exactly when the span is invariant, and the columns of m at the
     complement, whose complement coordinates are the quotient matrix.
     """
-    n = len(m)
+    im = _integer_form(m)
+    n = len(im.rows)
     comp = extend_basis(basis, n)
     k = len(basis)
     full = tuple(basis) + tuple(
         tuple(_ONE if i == j else _ZERO for i in range(n)) for j in comp
     )
     # the image of the complement vector e_j is column j of m
-    rows, den = Coordinates(full).map_integer(*_image_rows(m, full))
+    rows, den = Coordinates(full).map_integer(*_image_rows(im, full))
     if None in rows:
         raise AssertionError("complement construction failed")
     if any(any(c[k:]) for c in rows[:k]):
         return None
-    return transpose(_from_integer([c[k:] for c in rows[k:]], den)), comp
+    return _like(m, [list(col) for col in zip(*(c[k:] for c in rows[k:]))], den), comp

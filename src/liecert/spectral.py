@@ -20,6 +20,7 @@ from math import isqrt
 from .algebra import AlgebraError, StructureError
 from .linalg import (
     Matrix,
+    _integer_form,
     charpoly,
     integer_row,
     inverse,
@@ -162,7 +163,7 @@ def is_hyperbolic(op: Matrix) -> bool:
 
 
 def apply_poly(p: RationalPolynomial, op: Matrix) -> Matrix:
-    """p(op), by Horner on the integer form of op."""
+    """p(op), by Horner on the integer form of op, of the kind of op."""
     return mat_poly(p.coeffs, op)
 
 
@@ -377,17 +378,20 @@ def invariant_splitting(op: Matrix, tolerance: float = 1e-9) -> InvariantSplitti
     The sign function of op, by scaled Newton iteration, gives the two
     spectral projectors; their leading singular vectors, as many as the
     exact counts, are the bases.  Raises StructureError when op has an
-    eigenvalue on the imaginary axis.
+    eigenvalue on the imaginary axis.  op is a `Fraction` matrix or a
+    `linalg.IntMatrix`.
     """
     import numpy as np
 
-    n = len(op)
+    rows, den = op = _integer_form(op)
+    n = len(rows)
     if n == 0:
         return InvariantSplitting(RootSignCount(0, 0, 0), (), (), 0.0, tolerance, None)
     counts = root_sign_counts(char_poly(op))
     if counts.n_zero_real:
         raise StructureError("operator has eigenvalues on the imaginary axis")
-    opf = np.array([[float(x) for x in row] for row in op])
+    # int / int is correctly rounded: each entry is float(Fraction(x, den))
+    opf = np.array([[x / den for x in row] for row in rows])
     s = _sign_newton(opf)
     eye = np.eye(n)
     bases = (

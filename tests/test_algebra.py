@@ -31,6 +31,7 @@ from liecert.algebra import (
     quotient_by_ideal,
     radical,
     subspace_is_nilpotent,
+    zero_space,
     _unital_envelope,
 )
 from liecert.builders import build_example, catalog_names
@@ -411,10 +412,12 @@ def test_as_algebra_table_matches_direct_brackets():
 def test_is_abelian_matches_bracket_span_and_stops_early(monkeypatch):
     from liecert.cartan import find_csa
 
-    calls = []
-    real = LieAlgebra.bracket
+    calls = []  # the number of pairs each _int_brackets call brackets
+    real = LieAlgebra._int_brackets
     monkeypatch.setattr(
-        LieAlgebra, "bracket", lambda self, x, y: calls.append(1) or real(self, x, y)
+        LieAlgebra,
+        "_int_brackets",
+        lambda self, xs, ys: calls.append(len(xs) * len(ys)) or real(self, xs, ys),
     )
     rng = random.Random(8)
     for name in catalog_names():
@@ -424,11 +427,23 @@ def test_is_abelian_matches_bracket_span_and_stops_early(monkeypatch):
         for s in spans:
             calls.clear()
             got = s.is_abelian()
-            assert len(calls) <= s.dim * (s.dim - 1) // 2  # pairs i < j only
+            assert sum(calls) <= s.dim * (s.dim - 1) // 2  # pairs i < j only
             assert got == (bracket_space(s, s).dim == 0)
     calls.clear()
     assert not full_space(sl2()).is_abelian()
-    assert len(calls) == 1  # [h, e] = 2e ends the check
+    assert sum(calls) == 1  # [h, e] = 2e ends the check
+
+
+@pytest.mark.parametrize("n", [0, 1, 7])
+def test_full_space_equals_the_eliminated_identity(n):
+    g = LieAlgebra.from_entries(n, ())
+    whole, eliminated = full_space(g), Subspace(g, identity(n))
+    assert whole == eliminated and hash(whole) == hash(eliminated)
+    assert whole.pivots == eliminated.pivots and whole.basis == eliminated.basis
+    v = tuple(F(k - 3, 2) for k in range(n))
+    assert whole.contains(v) and whole.contains_space(Subspace(g, [v]))
+    assert whole.sum(zero_space(g)) == whole
+    assert whole.intersect(Subspace(g, [v])) == Subspace(g, [v])
 
 
 # -- Subspace against the former Fraction implementation ---------------------

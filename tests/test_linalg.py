@@ -9,6 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from generators import matrix
 from liecert.linalg import (
     Echelon,
+    IntMatrix,
+    _from_integer,
+    _integer_form,
     charpoly,
     combine,
     coords_in_basis,
@@ -18,16 +21,19 @@ from liecert.linalg import (
     identity,
     in_span,
     intersect_spaces,
+    invariant_under,
     inverse,
     mat_pow,
+    mat_poly,
     matmul,
     matvec,
     nullspace,
+    quotient_operator,
     rank,
+    restrict_operator,
     rref,
     row_basis,
     solve,
-    trace,
     vec_add,
     vector,
 )
@@ -39,6 +45,10 @@ rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
 def sq(rows):
     return matrix(rows)
+
+
+def trace(a):
+    return sum((a[i][i] for i in range(len(a))), F(0))
 
 
 def test_frac_rejects_floats():
@@ -709,3 +719,51 @@ def test_combine_matches_reference_fold(case):
         out = matmul(coeff_rows, basis)
         assert out == tuple(reference_combine(c, basis, n) for c in coeff_rows)
         assert all_fractions(out)
+
+
+# -- the integer matrix value against the Fraction matrix ----------------------
+
+
+def fraction_view(x):
+    """The Fraction matrix of an IntMatrix; anything else as it is."""
+    return _from_integer(*x) if isinstance(x, IntMatrix) else x
+
+
+def invariant_and_other_bases(m):
+    """(), ker m^n, the Krylov space of e_0 (all invariant) and span(e_0)."""
+    n = len(m)
+    if not n:
+        return [()]
+    e0 = tuple(F(int(i == 0)) for i in range(n))
+    krylov = [e0]
+    while len(krylov) < n:
+        krylov.append(matvec(m, krylov[-1]))
+    return [(), generalized_kernel(m), row_basis(tuple(krylov)), (e0,)]
+
+
+@given(square_matrices(), st.lists(wide_rationals, max_size=4))
+@with_examples([F(1, 2), F(-3), F(0), F(2, 5)])
+@example(matrix([[F(1, 3), 0], [F(2, 7), F(-5, 4)]]), [])
+@example(matrix([[F(1, 3), 0], [F(2, 7), F(-5, 4)]]), [F(7, 3)])
+@settings(max_examples=150, deadline=None)
+def test_kernel_entry_points_agree_on_an_int_matrix(m, coeffs):
+    im = _integer_form(m)
+    assert isinstance(im, IntMatrix) and _integer_form(im) is im
+    assert fraction_view(im) == m
+    assert charpoly(im) == charpoly(m)
+    p = mat_poly(coeffs, im)
+    assert isinstance(p, IntMatrix) and fraction_view(p) == mat_poly(coeffs, m)
+    assert generalized_kernel(im) == generalized_kernel(m)
+    assert all(mat_pow(im, k) == mat_pow(m, k) for k in range(3))
+    for basis in invariant_and_other_bases(m):
+        r = restrict_operator(im, basis)
+        assert r is None or isinstance(r, IntMatrix)
+        assert fraction_view(r) == restrict_operator(m, basis)
+        q = quotient_operator(im, basis)
+        want = quotient_operator(m, basis)
+        if q is None:
+            assert want is None
+        else:
+            assert isinstance(q[0], IntMatrix)
+            assert (fraction_view(q[0]), q[1]) == want
+        assert invariant_under([im], basis) == invariant_under([m], basis)

@@ -838,3 +838,33 @@ def test_structure_matches_former_with_large_and_distinct_prime_denominators(whi
     g = LieAlgebra(table)
     assert g.table == table
     assert_structure_matches_former(g, table)
+
+
+# -- ad(x) stays an integer matrix through the decisions ------------------------
+
+
+def test_decisions_build_no_fraction_adjoint(monkeypatch):
+    """check_anosov, restricted_roots and is_ad_hyperbolic take ad(x) as an
+    IntMatrix from `LieAlgebra.ad_integer` through restriction, quotient,
+    charpoly and kernels: neither `ad` nor `ad_basis` is called."""
+    from liecert.anosov import ActionSpec, check_anosov
+    from liecert.cartan import cartan_subspace, is_ad_hyperbolic, restricted_roots
+    from test_acceptance import _sl_basis
+
+    sl3 = lie_algebra_from_matrices(_sl_basis(3))
+    actions = [ActionSpec(sl3, cartan_subspace(sl3))]
+    actions += [build_example(name) for name in catalog_names()]
+    semisimple = [radical(action.ambient).dim == 0 for action in actions]
+
+    def refuse(*args):
+        raise AssertionError("a Fraction ad(x) was built")
+
+    monkeypatch.setattr(LieAlgebra, "ad", refuse)
+    monkeypatch.setattr(LieAlgebra, "ad_basis", property(refuse))
+    for action, ss in zip(actions, semisimple):
+        g = action.ambient
+        for h in action.flow.basis + (combine([1] * action.flow.dim, action.flow.basis, g.dim),):
+            is_ad_hyperbolic(g, h)
+            check_anosov(action, h)
+        if ss:
+            restricted_roots(g, action.flow)
