@@ -23,7 +23,10 @@ core count) and two tables:
 - `sl`: for sl(n, R), n = 3..7, built from matrices, the median of 3
   runs of each stage: `cartan_subspace`, `restricted_roots` on it,
   `weyl_chambers` and one `check_anosov` of diag(n-1, n-3, ..., 1-n),
-  each run on a freshly built algebra.
+  each run on a freshly built algebra, with a sha256 of the repr of that
+  certificate (`anosov_digest`); for n <= 5 also `find_anosov_elements`
+  on the Cartan subspace, one `check_anosov` per chamber, with a sha256
+  of the repr of what it returns (`search_digest`).
 
 The script is a measurement, not a test; no test runs it.
 """
@@ -43,6 +46,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
+# the largest sl(n) whose chamber sweep is timed
+SWEEP_MAX = 5
 
 
 def _arrangements():
@@ -149,7 +154,13 @@ def main(argv: list[str]) -> int:
     out, column = Path(argv[0]), argv[1]
     src = Path(argv[2] if len(argv) == 3 else ROOT / "src").resolve()
     sys.path.insert(0, str(src))
-    from liecert import ActionSpec, cartan, check_anosov, lie_algebra_from_matrices
+    from liecert import (
+        ActionSpec,
+        cartan,
+        check_anosov,
+        find_anosov_elements,
+        lie_algebra_from_matrices,
+    )
 
     arrangements = {}
     for name, positive in _arrangements().items():
@@ -176,15 +187,18 @@ def main(argv: list[str]) -> int:
             a = _timed(times, "cartan_subspace_s", cartan.cartan_subspace, g)
             rs = _timed(times, "restricted_roots_s", cartan.restricted_roots, g, a)
             chambers = _timed(times, "weyl_chambers_s", cartan.weyl_chambers, rs)
-            cert = _timed(
-                times, "check_anosov_s", check_anosov, ActionSpec(g, a), _sl_regular(n)
-            )
+            action = ActionSpec(g, a)
+            cert = _timed(times, "check_anosov_s", check_anosov, action, _sl_regular(n))
+            if n <= SWEEP_MAX:
+                found = _timed(times, "find_anosov_elements_s", find_anosov_elements, action)
             runs.append(times)
         ladder[f"sl{n}"] = {
             "dim": g.dim,
             "chambers": chambers.count,
             "accepted": cert.accepted,
             "digest": _digest(chambers),
+            "anosov_digest": _digest(cert),
+            **({"found": len(found), "search_digest": _digest(found)} if n <= SWEEP_MAX else {}),
             **_medians(runs),
         }
         print(f"{column} sl({n}): {ladder[f'sl{n}']}", file=sys.stderr)

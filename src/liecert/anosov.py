@@ -1,12 +1,13 @@
 """Anosov criterion, element search, and the classification driver.
 
 The acceptance test is fully exact: a flow element is certified Anosov
-when its adjoint operator restricted to the flow-isotropy span has pure
-imaginary spectrum while the induced operator on the quotient has none,
-which pins the neutral space to exactly that span.  Stable and unstable
-data live on an exact rational carrier (the characteristic subspace of
-the off-axis part); inside it, bases over the reals are produced
-numerically with their invariance defect measured and reported.
+when its adjoint restricted to the flow-isotropy span (one elimination
+gives it and the quotient) has pure imaginary spectrum while the induced
+operator on the quotient has none, which pins the neutral span.  One
+factorization of the quotient's characteristic polynomial gives the
+exact rational carrier of the off-axis part, its signed parts when
+rational, and the gap; inside the carrier, bases over the reals are
+produced numerically with their invariance defect measured and reported.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .linalg import (
     IntMatrix,
     Matrix,
     Vector,
+    _restrict_and_quotient,
     combine,
     coords_in_basis,
     generalized_kernel,
@@ -57,20 +59,20 @@ from .linalg import (
     is_zero_vector,
     restrict_operator,
     quotient_operator,
+    row_basis,
     solve,
 )
-from .poly import RationalPolynomial, root_sign_counts
+from .poly import RationalPolynomial, _monic, _product, root_sign_counts
 from .spectral import (
     InvariantSplitting,
+    LineFactors,
+    _gap,
+    _splitting,
     apply_poly,
     char_poly,
-    factor_with_multiplicity,
-    invariant_splitting,
     is_hyperbolic,
-    spectral_gap,
+    line_factors,
 )
-
-_ONE = Fraction(1)
 
 
 class Inconclusive(AlgebraError):
@@ -221,27 +223,25 @@ class AnosovRefusal:
     accepted = False
 
 
-def _signed_factor_split(
-    p: RationalPolynomial,
-) -> tuple[RationalPolynomial | None, RationalPolynomial | None]:
+def _signed_factor_split(factors: LineFactors) -> tuple[RationalPolynomial | None, ...]:
     """(left factor, right factor) of an axis-free polynomial, if rational.
 
-    Returns (None, None) when some irreducible factor has roots on both
-    sides of the axis, in which case no rational splitting exists.
+    factors are its `line_factors`: a factor with a common real part lies
+    on its side, any other is counted.  Returns (None, None) when some
+    irreducible factor has roots on both sides of the axis, in which case
+    no rational splitting exists.
     """
-    left = RationalPolynomial([_ONE])
-    right = RationalPolynomial([_ONE])
-    for phi, mult in factor_with_multiplicity(p):
-        c = root_sign_counts(phi)
-        if c.n_neg == phi.degree:
-            for _ in range(mult):
-                left = left * phi
-        elif c.n_pos == phi.degree:
-            for _ in range(mult):
-                right = right * phi
-        else:
+    sides = {True: [1], False: [1]}  # keyed by m < 0: left, right, in integers
+    for phi, mult, m in factors:
+        if m is None:
+            c = root_sign_counts(phi)
+            m = -1 if c.n_neg == phi.degree else 1 if c.n_pos == phi.degree else 0
+        if not m:
             return None, None
-    return left, right
+        cs = integer_row(phi.coeffs)
+        for _ in range(mult):
+            sides[m < 0] = _product(sides[m < 0], cs)
+    return _monic(sides[True]), _monic(sides[False])
 
 
 def _char_subspace(op: IntMatrix, p: RationalPolynomial) -> Matrix:
@@ -257,7 +257,8 @@ def check_anosov(
     purely imaginary, and the induced operator on the quotient has no
     imaginary-axis eigenvalue.  Both facts are decided by exact root
     counting, which makes the neutral space equal to flow + isotropy by
-    an exact dimension argument.
+    an exact dimension argument.  Each fact is derived once (see the
+    module docstring); the quotient's counts serve the numeric splitting.
     """
     action.require_valid()
     if not action.flow.contains(h0):
@@ -265,12 +266,12 @@ def check_anosov(
     g = action.ambient
     a = g.ad_integer(h0)
     w = action.joint
-    restricted = restrict_operator(a, w.basis)
-    if restricted is None:
+    split = _restrict_and_quotient(a, w.basis)
+    if split is None:
         raise AlgebraError("flow + isotropy span is expected to be invariant")
+    restricted, quotient, _ = split
     counts_in = root_sign_counts(char_poly(restricted))
     off_inside = counts_in.n_neg + counts_in.n_pos
-    quotient, _ = quotient_operator(a, w.basis)
     p_q = char_poly(quotient)
     counts_out = root_sign_counts(p_q)
     if off_inside or counts_out.n_zero_real:
@@ -287,20 +288,24 @@ def check_anosov(
             )
         return AnosovRefusal(h0, "; ".join(bits), counts_out.n_zero_real, off_inside)
     dim_s, dim_u = counts_out.n_neg, counts_out.n_pos
-    carrier = _char_subspace(a, p_q) if p_q.degree > 0 else ()
-    if len(carrier) != dim_s + dim_u:
-        raise AlgebraError("off-axis characteristic space has the wrong dimension")
-    if Subspace(g, carrier).intersect(w).dim != 0:
-        raise AlgebraError("off-axis characteristic space meets the neutral span")
-    left, right = _signed_factor_split(p_q)
+    factors = line_factors(p_q)
+    left, right = _signed_factor_split(factors)
     stable_exact = None
     unstable_exact = None
-    if left is not None:
+    if left is None:
+        carrier = _char_subspace(a, p_q)
+    else:
         stable_exact = _char_subspace(a, left) if left.degree else ()
         unstable_exact = _char_subspace(a, right) if right.degree else ()
         if len(stable_exact) != dim_s or len(unstable_exact) != dim_u:
             raise AlgebraError("signed characteristic spaces have wrong dimensions")
-    gap, gap_exact = spectral_gap(p_q) if p_q.degree > 0 else (None, True)
+        # p_q = left * right with coprime factors: the same space as _char_subspace(a, p_q)
+        carrier = row_basis(stable_exact + unstable_exact)
+    if len(carrier) != dim_s + dim_u:
+        raise AlgebraError("off-axis characteristic space has the wrong dimension")
+    if Subspace(g, carrier).intersect(w).dim != 0:
+        raise AlgebraError("off-axis characteristic space meets the neutral span")
+    gap, gap_exact = _gap(p_q, factors) if p_q.degree > 0 else (None, True)
     if gap is None:
         # no off-axis part at all: every eigenvalue is neutral
         gap, gap_exact = Fraction(0), True
@@ -309,7 +314,8 @@ def check_anosov(
         sub = restrict_operator(a, carrier)
         if sub is None:
             raise AlgebraError("carrier lost invariance")
-        splitting = invariant_splitting(sub, tolerance=tolerance)
+        # the carrier is the whole off-axis part, so p_q is its charpoly
+        splitting = _splitting(sub, counts_out, tolerance)
     cert = AnosovCertificate(
         h0,
         w.basis,

@@ -106,10 +106,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_scale(c: Fraction, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -598,13 +594,13 @@ def _image_rows(m: Matrix, basis: Matrix) -> tuple[list[list[int]], int]:
 def invariant_under(ops: Sequence[Matrix], basis: Matrix) -> list[bool]:
     """For each operator, whether it maps the span of `basis` into itself.
 
-    The basis is eliminated once; each operator's images are tested as
-    one block.  Every operator keeps the zero space.
+    The basis is eliminated and made integer once; each operator's
+    images are tested as one block.  Every operator keeps the zero space.
     """
     if not basis:
         return [True] * len(ops)
-    span = Coordinates(basis)
-    return [all(span.contains(_image_rows(m, basis)[0])) for m in ops]
+    span, ib = Coordinates(basis), _integer_form(basis)
+    return [all(span.contains(_image_rows(m, ib)[0])) for m in ops]
 
 
 def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
@@ -621,17 +617,15 @@ def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
     return _like(m, [list(col) for col in zip(*rows)], den)
 
 
-def quotient_operator(
-    m: Matrix, basis: Matrix
-) -> tuple[Matrix, tuple[int, ...]] | None:
-    """Matrix induced by m on the quotient by the span of `basis`, of the kind of m.
+def _restrict_and_quotient(m, basis: Matrix):
+    """(restricted, quotient, complement) of m along the span of `basis`, or
+    None when the span is not invariant; both matrices of the kind of m.
 
-    The quotient is coordinatized by the deterministic complement of
-    standard basis vectors from extend_basis.  Returns (matrix, indices)
-    or None when the span is not invariant.  One elimination of basis +
-    complement maps the images of the basis, whose complement coordinates
-    vanish exactly when the span is invariant, and the columns of m at the
-    complement, whose complement coordinates are the quotient matrix.
+    One elimination of basis + complement (from extend_basis) maps the
+    images of both.  The basis images have zero complement coordinates
+    exactly when the span is invariant, and their basis coordinates are
+    the restricted matrix; the image of a complement vector e_j is column
+    j of m, and its complement coordinates are the quotient matrix.
     """
     im = _integer_form(m)
     n = len(im.rows)
@@ -640,10 +634,24 @@ def quotient_operator(
     full = tuple(basis) + tuple(
         tuple(_ONE if i == j else _ZERO for i in range(n)) for j in comp
     )
-    # the image of the complement vector e_j is column j of m
     rows, den = Coordinates(full).map_integer(*_image_rows(im, full))
     if None in rows:
         raise AssertionError("complement construction failed")
     if any(any(c[k:]) for c in rows[:k]):
         return None
-    return _like(m, [list(col) for col in zip(*(c[k:] for c in rows[k:]))], den), comp
+    restricted = [list(col) for col in zip(*(c[:k] for c in rows[:k]))]
+    quotient = [list(col) for col in zip(*(c[k:] for c in rows[k:]))]
+    return _like(m, restricted, den), _like(m, quotient, den), comp
+
+
+def quotient_operator(
+    m: Matrix, basis: Matrix
+) -> tuple[Matrix, tuple[int, ...]] | None:
+    """Matrix induced by m on the quotient by the span of `basis`, of the kind of m.
+
+    The quotient is coordinatized by the deterministic complement of
+    standard basis vectors from extend_basis.  Returns (matrix, indices)
+    or None when the span is not invariant.
+    """
+    split = _restrict_and_quotient(m, basis)
+    return None if split is None else split[1:]

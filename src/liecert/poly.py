@@ -220,6 +220,15 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
     return primitive(_remainder_chain(a, b)[-1])
 
 
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """a * b for integer polynomials a, b."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     """a / b for a multiple a of a primitive b: an integer polynomial."""
     lb, db = b[-1], len(b) - 1

@@ -15,22 +15,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 from .algebra import AlgebraError, StructureError
 from .linalg import (
+    IntMatrix,
     Matrix,
     _integer_form,
+    _restrict_and_quotient,
     charpoly,
     integer_row,
     inverse,
     mat_poly,
     mat_pow,
-    mat_scale,
     mat_sub,
     matmul,
-    quotient_operator,
-    restrict_operator,
 )
 from .poly import (
     RationalPolynomial,
@@ -59,11 +58,13 @@ def _linear_factors(cs: list[int]) -> tuple[list[int], list[tuple[list[int], int
 
     cs is a primitive integer polynomial, ascending, with cs[0] != 0.  Each
     round takes the roots of the current cofactor in floating point (the
-    coefficients shifted right until they fit a float) and turns every
-    finite, not clearly complex one into a candidate a/b with
-    b <= |leading coefficient|.  A candidate is tried only when a divides
-    the constant and b the leading coefficient, as for every rational root;
-    (b t - a) is then divided out exactly, as often as it goes.  Rounds
+    coefficients shifted right until they fit a float) and proposes the
+    convergents a/b, b <= |leading coefficient|, of every finite, not
+    clearly complex one: a root within 1/(2 b^2) of it is one (Legendre;
+    Hardy & Wright, Thm 184), however large the leading coefficient.  A
+    candidate is tried only when a divides the constant and b the leading
+    coefficient, as for every rational root; (b t - a) is then divided out
+    exactly, as often as it goes, ending that root's proposals.  Rounds
     repeat on the deflated cofactor until one peels nothing: a multiple
     root comes out of floating point as a cluster spread by about
     eps^(1/m), which may round wrongly until its neighbours are gone
@@ -85,22 +86,35 @@ def _linear_factors(cs: list[int]) -> tuple[list[int], list[tuple[list[int], int
         for z in roots:
             if not np.isfinite(z) or abs(z.imag) > 0.25 * max(1.0, abs(z)):
                 continue
-            r = Fraction(float(z.real)).limit_denominator(abs(cs[-1]))
-            a, b = r.numerator, r.denominator
-            if r in tried or not a or cs[0] % a or cs[-1] % b:
-                continue
-            tried.add(r)
-            mult = 0
-            while len(cs) > 1:
-                try:
-                    cs = _exact_quotient(cs, [-a, b])
-                except ArithmeticError:
+            for a, b in _convergents(Fraction(float(z.real)), abs(cs[-1])):
+                if (a, b) in tried or not a or cs[0] % a or cs[-1] % b:
+                    continue
+                tried.add((a, b))
+                mult = 0
+                while len(cs) > 1:
+                    try:
+                        cs = _exact_quotient(cs, [-a, b])
+                    except ArithmeticError:
+                        break
+                    mult += 1
+                if mult:
+                    peeled.append(([-a, b], mult))
+                    found = True
                     break
-                mult += 1
-            if mult:
-                peeled.append(([-a, b], mult))
-                found = True
     return cs, peeled
+
+
+def _convergents(x: Fraction, bound: int):
+    """The continued-fraction convergents of x with denominator <= bound, as (a, b)."""
+    a0, b0, a1, b1 = 0, 1, 1, 0
+    num, den = x.numerator, x.denominator
+    while den:
+        c, rest = divmod(num, den)
+        a0, b0, a1, b1 = a1, b1, c * a1 + a0, c * b1 + b0
+        if b1 > bound:
+            return
+        yield a1, b1
+        num, den = den, rest
 
 
 def _is_square(n: int) -> bool:
@@ -218,37 +232,31 @@ def jordan_chevalley(op: Matrix) -> JordanChevalley:
         raise AlgebraError("semisimple and nilpotent parts do not commute")
     if not all(all(x == 0 for x in row) for row in mat_pow(nil, n)):
         raise AlgebraError("nilpotent part is not nilpotent")
-    # refinement into hyperbolic + elliptic
-    parts = []
+    # the hyperbolic part is s e(s) over the factors with real roots and
+    # m e(s) over those whose roots share the real part m, e being each
+    # factor's CRT idempotent; the e(s) sum to I, as f(s) = 0, so it is s
+    # minus (s - m) e(s) over the latter, and s itself when all roots are real
+    elliptic = RationalPolynomial([])
     for phi, _ in factor_with_multiplicity(f):
-        d = phi.degree
-        mean = -phi.coeffs[d - 1] / (d * phi.coeffs[d])
-        if count_real_roots_squarefree(phi) == d:
-            parts.append(("real", phi, mean))
-        elif squarefree_sign_counts(phi, mean).n_zero_real == d:
-            parts.append(("line", phi, mean))
-        else:
+        if phi.degree == 1 or count_real_roots_squarefree(phi) == phi.degree:
+            continue
+        m = _common_real_part(phi)
+        if m is None:
             return JordanChevalley(s, nil, False, None, None)
-    hyper = tuple(tuple(_ZERO for _ in range(n)) for _ in range(n))
-    for kind, phi, mean in parts:
-        proj = _crt_projector(f, phi, s)
-        if kind == "real":
-            block = matmul(s, proj)
-        else:
-            block = mat_scale(mean, proj)
-        hyper = tuple(
-            tuple(hyper[i][j] + block[i][j] for j in range(n)) for i in range(n)
-        )
+        other = f // phi  # e = u * other, with u * other + v * phi = 1
+        elliptic = elliptic + RationalPolynomial([-m, _ONE]) * _inverse_mod(other, phi) * other
+    hyper = s if elliptic.is_zero else mat_sub(s, apply_poly(elliptic % f, s))
     return JordanChevalley(s, nil, True, hyper, mat_sub(s, hyper))
 
 
-def _crt_projector(f: RationalPolynomial, phi: RationalPolynomial, s: Matrix) -> Matrix:
-    """Projector onto the phi-primary component, as a polynomial in s."""
-    other = f // phi
-    # u * other + v * phi = 1
-    u = _inverse_mod(other, phi)
-    e = (u * other) % f
-    return apply_poly(e, s)
+def _common_real_part(phi: RationalPolynomial) -> Fraction | None:
+    """The real part shared by every root of the monic irreducible phi, or
+    None: the mean of the roots, when the count shifted to it finds them all."""
+    d = phi.degree
+    mean = -phi.coeffs[d - 1] / d
+    if d == 1 or squarefree_sign_counts(phi, mean).n_zero_real == d:
+        return mean
+    return None
 
 
 def _inverse_mod(a: RationalPolynomial, m: RationalPolynomial) -> RationalPolynomial:
@@ -278,32 +286,56 @@ def spectral_gap(p: RationalPolynomial) -> tuple[Fraction | None, bool]:
     when every root is on the axis.  Bisection endpoints are powers of
     two, so gaps at dyadic rationals are detected exactly.  The start of
     the bisection is fixed by p's Cauchy bound; steps above the tighter
-    power-of-two Fujiwara bound need no count, since every root lies in
-    their band.  Counts are taken on the squarefree part, since a band is
-    decided by whether it holds a root, not by how many.
+    power-of-two Fujiwara bound of its squarefree part need no count,
+    since every root lies in their band.  A band is decided by whether it
+    holds a root, so each irreducible factor answers for itself: one whose
+    roots share the real part m by |m|, any other by its own Sturm counts.
     """
     if p.degree < 1:
         return None, True
-    f = squarefree_part(p)
-    base = squarefree_sign_counts(f)
-    if base.n_neg + base.n_pos == 0:
+    return _gap(p, line_factors(p))
+
+
+# (phi, multiplicity, m): a monic irreducible factor and its roots' common real part
+LineFactors = list[tuple[RationalPolynomial, int, Fraction | None]]
+
+
+def line_factors(p: RationalPolynomial) -> LineFactors:
+    """The irreducible factors of p over Q, each with its common real part."""
+    return [(phi, mult, _common_real_part(phi)) for phi, mult in factor_with_multiplicity(p)]
+
+
+def _gap(p: RationalPolynomial, factors: LineFactors) -> tuple[Fraction | None, bool]:
+    """spectral_gap(p), given `line_factors(p)`."""
+    # the least |m| of a factor off the axis (m = 0 puts every root on it)
+    least = min((abs(m) for _, _, m in factors if m), default=None)
+    others = [(phi, squarefree_sign_counts(phi)) for phi, _, m in factors if m is None]
+    if least is None and not others:
         return None, True
     hi = _ONE
     bound = root_bound(p)
     while hi < bound:
         hi *= 2
-    top = power_of_two_root_bound(f)
+    # the squarefree part is the product of the factors; with nothing to
+    # count, a band costs nothing and needs no bound
+    top = power_of_two_root_bound(prod(phi for phi, _, _ in factors)) if others else hi
     lo = _ZERO
 
     def band_empty(delta: Fraction) -> tuple[bool, bool]:
-        """(no off-axis root with |Re| < delta, some root with |Re| = delta)."""
-        right = squarefree_sign_counts(f, delta)
-        left = squarefree_sign_counts(f, -delta)
-        attained = (right.n_zero_real > 0) or (left.n_zero_real > 0)
-        inside = (base.n_pos - right.n_pos - right.n_zero_real) + (
-            base.n_neg - left.n_neg - left.n_zero_real
-        )
-        return inside == 0, attained
+        """(no off-axis root with |Re| < delta, some root with |Re| = delta);
+        the second is moot when the first is False."""
+        if least is not None and least < delta:
+            return False, False
+        attained = least == delta
+        for phi, base in others:
+            right = squarefree_sign_counts(phi, delta)
+            left = squarefree_sign_counts(phi, -delta)
+            if (base.n_pos - right.n_pos - right.n_zero_real) or (
+                base.n_neg - left.n_neg - left.n_zero_real
+            ):
+                return False, False
+            attained = attained or right.n_zero_real > 0 or left.n_zero_real > 0
+        return True, attained
 
     # hi exceeds every |root|, so the open band below hi misses nothing
     for _ in range(GAP_BITS):
@@ -381,13 +413,18 @@ def invariant_splitting(op: Matrix, tolerance: float = 1e-9) -> InvariantSplitti
     eigenvalue on the imaginary axis.  op is a `Fraction` matrix or a
     `linalg.IntMatrix`.
     """
+    op = _integer_form(op)
+    return _splitting(op, root_sign_counts(char_poly(op)), tolerance)
+
+
+def _splitting(op: IntMatrix, counts: RootSignCount, tolerance: float) -> InvariantSplitting:
+    """invariant_splitting of op, given the exact counts of its characteristic polynomial."""
     import numpy as np
 
-    rows, den = op = _integer_form(op)
+    rows, den = op
     n = len(rows)
     if n == 0:
         return InvariantSplitting(RootSignCount(0, 0, 0), (), (), 0.0, tolerance, None)
-    counts = root_sign_counts(char_poly(op))
     if counts.n_zero_real:
         raise StructureError("operator has eigenvalues on the imaginary axis")
     # int / int is correctly rounded: each entry is float(Fraction(x, den))
@@ -434,11 +471,10 @@ def restrict_and_quotient(op: Matrix, basis: Matrix) -> RestrictionQuotient:
 
     Raises StructureError when the span is not invariant.
     """
-    restricted = restrict_operator(op, basis)
-    if restricted is None:
+    split = _restrict_and_quotient(op, basis)
+    if split is None:
         raise StructureError("subspace is not invariant under the operator")
-    quo = quotient_operator(op, basis)
-    qop, comp = quo
+    restricted, qop, comp = split
     rc = root_sign_counts(char_poly(restricted)) if basis else RootSignCount(0, 0, 0)
     qc = root_sign_counts(char_poly(qop)) if qop else RootSignCount(0, 0, 0)
     total = root_sign_counts(char_poly(op)) if op else RootSignCount(0, 0, 0)

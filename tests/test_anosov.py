@@ -10,6 +10,7 @@ from liecert.algebra import (
     Subspace,
     ValidationError,
     direct_sum,
+    lie_algebra_from_matrices,
 )
 from liecert.anosov import (
     ActionSpec,
@@ -32,10 +33,30 @@ from liecert.builders import (
     build_sl2_geodesic,
     build_so13_frame_flow,
     build_so13_geodesic,
+    build_example,
     build_suspension,
     build_wedge_example,
+    catalog_names,
 )
-from liecert.cartan import is_csa
+from liecert.cartan import cartan_subspace, is_csa
+from liecert.linalg import generalized_kernel, restrict_operator
+from liecert.poly import (
+    RationalPolynomial as P,
+    power_of_two_root_bound,
+    root_bound,
+    root_sign_counts,
+    squarefree_part,
+    squarefree_sign_counts,
+)
+from liecert.spectral import (
+    GAP_BITS,
+    apply_poly,
+    char_poly,
+    factor_with_multiplicity,
+    invariant_splitting,
+)
+from test_acceptance import _sl_basis
+from test_sparse_kernel import reference_quotient_operator
 
 F = Fraction
 
@@ -556,3 +577,150 @@ def test_non_hyperbolic_nil_suspension():
     rep = nil_suspension_check(base, total, fiber)
     assert rep.structure_ok and not rep.anosov
     assert not rep.induced_hyperbolic
+
+
+# -- one exact pass against the former check ------------------------------------
+
+
+def former_spectral_gap(p):
+    """The former spectral_gap: every band counted on the whole squarefree part of p."""
+    if p.degree < 1:
+        return None, True
+    f = squarefree_part(p)
+    base = squarefree_sign_counts(f)
+    if base.n_neg + base.n_pos == 0:
+        return None, True
+    hi = F(1)
+    while hi < root_bound(p):
+        hi *= 2
+    top = power_of_two_root_bound(f)
+    lo = F(0)
+    for _ in range(GAP_BITS):
+        mid = (lo + hi) / 2
+        if mid > top:
+            hi = mid
+            continue
+        right = squarefree_sign_counts(f, mid)
+        left = squarefree_sign_counts(f, -mid)
+        attained = right.n_zero_real > 0 or left.n_zero_real > 0
+        inside = (base.n_pos - right.n_pos - right.n_zero_real) + (
+            base.n_neg - left.n_neg - left.n_zero_real
+        )
+        if inside == 0 and attained:
+            return mid, True
+        if inside == 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, False
+
+
+def reference_check_anosov(action, h0, tolerance=1e-9):
+    """The former check_anosov: restriction and quotient by two eliminations,
+    the carrier as the characteristic space of the whole p_q, each factor's
+    side and the gap by Sturm counts, and the carrier's counts taken again
+    by invariant_splitting.  A refusal is returned as its two counts."""
+    g = action.ambient
+    a = g.ad(h0)
+    w = action.joint
+    counts_in = root_sign_counts(char_poly(restrict_operator(a, w.basis)))
+    quotient, _ = reference_quotient_operator(a, w.basis)
+    p_q = char_poly(quotient)
+    counts_out = root_sign_counts(p_q)
+    off_inside = counts_in.n_neg + counts_in.n_pos
+    if off_inside or counts_out.n_zero_real:
+        return counts_out.n_zero_real, off_inside
+
+    def char_subspace(p):
+        return generalized_kernel(apply_poly(p, a)) if p.degree else ()
+
+    carrier = char_subspace(p_q)
+    sides = {-1: P([1]), 1: P([1])}
+    for phi, mult in factor_with_multiplicity(p_q):
+        c = root_sign_counts(phi)
+        side = -1 if c.n_neg == phi.degree else 1 if c.n_pos == phi.degree else None
+        if side is None:
+            sides = None
+            break
+        for _ in range(mult):
+            sides[side] = sides[side] * phi
+    stable = unstable = None
+    if sides is not None:
+        stable, unstable = char_subspace(sides[-1]), char_subspace(sides[1])
+    gap, gap_exact = former_spectral_gap(p_q)
+    if gap is None:
+        gap, gap_exact = F(0), True
+    splitting = invariant_splitting(restrict_operator(a, carrier), tolerance) if carrier else None
+    cert = AnosovCertificate(
+        h0, w.basis, carrier, counts_out.n_neg, counts_out.n_pos, stable, unstable,
+        gap, gap_exact, splitting, None,
+    )
+    return replace(cert, invariance=splitting_invariance(action, cert, tolerance))
+
+
+def _assert_same_as_reference(action, h0):
+    got = check_anosov(action, h0)
+    want = reference_check_anosov(action, h0)
+    if isinstance(got, AnosovRefusal):
+        assert (got.axis_outside, got.off_axis_inside) == want
+    else:
+        assert got == want
+    return got
+
+
+def _sp4_basis():
+    """sp(4, R) as [[A, B], [C, -A^T]] with B and C symmetric."""
+
+    def unit(entries):
+        return tuple(tuple(F(entries.get((r, c), 0)) for c in range(4)) for r in range(4))
+
+    gl = [unit({(i, j): 1, (2 + j, 2 + i): -1}) for i in range(2) for j in range(2)]
+    sym = [{(0, 2): 1}, {(1, 3): 1}, {(0, 3): 1, (1, 2): 1}]
+    upper = [unit(e) for e in sym]
+    lower = [unit({(c, r): x for (r, c), x in e.items()}) for e in sym]
+    return tuple(gl + upper + lower)
+
+
+def test_catalog_certificates_match_former_check(monkeypatch):
+    tried = []
+    real = liecert.anosov.check_anosov
+    monkeypatch.setattr(
+        liecert.anosov,
+        "check_anosov",
+        lambda action, v, **kw: tried.append((action, v)) or real(action, v, **kw),
+    )
+    for name in catalog_names():
+        spec = build_example(name)
+        find_anosov_elements(spec)
+        for v in spec.flow.basis:
+            tried.append((spec, v))
+    outcomes = {_assert_same_as_reference(spec, v).accepted for spec, v in tried}
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("basis", [_sl_basis(3), _sp4_basis(), _sl_basis(4)],
+                         ids=["sl3", "sp4", "sl4"])
+def test_chamber_certificates_match_former_check(basis):
+    g = lie_algebra_from_matrices(basis)
+    spec = ActionSpec(g, cartan_subspace(g))
+    samples = liecert.anosov._chamber_samples(spec)
+    assert samples
+    for v in samples:
+        assert _assert_same_as_reference(spec, v).accepted
+
+
+@pytest.mark.parametrize(
+    "derivation",
+    [
+        [[0, 1], [2, 0]],  # t^2 - 2: one factor on both sides, no rational split
+        [[1, -1], [1, 1]],  # t^2 - 2t + 2: roots 1 +- i on one line
+        [[0, 0, 2], [1, 0, -2], [0, 1, 3]],  # t^3 - 3t^2 + 2t - 2: one side, no line
+        [[0, 1, 0, 0], [2, 0, 0, 0], [0, 0, -1, -1], [0, 0, 1, -1]],  # both kinds
+        [[0, 0, 0, -34], [1, 0, 0, 48], [0, 1, 0, -28], [0, 0, 1, 8]],  # a line quartic
+    ],
+    ids=["mixed-quadratic", "line-pair", "one-side-cubic", "mixed-and-line", "line-quartic"],
+)
+def test_suspension_certificates_match_former_check(derivation):
+    spec = build_suspension([derivation])
+    cert = _assert_same_as_reference(spec, spec.ambient.basis_vector(len(derivation)))
+    assert cert.accepted

@@ -12,6 +12,7 @@ from liecert.linalg import (
     IntMatrix,
     _from_integer,
     _integer_form,
+    _restrict_and_quotient,
     charpoly,
     combine,
     coords_in_basis,
@@ -761,9 +762,12 @@ def test_kernel_entry_points_agree_on_an_int_matrix(m, coeffs):
         assert fraction_view(r) == restrict_operator(m, basis)
         q = quotient_operator(im, basis)
         want = quotient_operator(m, basis)
+        both = _restrict_and_quotient(im, basis)
         if q is None:
-            assert want is None
+            assert want is None and both is None
         else:
             assert isinstance(q[0], IntMatrix)
             assert (fraction_view(q[0]), q[1]) == want
+            assert fraction_view(both[0]) == restrict_operator(m, basis)
+            assert (fraction_view(both[1]), both[2]) == want
         assert invariant_under([im], basis) == invariant_under([m], basis)

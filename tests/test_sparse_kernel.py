@@ -36,6 +36,7 @@ from liecert.linalg import (
     Coordinates,
     Echelon,
     _int_matmul,
+    _restrict_and_quotient,
     combine,
     coords_in_basis,
     extend_basis,
@@ -289,6 +290,9 @@ def test_restriction_and_quotient_match_reference(case):
     if invariant:
         assert restricted is not None
     assert invariant_under([m], basis) == [restricted is not None]
+    # one elimination gives both blocks
+    both = _restrict_and_quotient(m, basis)
+    assert both == (None if restricted is None else (restricted, *quotient_operator(m, basis)))
 
 
 def test_non_invariant_span_is_none_on_both_sides():

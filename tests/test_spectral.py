@@ -13,9 +13,19 @@ from generators import matrix, root_polynomials
 from liecert.algebra import StructureError, lie_algebra_from_matrices
 from liecert.anosov import ActionSpec, check_anosov
 from liecert.cartan import cartan_subspace, restricted_roots
-from liecert.linalg import identity, mat_sub, matmul, vector
-from liecert.poly import RationalPolynomial as P, RootSignCount, root_bound, root_sign_counts
+from liecert.linalg import identity, inverse, mat_sub, matmul, vector
+from liecert.poly import (
+    RationalPolynomial as P,
+    RootSignCount,
+    count_real_roots_squarefree,
+    root_bound,
+    root_sign_counts,
+    squarefree_part,
+    squarefree_sign_counts,
+)
 from liecert.spectral import (
+    _inverse_mod,
+    apply_poly,
     char_poly,
     factor_with_multiplicity,
     invariant_splitting,
@@ -219,6 +229,9 @@ def _power(f, k):
 @example(P([-2, 0, 0, 0, 1]))
 @example(P([25, 0, 6, 0, 1]) * P([0, 1]))
 @example(P([-1, -1, 1]) * P([F(1, 3), 1]))
+@example(P([34, -48, 28, -8, 1]))  # (t - 2)^4 + 4 (t - 2)^2 + 2: roots on Re = 2
+@example(P([-1, 0, 1, 0, 1]))  # irreducible, two roots on the axis and two off it
+@example(P([F(-1, 3), 1]) * P([-2, 0, 1]))  # linear times an irrational quadratic
 @settings(max_examples=60, deadline=None)
 def test_spectral_gap_matches_reference(p):
     assert spectral_gap(p) == reference_spectral_gap(p)
@@ -237,14 +250,18 @@ def test_spectral_gap_counts_only_below_the_bound(monkeypatch):
     monkeypatch.setattr(
         liecert.spectral,
         "squarefree_sign_counts",
-        lambda f, shift=0: calls.append(f) or real(f, shift),
+        lambda f, shift=0: calls.append((f, F(shift))) or real(f, shift),
     )
-    # (t + 1)^12: Cauchy's bound 925 starts the bisection at 1024, but the
-    # squarefree part t + 1 puts every root within 1, where the first count
-    # finds the gap
+    # (t + 1)^12: the root -1 of its one factor answers every band, no count
     assert spectral_gap(_power(P([1, 1]), 12)) == (F(1), True)
-    assert len(calls) == 3
-    assert all(f.degree == 1 for f in calls)
+    assert calls == []
+    # (t^2 - 3)^6: Cauchy's bound 1459 starts the bisection at 2048, but the
+    # squarefree part t^2 - 3 puts every root within 4; its roots +-sqrt(3)
+    # share no real part, so the bands below 4 are counted on t^2 - 3 alone
+    p = _power(P([-3, 0, 1]), 6)
+    assert spectral_gap(p) == reference_spectral_gap(p)
+    assert calls and all(f == P([-3, 0, 1]) for f, _ in calls)
+    assert max(abs(shift) for _, shift in calls) == 4
 
 
 def test_shifted_counts_move_the_line():
@@ -310,6 +327,106 @@ def test_jordan_chevalley_random_consistency():
             )
             hc = root_sign_counts(char_poly(jc.hyperbolic))
             assert hc.n_zero_real >= operator_sign_counts(m).n_zero_real
+
+
+def former_hyperbolic_part(op, s):
+    """The former refinement of jordan_chevalley: the sum over the factors of
+    f of s P or m P, with P the CRT projector of each factor, given the
+    semisimple part s; (exact, hyperbolic)."""
+    n = len(op)
+    f = squarefree_part(char_poly(op))
+    parts = []
+    for phi, _ in factor_with_multiplicity(f):
+        d = phi.degree
+        mean = -phi.coeffs[d - 1] / (d * phi.coeffs[d])
+        if count_real_roots_squarefree(phi) == d:
+            parts.append(("real", phi, mean))
+        elif squarefree_sign_counts(phi, mean).n_zero_real == d:
+            parts.append(("line", phi, mean))
+        else:
+            return False, None
+    hyper = tuple(tuple(F(0) for _ in range(n)) for _ in range(n))
+    for kind, phi, mean in parts:
+        other = f // phi
+        proj = apply_poly((_inverse_mod(other, phi) * other) % f, s)
+        block = matmul(s, proj) if kind == "real" else tuple(
+            tuple(mean * x for x in row) for row in proj
+        )
+        hyper = tuple(tuple(x + y for x, y in zip(r, b)) for r, b in zip(hyper, block))
+    return True, hyper
+
+
+def _companion(p):
+    """The companion matrix of the monic integer polynomial p."""
+    n = p.degree
+    return tuple(
+        tuple(F(int(i == j + 1)) - (p.coeffs[i] if j == n - 1 else 0) for j in range(n))
+        for i in range(n)
+    )
+
+
+# blocks by spectrum: real, on one vertical line, and neither (t^4 - 2)
+_REAL_BLOCKS = (P([-2, 1]), P([-2, 0, 1]), P([1, -3, 1]), P([3, 1]) * P([3, 1]))
+_LINE_BLOCKS = (P([1, 0, 1]), P([2, -2, 1]), P([34, -48, 28, -8, 1]), P([1, 0, 1]) * P([1, 0, 1]))
+_OTHER_BLOCKS = (P([-2, 0, 0, 0, 1]),)
+
+
+@st.composite
+def spectra_matrices(draw):
+    """Block-diagonal companions of real, line and (rarely) other spectra,
+    a Jordan coupling sometimes, conjugated by an integer unimodular matrix."""
+    kinds = draw(st.sampled_from([_REAL_BLOCKS, _LINE_BLOCKS, _REAL_BLOCKS + _LINE_BLOCKS,
+                                  _REAL_BLOCKS + _LINE_BLOCKS + _OTHER_BLOCKS]))
+    blocks = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
+    blocks = [_companion(b) for b in blocks]
+    n = sum(len(b) for b in blocks)
+    assume(n <= 7)
+    m = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            m[at + i][at : at + len(b)] = row
+        at += len(b)
+    if draw(st.booleans()) and len(blocks) > 1 and len(blocks[0]) == len(blocks[1]):
+        k = len(blocks[0])
+        for i in range(k):  # a Jordan chain when the two blocks agree
+            m[i][k + i] = F(1)
+    u = identity(n)
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-2, 2))
+        if i != j:
+            u = tuple(
+                tuple(x + c * u[j][col] if r == i else x for col, x in enumerate(row))
+                for r, row in enumerate(u)
+            )
+    return matmul(matmul(u, tuple(map(tuple, m))), inverse(u))
+
+
+@given(spectra_matrices())
+@example(matrix([[0, -1], [1, 0]]))
+@example(matrix([[1, -1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, -3]]))
+@settings(max_examples=40, deadline=None)
+def test_jordan_chevalley_matches_projector_sum(m):
+    jc = jordan_chevalley(m)
+    exact, hyper = former_hyperbolic_part(m, jc.semisimple)
+    assert jc.exact == exact
+    assert jc.hyperbolic == hyper
+    if exact:
+        assert jc.elliptic == mat_sub(jc.semisimple, hyper)
+
+
+def test_jordan_chevalley_builds_no_projector_on_real_spectra(monkeypatch):
+    calls = []
+    real = liecert.spectral._inverse_mod
+    monkeypatch.setattr(
+        liecert.spectral, "_inverse_mod", lambda a, m: calls.append(m) or real(a, m)
+    )
+    m = matrix([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
+    assert jordan_chevalley(m).hyperbolic == matrix([[2, 0, 0], [0, 2, 0], [0, 0, -1]])
+    assert calls == []
+    jordan_chevalley(matrix([[1, -1, 0], [1, 1, 0], [0, 0, 3]]))
+    assert calls == [P([2, -2, 1])]
 
 
 def reference_factor_with_multiplicity(p):
@@ -444,5 +561,22 @@ def test_irreducible_quadratic_residual_skips_sympy(monkeypatch):
     calls = []
     monkeypatch.setattr(sympy.Poly, "factor_list", lambda self: calls.append(self))
     assert factor_with_multiplicity(P([1, 1, 1]) * -3) == [(P([1, 1, 1]), 1)]
+    assert factor_with_multiplicity(p) == want
+    assert calls == []
+
+
+def test_sl5_chamber_polynomial_skips_sympy(monkeypatch):
+    # p_q of the first sl(5) chamber sample, diag(1, -17/8, -1/4, 17/32, 27/32):
+    # its 20 roots d_i - d_j are rationals over 32, and its primitive integer
+    # form has so large a leading coefficient that the closest fraction of
+    # that size to a float root is the float itself
+    d = [F(1), F(-17, 8), F(-1, 4), F(17, 32), F(27, 32)]
+    p = _product(P([d[j] - d[i], 1]) for i in range(5) for j in range(5) if i != j)
+    want = reference_factor_with_multiplicity(p)
+    calls = []
+    real = sympy.Poly.factor_list
+    monkeypatch.setattr(
+        sympy.Poly, "factor_list", lambda self: calls.append(self.all_coeffs()) or real(self)
+    )
     assert factor_with_multiplicity(p) == want
     assert calls == []
