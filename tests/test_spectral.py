@@ -379,8 +379,9 @@ def spectra_matrices(draw):
                                   _REAL_BLOCKS + _LINE_BLOCKS + _OTHER_BLOCKS]))
     blocks = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3))
     blocks = [_companion(b) for b in blocks]
+    while sum(len(b) for b in blocks) > 7:  # at most 7 x 7; one block has at most 4 rows
+        blocks.pop()
     n = sum(len(b) for b in blocks)
-    assume(n <= 7)
     m = [[F(0)] * n for _ in range(n)]
     at = 0
     for b in blocks:
