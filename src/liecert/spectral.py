@@ -283,13 +283,14 @@ def spectral_gap(p: RationalPolynomial) -> tuple[Fraction | None, bool]:
     """(bound, exact): off-axis roots satisfy |Re| >= bound.
 
     exact=True means some root attains |Re| = bound.  Returns (None, True)
-    when every root is on the axis.  Bisection endpoints are powers of
-    two, so gaps at dyadic rationals are detected exactly.  The start of
-    the bisection is fixed by p's Cauchy bound; steps above the tighter
-    power-of-two Fujiwara bound of its squarefree part need no count,
-    since every root lies in their band.  A band is decided by whether it
-    holds a root, so each irreducible factor answers for itself: one whose
-    roots share the real part m by |m|, any other by its own Sturm counts.
+    when every root is on the axis.  When each irreducible factor's roots
+    share a real part m, the gap is the least nonzero |m|.  Otherwise it
+    is bisected between powers of two from p's Cauchy bound, so dyadic
+    gaps are detected exactly; steps above the tighter power-of-two
+    Fujiwara bound of its squarefree part need no count, since every root
+    lies in their band.  A band is decided by whether it holds a root, so
+    each irreducible factor answers for itself: one whose roots share the
+    real part m by |m|, any other by its own Sturm counts.
     """
     if p.degree < 1:
         return None, True
@@ -310,15 +311,15 @@ def _gap(p: RationalPolynomial, factors: LineFactors) -> tuple[Fraction | None, 
     # the least |m| of a factor off the axis (m = 0 puts every root on it)
     least = min((abs(m) for _, _, m in factors if m), default=None)
     others = [(phi, squarefree_sign_counts(phi)) for phi, _, m in factors if m is None]
-    if least is None and not others:
-        return None, True
+    if not others:
+        # every root lies on a line: the least |m| off the axis is attained
+        return least, True
     hi = _ONE
     bound = root_bound(p)
     while hi < bound:
         hi *= 2
-    # the squarefree part is the product of the factors; with nothing to
-    # count, a band costs nothing and needs no bound
-    top = power_of_two_root_bound(prod(phi for phi, _, _ in factors)) if others else hi
+    # the squarefree part is the product of the factors
+    top = power_of_two_root_bound(prod(phi for phi, _, _ in factors))
     lo = _ZERO
 
     def band_empty(delta: Fraction) -> tuple[bool, bool]:

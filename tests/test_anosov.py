@@ -582,6 +582,17 @@ def test_non_hyperbolic_nil_suspension():
 # -- one exact pass against the former check ------------------------------------
 
 
+def former_band(f, base, delta):
+    """(no root of the squarefree f with 0 < |Re| < delta, some root with
+    |Re| = delta), by the former gap's counts; base is f's unshifted count."""
+    right = squarefree_sign_counts(f, delta)
+    left = squarefree_sign_counts(f, -delta)
+    inside = (base.n_pos - right.n_pos - right.n_zero_real) + (
+        base.n_neg - left.n_neg - left.n_zero_real
+    )
+    return inside == 0, right.n_zero_real > 0 or left.n_zero_real > 0
+
+
 def former_spectral_gap(p):
     """The former spectral_gap: every band counted on the whole squarefree part of p."""
     if p.degree < 1:
@@ -600,26 +611,38 @@ def former_spectral_gap(p):
         if mid > top:
             hi = mid
             continue
-        right = squarefree_sign_counts(f, mid)
-        left = squarefree_sign_counts(f, -mid)
-        attained = right.n_zero_real > 0 or left.n_zero_real > 0
-        inside = (base.n_pos - right.n_pos - right.n_zero_real) + (
-            base.n_neg - left.n_neg - left.n_zero_real
-        )
-        if inside == 0 and attained:
+        empty, attained = former_band(f, base, mid)
+        if empty and attained:
             return mid, True
-        if inside == 0:
+        if empty:
             lo = mid
         else:
             hi = mid
     return lo, False
 
 
+def assert_gap_matches_former(p, got):
+    """got is former_spectral_gap(p), or an exact gap the bisection only
+    approached: the former's own counts at +-m find a root on |Re| = m and
+    none with 0 < |Re| < m, above its lower bound."""
+    want = former_spectral_gap(p)
+    if want[0] is None:
+        want = F(0), True
+    if got == want:
+        return
+    (m, exact), (lo, lo_exact) = got, want
+    assert exact and not lo_exact and lo <= m
+    f = squarefree_part(p)
+    assert former_band(f, squarefree_sign_counts(f), m) == (True, True)
+
+
 def reference_check_anosov(action, h0, tolerance=1e-9):
     """The former check_anosov: restriction and quotient by two eliminations,
     the carrier as the characteristic space of the whole p_q, each factor's
     side and the gap by Sturm counts, and the carrier's counts taken again
-    by invariant_splitting.  A refusal is returned as its two counts."""
+    by invariant_splitting.  An acceptance is returned as (p_q, certificate)
+    with the gap fields None, for assert_gap_matches_former; a refusal as
+    its two counts."""
     g = action.ambient
     a = g.ad(h0)
     w = action.joint
@@ -647,15 +670,12 @@ def reference_check_anosov(action, h0, tolerance=1e-9):
     stable = unstable = None
     if sides is not None:
         stable, unstable = char_subspace(sides[-1]), char_subspace(sides[1])
-    gap, gap_exact = former_spectral_gap(p_q)
-    if gap is None:
-        gap, gap_exact = F(0), True
     splitting = invariant_splitting(restrict_operator(a, carrier), tolerance) if carrier else None
     cert = AnosovCertificate(
         h0, w.basis, carrier, counts_out.n_neg, counts_out.n_pos, stable, unstable,
-        gap, gap_exact, splitting, None,
+        None, None, splitting, None,
     )
-    return replace(cert, invariance=splitting_invariance(action, cert, tolerance))
+    return p_q, replace(cert, invariance=splitting_invariance(action, cert, tolerance))
 
 
 def _assert_same_as_reference(action, h0):
@@ -664,7 +684,9 @@ def _assert_same_as_reference(action, h0):
     if isinstance(got, AnosovRefusal):
         assert (got.axis_outside, got.off_axis_inside) == want
     else:
-        assert got == want
+        p_q, want = want
+        assert replace(got, gap=None, gap_exact=None) == want
+        assert_gap_matches_former(p_q, (got.gap, got.gap_exact))
     return got
 
 

@@ -200,19 +200,37 @@ def reference_spectral_gap(p, bits=30):
     lo = F(0)
     for _ in range(bits):
         mid = (lo + hi) / 2
-        right = ref_root_sign_counts(ref_shift(p, mid))
-        left = ref_root_sign_counts(ref_shift(p, -mid))
-        attained = right.n_zero_real > 0 or left.n_zero_real > 0
-        inside = (base.n_pos - right.n_pos - right.n_zero_real) + (
-            base.n_neg - left.n_neg - left.n_zero_real
-        )
-        if inside == 0 and attained:
+        empty, attained = reference_band(p, base, mid)
+        if empty and attained:
             return mid, True
-        if inside == 0:
+        if empty:
             lo = mid
         else:
             hi = mid
     return lo, False
+
+
+def reference_band(p, base, delta):
+    """(no root with 0 < |Re| < delta, some root with |Re| = delta), by two
+    full Fraction counts of shifted p; base is p's unshifted count."""
+    right = ref_root_sign_counts(ref_shift(p, delta))
+    left = ref_root_sign_counts(ref_shift(p, -delta))
+    inside = (base.n_pos - right.n_pos - right.n_zero_real) + (
+        base.n_neg - left.n_neg - left.n_zero_real
+    )
+    return inside == 0, right.n_zero_real > 0 or left.n_zero_real > 0
+
+
+def assert_gap_matches_reference(p):
+    """spectral_gap(p) is the former bisection's, or an exact gap m that the
+    bisection only approached from lo <= m: the reference's own counts at
+    +-m find a root on |Re| = m and none with 0 < |Re| < m."""
+    got, want = spectral_gap(p), reference_spectral_gap(p)
+    if got == want:
+        return
+    (m, exact), (lo, lo_exact) = got, want
+    assert exact and not lo_exact and lo <= m
+    assert reference_band(p, ref_root_sign_counts(p), m) == (True, True)
 
 
 def _power(f, k):
@@ -232,16 +250,17 @@ def _power(f, k):
 @example(P([34, -48, 28, -8, 1]))  # (t - 2)^4 + 4 (t - 2)^2 + 2: roots on Re = 2
 @example(P([-1, 0, 1, 0, 1]))  # irreducible, two roots on the axis and two off it
 @example(P([F(-1, 3), 1]) * P([-2, 0, 1]))  # linear times an irrational quadratic
+@example(P([F(-1, 3), 1]) * P([2, 1]))  # roots 1/3 and -2: exact, not dyadic
 @settings(max_examples=60, deadline=None)
 def test_spectral_gap_matches_reference(p):
-    assert spectral_gap(p) == reference_spectral_gap(p)
+    assert_gap_matches_reference(p)
 
 
 @given(wide_polynomials)
 @example(P([F(-1, 10**9), 1]) * P([F(3, 7), 1]) * -1)
 @settings(max_examples=25, deadline=None)
 def test_spectral_gap_matches_reference_on_wide_coefficients(p):
-    assert spectral_gap(p) == reference_spectral_gap(p)
+    assert_gap_matches_reference(p)
 
 
 def test_spectral_gap_counts_only_below_the_bound(monkeypatch):
