@@ -6,8 +6,9 @@ gives it and the quotient) has pure imaginary spectrum while the induced
 operator on the quotient has none, which pins the neutral span.  One
 factorization of the quotient's characteristic polynomial gives the
 exact rational carrier of the off-axis part, its signed parts when
-rational, and the gap; inside the carrier, bases over the reals are
-produced numerically with their invariance defect measured and reported.
+rational, and the gap; without a rational split, bases over the reals
+are produced numerically inside the carrier, their invariance defect
+measured and reported.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .cartan import (
     weyl_chambers,
 )
 from .linalg import (
+    Echelon,
     IntMatrix,
     Matrix,
     Vector,
@@ -67,9 +69,9 @@ from .spectral import (
     InvariantSplitting,
     LineFactors,
     _gap,
-    _splitting,
     apply_poly,
     char_poly,
+    invariant_splitting,
     is_hyperbolic,
     line_factors,
 )
@@ -258,7 +260,7 @@ def check_anosov(
     imaginary-axis eigenvalue.  Both facts are decided by exact root
     counting, which makes the neutral space equal to flow + isotropy by
     an exact dimension argument.  Each fact is derived once (see the
-    module docstring); the quotient's counts serve the numeric splitting.
+    module docstring); `splitting` is None when p_q splits by sign over Q.
     """
     action.require_valid()
     if not action.flow.contains(h0):
@@ -290,10 +292,14 @@ def check_anosov(
     dim_s, dim_u = counts_out.n_neg, counts_out.n_pos
     factors = line_factors(p_q)
     left, right = _signed_factor_split(factors)
-    stable_exact = None
-    unstable_exact = None
+    stable_exact = unstable_exact = splitting = None
     if left is None:
+        # a factor has roots on both sides: deg p_q >= 2, the carrier is not empty
         carrier = _char_subspace(a, p_q)
+        sub = restrict_operator(a, carrier)
+        if sub is None:
+            raise AlgebraError("carrier lost invariance")
+        splitting = invariant_splitting(sub, tolerance)
     else:
         stable_exact = _char_subspace(a, left) if left.degree else ()
         unstable_exact = _char_subspace(a, right) if right.degree else ()
@@ -303,19 +309,12 @@ def check_anosov(
         carrier = row_basis(stable_exact + unstable_exact)
     if len(carrier) != dim_s + dim_u:
         raise AlgebraError("off-axis characteristic space has the wrong dimension")
-    if Subspace(g, carrier).intersect(w).dim != 0:
+    if Echelon(w.basis + carrier).rank != w.dim + len(carrier):
         raise AlgebraError("off-axis characteristic space meets the neutral span")
-    gap, gap_exact = _gap(p_q, factors) if p_q.degree > 0 else (None, True)
+    gap, gap_exact = _gap(p_q, factors)
     if gap is None:
         # no off-axis part at all: every eigenvalue is neutral
-        gap, gap_exact = Fraction(0), True
-    splitting = None
-    if carrier:
-        sub = restrict_operator(a, carrier)
-        if sub is None:
-            raise AlgebraError("carrier lost invariance")
-        # the carrier is the whole off-axis part, so p_q is its charpoly
-        splitting = _splitting(sub, counts_out, tolerance)
+        gap = Fraction(0)
     cert = AnosovCertificate(
         h0,
         w.basis,
@@ -337,34 +336,32 @@ def splitting_invariance(
 ) -> InvarianceReport:
     """Check the stable/unstable data is invariant under the whole flow span.
 
-    The carrier and, when rational, the signed characteristic subspaces
-    are tested exactly.  Numeric bases are tested by the least-squares
-    invariance residual at the given tolerance.
+    On a rational split the signed characteristic subspaces are tested
+    exactly, and the carrier must be their sum, so its invariance follows
+    from theirs.  Otherwise the carrier is tested exactly and the numeric
+    bases by the least-squares invariance residual at the given tolerance.
     """
-    import numpy as np
-
     g = action.ambient
     ads = [g.ad_integer(h) for h in action.flow.basis]
     violations: list[str] = []
-    exact_carrier = True
-    for i, ok in enumerate(invariant_under(ads, cert.carrier)):
-        if not ok:
-            exact_carrier = False
-            violations.append(f"carrier not invariant under flow generator {i}")
+
+    def invariant(basis: Matrix, name: str) -> bool:
+        """Test basis against every flow ad, recording each failure."""
+        bad = [i for i, ok in enumerate(invariant_under(ads, basis)) if not ok]
+        violations.extend(f"{name} not invariant under flow generator {i}" for i in bad)
+        return not bad
+
     exact_stable: bool | None = None
     exact_unstable: bool | None = None
     if cert.stable_exact is not None:
-        exact_stable = True
-        exact_unstable = True
-        stable = invariant_under(ads, cert.stable_exact)
-        unstable = invariant_under(ads, cert.unstable_exact)
-        for i, (stable_ok, unstable_ok) in enumerate(zip(stable, unstable)):
-            if not stable_ok:
-                exact_stable = False
-                violations.append(f"stable space not invariant under generator {i}")
-            if not unstable_ok:
-                exact_unstable = False
-                violations.append(f"unstable space not invariant under generator {i}")
+        exact_stable = invariant(cert.stable_exact, "stable space")
+        exact_unstable = invariant(cert.unstable_exact, "unstable space")
+        exact_carrier = exact_stable and exact_unstable
+        if cert.carrier != row_basis(cert.stable_exact + cert.unstable_exact):
+            exact_carrier = False
+            violations.append("carrier is not the sum of the stable and unstable spaces")
+    else:
+        exact_carrier = invariant(cert.carrier, "carrier")
     residual: float | None = None
     spl = cert.splitting
     if (
@@ -377,6 +374,8 @@ def splitting_invariance(
         violations.append("splitting bases do not match the carrier dimension")
         spl = None
     if spl is not None and spl.stable_basis is not None and cert.carrier:
+        import numpy as np
+
         carrier_f = np.array(
             [[float(x) for x in row] for row in cert.carrier]
         )

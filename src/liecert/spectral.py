@@ -3,9 +3,9 @@
 Counts of eigenvalues by the sign of their real part are always exact.
 Stable and unstable bases are computed in floating point, and only for
 an operator with no eigenvalue on the imaginary axis: `check_anosov`
-certifies that exactly before it asks for a splitting, because the
-neutral space of an Anosov element is exactly flow + isotropy and is
-split off by exact linear algebra.  The bases' ranks are pinned to the
+asks for them only on an exact carrier whose characteristic polynomial
+does not split by sign over Q, the neutral span and any rational
+splitting being exact already.  The bases' ranks are pinned to the
 exact counts and an invariance residual is reported against a
 tolerance; when that is unattainable the result degrades to counts
 only, and says so.
@@ -19,7 +19,6 @@ from math import isqrt, prod
 
 from .algebra import AlgebraError, StructureError
 from .linalg import (
-    IntMatrix,
     Matrix,
     _integer_form,
     _restrict_and_quotient,
@@ -414,18 +413,13 @@ def invariant_splitting(op: Matrix, tolerance: float = 1e-9) -> InvariantSplitti
     eigenvalue on the imaginary axis.  op is a `Fraction` matrix or a
     `linalg.IntMatrix`.
     """
-    op = _integer_form(op)
-    return _splitting(op, root_sign_counts(char_poly(op)), tolerance)
-
-
-def _splitting(op: IntMatrix, counts: RootSignCount, tolerance: float) -> InvariantSplitting:
-    """invariant_splitting of op, given the exact counts of its characteristic polynomial."""
     import numpy as np
 
-    rows, den = op
+    rows, den = op = _integer_form(op)
+    counts = root_sign_counts(char_poly(op))
     n = len(rows)
     if n == 0:
-        return InvariantSplitting(RootSignCount(0, 0, 0), (), (), 0.0, tolerance, None)
+        return InvariantSplitting(counts, (), (), 0.0, tolerance, None)
     if counts.n_zero_real:
         raise StructureError("operator has eigenvalues on the imaginary axis")
     # int / int is correctly rounded: each entry is float(Fraction(x, den))

@@ -265,10 +265,11 @@ def test_corrupted_certificate_reports_violation():
     spec = build_sl2_geodesic()
     g = spec.ambient
     cert = check_anosov(spec, g.basis_vector(0))
-    bad = replace(cert, stable_exact=((F(0), F(1), F(1)),))  # e + f not invariant
-    rep = splitting_invariance(spec, bad)
-    assert not rep.ok
-    assert any("stable" in v for v in rep.violations)
+    for side in ("stable", "unstable"):
+        bad = replace(cert, **{f"{side}_exact": ((F(0), F(1), F(1)),)})  # e + f not invariant
+        rep = splitting_invariance(spec, bad)
+        assert not rep.ok and getattr(rep, f"exact_{side}") is False
+        assert any(v.startswith(f"{side} space") for v in rep.violations)
 
 
 def test_corrupted_carrier_reports_violation():
@@ -640,9 +641,9 @@ def reference_check_anosov(action, h0, tolerance=1e-9):
     """The former check_anosov: restriction and quotient by two eliminations,
     the carrier as the characteristic space of the whole p_q, each factor's
     side and the gap by Sturm counts, and the carrier's counts taken again
-    by invariant_splitting.  An acceptance is returned as (p_q, certificate)
-    with the gap fields None, for assert_gap_matches_former; a refusal as
-    its two counts."""
+    by invariant_splitting, built only when p_q does not split by sign over Q.
+    An acceptance is returned as (p_q, certificate) with the gap fields None,
+    for assert_gap_matches_former; a refusal as its two counts."""
     g = action.ambient
     a = g.ad(h0)
     w = action.joint
@@ -670,7 +671,7 @@ def reference_check_anosov(action, h0, tolerance=1e-9):
     stable = unstable = None
     if sides is not None:
         stable, unstable = char_subspace(sides[-1]), char_subspace(sides[1])
-    splitting = invariant_splitting(restrict_operator(a, carrier), tolerance) if carrier else None
+    splitting = invariant_splitting(restrict_operator(a, carrier), tolerance) if sides is None else None
     cert = AnosovCertificate(
         h0, w.basis, carrier, counts_out.n_neg, counts_out.n_pos, stable, unstable,
         None, None, splitting, None,
@@ -716,8 +717,12 @@ def test_catalog_certificates_match_former_check(monkeypatch):
         find_anosov_elements(spec)
         for v in spec.flow.basis:
             tried.append((spec, v))
-    outcomes = {_assert_same_as_reference(spec, v).accepted for spec, v in tried}
-    assert outcomes == {True, False}
+    certs = [_assert_same_as_reference(spec, v) for spec, v in tried]
+    assert {c.accepted for c in certs} == {True, False}
+    for c in certs:
+        if c.accepted:  # numeric bases and residual only where no rational split exists
+            rational = c.stable_exact is not None
+            assert (c.splitting is None) == (c.invariance.numeric_residual is None) == rational
 
 
 @pytest.mark.parametrize("basis", [_sl_basis(3), _sp4_basis(), _sl_basis(4)],
@@ -728,7 +733,8 @@ def test_chamber_certificates_match_former_check(basis):
     samples = liecert.anosov._chamber_samples(spec)
     assert samples
     for v in samples:
-        assert _assert_same_as_reference(spec, v).accepted
+        cert = _assert_same_as_reference(spec, v)
+        assert cert.accepted and cert.splitting is None
 
 
 @pytest.mark.parametrize(

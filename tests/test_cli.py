@@ -227,9 +227,11 @@ def test_malformed_environment_value_is_input_error(monkeypatch, capsys, name, v
 @pytest.mark.parametrize("value", ["0", "1e-9"])
 def test_zero_and_default_tolerance_are_accepted(monkeypatch, capsys, value):
     monkeypatch.delenv("LIECERT_TOLERANCE", raising=False)
-    argv = ["anosov", "--h0", "1,0,0"]
-    code, out, _ = run(argv + [f"--tolerance={value}"], SL2_DOC, monkeypatch, capsys)
-    base_code, base_out, _ = run(argv, SL2_DOC, monkeypatch, capsys)
+    # eigenvalues +-sqrt(2): no rational split, so the bases are numeric
+    doc = serialize_document(action_to_document(build_suspension([[[0, 1], [2, 0]]])))
+    argv = ["anosov", "--h0", "0,0,1"]
+    code, out, _ = run(argv + [f"--tolerance={value}"], doc, monkeypatch, capsys)
+    base_code, base_out, _ = run(argv, doc, monkeypatch, capsys)
     assert code == base_code == 0
     if value == "1e-9":  # the default, given explicitly
         assert out == base_out
@@ -238,6 +240,12 @@ def test_zero_and_default_tolerance_are_accepted(monkeypatch, capsys, value):
     for part in ("invariance", "splitting"):
         assert report["result"][part].pop("tolerance") == float(value)
         base["result"][part].pop("tolerance")
+    # the tolerance decides whether the numeric bases stand; the rest is equal
+    splitting = report["result"].pop("splitting")
+    assert (splitting["degraded"] is None) == (splitting["residual"] <= float(value))
+    base["result"].pop("splitting")
+    report["result"]["invariance"].pop("numeric_residual")
+    base["result"]["invariance"].pop("numeric_residual")
     assert report["result"] == base["result"]
 
 

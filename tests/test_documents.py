@@ -12,6 +12,7 @@ from liecert import (
     DocumentError,
     action_to_document,
     build_example,
+    build_suspension,
     cartan_subspace,
     catalog_names,
     check_anosov,
@@ -294,9 +295,19 @@ def test_certificate_payload_accepted():
     assert obj["gap"] == {"exact": True, "value": "2"}
     assert obj["stable_exact"] == [["0", "0", "1"]]
     assert obj["unstable_exact"] == [["0", "1", "0"]]
-    assert obj["splitting"]["tag"] == "certified-numeric"
+    assert obj["splitting"] is None  # the exact spaces are the splitting
     assert obj["invariance"]["ok"] is True
     json.dumps(obj)  # payloads must be JSON-ready
+
+
+def test_certificate_payload_numeric_splitting():
+    spec = build_suspension([[[0, 1], [2, 0]]])  # eigenvalues +-sqrt(2)
+    obj = certificate_payload(check_anosov(spec, spec.ambient.basis_vector(2)))
+    assert obj["stable_exact"] is None and obj["unstable_exact"] is None
+    assert obj["splitting"]["tag"] == "certified-numeric"
+    assert len(obj["splitting"]["stable"]) == len(obj["splitting"]["unstable"]) == 1
+    assert obj["invariance"]["numeric_residual"] < 1e-9
+    json.dumps(obj)
 
 
 def test_certificate_payload_refusal():
