@@ -70,9 +70,10 @@ class LieAlgebra:
     exact for a table that is not antisymmetric too.  `bracket`,
     `brackets` and `ad_integer` take the integer form of their arguments
     once and accumulate in integers over the nonzero constants; the
-    brackets build one `Fraction` per nonzero output entry, while ad(x)
-    stays a `linalg.IntMatrix` through the kernel, and `ad` and `ad_basis`
-    are its `Fraction` view.  `table` is the dense `Fraction` view,
+    brackets build one `Fraction` per nonzero output entry.  ad(x) has
+    one form, the `linalg.IntMatrix` of `ad_integer`, and stays in
+    integers through the kernel, the Jordan-Chevalley parts and
+    `cartan.solve_ad`.  `table` is the dense `Fraction` view,
     rebuilt on each access.  `_cache` memoises derived data (Killing
     form, radical basis) that passed its self-checks; it holds nothing
     that refers back to the algebra.
@@ -234,18 +235,10 @@ class LieAlgebra:
                     out[k][j] += xa * c
         return out
 
-    @property
-    def ad_basis(self) -> tuple[Matrix, ...]:
-        """ad(e_a) for each basis vector: entry (k, j) is c_aj^k."""
-        return tuple(_from_integer(self._int_ad(((a, 1),)), self._den) for a in range(self.dim))
-
     def ad_integer(self, x: Vector) -> IntMatrix:
         """ad(x) as integer rows over one denominator."""
         (terms,), d = _integer_terms((x,))
         return IntMatrix(self._int_ad(terms), d * self._den)
-
-    def ad(self, x: Vector) -> Matrix:
-        return _from_integer(*self.ad_integer(x))
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(_ONE if j == i else _ZERO for j in range(self.dim))
@@ -507,9 +500,8 @@ def centralizer(g: LieAlgebra, s: Subspace) -> Subalgebra:
         return Subalgebra(g, tuple(g.basis_vector(i) for i in range(g.dim)))
     stacked = []
     for v in s.basis:
-        stacked.extend(g.ad(v))
-    ker = nullspace(tuple(stacked))
-    return Subalgebra(g, ker)
+        stacked.extend(g.ad_integer(v).rows)
+    return Subalgebra(g, nullspace(stacked))
 
 
 def center(g: LieAlgebra) -> Subalgebra:
@@ -520,16 +512,15 @@ def normalizer(g: LieAlgebra, s: Subspace) -> Subalgebra:
     """{x : [x, s] inside s}."""
     if s.dim == 0:
         return Subalgebra(g, tuple(g.basis_vector(i) for i in range(g.dim)))
-    ann = nullspace(s.basis)
+    ann = [integer_row(w) for w in nullspace(s.basis)]
     if not ann:
         return Subalgebra(g, tuple(g.basis_vector(i) for i in range(g.dim)))
     # x is in the normalizer when w . [v, x] = -(w . ad(v)) x vanishes for
     # every v in s and w in the annihilator of s; the sign leaves the kernel
     stacked = []
     for v in s.basis:
-        stacked.extend(matmul(ann, g.ad(v)))
-    ker = nullspace(tuple(stacked))
-    return Subalgebra(g, ker)
+        stacked.extend(_int_matmul(ann, g.ad_integer(v).rows))
+    return Subalgebra(g, nullspace(stacked))
 
 
 def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:

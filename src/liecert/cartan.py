@@ -298,17 +298,17 @@ def is_ad_hyperbolic(g: LieAlgebra, x: Vector) -> bool:
     return not any(map(any, apply_poly(m, a).rows))
 
 
-def solve_ad(g: LieAlgebra, target: Matrix) -> Vector | None:
-    """Some y with ad(y) = target, or None.  Unique up to the center."""
+def solve_ad(g: LieAlgebra, target: IntMatrix) -> Vector | None:
+    """Some y with ad(y) = target, or None.  Unique up to the center.
+
+    Entry (i, j) is the equation sum_a ad(e_a)[i][j] y_a = target[i][j],
+    solved in integers: ad(e_a) is `_int_ad` over `_den`, target over d.
+    """
+    rows, d = target
     n = g.dim
-    rows = []
-    rhs = []
-    ads = g.ad_basis
-    for i in range(n):
-        for j in range(n):
-            rows.append(tuple(ads[a][i][j] for a in range(n)))
-            rhs.append(target[i][j])
-    return solve(tuple(rows), tuple(rhs))
+    ads = [g._int_ad(((a, 1),)) for a in range(n)]
+    lhs = [tuple(d * ad[i][j] for ad in ads) for i in range(n) for j in range(n)]
+    return solve(lhs, [g._den * x for row in rows for x in row])
 
 
 def hyperbolic_part(g: LieAlgebra, x: Vector) -> Vector | None:
@@ -317,10 +317,8 @@ def hyperbolic_part(g: LieAlgebra, x: Vector) -> Vector | None:
     The refinement of ad(x) must be exact and its hyperbolic part must
     itself be an inner derivation; both hold in a semisimple algebra.
     """
-    jc = jordan_chevalley(g.ad(x))
-    if not jc.exact:
-        return None
-    return solve_ad(g, jc.hyperbolic)
+    jc = jordan_chevalley(g.ad_integer(x))
+    return solve_ad(g, jc.hyperbolic) if jc.exact else None
 
 
 def hyperbolic_span(g: LieAlgebra, vectors: Sequence[Vector]) -> Subspace | None:
@@ -387,36 +385,29 @@ def split_hyperbolic_csa(g: LieAlgebra, csa: Subspace) -> HyperbolicCsaSplit:
     Requires each basis element to be ad-semisimple with an exact
     hyperbolic/elliptic refinement that stays inner.
     """
+
+    def refused(reason: str) -> HyperbolicCsaSplit:
+        return HyperbolicCsaSplit(False, None, None, reason)
+
     hyp_vecs = []
     ell_vecs = []
     for x in csa.basis:
-        jc = jordan_chevalley(g.ad(x))
+        jc = jordan_chevalley(g.ad_integer(x))
         if not jc.exact:
-            return HyperbolicCsaSplit(
-                False, None, None, "refinement of ad is irrational"
-            )
-        if any(any(v != 0 for v in row) for row in jc.nilpotent):
-            return HyperbolicCsaSplit(
-                False, None, None, "element is not ad-semisimple"
-            )
-        h = solve_ad(g, jc.hyperbolic)
-        e = solve_ad(g, jc.elliptic)
+            return refused("refinement of ad is irrational")
+        if any(map(any, jc.nilpotent.rows)):
+            return refused("element is not ad-semisimple")
+        h, e = solve_ad(g, jc.hyperbolic), solve_ad(g, jc.elliptic)
         if h is None or e is None:
-            return HyperbolicCsaSplit(
-                False, None, None, "component is not an inner derivation"
-            )
+            return refused("component is not an inner derivation")
         hyp_vecs.append(h)
         ell_vecs.append(e)
     hs = Subspace(g, hyp_vecs)
     es = Subspace(g, ell_vecs)
     if hs.sum(es).dim != csa.dim or hs.intersect(es).dim != 0:
-        return HyperbolicCsaSplit(
-            False, None, None, "components do not split the subalgebra"
-        )
+        return refused("components do not split the subalgebra")
     if not csa.contains_space(hs) or not csa.contains_space(es):
-        return HyperbolicCsaSplit(
-            False, None, None, "components leave the subalgebra"
-        )
+        return refused("components leave the subalgebra")
     return HyperbolicCsaSplit(True, hs, es, None)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,12 +54,22 @@ def frac_str(x: Fraction) -> str:
 QUOTED_CHARS = 40
 
 
+# Most decimal digits a literal with an exponent may stand for: the
+# mantissa's length plus the exponent, read but never expanded.  It is the
+# interpreter's default int <-> str limit, which bounds the other literals.
+MAX_LITERAL_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
 def parse_frac(s, path: str) -> Fraction:
     if isinstance(s, int):
         return Fraction(s)
     if not isinstance(s, str):
         raise DocumentError(f"{path}: expected a rational string, got {type(s).__name__}")
     try:
+        exp = _EXPONENT.search(s)
+        if exp and exp.start() + abs(int(exp[1])) > MAX_LITERAL_DIGITS:
+            raise ValueError(f"more than {MAX_LITERAL_DIGITS} digits")
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         reason = str(exc)
@@ -69,6 +80,13 @@ def parse_frac(s, path: str) -> Fraction:
             )
             s = s[:QUOTED_CHARS] + "..."
         raise DocumentError(f"{path}: bad rational {s!r} ({reason})") from None
+
+
+def _decimal_digits(n: int) -> int:
+    """len(str(abs(n))) without the string: log10(2) to 11 places gives it or one less."""
+    n = abs(n)
+    d = max(1, (n.bit_length() - 1) * 30102999566 // 10**11 + 1)
+    return d + (n >= 10**d)
 
 
 def vec_strs(v: Vector) -> list[str]:
@@ -214,7 +232,7 @@ def parse_document(text: str) -> AlgebraDocument:
             raise DocumentError(f"{path}: numerator and denominator must be integers")
         if n_den == 0:
             raise DocumentError(f"{path}: zero denominator")
-        digits += len(str(abs(n_num.numerator))) + len(str(abs(n_den.numerator)))
+        digits += _decimal_digits(n_num.numerator) + _decimal_digits(n_den.numerator)
         if digits > MAX_CONSTANT_DIGITS:
             raise DocumentError(
                 f"{path}: structure constants exceed {MAX_CONSTANT_DIGITS} digits in total"

@@ -23,7 +23,9 @@ returns an `IntMatrix` as it is, so every kernel entry point takes either
 kind, and the integer value passes between kernel calls: `mat_poly`,
 `restrict_operator` and `quotient_operator` return an `IntMatrix` when
 given one, and a `Fraction` is built only where a public function returns
-one.  Generalized kernels stop multiplying as soon as the rank stops falling.
+one.  The adjoint enters in that form only (`LieAlgebra.ad_integer`), and
+no matrix is inverted: `spectral.jordan_chevalley` divides in Q[t] instead.
+Generalized kernels stop multiplying as soon as the rank stops falling.
 
 The matrices met here, ad(x) and polynomials in it, are mostly zeros, so
 the integer product takes each left row by its density: a row with at
@@ -100,10 +102,6 @@ def shape(m: Matrix) -> tuple[int, int]:
 
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
@@ -359,15 +357,6 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
     for r, pc in enumerate(piv):
         x[pc] = red[r][nc]
     return tuple(x)
-
-
-def inverse(a: Matrix) -> Matrix | None:
-    n = len(a)
-    aug = tuple(row + iden for row, iden in zip(a, identity(n)))
-    red, piv = rref(aug)
-    if tuple(piv[:n]) != tuple(range(n)):
-        return None
-    return tuple(row[n:] for row in red[:n])
 
 
 def charpoly(a: Matrix) -> tuple[Fraction, ...]:

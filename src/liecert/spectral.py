@@ -20,15 +20,13 @@ from math import isqrt, prod
 from .algebra import AlgebraError, StructureError
 from .linalg import (
     Matrix,
+    _int_matmul,
     _integer_form,
     _restrict_and_quotient,
     charpoly,
     integer_row,
-    inverse,
     mat_poly,
     mat_pow,
-    mat_sub,
-    matmul,
 )
 from .poly import (
     RationalPolynomial,
@@ -191,7 +189,8 @@ class JordanChevalley:
     (commuting, real vs purely imaginary spectrum).  That refinement is
     exact when each irreducible factor of the minimal polynomial has
     either all-real roots or all roots on one vertical line with rational
-    real part; otherwise `exact` is False and both parts are None.
+    real part; otherwise `exact` is False and both parts are None.  Each
+    part is a polynomial in op, of the kind of op (`IntMatrix` or `Fraction`).
     """
 
     semisimple: Matrix
@@ -201,35 +200,34 @@ class JordanChevalley:
     elliptic: Matrix | None
 
 
-def _newton_semisimple(op: Matrix, f: RationalPolynomial) -> Matrix:
-    n = len(op)
-    s = op
-    fd = f.derivative()
-    for _ in range(n.bit_length() + 2):
-        fs = apply_poly(f, s)
-        if all(all(x == 0 for x in row) for row in fs):
-            return s
-        fds = apply_poly(fd, s)
-        inv = inverse(fds)
-        if inv is None:
-            raise AlgebraError("derivative became singular in the Newton step")
-        s = mat_sub(s, matmul(fs, inv))
-    fs = apply_poly(f, s)
-    if not all(all(x == 0 for x in row) for row in fs):
-        raise AlgebraError("semisimple iteration did not converge")
-    return s
-
-
 def jordan_chevalley(op: Matrix) -> JordanChevalley:
-    n = len(op)
-    if n == 0:
-        return JordanChevalley((), (), True, (), ())
-    f = squarefree_part(char_poly(op))
-    s = _newton_semisimple(op, f)
-    nil = mat_sub(op, s)
-    if matmul(s, nil) != matmul(nil, s):
+    """The parts of op as polynomials in op, computed in Q[t].
+
+    With p the characteristic polynomial and f its squarefree part, the
+    semisimple part is s(op): s = t when f(op) = 0, else Newton's
+    s <- s - f(s) / f'(s) mod p from s = t, which doubles the power of f
+    dividing f(s) at each step (Chevalley; Hoffman & Kunze, ch. 7).
+    """
+    a = _integer_form(op)
+    n = len(a.rows)
+    p = char_poly(a)
+    f = squarefree_part(p)
+    s = t = RationalPolynomial([_ZERO, _ONE])
+    if any(map(any, apply_poly(f, a).rows)):
+        fd = f.derivative()
+        fs = f % p
+        for _ in range(n.bit_length()):
+            s = (s - fs * _inverse_mod(_compose(fd, s, p), p)) % p
+            fs = _compose(f, s, p)
+            if fs.is_zero:
+                break
+        else:
+            raise AlgebraError("semisimple iteration did not converge")
+    semisimple, nil = mat_poly(s.coeffs, op), mat_poly((t - s).coeffs, op)
+    ints, intn = _integer_form(semisimple).rows, _integer_form(nil).rows
+    if _int_matmul(ints, intn) != _int_matmul(intn, ints):
         raise AlgebraError("semisimple and nilpotent parts do not commute")
-    if not all(all(x == 0 for x in row) for row in mat_pow(nil, n)):
+    if any(map(any, mat_pow(nil, n))):
         raise AlgebraError("nilpotent part is not nilpotent")
     # the hyperbolic part is s e(s) over the factors with real roots and
     # m e(s) over those whose roots share the real part m, e being each
@@ -241,11 +239,22 @@ def jordan_chevalley(op: Matrix) -> JordanChevalley:
             continue
         m = _common_real_part(phi)
         if m is None:
-            return JordanChevalley(s, nil, False, None, None)
+            return JordanChevalley(semisimple, nil, False, None, None)
         other = f // phi  # e = u * other, with u * other + v * phi = 1
         elliptic = elliptic + RationalPolynomial([-m, _ONE]) * _inverse_mod(other, phi) * other
-    hyper = s if elliptic.is_zero else mat_sub(s, apply_poly(elliptic % f, s))
-    return JordanChevalley(s, nil, True, hyper, mat_sub(s, hyper))
+    if elliptic.is_zero:
+        return JordanChevalley(semisimple, nil, True, semisimple, mat_poly((), op))
+    e = _compose(elliptic % f, s, p)  # the correction in s, as a polynomial in t
+    hyper = mat_poly((s - e).coeffs, op)
+    return JordanChevalley(semisimple, nil, True, hyper, mat_poly(e.coeffs, op))
+
+
+def _compose(g: RationalPolynomial, s: RationalPolynomial, m: RationalPolynomial):
+    """g(s) mod m, by Horner."""
+    acc = RationalPolynomial([])
+    for c in reversed(g.coeffs):
+        acc = (acc * s + RationalPolynomial([c])) % m
+    return acc
 
 
 def _common_real_part(phi: RationalPolynomial) -> Fraction | None:

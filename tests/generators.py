@@ -17,7 +17,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from liecert.algebra import LieAlgebra, lie_algebra_from_matrices
-from liecert.linalg import in_span, mat_sub, matmul, vector
+from liecert.linalg import _from_integer, identity, in_span, matmul, rref, vector
 from liecert.poly import RationalPolynomial
 
 F = Fraction
@@ -28,6 +28,25 @@ def matrix(rows) -> tuple:
     out = tuple(vector(r) for r in rows)
     assert all(len(r) == len(out[0]) for r in out), "ragged matrix"
     return out
+
+
+def mat_sub(a, b) -> tuple:
+    """The entrywise difference a - b of two matrices."""
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def inverse(a) -> tuple | None:
+    """The inverse of a square matrix, by the rref of [a | I], or None when singular."""
+    n = len(a)
+    red, piv = rref(tuple(row + iden for row, iden in zip(a, identity(n))))
+    if tuple(piv[:n]) != tuple(range(n)):
+        return None
+    return tuple(row[n:] for row in red[:n])
+
+
+def fraction_ad(g, x) -> tuple:
+    """ad(x) as a `Fraction` matrix: the integer adjoint over its denominator."""
+    return _from_integer(*g.ad_integer(x))
 
 
 def random_solvable(rng: random.Random, min_dim: int = 2, max_dim: int = 6) -> LieAlgebra:

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from generators import random_hyperbolic_suspension, random_solvable
+from generators import fraction_ad, random_hyperbolic_suspension, random_solvable
 from liecert import (
     ActionSpec,
     RationalPolynomial,
@@ -180,7 +180,7 @@ def test_universal_certificate_properties():
         ac = action_csa(action)
         if not is_csa(g, ac.csa):
             failures.append(f"{label}: assembled subalgebra is not a CSA")
-        rq = restrict_and_quotient(g.ad(cert.h0), action.joint.basis)
+        rq = restrict_and_quotient(fraction_ad(g, cert.h0), action.joint.basis)
         if rq.restricted_counts.n_neg or rq.restricted_counts.n_pos:
             failures.append(f"{label}: off-axis spectrum along the orbit part")
         if rq.quotient_counts.n_zero_real:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import liecert.anosov
+from generators import fraction_ad
 from liecert.algebra import (
     LieAlgebra,
     StructureError,
@@ -645,7 +646,7 @@ def reference_check_anosov(action, h0, tolerance=1e-9):
     An acceptance is returned as (p_q, certificate) with the gap fields None,
     for assert_gap_matches_former; a refusal as its two counts."""
     g = action.ambient
-    a = g.ad(h0)
+    a = fraction_ad(g, h0)
     w = action.joint
     counts_in = root_sign_counts(char_poly(restrict_operator(a, w.basis)))
     quotient, _ = reference_quotient_operator(a, w.basis)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from generators import matrix
+from generators import fraction_ad, matrix
 from liecert.algebra import (
     AlgebraError,
     LieAlgebra,
@@ -34,11 +34,14 @@ from liecert.cartan import (
     is_csa,
     is_hyperbolic_csa,
     restricted_roots,
+    solve_ad,
     split_hyperbolic_csa,
     weyl_chambers,
 )
-from liecert.linalg import dot, frac, integer_row
+from liecert.builders import build_example, catalog_names
+from liecert.linalg import IntMatrix, _from_integer, dot, frac, integer_row, solve
 from liecert.poly import RationalPolynomial
+from liecert.spectral import jordan_chevalley
 
 F = Fraction
 
@@ -362,6 +365,47 @@ def test_hyperbolic_part_of_elliptic_is_zero():
 def test_hyperbolic_part_fixes_hyperbolic():
     g = sl2()
     assert hyperbolic_part(g, g.basis_vector(0)) == g.basis_vector(0)
+
+
+def reference_solve_ad(g: LieAlgebra, target):
+    """The former solve_ad: the dense n^2 x n `Fraction` system of the ad(e_a)."""
+    n = g.dim
+    ads = [fraction_ad(g, g.basis_vector(a)) for a in range(n)]
+    rows = []
+    rhs = []
+    for i in range(n):
+        for j in range(n):
+            rows.append(tuple(ads[a][i][j] for a in range(n)))
+            rhs.append(target[i][j])
+    return solve(tuple(rows), tuple(rhs))
+
+
+def test_solve_ad_matches_the_dense_system():
+    from test_acceptance import _sl_basis
+    from test_anosov import _sp4_basis
+
+    cases = []
+    for name in catalog_names():
+        action = build_example(name)
+        cases.append((action.ambient, action.flow.basis + action.isotropy.basis))
+    for basis in (_sl_basis(3), _sl_basis(4), _sl_basis(5), _sp4_basis()):
+        g = lie_algebra_from_matrices(basis)
+        cases.append((g, tuple(g.basis_vector(i) for i in range(g.dim))))
+    solved = 0
+    for g, xs in cases:
+        for x in xs:
+            jc = jordan_chevalley(g.ad_integer(x))
+            if not jc.exact:
+                continue
+            y = solve_ad(g, jc.hyperbolic)
+            assert y == reference_solve_ad(g, _from_integer(*jc.hyperbolic))
+            solved += y is not None
+        # the identity is a derivation of no algebra with a nonzero bracket
+        eye = [[int(i == j) for j in range(g.dim)] for i in range(g.dim)]
+        assert solve_ad(g, IntMatrix(eye, 1)) is None
+        assert reference_solve_ad(g, eye) is None
+    # each basis vector of the four semisimple algebras has an inner hyperbolic part
+    assert solved >= 8 + 15 + 24 + 10
 
 
 def _twisted_r4() -> LieAlgebra:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -137,6 +138,26 @@ def test_oversized_number_is_input_error(monkeypatch, capsys, where):
         # the message quotes a bounded prefix, not the 5000-digit string
         assert err.count("\n") <= 1
         assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("where", ["h0", "flow", "structure-constant"])
+def test_huge_exponent_is_input_error_at_once(monkeypatch, capsys, where):
+    # a few characters that stand for thousands or millions of digits
+    doc = json.loads(SL2_DOC)
+    argv = ["validate"]
+    if where == "h0":
+        argv = ["anosov", "--h0", "1e10000000,0,0"]
+    elif where == "flow":
+        doc["subspaces"]["flow"][0][0] = "1e10000000"
+    else:
+        doc["structure_constants"][0][3] = "1e5000"
+    start = time.perf_counter()
+    code, out, err = run(argv, json.dumps(doc), monkeypatch, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err.startswith("input error: ")
+    assert "bad rational" in err
 
 
 def test_oversized_dim_is_input_error(monkeypatch, capsys):

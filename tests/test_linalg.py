@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from generators import matrix
+from generators import inverse, matrix
 from liecert.linalg import (
     Echelon,
     IntMatrix,
@@ -23,7 +23,6 @@ from liecert.linalg import (
     in_span,
     intersect_spaces,
     invariant_under,
-    inverse,
     mat_pow,
     mat_poly,
     matmul,

@@ -14,7 +14,7 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from generators import matrix, random_solvable
+from generators import fraction_ad, matrix, random_solvable
 from liecert.algebra import (
     LieAlgebra,
     StructureError,
@@ -351,7 +351,7 @@ def reference_ad(g, x):
 def assert_sparse_table_matches(g, rng):
     n = g.dim
     basis = [g.basis_vector(i) for i in range(n)]
-    assert g.ad_basis == reference_ad_basis(g)
+    assert tuple(fraction_ad(g, e) for e in basis) == reference_ad_basis(g)
     for x in basis:
         for y in basis:
             assert g.bracket(x, y) == reference_bracket(g, x, y)
@@ -360,8 +360,8 @@ def assert_sparse_table_matches(g, rng):
         y = tuple(F(rng.randint(-3, 3)) if rng.random() < 0.5 else F(0) for _ in range(n))
         assert g.bracket(x, y) == reference_bracket(g, x, y)
         assert g.bracket(y, x) == reference_bracket(g, y, x)
-        assert g.ad(x) == reference_ad(g, x)
-        assert g.ad(y) == reference_ad(g, y)
+        assert fraction_ad(g, x) == reference_ad(g, x)
+        assert fraction_ad(g, y) == reference_ad(g, y)
 
 
 def test_bracket_and_ad_match_reference_on_the_catalog():
@@ -636,7 +636,7 @@ def assert_brackets_match_former(g, table, xs, ys):
     assert g.brackets(xs, ys) == expected
     assert all(type(c) is F for v in expected for c in v)
     for x in xs:
-        assert g.ad(x) == ref.ad(x)
+        assert fraction_ad(g, x) == ref.ad(x)
         for y in ys:
             assert g.bracket(x, y) == ref.bracket(x, y)
 
@@ -647,12 +647,12 @@ def assert_structure_matches_former(g, table):
     n = g.dim
     full = full_space(g)
     assert_brackets_match_former(g, table, full.basis, full.basis)
-    assert g.ad_basis == tuple(ref.ad(e) for e in identity(n))
+    assert tuple(fraction_ad(g, e) for e in identity(n)) == tuple(ref.ad(e) for e in identity(n))
     report = g.validate()
     assert (report.antisymmetry_failures, report.jacobi_failures) == former_validate(ref, table)
     rad = radical(g)
     assert rad == former_radical(ref, g)
-    ads = [g.ad(r) for r in rad.basis]
+    ads = [fraction_ad(g, r) for r in rad.basis]
     assert _unital_envelope(ads, n) == former_envelope([ref.ad(r) for r in rad.basis], n)
     nil = nilradical(g)
     assert nil == former_nilradical(ref, g)
@@ -847,28 +847,35 @@ def test_structure_matches_former_with_large_and_distinct_prime_denominators(whi
 # -- ad(x) stays an integer matrix through the decisions ------------------------
 
 
-def test_decisions_build_no_fraction_adjoint(monkeypatch):
-    """check_anosov, restricted_roots and is_ad_hyperbolic take ad(x) as an
-    IntMatrix from `LieAlgebra.ad_integer` through restriction, quotient,
-    charpoly and kernels: neither `ad` nor `ad_basis` is called."""
-    from liecert.anosov import ActionSpec, check_anosov
-    from liecert.cartan import cartan_subspace, is_ad_hyperbolic, restricted_roots
+def test_decisions_build_no_fraction_adjoint():
+    """ad(x) has one form, the IntMatrix of `LieAlgebra.ad_integer`: the
+    `Fraction` views `ad` and `ad_basis` are gone, and check_anosov,
+    restricted_roots, is_ad_hyperbolic, cartan_subspace, hyperbolic_span,
+    find_csa and classify run on it through restriction, quotient,
+    charpoly, kernels and the Jordan-Chevalley parts."""
+    from liecert.anosov import ActionSpec, check_anosov, classify
+    from liecert.cartan import (
+        cartan_subspace,
+        find_csa,
+        hyperbolic_span,
+        is_ad_hyperbolic,
+        restricted_roots,
+    )
     from test_acceptance import _sl_basis
 
+    assert not hasattr(LieAlgebra, "ad")
+    assert not hasattr(LieAlgebra, "ad_basis")
     sl3 = lie_algebra_from_matrices(_sl_basis(3))
     actions = [ActionSpec(sl3, cartan_subspace(sl3))]
     actions += [build_example(name) for name in catalog_names()]
-    semisimple = [radical(action.ambient).dim == 0 for action in actions]
-
-    def refuse(*args):
-        raise AssertionError("a Fraction ad(x) was built")
-
-    monkeypatch.setattr(LieAlgebra, "ad", refuse)
-    monkeypatch.setattr(LieAlgebra, "ad_basis", property(refuse))
-    for action, ss in zip(actions, semisimple):
+    for action in actions:
         g = action.ambient
         for h in action.flow.basis + (combine([1] * action.flow.dim, action.flow.basis, g.dim),):
             is_ad_hyperbolic(g, h)
             check_anosov(action, h)
-        if ss:
+        find_csa(g)
+        classify(action)
+        if radical(g).dim == 0:
             restricted_roots(g, action.flow)
+            cartan_subspace(g)
+            assert hyperbolic_span(g, action.flow.basis + action.isotropy.basis) is not None

@@ -9,11 +9,11 @@ import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 import liecert.spectral
-from generators import matrix, root_polynomials
+from generators import inverse, mat_sub, matrix, root_polynomials
 from liecert.algebra import StructureError, lie_algebra_from_matrices
 from liecert.anosov import ActionSpec, check_anosov
 from liecert.cartan import cartan_subspace, restricted_roots
-from liecert.linalg import identity, inverse, mat_sub, matmul, vector
+from liecert.linalg import _from_integer, _integer_form, identity, matmul, vector
 from liecert.poly import (
     RationalPolynomial as P,
     RootSignCount,
@@ -434,14 +434,28 @@ def test_jordan_chevalley_matches_projector_sum(m):
     assert jc.hyperbolic == hyper
     if exact:
         assert jc.elliptic == mat_sub(jc.semisimple, hyper)
+    # the integer form of m gives the same parts, as integer matrices
+    ijc = jordan_chevalley(_integer_form(m))
+    assert ijc.exact == jc.exact
+    for part, ipart in zip(
+        (jc.semisimple, jc.nilpotent, jc.hyperbolic, jc.elliptic),
+        (ijc.semisimple, ijc.nilpotent, ijc.hyperbolic, ijc.elliptic),
+    ):
+        assert (part is None and ipart is None) or _from_integer(*ipart) == part
 
 
 def test_jordan_chevalley_builds_no_projector_on_real_spectra(monkeypatch):
+    # Newton's step inverts modulo the characteristic polynomial; a CRT
+    # projector is an inverse modulo an irreducible factor, and only those count
     calls = []
     real = liecert.spectral._inverse_mod
-    monkeypatch.setattr(
-        liecert.spectral, "_inverse_mod", lambda a, m: calls.append(m) or real(a, m)
-    )
+
+    def counted(a, m):
+        if factor_with_multiplicity(m) == [(m, 1)]:
+            calls.append(m)
+        return real(a, m)
+
+    monkeypatch.setattr(liecert.spectral, "_inverse_mod", counted)
     m = matrix([[2, 1, 0], [0, 2, 0], [0, 0, -1]])
     assert jordan_chevalley(m).hyperbolic == matrix([[2, 0, 0], [0, 2, 0], [0, 0, -1]])
     assert calls == []
