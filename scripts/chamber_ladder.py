@@ -24,7 +24,10 @@ core count) and two tables:
   runs of each stage: `cartan_subspace`, `restricted_roots` on it,
   `weyl_chambers` and one `check_anosov` of diag(n-1, n-3, ..., 1-n),
   each run on a freshly built algebra, with a sha256 of the repr of that
-  certificate (`anosov_digest`); for n <= 5 also `find_anosov_elements`
+  certificate (`anosov_digest`), of the rows of the Cartan subspace
+  (`cartan_digest`) and of the repr of its RootSystem (`roots_digest`),
+  so that equal digests mean identical root data, not only identical
+  chambers; for n <= 5 also `find_anosov_elements`
   on the Cartan subspace, one `check_anosov` per chamber, with a sha256
   of the repr of what it returns (`search_digest`).
 
@@ -198,6 +201,8 @@ def main(argv: list[str]) -> int:
             "accepted": cert.accepted,
             "digest": _digest(chambers),
             "anosov_digest": _digest(cert),
+            "cartan_digest": _digest(a.basis),
+            "roots_digest": _digest(rs),
             **({"found": len(found), "search_digest": _digest(found)} if n <= SWEEP_MAX else {}),
             **_medians(runs),
         }

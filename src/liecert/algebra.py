@@ -72,8 +72,10 @@ class LieAlgebra:
     once and accumulate in integers over the nonzero constants; the
     brackets build one `Fraction` per nonzero output entry.  ad(x) has
     one form, the `linalg.IntMatrix` of `ad_integer`, and stays in
-    integers through the kernel, the Jordan-Chevalley parts and
-    `cartan.solve_ad`.  `table` is the dense `Fraction` view,
+    integers through the kernel and the Jordan-Chevalley parts; the
+    inverse problem, y with ad(y) given, is solved from the integer
+    brackets `_int_brackets` in one place in `cartan`.  `table` is the
+    dense `Fraction` view,
     rebuilt on each access.  `_cache` memoises derived data (Killing
     form, radical basis) that passed its self-checks; it holds nothing
     that refers back to the algebra.

@@ -753,7 +753,10 @@ def nil_suspension_check(
     computed complement basis, with the flow span projecting onto the
     base flow span.  The decision lifts a base Anosov element and tests
     hyperbolicity of the induced operator on fiber/(flow cap fiber).
+    Both action data are validated first.
     """
+    base.require_valid()
+    total.require_valid()
     g = total.ambient
     if fiber.algebra is not g:
         raise StructureError("fiber must live in the total algebra")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import (
     LieAlgebra,
@@ -36,6 +36,15 @@ def _rat_matrix(rows: Sequence[Sequence]) -> Matrix:
     return m
 
 
+def _antisymmetric(brackets: Iterable[tuple[int, int, dict]]) -> Iterator[tuple]:
+    """The entries (i, j, k, c) and (j, i, k, -c) of each [e_i, e_j] = sum_k c e_k,
+    given as (i, j, {k: c}), for `LieAlgebra.from_entries`."""
+    for i, j, coords in brackets:
+        for k, c in coords.items():
+            yield i, j, k, c
+            yield j, i, k, -c
+
+
 # -- suspensions ---------------------------------------------------------------
 
 
@@ -57,16 +66,13 @@ def build_suspension(d_list: Sequence[Sequence[Sequence]]) -> ActionSpec:
             if matmul(a, b) != matmul(b, a):
                 raise StructureError("suspension derivations must commute")
     k = len(mats)
-    n = p + k
-    zero = tuple(_ZERO for _ in range(n))
-    table = [[zero] * n for _ in range(n)]
-    for s, d in enumerate(mats):
-        for j in range(p):
-            col = tuple(d[r][j] for r in range(p)) + (_ZERO,) * k
-            table[p + s][j] = col
-            table[j][p + s] = tuple(-x for x in col)
+    brackets = (
+        (p + s, j, {r: d[r][j] for r in range(p)})
+        for s, d in enumerate(mats)
+        for j in range(p)
+    )
     labels = [f"e{i}" for i in range(p)] + [f"T{s}" for s in range(k)]
-    g = LieAlgebra(table, labels)
+    g = LieAlgebra.from_entries(p + k, _antisymmetric(brackets), labels)
     flow = Subspace(g, tuple(g.basis_vector(p + s) for s in range(k)))
     spec = ActionSpec(g, flow, name="suspension")
     spec.require_valid()
@@ -154,26 +160,17 @@ def build_wedge_example() -> ActionSpec:
     (the second-order term of the underlying group law); the wedge part
     is central in the nilpotent part.
     """
-    n = 7
-    zero = tuple(_ZERO for _ in range(n))
-    table = [[zero] * n for _ in range(n)]
-
-    def put(i: int, j: int, coords: dict[int, int]) -> None:
-        v = [_ZERO] * n
-        for k, c in coords.items():
-            v[k] = Fraction(c)
-        table[i][j] = tuple(v)
-        table[j][i] = tuple(-x for x in v)
-
-    put(0, 1, {3: 2})  # [u+, u-] = 2 u+^u-
-    put(0, 2, {4: 2})  # [u+, e0] = 2 u+^e0
-    put(1, 2, {5: 2})  # [u-, e0] = 2 u-^e0
-    put(6, 0, {0: 1})  # [T, u+] = u+
-    put(6, 1, {1: -1})  # [T, u-] = -u-
-    put(6, 4, {4: 1})  # [T, u+^e0] = u+^e0
-    put(6, 5, {5: -1})  # [T, u-^e0] = -u-^e0
+    brackets = (
+        (0, 1, {3: 2}),  # [u+, u-] = 2 u+^u-
+        (0, 2, {4: 2}),  # [u+, e0] = 2 u+^e0
+        (1, 2, {5: 2}),  # [u-, e0] = 2 u-^e0
+        (6, 0, {0: 1}),  # [T, u+] = u+
+        (6, 1, {1: -1}),  # [T, u-] = -u-
+        (6, 4, {4: 1}),  # [T, u+^e0] = u+^e0
+        (6, 5, {5: -1}),  # [T, u-^e0] = -u-^e0
+    )
     labels = ["u+", "u-", "e0", "u+^u-", "u+^e0", "u-^e0", "T"]
-    g = LieAlgebra(table, labels)
+    g = LieAlgebra.from_entries(7, _antisymmetric(brackets), labels)
     flow = Subspace(g, (g.basis_vector(2), g.basis_vector(3), g.basis_vector(6)))
     spec = ActionSpec(g, flow, name="wedge")
     spec.require_valid()
@@ -185,21 +182,8 @@ def build_wedge_example() -> ActionSpec:
 
 def _sl2() -> LieAlgebra:
     h, e, f = 0, 1, 2
-    n = 3
-    zero = tuple(_ZERO for _ in range(n))
-    table = [[zero] * n for _ in range(n)]
-
-    def put(i, j, coords):
-        v = [_ZERO] * n
-        for k, c in coords.items():
-            v[k] = Fraction(c)
-        table[i][j] = tuple(v)
-        table[j][i] = tuple(-x for x in v)
-
-    put(h, e, {e: 2})
-    put(h, f, {f: -2})
-    put(e, f, {h: 1})
-    return LieAlgebra(table, ["h", "e", "f"])
+    brackets = ((h, e, {e: 2}), (h, f, {f: -2}), (e, f, {h: 1}))
+    return LieAlgebra.from_entries(3, _antisymmetric(brackets), ["h", "e", "f"])
 
 
 def _e(i: int, j: int) -> Matrix:

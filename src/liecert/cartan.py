@@ -2,12 +2,16 @@
 
 Cartan subalgebras are found by Engel-kernel descent and certified by an
 exact nilpotency plus self-normalizer check, so the search heuristics
-never affect soundness.  Restricted-root data is exact whenever the
-generic element has rational eigenvalues; otherwise each joint invariant
-subspace is still exact and carries the minimal polynomial of its family
-of pairings, with float witnesses.  Per-root isolating intervals do not
-exist in the merged case (conjugate functionals share one rational
-subspace), so the block form is the strongest exact statement available.
+never affect soundness.  Inner derivations are solved in one place,
+`_inner_solution`: `solve_ad` asks it for y with ad(y) equal to a given
+operator, and `inner_corrected_flow` for the element of [k, k] that acts
+on [k, k] as a flow generator does.  Restricted-root data is exact
+whenever the generic element has rational eigenvalues; otherwise each
+joint invariant subspace is still exact and carries the minimal
+polynomial of its family of pairings, with float witnesses.  Per-root
+isolating intervals do not exist in the merged case (conjugate
+functionals share one rational subspace), so the block form is the
+strongest exact statement available.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import mul
 from typing import Sequence
 
@@ -24,6 +28,7 @@ from .algebra import (
     LieAlgebra,
     StructureError,
     Subspace,
+    _integer_terms,
     as_subalgebra,
     bracket_space,
     center,
@@ -37,23 +42,23 @@ from .algebra import (
     zero_space,
 )
 from .linalg import (
+    Coordinates,
     IntMatrix,
     Matrix,
     Vector,
+    _from_integer,
+    _integer_form,
     combine,
-    dot,
     generalized_kernel,
     identity,
     integer_row,
     is_zero_vector,
-    mat_pow,
     matmul,
-    matvec,
     nullspace,
     primitive,
     restrict_operator,
     row_basis,
-    solve,
+    transpose,
     vec_sub,
     vector,
 )
@@ -66,7 +71,6 @@ from .spectral import (
     operator_sign_counts,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -206,23 +210,30 @@ class ActionCsa:
     corrected: bool
 
 
-def _inner_representative(g: LieAlgebra, kstar: Matrix, h: Vector) -> Vector | None:
-    """k* in span(kstar) acting on that span exactly as h does, or None."""
-    # unknowns c_j with sum_j c_j [kstar_j, x] = [h, x] for every x in kstar
-    m = len(kstar)
-    brs = g.brackets(kstar, kstar)  # [kstar_j, kstar_x] at j * m + x
-    targets = g.brackets((h,), kstar)
-    rows = []
-    rhs = []
-    for x, target in enumerate(targets):
-        col = brs[x::m]
-        for r in range(g.dim):
-            rows.append(tuple(c[r] for c in col))
-            rhs.append(target[r])
-    sol = solve(tuple(rows), tuple(rhs))
-    if sol is None:
+def _inner_solution(
+    g: LieAlgebra, span: Matrix, domain: Matrix, images: Matrix
+) -> Vector | None:
+    """Some y in the span of `span` with [y, d_j] = images[j] for each d_j in
+    `domain`, or None.
+
+    Row i of the system is the integer brackets [s_i, d_j] laid end to end
+    over j, and the images laid end to end are mapped into the span of
+    those rows by one `Coordinates` elimination.  When some element of the
+    span centralizes the domain the rows are dependent, and y is one of
+    several answers.
+    """
+    (ts, ds), (td, dd) = _integer_terms(span), _integer_terms(domain)
+    p = len(td)
+    brs = g._int_brackets(ts, td)  # [s_i, d_j] times ds dd _den at i p + j
+    rows = [[x for b in brs[i * p : (i + 1) * p] for x in b] for i in range(len(ts))]
+    want, e = _integer_form(images)
+    scale = ds * dd * g._den
+    (coords,), den = Coordinates(rows).map_integer(
+        [[x * scale for row in want for x in row]], e
+    )
+    if coords is None:
         return None
-    return combine(sol, kstar, g.dim)
+    return combine(_from_integer([coords], den)[0], span, g.dim)
 
 
 def inner_corrected_flow(
@@ -244,10 +255,11 @@ def inner_corrected_flow(
     corrected = False
     flow_vecs = []
     for v in h.basis:
-        if all(is_zero_vector(g.bracket(v, x)) for x in kstar):
+        images = g.brackets((v,), kstar)
+        if not any(map(any, images)):
             flow_vecs.append(v)
             continue
-        nu = _inner_representative(g, kstar, v)
+        nu = _inner_solution(g, kstar, kstar, images)
         if nu is None:
             raise StructureError(
                 "flow generator does not act on the isotropy by an inner derivation"
@@ -301,14 +313,11 @@ def is_ad_hyperbolic(g: LieAlgebra, x: Vector) -> bool:
 def solve_ad(g: LieAlgebra, target: IntMatrix) -> Vector | None:
     """Some y with ad(y) = target, or None.  Unique up to the center.
 
-    Entry (i, j) is the equation sum_a ad(e_a)[i][j] y_a = target[i][j],
-    solved in integers: ad(e_a) is `_int_ad` over `_den`, target over d.
+    Column j of the target is [y, e_j], solved over the unit basis.
     """
     rows, d = target
-    n = g.dim
-    ads = [g._int_ad(((a, 1),)) for a in range(n)]
-    lhs = [tuple(d * ad[i][j] for ad in ads) for i in range(n) for j in range(n)]
-    return solve(lhs, [g._den * x for row in rows for x in row])
+    unit = identity(g.dim)
+    return _inner_solution(g, unit, unit, IntMatrix([list(c) for c in zip(*rows)], d))
 
 
 def hyperbolic_part(g: LieAlgebra, x: Vector) -> Vector | None:
@@ -355,6 +364,8 @@ def cartan_subspace(g: LieAlgebra, hint: Subspace | None = None) -> Subspace:
         c = full_space(g) if a.dim == 0 else centralizer(g, a)
         extended = False
         for v in c.basis:
+            if a.contains(v):
+                continue
             cand = v if is_ad_hyperbolic(g, v) else hyperbolic_part(g, v)
             if cand is None or is_zero_vector(cand) or a.contains(cand):
                 continue
@@ -464,24 +475,14 @@ class RootSystem:
         return tuple(r for r in self.roots if not r.is_zero)
 
 
-def _is_nilpotent_matrix(m: IntMatrix) -> bool:
-    n = len(m.rows)
-    if n == 0:
-        return True
-    p = mat_pow(m, 1 << max(0, (n - 1).bit_length()))
-    return all(all(v == 0 for v in row) for row in p)
-
-
 def _zero_complement(g: LieAlgebra, base: Matrix, zero_rows: Matrix) -> Matrix:
     """Killing-perp of span(base) inside span(zero_rows)."""
     if not zero_rows:
         return ()
-    kf = killing_form(g)
-    pairings = [matvec(kf, a) for a in base]
-    if pairings:
+    if base:
         # rows per base vector, columns per zero-space vector
-        m = tuple(tuple(dot(z, w) for z in zero_rows) for w in pairings)
-        combos = nullspace(m)
+        pairings = matmul(matmul(base, killing_form(g)), transpose(zero_rows))
+        combos = nullspace(pairings)
     else:
         combos = tuple(identity(len(zero_rows)))
     comp = row_basis(matmul(combos, zero_rows))
@@ -492,6 +493,34 @@ def _zero_complement(g: LieAlgebra, base: Matrix, zero_rows: Matrix) -> Matrix:
     if a_space.sum(c_space).dim != len(zero_rows):
         raise AlgebraError("zero-space split misses directions")
     return c_space.basis
+
+
+def _restrict_block(
+    ads: Sequence[IntMatrix], ker: Matrix
+) -> tuple[tuple[Fraction, ...] | None, list[tuple[IntMatrix, RationalPolynomial]]]:
+    """Each ad restricted to a block, with its characteristic polynomial.
+
+    Returns (values, pairs): pairs holds each restriction and its
+    characteristic polynomial, and values each restriction's scalar alpha
+    when every one is alpha plus a nilpotent, that is when its
+    characteristic polynomial is (t - alpha)^d; else None.  Each ad
+    commutes with the generic element, so a restriction cannot leave its
+    block: one that does raises AlgebraError.
+    """
+    d = len(ker)
+    pairs = []
+    for adv in ads:
+        r = restrict_operator(adv, ker)
+        if r is None:
+            raise AlgebraError("joint invariant subspace lost invariance")
+        pairs.append((r, char_poly(r)))
+    values = []
+    for r, p in pairs:
+        alpha = Fraction(sum(r.rows[i][i] for i in range(d)), r.den * d)
+        if p != RationalPolynomial([comb(d, k) * (-alpha) ** (d - k) for k in range(d + 1)]):
+            return None, pairs
+        values.append(alpha)
+    return tuple(values), pairs
 
 
 # generic elements of the Cartan subspace restricted_roots tries for exact blocks
@@ -506,7 +535,9 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
     every eigenvalue of the generic element rational and each restricted
     operator to be scalar plus nilpotent, both verified; otherwise the
     generic element is retried, and finally exact blocks with algebraic
-    value descriptors are returned.
+    value descriptors are returned, where only a block on which every
+    operator is nilpotent keeps its exact (zero) values.  Both paths read
+    the restrictions of a block from `_restrict_block`.
     """
     if radical(g).dim != 0:
         raise StructureError("root decomposition requires a semisimple algebra")
@@ -531,37 +562,13 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
         if all(phi.degree == 1 for phi, _ in blocks):
             saw_all_linear = True
             infos = []
-            good = True
-            for phi, ker in blocks:
-                vals = []
-                for adv in ads:
-                    r = restrict_operator(adv, ker)
-                    if r is None:
-                        good = False
-                        break
-                    d = len(ker)
-                    alpha = Fraction(sum(r.rows[i][i] for i in range(d)), r.den * d)
-                    acc = RationalPolynomial([_ONE])
-                    lin = RationalPolynomial([-alpha, _ONE])
-                    for _ in range(d):
-                        acc = acc * lin
-                    if char_poly(r) != acc:
-                        good = False
-                        break
-                    vals.append(alpha)
-                if not good:
+            for _, ker in blocks:
+                vals = _restrict_block(ads, ker)[0]
+                if vals is None:
                     break
-                infos.append(
-                    RootInfo(
-                        len(ker),
-                        ker,
-                        tuple(vals),
-                        None,
-                        tuple((float(v), 0.0) for v in vals),
-                        True,
-                    )
-                )
-            if good:
+                floats = tuple((float(v), 0.0) for v in vals)
+                infos.append(RootInfo(len(ker), ker, vals, None, floats, True))
+            else:
                 zero_rows = next((r.space for r in infos if r.is_zero), ())
                 comp = _zero_complement(g, a.basis, zero_rows)
                 return RootSystem(a.basis, tuple(infos), True, comp)
@@ -573,31 +580,16 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
 
     infos = []
     zero_rows: Matrix = ()
-    for phi, ker in last_blocks:
-        restrictions = []
-        for adv in ads:
-            r = restrict_operator(adv, ker)
-            if r is None:
-                raise AlgebraError("joint invariant subspace lost invariance")
-            restrictions.append(r)
-        if all(_is_nilpotent_matrix(r) for r in restrictions):
-            infos.append(
-                RootInfo(
-                    len(ker),
-                    ker,
-                    tuple(_ZERO for _ in ads),
-                    None,
-                    tuple((0.0, 0.0) for _ in ads),
-                    True,
-                )
-            )
+    for _, ker in last_blocks:
+        vals, pairs = _restrict_block(ads, ker)
+        if vals is not None and not any(vals):
+            infos.append(RootInfo(len(ker), ker, vals, None, ((0.0, 0.0),) * len(ads), True))
             zero_rows = ker
             continue
         minpolys = []
         floats = []
-        for r in restrictions:
-            m = squarefree_part(char_poly(r))
-            minpolys.append(m)
+        for r, p in pairs:
+            minpolys.append(squarefree_part(p))
             rf = np.array([[x / r.den for x in row] for row in r.rows])
             ev = np.linalg.eigvals(rf)
             pick = ev[int(np.argmax(np.abs(ev)))]

@@ -30,6 +30,11 @@ def matrix(rows) -> tuple:
     return out
 
 
+def dot(a, b) -> Fraction:
+    """The scalar product of two exact vectors."""
+    return sum((x * y for x, y in zip(a, b)), F(0))
+
+
 def mat_sub(a, b) -> tuple:
     """The entrywise difference a - b of two matrices."""
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))

@@ -551,6 +551,16 @@ def test_nil_suspension_rejects_non_ideal():
         nil_suspension_check(base, total, _span(g, 0))
 
 
+def test_nil_suspension_validates_both_actions():
+    # Heisenberg x, y, z with [x, y] = z: the flow span(x, y) is no subalgebra
+    g = LieAlgebra.from_entries(3, [(0, 1, 2, 1), (1, 0, 2, -1)], ["x", "y", "z"])
+    total = ActionSpec(g, _span(g, 0, 1))
+    line = LieAlgebra([[(F(0),)]])
+    base = ActionSpec(line, _span(line, 0))
+    with pytest.raises(ValidationError):
+        nil_suspension_check(base, total, _span(g, 1, 2))
+
+
 def test_nil_suspension_rejects_wrong_base():
     base = build_suspension([[[1, 0], [0, -2]]])  # different weights
     total = build_heisenberg_starkov()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from generators import fraction_ad, matrix
+from generators import dot, fraction_ad, matrix
 from liecert.algebra import (
     AlgebraError,
     LieAlgebra,
@@ -21,6 +21,7 @@ from liecert.cartan import (
     RootInfo,
     RootSystem,
     _fm_extend,
+    _inner_solution,
     _fm_sample,
     cartan_subspace,
     compact_levi_split,
@@ -39,7 +40,7 @@ from liecert.cartan import (
     weyl_chambers,
 )
 from liecert.builders import build_example, catalog_names
-from liecert.linalg import IntMatrix, _from_integer, dot, frac, integer_row, solve
+from liecert.linalg import IntMatrix, _from_integer, combine, frac, integer_row, solve
 from liecert.poly import RationalPolynomial
 from liecert.spectral import jordan_chevalley
 
@@ -406,6 +407,34 @@ def test_solve_ad_matches_the_dense_system():
         assert reference_solve_ad(g, eye) is None
     # each basis vector of the four semisimple algebras has an inner hyperbolic part
     assert solved >= 8 + 15 + 24 + 10
+    # the isotropy case: flow generators of sl2 + so3 acting on k* = so3
+    g = direct_sum(sl2(), so3())
+    kstar = compact_levi_split(g, Subspace(g, [g.basis_vector(i) for i in (3, 4, 5)]))
+    kstar = kstar.semisimple.basis
+    for coords in ((1, 0, 0, 1, 0, 0), (1, 0, 0, 0, 1, -2), (0, 1, 0, 3, 0, 1)):
+        targets = g.brackets((tuple(map(F, coords)),), kstar)
+        y = _inner_solution(g, kstar, kstar, targets)
+        assert y is not None
+        assert y == reference_inner_solution(g, kstar, targets)
+    # the identity of so3 is no derivation
+    assert _inner_solution(g, kstar, kstar, kstar) is None
+    assert reference_inner_solution(g, kstar, kstar) is None
+
+
+def reference_inner_solution(g: LieAlgebra, kstar, targets):
+    """The former inner representative: the dense `Fraction` system in c with
+    sum_j c_j [kstar_j, x] = targets[x] for every x in kstar, solved by rref."""
+    m = len(kstar)
+    brs = g.brackets(kstar, kstar)  # [kstar_j, kstar_x] at j * m + x
+    rows = []
+    rhs = []
+    for x, target in enumerate(targets):
+        col = brs[x::m]
+        for r in range(g.dim):
+            rows.append(tuple(c[r] for c in col))
+            rhs.append(target[r])
+    sol = solve(tuple(rows), tuple(rhs))
+    return None if sol is None else combine(sol, kstar, g.dim)
 
 
 def _twisted_r4() -> LieAlgebra:
@@ -576,6 +605,29 @@ def test_restricted_roots_irrational_block():
     assert b.value_minpolys[0] == RationalPolynomial([-8, 0, 1])
     zero = [r for r in rs.roots if r.exact]
     assert len(zero) == 1 and zero[0].is_zero and zero[0].multiplicity == 1
+
+
+def test_restricted_roots_fallback_keeps_only_the_zero_block_exact():
+    # h1 and h2 + e2 + f2: the second factor has the irrational values +-2 sqrt 2,
+    # so no generic element has a rational spectrum and the fallback decides
+    g = direct_sum(sl2(), sl2())
+    a = Subspace(g, [tuple(map(F, (1, 0, 0, 0, 0, 0))), tuple(map(F, (0, 0, 0, 1, 1, 1)))])
+    rs = restricted_roots(g, a)
+    assert not rs.exact
+    t = RationalPolynomial([0, 1])
+    blocks = {
+        (r.multiplicity, r.exact, r.value_minpolys): r.values for r in rs.roots
+    }
+    assert blocks == {
+        # the rational blocks of +-2 are inexact: their values are not all zero
+        (1, False, (RationalPolynomial([-2, 1]), t)): None,
+        (1, False, (RationalPolynomial([2, 1]), t)): None,
+        (2, True, None): (F(0), F(0)),
+        (2, False, (t, RationalPolynomial([-8, 0, 1]))): None,
+    }
+    zero = next(r for r in rs.roots if r.exact)
+    assert Subspace(g, zero.space) == a
+    assert rs.zero_complement == ()
 
 
 # -- Weyl chambers -------------------------------------------------------------
