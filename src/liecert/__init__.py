@@ -106,7 +106,6 @@ from .spectral import (
     invariant_splitting,
     is_hyperbolic,
     jordan_chevalley,
-    restrict_and_quotient,
     spectral_gap,
 )
 

@@ -421,6 +421,8 @@ class Subspace:
         return hash((id(self.algebra), tuple(map(tuple, self._rows))))
 
     def contains(self, v: Vector) -> bool:
+        if len(v) != self.algebra.dim:
+            raise ValidationError("subspace vector length does not match dimension")
         return self._span.contains(v)
 
     def contains_space(self, other: "Subspace") -> bool:

@@ -10,7 +10,7 @@ span answers membership and insertion in O(rank * n); its `reduced`
 finishes the reduced row echelon form with one back-substitution.  Its
 rows are then primitive with positive pivots: that integer form is
 unique to the span, it is what `algebra.Subspace` holds, and divided by
-the pivots it is the rref.  `rref`, `rank`, `nullspace`,
+the pivots it is the rref; its `rank` is the rank.  `rref`, `nullspace`,
 `generalized_kernel` and `Coordinates` all eliminate through it, so the
 results are the same canonical ``Fraction`` rows and pivots as textbook
 Gauss-Jordan, whatever the order of the rows, and bases, complements and
@@ -20,11 +20,11 @@ Products, powers, characteristic polynomials and polynomials in a matrix
 run on `IntMatrix(rows, den)`, integer rows over one common denominator.
 `_integer_form` is the one conversion from a `Fraction` matrix and
 returns an `IntMatrix` as it is, so every kernel entry point takes either
-kind, and the integer value passes between kernel calls: `mat_poly`,
-`restrict_operator` and `quotient_operator` return an `IntMatrix` when
-given one, and a `Fraction` is built only where a public function returns
-one.  The adjoint enters in that form only (`LieAlgebra.ad_integer`), and
-no matrix is inverted: `spectral.jordan_chevalley` divides in Q[t] instead.
+kind, and the integer value passes between kernel calls: `mat_poly` and
+`restrict_operator` return an `IntMatrix` when given one, and a
+`Fraction` is built only where a public function returns one.  The
+adjoint enters in that form only (`LieAlgebra.ad_integer`), and no
+matrix is inverted: `spectral.jordan_chevalley` divides in Q[t] instead.
 Generalized kernels stop multiplying as soon as the rank stops falling.
 
 The matrices met here, ad(x) and polynomials in it, are mostly zeros, so
@@ -38,11 +38,13 @@ same matrix.
 
 Coordinates in a basis come from one integer elimination of [basis | I]
 and map whole blocks of vectors with two integer products (membership,
-then coordinates); restriction to and quotient by a subspace, and the
-invariance tests, are such block maps.  `Coordinates.map_integer` takes
-and returns integer rows over one denominator, so a caller that already
-holds integers (the structure layer) never builds a `Fraction` between
-two integer steps.
+then coordinates); restriction to a subspace and the invariance tests
+are such block maps.  No quotient matrix is built: A is block-triangular
+on an invariant span W, so the operator induced on V/W has the
+characteristic polynomial charpoly(A) / charpoly(A|W).
+`Coordinates.map_integer` takes and returns integer rows over one
+denominator, so a caller that already holds integers (the structure
+layer) never builds a `Fraction` between two integer steps.
 
 The structure layer (`algebra.LieAlgebra`) uses the same forms: its
 structure constants are integers over one common denominator, brackets
@@ -291,10 +293,6 @@ def _rref_rows(rows: Sequence[list[int]], pivots: Sequence[int]) -> Matrix:
     )
 
 
-def rank(m: Matrix) -> int:
-    return Echelon(m).rank
-
-
 def row_basis(m: Matrix) -> Matrix:
     """Canonical basis of the row space: nonzero rows of the rref."""
     red, piv = rref(m)
@@ -533,11 +531,6 @@ class Coordinates:
         return _from_integer(*self.map_integer(*_integer_form(block)))
 
 
-def coords_in_basis(basis: Matrix, v: Vector) -> Vector | None:
-    """Coordinates of v in the given (independent) row basis, or None."""
-    return Coordinates(basis).map((v,))[0]
-
-
 def intersect_spaces(a: Matrix, b: Matrix) -> Matrix:
     """Canonical basis of the intersection of two row spaces."""
     if not a or not b:
@@ -601,42 +594,3 @@ def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
         return None
     return _like(m, [list(col) for col in zip(*rows)], den)
 
-
-def _restrict_and_quotient(m, basis: Matrix):
-    """(restricted, quotient, complement) of m along the span of `basis`, or
-    None when the span is not invariant; both matrices of the kind of m.
-
-    One elimination of basis + complement (from extend_basis) maps the
-    images of both.  The basis images have zero complement coordinates
-    exactly when the span is invariant, and their basis coordinates are
-    the restricted matrix; the image of a complement vector e_j is column
-    j of m, and its complement coordinates are the quotient matrix.
-    """
-    im = _integer_form(m)
-    n = len(im.rows)
-    comp = extend_basis(basis, n)
-    k = len(basis)
-    full = tuple(basis) + tuple(
-        tuple(_ONE if i == j else _ZERO for i in range(n)) for j in comp
-    )
-    rows, den = Coordinates(full).map_integer(*_image_rows(im, full))
-    if None in rows:
-        raise AssertionError("complement construction failed")
-    if any(any(c[k:]) for c in rows[:k]):
-        return None
-    restricted = [list(col) for col in zip(*(c[:k] for c in rows[:k]))]
-    quotient = [list(col) for col in zip(*(c[k:] for c in rows[k:]))]
-    return _like(m, restricted, den), _like(m, quotient, den), comp
-
-
-def quotient_operator(
-    m: Matrix, basis: Matrix
-) -> tuple[Matrix, tuple[int, ...]] | None:
-    """Matrix induced by m on the quotient by the span of `basis`, of the kind of m.
-
-    The quotient is coordinatized by the deterministic complement of
-    standard basis vectors from extend_basis.  Returns (matrix, indices)
-    or None when the span is not invariant.
-    """
-    split = _restrict_and_quotient(m, basis)
-    return None if split is None else split[1:]

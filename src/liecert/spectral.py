@@ -22,7 +22,6 @@ from .linalg import (
     Matrix,
     _int_matmul,
     _integer_form,
-    _restrict_and_quotient,
     charpoly,
     integer_row,
     mat_poly,
@@ -457,35 +456,3 @@ def invariant_splitting(op: Matrix, tolerance: float = 1e-9) -> InvariantSplitti
     stable, unstable = (tuple(tuple(map(float, col)) for col in v.T) for v in bases)
     return InvariantSplitting(counts, stable, unstable, residual, tolerance, None)
 
-
-# -- restriction and quotient ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RestrictionQuotient:
-    restricted: Matrix
-    quotient: Matrix
-    complement: tuple[int, ...]
-    restricted_counts: RootSignCount
-    quotient_counts: RootSignCount
-
-
-def restrict_and_quotient(op: Matrix, basis: Matrix) -> RestrictionQuotient:
-    """Split op along an invariant subspace; counts add up, by construction.
-
-    Raises StructureError when the span is not invariant.
-    """
-    split = _restrict_and_quotient(op, basis)
-    if split is None:
-        raise StructureError("subspace is not invariant under the operator")
-    restricted, qop, comp = split
-    rc = root_sign_counts(char_poly(restricted)) if basis else RootSignCount(0, 0, 0)
-    qc = root_sign_counts(char_poly(qop)) if qop else RootSignCount(0, 0, 0)
-    total = root_sign_counts(char_poly(op)) if op else RootSignCount(0, 0, 0)
-    if (rc.n_neg + qc.n_neg, rc.n_zero_real + qc.n_zero_real, rc.n_pos + qc.n_pos) != (
-        total.n_neg,
-        total.n_zero_real,
-        total.n_pos,
-    ):
-        raise AlgebraError("restriction and quotient counts do not add up")
-    return RestrictionQuotient(restricted, qop, comp, rc, qc)

@@ -27,6 +27,7 @@ from liecert import (
     build_example,
     cartan_subspace,
     catalog_names,
+    char_poly,
     check_anosov,
     classify,
     derived_ideal_check,
@@ -40,7 +41,6 @@ from liecert import (
     nil_suspension_check,
     nilradical,
     parse_document,
-    restrict_and_quotient,
     restricted_roots,
     root_sign_counts,
     serialize_document,
@@ -52,6 +52,8 @@ from liecert.builders import _sl2, build_weyl_chamber
 from liecert.cartan import RootInfo, RootSystem, engel_subalgebra
 from liecert.cli import main
 from liecert.documents import AlgebraDocument
+from liecert.linalg import restrict_operator
+from test_sparse_kernel import reference_quotient_operator
 
 _golden_elapsed: list[float] = []
 
@@ -180,19 +182,21 @@ def test_universal_certificate_properties():
         ac = action_csa(action)
         if not is_csa(g, ac.csa):
             failures.append(f"{label}: assembled subalgebra is not a CSA")
-        rq = restrict_and_quotient(fraction_ad(g, cert.h0), action.joint.basis)
-        if rq.restricted_counts.n_neg or rq.restricted_counts.n_pos:
+        a = fraction_ad(g, cert.h0)
+        quotient, _ = reference_quotient_operator(a, action.joint.basis)
+        inside = root_sign_counts(char_poly(restrict_operator(a, action.joint.basis)))
+        outside = root_sign_counts(char_poly(quotient))
+        if inside.n_neg or inside.n_pos:
             failures.append(f"{label}: off-axis spectrum along the orbit part")
-        if rq.quotient_counts.n_zero_real:
+        if outside.n_zero_real:
             failures.append(f"{label}: axis spectrum transverse to the orbit part")
-        if (rq.quotient_counts.n_neg, rq.quotient_counts.n_pos) != (
-            cert.dim_stable,
-            cert.dim_unstable,
-        ):
+        if (outside.n_neg, outside.n_pos) != (cert.dim_stable, cert.dim_unstable):
             failures.append(f"{label}: quotient counts disagree with the certificate")
-        both = rq.restricted_counts + rq.quotient_counts
+        both = inside + outside
         if both.n_neg + both.n_zero_real + both.n_pos != g.dim:
             failures.append(f"{label}: counts do not sum to the dimension")
+        if both != root_sign_counts(char_poly(a)):
+            failures.append(f"{label}: the parts' counts disagree with the whole operator's")
     assert not failures, "\n".join(failures)
 
 

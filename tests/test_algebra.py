@@ -35,7 +35,7 @@ from liecert.algebra import (
     _unital_envelope,
 )
 from liecert.builders import build_example, catalog_names
-from liecert.linalg import identity, matmul, rank, vector
+from liecert.linalg import Coordinates, Echelon, identity, matmul, vector
 from test_linalg import reference_rref
 from test_sparse_kernel import reference_rref_coords
 
@@ -85,7 +85,7 @@ def random_solvable(rng: random.Random, dim_matrix: int, count: int):
     flat = lambda m: tuple(x for row in m for x in row)
     basis = []
     for m in mats:
-        if rank(tuple(flat(b) for b in basis) + (flat(m),)) > len(basis):
+        if Echelon(tuple(flat(b) for b in basis) + (flat(m),)).rank > len(basis):
             basis.append(m)
     changed = True
     while changed:
@@ -93,7 +93,7 @@ def random_solvable(rng: random.Random, dim_matrix: int, count: int):
         for a in list(basis):
             for b in list(basis):
                 c = mat_sub(matmul(a, b), matmul(b, a))
-                if rank(tuple(flat(x) for x in basis) + (flat(c),)) > len(basis):
+                if Echelon(tuple(flat(x) for x in basis) + (flat(c),)).rank > len(basis):
                     basis.append(c)
                     changed = True
     return lie_algebra_from_matrices(basis)
@@ -192,7 +192,7 @@ def test_series_sl2():
 
 def test_killing_form_sl2_nondegenerate():
     k = killing_form(sl2())
-    assert rank(k) == 3
+    assert Echelon(k).rank == 3
     # standard values: K(h,h) = 8, K(e,f) = 4
     assert k[0][0] == 8 and k[1][2] == 4
 
@@ -358,7 +358,7 @@ def test_levi_with_nonabelian_radical():
     assert rad.dim == 3 and levi.dim == 3
     assert levi.is_subalgebra()
     sub, _ = as_subalgebra(levi).as_algebra()
-    assert rank(killing_form(sub)) == sub.dim
+    assert Echelon(killing_form(sub)).rank == sub.dim
 
 
 def test_random_solvable_algebras_have_full_radical():
@@ -393,7 +393,6 @@ def test_subalgebra_rejects_nonclosed():
 
 def test_as_algebra_table_matches_direct_brackets():
     from liecert.cartan import find_csa
-    from liecert.linalg import coords_in_basis
 
     for name in catalog_names():
         g = build_example(name).ambient
@@ -402,9 +401,8 @@ def test_as_algebra_table_matches_direct_brackets():
         for s in spans:
             sub, basis = as_subalgebra(s).as_algebra()
             assert basis == s.basis
-            direct = tuple(
-                tuple(coords_in_basis(basis, g.bracket(x, y)) for y in basis) for x in basis
-            )
+            coords = Coordinates(basis)
+            direct = tuple(coords.map(tuple(g.bracket(x, y) for y in basis)) for x in basis)
             assert sub.table == direct
             assert all(type(c) is F for row in sub.table for v in row for c in v)
 

@@ -210,6 +210,13 @@ def test_candidate_outside_flow_raises():
         check_anosov(spec, spec.ambient.basis_vector(1))
 
 
+@pytest.mark.parametrize("h0", [(1, 0), (1, 0, 0, 0)])
+def test_candidate_of_the_wrong_length_raises(h0):
+    spec = build_sl2_geodesic()  # dimension 3
+    with pytest.raises(ValidationError, match="length does not match"):
+        check_anosov(spec, tuple(map(F, h0)))
+
+
 def test_irrational_split_uses_numeric_bases():
     spec = build_suspension([[[0, 1], [2, 0]]])  # eigenvalues +-sqrt(2)
     res = check_anosov(spec, spec.ambient.basis_vector(2))
@@ -492,6 +499,24 @@ def test_classify_mixed():
     assert rep.subreport is not None and rep.subreport.case == "semisimple"
 
 
+def test_classify_mixed_radical_search_stays_within_the_budget(monkeypatch):
+    # sl2 on the plane plus a center R^5, flow span(h, z_1..z_5): ad(z) = 0,
+    # so no element of radical cap flow is Anosov, and its whole grid of
+    # 5^5 - 1 points would be tried without the budget
+    g = direct_sum(sl2_semidirect_plane(), LieAlgebra.from_entries(5, []))
+    act = ActionSpec(g, _span(g, 0, 5, 6, 7, 8, 9))
+    tried = []
+    real = liecert.anosov.check_anosov
+    monkeypatch.setattr(
+        liecert.anosov, "check_anosov", lambda *a, **k: tried.append(a[1]) or real(*a, **k)
+    )
+    rep = classify(act, budget=20)
+    assert rep.case == "mixed"
+    assert not rep.evidence["anosov_element_in_radical"]
+    assert any("within the budget" in c for c in rep.caveats)
+    assert len(tried) <= 30
+
+
 def test_classify_inconclusive():
     spec = build_suspension([[[0, 0], [0, 0]]])
     with pytest.raises(Inconclusive):
@@ -540,6 +565,20 @@ def test_generic_nil_suspension_wedge():
     fiber = _span(g, 3, 4, 5)
     rep = nil_suspension_check(base, total, fiber)
     assert rep.anosov and rep.kind == "generic"
+    assert rep.fiber_dim == 3 and rep.fixed_dim == 1
+
+
+def test_generic_nil_suspension_with_a_neutral_fiber_direction():
+    # e0, e1, e2, e3, e4, T with [T, e0] = e0, [T, e1] = -e1, [T, e2] = -e2
+    # and [e0, e2] = e3: the flow span(e3, T) meets the fiber span(e2, e3, e4)
+    # in e3, and T leaves e4 fixed, so the induced operator is not hyperbolic
+    base = build_suspension([[[1, 0], [0, -1]]])
+    brackets = [(5, 0, 0, 1), (5, 1, 1, -1), (5, 2, 2, -1), (0, 2, 3, 1)]
+    g = LieAlgebra.from_entries(6, brackets + [(j, i, k, -c) for i, j, k, c in brackets])
+    total = ActionSpec(g, _span(g, 3, 5))
+    rep = nil_suspension_check(base, total, _span(g, 2, 3, 4))
+    assert rep.structure_ok and not rep.induced_hyperbolic and not rep.anosov
+    assert rep.kind == "generic"
     assert rep.fiber_dim == 3 and rep.fixed_dim == 1
 
 

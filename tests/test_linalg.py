@@ -8,14 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from generators import inverse, matrix
 from liecert.linalg import (
+    Coordinates,
     Echelon,
     IntMatrix,
     _from_integer,
     _integer_form,
-    _restrict_and_quotient,
     charpoly,
     combine,
-    coords_in_basis,
     extend_basis,
     frac,
     generalized_kernel,
@@ -28,8 +27,6 @@ from liecert.linalg import (
     matmul,
     matvec,
     nullspace,
-    quotient_operator,
-    rank,
     restrict_operator,
     rref,
     row_basis,
@@ -38,7 +35,7 @@ from liecert.linalg import (
     vector,
 )
 from liecert.poly import RationalPolynomial
-from liecert.spectral import apply_poly, operator_sign_counts
+from liecert.spectral import apply_poly, char_poly, operator_sign_counts
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 
@@ -65,7 +62,7 @@ def test_rref_is_canonical():
 
 def test_rank_and_nullspace_dimensions():
     m = sq([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert rank(m) == 2
+    assert Echelon(m).rank == 2
     ns = nullspace(m)
     assert len(ns) == 1
     for v in ns:
@@ -141,8 +138,7 @@ def test_span_operations():
 def test_coords_in_basis():
     basis = (vector([1, 1]), vector([0, 1]))
     v = vector([2, 3])
-    cs = coords_in_basis(basis, v)
-    assert cs == (F(2), F(1))
+    assert Coordinates(basis).map((v,)) == ((F(2), F(1)),)
 
 
 def test_extend_basis_deterministic():
@@ -180,7 +176,7 @@ def test_symmetric_inertia_zero_diagonal_pivot():
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(rows):
     m = matrix(rows)
-    assert rank(m) + len(nullspace(m)) == 3
+    assert Echelon(m).rank + len(nullspace(m)) == 3
 
 
 @given(
@@ -305,7 +301,7 @@ def rational_matrices(draw, max_rows=7, max_cols=7):
 @settings(max_examples=150, deadline=None)
 def test_rref_and_rank_match_reference(m):
     assert rref(m) == reference_rref(m)
-    assert rank(m) == reference_rank(m)
+    assert Echelon(m).rank == reference_rank(m)
 
 
 @given(rational_matrices(), st.data())
@@ -332,10 +328,11 @@ def test_coords_in_basis_matches_reference(m, data):
     coeffs = data.draw(st.lists(rationals, min_size=len(basis), max_size=len(basis)))
     inside = tuple(sum((c * b[j] for c, b in zip(coeffs, basis)), F(0)) for j in range(n))
     outside = tuple(data.draw(st.lists(rationals, min_size=n, max_size=n)))
+    coords = Coordinates(basis)
     for v in (inside, outside):
-        assert coords_in_basis(basis, v) == reference_coords(basis, v)
+        assert coords.map((v,)) == (reference_coords(basis, v),)
     if basis:
-        assert coords_in_basis(basis, inside) == tuple(coeffs)
+        assert coords.map((inside,)) == (tuple(coeffs),)
 
 
 @given(rational_matrices(), st.lists(st.lists(rationals, min_size=7, max_size=7), max_size=4))
@@ -659,7 +656,7 @@ def test_generalized_kernel_matches_reference(m):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_generalized_kernel_of_a_jordan_block_needs_its_full_fitting_index(n):
     j = jordan_block(n)
-    assert rank(mat_pow(j, n - 1)) == 1
+    assert Echelon(mat_pow(j, n - 1)).rank == 1
     assert generalized_kernel(j) == identity(n)
     # an invertible block beside it adds nothing to the kernel
     big = matrix(
@@ -759,14 +756,23 @@ def test_kernel_entry_points_agree_on_an_int_matrix(m, coeffs):
         r = restrict_operator(im, basis)
         assert r is None or isinstance(r, IntMatrix)
         assert fraction_view(r) == restrict_operator(m, basis)
-        q = quotient_operator(im, basis)
-        want = quotient_operator(m, basis)
-        both = _restrict_and_quotient(im, basis)
-        if q is None:
-            assert want is None and both is None
-        else:
-            assert isinstance(q[0], IntMatrix)
-            assert (fraction_view(q[0]), q[1]) == want
-            assert fraction_view(both[0]) == restrict_operator(m, basis)
-            assert (fraction_view(both[1]), both[2]) == want
         assert invariant_under([im], basis) == invariant_under([m], basis)
+
+
+@with_examples()
+@given(square_matrices())
+@settings(max_examples=150, deadline=None)
+def test_quotient_charpoly_is_the_division_by_the_restricted_one(m):
+    """m is block-triangular along an invariant span W, so charpoly(m) is
+    charpoly(m|W) times the charpoly of the operator m induces on the
+    quotient; that operator comes from an independent elimination."""
+    from test_sparse_kernel import reference_quotient_operator  # it imports this module
+
+    for basis in invariant_and_other_bases(m):
+        restricted = restrict_operator(m, basis)
+        if restricted is None:
+            continue
+        quotient, _ = reference_quotient_operator(m, basis)
+        p_q, rem = divmod(char_poly(m), char_poly(restricted))
+        assert rem.is_zero
+        assert p_q == char_poly(quotient)

@@ -2,9 +2,9 @@
 
 The zero-skipping integer product, the sparse structure-constant table
 behind `bracket`/`ad`, and the block coordinate maps behind
-`restrict_operator` and `quotient_operator` must return exactly what the
-dense loops they replaced returned.  Those loops are kept here as
-references.
+`restrict_operator` must return exactly what the dense loops they
+replaced returned.  Those loops are kept here as references, with the
+former quotient operator, which the tests of quotient spectra use.
 """
 
 import random
@@ -36,9 +36,7 @@ from liecert.linalg import (
     Coordinates,
     Echelon,
     _int_matmul,
-    _restrict_and_quotient,
     combine,
-    coords_in_basis,
     extend_basis,
     identity,
     integer_row,
@@ -46,7 +44,6 @@ from liecert.linalg import (
     matmul,
     matvec,
     nullspace,
-    quotient_operator,
     restrict_operator,
     row_basis,
     solve,
@@ -54,7 +51,7 @@ from liecert.linalg import (
     vec_add,
 )
 from liecert.poly import RationalPolynomial
-from liecert.spectral import apply_poly
+from liecert.spectral import apply_poly, char_poly
 from test_linalg import reference_apply_poly, reference_matmul, reference_rref
 
 # -- the integer product ------------------------------------------------------
@@ -274,7 +271,7 @@ def test_block_coordinates_match_reference(case, data):
     assert coords.contains(tuple(block)) == [c is not None for c in expected]
     assert all(type(x) is F for c in expected if c is not None for x in c)
     for v, c in zip(block, expected):
-        assert coords_in_basis(basis, v) == c
+        assert coords.map((v,)) == (c,)
 
 
 @given(operator_and_span())
@@ -286,13 +283,15 @@ def test_restriction_and_quotient_match_reference(case):
     m, basis, invariant = case
     restricted = restrict_operator(m, basis)
     assert restricted == reference_restrict_operator(m, basis)
-    assert quotient_operator(m, basis) == reference_quotient_operator(m, basis)
     if invariant:
         assert restricted is not None
     assert invariant_under([m], basis) == [restricted is not None]
-    # one elimination gives both blocks
-    both = _restrict_and_quotient(m, basis)
-    assert both == (None if restricted is None else (restricted, *quotient_operator(m, basis)))
+    # the quotient's characteristic polynomial is the whole one over the restricted one
+    quotient = reference_quotient_operator(m, basis)
+    assert (quotient is None) == (restricted is None)
+    if restricted is not None:
+        whole, part = char_poly(m), char_poly(restricted)
+        assert divmod(whole, part) == (char_poly(quotient[0]), RationalPolynomial())
 
 
 def test_non_invariant_span_is_none_on_both_sides():
@@ -302,11 +301,9 @@ def test_non_invariant_span_is_none_on_both_sides():
     for basis in (e0, e0 + matrix([[0, 0, 1]])):
         assert restrict_operator(m, basis) is None
         assert reference_restrict_operator(m, basis) is None
-        assert quotient_operator(m, basis) is None
         assert reference_quotient_operator(m, basis) is None
     assert invariant_under([m, identity(3)], e0) == [False, True]
     assert restrict_operator(m, e1) == matrix([[0]])
-    assert quotient_operator(m, e1) == reference_quotient_operator(m, e1)
 
 
 # -- sparse structure constants -------------------------------------------------
