@@ -27,8 +27,8 @@ core count) and two tables:
   certificate (`anosov_digest`), of the rows of the Cartan subspace
   (`cartan_digest`) and of the repr of its RootSystem (`roots_digest`),
   so that equal digests mean identical root data, not only identical
-  chambers; for n <= 5 also `find_anosov_elements`
-  on the Cartan subspace, one `check_anosov` per chamber, with a sha256
+  chambers; for n <= 6 also `find_anosov_elements`
+  on the Cartan subspace, one certificate per chamber, with a sha256
   of the repr of what it returns (`search_digest`).
 
 The script is a measurement, not a test; no test runs it.
@@ -50,7 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
 # the largest sl(n) whose chamber sweep is timed
-SWEEP_MAX = 5
+SWEEP_MAX = 6
 
 
 def _arrangements():

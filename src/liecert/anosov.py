@@ -11,12 +11,20 @@ carrier of the off-axis part, its signed parts when rational, and the
 gap; without a rational split, bases over the reals are produced
 numerically inside the carrier, their invariance defect measured and
 reported.
+
+The element search over Weyl chambers needs none of this: there every
+sample lies in a Cartan subspace with an exact root decomposition, and
+ad of a sample is one real scalar on each root space.  So one
+comparison of flow + isotropy with the zero root space decides every
+chamber, and each certificate's spaces and gap are read off the root
+spaces and the signs of the roots at its sample.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from operator import mul
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -423,8 +431,24 @@ def action_csa(action: ActionSpec) -> ActionCsa:
 # -- element search ------------------------------------------------------------
 
 
-def _chamber_samples(action: ActionSpec) -> tuple[Vector, ...] | None:
-    """One flow element per Weyl chamber, when the exact theory applies."""
+def _chamber_sweep(
+    action: ActionSpec, tolerance: float
+) -> tuple[tuple[Vector, AnosovCertificate], ...] | None:
+    """The certificate of one flow element per Weyl chamber, read off the root spaces.
+
+    Applies when the algebra is semisimple and the exact hyperbolic span
+    a of the flow is an abelian subspace of the flow with exact restricted
+    roots; otherwise returns None.  A chamber sample h is nonzero on every
+    nonzero root and ad(h) has the one eigenvalue alpha(h) on g_alpha, so
+    the invariant w = flow + isotropy passes `check_anosov` at h exactly
+    when it is the zero root space g_0, for every chamber alike; when it
+    is not, every sample is refused and the sweep finds nothing.  On
+    acceptance the stable (unstable) space is the sum of the g_alpha with
+    alpha(h) < 0 (> 0), the carrier the sum of all nonzero g_alpha, and
+    the gap min |alpha(h)|, attained: the canonical rows and values
+    `check_anosov` gives.  The flow lies in g_0, which maps each g_alpha
+    into itself, so invariance is tested once per root space.
+    """
     g = action.ambient
     if radical(g).dim != 0:
         return None
@@ -436,8 +460,50 @@ def _chamber_samples(action: ActionSpec) -> tuple[Vector, ...] | None:
     rs = restricted_roots(g, a_h)
     if not rs.exact:
         return None
-    chambers = weyl_chambers(rs)
-    return tuple(combine(ch.sample, a_h.basis, g.dim) for ch in chambers.chambers)
+    if sum(r.multiplicity for r in rs.roots) != g.dim:
+        raise AlgebraError("root multiplicities do not add up to the dimension")
+    if Echelon(row for r in rs.roots for row in r.space).rank != g.dim:
+        raise AlgebraError("root spaces are not independent")
+    w = action.joint
+    if w != Subspace(g, next((r.space for r in rs.roots if r.is_zero), ())):
+        return ()
+    roots = rs.nonzero_roots()
+    ads = [g.ad_integer(v) for v in action.flow.basis]
+    if not all(all(invariant_under(ads, r.space)) for r in roots):
+        raise AlgebraError("a root space is not invariant under the flow")
+    carrier = row_basis(tuple(row for r in roots for row in r.space))
+    invariance = InvarianceReport(True, True, True, None, tolerance, ())
+    sums: dict[tuple[int, ...], Matrix] = {}
+
+    def space_sum(picked: tuple[int, ...]) -> Matrix:
+        # a chamber's stable sum is the unstable sum of its opposite chamber
+        if picked not in sums:
+            sums[picked] = row_basis(tuple(row for i in picked for row in roots[i].space))
+        return sums[picked]
+
+    found = []
+    for ch in weyl_chambers(rs).chambers:
+        values = [sum(map(mul, ch.sample, r.values)) for r in roots]
+        if not all(values):
+            raise AlgebraError("chamber sample vanishes on a nonzero root")
+        neg = tuple(i for i, x in enumerate(values) if x < 0)
+        pos = tuple(i for i, x in enumerate(values) if x > 0)
+        h0 = combine(ch.sample, a_h.basis, g.dim)
+        cert = AnosovCertificate(
+            h0,
+            w.basis,
+            carrier,
+            sum(roots[i].multiplicity for i in neg),
+            sum(roots[i].multiplicity for i in pos),
+            space_sum(neg),
+            space_sum(pos),
+            min(map(abs, values)),
+            True,
+            None,
+            invariance,
+        )
+        found.append((h0, cert))
+    return tuple(found)
 
 
 # verified elements after which the grid/random search stops
@@ -452,19 +518,24 @@ def find_anosov_elements(
 ) -> tuple[tuple[Vector, AnosovCertificate], ...]:
     """Verified Anosov elements of the action.
 
-    When the flow span sits over an exact root system the search is one
-    chamber sample each (complete for Weyl-chamber style data);
-    otherwise integer grid points in the flow span followed by seeded
-    rational samples, up to the budget.  Positive rescalings of a tried
-    element are skipped (they certify the same splitting) and the
-    grid/random walk stops after MAX_FOUND verified elements.  Only
-    elements whose certificate verifies are returned; an empty result is
-    inconclusive, never a proof of non-Anosov.
+    When the flow span sits over an exact root system the answer is one
+    element per Weyl chamber, each certificate read off the root spaces
+    without a characteristic polynomial (`_chamber_sweep`; complete for
+    Weyl-chamber style data).  Otherwise `check_anosov` runs on integer
+    grid points in the flow span followed by seeded rational samples, up
+    to the budget.  Positive rescalings of a tried element are skipped
+    (they certify the same splitting) and the grid/random walk stops
+    after MAX_FOUND verified elements.  Only elements whose certificate
+    verifies are returned; an empty result is inconclusive, never a proof
+    of non-Anosov.
     """
     action.require_valid()
     d = action.flow.dim
     if d == 0:
         return ()
+    swept = _chamber_sweep(action, tolerance)
+    if swept is not None:
+        return swept
     found: list[tuple[Vector, AnosovCertificate]] = []
     rays = set()
 
@@ -479,11 +550,6 @@ def find_anosov_elements(
         if isinstance(res, AnosovCertificate):
             found.append((v, res))
 
-    samples = _chamber_samples(action)
-    if samples is not None:
-        for v in samples:
-            try_candidate(v)
-        return tuple(found)
     n = action.ambient.dim
     basis = action.flow.basis
     spent = 0

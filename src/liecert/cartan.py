@@ -325,7 +325,10 @@ def hyperbolic_part(g: LieAlgebra, x: Vector) -> Vector | None:
 
     The refinement of ad(x) must be exact and its hyperbolic part must
     itself be an inner derivation; both hold in a semisimple algebra.
+    An ad-hyperbolic x is its own hyperbolic part and is returned as is.
     """
+    if is_ad_hyperbolic(g, x):
+        return x
     jc = jordan_chevalley(g.ad_integer(x))
     return solve_ad(g, jc.hyperbolic) if jc.exact else None
 
@@ -345,9 +348,9 @@ def cartan_subspace(g: LieAlgebra, hint: Subspace | None = None) -> Subspace:
     """Maximal abelian span of ad-hyperbolic elements, grown greedily.
 
     Requires a semisimple algebra.  Candidates are scanned in canonical
-    basis order of the current centralizer, using each element itself
-    when hyperbolic and its exact hyperbolic part otherwise, so the
-    result is deterministic.  A hint is verified and then extended.
+    basis order of the current centralizer, using each element's exact
+    hyperbolic part (the element itself when hyperbolic), so the result
+    is deterministic.  A hint is verified and then extended.
     """
     if radical(g).dim != 0:
         raise StructureError("Cartan subspaces require a semisimple algebra")
@@ -366,7 +369,7 @@ def cartan_subspace(g: LieAlgebra, hint: Subspace | None = None) -> Subspace:
         for v in c.basis:
             if a.contains(v):
                 continue
-            cand = v if is_ad_hyperbolic(g, v) else hyperbolic_part(g, v)
+            cand = hyperbolic_part(g, v)
             if cand is None or is_zero_vector(cand) or a.contains(cand):
                 continue
             if any(not is_zero_vector(g.bracket(cand, b)) for b in a.basis):

@@ -31,9 +31,10 @@ FORMAT_VERSION = "1"
 # length dim, so a larger document is refused before anything is built.
 MAX_DIM = 128
 # Largest accepted total of decimal digits over the numerators and
-# denominators of all structure constants.  The algebra keeps its
-# constants as integers over the lcm of their denominators, whose size
-# only this total bounds; a larger document is refused while it is read.
+# denominators of all structure constants and subspace entries.  The
+# algebra keeps its constants as integers over the lcm of their
+# denominators, and every span its rows over theirs, whose size only this
+# total bounds; a larger document is refused while it is read.
 MAX_CONSTANT_DIGITS = 100_000
 
 
@@ -247,10 +248,19 @@ def parse_document(text: str) -> AlgebraDocument:
     for key, rows in subspaces_obj.items():
         if not isinstance(rows, list):
             raise DocumentError(f"subspaces.{key}: expected a list of vectors")
-        subspaces[str(key)] = tuple(
-            parse_vector(r, dim, f"subspaces.{key}[{ri}]")
-            for ri, r in enumerate(rows)
-        )
+        parsed = []
+        for ri, r in enumerate(rows):
+            path = f"subspaces.{key}[{ri}]"
+            v = parse_vector(r, dim, path)
+            for i, x in enumerate(v):
+                digits += _decimal_digits(x.numerator) + _decimal_digits(x.denominator)
+                if digits > MAX_CONSTANT_DIGITS:
+                    raise DocumentError(
+                        f"{path}[{i}]: structure constants and subspace entries "
+                        f"exceed {MAX_CONSTANT_DIGITS} digits in total"
+                    )
+            parsed.append(v)
+        subspaces[str(key)] = tuple(parsed)
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise DocumentError("name: expected a string")

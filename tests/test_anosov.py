@@ -6,6 +6,7 @@ import pytest
 import liecert.anosov
 from generators import fraction_ad
 from liecert.algebra import (
+    AlgebraError,
     LieAlgebra,
     StructureError,
     Subspace,
@@ -39,8 +40,14 @@ from liecert.builders import (
     build_wedge_example,
     catalog_names,
 )
-from liecert.cartan import cartan_subspace, is_csa
-from liecert.linalg import generalized_kernel, restrict_operator
+from liecert.cartan import (
+    cartan_subspace,
+    hyperbolic_span,
+    is_csa,
+    restricted_roots,
+    weyl_chambers,
+)
+from liecert.linalg import combine, generalized_kernel, restrict_operator
 from liecert.poly import (
     RationalPolynomial as P,
     power_of_two_root_bound,
@@ -56,7 +63,7 @@ from liecert.spectral import (
     factor_with_multiplicity,
     invariant_splitting,
 )
-from test_acceptance import _sl_basis
+from test_acceptance import _sl_basis, _sl_diagonal
 from test_sparse_kernel import reference_quotient_operator
 
 F = Fraction
@@ -775,16 +782,106 @@ def test_catalog_certificates_match_former_check(monkeypatch):
             assert (c.splitting is None) == (c.invariance.numeric_residual is None) == rational
 
 
-@pytest.mark.parametrize("basis", [_sl_basis(3), _sp4_basis(), _sl_basis(4)],
-                         ids=["sl3", "sp4", "sl4"])
-def test_chamber_certificates_match_former_check(basis):
+def _cartan_action(basis):
     g = lie_algebra_from_matrices(basis)
-    spec = ActionSpec(g, cartan_subspace(g))
-    samples = liecert.anosov._chamber_samples(spec)
-    assert samples
-    for v in samples:
-        cert = _assert_same_as_reference(spec, v)
+    return ActionSpec(g, cartan_subspace(g))
+
+
+CHAMBER_ACTIONS = {
+    "sl3": lambda: _cartan_action(_sl_basis(3)),
+    "sp4": lambda: _cartan_action(_sp4_basis()),
+    "sl4": lambda: _cartan_action(_sl_basis(4)),
+    "sl5": lambda: _cartan_action(_sl_basis(5)),
+    **{
+        name: (lambda name=name: build_example(name))
+        for name in ("sl2-geodesic", "so13-geodesic", "so13-frame-flow", "weyl-sl2sl2")
+    },
+}
+
+
+def _chamber_elements(spec):
+    """combine(sample) of each Weyl chamber over the flow's hyperbolic span, in order."""
+    g = spec.ambient
+    a = hyperbolic_span(g, spec.flow.basis)
+    chambers = weyl_chambers(restricted_roots(g, a)).chambers
+    return [combine(ch.sample, a.basis, g.dim) for ch in chambers]
+
+
+@pytest.mark.parametrize("name", list(CHAMBER_ACTIONS))
+def test_chamber_certificates_match_former_check(name):
+    """The sweep's certificates, read off the root spaces, are check_anosov's."""
+    spec = CHAMBER_ACTIONS[name]()
+    swept = liecert.anosov._chamber_sweep(spec, 1e-9)
+    assert swept
+    assert [h0 for h0, _ in swept] == _chamber_elements(spec)
+    for h0, cert in swept:
+        assert cert == _assert_same_as_reference(spec, h0)
         assert cert.accepted and cert.splitting is None
+    assert find_anosov_elements(spec) == swept
+
+
+def test_chamber_sweep_off_the_zero_root_space_finds_nothing():
+    # flow span(diag(1, 0, -1)) in sl(3): the zero root space is the 2-dim diagonal
+    g = lie_algebra_from_matrices(_sl_basis(3))
+    spec = ActionSpec(g, Subspace(g, [_sl_diagonal((1, 0, -1))]))
+    assert liecert.anosov._chamber_sweep(spec, 1e-9) == ()
+    assert find_anosov_elements(spec) == ()
+    samples = _chamber_elements(spec)
+    assert len(samples) == 2
+    for v in samples:
+        ref = _assert_same_as_reference(spec, v)
+        assert (ref.axis_outside, ref.off_axis_inside) == (1, 0)
+
+
+def _sweep_with_roots(monkeypatch, edit):
+    """_chamber_sweep on the Cartan subspace of sl(3), with the second nonzero
+    root of restricted_roots' output replaced by edit(first, second)."""
+    real = liecert.anosov.restricted_roots
+
+    def edited(g, a):
+        rs = real(g, a)
+        roots = list(rs.roots)
+        i, j = [k for k, r in enumerate(roots) if not r.is_zero][:2]
+        roots[j] = edit(roots[i], roots[j])
+        return replace(rs, roots=tuple(roots))
+
+    monkeypatch.setattr(liecert.anosov, "restricted_roots", edited)
+    return liecert.anosov._chamber_sweep(_cartan_action(_sl_basis(3)), 1e-9)
+
+
+def test_chamber_sweep_checks_the_multiplicities(monkeypatch):
+    with pytest.raises(AlgebraError, match="multiplicities"):
+        _sweep_with_roots(monkeypatch, lambda first, r: replace(r, multiplicity=r.multiplicity + 1))
+
+
+def test_chamber_sweep_checks_the_root_spaces_are_independent(monkeypatch):
+    with pytest.raises(AlgebraError, match="not independent"):
+        _sweep_with_roots(monkeypatch, lambda first, r: replace(r, space=first.space))
+
+
+def test_chamber_sweep_checks_each_root_space_is_flow_invariant(monkeypatch):
+    # e_alpha + e_beta: independent of the other spaces, invariant under no regular h
+    def mixed(first, r):
+        return replace(r, space=(tuple(x + y for x, y in zip(first.space[0], r.space[0])),))
+
+    with pytest.raises(AlgebraError, match="not invariant"):
+        _sweep_with_roots(monkeypatch, mixed)
+
+
+def test_chamber_sweep_checks_each_sample_against_every_root(monkeypatch):
+    # weyl_chambers re-checks its own samples on the same roots, so a sample
+    # on a wall is forced by editing the chambers, not the roots
+    real = liecert.anosov.weyl_chambers
+
+    def on_a_wall(rs):
+        chambers = real(rs)
+        x, y = rs.nonzero_roots()[0].values
+        first = replace(chambers.chambers[0], sample=(y, -x))
+        return replace(chambers, chambers=(first,) + chambers.chambers[1:])
+
+    monkeypatch.setattr(liecert.anosov, "weyl_chambers", on_a_wall)
+    with pytest.raises(AlgebraError, match="vanishes on a nonzero root"):
+        liecert.anosov._chamber_sweep(_cartan_action(_sl_basis(3)), 1e-9)
 
 
 @pytest.mark.parametrize(

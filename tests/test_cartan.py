@@ -43,6 +43,7 @@ from liecert.builders import build_example, catalog_names
 from liecert.linalg import IntMatrix, _from_integer, combine, frac, integer_row, solve
 from liecert.poly import RationalPolynomial
 from liecert.spectral import jordan_chevalley
+from test_acceptance import _sl_basis, _sl_diagonal
 
 F = Fraction
 
@@ -366,6 +367,16 @@ def test_hyperbolic_part_of_elliptic_is_zero():
 def test_hyperbolic_part_fixes_hyperbolic():
     g = sl2()
     assert hyperbolic_part(g, g.basis_vector(0)) == g.basis_vector(0)
+
+
+def test_hyperbolic_part_of_a_hyperbolic_element_is_itself(monkeypatch):
+    def no_refinement(op):
+        raise AssertionError("jordan_chevalley called on an ad-hyperbolic element")
+
+    monkeypatch.setattr("liecert.cartan.jordan_chevalley", no_refinement)
+    g = lie_algebra_from_matrices(_sl_basis(3))
+    x = _sl_diagonal((1, 0, -1))
+    assert hyperbolic_part(g, x) == x
 
 
 def reference_solve_ad(g: LieAlgebra, target):

@@ -208,6 +208,29 @@ def test_constant_digits_over_the_cap_are_refused_before_any_table(monkeypatch, 
     assert f"exceed {MAX_CONSTANT_DIGITS} digits" in err
 
 
+def test_subspace_digits_count_toward_the_cap(monkeypatch, capsys):
+    """Flow rows of 120 030 digits over one small constant: refused while parsed."""
+
+    def no_action(doc):
+        raise AssertionError("action built for a document over the digit cap")
+
+    monkeypatch.setattr("liecert.cli.document_to_action", no_action)
+    row = ["7" * 4000] * 5
+    doc = json.dumps(
+        {
+            "format_version": "1",
+            "dim": 5,
+            "structure_constants": [[0, 1, 2, "1", "1"]],
+            "subspaces": {"flow": [row] * 6},
+        }
+    )
+    code, out, err = run(["anosov"], doc, monkeypatch, capsys)
+    assert code == 3
+    assert out == ""
+    # 2 + 25 * 4001 digits pass the cap at the 25th entry
+    assert f"subspaces.flow[4][4]: structure constants and subspace entries exceed {MAX_CONSTANT_DIGITS} digits" in err
+
+
 # -- tolerance and environment -------------------------------------------------------
 
 
