@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from operator import mul
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 
 from .algebra import (
     AlgebraError,
