@@ -100,7 +100,6 @@ from .documents import (
 )
 from .poly import RationalPolynomial, RootSignCount, root_sign_counts
 from .spectral import (
-    InvariantSplitting,
     JordanChevalley,
     char_poly,
     invariant_splitting,

@@ -6,11 +6,12 @@ imaginary spectrum while the induced operator on the quotient has none,
 which pins the neutral span.  The quotient matrix is never built: the
 span is invariant, so the adjoint is block-triangular along it and the
 quotient's characteristic polynomial p_q is the whole one divided by the
-restricted one.  One factorization of p_q gives the exact rational
-carrier of the off-axis part, its signed parts when rational, and the
-gap; without a rational split, bases over the reals are produced
-numerically inside the carrier, their invariance defect measured and
-reported.
+restricted one.  One factorization of p_q gives the gap and splits the
+off-axis part exactly in three: the stable and unstable parts of the
+factors with every root on one side of the axis, and the mixed part of
+those with roots on both sides.  Each part is rational and invariant,
+and the carrier is their sum; the mixed part is empty when p_q splits
+by sign over Q.
 
 The element search over Weyl chambers needs none of this: there every
 sample lies in a Cartan subspace with an exact root decomposition, and
@@ -59,11 +60,9 @@ from .cartan import (
 )
 from .linalg import (
     Echelon,
-    IntMatrix,
     Matrix,
     Vector,
     combine,
-    generalized_kernel,
     integer_row,
     invariant_under,
     is_zero_vector,
@@ -71,12 +70,9 @@ from .linalg import (
     row_basis,
     solve,
 )
-from .poly import RationalPolynomial, _monic, _product, root_sign_counts
+from .poly import root_sign_counts
 from .spectral import (
-    InvariantSplitting,
-    LineFactors,
     _gap,
-    apply_poly,
     char_poly,
     invariant_splitting,
     line_factors,
@@ -194,10 +190,9 @@ class ActionSpec:
 @dataclass(frozen=True)
 class InvarianceReport:
     exact_carrier: bool
-    exact_stable: bool | None
-    exact_unstable: bool | None
-    numeric_residual: float | None
-    tolerance: float
+    exact_stable: bool
+    exact_mixed: bool
+    exact_unstable: bool
     violations: tuple[str, ...]
 
     @property
@@ -212,11 +207,11 @@ class AnosovCertificate:
     carrier: Matrix  # exact characteristic space of the off-axis part
     dim_stable: int
     dim_unstable: int
-    stable_exact: Matrix | None
-    unstable_exact: Matrix | None
+    stable_exact: Matrix
+    mixed: Matrix  # the part of the factors with roots on both sides of the axis
+    unstable_exact: Matrix
     gap: Fraction
     gap_exact: bool
-    splitting: InvariantSplitting | None  # numeric bases in carrier coordinates
     invariance: InvarianceReport | None
 
     accepted = True
@@ -232,34 +227,7 @@ class AnosovRefusal:
     accepted = False
 
 
-def _signed_factor_split(factors: LineFactors) -> tuple[RationalPolynomial | None, ...]:
-    """(left factor, right factor) of an axis-free polynomial, if rational.
-
-    factors are its `line_factors`: a factor with a common real part lies
-    on its side, any other is counted.  Returns (None, None) when some
-    irreducible factor has roots on both sides of the axis, in which case
-    no rational splitting exists.
-    """
-    sides = {True: [1], False: [1]}  # keyed by m < 0: left, right, in integers
-    for phi, mult, m in factors:
-        if m is None:
-            c = root_sign_counts(phi)
-            m = -1 if c.n_neg == phi.degree else 1 if c.n_pos == phi.degree else 0
-        if not m:
-            return None, None
-        cs = integer_row(phi.coeffs)
-        for _ in range(mult):
-            sides[m < 0] = _product(sides[m < 0], cs)
-    return _monic(sides[True]), _monic(sides[False])
-
-
-def _char_subspace(op: IntMatrix, p: RationalPolynomial) -> Matrix:
-    return generalized_kernel(apply_poly(p, op))
-
-
-def check_anosov(
-    action: ActionSpec, h0: Vector, tolerance: float = 1e-9
-) -> AnosovCertificate | AnosovRefusal:
+def check_anosov(action: ActionSpec, h0: Vector) -> AnosovCertificate | AnosovRefusal:
     """Certify h0 as an Anosov element of the action, or refuse exactly.
 
     Acceptance means: the adjoint of h0 restricted to flow + isotropy is
@@ -267,7 +235,7 @@ def check_anosov(
     imaginary-axis eigenvalue.  Both facts are decided by exact root
     counting, which makes the neutral space equal to flow + isotropy by
     an exact dimension argument.  Each fact is derived once (see the
-    module docstring); `splitting` is None when p_q splits by sign over Q.
+    module docstring); `mixed` is () when p_q splits by sign over Q.
     """
     action.require_valid()
     if not action.flow.contains(h0):
@@ -300,22 +268,11 @@ def check_anosov(
         return AnosovRefusal(h0, "; ".join(bits), counts_out.n_zero_real, off_inside)
     dim_s, dim_u = counts_out.n_neg, counts_out.n_pos
     factors = line_factors(p_q)
-    left, right = _signed_factor_split(factors)
-    stable_exact = unstable_exact = splitting = None
-    if left is None:
-        # a factor has roots on both sides: deg p_q >= 2, the carrier is not empty
-        carrier = _char_subspace(a, p_q)
-        sub = restrict_operator(a, carrier)
-        if sub is None:
-            raise AlgebraError("carrier lost invariance")
-        splitting = invariant_splitting(sub, tolerance)
-    else:
-        stable_exact = _char_subspace(a, left) if left.degree else ()
-        unstable_exact = _char_subspace(a, right) if right.degree else ()
-        if len(stable_exact) != dim_s or len(unstable_exact) != dim_u:
-            raise AlgebraError("signed characteristic spaces have wrong dimensions")
-        # p_q = left * right with coprime factors: the same space as _char_subspace(a, p_q)
-        carrier = row_basis(stable_exact + unstable_exact)
+    stable, mixed, unstable = invariant_splitting(a, factors)
+    if len(stable) + len(mixed) + len(unstable) != dim_s + dim_u:
+        raise AlgebraError("stable, mixed and unstable spaces have the wrong total dimension")
+    # p_q is the product of the three coprime products: its characteristic space is their sum
+    carrier = row_basis(stable + mixed + unstable)
     if len(carrier) != dim_s + dim_u:
         raise AlgebraError("off-axis characteristic space has the wrong dimension")
     if Echelon(w.basis + carrier).rank != w.dim + len(carrier):
@@ -330,25 +287,21 @@ def check_anosov(
         carrier,
         dim_s,
         dim_u,
-        stable_exact,
-        unstable_exact,
+        stable,
+        mixed,
+        unstable,
         gap,
         gap_exact,
-        splitting,
         None,
     )
-    return replace(cert, invariance=splitting_invariance(action, cert, tolerance))
+    return replace(cert, invariance=splitting_invariance(action, cert))
 
 
-def splitting_invariance(
-    action: ActionSpec, cert: AnosovCertificate, tolerance: float = 1e-9
-) -> InvarianceReport:
-    """Check the stable/unstable data is invariant under the whole flow span.
+def splitting_invariance(action: ActionSpec, cert: AnosovCertificate) -> InvarianceReport:
+    """Check the certificate's parts are invariant under the whole flow span, exactly.
 
-    On a rational split the signed characteristic subspaces are tested
-    exactly, and the carrier must be their sum, so its invariance follows
-    from theirs.  Otherwise the carrier is tested exactly and the numeric
-    bases by the least-squares invariance residual at the given tolerance.
+    The stable, mixed and unstable parts are tested one by one, and the
+    carrier must be their sum, so its invariance follows from theirs.
     """
     g = action.ambient
     ads = [g.ad_integer(h) for h in action.flow.basis]
@@ -360,58 +313,15 @@ def splitting_invariance(
         violations.extend(f"{name} not invariant under flow generator {i}" for i in bad)
         return not bad
 
-    exact_stable: bool | None = None
-    exact_unstable: bool | None = None
-    if cert.stable_exact is not None:
-        exact_stable = invariant(cert.stable_exact, "stable space")
-        exact_unstable = invariant(cert.unstable_exact, "unstable space")
-        exact_carrier = exact_stable and exact_unstable
-        if cert.carrier != row_basis(cert.stable_exact + cert.unstable_exact):
-            exact_carrier = False
-            violations.append("carrier is not the sum of the stable and unstable spaces")
-    else:
-        exact_carrier = invariant(cert.carrier, "carrier")
-    residual: float | None = None
-    spl = cert.splitting
-    if (
-        spl is not None
-        and spl.stable_basis is not None
-        and cert.carrier
-        and any(len(rows[0]) != len(cert.carrier) for rows in
-                (spl.stable_basis, spl.unstable_basis) if rows)
-    ):
-        violations.append("splitting bases do not match the carrier dimension")
-        spl = None
-    if spl is not None and spl.stable_basis is not None and cert.carrier:
-        import numpy as np
-
-        carrier_f = np.array(
-            [[float(x) for x in row] for row in cert.carrier]
-        )
-        worst = 0.0
-        for rows_ad, den in ads:
-            adh = np.array([[x / den for x in row] for row in rows_ad])
-            for rows in (spl.stable_basis, spl.unstable_basis):
-                if not rows:
-                    continue
-                b = np.array(rows) @ carrier_f  # ambient coordinates
-                img = b @ adh.T
-                sol, *_ = np.linalg.lstsq(b.T, img.T, rcond=None)
-                defect = float(np.max(np.abs(b.T @ sol - img.T)))
-                scale = max(1.0, float(np.max(np.abs(img))))
-                worst = max(worst, defect / scale)
-        residual = worst
-        if worst > tolerance:
-            violations.append(
-                f"numeric invariance residual {worst:.3e} exceeds {tolerance:.1e}"
-            )
+    exact_stable = invariant(cert.stable_exact, "stable space")
+    exact_mixed = invariant(cert.mixed, "mixed space")
+    exact_unstable = invariant(cert.unstable_exact, "unstable space")
+    exact_carrier = exact_stable and exact_mixed and exact_unstable
+    if cert.carrier != row_basis(cert.stable_exact + cert.mixed + cert.unstable_exact):
+        exact_carrier = False
+        violations.append("carrier is not the sum of the stable, mixed and unstable spaces")
     return InvarianceReport(
-        exact_carrier,
-        exact_stable,
-        exact_unstable,
-        residual,
-        tolerance,
-        tuple(violations),
+        exact_carrier, exact_stable, exact_mixed, exact_unstable, tuple(violations)
     )
 
 
@@ -431,9 +341,7 @@ def action_csa(action: ActionSpec) -> ActionCsa:
 # -- element search ------------------------------------------------------------
 
 
-def _chamber_sweep(
-    action: ActionSpec, tolerance: float
-) -> tuple[tuple[Vector, AnosovCertificate], ...] | None:
+def _chamber_sweep(action: ActionSpec) -> tuple[tuple[Vector, AnosovCertificate], ...] | None:
     """The certificate of one flow element per Weyl chamber, read off the root spaces.
 
     Applies when the algebra is semisimple and the exact hyperbolic span
@@ -472,7 +380,7 @@ def _chamber_sweep(
     if not all(all(invariant_under(ads, r.space)) for r in roots):
         raise AlgebraError("a root space is not invariant under the flow")
     carrier = row_basis(tuple(row for r in roots for row in r.space))
-    invariance = InvarianceReport(True, True, True, None, tolerance, ())
+    invariance = InvarianceReport(True, True, True, True, ())
     sums: dict[tuple[int, ...], Matrix] = {}
 
     def space_sum(picked: tuple[int, ...]) -> Matrix:
@@ -496,10 +404,10 @@ def _chamber_sweep(
             sum(roots[i].multiplicity for i in neg),
             sum(roots[i].multiplicity for i in pos),
             space_sum(neg),
+            (),
             space_sum(pos),
             min(map(abs, values)),
             True,
-            None,
             invariance,
         )
         found.append((h0, cert))
@@ -514,7 +422,6 @@ def find_anosov_elements(
     action: ActionSpec,
     budget: int = 200,
     seed: int = 0,
-    tolerance: float = 1e-9,
 ) -> tuple[tuple[Vector, AnosovCertificate], ...]:
     """Verified Anosov elements of the action.
 
@@ -533,7 +440,7 @@ def find_anosov_elements(
     d = action.flow.dim
     if d == 0:
         return ()
-    swept = _chamber_sweep(action, tolerance)
+    swept = _chamber_sweep(action)
     if swept is not None:
         return swept
     found: list[tuple[Vector, AnosovCertificate]] = []
@@ -546,7 +453,7 @@ def find_anosov_elements(
         if ray in rays:
             return
         rays.add(ray)
-        res = check_anosov(action, v, tolerance=tolerance)
+        res = check_anosov(action, v)
         if isinstance(res, AnosovCertificate):
             found.append((v, res))
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 
@@ -120,7 +119,7 @@ def _cmd_validate(args) -> int:
         "antisymmetry_failures": [[i, j] for i, j, _ in rep.antisymmetry_failures],
         "jacobi_failures": [[i, j, k] for i, j, k, _ in rep.jacobi_failures],
     }
-    _emit(args, provenance(text, "validate", args.seed, args.tolerance), payload)
+    _emit(args, provenance(text, "validate", args.seed), payload)
     return EXIT_OK if rep.ok else EXIT_NEGATIVE
 
 
@@ -140,7 +139,7 @@ def _cmd_analyze(args) -> int:
         "levi": subspace_payload(levi),
         "semisimple": radical(g).dim == 0,
     }
-    _emit(args, provenance(text, "analyze", args.seed, args.tolerance), payload)
+    _emit(args, provenance(text, "analyze", args.seed), payload)
     return EXIT_OK
 
 
@@ -154,7 +153,7 @@ def _cmd_csa(args) -> int:
         "is_csa": is_csa(g, csa),
         "seed": args.seed,
     }
-    _emit(args, provenance(text, "csa", args.seed, args.tolerance), payload)
+    _emit(args, provenance(text, "csa", args.seed), payload)
     return EXIT_OK
 
 
@@ -173,7 +172,7 @@ def _cmd_roots(args) -> int:
         payload["chambers"] = chamber_set_payload(weyl_chambers(rs))
     else:
         payload["chambers"] = None
-    _emit(args, provenance(text, "roots", args.seed, args.tolerance), payload)
+    _emit(args, provenance(text, "roots", args.seed), payload)
     return EXIT_OK
 
 
@@ -181,15 +180,13 @@ def _cmd_anosov(args) -> int:
     text = _read_input(args)
     doc = parse_document(text)
     action = document_to_action(doc)
-    prov = provenance(text, "anosov", args.seed, args.tolerance)
+    prov = provenance(text, "anosov", args.seed)
     if args.h0 is not None:
         h0 = _parse_h0(args.h0, action)
-        res = check_anosov(action, h0, tolerance=args.tolerance)
+        res = check_anosov(action, h0)
         _emit(args, prov, certificate_payload(res))
         return EXIT_OK if res.accepted else EXIT_NEGATIVE
-    found = find_anosov_elements(
-        action, budget=args.budget, seed=args.seed, tolerance=args.tolerance
-    )
+    found = find_anosov_elements(action, budget=args.budget, seed=args.seed)
     payload = {
         "budget": args.budget,
         "found": [certificate_payload(c) for _, c in found],
@@ -202,7 +199,7 @@ def _cmd_classify(args) -> int:
     text = _read_input(args)
     doc = parse_document(text)
     action = document_to_action(doc)
-    prov = provenance(text, "classify", args.seed, args.tolerance)
+    prov = provenance(text, "classify", args.seed)
     try:
         rep = classify(action, budget=args.budget, seed=args.seed)
     except Inconclusive as exc:
@@ -241,7 +238,7 @@ def _cmd_catalog(args) -> int:
             for d in CATALOG
         ]
     }
-    _emit(args, provenance("", "catalog", args.seed, args.tolerance), payload)
+    _emit(args, provenance("", "catalog", args.seed), payload)
     return EXIT_OK
 
 
@@ -256,11 +253,8 @@ def _from_environment(name: str, default: str, kind):
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a malformed command line as an input error, not argparse's exit 2.
 
-    `--seed` and `--tolerance` default to LIECERT_SEED and
-    LIECERT_TOLERANCE as set when the command line is parsed.  A tolerance,
-    from either source, must be a finite number >= 0: NaN would switch the
-    numeric residual check off and print a report that is not JSON.  A
-    search budget must be >= 0.
+    `--seed` defaults to LIECERT_SEED as set when the command line is
+    parsed, and a search budget must be >= 0.
     """
 
     def error(self, message):
@@ -269,15 +263,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def parse_known_args(self, args=None, namespace=None):
         ns, extras = super().parse_known_args(args, namespace)
-        if "tolerance" in ns:
-            source = "--tolerance"
-            if ns.tolerance is None:
-                source = "LIECERT_TOLERANCE"
-                ns.tolerance = _from_environment(source, "1e-9", float)
-            if not (math.isfinite(ns.tolerance) and ns.tolerance >= 0):
-                raise DocumentError(
-                    f"{source}: expected a finite number >= 0, got {ns.tolerance!r}"
-                )
         if "budget" in ns and ns.budget < 0:
             raise DocumentError(f"--budget: expected an integer >= 0, got {ns.budget}")
         if "seed" in ns and ns.seed is None:
@@ -299,12 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument(
             "--format", choices=("json", "text"), default="json", help="output format"
-        )
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=None,
-            help="numeric tolerance for certified-numeric data",
         )
         p.add_argument(
             "--seed",

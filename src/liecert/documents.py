@@ -3,7 +3,7 @@
 Rationals travel as decimal strings so round trips never touch floating
 point.  Structure constants are sparse (i, j, k, numerator, denominator)
 entries with i < j; the i > j half is implied by antisymmetry.  Every
-spectral quantity in a report is tagged exact or certified-numeric.
+spectral quantity in a report is tagged exact or not.
 """
 
 from __future__ import annotations
@@ -329,9 +329,8 @@ def invariance_payload(rep: InvarianceReport) -> dict:
         "ok": rep.ok,
         "exact_carrier": rep.exact_carrier,
         "exact_stable": rep.exact_stable,
+        "exact_mixed": rep.exact_mixed,
         "exact_unstable": rep.exact_unstable,
-        "numeric_residual": rep.numeric_residual,
-        "tolerance": rep.tolerance,
         "violations": list(rep.violations),
     }
 
@@ -345,17 +344,6 @@ def certificate_payload(res: AnosovCertificate | AnosovRefusal) -> dict:
             "axis_eigenvalues_outside": res.axis_outside,
             "off_axis_eigenvalues_inside": res.off_axis_inside,
         }
-    spl = None
-    if res.splitting is not None:
-        s = res.splitting
-        spl = {
-            "tag": "certified-numeric",
-            "tolerance": s.tolerance,
-            "residual": s.residual,
-            "degraded": s.degraded,
-            "stable": [list(map(float, r)) for r in (s.stable_basis or ())],
-            "unstable": [list(map(float, r)) for r in (s.unstable_basis or ())],
-        }
     return {
         "accepted": True,
         "element": vec_strs(res.h0),
@@ -363,12 +351,10 @@ def certificate_payload(res: AnosovCertificate | AnosovRefusal) -> dict:
         "carrier": mat_strs(res.carrier),
         "stable_dim": res.dim_stable,
         "unstable_dim": res.dim_unstable,
-        "stable_exact": mat_strs(res.stable_exact) if res.stable_exact is not None else None,
-        "unstable_exact": (
-            mat_strs(res.unstable_exact) if res.unstable_exact is not None else None
-        ),
+        "stable_exact": mat_strs(res.stable_exact),
+        "mixed": mat_strs(res.mixed),
+        "unstable_exact": mat_strs(res.unstable_exact),
         "gap": {"exact": res.gap_exact, "value": frac_str(res.gap)},
-        "splitting": spl,
         "invariance": invariance_payload(res.invariance) if res.invariance else None,
     }
 
@@ -398,11 +384,10 @@ def subspace_payload(s: Subspace) -> dict:
     return {"dim": s.dim, "basis": mat_strs(s.basis)}
 
 
-def provenance(text: str, command: str, seed: int, tolerance: float) -> dict:
+def provenance(text: str, command: str, seed: int) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "command": command,
         "input_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "seed": seed,
-        "tolerance": tolerance,
     }

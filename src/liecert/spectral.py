@@ -1,14 +1,14 @@
 """Spectral analysis of exact rational operators.
 
-Counts of eigenvalues by the sign of their real part are always exact.
-Stable and unstable bases are computed in floating point, and only for
-an operator with no eigenvalue on the imaginary axis: `check_anosov`
-asks for them only on an exact carrier whose characteristic polynomial
-does not split by sign over Q, the neutral span and any rational
-splitting being exact already.  The bases' ranks are pinned to the
-exact counts and an invariance residual is reported against a
-tolerance; when that is unattainable the result degrades to counts
-only, and says so.
+Everything here is exact.  Eigenvalues are counted by the sign of their
+real part, and the invariant parts of an operator are the generalized
+kernels of products of its characteristic polynomial's irreducible
+factors over Q: for an operator with no eigenvalue on the imaginary
+axis, the factors with every root on the left, every root on the right,
+and roots on both sides give its stable, unstable and mixed parts, each
+rational.  The mixed part is empty exactly when the characteristic
+polynomial splits by sign over Q; otherwise its stable and unstable
+dimensions are exact counts, and no basis over the reals is computed.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .linalg import (
     _int_matmul,
     _integer_form,
     charpoly,
+    generalized_kernel,
     integer_row,
     mat_poly,
     mat_pow,
@@ -32,6 +33,7 @@ from .poly import (
     RootSignCount,
     _exact_quotient,
     _monic,
+    _product,
     count_real_roots_squarefree,
     power_of_two_root_bound,
     root_bound,
@@ -365,94 +367,32 @@ def _gap(p: RationalPolynomial, factors: LineFactors) -> tuple[Fraction | None, 
 # -- invariant splitting ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantSplitting:
-    """Stable / unstable data for one operator with no imaginary-axis eigenvalue.
+def invariant_splitting(op: Matrix, factors: LineFactors) -> tuple[Matrix, Matrix, Matrix]:
+    """(stable, mixed, unstable): the exact invariant parts of op along factors.
 
-    counts are always exact.  The stable and unstable bases are floating
-    point rows with rank pinned to the exact counts and `residual` the
-    verified invariance defect.  When the bases could not be certified at
-    the tolerance both are None and `degraded` explains why.
+    factors are the `line_factors` of a polynomial with no root on the
+    imaginary axis.  Each irreducible factor goes to the left product when
+    all its roots have negative real part, to the right one when all have
+    positive real part, and to the mixed one when it has roots on both
+    sides: a factor with a common real part lies on that part's side, any
+    other is counted.  Each part is the generalized kernel of its product
+    at op, () for an empty product, so mixed is () exactly when the
+    polynomial splits by sign over Q.  Raises StructureError when a factor
+    has a root on the imaginary axis.
     """
-
-    counts: RootSignCount
-    stable_basis: tuple | None
-    unstable_basis: tuple | None
-    residual: float | None
-    tolerance: float
-    degraded: str | None
-
-
-# stopping rule of the sign-function Newton iteration
-NEWTON_TOL = 1e-13
-NEWTON_ITERS = 80
-
-
-def _sign_newton(a):
-    import numpy as np
-
-    s = a.copy()
-    n = a.shape[0]
-    for _ in range(NEWTON_ITERS):
-        inv = np.linalg.inv(s)
-        d = abs(np.linalg.det(s))
-        mu = d ** (-1.0 / n) if d > 0 else 1.0
-        s_next = 0.5 * (mu * s + inv / mu)
-        step = np.linalg.norm(s_next - s, "fro")
-        if step <= NEWTON_TOL * max(1.0, np.linalg.norm(s, "fro")):
-            return s_next
-        s = s_next
-    return s
-
-
-def _basis_from_projector(p, dim: int):
-    import numpy as np
-
-    u, sv, _ = np.linalg.svd(p)
-    return u[:, :dim]
-
-
-def invariant_splitting(op: Matrix, tolerance: float = 1e-9) -> InvariantSplitting:
-    """Stable and unstable bases of op, which must be free of axis eigenvalues.
-
-    The sign function of op, by scaled Newton iteration, gives the two
-    spectral projectors; their leading singular vectors, as many as the
-    exact counts, are the bases.  Raises StructureError when op has an
-    eigenvalue on the imaginary axis.  op is a `Fraction` matrix or a
-    `linalg.IntMatrix`.
-    """
-    import numpy as np
-
-    rows, den = op = _integer_form(op)
-    counts = root_sign_counts(char_poly(op))
-    n = len(rows)
-    if n == 0:
-        return InvariantSplitting(counts, (), (), 0.0, tolerance, None)
-    if counts.n_zero_real:
-        raise StructureError("operator has eigenvalues on the imaginary axis")
-    # int / int is correctly rounded: each entry is float(Fraction(x, den))
-    opf = np.array([[x / den for x in row] for row in rows])
-    s = _sign_newton(opf)
-    eye = np.eye(n)
-    bases = (
-        _basis_from_projector(0.5 * (eye - s), counts.n_neg),
-        _basis_from_projector(0.5 * (eye + s), counts.n_pos),
+    products = {-1: [1], 0: [1], 1: [1]}  # keyed by side: left, mixed, right
+    for phi, mult, m in factors:
+        c = squarefree_sign_counts(phi) if m is None else None
+        if m == 0 or (c is not None and c.n_zero_real):
+            raise StructureError("operator has eigenvalues on the imaginary axis")
+        if c is None:
+            side = (m > 0) - (m < 0)
+        else:
+            side = (c.n_pos == phi.degree) - (c.n_neg == phi.degree)
+        cs = integer_row(phi.coeffs)
+        for _ in range(mult):
+            products[side] = _product(products[side], cs)
+    return tuple(
+        generalized_kernel(mat_poly(products[side], op)) if len(products[side]) > 1 else ()
+        for side in (-1, 0, 1)
     )
-    residual = 0.0
-    for v in bases:  # columns span the subspace
-        if v.shape[1]:
-            av = opf @ v
-            proj, *_ = np.linalg.lstsq(v, av, rcond=None)
-            residual = max(residual, float(np.linalg.norm(av - v @ proj)))
-    if residual > tolerance:
-        return InvariantSplitting(
-            counts,
-            None,
-            None,
-            residual,
-            tolerance,
-            f"invariance residual {residual:.3e} exceeds tolerance",
-        )
-    stable, unstable = (tuple(tuple(map(float, col)) for col in v.T) for v in bases)
-    return InvariantSplitting(counts, stable, unstable, residual, tolerance, None)
-

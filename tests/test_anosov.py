@@ -61,7 +61,6 @@ from liecert.spectral import (
     apply_poly,
     char_poly,
     factor_with_multiplicity,
-    invariant_splitting,
 )
 from test_acceptance import _sl_basis, _sl_diagonal
 from test_sparse_kernel import reference_quotient_operator
@@ -225,15 +224,15 @@ def test_candidate_of_the_wrong_length_raises(h0):
 
 
 def test_irrational_split_uses_numeric_bases():
+    """Without a split by sign over Q the whole carrier is the exact mixed part."""
     spec = build_suspension([[[0, 1], [2, 0]]])  # eigenvalues +-sqrt(2)
     res = check_anosov(spec, spec.ambient.basis_vector(2))
     assert isinstance(res, AnosovCertificate)
-    assert res.stable_exact is None and res.unstable_exact is None
-    assert len(res.carrier) == 2  # the carrier stays rational
-    assert (res.splitting.counts.n_neg, res.splitting.counts.n_pos) == (1, 1)
+    assert res.stable_exact == res.unstable_exact == ()
+    assert len(res.carrier) == 2 and res.mixed == res.carrier
+    assert (res.dim_stable, res.dim_unstable) == (1, 1)
     assert not res.gap_exact and 0 < res.gap < 2
-    assert res.invariance.ok
-    assert res.invariance.numeric_residual < 1e-9
+    assert res.invariance.ok and res.invariance.exact_mixed
 
 
 def test_so13_geodesic_dims():
@@ -280,8 +279,9 @@ def test_corrupted_certificate_reports_violation():
     spec = build_sl2_geodesic()
     g = spec.ambient
     cert = check_anosov(spec, g.basis_vector(0))
-    for side in ("stable", "unstable"):
-        bad = replace(cert, **{f"{side}_exact": ((F(0), F(1), F(1)),)})  # e + f not invariant
+    for side in ("stable", "mixed", "unstable"):
+        field = "mixed" if side == "mixed" else f"{side}_exact"
+        bad = replace(cert, **{field: ((F(0), F(1), F(1)),)})  # e + f not invariant
         rep = splitting_invariance(spec, bad)
         assert not rep.ok and getattr(rep, f"exact_{side}") is False
         assert any(v.startswith(f"{side} space") for v in rep.violations)
@@ -694,13 +694,13 @@ def assert_gap_matches_former(p, got):
     assert former_band(f, squarefree_sign_counts(f), m) == (True, True)
 
 
-def reference_check_anosov(action, h0, tolerance=1e-9):
+def reference_check_anosov(action, h0):
     """The former check_anosov: restriction and quotient by two eliminations,
-    the carrier as the characteristic space of the whole p_q, each factor's
-    side and the gap by Sturm counts, and the carrier's counts taken again
-    by invariant_splitting, built only when p_q does not split by sign over Q.
-    An acceptance is returned as (p_q, certificate) with the gap fields None,
-    for assert_gap_matches_former; a refusal as its two counts."""
+    each factor's side and the gap by Sturm counts, and the stable, mixed and
+    unstable parts as the characteristic spaces of three factor products,
+    with the carrier their sum.  An acceptance is returned as (p_q,
+    certificate) with the gap fields None, for assert_gap_matches_former; a
+    refusal as its two counts."""
     g = action.ambient
     a = fraction_ad(g, h0)
     w = action.joint
@@ -715,25 +715,18 @@ def reference_check_anosov(action, h0, tolerance=1e-9):
     def char_subspace(p):
         return generalized_kernel(apply_poly(p, a)) if p.degree else ()
 
-    carrier = char_subspace(p_q)
-    sides = {-1: P([1]), 1: P([1])}
+    sides = {"stable": P([1]), "mixed": P([1]), "unstable": P([1])}
     for phi, mult in factor_with_multiplicity(p_q):
         c = root_sign_counts(phi)
-        side = -1 if c.n_neg == phi.degree else 1 if c.n_pos == phi.degree else None
-        if side is None:
-            sides = None
-            break
+        side = "stable" if c.n_neg == phi.degree else "unstable" if c.n_pos == phi.degree else "mixed"
         for _ in range(mult):
             sides[side] = sides[side] * phi
-    stable = unstable = None
-    if sides is not None:
-        stable, unstable = char_subspace(sides[-1]), char_subspace(sides[1])
-    splitting = invariant_splitting(restrict_operator(a, carrier), tolerance) if sides is None else None
+    stable, mixed, unstable = (char_subspace(sides[k]) for k in ("stable", "mixed", "unstable"))
     cert = AnosovCertificate(
-        h0, w.basis, carrier, counts_out.n_neg, counts_out.n_pos, stable, unstable,
-        None, None, splitting, None,
+        h0, w.basis, char_subspace(p_q), counts_out.n_neg, counts_out.n_pos, stable, mixed, unstable,
+        None, None, None,
     )
-    return p_q, replace(cert, invariance=splitting_invariance(action, cert, tolerance))
+    return p_q, replace(cert, invariance=splitting_invariance(action, cert))
 
 
 def _assert_same_as_reference(action, h0):
@@ -767,7 +760,7 @@ def test_catalog_certificates_match_former_check(monkeypatch):
     monkeypatch.setattr(
         liecert.anosov,
         "check_anosov",
-        lambda action, v, **kw: tried.append((action, v)) or real(action, v, **kw),
+        lambda action, v: tried.append((action, v)) or real(action, v),
     )
     for name in catalog_names():
         spec = build_example(name)
@@ -776,10 +769,8 @@ def test_catalog_certificates_match_former_check(monkeypatch):
             tried.append((spec, v))
     certs = [_assert_same_as_reference(spec, v) for spec, v in tried]
     assert {c.accepted for c in certs} == {True, False}
-    for c in certs:
-        if c.accepted:  # numeric bases and residual only where no rational split exists
-            rational = c.stable_exact is not None
-            assert (c.splitting is None) == (c.invariance.numeric_residual is None) == rational
+    # every catalog spectrum splits by sign over Q
+    assert all(c.mixed == () for c in certs if c.accepted)
 
 
 def _cartan_action(basis):
@@ -811,12 +802,12 @@ def _chamber_elements(spec):
 def test_chamber_certificates_match_former_check(name):
     """The sweep's certificates, read off the root spaces, are check_anosov's."""
     spec = CHAMBER_ACTIONS[name]()
-    swept = liecert.anosov._chamber_sweep(spec, 1e-9)
+    swept = liecert.anosov._chamber_sweep(spec)
     assert swept
     assert [h0 for h0, _ in swept] == _chamber_elements(spec)
     for h0, cert in swept:
         assert cert == _assert_same_as_reference(spec, h0)
-        assert cert.accepted and cert.splitting is None
+        assert cert.accepted and cert.mixed == ()
     assert find_anosov_elements(spec) == swept
 
 
@@ -824,7 +815,7 @@ def test_chamber_sweep_off_the_zero_root_space_finds_nothing():
     # flow span(diag(1, 0, -1)) in sl(3): the zero root space is the 2-dim diagonal
     g = lie_algebra_from_matrices(_sl_basis(3))
     spec = ActionSpec(g, Subspace(g, [_sl_diagonal((1, 0, -1))]))
-    assert liecert.anosov._chamber_sweep(spec, 1e-9) == ()
+    assert liecert.anosov._chamber_sweep(spec) == ()
     assert find_anosov_elements(spec) == ()
     samples = _chamber_elements(spec)
     assert len(samples) == 2
@@ -846,7 +837,7 @@ def _sweep_with_roots(monkeypatch, edit):
         return replace(rs, roots=tuple(roots))
 
     monkeypatch.setattr(liecert.anosov, "restricted_roots", edited)
-    return liecert.anosov._chamber_sweep(_cartan_action(_sl_basis(3)), 1e-9)
+    return liecert.anosov._chamber_sweep(_cartan_action(_sl_basis(3)))
 
 
 def test_chamber_sweep_checks_the_multiplicities(monkeypatch):
@@ -881,7 +872,7 @@ def test_chamber_sweep_checks_each_sample_against_every_root(monkeypatch):
 
     monkeypatch.setattr(liecert.anosov, "weyl_chambers", on_a_wall)
     with pytest.raises(AlgebraError, match="vanishes on a nonzero root"):
-        liecert.anosov._chamber_sweep(_cartan_action(_sl_basis(3)), 1e-9)
+        liecert.anosov._chamber_sweep(_cartan_action(_sl_basis(3)))
 
 
 @pytest.mark.parametrize(

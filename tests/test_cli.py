@@ -10,7 +10,7 @@ import time
 import pytest
 
 import liecert
-from liecert import action_to_document, build_suspension, serialize_document
+from liecert import action_to_document, build_suspension, check_anosov, serialize_document
 from liecert.cli import build_parser, main
 from liecert.documents import MAX_CONSTANT_DIGITS, MAX_DIM
 
@@ -231,21 +231,19 @@ def test_subspace_digits_count_toward_the_cap(monkeypatch, capsys):
     assert f"subspaces.flow[4][4]: structure constants and subspace entries exceed {MAX_CONSTANT_DIGITS} digits" in err
 
 
-# -- tolerance and environment -------------------------------------------------------
+# -- options and environment ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
-@pytest.mark.parametrize("source", ["--tolerance", "LIECERT_TOLERANCE"])
-def test_tolerance_must_be_finite_and_nonnegative(monkeypatch, capsys, value, source):
-    argv = ["anosov", "--h0", "1,0,0"]
-    if source == "--tolerance":
-        argv.append(f"--tolerance={value}")
-    else:
-        monkeypatch.setenv("LIECERT_TOLERANCE", value)
-    code, out, err = run(argv, SL2_DOC, monkeypatch, capsys)
+def test_tolerance_is_an_unknown_flag(monkeypatch, capsys):
+    code, out, err = run(["anosov", "--h0", "1,0,0", "--tolerance=1e-9"], SL2_DOC, monkeypatch, capsys)
     assert code == 3
     assert out == ""
-    assert err.startswith(f"input error: {source}: expected a finite number >= 0")
+    assert "unrecognized arguments: --tolerance=1e-9" in err
+    # nor is LIECERT_TOLERANCE read, whatever it holds
+    monkeypatch.setenv("LIECERT_TOLERANCE", "abc")
+    code, out, _ = run(["anosov", "--h0", "1,0,0"], SL2_DOC, monkeypatch, capsys)
+    assert code == 0
+    assert "tolerance" not in out
 
 
 @pytest.mark.parametrize("command", ["anosov", "classify"])
@@ -258,7 +256,7 @@ def test_negative_budget_is_input_error(monkeypatch, capsys, command):
 
 @pytest.mark.parametrize(
     "name, value",
-    [("LIECERT_TOLERANCE", "abc"), ("LIECERT_TOLERANCE", ""), ("LIECERT_SEED", "1.5"), ("LIECERT_SEED", "x")],
+    [("LIECERT_SEED", "1.5"), ("LIECERT_SEED", "x")],
 )
 def test_malformed_environment_value_is_input_error(monkeypatch, capsys, name, value):
     monkeypatch.setenv(name, value)
@@ -268,29 +266,26 @@ def test_malformed_environment_value_is_input_error(monkeypatch, capsys, name, v
     assert err.startswith(f"input error: {name}: expected ")
 
 
-@pytest.mark.parametrize("value", ["0", "1e-9"])
-def test_zero_and_default_tolerance_are_accepted(monkeypatch, capsys, value):
-    monkeypatch.delenv("LIECERT_TOLERANCE", raising=False)
-    # eigenvalues +-sqrt(2): no rational split, so the bases are numeric
-    doc = serialize_document(action_to_document(build_suspension([[[0, 1], [2, 0]]])))
-    argv = ["anosov", "--h0", "0,0,1"]
-    code, out, _ = run(argv + [f"--tolerance={value}"], doc, monkeypatch, capsys)
-    base_code, base_out, _ = run(argv, doc, monkeypatch, capsys)
-    assert code == base_code == 0
-    if value == "1e-9":  # the default, given explicitly
-        assert out == base_out
-    report, base = json.loads(out), json.loads(base_out)
-    assert report["provenance"]["tolerance"] == float(value)
-    for part in ("invariance", "splitting"):
-        assert report["result"][part].pop("tolerance") == float(value)
-        base["result"][part].pop("tolerance")
-    # the tolerance decides whether the numeric bases stand; the rest is equal
-    splitting = report["result"].pop("splitting")
-    assert (splitting["degraded"] is None) == (splitting["residual"] <= float(value))
-    base["result"].pop("splitting")
-    report["result"]["invariance"].pop("numeric_residual")
-    base["result"]["invariance"].pop("numeric_residual")
-    assert report["result"] == base["result"]
+def _no_float(text):
+    raise AssertionError(f"float {text} in a report")
+
+
+def test_cat_map_suspension_is_certified_exactly(monkeypatch, capsys):
+    """The suspension of the cat map [[1, 1], [1, 0]], eigenvalues (1 +- sqrt 5)/2,
+    has no split by sign over Q: its whole carrier is the exact mixed part."""
+    spec = build_suspension([[[1, 1], [1, 0]]])
+    cert = check_anosov(spec, spec.ambient.basis_vector(2))
+    assert cert.accepted
+    assert cert.stable_exact == cert.unstable_exact == ()
+    assert cert.mixed == cert.carrier and len(cert.carrier) == 2
+    assert (cert.dim_stable, cert.dim_unstable) == (1, 1)
+    assert cert.gap_exact is False
+    doc = serialize_document(action_to_document(spec))
+    code, out, _ = run(["anosov", "--h0", "0,0,1"], doc, monkeypatch, capsys)
+    assert code == 0
+    result = json.loads(out, parse_float=_no_float, parse_constant=_no_float)["result"]
+    assert result["mixed"] == result["carrier"] == [["1", "0", "0"], ["0", "1", "0"]]
+    assert result["invariance"]["ok"] and result["invariance"]["exact_mixed"]
 
 
 def test_wrong_h0_length_is_input_error(monkeypatch, capsys):
@@ -431,17 +426,13 @@ def test_text_format_renders_lines(monkeypatch, capsys):
 
 def test_env_defaults(monkeypatch):
     monkeypatch.setenv("LIECERT_SEED", "5")
-    monkeypatch.setenv("LIECERT_TOLERANCE", "1e-6")
-    args = build_parser().parse_args(["classify"])
-    assert args.seed == 5 and args.tolerance == 1e-6
+    assert build_parser().parse_args(["classify"]).seed == 5
 
 
 def test_parser_is_built_once_and_reads_the_environment_per_parse(monkeypatch):
     assert build_parser() is build_parser()
     monkeypatch.delenv("LIECERT_SEED", raising=False)
-    monkeypatch.delenv("LIECERT_TOLERANCE", raising=False)
-    args = build_parser().parse_args(["anosov"])
-    assert (args.seed, args.tolerance) == (0, 1e-9)
+    assert build_parser().parse_args(["anosov"]).seed == 0
     monkeypatch.setenv("LIECERT_SEED", "6")
     assert build_parser().parse_args(["anosov"]).seed == 6
     assert build_parser().parse_args(["anosov", "--seed", "2"]).seed == 2

@@ -295,7 +295,7 @@ def test_certificate_payload_accepted():
     assert obj["gap"] == {"exact": True, "value": "2"}
     assert obj["stable_exact"] == [["0", "0", "1"]]
     assert obj["unstable_exact"] == [["0", "1", "0"]]
-    assert obj["splitting"] is None  # the exact spaces are the splitting
+    assert obj["mixed"] == []  # the spectrum splits by sign over Q
     assert obj["invariance"]["ok"] is True
     json.dumps(obj)  # payloads must be JSON-ready
 
@@ -303,10 +303,10 @@ def test_certificate_payload_accepted():
 def test_certificate_payload_numeric_splitting():
     spec = build_suspension([[[0, 1], [2, 0]]])  # eigenvalues +-sqrt(2)
     obj = certificate_payload(check_anosov(spec, spec.ambient.basis_vector(2)))
-    assert obj["stable_exact"] is None and obj["unstable_exact"] is None
-    assert obj["splitting"]["tag"] == "certified-numeric"
-    assert len(obj["splitting"]["stable"]) == len(obj["splitting"]["unstable"]) == 1
-    assert obj["invariance"]["numeric_residual"] < 1e-9
+    assert obj["stable_exact"] == obj["unstable_exact"] == []
+    assert obj["mixed"] == obj["carrier"] and len(obj["mixed"]) == 2
+    assert (obj["stable_dim"], obj["unstable_dim"]) == (1, 1)
+    assert obj["invariance"]["exact_mixed"] is True
     json.dumps(obj)
 
 
@@ -340,10 +340,10 @@ def test_classification_payload_recurses():
 
 
 def test_provenance_hash_is_stable():
-    a = provenance("text", "classify", 0, 1e-9)
-    b = provenance("text", "classify", 0, 1e-9)
+    a = provenance("text", "classify", 0)
+    b = provenance("text", "classify", 0)
     assert a == b
-    assert a["input_sha256"] != provenance("other", "classify", 0, 1e-9)["input_sha256"]
+    assert a["input_sha256"] != provenance("other", "classify", 0)["input_sha256"]
 
 
 def test_dump_json_is_deterministic():

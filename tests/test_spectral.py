@@ -3,7 +3,6 @@
 import random
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,7 +12,15 @@ from generators import inverse, mat_sub, matrix, root_polynomials
 from liecert.algebra import StructureError, lie_algebra_from_matrices
 from liecert.anosov import ActionSpec, check_anosov
 from liecert.cartan import cartan_subspace, restricted_roots
-from liecert.linalg import _from_integer, _integer_form, identity, matmul, restrict_operator, vector
+from liecert.linalg import (
+    _from_integer,
+    _integer_form,
+    identity,
+    matmul,
+    restrict_operator,
+    row_basis,
+    vector,
+)
 from liecert.poly import (
     RationalPolynomial as P,
     RootSignCount,
@@ -31,6 +38,7 @@ from liecert.spectral import (
     invariant_splitting,
     is_hyperbolic,
     jordan_chevalley,
+    line_factors,
     operator_sign_counts,
     spectral_gap,
 )
@@ -105,41 +113,33 @@ def test_jordan_chevalley_mixed_block():
     ])
 
 
+def _split(m):
+    """invariant_splitting of m along the factors of its characteristic polynomial."""
+    return invariant_splitting(m, line_factors(char_poly(m)))
+
+
 def test_invariant_splitting_diagonal():
     with pytest.raises(StructureError, match="imaginary axis"):
-        invariant_splitting(matrix([[-1, 0, 0], [0, 0, 0], [0, 0, 2]]))
-    s = invariant_splitting(matrix([[-1, 0], [0, 2]]))
-    assert s.counts == RootSignCount(1, 0, 1)
-    assert s.degraded is None
-    assert s.residual <= 1e-9
-    sb = np.array(s.stable_basis)
-    assert np.allclose(np.abs(sb), [[1, 0]], atol=1e-8)
-    ub = np.array(s.unstable_basis)
-    assert np.allclose(np.abs(ub), [[0, 1]], atol=1e-8)
+        _split(matrix([[-1, 0, 0], [0, 0, 0], [0, 0, 2]]))
+    assert _split(matrix([[-1, 0], [0, 2]])) == (matrix([[1, 0]]), (), matrix([[0, 1]]))
 
 
 def test_invariant_splitting_nilpotent_block():
     with pytest.raises(StructureError, match="imaginary axis"):
-        invariant_splitting(matrix([[0, 1], [0, 0]]))
+        _split(matrix([[0, 1], [0, 0]]))
 
 
 def test_invariant_splitting_defective_stable():
-    # stable Jordan block plus an unstable direction
+    # stable Jordan block plus an unstable direction: the stable part is the x-y plane
     m = matrix([[-1, 1, 0], [0, -1, 0], [0, 0, 3]])
-    s = invariant_splitting(m)
-    assert s.counts == RootSignCount(2, 0, 1)
-    assert s.degraded is None
-    sb = np.array(s.stable_basis)
-    # stable subspace is the x-y plane
-    assert np.allclose(sb[:, 2], 0, atol=1e-8)
-    assert np.linalg.matrix_rank(sb, tol=1e-8) == 2
+    assert _split(m) == (matrix([[1, 0, 0], [0, 1, 0]]), (), matrix([[0, 0, 1]]))
 
 
 def test_invariant_splitting_irrational_axis():
     # companion of t^4 - 2: two of its roots, +-i 2^(1/4), are on the axis
     m = matrix([[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
     with pytest.raises(StructureError, match="imaginary axis"):
-        invariant_splitting(m)
+        _split(m)
 
 
 @st.composite
@@ -154,17 +154,22 @@ def axis_free_matrices(draw):
 @given(axis_free_matrices())
 @example(matrix([[1, -1], [1, 1]]))  # 1 +- i: one complex pair, both unstable
 @example(matrix([[2, 1, 0], [0, 2, 1], [0, 0, 2]]))  # a single unstable Jordan block
+@example(matrix([[0, 1, 0], [2, 0, 0], [0, 0, -1]]))  # +-sqrt(2) mixed, -1 stable
 @settings(max_examples=150, deadline=None)
 def test_invariant_splitting_ranks_match_exact_counts(m):
-    s = invariant_splitting(m)
-    assert s.degraded is None and s.residual <= s.tolerance
-    n = len(m)
-    for rows, dim in ((s.stable_basis, s.counts.n_neg), (s.unstable_basis, s.counts.n_pos)):
-        assert len(rows) == dim
-        assert dim == 0 or np.linalg.matrix_rank(np.array(rows), tol=1e-8) == dim
-    # the two spans are complementary
-    both = np.array(s.stable_basis + s.unstable_basis)
-    assert np.linalg.matrix_rank(both, tol=1e-8) == n
+    parts = _split(m)
+    total = operator_sign_counts(m)
+    neg = pos = 0
+    for side, part in zip((-1, 0, 1), parts):
+        counts = operator_sign_counts(restrict_operator(m, part))  # None if not invariant
+        assert counts.n_zero_real == 0
+        assert side != -1 or counts.n_pos == 0
+        assert side != 1 or counts.n_neg == 0
+        assert side != 0 or not part or (counts.n_neg and counts.n_pos)
+        neg, pos = neg + counts.n_neg, pos + counts.n_pos
+    assert (neg, pos) == (total.n_neg, total.n_pos)
+    # the three parts are complementary
+    assert len(row_basis(sum(parts, ()))) == len(m)
 
 
 def test_spectral_gap_exact_dyadic():
