@@ -269,8 +269,13 @@ def check_anosov(action: ActionSpec, h0: Vector) -> AnosovCertificate | AnosovRe
     dim_s, dim_u = counts_out.n_neg, counts_out.n_pos
     factors = line_factors(p_q)
     stable, mixed, unstable = invariant_splitting(a, factors)
-    if len(stable) + len(mixed) + len(unstable) != dim_s + dim_u:
-        raise AlgebraError("stable, mixed and unstable spaces have the wrong total dimension")
+    # the mixed part holds the rest of each count; without it the sides are the counts
+    if (
+        len(stable) > dim_s
+        or len(unstable) > dim_u
+        or len(stable) + len(mixed) + len(unstable) != dim_s + dim_u
+    ):
+        raise AlgebraError("stable, mixed and unstable spaces have the wrong dimensions")
     # p_q is the product of the three coprime products: its characteristic space is their sum
     carrier = row_basis(stable + mixed + unstable)
     if len(carrier) != dim_s + dim_u:
