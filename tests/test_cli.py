@@ -234,16 +234,25 @@ def test_subspace_digits_count_toward_the_cap(monkeypatch, capsys):
 # -- options and environment ---------------------------------------------------------
 
 
-def test_tolerance_is_an_unknown_flag(monkeypatch, capsys):
-    code, out, err = run(["anosov", "--h0", "1,0,0", "--tolerance=1e-9"], SL2_DOC, monkeypatch, capsys)
-    assert code == 3
-    assert out == ""
-    assert "unrecognized arguments: --tolerance=1e-9" in err
-    # nor is LIECERT_TOLERANCE read, whatever it holds
-    monkeypatch.setenv("LIECERT_TOLERANCE", "abc")
-    code, out, _ = run(["anosov", "--h0", "1,0,0"], SL2_DOC, monkeypatch, capsys)
-    assert code == 0
-    assert "tolerance" not in out
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("source", ["--tolerance", "LIECERT_TOLERANCE"])
+def test_tolerance_must_be_finite_and_nonnegative(monkeypatch, capsys, value, source):
+    """The splitting is exact, so no tolerance is left and none of these values
+    reaches a report: the flag is refused as unknown and the variable is not read."""
+    argv = ["anosov", "--h0", "1,0,0"]
+    monkeypatch.delenv("LIECERT_TOLERANCE", raising=False)
+    if source == "--tolerance":
+        code, out, err = run(argv + [f"--tolerance={value}"], SL2_DOC, monkeypatch, capsys)
+        assert code == 3
+        assert out == ""
+        assert f"unrecognized arguments: --tolerance={value}" in err
+    else:
+        _, base_out, _ = run(argv, SL2_DOC, monkeypatch, capsys)
+        monkeypatch.setenv("LIECERT_TOLERANCE", value)
+        code, out, _ = run(argv, SL2_DOC, monkeypatch, capsys)
+        assert code == 0
+        assert out == base_out
+        assert "tolerance" not in out
 
 
 @pytest.mark.parametrize("command", ["anosov", "classify"])
@@ -268,6 +277,27 @@ def test_malformed_environment_value_is_input_error(monkeypatch, capsys, name, v
 
 def _no_float(text):
     raise AssertionError(f"float {text} in a report")
+
+
+@pytest.mark.parametrize("value", ["0", "1e-9"])
+def test_zero_and_default_tolerance_are_accepted(monkeypatch, capsys, value):
+    """Eigenvalues +-sqrt 2: no split by sign over Q. Whatever LIECERT_TOLERANCE
+    holds, at zero or at the old default, the run is accepted and the same as
+    without it, with the whole carrier as the exact mixed part and no float."""
+    monkeypatch.delenv("LIECERT_TOLERANCE", raising=False)
+    doc = serialize_document(action_to_document(build_suspension([[[0, 1], [2, 0]]])))
+    argv = ["anosov", "--h0", "0,0,1"]
+    base_code, base_out, _ = run(argv, doc, monkeypatch, capsys)
+    monkeypatch.setenv("LIECERT_TOLERANCE", value)
+    code, out, _ = run(argv, doc, monkeypatch, capsys)
+    assert code == base_code == 0
+    assert out == base_out
+    report = json.loads(out, parse_float=_no_float, parse_constant=_no_float)
+    assert "tolerance" not in report["provenance"]
+    result = report["result"]
+    assert result["mixed"] == result["carrier"] and len(result["carrier"]) == 2
+    assert result["stable_exact"] == result["unstable_exact"] == []
+    assert result["invariance"]["ok"] and result["invariance"]["exact_mixed"]
 
 
 def test_cat_map_suspension_is_certified_exactly(monkeypatch, capsys):
