@@ -13,8 +13,8 @@ example the parent commit, gives the before/after pair:
     python scripts/chamber_ladder.py BENCH_13.json parent /path/to/parent/src
     python scripts/chamber_ladder.py BENCH_13.json change
 
-A column holds its provenance (commit, Python, numpy and sympy versions,
-core count) and two tables:
+A column holds its provenance (commit, Python and sympy versions, core
+count) and two tables:
 
 - `arrangements`: the median of 3 `weyl_chambers` runs on the positive
   roots of A3-A6, B3, C3, BC2 and G2, each with the chamber count and a
@@ -129,7 +129,6 @@ def _digest(obj) -> str:
 
 
 def _provenance(src: Path) -> dict:
-    import numpy
     import sympy
 
     def git(*args):
@@ -142,7 +141,6 @@ def _provenance(src: Path) -> dict:
     return {
         "commit": commit,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
         "sympy": sympy.__version__,
         "nproc": os.cpu_count(),
         "machine": platform.machine(),

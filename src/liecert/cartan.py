@@ -8,10 +8,11 @@ operator, and `inner_corrected_flow` for the element of [k, k] that acts
 on [k, k] as a flow generator does.  Restricted-root data is exact
 whenever the generic element has rational eigenvalues; otherwise each
 joint invariant subspace is still exact and carries the minimal
-polynomial of its family of pairings, with float witnesses.  Per-root
-isolating intervals do not exist in the merged case (conjugate
-functionals share one rational subspace), so the block form is the
-strongest exact statement available.
+polynomial of its family of pairings, with a float witness for each: the
+root of largest modulus of that polynomial, by a Weierstrass iteration
+(`_largest_root`).  Per-root isolating intervals do not exist in the
+merged case (conjugate functionals share one rational subspace), so the
+block form is the strongest exact statement available.
 """
 
 from __future__ import annotations
@@ -452,7 +453,10 @@ class RootInfo:
     values holds the exact rational functional (per base vector) when
     available.  Otherwise value_minpolys carries the exact minimal
     polynomial of each family of pairings and value_floats one numeric
-    witness (re, im) per base vector.
+    witness (re, im) per base vector: the root of largest modulus of that
+    minimal polynomial, ties to the larger real part and then to the
+    nonnegative imaginary part, which is exactly 0.0 for a real root.
+    For exact values, value_floats holds (float(value), 0.0).
     """
 
     multiplicity: int
@@ -579,8 +583,6 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
             break
     if last_blocks is None:
         raise AlgebraError("primary decomposition of the generic element failed")
-    import numpy as np
-
     infos = []
     zero_rows: Matrix = ()
     for _, ker in last_blocks:
@@ -589,19 +591,50 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
             infos.append(RootInfo(len(ker), ker, vals, None, ((0.0, 0.0),) * len(ads), True))
             zero_rows = ker
             continue
-        minpolys = []
-        floats = []
-        for r, p in pairs:
-            minpolys.append(squarefree_part(p))
-            rf = np.array([[x / r.den for x in row] for row in r.rows])
-            ev = np.linalg.eigvals(rf)
-            pick = ev[int(np.argmax(np.abs(ev)))]
-            floats.append((float(pick.real), float(pick.imag)))
-        infos.append(
-            RootInfo(len(ker), ker, None, tuple(minpolys), tuple(floats), False)
-        )
+        minpolys = tuple(squarefree_part(p) for _, p in pairs)
+        floats = tuple(map(_largest_root, minpolys))
+        infos.append(RootInfo(len(ker), ker, None, minpolys, floats, False))
     comp = _zero_complement(g, a.basis, zero_rows)
     return RootSystem(a.basis, tuple(infos), False, comp)
+
+
+# Weierstrass sweeps of _largest_root, at most
+WITNESS_SWEEPS = 500
+
+
+def _largest_root(m: RationalPolynomial) -> tuple[float, float]:
+    """(re, im) of the root of largest modulus of the monic squarefree m.
+
+    Ties, moduli within a relative 1e-9, go to the larger real part, then
+    to the nonnegative imaginary part.  The roots are approximated by the Weierstrass (Durand-Kerner)
+    iteration on Python complex numbers, started on a circle of m's Cauchy
+    radius.  m has `count_real_roots_squarefree(m)` real roots, exactly:
+    the roots that many nearest the real axis get the imaginary part 0.0,
+    and every other one is taken in the upper half plane, where its
+    conjugate lies too.
+    """
+    cs = [float(c) for c in m.coeffs]
+    radius = 1 + max(map(abs, cs[:-1]))
+    zs = [radius * complex(0.4, 0.9) ** k for k in range(m.degree)]
+    for _ in range(WITNESS_SWEEPS):
+        step = 0.0
+        for i, z in enumerate(zs):
+            value = 0j
+            for c in reversed(cs):
+                value = value * z + c
+            for j, w in enumerate(zs):
+                if j != i:
+                    value /= z - w
+            zs[i] = z - value
+            step = max(step, abs(value))
+        if step <= 1e-14 * radius:
+            break
+    zs.sort(key=lambda z: abs(z.imag))
+    real = count_real_roots_squarefree(m)
+    zs = [complex(z.real, 0.0 if k < real else abs(z.imag)) for k, z in enumerate(zs)]
+    top = max(map(abs, zs))
+    best = max((z for z in zs if abs(z) >= top * (1 - 1e-9)), key=lambda z: (z.real, z.imag))
+    return best.real, best.imag
 
 
 # -- Weyl chambers ------------------------------------------------------------

@@ -324,12 +324,22 @@ def root_bound(p: RationalPolynomial) -> Fraction:
     return _ONE + m / lead
 
 
-def _ceil_log2(q: Fraction) -> int:
-    """Least integer e with 2^e >= q, for q > 0."""
-    num, den = q.numerator, q.denominator
-    e = num.bit_length() - den.bit_length()  # 2^(e-1) < q < 2^(e+1)
+def _ceil_log2(num: int, den: int) -> int:
+    """Least integer e with 2^e >= num / den, for num, den > 0."""
+    e = num.bit_length() - den.bit_length()  # 2^(e-1) < num/den < 2^(e+1)
     within = num <= den << e if e >= 0 else num << -e <= den
     return e if within else e + 1
+
+
+def _root_exponent(cs: list[int]) -> int | None:
+    """The exponent of `power_of_two_root_bound` for integer cs; None for 0."""
+    n = len(cs) - 1
+    exponents = [
+        -(-_ceil_log2(abs(cs[n - j]), abs(cs[n]) * (2 if j == n else 1)) // j)
+        for j in range(1, n + 1)
+        if cs[n - j]
+    ]
+    return max(exponents) + 1 if exponents else None
 
 
 def power_of_two_root_bound(p: RationalPolynomial) -> Fraction:
@@ -340,13 +350,8 @@ def power_of_two_root_bound(p: RationalPolynomial) -> Fraction:
     integer t with 2^(t j) >= |a_{n-j}/a_n| for every j (a_0 halved).  Zero
     when every root is zero.
     """
-    n = p.degree
-    exponents = []
-    for j in range(1, n + 1):
-        q = abs(p.coeffs[n - j] / p.leading) / (2 if j == n else 1)
-        if q:
-            exponents.append(-(-_ceil_log2(q) // j))
-    return Fraction(2) ** (max(exponents) + 1) if exponents else _ZERO
+    e = _root_exponent(integer_row(p.coeffs))
+    return _ZERO if e is None else Fraction(2) ** e
 
 
 # -- gcd and squarefree decomposition ------------------------------------

@@ -31,9 +31,12 @@ from .linalg import (
 from .poly import (
     RationalPolynomial,
     RootSignCount,
+    _derivative,
     _exact_quotient,
+    _gcd,
     _monic,
     _product,
+    _root_exponent,
     count_real_roots_squarefree,
     power_of_two_root_bound,
     root_bound,
@@ -52,71 +55,94 @@ def char_poly(op: Matrix) -> RationalPolynomial:
 
 
 def _linear_factors(cs: list[int]) -> tuple[list[int], list[tuple[list[int], int]]]:
-    """Divide the rational roots proposed by numeric root finding out of cs.
+    """Divide every rational root out of cs, each found exactly by p-adic lifting.
 
-    cs is a primitive integer polynomial, ascending, with cs[0] != 0.  Each
-    round takes the roots of the current cofactor in floating point (the
-    coefficients shifted right until they fit a float) and proposes the
-    convergents a/b, b <= |leading coefficient|, of every finite, not
-    clearly complex one: a root within 1/(2 b^2) of it is one (Legendre;
-    Hardy & Wright, Thm 184), however large the leading coefficient.  A
-    candidate is tried only when a divides the constant and b the leading
-    coefficient, as for every rational root; (b t - a) is then divided out
-    exactly, as often as it goes, ending that root's proposals.  Rounds
-    repeat on the deflated cofactor until one peels nothing: a multiple
-    root comes out of floating point as a cluster spread by about
-    eps^(1/m), which may round wrongly until its neighbours are gone
-    (three copies of (t - 1)...(t - 10) take two rounds).  Returns the
-    cofactor and the peeled factors b t - a, b > 0, as ([-a, b], mult).
+    cs is a primitive integer polynomial, ascending, with cs[0] != 0.  Its
+    rational roots a/b (lowest terms, b > 0) are those of its squarefree
+    part f, so b divides f's leading coefficient B and a its constant, and
+    |a| <= A, the least of |f(0)| and B times f's root bound.  Each
+    reduces to a root of f modulo any prime p not dividing B.  At the first
+    such prime where every root of f mod p is simple (f' does not vanish
+    there), each root lifts uniquely by Newton's iteration to a root modulo some
+    m = p^(2^k) > 2 A B, and a half-extended Euclid on m and the lift
+    rebuilds the one fraction a/b with |a| <= A and 0 < b <= B congruent to
+    it, when there is one (rational reconstruction).  So every rational
+    root is rebuilt from some root mod p (Loos, SIAM J. Comput. 12, 1983),
+    and such a prime exists: any prime dividing neither B nor the
+    discriminant of f.  A candidate whose a and b divide the end
+    coefficients of f is divided out of cs exactly, as often as it goes,
+    and a false one fails that division.  Returns the cofactor, which has
+    no rational root, and the peeled factors b t - a as ([-a, b], mult).
     """
-    import numpy as np
-
-    peeled: list[tuple[list[int], int]] = []
-    found = True
-    while found and len(cs) > 2:
-        found = False
-        shift = max(0, max(abs(c).bit_length() for c in cs) - 1000)
-        try:
-            roots = np.roots([float(c >> shift) for c in reversed(cs)])
-        except np.linalg.LinAlgError:  # no proposals: sympy factors the rest
+    if len(cs) < 2:
+        return cs, []
+    dcs = _derivative(cs)
+    g = _gcd(cs, dcs)
+    f = cs if len(g) == 1 else _exact_quotient(cs, g)
+    df = dcs if len(g) == 1 else _derivative(f)
+    lead = abs(f[-1])
+    big = min(abs(f[0]), lead << max(0, _root_exponent(f)))
+    for p in _primes():
+        roots = _simple_roots(f, df, p) if lead % p else None
+        if roots is not None:
             break
-        tried = set()
-        for z in roots:
-            if not np.isfinite(z) or abs(z.imag) > 0.25 * max(1.0, abs(z)):
-                continue
-            for a, b in _convergents(Fraction(float(z.real)), abs(cs[-1])):
-                if (a, b) in tried or not a or cs[0] % a or cs[-1] % b:
-                    continue
-                tried.add((a, b))
-                mult = 0
-                while len(cs) > 1:
-                    try:
-                        cs = _exact_quotient(cs, [-a, b])
-                    except ArithmeticError:
-                        break
-                    mult += 1
-                if mult:
-                    peeled.append(([-a, b], mult))
-                    found = True
-                    break
+    peeled: list[tuple[list[int], int]] = []
+    for r in roots:
+        m = p
+        while m <= 2 * big * lead:
+            m *= m
+            r = (r - _value(f, r, m) * pow(_value(df, r, m), -1, m)) % m
+        a, b = _reconstruct(r, m, big)
+        if not a or f[0] % a or lead % b:
+            continue
+        mult = 0
+        while mult == 0 or len(g) > 1:  # a root of a squarefree cs is simple
+            try:
+                cs = _exact_quotient(cs, [-a, b])
+            except ArithmeticError:
+                break
+            mult += 1
+        if mult:
+            peeled.append(([-a, b], mult))
     return cs, peeled
 
 
-def _convergents(x: Fraction, bound: int):
-    """The continued-fraction convergents of x with denominator <= bound, as (a, b)."""
-    a0, b0, a1, b1 = 0, 1, 1, 0
-    num, den = x.numerator, x.denominator
-    while den:
-        c, rest = divmod(num, den)
-        a0, b0, a1, b1 = a1, b1, c * a1 + a0, c * b1 + b0
-        if b1 > bound:
-            return
-        yield a1, b1
-        num, den = den, rest
+def _primes():
+    p = 1
+    while True:
+        p += 1
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            yield p
 
 
-def _is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
+def _value(cs: list[int], x: int, m: int) -> int:
+    """cs(x) mod m, by Horner."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _simple_roots(f: list[int], df: list[int], p: int) -> list[int] | None:
+    """The roots of f mod p, or None when f' vanishes at one of them."""
+    f, df = [c % p for c in f], [c % p for c in df]
+    roots = []
+    for x in range(p):
+        if not _value(f, x, p):
+            if not _value(df, x, p):
+                return None
+            roots.append(x)
+    return roots
+
+
+def _reconstruct(r: int, m: int, bound: int) -> tuple[int, int]:
+    """(a, b), b > 0, with a = b r mod m: the first remainder <= bound of the
+    Euclidean chain of m and r, and its cofactor of r."""
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def factor_with_multiplicity(
@@ -130,15 +156,13 @@ def factor_with_multiplicity(
     to constants, which `monic` removes.  Most of the polynomials met here
     split over Q (restricted roots of split Cartan subspaces are rational),
     so the linear factors are peeled first, in integers: the zero root is
-    stripped, then `_linear_factors` divides out the candidates that
-    numeric roots propose.  Numerics only propose; exact division decides,
-    and a root they miss stays in the cofactor.  A quadratic cofactor
-    whose discriminant is not a square has no rational root, so it is
-    irreducible; any other cofactor of degree >= 2 goes to sympy.  Each
-    cofactor is primitive, being a primitive polynomial divided by
-    primitive ones (Gauss's lemma).  The factorization into primitive
-    irreducibles with positive leading coefficient is unique, so the peeled
-    factors and sympy's are together the same set with the same
+    stripped, then `_linear_factors` finds every other rational root
+    exactly and divides it out.  A cofactor of degree 2 or 3 then has no
+    linear factor, so it is irreducible; any cofactor of degree >= 4 goes
+    to sympy.  Each cofactor is primitive, being a primitive polynomial
+    divided by primitive ones (Gauss's lemma).  The factorization into
+    primitive irreducibles with positive leading coefficient is unique, so
+    the peeled factors and sympy's are together the same set with the same
     multiplicities, and sorting them by sympy's own key
     (`polyutils._sort_factors`: length, multiplicity, then coefficients
     from the highest) gives sympy's order.
@@ -150,9 +174,9 @@ def factor_with_multiplicity(
     cs, factors = _linear_factors(cs[zeros:])
     if zeros:
         factors.append(([0, 1], zeros))
-    if len(cs) == 2 or (len(cs) == 3 and not _is_square(cs[1] ** 2 - 4 * cs[0] * cs[2])):
+    if len(cs) in (3, 4):
         factors.append(([c if cs[-1] > 0 else -c for c in cs], 1))
-    elif len(cs) > 2:
+    elif len(cs) > 4:
         import sympy
 
         poly_zz = sympy.Poly.from_list(cs[::-1], sympy.Symbol("x"), domain=sympy.ZZ)

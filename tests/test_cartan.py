@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -614,6 +616,9 @@ def test_restricted_roots_irrational_block():
     b = blocks[0]
     assert b.multiplicity == 2
     assert b.value_minpolys[0] == RationalPolynomial([-8, 0, 1])
+    assert b.value_floats[0] == (pytest.approx(8**0.5, abs=1e-9), 0.0)
+    assert math.copysign(1, b.value_floats[0][1]) == 1
+    _assert_witnesses(rs)
     zero = [r for r in rs.roots if r.exact]
     assert len(zero) == 1 and zero[0].is_zero and zero[0].multiplicity == 1
 
@@ -639,6 +644,24 @@ def test_restricted_roots_fallback_keeps_only_the_zero_block_exact():
     zero = next(r for r in rs.roots if r.exact)
     assert Subspace(g, zero.space) == a
     assert rs.zero_complement == ()
+    _assert_witnesses(rs)
+
+
+def _assert_witnesses(rs):
+    """Each inexact witness is within 1e-9 of the root numpy finds for its
+    minimal polynomial: of largest modulus, ties to the larger real part,
+    then to the nonnegative imaginary part."""
+    for r in rs.roots:
+        if r.exact:
+            continue
+        for m, (re, im) in zip(r.value_minpolys, r.value_floats, strict=True):
+            roots = np.roots([float(c) for c in reversed(m.coeffs)])
+            top = max(abs(roots))
+            want = max(
+                (z for z in roots if abs(z) >= top * (1 - 1e-9)),
+                key=lambda z: (z.real, abs(z.imag)),
+            )
+            assert abs(complex(re, im) - complex(want.real, abs(want.imag))) <= 1e-9
 
 
 # -- Weyl chambers -------------------------------------------------------------

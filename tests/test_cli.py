@@ -557,7 +557,7 @@ print(json.dumps({"exit": [built, roots], "sympy": "sympy" in sys.modules}))
 
 
 def test_roots_of_so13_leave_sympy_unloaded():
-    # t^2 + 1, the only irreducible residual there, is decided by its discriminant
+    # t^2 + 1, the only residual there, has no rational root: as a quadratic it is irreducible
     src = os.path.dirname(os.path.dirname(liecert.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     run = subprocess.run(
@@ -568,3 +568,54 @@ def test_roots_of_so13_leave_sympy_unloaded():
     )
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout) == {"exit": [0, 0], "sympy": False}
+
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+
+from liecert import action_to_document, build_suspension, serialize_document
+from liecert.builders import catalog_names
+from liecert.cli import main
+
+
+def call(argv, stdin=""):
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()
+
+
+codes = {}
+for name in catalog_names():
+    doc = call(["build", name])[1]
+    codes[name] = [
+        call([cmd], doc)[0]
+        for cmd in ("validate", "analyze", "csa", "roots", "anosov", "classify")
+    ]
+cat_map = serialize_document(action_to_document(build_suspension([[[1, 1], [1, 0]]])))
+codes["cat-map"] = call(["anosov"], cat_map)[0]
+codes["sl2-irrational"] = call(["roots"], sys.argv[1])[0]
+print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_numpy_is_never_loaded():
+    # a fresh interpreter: every command on the catalog, the cat-map
+    # suspension and an inexact root system run without numpy
+    src = os.path.dirname(os.path.dirname(liecert.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    sl2 = json.loads(SL2_DOC)
+    sl2["subspaces"] = {"base": [["1", "1", "1"]]}  # eigenvalues 0, +-2 sqrt 2
+    run = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(sl2)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr
+    out = json.loads(run.stdout)
+    assert out["numpy"] is False
+    codes = out["codes"]
+    assert codes.pop("cat-map") == codes.pop("sl2-irrational") == 0
+    # 8 examples by 6 commands: `roots` refuses the 4 solvable ones as input errors
+    assert sorted(c for cs in codes.values() for c in cs) == [0] * 44 + [3] * 4

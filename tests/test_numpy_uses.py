@@ -1,19 +1,19 @@
-"""numpy is reached in two places only: `spectral._linear_factors` and
-`cartan.restricted_roots`.
+"""numpy is not used by liecert; the tests keep it as an oracle only.
 
-The first proposes rational roots that exact division then confirms or
-rejects; the second takes float witnesses for the roots of an inexact
-root system.  Certificates hold no float, so nothing else may need
-numpy.  Each module in src/liecert is parsed with ast, and an import of
-numpy (or of one of its submodules) anywhere outside those two functions
-fails here.
+Rational roots are found by exact p-adic lifting and the float witnesses
+of an inexact root system by a Weierstrass iteration on Python complex
+numbers, so no module needs numpy.  Each module in src/liecert is parsed
+with ast, and an import of numpy (or of one of its submodules) anywhere
+fails here (`ALLOWED`, the functions once allowed to, is empty now); so
+does numpy among the runtime dependencies of pyproject.toml.
 """
 
 import ast
 import pathlib
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "liecert"
-ALLOWED = {("spectral.py", "_linear_factors"), ("cartan.py", "restricted_roots")}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "liecert"
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def _numpy_imports(tree: ast.AST):
@@ -44,4 +44,16 @@ def test_numpy_is_imported_only_in_its_two_uses():
             if not any(fn.lineno <= line <= fn.end_lineno for fn in allowed):
                 outside.append(f"{path.name}:{line}")
     assert outside == []
-    assert inside == ALLOWED
+    assert inside == ALLOWED == set()
+    # so no module imports numpy, and it is not installed with liecert
+    for path in PACKAGE.glob("*.py"):
+        assert not any(_numpy_imports(ast.parse(path.read_text()))), path.name
+    assert _toml_list("dependencies") == ["sympy"]
+    assert "numpy" in _toml_list("test")
+
+
+def _toml_list(key: str) -> list[str]:
+    """The list assigned to key on one line of pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    line = next(x for x in text.splitlines() if x.startswith(f"{key} = "))
+    return ast.literal_eval(line.split("=", 1)[1].strip())

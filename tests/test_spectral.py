@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 import sympy
@@ -538,6 +539,9 @@ def test_factor_bridge_matches_reference(p):
     assert factor_with_multiplicity(p) == reference_factor_with_multiplicity(p)
 
 
+_PRIMORIAL_97 = prod(q for q in range(2, 100) if all(q % r for r in range(2, q)))
+
+
 @pytest.mark.parametrize(
     "p",
     [
@@ -549,9 +553,18 @@ def test_factor_bridge_matches_reference(p):
         P([5]),
         P([]),
         P([3, -2]),
+        # the two roots are congruent modulo every prime below 100
+        P([0, 1]) * P([-_PRIMORIAL_97, 1]),
+        P([-1, 1]) * P([-1 - _PRIMORIAL_97, 1]),
+        # no prime up to 13 may carry the lifting
+        _product([P([-1, 30030]), P([1, 1]), P([-5, 1])]),
+        # the 42 roots d_i - d_j, d = (1, 2, 4, ..., 64)
+        _product(P([2**j - 2**i, 1]) for i in range(7) for j in range(7) if i != j),
     ],
     ids=["wilkinson-20", "three-copies", "beyond-float", "beyond-float-split",
-         "multiple-roots", "constant", "zero", "linear-negative-lead"],
+         "multiple-roots", "constant", "zero", "linear-negative-lead",
+         "congruent-below-100", "congruent-below-100-shifted", "lead-30030",
+         "powers-of-two-differences"],
 )
 def test_factor_bridge_matches_reference_on_hard_inputs(p):
     assert factor_with_multiplicity(p) == reference_factor_with_multiplicity(p)
@@ -596,11 +609,15 @@ def test_only_an_irreducible_residual_reaches_sympy(monkeypatch):
 
 def test_irreducible_quadratic_residual_skips_sympy(monkeypatch):
     p = _product([P([1, 3, -5]), P([F(-5, 7), 1]), P([0, 1]), P([1, 1]), P([1, 1])])
-    want = reference_factor_with_multiplicity(p)
+    # every rational root is found, so a cubic residual is irreducible too
+    cubic = _product([P([-2, 0, 0, 1]), P([F(3, 2), 1]), P([-4, 1]), P([-4, 1])])
+    wants = [reference_factor_with_multiplicity(q) for q in (p, cubic)]
     calls = []
     monkeypatch.setattr(sympy.Poly, "factor_list", lambda self: calls.append(self))
     assert factor_with_multiplicity(P([1, 1, 1]) * -3) == [(P([1, 1, 1]), 1)]
-    assert factor_with_multiplicity(p) == want
+    assert factor_with_multiplicity(p) == wants[0]
+    assert factor_with_multiplicity(cubic) == wants[1]
+    assert (P([-2, 0, 0, 1]), 1) in wants[1]
     assert calls == []
 
 
