@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import isqrt, prod
 
 from .algebra import AlgebraError, StructureError
@@ -82,10 +83,11 @@ def _linear_factors(cs: list[int]) -> tuple[list[int], list[tuple[list[int], int
     df = dcs if len(g) == 1 else _derivative(f)
     lead = abs(f[-1])
     big = min(abs(f[0]), lead << max(0, _root_exponent(f)))
-    for p in _primes():
-        roots = _simple_roots(f, df, p) if lead % p else None
-        if roots is not None:
-            break
+    for p in count(2):
+        if lead % p and all(p % q for q in range(2, isqrt(p) + 1)):  # a prime
+            roots = _simple_roots(f, df, p)
+            if roots is not None:
+                break
     peeled: list[tuple[list[int], int]] = []
     for r in roots:
         m = p
@@ -105,14 +107,6 @@ def _linear_factors(cs: list[int]) -> tuple[list[int], list[tuple[list[int], int
         if mult:
             peeled.append(([-a, b], mult))
     return cs, peeled
-
-
-def _primes():
-    p = 1
-    while True:
-        p += 1
-        if all(p % q for q in range(2, isqrt(p) + 1)):
-            yield p
 
 
 def _value(cs: list[int], x: int, m: int) -> int:
