@@ -606,12 +606,12 @@ def _largest_root(m: RationalPolynomial) -> tuple[float, float]:
     """(re, im) of the root of largest modulus of the monic squarefree m.
 
     Ties, moduli within a relative 1e-9, go to the larger real part, then
-    to the nonnegative imaginary part.  The roots are approximated by the Weierstrass (Durand-Kerner)
-    iteration on Python complex numbers, started on a circle of m's Cauchy
-    radius.  m has `count_real_roots_squarefree(m)` real roots, exactly:
-    the roots that many nearest the real axis get the imaginary part 0.0,
-    and every other one is taken in the upper half plane, where its
-    conjugate lies too.
+    to the nonnegative imaginary part.  The roots are approximated by the
+    Weierstrass (Durand-Kerner) iteration on Python complex numbers,
+    started on a circle of m's Cauchy radius.  m has exactly
+    `count_real_roots_squarefree(m)` real roots: the roots that many
+    nearest the real axis get the imaginary part 0.0, and every other one
+    is taken in the upper half plane, where its conjugate lies too.
     """
     cs = [float(c) for c in m.coeffs]
     radius = 1 + max(map(abs, cs[:-1]))
