@@ -17,6 +17,7 @@ block form is the strongest exact statement available.
 
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +64,12 @@ from .linalg import (
     vec_sub,
     vector,
 )
-from .poly import RationalPolynomial, count_real_roots_squarefree, squarefree_part
+from .poly import (
+    RationalPolynomial,
+    count_real_roots_squarefree,
+    power_of_two_root_bound,
+    squarefree_part,
+)
 from .spectral import (
     apply_poly,
     char_poly,
@@ -607,29 +613,44 @@ def _largest_root(m: RationalPolynomial) -> tuple[float, float]:
 
     Ties, moduli within a relative 1e-9, go to the larger real part, then
     to the nonnegative imaginary part.  The roots are approximated by the
-    Weierstrass (Durand-Kerner) iteration on Python complex numbers,
-    started on a circle of m's Cauchy radius.  m has exactly
+    Weierstrass (Durand-Kerner) iteration on Python complex numbers, run
+    on m(B s) / B^n for m's power-of-two root bound B: its roots and its
+    coefficients are at most 1 in modulus, so no value overflows, and the
+    start is a spiral inside the unit circle.  The sweeps stop when every
+    approximation z has |m(z)| within the rounding bound of Horner's rule,
+    n 2^-51 times the sum of |c_i| |z|^i, beyond which a step is noise; an
+    approximation that is not finite, or no stop within `WITNESS_SWEEPS`
+    sweeps, raises AlgebraError.  m has exactly
     `count_real_roots_squarefree(m)` real roots: the roots that many
     nearest the real axis get the imaginary part 0.0, and every other one
     is taken in the upper half plane, where its conjugate lies too.
     """
-    cs = [float(c) for c in m.coeffs]
-    radius = 1 + max(map(abs, cs[:-1]))
-    zs = [radius * complex(0.4, 0.9) ** k for k in range(m.degree)]
-    for _ in range(WITNESS_SWEEPS):
-        step = 0.0
-        for i, z in enumerate(zs):
-            value = 0j
-            for c in reversed(cs):
-                value = value * z + c
-            for j, w in enumerate(zs):
-                if j != i:
-                    value /= z - w
-            zs[i] = z - value
-            step = max(step, abs(value))
-        if step <= 1e-14 * radius:
-            break
-    zs.sort(key=lambda z: abs(z.imag))
+    bound = power_of_two_root_bound(m)
+    if not bound:
+        return 0.0, 0.0  # m = t
+    n = m.degree
+    cs = [float(c / bound ** (n - i)) for i, c in enumerate(m.coeffs)]
+    zs = [complex(0.4, 0.9) ** k for k in range(n)]
+    try:
+        for _ in range(WITNESS_SWEEPS):
+            settled = True
+            for i, z in enumerate(zs):
+                value, size = 0j, 0.0
+                for c in reversed(cs):
+                    value = value * z + c
+                    size = size * abs(z) + abs(c)
+                settled = settled and abs(value) <= n * 2.0**-51 * size
+                for j, w in enumerate(zs):
+                    if j != i:
+                        value /= z - w
+                zs[i] = z - value
+            if settled or not all(map(cmath.isfinite, zs)):
+                break
+    except ZeroDivisionError:  # two approximations met
+        settled = False
+    if not settled or not all(map(cmath.isfinite, zs)):
+        raise AlgebraError("the root witness iteration did not settle")
+    zs = sorted((float(bound) * z for z in zs), key=lambda z: abs(z.imag))
     real = count_real_roots_squarefree(m)
     zs = [complex(z.real, 0.0 if k < real else abs(z.imag)) for k, z in enumerate(zs)]
     top = max(map(abs, zs))

@@ -246,12 +246,49 @@ def _exact_quotient(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
+# the prime of `_squarefree`'s modular test, a Mersenne prime
+_SQUAREFREE_PRIME = 2**31 - 1
+
+
+def _squarefree(cs: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(f, f', g) for a nonconstant integer cs: g = gcd(cs, cs'), f = cs / g.
+
+    f is the squarefree part of cs; when g is a constant, f = cs and
+    g = [1].  The gcd over Z is skipped when cs and cs' are coprime modulo
+    a prime P not dividing cs's leading coefficient: a common factor of
+    positive degree would keep its degree modulo P.
+    """
+    dcs = _derivative(cs)
+    p = _SQUAREFREE_PRIME
+    if cs[-1] % p and _coprime_mod(cs, dcs, p):
+        return cs, dcs, [1]
+    g = _gcd(cs, dcs)
+    if len(g) == 1:
+        return cs, dcs, [1]
+    f = _exact_quotient(cs, g)
+    return f, _derivative(f), g
+
+
+def _coprime_mod(a: list[int], b: list[int], p: int) -> bool:
+    """Whether a and b are coprime modulo the prime p, by Euclid over F_p."""
+    a = _trim([c % p for c in a])
+    b = _trim([c % p for c in b])
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a.pop() * inv % p
+            k = len(a) - len(b) + 1
+            for i in range(len(b) - 1):
+                a[k + i] = (a[k + i] - q * b[i]) % p
+            _trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
 def _yun(cs: list[int]) -> list[tuple[list[int], int]]:
     """Yun's algorithm on integers: [(f_k, k)] for the nonconstant f_k, degree >= 1."""
-    dp = _derivative(cs)
-    a = _gcd(cs, dp)
-    b = _exact_quotient(cs, a)
-    d = _difference(_exact_quotient(dp, a), _derivative(b))
+    b, db, a = _squarefree(cs)
+    d = _difference(_exact_quotient(_derivative(cs), a), db)
     out: list[tuple[list[int], int]] = []
     k = 1
     while len(b) > 1:
@@ -360,8 +397,7 @@ def power_of_two_root_bound(p: RationalPolynomial) -> Fraction:
 def squarefree_part(p: RationalPolynomial) -> RationalPolynomial:
     if p.degree <= 0:
         return p.monic()
-    cs = integer_row(p.coeffs)
-    return _monic(_exact_quotient(cs, _gcd(cs, _derivative(cs))))
+    return _monic(_squarefree(integer_row(p.coeffs))[0])
 
 
 # -- half-plane counting -------------------------------------------------

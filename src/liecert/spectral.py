@@ -32,12 +32,11 @@ from .linalg import (
 from .poly import (
     RationalPolynomial,
     RootSignCount,
-    _derivative,
     _exact_quotient,
-    _gcd,
     _monic,
     _product,
     _root_exponent,
+    _squarefree,
     count_real_roots_squarefree,
     power_of_two_root_bound,
     root_bound,
@@ -77,10 +76,7 @@ def _linear_factors(cs: list[int]) -> tuple[list[int], list[tuple[list[int], int
     """
     if len(cs) < 2:
         return cs, []
-    dcs = _derivative(cs)
-    g = _gcd(cs, dcs)
-    f = cs if len(g) == 1 else _exact_quotient(cs, g)
-    df = dcs if len(g) == 1 else _derivative(f)
+    f, df, g = _squarefree(cs)
     lead = abs(f[-1])
     big = min(abs(f[0]), lead << max(0, _root_exponent(f)))
     for p in count(2):

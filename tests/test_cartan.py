@@ -664,6 +664,42 @@ def _assert_witnesses(rs):
             assert abs(complex(re, im) - complex(want.real, abs(want.imag))) <= 1e-9
 
 
+def _companion_powers(n):
+    """Coordinates in `_sl_basis(n)` of C, C^2, ..., C^(n-1), each less its
+    trace part, for C the companion matrix of t^n - t - 1: a Cartan
+    subspace whose roots generate a field with Galois group S_n (Osada)."""
+    c = [[int(i == j + 1) for j in range(n)] for i in range(n)]
+    c[0][n - 1] = c[1][n - 1] = 1
+    out, power = [], c
+    for _ in range(n - 1):
+        diag = [F(power[i][i]) - F(sum(power[k][k] for k in range(n)), n) for i in range(n)]
+        head = [sum(diag[: i + 1]) for i in range(n - 1)]
+        off = [F(power[i][j]) for i in range(n) for j in range(n) if i != j]
+        out.append(tuple(head + off))
+        power = [[sum(power[i][k] * c[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return out
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_restricted_roots_fallback_witnesses_of_high_degree(n):
+    # each minimal polynomial has the n(n-1) roots l_i^k - l_j^k, and at
+    # n = 7 coefficients past 2e7: its Cauchy radius to the 42nd power overflows
+    g = lie_algebra_from_matrices(_sl_basis(n))
+    rs = restricted_roots(g, Subspace(g, _companion_powers(n)))
+    assert not rs.exact
+    blocks = [r for r in rs.roots if not r.exact]
+    assert [r.multiplicity for r in blocks] == [n * (n - 1)]
+    assert [m.degree for m in blocks[0].value_minpolys] == [n * (n - 1)] * (n - 1)
+    _assert_witnesses(rs)
+
+
+def test_unsettled_witness_iteration_is_an_error(monkeypatch):
+    monkeypatch.setattr("liecert.cartan.WITNESS_SWEEPS", 1)
+    g = sl2()
+    with pytest.raises(AlgebraError, match="did not settle"):
+        restricted_roots(g, Subspace(g, [(F(1), F(1), F(1))]))
+
+
 # -- Weyl chambers -------------------------------------------------------------
 
 

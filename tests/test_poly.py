@@ -245,6 +245,37 @@ def test_squarefree_part_has_same_distinct_roots(cs):
     assert count_real_roots_squarefree(sf) == total
 
 
+@given(st.lists(coef, min_size=1, max_size=4), st.lists(coef, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_squarefree_part_matches_reference(a, b):
+    p = P(a) * P(a) * P(b)
+    if p.degree < 1:
+        return
+    assert squarefree_part(p) == ref_squarefree_part(p)
+
+
+_PRIME = liecert.poly._SQUAREFREE_PRIME
+
+
+@pytest.mark.parametrize(
+    "cs, coprime_mod_prime",
+    [
+        ([-2, 0, 1], True),  # t^2 - 2
+        ([2, -3, 0, 1], False),  # (t - 1)^2 (t + 2)
+        ([0, -_PRIME, 1], False),  # t (t - P): squarefree, but t^2 mod P
+        ([-1, 0, _PRIME], False),  # P t^2 - 1: P divides the leading coefficient
+    ],
+)
+def test_squarefree_part_skips_the_gcd_only_when_coprime_mod_prime(
+    cs, coprime_mod_prime, monkeypatch
+):
+    gcds = []
+    monkeypatch.setattr(liecert.poly, "_gcd", lambda a, b: gcds.append(1) or _gcd(a, b))
+    p = P(cs)
+    assert squarefree_part(p) == ref_squarefree_part(p)
+    assert bool(gcds) != coprime_mod_prime
+
+
 # -- the former Fraction routines, kept as references ---------------------
 
 
