@@ -245,15 +245,6 @@ def test_squarefree_part_has_same_distinct_roots(cs):
     assert count_real_roots_squarefree(sf) == total
 
 
-@given(st.lists(coef, min_size=1, max_size=4), st.lists(coef, min_size=1, max_size=4))
-@settings(max_examples=60, deadline=None)
-def test_squarefree_part_matches_reference(a, b):
-    p = P(a) * P(a) * P(b)
-    if p.degree < 1:
-        return
-    assert squarefree_part(p) == ref_squarefree_part(p)
-
-
 _PRIME = liecert.poly._SQUAREFREE_PRIME
 
 
