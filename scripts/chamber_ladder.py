@@ -27,9 +27,10 @@ count) and two tables:
   certificate (`anosov_digest`), of the rows of the Cartan subspace
   (`cartan_digest`) and of the repr of its RootSystem (`roots_digest`),
   so that equal digests mean identical root data, not only identical
-  chambers; for n <= 6 also `find_anosov_elements`
-  on the Cartan subspace, one certificate per chamber, with a sha256
-  of the repr of what it returns (`search_digest`).
+  chambers; for n <= 7 (`SWEEP_MAX`) also `find_anosov_elements` on the
+  Cartan subspace, one certificate per chamber, and `classify` of that
+  action, each with a sha256 of the repr of what it returns
+  (`search_digest`, `classify_digest`).
 
 The script is a measurement, not a test; no test runs it.
 """
@@ -50,7 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
 # the largest sl(n) whose chamber sweep is timed
-SWEEP_MAX = 6
+SWEEP_MAX = 7
 
 
 def _arrangements():
@@ -159,6 +160,7 @@ def main(argv: list[str]) -> int:
         ActionSpec,
         cartan,
         check_anosov,
+        classify,
         find_anosov_elements,
         lie_algebra_from_matrices,
     )
@@ -192,6 +194,7 @@ def main(argv: list[str]) -> int:
             cert = _timed(times, "check_anosov_s", check_anosov, action, _sl_regular(n))
             if n <= SWEEP_MAX:
                 found = _timed(times, "find_anosov_elements_s", find_anosov_elements, action)
+                report = _timed(times, "classify_s", classify, action)
             runs.append(times)
         ladder[f"sl{n}"] = {
             "dim": g.dim,
@@ -201,7 +204,15 @@ def main(argv: list[str]) -> int:
             "anosov_digest": _digest(cert),
             "cartan_digest": _digest(a.basis),
             "roots_digest": _digest(rs),
-            **({"found": len(found), "search_digest": _digest(found)} if n <= SWEEP_MAX else {}),
+            **(
+                {
+                    "found": len(found),
+                    "search_digest": _digest(found),
+                    "classify_digest": _digest(report),
+                }
+                if n <= SWEEP_MAX
+                else {}
+            ),
             **_medians(runs),
         }
         print(f"{column} sl({n}): {ladder[f'sl{n}']}", file=sys.stderr)

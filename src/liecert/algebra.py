@@ -77,8 +77,8 @@ class LieAlgebra:
     brackets `_int_brackets` in one place in `cartan`.  `table` is the
     dense `Fraction` view,
     rebuilt on each access.  `_cache` memoises derived data (Killing
-    form, radical basis) that passed its self-checks; it holds nothing
-    that refers back to the algebra.
+    form, radical basis, ad-hyperbolicity verdicts per vector) that passed
+    its self-checks; it holds nothing that refers back to the algebra.
     """
 
     __slots__ = ("labels", "_constants", "_den", "_cache")

@@ -5,12 +5,17 @@ exact nilpotency plus self-normalizer check, so the search heuristics
 never affect soundness.  Inner derivations are solved in one place,
 `_inner_solution`: `solve_ad` asks it for y with ad(y) equal to a given
 operator, and `inner_corrected_flow` for the element of [k, k] that acts
-on [k, k] as a flow generator does.  Restricted-root data is exact
-whenever the generic element has rational eigenvalues; otherwise each
-joint invariant subspace is still exact and carries the minimal
-polynomial of its family of pairings, with a float witness for each: the
-root of largest modulus of that polynomial, by a Weierstrass iteration
-(`_largest_root`).  Per-root isolating intervals do not exist in the
+on [k, k] as a flow generator does.  Whether an element is ad-hyperbolic
+is decided once per vector and algebra (`is_ad_hyperbolic`).
+Restricted roots are read off one generic element of the Cartan
+subspace: its primary components, each split again by the first operator
+of the family that is not scalar plus nilpotent on it.  The data is exact
+whenever every joint value is rational and some generic element
+separates them, which fixes the order of the roots; otherwise each joint
+invariant subspace of a generic element is still exact and carries the
+minimal polynomial of its family of pairings, with a float witness for
+each: the root of largest modulus of that polynomial, by a Weierstrass
+iteration (`_largest_root`).  Per-root isolating intervals do not exist in the
 merged case (conjugate functionals share one rational subspace), so the
 block form is the strongest exact statement available.
 """
@@ -58,7 +63,7 @@ from .linalg import (
     matmul,
     nullspace,
     primitive,
-    restrict_operator,
+    restrict_operators,
     row_basis,
     transpose,
     vec_sub,
@@ -69,10 +74,12 @@ from .poly import (
     count_real_roots_squarefree,
     power_of_two_root_bound,
     squarefree_part,
+    squarefree_sign_counts,
 )
 from .spectral import (
     apply_poly,
     char_poly,
+    factor_key,
     factor_with_multiplicity,
     jordan_chevalley,
     operator_sign_counts,
@@ -309,12 +316,22 @@ def csa_from_action(g: LieAlgebra, h: Subspace, k: Subspace) -> ActionCsa:
 
 
 def is_ad_hyperbolic(g: LieAlgebra, x: Vector) -> bool:
-    """ad(x) is semisimple with all-real spectrum."""
-    a = g.ad_integer(x)
-    m = squarefree_part(char_poly(a))
-    if count_real_roots_squarefree(m) != m.degree:
-        return False
-    return not any(map(any, apply_poly(m, a).rows))
+    """ad(x) is semisimple with all-real spectrum.
+
+    The verdict is memoised in `g._cache` as a dict from the tuple x to a
+    bool, which refers nothing back to g, so each vector is tested once.
+    """
+    memo = g._cache.setdefault("ad_hyperbolic", {})
+    key = tuple(x)
+    verdict = memo.get(key)
+    if verdict is None:
+        a = g.ad_integer(x)
+        m = squarefree_part(char_poly(a))
+        verdict = count_real_roots_squarefree(m) == m.degree and not any(
+            map(any, apply_poly(m, a).rows)
+        )
+        memo[key] = verdict
+    return verdict
 
 
 def solve_ad(g: LieAlgebra, target: IntMatrix) -> Vector | None:
@@ -508,49 +525,108 @@ def _zero_complement(g: LieAlgebra, base: Matrix, zero_rows: Matrix) -> Matrix:
     return c_space.basis
 
 
-def _restrict_block(
-    ads: Sequence[IntMatrix], ker: Matrix
-) -> tuple[tuple[Fraction, ...] | None, list[tuple[IntMatrix, RationalPolynomial]]]:
-    """Each ad restricted to a block, with its characteristic polynomial.
+def _scalar(r: IntMatrix, p: RationalPolynomial) -> Fraction | None:
+    """alpha when the d x d restriction r, of characteristic polynomial p,
+    is alpha plus a nilpotent, that is when p = (t - alpha)^d; else None."""
+    d = len(r.rows)
+    alpha = Fraction(sum(r.rows[i][i] for i in range(d)), r.den * d)
+    if p != RationalPolynomial([comb(d, k) * (-alpha) ** (d - k) for k in range(d + 1)]):
+        return None
+    return alpha
 
-    Returns (values, pairs): pairs holds each restriction and its
-    characteristic polynomial, and values each restriction's scalar alpha
-    when every one is alpha plus a nilpotent, that is when its
-    characteristic polynomial is (t - alpha)^d; else None.  Each ad
-    commutes with the generic element, so a restriction cannot leave its
-    block: one that does raises AlgebraError.
+
+def _restrict_block(ads: Sequence[IntMatrix], ker: Matrix) -> list[IntMatrix]:
+    """Each ad restricted to the block span(ker), in the basis ker, from one
+    elimination of the block.  The ads commute with every operator whose
+    primary components are cut here, so a restriction cannot leave its
+    block: one that does raises AlgebraError."""
+    rs = restrict_operators(ads, ker)
+    if None in rs:
+        raise AlgebraError("joint invariant subspace lost invariance")
+    return rs
+
+
+def _joint_blocks(
+    ads: Sequence[IntMatrix], op: IntMatrix, factors: list[tuple[RationalPolynomial, int]]
+) -> list[tuple[Matrix, tuple[Fraction, ...]]] | None:
+    """The joint blocks of the commuting ads inside the primary components
+    of op, each with its values, or None once a factor is not linear.
+
+    factors are those of op's characteristic polynomial, and the ads act in
+    the coordinates of op.  A component on which every ad is alpha plus a
+    nilpotent is one joint block, with those alphas as its values; on any
+    other, the first ad that is not splits it by its own primary
+    decomposition, in the component's basis, and so on down.  The basis of
+    each block is that of the component (`generalized_kernel`'s reduced
+    echelon rows) times the reduced rows inside it, which is again in
+    reduced echelon form.  A factor that is not linear means an
+    irrational value.
     """
-    d = len(ker)
-    pairs = []
-    for adv in ads:
-        r = restrict_operator(adv, ker)
-        if r is None:
-            raise AlgebraError("joint invariant subspace lost invariance")
-        pairs.append((r, char_poly(r)))
-    values = []
-    for r, p in pairs:
-        alpha = Fraction(sum(r.rows[i][i] for i in range(d)), r.den * d)
-        if p != RationalPolynomial([comb(d, k) * (-alpha) ** (d - k) for k in range(d + 1)]):
-            return None, pairs
-        values.append(alpha)
-    return tuple(values), pairs
+    if any(phi.degree > 1 for phi, _ in factors):
+        return None
+    out = []
+    for phi, _ in factors:
+        ker = generalized_kernel(apply_poly(phi, op))
+        rs = _restrict_block(ads, ker)
+        values = []
+        for r in rs:
+            p = char_poly(r)
+            alpha = _scalar(r, p)
+            if alpha is None:
+                inner = _joint_blocks(rs, r, factor_with_multiplicity(p))
+                if inner is None:
+                    return None
+                out.extend((matmul(sub, ker), vals) for sub, vals in inner)
+                break
+            values.append(alpha)
+        else:
+            out.append((ker, tuple(values)))
+    return out
 
 
-# generic elements of the Cartan subspace restricted_roots tries for exact blocks
+def _generic(
+    g: LieAlgebra, a: Subspace, lam: int
+) -> tuple[IntMatrix, list[tuple[RationalPolynomial, int]]]:
+    """ad of the generic element sum_i lam^i a_i of a, and the factors of
+    its characteristic polynomial."""
+    coeffs = [Fraction(lam) ** i for i in range(a.dim)]
+    a_star = g.ad_integer(combine(coeffs, a.basis, g.dim))
+    return a_star, factor_with_multiplicity(char_poly(a_star))
+
+
+# generic elements lam = 1, 2, ... of the Cartan subspace that order the roots
 GENERIC_TRIES = 60
+
+
+def _in_factor_order(
+    blocks: list[tuple[Matrix, tuple[Fraction, ...]]]
+) -> list[tuple[Matrix, tuple[Fraction, ...]]] | None:
+    """The joint blocks in the order in which `factor_with_multiplicity`
+    lists their factors b t - a (`factor_key`, the block's dimension as
+    multiplicity) for the generic element sum_i lam^i a_i of value a/b on
+    each, at the first lam in 1..GENERIC_TRIES where these values are
+    pairwise distinct; None when there is no such lam."""
+    for lam in range(1, GENERIC_TRIES + 1):
+        vs = [sum(lam**i * x for i, x in enumerate(vals)) for _, vals in blocks]
+        if len(set(vs)) == len(vs):
+            keys = [factor_key([-v.numerator, v.denominator], len(ker)) for v, (ker, _) in zip(vs, blocks)]
+            return [blocks[b] for b in sorted(range(len(blocks)), key=keys.__getitem__)]
+    return None
 
 
 def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
     """Joint spectral decomposition of g under a Cartan subspace.
 
-    A generic element of `a` is chosen deterministically; its primary
-    components are the joint invariant subspaces.  Exactness requires
-    every eigenvalue of the generic element rational and each restricted
-    operator to be scalar plus nilpotent, both verified; otherwise the
-    generic element is retried, and finally exact blocks with algebraic
-    value descriptors are returned, where only a block on which every
-    operator is nilpotent keeps its exact (zero) values.  Both paths read
-    the restrictions of a block from `_restrict_block`.
+    One generic element, sum_i a_i, is factored; when every factor is
+    linear, its primary components are split into the joint blocks by
+    `_joint_blocks`.  When every joint value is rational, the roots come
+    in the order of `_in_factor_order`: that of the first generic element
+    sum_i lam^i a_i, lam = 1, 2, ..., whose primary components are the
+    joint blocks.  Otherwise exact blocks with algebraic value descriptors
+    are returned: the primary components of the generic element at
+    lam = GENERIC_TRIES when some lam <= 8 has only linear factors, else
+    at lam = 8, where only a block on which every operator is nilpotent
+    keeps its exact (zero) values.
     """
     if radical(g).dim != 0:
         raise StructureError("root decomposition requires a semisimple algebra")
@@ -561,43 +637,35 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
     if not a.is_abelian():
         raise StructureError("root decomposition requires an abelian base")
     ads = [g.ad_integer(v) for v in a.basis]
-    last_blocks = None
-    saw_all_linear = False
-    for lam in range(1, GENERIC_TRIES + 1):
-        coeffs = [Fraction(lam) ** i for i in range(a.dim)]
-        a_star = g.ad_integer(combine(coeffs, a.basis, n))
-        blocks = []
-        for phi, _ in factor_with_multiplicity(char_poly(a_star)):
-            blocks.append((phi, generalized_kernel(apply_poly(phi, a_star))))
-        if sum(len(k) for _, k in blocks) != n:
-            continue
-        last_blocks = blocks
-        if all(phi.degree == 1 for phi, _ in blocks):
-            saw_all_linear = True
-            infos = []
-            for _, ker in blocks:
-                vals = _restrict_block(ads, ker)[0]
-                if vals is None:
-                    break
-                floats = tuple((float(v), 0.0) for v in vals)
-                infos.append(RootInfo(len(ker), ker, vals, None, floats, True))
-            else:
-                zero_rows = next((r.space for r in infos if r.is_zero), ())
-                comp = _zero_complement(g, a.basis, zero_rows)
-                return RootSystem(a.basis, tuple(infos), True, comp)
-        if lam >= 8 and not saw_all_linear:
-            break
-    if last_blocks is None:
-        raise AlgebraError("primary decomposition of the generic element failed")
+    a_star, factors = _generic(g, a, 1)
+    joint = _joint_blocks(ads, a_star, factors)
+    ordered = None if joint is None else _in_factor_order(joint)
+    if ordered is not None:
+        infos = tuple(
+            RootInfo(len(ker), ker, vals, None, tuple((float(v), 0.0) for v in vals), True)
+            for ker, vals in ordered
+        )
+        zero_rows = next((r.space for r in infos if r.is_zero), ())
+        return RootSystem(a.basis, infos, True, _zero_complement(g, a.basis, zero_rows))
+    lam, linear = 1, all(phi.degree == 1 for phi, _ in factors)
+    while not linear and lam < min(8, GENERIC_TRIES):
+        lam += 1
+        a_star, factors = _generic(g, a, lam)
+        linear = all(phi.degree == 1 for phi, _ in factors)
+    if linear and lam != GENERIC_TRIES:
+        a_star, factors = _generic(g, a, GENERIC_TRIES)
     infos = []
     zero_rows: Matrix = ()
-    for _, ker in last_blocks:
-        vals, pairs = _restrict_block(ads, ker)
-        if vals is not None and not any(vals):
-            infos.append(RootInfo(len(ker), ker, vals, None, ((0.0, 0.0),) * len(ads), True))
+    for phi, _ in factors:
+        ker = generalized_kernel(apply_poly(phi, a_star))
+        rs = _restrict_block(ads, ker)
+        ps = [char_poly(r) for r in rs]
+        alphas = tuple(map(_scalar, rs, ps))
+        if all(x == 0 for x in alphas):
+            infos.append(RootInfo(len(ker), ker, alphas, None, ((0.0, 0.0),) * len(ads), True))
             zero_rows = ker
             continue
-        minpolys = tuple(squarefree_part(p) for _, p in pairs)
+        minpolys = tuple(map(squarefree_part, ps))
         floats = tuple(map(_largest_root, minpolys))
         infos.append(RootInfo(len(ker), ker, None, minpolys, floats, False))
     comp = _zero_complement(g, a.basis, zero_rows)
@@ -623,7 +691,10 @@ def _largest_root(m: RationalPolynomial) -> tuple[float, float]:
     sweeps, raises AlgebraError.  m has exactly
     `count_real_roots_squarefree(m)` real roots: the roots that many
     nearest the real axis get the imaginary part 0.0, and every other one
-    is taken in the upper half plane, where its conjugate lies too.
+    is taken in the upper half plane, where its conjugate lies too.  Its
+    roots on the imaginary axis are counted exactly too
+    (`squarefree_sign_counts`), and the roots that many nearest that axis
+    get the real part 0.0.
     """
     bound = power_of_two_root_bound(m)
     if not bound:
@@ -653,6 +724,9 @@ def _largest_root(m: RationalPolynomial) -> tuple[float, float]:
     zs = sorted((float(bound) * z for z in zs), key=lambda z: abs(z.imag))
     real = count_real_roots_squarefree(m)
     zs = [complex(z.real, 0.0 if k < real else abs(z.imag)) for k, z in enumerate(zs)]
+    zs.sort(key=lambda z: abs(z.real))
+    axis = squarefree_sign_counts(m).n_zero_real
+    zs = [complex(0.0 if k < axis else z.real, z.imag) for k, z in enumerate(zs)]
     top = max(map(abs, zs))
     best = max((z for z in zs if abs(z) >= top * (1 - 1e-9)), key=lambda z: (z.real, z.imag))
     return best.real, best.imag

@@ -581,16 +581,25 @@ def invariant_under(ops: Sequence[Matrix], basis: Matrix) -> list[bool]:
     return [all(span.contains(_image_rows(m, ib)[0])) for m in ops]
 
 
-def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
-    """Matrix of m on the span of `basis`, in that basis, of the kind of m.
+def restrict_operators(ops: Sequence[Matrix], basis: Matrix) -> list[Matrix | None]:
+    """Matrix of each operator on the span of `basis`, in that basis, of its kind.
 
-    Returns None when the span is not invariant under m.  The basis rows
-    must be independent.  All images are mapped as one block.
+    None for an operator under which the span is not invariant.  The basis
+    rows must be independent; they are eliminated and made integer once
+    for every operator, and each operator's images are mapped as one block.
     """
     if not basis:
-        return _like(m, [], 1)
-    rows, den = Coordinates(basis).map_integer(*_image_rows(m, basis))
-    if None in rows:
-        return None
-    return _like(m, [list(col) for col in zip(*rows)], den)
+        return [_like(m, [], 1) for m in ops]
+    span, ib = Coordinates(basis), _integer_form(basis)
+    out = []
+    for m in ops:
+        rows, den = span.map_integer(*_image_rows(m, ib))
+        out.append(None if None in rows else _like(m, [list(col) for col in zip(*rows)], den))
+    return out
+
+
+def restrict_operator(m: Matrix, basis: Matrix) -> Matrix | None:
+    """Matrix of m on the span of `basis`, in that basis, of the kind of m,
+    or None when the span is not invariant under m (`restrict_operators`)."""
+    return restrict_operators([m], basis)[0]
 

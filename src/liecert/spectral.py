@@ -135,6 +135,14 @@ def _reconstruct(r: int, m: int, bound: int) -> tuple[int, int]:
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
+def factor_key(cs: list[int], mult: int) -> tuple:
+    """The place of the primitive factor cs (ascending, positive leading
+    coefficient) of multiplicity mult in sympy's order of factors
+    (`polyutils._sort_factors`): length, multiplicity, then coefficients
+    from the highest.  A linear factor b t - a has the key (2, mult, [b, -a])."""
+    return len(cs), mult, cs[::-1]
+
+
 def factor_with_multiplicity(
     p: RationalPolynomial,
 ) -> list[tuple[RationalPolynomial, int]]:
@@ -153,9 +161,8 @@ def factor_with_multiplicity(
     divided by primitive ones (Gauss's lemma).  The factorization into
     primitive irreducibles with positive leading coefficient is unique, so
     the peeled factors and sympy's are together the same set with the same
-    multiplicities, and sorting them by sympy's own key
-    (`polyutils._sort_factors`: length, multiplicity, then coefficients
-    from the highest) gives sympy's order.
+    multiplicities, and sorting them by sympy's own key (`factor_key`)
+    gives sympy's order.
     """
     cs = integer_row(p.coeffs)
     zeros = 0
@@ -173,7 +180,7 @@ def factor_with_multiplicity(
         _, rest = poly_zz.factor_list()
         for fac, mult in rest:
             factors.append(([int(c) for c in reversed(fac.all_coeffs())], int(mult)))
-    factors.sort(key=lambda f: (len(f[0]), f[1], f[0][::-1]))
+    factors.sort(key=lambda f: factor_key(*f))
     return [(_monic(fac), mult) for fac, mult in factors]
 
 

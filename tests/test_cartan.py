@@ -1,11 +1,14 @@
 import math
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import liecert.cartan
 from generators import dot, fraction_ad, matrix
 from liecert.algebra import (
     AlgebraError,
@@ -15,6 +18,7 @@ from liecert.algebra import (
     full_space,
     lie_algebra_from_matrices,
     quotient_by_ideal,
+    radical,
     zero_space,
 )
 from liecert.cartan import (
@@ -25,6 +29,8 @@ from liecert.cartan import (
     _fm_extend,
     _inner_solution,
     _fm_sample,
+    _largest_root,
+    _zero_complement,
     cartan_subspace,
     compact_levi_split,
     csa_from_action,
@@ -42,9 +48,19 @@ from liecert.cartan import (
     weyl_chambers,
 )
 from liecert.builders import build_example, catalog_names
-from liecert.linalg import IntMatrix, _from_integer, combine, frac, integer_row, solve
-from liecert.poly import RationalPolynomial
-from liecert.spectral import jordan_chevalley
+from liecert.linalg import (
+    IntMatrix,
+    _from_integer,
+    combine,
+    frac,
+    generalized_kernel,
+    identity,
+    integer_row,
+    restrict_operator,
+    solve,
+)
+from liecert.poly import RationalPolynomial, squarefree_part
+from liecert.spectral import apply_poly, char_poly, factor_with_multiplicity, jordan_chevalley
 from test_acceptance import _sl_basis, _sl_diagonal
 
 F = Fraction
@@ -698,6 +714,239 @@ def test_unsettled_witness_iteration_is_an_error(monkeypatch):
     g = sl2()
     with pytest.raises(AlgebraError, match="did not settle"):
         restricted_roots(g, Subspace(g, [(F(1), F(1), F(1))]))
+
+
+@pytest.mark.parametrize("n, axis", [(4, 2.0679641), (5, 2.1679082), (6, 2.8982231)])
+def test_witnesses_on_the_imaginary_axis_have_real_part_zero(n, axis):
+    # the noise of the iteration used to be left as the real part, e.g. 4.1e-33 at n = 4
+    g = lie_algebra_from_matrices(_sl_basis(n))
+    rs = restricted_roots(g, Subspace(g, _companion_powers(n)))
+    floats = [w for r in rs.roots if not r.exact for w in r.value_floats]
+    assert (0.0, pytest.approx(axis)) in floats
+    assert all(re == 0.0 for re, im in floats if abs(re) < 1e-9)
+    _assert_witnesses(rs)
+
+
+# -- restricted roots from one generic element, checked against the former loop --
+
+
+def _former_restrict_block(ads, ker):
+    """The former `_restrict_block`: each ad restricted on its own, with its
+    characteristic polynomial, and the scalars when all are scalar plus nilpotent."""
+    d = len(ker)
+    pairs = []
+    for adv in ads:
+        r = restrict_operator(adv, ker)
+        if r is None:
+            raise AlgebraError("joint invariant subspace lost invariance")
+        pairs.append((r, char_poly(r)))
+    values = []
+    for r, p in pairs:
+        alpha = F(sum(r.rows[i][i] for i in range(d)), r.den * d)
+        if p != RationalPolynomial([math.comb(d, k) * (-alpha) ** (d - k) for k in range(d + 1)]):
+            return None, pairs
+        values.append(alpha)
+    return tuple(values), pairs
+
+
+def reference_restricted_roots(g, a):
+    """The former `restricted_roots`: the generic elements sum_i lam^i a_i for
+    lam = 1, 2, ... are tried in turn until one has only linear factors and
+    every ad is scalar plus nilpotent on each of its primary components."""
+    if radical(g).dim != 0:
+        raise StructureError("root decomposition requires a semisimple algebra")
+    n = g.dim
+    if a.dim == 0:
+        whole = RootInfo(n, tuple(identity(n)), (), None, (), True)
+        return RootSystem((), (whole,), True, whole.space)
+    if not a.is_abelian():
+        raise StructureError("root decomposition requires an abelian base")
+    ads = [g.ad_integer(v) for v in a.basis]
+    last_blocks = None
+    saw_all_linear = False
+    for lam in range(1, liecert.cartan.GENERIC_TRIES + 1):
+        coeffs = [F(lam) ** i for i in range(a.dim)]
+        a_star = g.ad_integer(combine(coeffs, a.basis, n))
+        blocks = []
+        for phi, _ in factor_with_multiplicity(char_poly(a_star)):
+            blocks.append((phi, generalized_kernel(apply_poly(phi, a_star))))
+        if sum(len(k) for _, k in blocks) != n:
+            continue
+        last_blocks = blocks
+        if all(phi.degree == 1 for phi, _ in blocks):
+            saw_all_linear = True
+            infos = []
+            for _, ker in blocks:
+                vals = _former_restrict_block(ads, ker)[0]
+                if vals is None:
+                    break
+                floats = tuple((float(v), 0.0) for v in vals)
+                infos.append(RootInfo(len(ker), ker, vals, None, floats, True))
+            else:
+                zero_rows = next((r.space for r in infos if r.is_zero), ())
+                comp = _zero_complement(g, a.basis, zero_rows)
+                return RootSystem(a.basis, tuple(infos), True, comp)
+        if lam >= 8 and not saw_all_linear:
+            break
+    if last_blocks is None:
+        raise AlgebraError("primary decomposition of the generic element failed")
+    infos = []
+    zero_rows = ()
+    for _, ker in last_blocks:
+        vals, pairs = _former_restrict_block(ads, ker)
+        if vals is not None and not any(vals):
+            infos.append(RootInfo(len(ker), ker, vals, None, ((0.0, 0.0),) * len(ads), True))
+            zero_rows = ker
+            continue
+        minpolys = tuple(squarefree_part(p) for _, p in pairs)
+        floats = tuple(map(_largest_root, minpolys))
+        infos.append(RootInfo(len(ker), ker, None, minpolys, floats, False))
+    comp = _zero_complement(g, a.basis, zero_rows)
+    return RootSystem(a.basis, tuple(infos), False, comp)
+
+
+def _sp_basis(m):
+    """sp(2m, R) as [[A, B], [C, -A^T]] with B and C symmetric."""
+    n = 2 * m
+
+    def unit(entries):
+        return tuple(tuple(F(entries.get((r, c), 0)) for c in range(n)) for r in range(n))
+
+    gl = [unit({(i, j): 1, (m + j, m + i): -1}) for i in range(m) for j in range(m)]
+    sym = [{(i, m + j): 1, (j, m + i): 1} for i in range(m) for j in range(i, m)]
+    lower = [unit({(c, r): x for (r, c), x in e.items()}) for e in sym]
+    return tuple(gl + [unit(e) for e in sym] + lower)
+
+
+def _sl3_at(*entries):
+    """Coordinates in `_sl_basis(3)` of the sum of x E_ij over (i, j, x); the
+    diagonal entries must add up to 0."""
+    basis = _sl_basis(3)
+    target = [[F(0)] * 3 for _ in range(3)]
+    for i, j, x in entries:
+        target[i][j] += x
+    rows = tuple(tuple(b[r][c] for b in basis) for r in range(3) for c in range(3))
+    return solve(rows, tuple(x for row in target for x in row))
+
+
+def _root_cases():
+    """(name, algebra, base) pairs: split forms on their Cartan subspaces,
+    every semisimple catalog example on its flow, the hyperbolic span of
+    its flow and its Cartan subspace, and bases with irrational,
+    non-separable or nilpotent parts."""
+    for name, basis in [
+        *((f"sl{n}", _sl_basis(n)) for n in range(3, 7)),
+        ("sp4", _sp_basis(2)),
+        ("sp6", _sp_basis(3)),
+    ]:
+        g = lie_algebra_from_matrices(basis)
+        yield name, g, cartan_subspace(g)
+    for name in catalog_names():
+        spec = build_example(name)
+        g = spec.ambient
+        if radical(g).dim:
+            continue
+        if spec.flow.is_abelian():
+            yield f"{name}-flow", g, spec.flow
+        hyp = hyperbolic_span(g, spec.flow.basis)
+        if hyp is not None:
+            yield f"{name}-hyperbolic", g, hyp
+        yield f"{name}-cartan", g, cartan_subspace(g)
+    g = direct_sum(sl2(), sl2())
+    yield "sl2sl2-fallback", g, Subspace(g, [(1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1)])
+    # h1 + u and -u for u = h2 + e2 + f2: sum_i a_i = h1 has rational
+    # eigenvalues, the values +-2 sqrt 2 of u show only inside its zero block
+    yield "sl2sl2-cancelling", g, Subspace(g, [(1, 0, 0, 1, 1, 1), (0, 0, 0, -1, -1, -1)])
+    g = sl2()
+    yield "sl2-irrational", g, Subspace(g, [(1, 1, 1)])
+    for n in range(3, 7):
+        g = lie_algebra_from_matrices(_sl_basis(n))
+        yield f"sl{n}-companion", g, Subspace(g, _companion_powers(n))
+    g = lie_algebra_from_matrices(_sl_basis(3))
+    yield "sl3-not-hyperbolic", g, Subspace(g, [_sl3_at((0, 0, 1), (1, 1, -2), (2, 2, 1), (0, 2, 1))])
+
+
+def test_restricted_roots_match_the_former_loop():
+    names = []
+    for name, g, a in _root_cases():
+        got = restricted_roots(g, a)
+        assert got == reference_restricted_roots(g, a), name
+        names.append((name, got.exact))
+    exact = dict(names)
+    assert all(exact[f"sl{n}"] for n in range(3, 7)) and exact["sp4"] and exact["sp6"]
+    assert not any(exact[k] for k in ("sl2sl2-fallback", "sl2sl2-cancelling", "sl2-irrational"))
+    assert not any(exact[f"sl{n}-companion"] for n in range(3, 7))
+    assert exact["sl3-not-hyperbolic"]
+
+
+@pytest.mark.parametrize("tries", [1, 2])
+def test_restricted_roots_without_a_separating_element_match_the_former_loop(monkeypatch, tries):
+    # on the Cartan subspace of sl(4), lam = 1 and 2 give colliding values
+    monkeypatch.setattr(liecert.cartan, "GENERIC_TRIES", tries)
+    g = lie_algebra_from_matrices(_sl_basis(4))
+    a = cartan_subspace(g)
+    got = restricted_roots(g, a)
+    assert not got.exact
+    assert got == reference_restricted_roots(g, a)
+
+
+def test_restricted_roots_and_the_former_loop_raise_alike():
+    # h + E_13 and E_13, h = diag(1, -2, 1): E_13 is in the zero root space and
+    # isotropic for the Killing form, so the zero space does not split off the base
+    g = lie_algebra_from_matrices(_sl_basis(3))
+    a = Subspace(g, [_sl3_at((0, 0, 1), (1, 1, -2), (2, 2, 1), (0, 2, 1)), _sl3_at((0, 2, 1))])
+    with pytest.raises(AlgebraError) as got:
+        restricted_roots(g, a)
+    with pytest.raises(AlgebraError) as want:
+        reference_restricted_roots(g, a)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_restricted_roots_factor_one_generic_element(monkeypatch, n):
+    g = lie_algebra_from_matrices(_sl_basis(n))
+    a = cartan_subspace(g)
+    sizes = []
+    real = liecert.cartan.char_poly
+    monkeypatch.setattr(liecert.cartan, "char_poly", lambda m: sizes.append(len(m.rows)) or real(m))
+    assert restricted_roots(g, a).exact
+    assert sizes.count(g.dim) == 1
+    assert max(sizes) == g.dim
+
+
+def test_hyperbolicity_verdicts_are_memoised(monkeypatch):
+    g = lie_algebra_from_matrices(_sl_basis(4))
+    refs = sys.getrefcount(g)
+    tested = Counter()
+    real = liecert.cartan.char_poly
+
+    def counted(m):
+        tested[tuple(map(tuple, m.rows)), m.den] += 1
+        return real(m)
+
+    monkeypatch.setattr(liecert.cartan, "char_poly", counted)
+    a = cartan_subspace(g)
+    assert hyperbolic_span(g, a.basis) == a
+    assert tested and set(tested.values()) == {1}
+    e12 = g.basis_vector(g.dim - 1)  # a root vector: nilpotent, not hyperbolic
+    assert not is_ad_hyperbolic(g, e12)
+    assert not is_ad_hyperbolic(g, e12)
+    assert set(tested.values()) == {1}
+
+    def objects(x):
+        yield x
+        if isinstance(x, dict):
+            for k, v in x.items():
+                yield from objects(k)
+                yield from objects(v)
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                yield from objects(y)
+
+    assert not any(isinstance(x, (Subspace, LieAlgebra)) for x in objects(g._cache))
+    # the memo holds no reference back to g, so g is freed without the gc
+    del a
+    assert sys.getrefcount(g) == refs
 
 
 # -- Weyl chambers -------------------------------------------------------------
