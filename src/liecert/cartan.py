@@ -609,7 +609,10 @@ def _in_factor_order(
     for lam in range(1, GENERIC_TRIES + 1):
         vs = [sum(lam**i * x for i, x in enumerate(vals)) for _, vals in blocks]
         if len(set(vs)) == len(vs):
-            keys = [factor_key([-v.numerator, v.denominator], len(ker)) for v, (ker, _) in zip(vs, blocks)]
+            keys = [
+                factor_key([-v.numerator, v.denominator], len(ker))
+                for v, (ker, _) in zip(vs, blocks)
+            ]
             return [blocks[b] for b in sorted(range(len(blocks)), key=keys.__getitem__)]
     return None
 
