@@ -547,20 +547,23 @@ def _restrict_block(ads: Sequence[IntMatrix], ker: Matrix) -> list[IntMatrix]:
 
 
 def _joint_blocks(
-    ads: Sequence[IntMatrix], op: IntMatrix, factors: list[tuple[RationalPolynomial, int]]
+    ads: Sequence[IntMatrix],
+    op: IntMatrix,
+    factors: list[tuple[RationalPolynomial, int]],
+    base: Matrix | None = None,
 ) -> list[tuple[Matrix, tuple[Fraction, ...]]] | None:
     """The joint blocks of the commuting ads inside the primary components
     of op, each with its values, or None once a factor is not linear.
 
     factors are those of op's characteristic polynomial, and the ads act in
-    the coordinates of op.  A component on which every ad is alpha plus a
-    nilpotent is one joint block, with those alphas as its values; on any
-    other, the first ad that is not splits it by its own primary
-    decomposition, in the component's basis, and so on down.  The basis of
-    each block is that of the component (`generalized_kernel`'s reduced
-    echelon rows) times the reduced rows inside it, which is again in
-    reduced echelon form.  A factor that is not linear means an
-    irrational value.
+    the coordinates of op: those of g, or of the rows of `base` in g.  A
+    component on which every ad is alpha plus a nilpotent is one joint
+    block, with those alphas as its values; on any other, the first ad
+    that is not splits it by its own primary decomposition, in the
+    component's basis, and so on down.  Each block is returned as its rows
+    in g: the reduced echelon rows of `generalized_kernel` times `base`,
+    which is again in reduced echelon form.  A factor that is not linear
+    means an irrational value.
     """
     if any(phi.degree > 1 for phi, _ in factors):
         return None
@@ -568,19 +571,20 @@ def _joint_blocks(
     for phi, _ in factors:
         ker = generalized_kernel(apply_poly(phi, op))
         rs = _restrict_block(ads, ker)
+        space = ker if base is None else matmul(ker, base)
         values = []
         for r in rs:
             p = char_poly(r)
             alpha = _scalar(r, p)
             if alpha is None:
-                inner = _joint_blocks(rs, r, factor_with_multiplicity(p))
+                inner = _joint_blocks(rs, r, factor_with_multiplicity(p), space)
                 if inner is None:
                     return None
-                out.extend((matmul(sub, ker), vals) for sub, vals in inner)
+                out.extend(inner)
                 break
             values.append(alpha)
         else:
-            out.append((ker, tuple(values)))
+            out.append((space, tuple(values)))
     return out
 
 
