@@ -818,6 +818,10 @@ def _sp_basis(m):
     return tuple(gl + [unit(e) for e in sym] + lower)
 
 
+# diag(1, -2, 1) + E_13 as (i, j, x) entries: not ad-semisimple
+H_PLUS_E13 = ((0, 0, 1), (1, 1, -2), (2, 2, 1), (0, 2, 1))
+
+
 def _sl3_at(*entries):
     """Coordinates in `_sl_basis(3)` of the sum of x E_ij over (i, j, x); the
     diagonal entries must add up to 0."""
@@ -863,7 +867,7 @@ def _root_cases():
         g = lie_algebra_from_matrices(_sl_basis(n))
         yield f"sl{n}-companion", g, Subspace(g, _companion_powers(n))
     g = lie_algebra_from_matrices(_sl_basis(3))
-    yield "sl3-not-hyperbolic", g, Subspace(g, [_sl3_at((0, 0, 1), (1, 1, -2), (2, 2, 1), (0, 2, 1))])
+    yield "sl3-not-hyperbolic", g, Subspace(g, [_sl3_at(*H_PLUS_E13)])
 
 
 def test_restricted_roots_match_the_former_loop():
@@ -894,7 +898,7 @@ def test_restricted_roots_and_the_former_loop_raise_alike():
     # h + E_13 and E_13, h = diag(1, -2, 1): E_13 is in the zero root space and
     # isotropic for the Killing form, so the zero space does not split off the base
     g = lie_algebra_from_matrices(_sl_basis(3))
-    a = Subspace(g, [_sl3_at((0, 0, 1), (1, 1, -2), (2, 2, 1), (0, 2, 1)), _sl3_at((0, 2, 1))])
+    a = Subspace(g, [_sl3_at(*H_PLUS_E13), _sl3_at((0, 2, 1))])
     with pytest.raises(AlgebraError) as got:
         restricted_roots(g, a)
     with pytest.raises(AlgebraError) as want:
