@@ -14,7 +14,7 @@ example the parent commit, gives the before/after pair:
     python scripts/chamber_ladder.py BENCH_13.json change
 
 A column holds its provenance (commit, Python and sympy versions, core
-count) and two tables:
+count) and three tables:
 
 - `arrangements`: the median of 3 `weyl_chambers` runs on the positive
   roots of A3-A6, B3, C3, BC2 and G2, each with the chamber count and a
@@ -30,7 +30,11 @@ count) and two tables:
   chambers; for n <= 7 (`SWEEP_MAX`) also `find_anosov_elements` on the
   Cartan subspace, one certificate per chamber, and `classify` of that
   action, each with a sha256 of the repr of what it returns
-  (`search_digest`, `classify_digest`).
+  (`search_digest`, `classify_digest`);
+- `catalog`: for each catalog example, the median of 3 runs of
+  `find_anosov_elements` and then `classify` on a freshly built action,
+  with the same two digests, so that equal digests mean identical
+  elements, certificates and reports.
 
 The script is a measurement, not a test; no test runs it.
 """
@@ -158,7 +162,9 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(src))
     from liecert import (
         ActionSpec,
+        build_example,
         cartan,
+        catalog_names,
         check_anosov,
         classify,
         find_anosov_elements,
@@ -217,11 +223,29 @@ def main(argv: list[str]) -> int:
         }
         print(f"{column} sl({n}): {ladder[f'sl{n}']}", file=sys.stderr)
 
+    catalog = {}
+    for name in catalog_names():
+        runs = []
+        for _ in range(RUNS):
+            action = build_example(name)
+            times = {}
+            found = _timed(times, "find_anosov_elements_s", find_anosov_elements, action)
+            report = _timed(times, "classify_s", classify, action)
+            runs.append(times)
+        catalog[name] = {
+            "found": len(found),
+            "search_digest": _digest(found),
+            "classify_digest": _digest(report),
+            **_medians(runs),
+        }
+        print(f"{column} {name}: {catalog[name]}", file=sys.stderr)
+
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc[column] = {
         "provenance": _provenance(src),
         "arrangements": arrangements,
         "sl": ladder,
+        "catalog": catalog,
     }
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

@@ -13,12 +13,16 @@ those with roots on both sides.  Each part is rational and invariant,
 and the carrier is their sum; the mixed part is empty when p_q splits
 by sign over Q.
 
-The element search over Weyl chambers needs none of this: there every
-sample lies in a Cartan subspace with an exact root decomposition, and
-ad of a sample is one real scalar on each root space.  So one
-comparison of flow + isotropy with the zero root space decides every
-chamber, and each certificate's spaces and gap are read off the root
-spaces and the signs of the roots at its sample.
+The element search needs none of this while the weights are rational.
+The flow is nilpotent, so g is the sum of its joint weight spaces B, each
+invariant, ad(h) has the one eigenvalue lambda_B(h) on B, and flow +
+isotropy is the sum of its parts in them.  Both counts of the criterion
+are then sums of dimensions over the B where lambda_B(h) is or is not
+zero, and a certificate's spaces and gap are read off the weight spaces
+and the signs of the weights at h (`_weight_reader`): the root spaces of
+a Cartan subspace in the Weyl chamber sweep, the weight spaces of the
+flow in the grid/random search, which falls back to `check_anosov` per
+candidate when a weight is irrational.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from operator import mul
+from typing import Callable, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -48,6 +53,8 @@ from .algebra import (
 from .cartan import (
     ActionCsa,
     ChamberSet,
+    _generic,
+    _joint_blocks,
     cartan_subspace,
     csa_from_action,
     ellipticity_proxy,
@@ -62,6 +69,7 @@ from .linalg import (
     Echelon,
     Matrix,
     Vector,
+    _integer_form,
     combine,
     integer_row,
     invariant_under,
@@ -254,18 +262,7 @@ def check_anosov(action: ActionSpec, h0: Vector) -> AnosovCertificate | AnosovRe
     off_inside = counts_in.n_neg + counts_in.n_pos
     counts_out = root_sign_counts(p_q)
     if off_inside or counts_out.n_zero_real:
-        bits = []
-        if off_inside:
-            bits.append(
-                f"{off_inside} eigenvalues off the imaginary axis inside "
-                "the flow + isotropy span"
-            )
-        if counts_out.n_zero_real:
-            bits.append(
-                f"{counts_out.n_zero_real} eigenvalues on the imaginary "
-                "axis outside the flow + isotropy span"
-            )
-        return AnosovRefusal(h0, "; ".join(bits), counts_out.n_zero_real, off_inside)
+        return _refusal(h0, counts_out.n_zero_real, off_inside)
     dim_s, dim_u = counts_out.n_neg, counts_out.n_pos
     factors = line_factors(p_q)
     stable, mixed, unstable = invariant_splitting(a, factors)
@@ -300,6 +297,22 @@ def check_anosov(action: ActionSpec, h0: Vector) -> AnosovCertificate | AnosovRe
         None,
     )
     return replace(cert, invariance=splitting_invariance(action, cert))
+
+
+def _refusal(h0: Vector, axis_outside: int, off_inside: int) -> AnosovRefusal:
+    """The refusal of h0 with its two counts, at least one nonzero, and its reason."""
+    bits = []
+    if off_inside:
+        bits.append(
+            f"{off_inside} eigenvalues off the imaginary axis inside "
+            "the flow + isotropy span"
+        )
+    if axis_outside:
+        bits.append(
+            f"{axis_outside} eigenvalues on the imaginary "
+            "axis outside the flow + isotropy span"
+        )
+    return AnosovRefusal(h0, "; ".join(bits), axis_outside, off_inside)
 
 
 def splitting_invariance(action: ActionSpec, cert: AnosovCertificate) -> InvarianceReport:
@@ -346,21 +359,82 @@ def action_csa(action: ActionSpec) -> ActionCsa:
 # -- element search ------------------------------------------------------------
 
 
+def _weight_reader(
+    action: ActionSpec, blocks: Sequence[tuple[Matrix, Sequence[Fraction]]]
+) -> Callable[[Vector, Sequence[Fraction]], AnosovCertificate | AnosovRefusal]:
+    """Decide flow elements off joint weight spaces, as `check_anosov` would.
+
+    blocks holds pairs (B, values) for elements x_1, ..., x_k of the flow:
+    subspaces B of g, invariant under every flow ad, on which
+    ad(sum_i c_i x_i) has the one eigenvalue lambda_B(c) = sum_i c_i
+    values_i.  The returned read(h0, c) decides h0 = sum_i c_i x_i.  Since
+    w = flow + isotropy is the sum of its parts w & B, ad(h0) has
+    dim(w & B) eigenvalues lambda_B(c) inside w and the other dim B
+    outside, so the refusal's two counts are sums of these dimensions;
+    on acceptance w is the sum of the B with lambda_B(c) = 0, the stable
+    (unstable) space the sum of those with lambda_B(c) < 0 (> 0), the
+    carrier the sum of the rest, and the gap min |lambda_B(c)|, attained:
+    the canonical rows and values `check_anosov` gives.  The values and
+    each c are integer rows over one denominator, so each sign is that of
+    an integer dot product.  Raises AlgebraError when the blocks are not
+    an invariant splitting of g that splits w too.
+    """
+    g, w = action.ambient, action.joint
+    spaces = [space for space, _ in blocks]
+    if sum(map(len, spaces)) != g.dim or Echelon(r for s in spaces for r in s).rank != g.dim:
+        raise AlgebraError("weight spaces are not independent")
+    ads = [g.ad_integer(v) for v in action.flow.basis]
+    if not all(all(invariant_under(ads, s)) for s in spaces):
+        raise AlgebraError("a weight space is not invariant under the flow")
+    inside = [w.dim + len(s) - Echelon((*w.basis, *s)).rank for s in spaces]
+    if sum(inside) != w.dim:
+        raise AlgebraError("flow + isotropy is not the sum of its weight parts")
+    weights = _integer_form([values for _, values in blocks])
+    invariance = InvarianceReport(True, True, True, True, ())
+    sums: dict[tuple[int, ...], Matrix] = {}
+
+    def space_sum(picked: tuple[int, ...]) -> Matrix:
+        # an element's stable sum is the unstable sum of its negative
+        if picked not in sums:
+            sums[picked] = row_basis(tuple(r for i in picked for r in spaces[i]))
+        return sums[picked]
+
+    def read(h0: Vector, c: Sequence[Fraction]) -> AnosovCertificate | AnosovRefusal:
+        (ic,), den = _integer_form((c,))
+        dots = [sum(map(mul, row, ic)) for row in weights.rows]
+        off = sum(k for k, x in zip(inside, dots) if x)
+        axis = sum(len(s) - k for s, k, x in zip(spaces, inside, dots) if not x)
+        if off or axis:
+            return _refusal(h0, axis, off)
+        neg = tuple(i for i, x in enumerate(dots) if x < 0)
+        pos = tuple(i for i, x in enumerate(dots) if x > 0)
+        return AnosovCertificate(
+            h0,
+            w.basis,
+            space_sum(tuple(i for i, x in enumerate(dots) if x)),
+            sum(len(spaces[i]) for i in neg),
+            sum(len(spaces[i]) for i in pos),
+            space_sum(neg),
+            (),
+            space_sum(pos),
+            Fraction(min((abs(x) for x in dots if x), default=0), weights.den * den),
+            True,
+            invariance,
+        )
+
+    return read
+
+
 def _chamber_sweep(action: ActionSpec) -> tuple[tuple[Vector, AnosovCertificate], ...] | None:
     """The certificate of one flow element per Weyl chamber, read off the root spaces.
 
     Applies when the algebra is semisimple and the exact hyperbolic span
     a of the flow is an abelian subspace of the flow with exact restricted
-    roots; otherwise returns None.  A chamber sample h is nonzero on every
-    nonzero root and ad(h) has the one eigenvalue alpha(h) on g_alpha, so
-    the invariant w = flow + isotropy passes `check_anosov` at h exactly
-    when it is the zero root space g_0, for every chamber alike; when it
-    is not, every sample is refused and the sweep finds nothing.  On
-    acceptance the stable (unstable) space is the sum of the g_alpha with
-    alpha(h) < 0 (> 0), the carrier the sum of all nonzero g_alpha, and
-    the gap min |alpha(h)|, attained: the canonical rows and values
-    `check_anosov` gives.  The flow lies in g_0, which maps each g_alpha
-    into itself, so invariance is tested once per root space.
+    roots; otherwise returns None.  The root spaces are the joint weight
+    spaces of a, so `_weight_reader` decides each chamber sample h.  It
+    is nonzero on every nonzero root, so w = flow + isotropy passes at h
+    exactly when it is the zero root space g_0, for every chamber alike;
+    when it is not, every sample is refused and the sweep finds nothing.
     """
     g = action.ambient
     if radical(g).dim != 0:
@@ -375,48 +449,29 @@ def _chamber_sweep(action: ActionSpec) -> tuple[tuple[Vector, AnosovCertificate]
         return None
     if sum(r.multiplicity for r in rs.roots) != g.dim:
         raise AlgebraError("root multiplicities do not add up to the dimension")
-    if Echelon(row for r in rs.roots for row in r.space).rank != g.dim:
-        raise AlgebraError("root spaces are not independent")
-    w = action.joint
-    if w != Subspace(g, next((r.space for r in rs.roots if r.is_zero), ())):
+    read = _weight_reader(action, [(r.space, r.values) for r in rs.roots])
+    if action.joint != Subspace(g, next((r.space for r in rs.roots if r.is_zero), ())):
         return ()
-    roots = rs.nonzero_roots()
-    ads = [g.ad_integer(v) for v in action.flow.basis]
-    if not all(all(invariant_under(ads, r.space)) for r in roots):
-        raise AlgebraError("a root space is not invariant under the flow")
-    carrier = row_basis(tuple(row for r in roots for row in r.space))
-    invariance = InvarianceReport(True, True, True, True, ())
-    sums: dict[tuple[int, ...], Matrix] = {}
-
-    def space_sum(picked: tuple[int, ...]) -> Matrix:
-        # a chamber's stable sum is the unstable sum of its opposite chamber
-        if picked not in sums:
-            sums[picked] = row_basis(tuple(row for i in picked for row in roots[i].space))
-        return sums[picked]
-
     found = []
     for ch in weyl_chambers(rs).chambers:
-        values = [sum(map(mul, ch.sample, r.values)) for r in roots]
-        if not all(values):
-            raise AlgebraError("chamber sample vanishes on a nonzero root")
-        neg = tuple(i for i, x in enumerate(values) if x < 0)
-        pos = tuple(i for i, x in enumerate(values) if x > 0)
         h0 = combine(ch.sample, a_h.basis, g.dim)
-        cert = AnosovCertificate(
-            h0,
-            w.basis,
-            carrier,
-            sum(roots[i].multiplicity for i in neg),
-            sum(roots[i].multiplicity for i in pos),
-            space_sum(neg),
-            (),
-            space_sum(pos),
-            min(map(abs, values)),
-            True,
-            invariance,
-        )
+        cert = read(h0, ch.sample)
+        if not cert.accepted:
+            raise AlgebraError("chamber sample vanishes on a nonzero root")
         found.append((h0, cert))
     return tuple(found)
+
+
+def _flow_reader(
+    action: ActionSpec,
+) -> Callable[[Vector, Sequence[Fraction]], AnosovCertificate | AnosovRefusal] | None:
+    """`_weight_reader` on the joint weight spaces of the flow's basis f_i,
+    or None when a weight is not rational.  The flow is nilpotent, so
+    `_joint_blocks` splits g into them, starting from ad(sum_i f_i)."""
+    g = action.ambient
+    op, factors = _generic(g, action.flow, 1)
+    blocks = _joint_blocks([g.ad_integer(v) for v in action.flow.basis], op, factors)
+    return None if blocks is None else _weight_reader(action, blocks)
 
 
 # verified elements after which the grid/random search stops
@@ -433,13 +488,15 @@ def find_anosov_elements(
     When the flow span sits over an exact root system the answer is one
     element per Weyl chamber, each certificate read off the root spaces
     without a characteristic polynomial (`_chamber_sweep`; complete for
-    Weyl-chamber style data).  Otherwise `check_anosov` runs on integer
-    grid points in the flow span followed by seeded rational samples, up
-    to the budget.  Positive rescalings of a tried element are skipped
-    (they certify the same splitting) and the grid/random walk stops
-    after MAX_FOUND verified elements.  Only elements whose certificate
-    verifies are returned; an empty result is inconclusive, never a proof
-    of non-Anosov.
+    Weyl-chamber style data).  Otherwise integer grid points in the flow
+    span, followed by seeded rational samples, are decided up to the
+    budget: off the flow's joint weight spaces when every weight is
+    rational (`_flow_reader`), else by `check_anosov`, with the same
+    verdict and certificate either way.  Positive rescalings of a tried
+    element are skipped (they certify the same splitting) and the
+    grid/random walk stops after MAX_FOUND verified elements.  Only
+    elements whose certificate verifies are returned; an empty result is
+    inconclusive, never a proof of non-Anosov.
     """
     action.require_valid()
     d = action.flow.dim
@@ -448,22 +505,24 @@ def find_anosov_elements(
     swept = _chamber_sweep(action)
     if swept is not None:
         return swept
+    read = _flow_reader(action)
     found: list[tuple[Vector, AnosovCertificate]] = []
     rays = set()
+    n = action.ambient.dim
+    basis = action.flow.basis
 
-    def try_candidate(v: Vector) -> None:
+    def try_candidate(coords: Sequence[Fraction]) -> None:
+        v = combine(coords, basis, n)
         if is_zero_vector(v):
             return
         ray = tuple(integer_row(v))
         if ray in rays:
             return
         rays.add(ray)
-        res = check_anosov(action, v)
+        res = check_anosov(action, v) if read is None else read(v, coords)
         if isinstance(res, AnosovCertificate):
             found.append((v, res))
 
-    n = action.ambient.dim
-    basis = action.flow.basis
     spent = 0
     for height in range(1, 8):
         for coords in itertools.product(range(-height, height + 1), repeat=d):
@@ -471,12 +530,11 @@ def find_anosov_elements(
                 continue
             if spent >= budget or len(found) >= MAX_FOUND:
                 return tuple(found)
-            try_candidate(combine(coords, basis, n))
+            try_candidate(coords)
             spent += 1
     rng = random.Random(seed)
     while spent < budget and len(found) < MAX_FOUND:
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis]
-        try_candidate(combine(coeffs, basis, n))
+        try_candidate([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis])
         spent += 1
     return tuple(found)
 

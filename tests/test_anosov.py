@@ -2,9 +2,10 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import liecert.anosov
-from generators import fraction_ad
+from generators import fraction_ad, root_polynomials
 from liecert.algebra import (
     AlgebraError,
     LieAlgebra,
@@ -47,7 +48,7 @@ from liecert.cartan import (
     restricted_roots,
     weyl_chambers,
 )
-from liecert.linalg import combine, generalized_kernel, restrict_operator
+from liecert.linalg import combine, generalized_kernel, matmul, restrict_operator
 from liecert.poly import (
     RationalPolynomial as P,
     power_of_two_root_bound,
@@ -338,17 +339,46 @@ def test_search_deterministic():
     assert [v for v, _ in a] == [v for v, _ in b]
 
 
+def _record_decisions(monkeypatch):
+    """The list (path, action, h0, result) of every candidate a search decides
+    from now on: by check_anosov ("check") or by a weight reader ("weights")."""
+    decided = []
+    real_check, real_reader = liecert.anosov.check_anosov, liecert.anosov._weight_reader
+
+    def check(action, h0):
+        res = real_check(action, h0)
+        decided.append(("check", action, h0, res))
+        return res
+
+    def reader(action, blocks):
+        read = real_reader(action, blocks)
+
+        def recorded(h0, coords):
+            res = read(h0, coords)
+            decided.append(("weights", action, h0, res))
+            return res
+
+        return recorded
+
+    monkeypatch.setattr(liecert.anosov, "check_anosov", check)
+    monkeypatch.setattr(liecert.anosov, "_weight_reader", reader)
+    return decided
+
+
 @pytest.mark.parametrize("budget", [-5, 0, 1, 3])
 def test_search_tries_at_most_budget_candidates(monkeypatch, budget):
-    spec = build_heisenberg_starkov()  # no root system: the grid search runs
-    tried = []
-    real = liecert.anosov.check_anosov
-    monkeypatch.setattr(
-        liecert.anosov, "check_anosov", lambda *a, **k: tried.append(a[1]) or real(*a, **k)
-    )
-    found = find_anosov_elements(spec, budget=budget)
-    assert len(tried) == max(budget, 0)
-    assert len(found) <= len(tried)
+    # no root system: the grid search runs, off the flow's rational weights on
+    # heisenberg-starkov; the cat map and its square have irrational weights,
+    # so there check_anosov decides each candidate
+    for spec, path in (
+        (build_heisenberg_starkov(), "weights"),
+        (build_suspension([[[1, 1], [1, 0]], [[2, 1], [1, 1]]]), "check"),
+    ):
+        tried = _record_decisions(monkeypatch)
+        found = find_anosov_elements(spec, budget=budget)
+        assert len(tried) == max(budget, 0)
+        assert {p for p, *_ in tried} <= {path}
+        assert len(found) <= len(tried)
 
 
 # -- codimension and derived ideal ----------------------------------------------
@@ -755,18 +785,17 @@ def _sp4_basis():
 
 
 def test_catalog_certificates_match_former_check(monkeypatch):
+    decided = _record_decisions(monkeypatch)
     tried = []
-    real = liecert.anosov.check_anosov
-    monkeypatch.setattr(
-        liecert.anosov,
-        "check_anosov",
-        lambda action, v: tried.append((action, v)) or real(action, v),
-    )
     for name in catalog_names():
         spec = build_example(name)
         find_anosov_elements(spec)
-        for v in spec.flow.basis:
-            tried.append((spec, v))
+        tried.extend((spec, v) for v in spec.flow.basis)
+    # every candidate the searches decided, on either path, is check_anosov's
+    # decision, and below the former check's
+    for _, spec, v, res in decided:
+        assert res == check_anosov(spec, v)
+        tried.append((spec, v))
     certs = [_assert_same_as_reference(spec, v) for spec, v in tried]
     assert {c.accepted for c in certs} == {True, False}
     # every catalog spectrum splits by sign over Q
@@ -873,6 +902,130 @@ def test_chamber_sweep_checks_each_sample_against_every_root(monkeypatch):
     monkeypatch.setattr(liecert.anosov, "weyl_chambers", on_a_wall)
     with pytest.raises(AlgebraError, match="vanishes on a nonzero root"):
         liecert.anosov._chamber_sweep(_cartan_action(_sl_basis(3)))
+
+
+def _nilpotent_flow_action():
+    """The Heisenberg algebra span(A, B, C), [A, B] = C, acting on span(v1, v2, v3)
+    by A = diag(1, 1, -1), B = [[2, 1, 0], [0, 2, 0], [0, 0, 1]] and C = 0, with
+    the whole non-abelian Heisenberg algebra as the flow and no isotropy."""
+    a, b = [[1, 0, 0], [0, 1, 0], [0, 0, -1]], [[2, 0, 0], [1, 2, 0], [0, 0, 1]]
+    brackets = [(0, 1, 2, 1)] + [
+        (x, 3 + j, 3 + i, m[j][i]) for x, m in ((0, a), (1, b)) for j in range(3) for i in range(3)
+    ]
+    g = LieAlgebra.from_entries(6, brackets + [(j, i, k, -c) for i, j, k, c in brackets])
+    return ActionSpec(g, _span(g, 0, 1, 2))
+
+
+def _diagonal_suspension(*diagonals):
+    """build_suspension of the diagonal derivations, with the first fiber line
+    as isotropy: on h = sum_i c_i T_i its weight sum_i c_i diagonals[i][0]
+    lies inside flow + isotropy."""
+    spec = build_suspension(
+        [[[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)] for d in diagonals]
+    )
+    return ActionSpec(spec.ambient, spec.flow, _span(spec.ambient, 0))
+
+
+WEIGHT_ACTIONS = {
+    **{
+        name: (lambda name=name: build_example(name))
+        for name in ("heisenberg-starkov", "wedge", "suspension-hyperbolic", "suspension-r2")
+    },
+    "nilpotent-flow": _nilpotent_flow_action,
+    # a candidate can be refused on either side of the criterion or on both
+    "isotropy": lambda: _diagonal_suspension((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 1)),
+    # Anosov on the ray c_0 = c_1 alone: the seeded rational samples run
+    "isotropy-ray": lambda: _diagonal_suspension((1, 1, 2), (-1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(WEIGHT_ACTIONS))
+def test_weight_decisions_match_check_anosov(monkeypatch, name):
+    """Every candidate decided off the flow's weights is decided as check_anosov
+    decides it, and the search tries the same candidates as with check_anosov."""
+    spec = WEIGHT_ACTIONS[name]()
+    real_reader = liecert.anosov._flow_reader
+    refusals = set()
+    for budget in (3, 50, 200, 600):
+        for seed in (0, 1, 5):
+            decided = _record_decisions(monkeypatch)
+            monkeypatch.setattr(liecert.anosov, "_flow_reader", real_reader)
+            found = find_anosov_elements(spec, budget=budget, seed=seed)
+            read, decided[:] = list(decided), []
+            monkeypatch.setattr(liecert.anosov, "_flow_reader", lambda action: None)
+            assert find_anosov_elements(spec, budget=budget, seed=seed) == found
+            assert {p for p, *_ in read} == {"weights"} and {p for p, *_ in decided} == {"check"}
+            assert [res for *_, res in read] == [res for *_, res in decided]
+            refusals |= {
+                (r.axis_outside > 0, r.off_axis_inside > 0) for *_, r in read if not r.accepted
+            }
+    assert found
+    if name == "isotropy":
+        assert refusals == {(True, False), (False, True), (True, True)}
+
+
+def _companion(p):
+    """The companion matrix of p / p.leading, whose characteristic polynomial it is."""
+    n, cs = p.degree, [c / p.leading for c in p.coeffs]
+    return [[int(i == j + 1) if j < n - 1 else -cs[i] for j in range(n)] for i in range(n)]
+
+
+@given(root_polynomials(max_factors=2, max_multiplicity=2), st.booleans())
+@example(P([-2, 1]) * P([3, 1]) * P([3, 1]), True)  # rational weights, one of them twice
+@example(P([1, 0, 1]), False)  # a rotation
+@example(P([-5, 2, 1]), False)  # -1 +- sqrt 6
+@settings(max_examples=40, deadline=None)
+def test_weight_decisions_match_check_anosov_on_suspensions(p, squared):
+    """Suspensions by the companion matrix C of a drawn polynomial, and by C and
+    C^2: a flow with rational weights is decided off them, one with an
+    irrational or complex weight (rotations among them) by check_anosov."""
+    assume(p.degree <= 6)
+    c = _companion(p)
+    spec = build_suspension([c, matmul(c, c)] if squared else [c])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        decided = _record_decisions(monkeypatch)
+        find_anosov_elements(spec, budget=40)
+    rational = all(phi.degree == 1 for phi, _ in factor_with_multiplicity(p))
+    assert decided and {path for path, *_ in decided} == {"weights" if rational else "check"}
+    for _, action, h0, res in decided:
+        assert res == check_anosov(action, h0)
+
+
+def _search_with_blocks(monkeypatch, spec, edit):
+    """find_anosov_elements(spec) with the joint weight spaces of its flow
+    replaced by edit(blocks)."""
+    real = liecert.anosov._joint_blocks
+    monkeypatch.setattr(liecert.anosov, "_joint_blocks", lambda *a: edit(real(*a)))
+    return find_anosov_elements(spec)
+
+
+def test_weight_search_checks_the_weight_spaces_are_independent(monkeypatch):
+    def repeat(blocks):
+        return [blocks[0], (blocks[0][0], blocks[1][1])] + blocks[2:]
+
+    with pytest.raises(AlgebraError, match="not independent"):
+        _search_with_blocks(monkeypatch, build_example("suspension-hyperbolic"), repeat)
+
+
+def test_weight_search_checks_each_weight_space_is_flow_invariant(monkeypatch):
+    # e_1 + e_2 for eigenvectors of weights 1 and -1: invariant under no flow element
+    def mixed(blocks):
+        (first, _), (second, values) = blocks[:2]
+        row = tuple(x + y for x, y in zip(first[0], second[0]))
+        return [blocks[0], ((row,), values)] + blocks[2:]
+
+    with pytest.raises(AlgebraError, match="not invariant"):
+        _search_with_blocks(monkeypatch, build_example("suspension-hyperbolic"), mixed)
+
+
+def test_weight_search_checks_flow_isotropy_splits_along_the_weight_spaces(monkeypatch):
+    # every ad is zero, so any splitting is invariant; the flow span(e_2)
+    # meets none of span(e_0), span(e_1), span(e_0 + e_2)
+    spec = build_suspension([[[0, 0], [0, 0]]])
+    g = spec.ambient
+    lines = ((g.basis_vector(0),), (g.basis_vector(1),), (tuple(F(i != 1) for i in range(3)),))
+    with pytest.raises(AlgebraError, match="sum of its weight parts"):
+        _search_with_blocks(monkeypatch, spec, lambda blocks: [(line, (F(0),)) for line in lines])
 
 
 @pytest.mark.parametrize(
