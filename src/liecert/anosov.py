@@ -301,18 +301,12 @@ def check_anosov(action: ActionSpec, h0: Vector) -> AnosovCertificate | AnosovRe
 
 def _refusal(h0: Vector, axis_outside: int, off_inside: int) -> AnosovRefusal:
     """The refusal of h0 with its two counts, at least one nonzero, and its reason."""
-    bits = []
-    if off_inside:
-        bits.append(
-            f"{off_inside} eigenvalues off the imaginary axis inside "
-            "the flow + isotropy span"
-        )
-    if axis_outside:
-        bits.append(
-            f"{axis_outside} eigenvalues on the imaginary "
-            "axis outside the flow + isotropy span"
-        )
-    return AnosovRefusal(h0, "; ".join(bits), axis_outside, off_inside)
+    bits = (
+        (off_inside, "off the imaginary axis inside"),
+        (axis_outside, "on the imaginary axis outside"),
+    )
+    reason = "; ".join(f"{n} eigenvalues {where} the flow + isotropy span" for n, where in bits if n)
+    return AnosovRefusal(h0, reason, axis_outside, off_inside)
 
 
 def splitting_invariance(action: ActionSpec, cert: AnosovCertificate) -> InvarianceReport:

@@ -557,15 +557,16 @@ def _joint_blocks(
 
     The ads span a nilpotent Lie algebra of operators (a commuting family
     does) that holds op, so each primary component of one of them is
-    invariant under all (Jacobson, Lie Algebras, 1962, ch. II).  factors are those of op's
-    characteristic polynomial, and the ads act in the coordinates of op:
-    those of g, or of the rows of `base` in g.  A component on which every
-    ad is alpha plus a nilpotent is one joint block, with those alphas as
-    its values; on any other, the first ad that is not splits it by its
-    own primary decomposition, in the component's basis, and so on down.  Each block is returned as its rows
-    in g: the reduced echelon rows of `generalized_kernel` times `base`,
-    which is again in reduced echelon form.  A factor that is not linear
-    means an irrational value.
+    invariant under all (Jacobson, Lie Algebras, 1962, ch. II).  factors
+    are those of op's characteristic polynomial, and the ads act in the
+    coordinates of op: those of g, or of the rows of `base` in g.  A
+    component on which every ad is alpha plus a nilpotent is one joint
+    block, with those alphas as its values; on any other, the first ad
+    that is not splits it by its own primary decomposition, in the
+    component's basis, and so on down.  Each block is returned as its
+    rows in g: the reduced echelon rows of `generalized_kernel` times
+    `base`, which is again in reduced echelon form.  A factor that is not
+    linear means an irrational value.
     """
     if any(phi.degree > 1 for phi, _ in factors):
         return None

@@ -370,11 +370,12 @@ def test_search_tries_at_most_budget_candidates(monkeypatch, budget):
     # no root system: the grid search runs, off the flow's rational weights on
     # heisenberg-starkov; the cat map and its square have irrational weights,
     # so there check_anosov decides each candidate
+    tried = _record_decisions(monkeypatch)
     for spec, path in (
         (build_heisenberg_starkov(), "weights"),
         (build_suspension([[[1, 1], [1, 0]], [[2, 1], [1, 1]]]), "check"),
     ):
-        tried = _record_decisions(monkeypatch)
+        tried.clear()
         found = find_anosov_elements(spec, budget=budget)
         assert len(tried) == max(budget, 0)
         assert {p for p, *_ in tried} <= {path}
@@ -944,18 +945,20 @@ def test_weight_decisions_match_check_anosov(monkeypatch, name):
     """Every candidate decided off the flow's weights is decided as check_anosov
     decides it, and the search tries the same candidates as with check_anosov."""
     spec = WEIGHT_ACTIONS[name]()
+    decided = _record_decisions(monkeypatch)
     real_reader = liecert.anosov._flow_reader
     refusals = set()
     for budget in (3, 50, 200, 600):
         for seed in (0, 1, 5):
-            decided = _record_decisions(monkeypatch)
             monkeypatch.setattr(liecert.anosov, "_flow_reader", real_reader)
             found = find_anosov_elements(spec, budget=budget, seed=seed)
-            read, decided[:] = list(decided), []
+            read = decided[:]
+            decided.clear()
             monkeypatch.setattr(liecert.anosov, "_flow_reader", lambda action: None)
             assert find_anosov_elements(spec, budget=budget, seed=seed) == found
             assert {p for p, *_ in read} == {"weights"} and {p for p, *_ in decided} == {"check"}
             assert [res for *_, res in read] == [res for *_, res in decided]
+            decided.clear()
             refusals |= {
                 (r.axis_outside > 0, r.off_axis_inside > 0) for *_, r in read if not r.accepted
             }
