@@ -45,7 +45,6 @@ from .anosov import (
     action_csa,
     check_anosov,
     classify,
-    codimension,
     derived_ideal_check,
     find_anosov_elements,
     is_codimension_one,

@@ -22,7 +22,10 @@ zero, and a certificate's spaces and gap are read off the weight spaces
 and the signs of the weights at h (`_weight_reader`): the root spaces of
 a Cartan subspace in the Weyl chamber sweep, the weight spaces of the
 flow in the grid/random search, which falls back to `check_anosov` per
-candidate when a weight is irrational.
+candidate when a weight is irrational.  On a semisimple algebra that
+Cartan subspace is the flow's exact hyperbolic span, derived with its
+roots and chambers once per action (`_cartan_frame`): the sweep and the
+semisimple evidence of `classify` read the same frame.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Callable, Sequence
 
@@ -53,9 +57,9 @@ from .algebra import (
 from .cartan import (
     ActionCsa,
     ChamberSet,
+    RootSystem,
     _generic,
     _joint_blocks,
-    cartan_subspace,
     csa_from_action,
     ellipticity_proxy,
     find_csa,
@@ -419,26 +423,55 @@ def _weight_reader(
     return read
 
 
-def _chamber_sweep(action: ActionSpec) -> tuple[tuple[Vector, AnosovCertificate], ...] | None:
-    """The certificate of one flow element per Weyl chamber, read off the root spaces.
+class _CartanFrame:
+    """The exact hyperbolic span a of a semisimple action's flow, with its
+    restricted roots and their Weyl chambers, each derived on first read."""
 
-    Applies when the algebra is semisimple and the exact hyperbolic span
-    a of the flow is an abelian subspace of the flow with exact restricted
-    roots; otherwise returns None.  The root spaces are the joint weight
-    spaces of a, so `_weight_reader` decides each chamber sample h.  It
-    is nonzero on every nonzero root, so w = flow + isotropy passes at h
-    exactly when it is the zero root space g_0, for every chamber alike;
-    when it is not, every sample is refused and the sweep finds nothing.
-    """
+    def __init__(self, a: Subspace):
+        self.a = a
+
+    @cached_property
+    def roots(self) -> RootSystem:
+        return restricted_roots(self.a.algebra, self.a)
+
+    @cached_property
+    def chambers(self) -> ChamberSet | None:
+        """The chambers of exact roots; None for irrational ones."""
+        return weyl_chambers(self.roots) if self.roots.exact else None
+
+
+def _cartan_frame(action: ActionSpec) -> _CartanFrame | None:
+    """The frame of a semisimple action; None for another algebra or an
+    inexact hyperbolic part.  Once some h0 is Anosov, flow + isotropy is
+    the centralizer of its hyperbolic part, so a is a maximal split abelian
+    subspace (Knapp, Lie Groups Beyond an Introduction, ch. VI)."""
     g = action.ambient
     if radical(g).dim != 0:
         return None
-    a_h = hyperbolic_span(g, action.flow.basis)
-    if a_h is None or a_h.dim == 0 or not action.flow.contains_space(a_h):
+    a = hyperbolic_span(g, action.flow.basis)
+    return None if a is None else _CartanFrame(a)
+
+
+def _chamber_sweep(
+    action: ActionSpec, frame: _CartanFrame | None
+) -> tuple[tuple[Vector, AnosovCertificate], ...] | None:
+    """The certificate of one flow element per Weyl chamber of the frame,
+    read off the root spaces.
+
+    Applies when the frame's span a is a nonzero abelian subspace of the
+    flow with exact restricted roots; otherwise returns None.  The root
+    spaces are the joint weight spaces of a, so `_weight_reader` decides
+    each chamber sample h.  It is nonzero on every nonzero root, so w =
+    flow + isotropy passes at h exactly when it is the zero root space g_0,
+    for every chamber alike; when it is not, every sample is refused, the
+    sweep finds nothing and enumerates no chamber.
+    """
+    if frame is None:
         return None
-    if not a_h.is_abelian():
+    g, a_h = action.ambient, frame.a
+    if a_h.dim == 0 or not action.flow.contains_space(a_h) or not a_h.is_abelian():
         return None
-    rs = restricted_roots(g, a_h)
+    rs = frame.roots
     if not rs.exact:
         return None
     if sum(r.multiplicity for r in rs.roots) != g.dim:
@@ -447,7 +480,7 @@ def _chamber_sweep(action: ActionSpec) -> tuple[tuple[Vector, AnosovCertificate]
     if action.joint != Subspace(g, next((r.space for r in rs.roots if r.is_zero), ())):
         return ()
     found = []
-    for ch in weyl_chambers(rs).chambers:
+    for ch in frame.chambers.chambers:
         h0 = combine(ch.sample, a_h.basis, g.dim)
         cert = read(h0, ch.sample)
         if not cert.accepted:
@@ -472,38 +505,51 @@ def _flow_reader(
 MAX_FOUND = 8
 
 
+def _search(
+    action: ActionSpec, budget: int, seed: int
+) -> tuple[tuple[tuple[Vector, AnosovCertificate], ...], _CartanFrame | None]:
+    """`find_anosov_elements`' answer, with the Cartan frame it derived."""
+    action.require_valid()
+    if action.flow.dim == 0:
+        return (), None
+    frame = _cartan_frame(action)
+    swept = _chamber_sweep(action, frame)
+    return (_grid_search(action, budget, seed) if swept is None else swept), frame
+
+
 def find_anosov_elements(
-    action: ActionSpec,
-    budget: int = 200,
-    seed: int = 0,
+    action: ActionSpec, budget: int = 200, seed: int = 0
 ) -> tuple[tuple[Vector, AnosovCertificate], ...]:
     """Verified Anosov elements of the action.
 
-    When the flow span sits over an exact root system the answer is one
-    element per Weyl chamber, each certificate read off the root spaces
-    without a characteristic polynomial (`_chamber_sweep`; complete for
-    Weyl-chamber style data).  Otherwise integer grid points in the flow
-    span, followed by seeded rational samples, are decided up to the
-    budget: off the flow's joint weight spaces when every weight is
-    rational (`_flow_reader`), else by `check_anosov`, with the same
-    verdict and certificate either way.  Positive rescalings of a tried
-    element are skipped (they certify the same splitting) and the
-    grid/random walk stops after MAX_FOUND verified elements.  Only
+    When the flow span holds its own exact hyperbolic span a, with exact
+    restricted roots, the answer is one element per Weyl chamber of a,
+    each certificate read off the root spaces without a characteristic
+    polynomial (`_chamber_sweep`; complete for Weyl-chamber style data).
+    Otherwise integer grid points in the flow span, followed by seeded
+    rational samples, are decided up to the budget (`_grid_search`).  Only
     elements whose certificate verifies are returned; an empty result is
     inconclusive, never a proof of non-Anosov.
     """
-    action.require_valid()
-    d = action.flow.dim
-    if d == 0:
-        return ()
-    swept = _chamber_sweep(action)
-    if swept is not None:
-        return swept
+    return _search(action, budget, seed)[0]
+
+
+def _grid_search(
+    action: ActionSpec, budget: int, seed: int
+) -> tuple[tuple[Vector, AnosovCertificate], ...]:
+    """Grid points, then seeded rational samples, decided off the flow's
+    joint weight spaces when every weight is rational (`_flow_reader`),
+    else by `check_anosov`, with the same verdict and certificate either
+    way.  Positive rescalings of a tried element are skipped (they certify
+    the same splitting), and the walk stops after `budget` candidates,
+    MAX_FOUND verified elements, or both rays of a one-dimensional flow,
+    on which every other candidate lies.
+    """
     read = _flow_reader(action)
     found: list[tuple[Vector, AnosovCertificate]] = []
     rays = set()
-    n = action.ambient.dim
-    basis = action.flow.basis
+    n, basis, d = action.ambient.dim, action.flow.basis, action.flow.dim
+    spent = 0
 
     def try_candidate(coords: Sequence[Fraction]) -> None:
         v = combine(coords, basis, n)
@@ -517,30 +563,25 @@ def find_anosov_elements(
         if isinstance(res, AnosovCertificate):
             found.append((v, res))
 
-    spent = 0
+    def done() -> bool:
+        return spent >= budget or len(found) >= MAX_FOUND or (d == 1 and len(rays) == 2)
+
     for height in range(1, 8):
         for coords in itertools.product(range(-height, height + 1), repeat=d):
             if max((abs(c) for c in coords), default=0) != height:
                 continue
-            if spent >= budget or len(found) >= MAX_FOUND:
+            if done():
                 return tuple(found)
             try_candidate(coords)
             spent += 1
     rng = random.Random(seed)
-    while spent < budget and len(found) < MAX_FOUND:
+    while not done():
         try_candidate([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis])
         spent += 1
     return tuple(found)
 
 
-def codimension(cert: AnosovCertificate) -> int:
-    """Dimension of the unstable space of this certificate."""
-    return cert.dim_unstable
-
-
-def is_codimension_one(
-    action: ActionSpec, budget: int = 200, seed: int = 0
-) -> bool:
+def is_codimension_one(action: ActionSpec, budget: int = 200, seed: int = 0) -> bool:
     """Whether some found Anosov element has a one-dimensional unstable space."""
     found = find_anosov_elements(action, budget=budget, seed=seed)
     if not found:
@@ -606,23 +647,16 @@ def _classify_solvable(
 
 
 def _classify_semisimple(
-    action: ActionSpec, cert: AnosovCertificate, caveats: list[str]
+    action: ActionSpec, frame: _CartanFrame | None, caveats: list[str]
 ) -> ClassificationReport:
-    g = action.ambient
-    simp = simplification(action)
-    hint = hyperbolic_span(g, simp.flow.basis)
-    if hint is None:
+    if frame is None:
         raise Inconclusive("flow generator has an irrational semisimple refinement")
-    a = cartan_subspace(g, hint=hint)
-    rs = restricted_roots(g, a)
+    g, a, rs = action.ambient, frame.a, frame.roots
     k0 = Subspace(g, rs.zero_complement or ())
     chcsa = a.sum(k0) == action.joint
     torus_flow = k0.intersect(action.flow)
     torus_isotropy = k0.intersect(action.isotropy)
     split_clean = torus_flow.sum(torus_isotropy) == k0
-    chambers: ChamberSet | None = None
-    if rs.exact:
-        chambers = weyl_chambers(rs)
     evidence = {
         "cartan_subspace_dim": a.dim,
         "zero_complement_dim": k0.dim,
@@ -632,12 +666,10 @@ def _classify_semisimple(
         "torus_split_clean": split_clean,
         "modified": torus_flow.dim > 0,
         "root_system": rs,
-        "chambers": chambers,
+        "chambers": frame.chambers,
     }
     if not rs.exact:
-        caveats.append(
-            "root values are irrational; chamber enumeration unavailable"
-        )
+        caveats.append("root values are irrational; chamber enumeration unavailable")
     return ClassificationReport("semisimple", evidence, tuple(caveats))
 
 
@@ -648,12 +680,7 @@ def _is_reductive_case(g: LieAlgebra, rad: Subspace) -> bool:
 
 
 def _classify_reductive(
-    action: ActionSpec,
-    cert: AnosovCertificate,
-    rad: Subspace,
-    caveats: list[str],
-    budget: int,
-    seed: int,
+    action: ActionSpec, rad: Subspace, caveats: list[str], budget: int, seed: int
 ) -> ClassificationReport:
     g = action.ambient
     simp = simplification(action)
@@ -719,27 +746,20 @@ def _classify_mixed(
     return ClassificationReport("mixed", evidence, tuple(caveats), sub)
 
 
-def classify(
-    action: ActionSpec,
-    cert: AnosovCertificate | None = None,
-    budget: int = 200,
-    seed: int = 0,
-) -> ClassificationReport:
+def classify(action: ActionSpec, budget: int = 200, seed: int = 0) -> ClassificationReport:
     """Structure-based case analysis of a certified action datum.
 
     Cases: solvable (ambient equals its radical), semisimple (radical
     zero), reductive (central nonzero radical with nonzero Levi part),
     mixed (everything else, classified recursively modulo the
-    nilradical).  Raises Inconclusive when no Anosov element is found.
+    nilradical).  The semisimple evidence is read off the Cartan frame
+    that the element search derived.  Raises Inconclusive when no Anosov
+    element is found.
     """
-    action.require_valid()
-    if cert is None:
-        found = find_anosov_elements(action, budget=budget, seed=seed)
-        if not found:
-            raise Inconclusive(
-                "no Anosov element found within the search budget"
-            )
-        cert = min(found, key=lambda fc: fc[1].dim_unstable)[1]
+    found, frame = _search(action, budget, seed)
+    if not found:
+        raise Inconclusive("no Anosov element found within the search budget")
+    cert = min(found, key=lambda fc: fc[1].dim_unstable)[1]
     g = action.ambient
     caveats = [_LATTICE_CAVEAT]
     if action.isotropy.dim > 0:
@@ -748,9 +768,9 @@ def classify(
     if rad.dim == g.dim:
         return _classify_solvable(action, cert, caveats)
     if rad.dim == 0:
-        return _classify_semisimple(action, cert, caveats)
+        return _classify_semisimple(action, frame, caveats)
     if _is_reductive_case(g, rad):
-        return _classify_reductive(action, cert, rad, caveats, budget, seed)
+        return _classify_reductive(action, rad, caveats, budget, seed)
     return _classify_mixed(action, cert, rad, caveats, budget, seed)
 
 
@@ -771,7 +791,6 @@ def nil_suspension_check(
     base: ActionSpec,
     total: ActionSpec,
     fiber: Subspace,
-    base_cert: AnosovCertificate | None = None,
     budget: int = 200,
     seed: int = 0,
 ) -> NilSuspensionReport:
@@ -803,11 +822,10 @@ def nil_suspension_check(
         raise StructureError(
             "isotropy span does not project onto the base isotropy"
         )
-    if base_cert is None:
-        found = find_anosov_elements(base, budget=budget, seed=seed)
-        if not found:
-            raise Inconclusive("no Anosov element of the base action found")
-        base_cert = found[0][1]
+    found = find_anosov_elements(base, budget=budget, seed=seed)
+    if not found:
+        raise Inconclusive("no Anosov element of the base action found")
+    base_cert = found[0][1]
     # lift the base element into the total flow span
     pushed = tuple(q.push(v) for v in total.flow.basis)
     expand = solve(tuple(zip(*pushed)), base_cert.h0)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from .algebra import (
@@ -242,20 +241,9 @@ def _cmd_catalog(args) -> int:
     return EXIT_OK
 
 
-def _from_environment(name: str, default: str, kind):
-    text = os.environ.get(name, default)
-    try:
-        return kind(text)
-    except ValueError:
-        raise DocumentError(f"{name}: expected {kind.__name__}, got {text!r}") from None
-
-
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a malformed command line as an input error, not argparse's exit 2.
-
-    `--seed` defaults to LIECERT_SEED as set when the command line is
-    parsed, and a search budget must be >= 0.
-    """
+    """Reports a malformed command line as an input error, not argparse's
+    exit 2; a search budget must be >= 0."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -265,8 +253,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         ns, extras = super().parse_known_args(args, namespace)
         if "budget" in ns and ns.budget < 0:
             raise DocumentError(f"--budget: expected an integer >= 0, got {ns.budget}")
-        if "seed" in ns and ns.seed is None:
-            ns.seed = _from_environment("LIECERT_SEED", "0", int)
         return ns, extras
 
 
@@ -285,12 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--format", choices=("json", "text"), default="json", help="output format"
         )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="seed for randomized searches",
-        )
+        p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
 
     p = sub.add_parser("validate", help="check antisymmetry and the Jacobi identity")
     common(p)

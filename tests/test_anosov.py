@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -19,11 +20,11 @@ from liecert.anosov import (
     ActionSpec,
     AnosovCertificate,
     AnosovRefusal,
+    ClassificationReport,
     Inconclusive,
     action_csa,
     check_anosov,
     classify,
-    codimension,
     derived_ideal_check,
     find_anosov_elements,
     is_codimension_one,
@@ -43,6 +44,7 @@ from liecert.builders import (
 )
 from liecert.cartan import (
     cartan_subspace,
+    ellipticity_proxy,
     hyperbolic_span,
     is_csa,
     restricted_roots,
@@ -365,6 +367,30 @@ def _record_decisions(monkeypatch):
     return decided
 
 
+def _count_calls(monkeypatch, *names):
+    """A Counter of the calls, from now on, to each named function of liecert.anosov."""
+    calls = Counter()
+    for name in names:
+        real = getattr(liecert.anosov, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(liecert.anosov, name, counted)
+    return calls
+
+
+def test_one_dimensional_flow_stops_after_both_rays(monkeypatch):
+    # after +-1, every candidate is a positive multiple of one of them
+    spec = build_example("suspension-hyperbolic")
+    calls = _count_calls(monkeypatch, "combine")
+    found = find_anosov_elements(spec, budget=200)
+    assert calls["combine"] <= 3
+    assert len(found) == 2
+    assert find_anosov_elements(spec, budget=2) == found
+
+
 @pytest.mark.parametrize("budget", [-5, 0, 1, 3])
 def test_search_tries_at_most_budget_candidates(monkeypatch, budget):
     # no root system: the grid search runs, off the flow's rational weights on
@@ -388,7 +414,7 @@ def test_search_tries_at_most_budget_candidates(monkeypatch, budget):
 def test_codimension_one_sl2():
     spec = build_sl2_geodesic()
     cert = check_anosov(spec, spec.ambient.basis_vector(0))
-    assert codimension(cert) == 1
+    assert cert.dim_unstable == 1
     assert is_codimension_one(spec)
 
 
@@ -564,6 +590,82 @@ def test_classify_inconclusive():
 def test_classify_lattice_caveat_present():
     rep = classify(build_sl2_geodesic(), budget=20)
     assert any("lattice" in c for c in rep.caveats)
+
+
+@pytest.mark.parametrize(
+    "name", ["sl2-geodesic", "so13-geodesic", "so13-frame-flow", "weyl-sl2sl2"]
+)
+def test_classify_derives_the_cartan_frame_once(monkeypatch, name):
+    spec = build_example(name)
+    calls = _count_calls(monkeypatch, "restricted_roots", "weyl_chambers")
+    classify(spec)
+    assert calls == {"restricted_roots": 1, "weyl_chambers": 1}
+
+
+def _tilted_so13():
+    """The so(1,3) flow span(B1 + R1) with isotropy span(R1): its hyperbolic
+    span, span(B1), is not inside the flow, so the chamber sweep does not run."""
+    g = build_so13_geodesic().ambient
+    b1_r1 = combine((1, 1), (g.basis_vector(0), g.basis_vector(3)), g.dim)
+    return ActionSpec(g, Subspace(g, [b1_r1]), _span(g, 3))
+
+
+def _irrational_sl2():
+    """The sl(2) flow span(h + e + f), whose roots +-2 sqrt 2 are irrational."""
+    g = sl2()
+    return ActionSpec(g, Subspace(g, [(F(1), F(1), F(1))]))
+
+
+def _former_semisimple_report(spec):
+    """classify's semisimple report, with its frame derived the former way:
+    simplification, hyperbolic_span, cartan_subspace, restricted_roots and
+    weyl_chambers."""
+    g = spec.ambient
+    a = cartan_subspace(g, hint=hyperbolic_span(g, simplification(spec).flow.basis))
+    rs = restricted_roots(g, a)
+    k0 = Subspace(g, rs.zero_complement or ())
+    torus_flow, torus_isotropy = k0.intersect(spec.flow), k0.intersect(spec.isotropy)
+    evidence = {
+        "cartan_subspace_dim": a.dim,
+        "zero_complement_dim": k0.dim,
+        "flow_isotropy_equals_cartan_plus_torus": a.sum(k0) == spec.joint,
+        "torus_in_flow_dim": torus_flow.dim,
+        "torus_in_isotropy_dim": torus_isotropy.dim,
+        "torus_split_clean": torus_flow.sum(torus_isotropy) == k0,
+        "modified": torus_flow.dim > 0,
+        "root_system": rs,
+        "chambers": weyl_chambers(rs) if rs.exact else None,
+    }
+    caveats = [liecert.anosov._LATTICE_CAVEAT]
+    if spec.isotropy.dim:
+        caveats.append(ellipticity_proxy(g, spec.isotropy).caveat)
+    if not rs.exact:
+        caveats.append("root values are irrational; chamber enumeration unavailable")
+    return ClassificationReport("semisimple", evidence, tuple(caveats))
+
+
+def test_classify_enumerates_the_chambers_of_a_frame_outside_the_flow(monkeypatch):
+    spec = _tilted_so13()
+    found = find_anosov_elements(spec)
+    assert [h0 for h0, _ in found] == [(-1, 0, 0, -1, 0, 0), (1, 0, 0, 1, 0, 0)]
+    calls = _count_calls(monkeypatch, "restricted_roots", "weyl_chambers")
+    rep = classify(spec)
+    assert calls == {"restricted_roots": 1, "weyl_chambers": 1}
+    assert rep.evidence["chambers"].count == 2
+    monkeypatch.undo()
+    assert rep == _former_semisimple_report(spec)
+
+
+def test_classify_reports_no_chambers_for_irrational_roots(monkeypatch):
+    spec = _irrational_sl2()
+    assert len(find_anosov_elements(spec)) == 2
+    calls = _count_calls(monkeypatch, "restricted_roots", "weyl_chambers")
+    rep = classify(spec)
+    assert calls == {"restricted_roots": 1}
+    assert rep.evidence["chambers"] is None
+    assert "root values are irrational; chamber enumeration unavailable" in rep.caveats
+    monkeypatch.undo()
+    assert rep == _former_semisimple_report(spec)
 
 
 # -- nil-suspensions -----------------------------------------------------------
@@ -828,11 +930,16 @@ def _chamber_elements(spec):
     return [combine(ch.sample, a.basis, g.dim) for ch in chambers]
 
 
+def _sweep(spec):
+    """_chamber_sweep of spec on its own Cartan frame."""
+    return liecert.anosov._chamber_sweep(spec, liecert.anosov._cartan_frame(spec))
+
+
 @pytest.mark.parametrize("name", list(CHAMBER_ACTIONS))
 def test_chamber_certificates_match_former_check(name):
     """The sweep's certificates, read off the root spaces, are check_anosov's."""
     spec = CHAMBER_ACTIONS[name]()
-    swept = liecert.anosov._chamber_sweep(spec)
+    swept = _sweep(spec)
     assert swept
     assert [h0 for h0, _ in swept] == _chamber_elements(spec)
     for h0, cert in swept:
@@ -845,13 +952,25 @@ def test_chamber_sweep_off_the_zero_root_space_finds_nothing():
     # flow span(diag(1, 0, -1)) in sl(3): the zero root space is the 2-dim diagonal
     g = lie_algebra_from_matrices(_sl_basis(3))
     spec = ActionSpec(g, Subspace(g, [_sl_diagonal((1, 0, -1))]))
-    assert liecert.anosov._chamber_sweep(spec) == ()
+    assert _sweep(spec) == ()
     assert find_anosov_elements(spec) == ()
     samples = _chamber_elements(spec)
     assert len(samples) == 2
     for v in samples:
         ref = _assert_same_as_reference(spec, v)
         assert (ref.axis_outside, ref.off_axis_inside) == (1, 0)
+
+
+def test_search_enumerates_only_the_chambers_it_reads(monkeypatch):
+    calls = _count_calls(monkeypatch, "restricted_roots", "weyl_chambers")
+    # flow + isotropy is not the zero root space: every chamber would be refused
+    g = lie_algebra_from_matrices(_sl_basis(3))
+    assert find_anosov_elements(ActionSpec(g, Subspace(g, [_sl_diagonal((1, 0, -1))]))) == ()
+    assert calls == {"restricted_roots": 1}
+    calls.clear()
+    # the flow does not hold its hyperbolic span: the grid search decides
+    assert find_anosov_elements(_tilted_so13())
+    assert not calls
 
 
 def _sweep_with_roots(monkeypatch, edit):
@@ -867,7 +986,7 @@ def _sweep_with_roots(monkeypatch, edit):
         return replace(rs, roots=tuple(roots))
 
     monkeypatch.setattr(liecert.anosov, "restricted_roots", edited)
-    return liecert.anosov._chamber_sweep(_cartan_action(_sl_basis(3)))
+    return _sweep(_cartan_action(_sl_basis(3)))
 
 
 def test_chamber_sweep_checks_the_multiplicities(monkeypatch):
@@ -902,7 +1021,7 @@ def test_chamber_sweep_checks_each_sample_against_every_root(monkeypatch):
 
     monkeypatch.setattr(liecert.anosov, "weyl_chambers", on_a_wall)
     with pytest.raises(AlgebraError, match="vanishes on a nonzero root"):
-        liecert.anosov._chamber_sweep(_cartan_action(_sl_basis(3)))
+        _sweep(_cartan_action(_sl_basis(3)))
 
 
 def _nilpotent_flow_action():

@@ -263,18 +263,6 @@ def test_negative_budget_is_input_error(monkeypatch, capsys, command):
     assert err.startswith("input error: --budget: expected an integer >= 0")
 
 
-@pytest.mark.parametrize(
-    "name, value",
-    [("LIECERT_SEED", "1.5"), ("LIECERT_SEED", "x")],
-)
-def test_malformed_environment_value_is_input_error(monkeypatch, capsys, name, value):
-    monkeypatch.setenv(name, value)
-    code, out, err = run(["validate"], SL2_DOC, monkeypatch, capsys)
-    assert code == 3
-    assert out == ""
-    assert err.startswith(f"input error: {name}: expected ")
-
-
 def _no_float(text):
     raise AssertionError(f"float {text} in a report")
 
@@ -454,17 +442,9 @@ def test_text_format_renders_lines(monkeypatch, capsys):
     assert "case: semisimple" in out
 
 
-def test_env_defaults(monkeypatch):
-    monkeypatch.setenv("LIECERT_SEED", "5")
-    assert build_parser().parse_args(["classify"]).seed == 5
-
-
-def test_parser_is_built_once_and_reads_the_environment_per_parse(monkeypatch):
+def test_parser_is_built_once_and_seeds_default_to_zero():
     assert build_parser() is build_parser()
-    monkeypatch.delenv("LIECERT_SEED", raising=False)
     assert build_parser().parse_args(["anosov"]).seed == 0
-    monkeypatch.setenv("LIECERT_SEED", "6")
-    assert build_parser().parse_args(["anosov"]).seed == 6
     assert build_parser().parse_args(["anosov", "--seed", "2"]).seed == 2
     assert not hasattr(build_parser().parse_args(["build", "sl2-geodesic"]), "seed")
 

@@ -60,11 +60,6 @@ def catalog_digests() -> dict[str, str]:
     return {"catalog": _digest(*_run(["catalog"]))}
 
 
-@pytest.fixture(autouse=True)
-def _default_options(monkeypatch):
-    monkeypatch.delenv("LIECERT_SEED", raising=False)
-
-
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
