@@ -652,7 +652,6 @@ def test_classify_enumerates_the_chambers_of_a_frame_outside_the_flow(monkeypatc
     rep = classify(spec)
     assert calls == {"restricted_roots": 1, "weyl_chambers": 1}
     assert rep.evidence["chambers"].count == 2
-    monkeypatch.undo()
     assert rep == _former_semisimple_report(spec)
 
 
@@ -664,7 +663,6 @@ def test_classify_reports_no_chambers_for_irrational_roots(monkeypatch):
     assert calls == {"restricted_roots": 1}
     assert rep.evidence["chambers"] is None
     assert "root values are irrational; chamber enumeration unavailable" in rep.caveats
-    monkeypatch.undo()
     assert rep == _former_semisimple_report(spec)
 
 
