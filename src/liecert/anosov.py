@@ -101,6 +101,11 @@ _LATTICE_CAVEAT = (
     "are assumed, not computed"
 )
 
+_ELLIPTIC_CAVEAT = (
+    "necessary conditions only: compactness of the isotropy group "
+    "cannot be decided from structure constants"
+)
+
 
 # -- action data --------------------------------------------------------------
 
@@ -717,8 +722,8 @@ def _classify_mixed(
     g = action.ambient
     nil = nilradical(g)
     in_rad = rad.contains(cert.h0)
-    if not in_rad and rad.intersect(action.flow).dim > 0:
-        inter = rad.intersect(action.flow)
+    inter = rad.intersect(action.flow)
+    if not in_rad and inter.dim > 0:
         grid = (c for c in itertools.product(range(-2, 3), repeat=inter.dim) if any(c))
         in_rad = any(
             isinstance(check_anosov(action, combine(c, inter.basis, g.dim)), AnosovCertificate)
@@ -763,7 +768,7 @@ def classify(action: ActionSpec, budget: int = 200, seed: int = 0) -> Classifica
     g = action.ambient
     caveats = [_LATTICE_CAVEAT]
     if action.isotropy.dim > 0:
-        caveats.append(ellipticity_proxy(g, action.isotropy).caveat)
+        caveats.append(_ELLIPTIC_CAVEAT)
     rad = radical(g)
     if rad.dim == g.dim:
         return _classify_solvable(action, cert, caveats)

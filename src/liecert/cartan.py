@@ -172,7 +172,6 @@ class EllipticityReport:
     all_axis: bool
     killing_neg_semidefinite: bool
     kernel_matches_center: bool
-    caveat: str
 
     @property
     def passed(self) -> bool:
@@ -181,12 +180,6 @@ class EllipticityReport:
             and self.killing_neg_semidefinite
             and self.kernel_matches_center
         )
-
-
-_ELLIPTIC_CAVEAT = (
-    "necessary conditions only: compactness of the isotropy group "
-    "cannot be decided from structure constants"
-)
 
 
 def ellipticity_proxy(g: LieAlgebra, k: Subspace) -> EllipticityReport:
@@ -198,18 +191,16 @@ def ellipticity_proxy(g: LieAlgebra, k: Subspace) -> EllipticityReport:
             all_axis = False
             break
     if k.dim == 0:
-        return EllipticityReport(True, True, True, _ELLIPTIC_CAVEAT)
+        return EllipticityReport(True, True, True)
     try:
         sub, _ = as_subalgebra(k).as_algebra()
     except StructureError:
-        return EllipticityReport(all_axis, False, False, _ELLIPTIC_CAVEAT)
+        return EllipticityReport(all_axis, False, False)
     # a symmetric matrix has only real eigenvalues, so the sign counts of
     # its characteristic polynomial are its inertia (Sylvester)
     inertia = operator_sign_counts(killing_form(sub))
     zdim = center(sub).dim
-    return EllipticityReport(
-        all_axis, inertia.n_pos == 0, inertia.n_zero_real == zdim, _ELLIPTIC_CAVEAT
-    )
+    return EllipticityReport(all_axis, inertia.n_pos == 0, inertia.n_zero_real == zdim)
 
 
 # -- the Cartan subalgebra attached to an action datum ------------------------

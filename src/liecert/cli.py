@@ -1,5 +1,13 @@
 """Command line interface.
 
+Every report command is one entry of the table `COMMANDS`: a function
+(document, args) -> (payload, exit code) that only computes, its help
+line, its extra flags and whether it reads a document (`catalog` does
+not).  The table drives both `build_parser` and the one runner, `_run`,
+which reads `--input`, parses it, calls the command and emits the
+payload under its provenance.  `build` writes a document, not a report,
+and is its own command; it shares the `--output`-or-stdout writer.
+
 Exit codes: 0 success or accepted; 1 verified negative (invalid table,
 Anosov refusal); 2 inconclusive (search budget exhausted); 3 input
 error, a malformed command line included.  Reports are deterministic
@@ -12,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from typing import Callable, NamedTuple
 
 from .algebra import (
     AlgebraError,
@@ -74,17 +83,20 @@ def _render_text(obj, indent: int = 0, key: str | None = None) -> list[str]:
     return [head + str(obj)]
 
 
-def _emit(args, prov: dict, payload: dict) -> None:
-    doc = {"provenance": prov, "result": payload}
-    if args.format == "json":
-        text = dump_json(doc)
-    else:
-        text = "\n".join(_render_text(doc)) + "\n"
+def _write(args, text: str) -> None:
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(args, prov: dict, payload: dict) -> None:
+    doc = {"provenance": prov, "result": payload}
+    if args.format == "json":
+        _write(args, dump_json(doc))
+    else:
+        _write(args, "\n".join(_render_text(doc)) + "\n")
 
 
 def _read_input(args) -> str:
@@ -106,11 +118,8 @@ def _parse_h0(text: str, action: ActionSpec):
     return tuple(parse_frac(p, f"--h0[{i}]") for i, p in enumerate(parts))
 
 
-def _cmd_validate(args) -> int:
-    text = _read_input(args)
-    doc = parse_document(text)
-    g = document_to_algebra(doc)
-    rep = g.validate()
+def _validate(doc, args):
+    rep = document_to_algebra(doc).validate()
     payload = {
         "valid": rep.ok,
         "dim": rep.dim,
@@ -118,16 +127,13 @@ def _cmd_validate(args) -> int:
         "antisymmetry_failures": [[i, j] for i, j, _ in rep.antisymmetry_failures],
         "jacobi_failures": [[i, j, k] for i, j, k, _ in rep.jacobi_failures],
     }
-    _emit(args, provenance(text, "validate", args.seed), payload)
-    return EXIT_OK if rep.ok else EXIT_NEGATIVE
+    return payload, EXIT_OK if rep.ok else EXIT_NEGATIVE
 
 
-def _cmd_analyze(args) -> int:
-    text = _read_input(args)
-    doc = parse_document(text)
+def _analyze(doc, args):
     g = document_to_algebra(doc)
     levi, rad = levi_decomposition(g)
-    payload = {
+    return {
         "dim": g.dim,
         "lower_central_series": [s.dim for s in lower_central_series(g)],
         "derived_series": [s.dim for s in derived_series(g)],
@@ -137,28 +143,20 @@ def _cmd_analyze(args) -> int:
         "nilradical": subspace_payload(nilradical(g)),
         "levi": subspace_payload(levi),
         "semisimple": radical(g).dim == 0,
-    }
-    _emit(args, provenance(text, "analyze", args.seed), payload)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_csa(args) -> int:
-    text = _read_input(args)
-    doc = parse_document(text)
+def _csa(doc, args):
     g = document_to_algebra(doc)
     csa = find_csa(g, seed=args.seed)
-    payload = {
+    return {
         "csa": subspace_payload(csa),
         "is_csa": is_csa(g, csa),
         "seed": args.seed,
-    }
-    _emit(args, provenance(text, "csa", args.seed), payload)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def _cmd_roots(args) -> int:
-    text = _read_input(args)
-    doc = parse_document(text)
+def _roots(doc, args):
     g = document_to_algebra(doc)
     base_rows = doc.subspaces.get("base")
     if base_rows is not None:
@@ -166,46 +164,79 @@ def _cmd_roots(args) -> int:
     else:
         base = cartan_subspace(g)
     rs = restricted_roots(g, base)
-    payload = {"root_system": root_system_payload(rs)}
-    if rs.exact:
-        payload["chambers"] = chamber_set_payload(weyl_chambers(rs))
-    else:
-        payload["chambers"] = None
-    _emit(args, provenance(text, "roots", args.seed), payload)
-    return EXIT_OK
+    chambers = chamber_set_payload(weyl_chambers(rs)) if rs.exact else None
+    return {"root_system": root_system_payload(rs), "chambers": chambers}, EXIT_OK
 
 
-def _cmd_anosov(args) -> int:
-    text = _read_input(args)
-    doc = parse_document(text)
+def _anosov(doc, args):
     action = document_to_action(doc)
-    prov = provenance(text, "anosov", args.seed)
     if args.h0 is not None:
-        h0 = _parse_h0(args.h0, action)
-        res = check_anosov(action, h0)
-        _emit(args, prov, certificate_payload(res))
-        return EXIT_OK if res.accepted else EXIT_NEGATIVE
+        res = check_anosov(action, _parse_h0(args.h0, action))
+        return certificate_payload(res), EXIT_OK if res.accepted else EXIT_NEGATIVE
     found = find_anosov_elements(action, budget=args.budget, seed=args.seed)
     payload = {
         "budget": args.budget,
         "found": [certificate_payload(c) for _, c in found],
     }
-    _emit(args, prov, payload)
-    return EXIT_OK if found else EXIT_INCONCLUSIVE
+    return payload, EXIT_OK if found else EXIT_INCONCLUSIVE
 
 
-def _cmd_classify(args) -> int:
-    text = _read_input(args)
-    doc = parse_document(text)
+def _classify(doc, args):
     action = document_to_action(doc)
-    prov = provenance(text, "classify", args.seed)
     try:
         rep = classify(action, budget=args.budget, seed=args.seed)
     except Inconclusive as exc:
-        _emit(args, prov, {"case": None, "inconclusive": str(exc)})
-        return EXIT_INCONCLUSIVE
-    _emit(args, prov, classification_payload(rep))
-    return EXIT_OK
+        return {"case": None, "inconclusive": str(exc)}, EXIT_INCONCLUSIVE
+    return classification_payload(rep), EXIT_OK
+
+
+def _catalog(doc, args):
+    examples = [
+        {
+            "name": d.name,
+            "parameters": d.parameters,
+            "expected": d.expected,
+            "annotation": d.annotation,
+        }
+        for d in CATALOG
+    ]
+    return {"examples": examples}, EXIT_OK
+
+
+class _Command(NamedTuple):
+    run: Callable  # (document, or None for catalog, args) -> (payload, exit code)
+    help: str
+    options: tuple[str, ...] = ()  # flags of _OPTIONS beyond the common ones
+    reads_input: bool = True
+
+
+_OPTIONS = {
+    "--h0": {"default": None, "help": "candidate element, comma-separated"},
+    "--budget": {"type": int, "default": 200, "help": "search budget"},
+}
+
+COMMANDS = {
+    "validate": _Command(_validate, "check antisymmetry and the Jacobi identity"),
+    "analyze": _Command(_analyze, "series, radical, nilradical, Levi part"),
+    "csa": _Command(_csa, "find a Cartan subalgebra"),
+    "roots": _Command(_roots, "restricted root decomposition and chambers"),
+    "anosov": _Command(_anosov, "certify an element or search for one", ("--h0", "--budget")),
+    "classify": _Command(_classify, "structure-based case analysis", ("--budget",)),
+    "catalog": _Command(_catalog, "list the example catalog", reads_input=False),
+}
+
+
+def _run(args) -> int:
+    """Read and parse the input, run the command, emit its report."""
+    command = COMMANDS[args.command]
+    if command.reads_input:
+        text = _read_input(args)
+        doc = parse_document(text)
+    else:
+        text, doc = "", None
+    payload, code = command.run(doc, args)
+    _emit(args, provenance(text, args.command, args.seed), payload)
+    return code
 
 
 def _cmd_build(args) -> int:
@@ -215,29 +246,7 @@ def _cmd_build(args) -> int:
         raise DocumentError(
             f"unknown example {args.name!r}; choices: {', '.join(catalog_names())}"
         ) from None
-    doc = action_to_document(action)
-    text = serialize_document(doc)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _cmd_catalog(args) -> int:
-    payload = {
-        "examples": [
-            {
-                "name": d.name,
-                "parameters": d.parameters,
-                "expected": d.expected,
-                "annotation": d.annotation,
-            }
-            for d in CATALOG
-        ]
-    }
-    _emit(args, provenance("", "catalog", args.seed), payload)
+    _write(args, serialize_document(action_to_document(action)))
     return EXIT_OK
 
 
@@ -263,51 +272,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact certificates for algebra-level Anosov actions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.reads_input:
             p.add_argument("--input", default="-", help="input document (default stdin)")
         p.add_argument("--output", default=None, help="output path (default stdout)")
         p.add_argument(
             "--format", choices=("json", "text"), default="json", help="output format"
         )
         p.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
-
-    p = sub.add_parser("validate", help="check antisymmetry and the Jacobi identity")
-    common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("analyze", help="series, radical, nilradical, Levi part")
-    common(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("csa", help="find a Cartan subalgebra")
-    common(p)
-    p.set_defaults(func=_cmd_csa)
-
-    p = sub.add_parser("roots", help="restricted root decomposition and chambers")
-    common(p)
-    p.set_defaults(func=_cmd_roots)
-
-    p = sub.add_parser("anosov", help="certify an element or search for one")
-    common(p)
-    p.add_argument("--h0", default=None, help="candidate element, comma-separated")
-    p.add_argument("--budget", type=int, default=200, help="search budget")
-    p.set_defaults(func=_cmd_anosov)
-
-    p = sub.add_parser("classify", help="structure-based case analysis")
-    common(p)
-    p.add_argument("--budget", type=int, default=200, help="search budget")
-    p.set_defaults(func=_cmd_classify)
+        for flag in command.options:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=_run)
 
     p = sub.add_parser("build", help="emit a catalog example as a document")
     p.add_argument("name", help="example name; see the catalog command")
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("catalog", help="list the example catalog")
-    common(p, needs_input=False)
-    p.set_defaults(func=_cmd_catalog)
 
     return parser
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from liecert.algebra import LieAlgebra, lie_algebra_from_matrices
+from liecert.cartan import RootInfo, RootSystem
 from liecert.linalg import _from_integer, identity, in_span, matmul, rref, vector
 from liecert.poly import RationalPolynomial
 
@@ -52,6 +53,17 @@ def inverse(a) -> tuple | None:
 def fraction_ad(g, x) -> tuple:
     """ad(x) as a `Fraction` matrix: the integer adjoint over its denominator."""
     return _from_integer(*g.ad_integer(x))
+
+
+def functional_root_system(values, k):
+    """A root system over the standard base of Q^k carrying +-v for each value."""
+    roots = []
+    for v in values:
+        for s in (1, -1):
+            w = tuple(F(s * x) for x in v)
+            roots.append(RootInfo(1, (), w, None, tuple((float(x), 0.0) for x in w), True))
+    base = tuple(tuple(F(int(i == j)) for j in range(k)) for i in range(k))
+    return RootSystem(base, tuple(roots), True, ())
 
 
 def random_solvable(rng: random.Random, min_dim: int = 2, max_dim: int = 6) -> LieAlgebra:

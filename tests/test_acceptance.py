@@ -16,7 +16,12 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from generators import fraction_ad, random_hyperbolic_suspension, random_solvable
+from generators import (
+    fraction_ad,
+    functional_root_system,
+    random_hyperbolic_suspension,
+    random_solvable,
+)
 from liecert import (
     ActionSpec,
     RationalPolynomial,
@@ -49,7 +54,7 @@ from liecert import (
 )
 from liecert.algebra import lie_algebra_from_matrices
 from liecert.builders import _sl2, build_weyl_chamber
-from liecert.cartan import RootInfo, RootSystem, engel_subalgebra
+from liecert.cartan import engel_subalgebra
 from liecert.cli import main
 from liecert.documents import AlgebraDocument
 from liecert.linalg import restrict_operator
@@ -336,17 +341,6 @@ def test_sl6_ladder():
     assert not check_anosov(action, _sl_diagonal([1, 1, -2, 0, 0, 0])).accepted
 
 
-def _functional_system(positive):
-    k = len(positive[0])
-    roots = []
-    for v in positive:
-        for s in (1, -1):
-            w = tuple(F(s * x) for x in v)
-            roots.append(RootInfo(1, (), w, None, tuple((float(x), 0.0) for x in w), True))
-    base = tuple(tuple(F(int(i == j)) for j in range(k)) for i in range(k))
-    return RootSystem(base, tuple(roots), True, ())
-
-
 @pytest.mark.parametrize(
     "positive,count",
     [
@@ -358,7 +352,7 @@ def _functional_system(positive):
 )
 def test_synthetic_chamber_counts(positive, count):
     # positive roots in simple-root coordinates; the count is |W|
-    chambers = weyl_chambers(_functional_system(positive))
+    chambers = weyl_chambers(functional_root_system(positive, len(positive[0])))
     assert chambers.count == count
     assert len({ch.signs for ch in chambers.chambers}) == count
 

@@ -44,7 +44,6 @@ from liecert.builders import (
 )
 from liecert.cartan import (
     cartan_subspace,
-    ellipticity_proxy,
     hyperbolic_span,
     is_csa,
     restricted_roots,
@@ -638,7 +637,7 @@ def _former_semisimple_report(spec):
     }
     caveats = [liecert.anosov._LATTICE_CAVEAT]
     if spec.isotropy.dim:
-        caveats.append(ellipticity_proxy(g, spec.isotropy).caveat)
+        caveats.append(liecert.anosov._ELLIPTIC_CAVEAT)
     if not rs.exact:
         caveats.append("root values are irrational; chamber enumeration unavailable")
     return ClassificationReport("semisimple", evidence, tuple(caveats))

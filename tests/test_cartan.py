@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import liecert.cartan
-from generators import dot, fraction_ad, matrix
+from generators import dot, fraction_ad, functional_root_system, matrix
 from liecert.algebra import (
     AlgebraError,
     LieAlgebra,
@@ -1079,17 +1079,6 @@ def reference_weyl_chambers(rs):
         if sample is not None:
             chambers.append(Chamber(signs, sample))
     return ChamberSet(tuple(reps), tuple(chambers))
-
-
-def functional_root_system(values, k):
-    """A root system over the standard base of Q^k carrying +-v for each value."""
-    roots = []
-    for v in values:
-        for s in (1, -1):
-            w = tuple(F(s * x) for x in v)
-            roots.append(RootInfo(1, (), w, None, tuple((float(x), 0.0) for x in w), True))
-    base = tuple(tuple(F(int(i == j)) for j in range(k)) for i in range(k))
-    return RootSystem(base, tuple(roots), True, ())
 
 
 def positive_roots_a(rank):

@@ -1,5 +1,6 @@
 """Exit codes, determinism, and the document pipeline."""
 
+import argparse
 import io
 import json
 import os
@@ -332,8 +333,17 @@ def test_unknown_build_name_is_input_error(monkeypatch, capsys):
         [],
         ["anosov", "--search"],
         ["classify", "--budget", "many"],
+        ["catalog", "--input", "x"],
+        ["build", "sl2-geodesic", "--seed", "1"],
     ],
-    ids=["unknown-flag", "missing-subcommand", "removed-search", "bad-int"],
+    ids=[
+        "unknown-flag",
+        "missing-subcommand",
+        "removed-search",
+        "bad-int",
+        "catalog-input",
+        "build-seed",
+    ],
 )
 def test_usage_errors_are_input_errors(argv, monkeypatch, capsys):
     code, out, err = run(argv, SL2_DOC, monkeypatch, capsys)
@@ -408,30 +418,44 @@ def test_reports_are_byte_identical_across_runs(monkeypatch, capsys):
     assert json.loads(runs[0][1])["provenance"]["seed"] == 7
 
 
-def test_output_flag_writes_file(tmp_path, monkeypatch, capsys):
+DOCUMENT_COMMANDS = ("validate", "analyze", "csa", "roots", "anosov", "classify")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c] for c in DOCUMENT_COMMANDS] + [["catalog"], ["build", "sl2-geodesic"]],
+    ids=lambda argv: argv[0],
+)
+def test_output_flag_writes_file(tmp_path, monkeypatch, capsys, argv):
     target = tmp_path / "report.json"
-    code, out, _ = run(
-        ["validate", "--output", str(target)], SL2_DOC, monkeypatch, capsys
-    )
-    assert code == 0 and out == ""
-    assert json.loads(target.read_text())["result"]["valid"] is True
+    stdout_code, stdout, _ = run(argv, SL2_DOC, monkeypatch, capsys)
+    code, out, _ = run(argv + ["--output", str(target)], SL2_DOC, monkeypatch, capsys)
+    assert code == stdout_code == 0 and out == ""
+    assert target.read_text() == stdout
+    if argv == ["validate"]:
+        assert json.loads(target.read_text())["result"]["valid"] is True
 
 
-def test_input_flag_reads_file(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
+def test_input_flag_reads_file(tmp_path, monkeypatch, capsys, command):
     src = tmp_path / "alg.json"
     src.write_text(SL2_DOC)
     code, out, _ = run(
-        ["validate", "--input", str(src)], "", monkeypatch, capsys
+        [command, "--input", str(src)], "", monkeypatch, capsys
     )
     assert code == 0
-    assert json.loads(out)["result"]["valid"] is True
+    assert (code, out) == run([command], SL2_DOC, monkeypatch, capsys)[:2]
+    if command == "validate":
+        assert json.loads(out)["result"]["valid"] is True
 
 
-def test_missing_input_file_is_input_error(monkeypatch, capsys):
+@pytest.mark.parametrize("command", DOCUMENT_COMMANDS)
+def test_missing_input_file_is_input_error(monkeypatch, capsys, command):
     code, _, err = run(
-        ["validate", "--input", "/no/such/file.json"], "", monkeypatch, capsys
+        [command, "--input", "/no/such/file.json"], "", monkeypatch, capsys
     )
     assert code == 3
+    assert "input error" in err
 
 
 def test_text_format_renders_lines(monkeypatch, capsys):
@@ -440,6 +464,44 @@ def test_text_format_renders_lines(monkeypatch, capsys):
     )
     assert code == 0
     assert "case: semisimple" in out
+
+
+# Every subcommand's options: option string (or positional dest) -> (default, choices).
+_REPORT_FLAGS = {
+    "--output": (None, None),
+    "--format": ("json", ["json", "text"]),
+    "--seed": (0, None),
+}
+_DOCUMENT_FLAGS = {"--input": ("-", None), **_REPORT_FLAGS}
+_BUDGET = {"--budget": (200, None)}
+CLI_SURFACE = {
+    "validate": _DOCUMENT_FLAGS,
+    "analyze": _DOCUMENT_FLAGS,
+    "csa": _DOCUMENT_FLAGS,
+    "roots": _DOCUMENT_FLAGS,
+    "anosov": {**_DOCUMENT_FLAGS, "--h0": (None, None), **_BUDGET},
+    "classify": {**_DOCUMENT_FLAGS, **_BUDGET},
+    "build": {"name": (None, None), "--output": (None, None)},
+    "catalog": _REPORT_FLAGS,
+}
+
+
+def test_cli_surface_is_pinned():
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: {
+            (a.option_strings[-1] if a.option_strings else a.dest): (
+                a.default,
+                list(a.choices) if a.choices is not None else None,
+            )
+            for a in p._actions
+            if a.dest != "help"
+        }
+        for name, p in subparsers.choices.items()
+    }
+    assert surface == CLI_SURFACE
 
 
 def test_parser_is_built_once_and_seeds_default_to_zero():
