@@ -1,4 +1,4 @@
-"""Chamber ladder: weyl_chambers times on root arrangements and sl(n) stage times.
+"""Chamber ladder: weyl_chambers, sl(n) stage and nilradical times.
 
 Usage, from the repository root:
 
@@ -14,7 +14,7 @@ example the parent commit, gives the before/after pair:
     python scripts/chamber_ladder.py BENCH_13.json change
 
 A column holds its provenance (commit, Python and sympy versions, core
-count) and three tables:
+count) and four tables:
 
 - `arrangements`: the median of 3 `weyl_chambers` runs on the positive
   roots of A3-A6, B3, C3, BC2 and G2, each with the chamber count and a
@@ -34,17 +34,26 @@ count) and three tables:
 - `catalog`: for each catalog example, the median of 3 runs of
   `find_anosov_elements` and then `classify` on a freshly built action,
   with the same two digests, so that equal digests mean identical
-  elements, certificates and reports.
+  elements, certificates and reports;
+- `nilradical`: the median of 3 `nilradical` runs, each on a freshly
+  built algebra (it memoises its radical), with the dimensions and a
+  sha256 of the nilradical's canonical basis rows (`digest`), on
+  `NIL_PER_DIM` seeded solvable closures of each dimension 4-6 (drawn
+  by `perfbench/inputs.py`'s `random_solvable` from `random.Random(NIL_SEED)`,
+  named `solvable<dim>-<i>`), on every catalog algebra and on
+  sl(2) x| Q^2 (`sl2-plane`), whose radical is [g, radical].
 
 The script is a measurement, not a test; no test runs it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -56,6 +65,9 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = 3
 # the largest sl(n) whose chamber sweep is timed
 SWEEP_MAX = 7
+# solvable closures per dimension in the nilradical table, and their seed
+NIL_PER_DIM = 5
+NIL_SEED = 7
 
 
 def _arrangements():
@@ -110,6 +122,22 @@ def _sl_basis(n):
     return tuple(diag + [unit({(i, j): 1}) for i in range(n) for j in range(n) if i != j])
 
 
+def _sl2_plane():
+    """sl(2) x| Q^2 as 3x3 matrices: h, e, f, then the two translations."""
+
+    def m(*rows):
+        return tuple(tuple(F(x) for x in row) for row in rows)
+
+    z = (0, 0, 0)
+    return (
+        m((1, 0, 0), (0, -1, 0), z),
+        m((0, 1, 0), z, z),
+        m(z, (1, 0, 0), z),
+        m((0, 0, 1), z, z),
+        m(z, (0, 0, 1), z),
+    )
+
+
 def _sl_regular(n):
     """diag(n-1, n-3, ..., 1-n) in the coordinates of `_sl_basis(n)`."""
     d = [n - 1 - 2 * i for i in range(n)]
@@ -124,9 +152,9 @@ def _timed(times: dict, stage: str, fn, *args):
     return result
 
 
-def _medians(runs: list[dict]) -> dict:
+def _medians(runs: list[dict], digits: int = 4) -> dict:
     """Each stage's median over the runs, in seconds."""
-    return {stage: round(statistics.median(r[stage] for r in runs), 4) for stage in runs[0]}
+    return {stage: round(statistics.median(r[stage] for r in runs), digits) for stage in runs[0]}
 
 
 def _digest(obj) -> str:
@@ -169,6 +197,7 @@ def main(argv: list[str]) -> int:
         classify,
         find_anosov_elements,
         lie_algebra_from_matrices,
+        nilradical,
     )
 
     arrangements = {}
@@ -240,12 +269,41 @@ def main(argv: list[str]) -> int:
         }
         print(f"{column} {name}: {catalog[name]}", file=sys.stderr)
 
+    sys.path.insert(0, str(ROOT))
+    from perfbench.inputs import random_solvable  # seeded draws, independent of liecert
+
+    rng = random.Random(NIL_SEED)
+    builds = {}
+    for dim in (4, 5, 6):
+        for i in range(NIL_PER_DIM):
+            mats = random_solvable(rng, dim).mats
+            builds[f"solvable{dim}-{i}"] = functools.partial(lie_algebra_from_matrices, mats)
+    for name in catalog_names():
+        builds[name] = lambda name=name: build_example(name).ambient
+    builds["sl2-plane"] = functools.partial(lie_algebra_from_matrices, _sl2_plane())
+    nil_table = {}
+    for name, build in builds.items():
+        runs = []
+        for _ in range(RUNS):
+            g = build()
+            times = {}
+            nil = _timed(times, "nilradical_s", nilradical, g)
+            runs.append(times)
+        nil_table[name] = {
+            "dim": g.dim,
+            "nilradical": nil.dim,
+            "digest": _digest(nil.basis),
+            **_medians(runs, 6),
+        }
+        print(f"{column} {name}: {nil_table[name]}", file=sys.stderr)
+
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc[column] = {
         "provenance": _provenance(src),
         "arrangements": arrangements,
         "sl": ladder,
         "catalog": catalog,
+        "nilradical": nil_table,
     }
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .linalg import (
@@ -26,6 +26,7 @@ from .linalg import (
     _from_integer,
     _int_matmul,
     _integer_form,
+    _kernel,
     _rref_rows,
     combine,
     extend_basis,
@@ -36,7 +37,8 @@ from .linalg import (
     matmul,
     matvec,
     nullspace,
-    row_basis,
+    primitive,
+    restrict_operators,
     solve,
     transpose,
     vec_add,
@@ -609,59 +611,72 @@ def radical(g: LieAlgebra) -> Subspace:
     return rad
 
 
-def _unital_envelope(mats: Sequence[Matrix], n: int) -> Matrix:
-    """Row basis (flattened) of the unital associative algebra generated.
+def _envelope_conditions(ops: Sequence[IntMatrix], d: int) -> tuple[Echelon, Echelon]:
+    """(envelope, conditions) for integer operators op_j on Q^d.
 
-    Worklist closure: the span of words in the generators is the smallest
-    span holding the identity and closed under left multiplication by each
-    generator, so every new word is multiplied once by every generator.
-    Scaling a generator does not change that span, so the words are built
-    in integers from primitive integer multiples of the generators.
+    `envelope` spans, flattened by rows, the unital associative algebra the
+    op_j generate: the smallest span holding the identity and closed under
+    left multiplication by each generator, so every new word is multiplied
+    once by every generator.  Scaling a generator does not change that
+    span, so the words are built from primitive multiples of the
+    generators.  Each new word B adds the row (trace(op_j . B))_j to
+    `conditions`, the op_j taken over one common denominator, so the
+    kernel of `conditions` is that of the pairing with the whole envelope.
     """
+    den = lcm(1, *(op.den for op in ops))
+    # trace(A . B) is the dot product of A^T and B, both flattened by rows
+    pairing = [[x * (den // op.den) for col in zip(*op.rows) for x in col] for op in ops]
     gens = []
-    for m in mats:
-        flat = integer_row([x for row in m for x in row])
-        gens.append([flat[r * n : (r + 1) * n] for r in range(n)])
-    span = Echelon()
-    found: list[list[int]] = []
-    work = [[[int(i == j) for j in range(n)] for i in range(n)]]
+    for op in ops:
+        flat = primitive([x for row in op.rows for x in row])
+        gens.append([flat[r * d : (r + 1) * d] for r in range(d)])
+    envelope, conditions = Echelon(), Echelon()
+    work = [[[int(i == j) for j in range(d)] for i in range(d)]]
     while work:
-        m = work.pop()
-        flat = [x for row in m for x in row]
-        if span.add(flat):
-            found.append(flat)
-            work.extend(_int_matmul(gen, m) for gen in gens)
-    return row_basis(found)
+        word = work.pop()
+        flat = [x for row in word for x in row]
+        if envelope.add(flat):
+            conditions.add([sum(map(mul, p, flat)) for p in pairing])
+            work.extend(_int_matmul(gen, word) for gen in gens)
+    return envelope, conditions
 
 
 def nilradical(g: LieAlgebra) -> Subspace:
-    """Largest nilpotent ideal.
+    """Largest nilpotent ideal: L = [g, R] plus the solutions of a trace pairing on L.
 
-    Within the solvable radical R, the nilradical is exactly the set of x
-    whose adjoint action is nilpotent, and that set is cut out by the
-    linear conditions trace(ad(x) . B) = 0 over a basis B of the unital
-    associative envelope of ad(R): by Lie's theorem the envelope is
-    simultaneously triangularizable, so a member of R acts nilpotently
-    precisely when its diagonal characters vanish, which the trace pairing
-    against the envelope detects in characteristic zero.
+    Within the solvable radical R, the nilradical N is exactly the set of
+    x whose adjoint action is nilpotent, and L = [g, R] is an ideal inside
+    N (Bourbaki, Lie Groups and Lie Algebras, ch. I, 5.3).  By Lie's
+    theorem ad(R) is simultaneously triangularizable over C; its diagonal
+    characters vanish on L, which acts nilpotently, and on g / L, where
+    ad(x) is zero for x in R.  So x = l + sum_j c_j y_j, with l in L and
+    y_j the rows of R that extend a basis of L, is in N exactly when
+    ad(sum_j c_j y_j) is nilpotent on L.  The restrictions A_j = ad(y_j)|L
+    generate a unital envelope E of triangular operators, and that holds
+    exactly when sum_j c_j trace(A_j . B) = 0 for every B in E: a
+    nilpotent A = sum_j c_j A_j times a triangular B has trace zero, and
+    conversely B = A^(k-1) in E gives trace(A^k) = 0 for every k >= 1,
+    which in characteristic zero makes A nilpotent (Jacobson, Lie
+    Algebras, ch. II).  With L = 0 the envelope of 0 x 0 matrices gives no
+    condition and N = R; with R = L there is no y_j and N = L.
     """
     rad = radical(g)
     if rad.dim == 0:
         return rad
-    n = g.dim
-    # ad(rad_r) times one common denominator: a common scale changes
-    # neither the envelope nor the kernel of the pairing
-    terms, _ = _integer_terms(rad.basis)
-    ads = [g._int_ad(t) for t in terms]
-    env = _unital_envelope(ads, n)
-    # Conditions on coefficients c: sum_r c_r trace(ad(rad_r) . B) = 0, and
-    # trace(A . B) is the dot product of A^T and B, both flattened by rows
-    pairing = tuple(tuple(x for col in zip(*a) for x in col) for a in ads)
-    rows = matmul(env, transpose(pairing))
-    nil = Subspace(g, matmul(nullspace(rows), rad.basis))
-    if not nil.is_ideal() or not subspace_is_nilpotent(nil):
+    low = bracket_space(full_space(g), rad)
+    span = Echelon(low._rows)
+    ys = [y for y in rad._rows if span.add(y)]
+    ops = restrict_operators([g.ad_integer(y) for y in ys], low._rows)
+    if None in ops:
+        raise AlgebraError("nilradical: ad(radical) does not keep [g, radical]")
+    _, conditions = _envelope_conditions(ops, low.dim)
+    coeffs = _kernel(*conditions.reduced(), len(ys))
+    nil = Subspace(g, low._rows + _int_matmul([integer_row(c) for c in coeffs], ys))
+    if not nil.is_ideal():
+        raise AlgebraError("nilradical computation produced a non-ideal span")
+    if not subspace_is_nilpotent(nil):
         raise AlgebraError("nilradical computation produced a non-nilpotent span")
-    if not nil.contains_space(bracket_space(full_space(g), rad)):
+    if not nil.contains_space(low):
         raise AlgebraError("nilradical misses [g, radical]")
     return nil
 

@@ -26,12 +26,9 @@ from .algebra import (
     AlgebraError,
     Subspace,
     derived_series,
-    is_nilpotent,
-    is_solvable,
     levi_decomposition,
     lower_central_series,
     nilradical,
-    radical,
 )
 from .anosov import (
     ActionSpec,
@@ -133,16 +130,18 @@ def _validate(doc, args):
 def _analyze(doc, args):
     g = document_to_algebra(doc)
     levi, rad = levi_decomposition(g)
+    lower = [s.dim for s in lower_central_series(g)]
+    derived = [s.dim for s in derived_series(g)]
     return {
         "dim": g.dim,
-        "lower_central_series": [s.dim for s in lower_central_series(g)],
-        "derived_series": [s.dim for s in derived_series(g)],
-        "nilpotent": is_nilpotent(g),
-        "solvable": is_solvable(g),
-        "radical": subspace_payload(radical(g)),
+        "lower_central_series": lower,
+        "derived_series": derived,
+        "nilpotent": lower[-1] == 0,
+        "solvable": derived[-1] == 0,
+        "radical": subspace_payload(rad),
         "nilradical": subspace_payload(nilradical(g)),
         "levi": subspace_payload(levi),
-        "semisimple": radical(g).dim == 0,
+        "semisimple": rad.dim == 0,
     }, EXIT_OK
 
 

@@ -1,12 +1,14 @@
 """Core algebra operations on hand-built and randomized examples."""
 
 import random
+import re
 import sys
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import generators
 from generators import fraction_ad, mat_sub, matrix
 from liecert.algebra import (
     AlgebraError,
@@ -19,6 +21,7 @@ from liecert.algebra import (
     center,
     centralizer,
     derived_series,
+    direct_sum,
     full_space,
     is_nilpotent,
     is_solvable,
@@ -32,10 +35,19 @@ from liecert.algebra import (
     radical,
     subspace_is_nilpotent,
     zero_space,
-    _unital_envelope,
+    _envelope_conditions,
 )
 from liecert.builders import build_example, catalog_names
-from liecert.linalg import Coordinates, Echelon, identity, matmul, vector
+from liecert.linalg import (
+    Coordinates,
+    Echelon,
+    _rref_rows,
+    charpoly,
+    identity,
+    matmul,
+    restrict_operators,
+    vector,
+)
 from test_linalg import reference_rref
 from test_sparse_kernel import reference_rref_coords
 
@@ -240,8 +252,14 @@ def test_unital_envelope_matches_naive_closure():
     rng = random.Random(5)
     algebras += [random_solvable(rng, 3, 2) for _ in range(4)]
     for g in algebras:
-        ads = [fraction_ad(g, r) for r in radical(g).basis]
-        assert _unital_envelope(ads, g.dim) == naive_envelope(ads, g.dim)
+        rad = radical(g)
+        low = bracket_space(full_space(g), rad)
+        # ad(radical) on g, and the operators nilradical pairs: ad(radical) on [g, radical]
+        for basis in (full_space(g).basis, low.basis):
+            ops = restrict_operators([g.ad_integer(r) for r in rad.basis], basis)
+            envelope, _ = _envelope_conditions(ops, len(basis))
+            mats = [tuple(tuple(F(x, op.den) for x in row) for row in op.rows) for op in ops]
+            assert _rref_rows(*envelope.reduced()) == naive_envelope(mats, len(basis))
 
 
 def test_killing_form_and_radical_are_memoised():
@@ -281,6 +299,77 @@ def test_nilradical_trace_counterexample():
     n = nilradical(g)
     assert n.dim == 2
     assert n.contains(g.basis_vector(1)) and n.contains(g.basis_vector(2))
+
+
+def trace_counterexample() -> LieAlgebra:
+    # D = [[1, 1], [-1, 1]] acting on span{x, y}: complex characters 1 +- i
+    table = [
+        [[0, 0, 0], [0, 1, -1], [0, 1, 1]],
+        [[0, -1, 1], [0, 0, 0], [0, 0, 0]],
+        [[0, -1, -1], [0, 0, 0], [0, 0, 0]],
+    ]
+    return LieAlgebra(table, labels=["D", "x", "y"])
+
+
+def sl2_on_plane() -> LieAlgebra:
+    # sl(2) x| Q^2 as 3x3 matrices: its radical Q^2 is [g, radical]
+    return lie_algebra_from_matrices([
+        matrix([[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
+        matrix([[0, 1, 0], [0, 0, 0], [0, 0, 0]]),
+        matrix([[0, 0, 0], [1, 0, 0], [0, 0, 0]]),
+        matrix([[0, 0, 1], [0, 0, 0], [0, 0, 0]]),
+        matrix([[0, 0, 0], [0, 0, 1], [0, 0, 0]]),
+    ])
+
+
+def two_tori() -> LieAlgebra:
+    # [h1, x1] = x1, [h2, x2] = x2, [h1, h2] = z: the nilradical span{x1, x2, z}
+    # is [g, radical], and [g, nilradical] = span{x1, x2} is smaller
+    entries = [(0, 2, 2, 1), (2, 0, 2, -1), (1, 3, 3, 1), (3, 1, 3, -1), (0, 1, 4, 1), (1, 0, 4, -1)]
+    return LieAlgebra.from_entries(5, entries, labels=["h1", "h2", "x1", "x2", "z"])
+
+
+def test_nilradical_is_the_nilpotent_part_of_the_radical():
+    """x in the radical lies in the nilradical exactly when charpoly(ad x) = t^n."""
+    rng = random.Random(27)
+    cases = [generators.random_solvable(rng) for _ in range(30)]
+    plane, with_line, abelian = sl2_on_plane(), direct_sum(sl2(), LieAlgebra([[[0]]])), LieAlgebra([[[0] * 3] * 3] * 3)
+    cases += [plane, with_line, abelian, trace_counterexample(), heisenberg(), two_tori()]
+    assert bracket_space(full_space(plane), radical(plane)) == radical(plane)
+    for g in (with_line, abelian):
+        assert bracket_space(full_space(g), radical(g)).dim == 0
+    for g in cases:
+        n, rad, nil = g.dim, radical(g), nilradical(g)
+        combos = [tuple(F(rng.randint(-1, 1)) for _ in rad.basis) for _ in range(20)]
+        xs = list(rad.basis) + [
+            tuple(sum((c * r[j] for c, r in zip(cs, rad.basis)), F(0)) for j in range(n))
+            for cs in combos
+        ]
+        for x in xs:
+            nilpotent = charpoly(fraction_ad(g, x)) == (F(0),) * n + (F(1),)
+            assert nil.contains(x) == nilpotent
+
+
+def test_nilradical_self_checks_fire(monkeypatch):
+    g = two_tori()
+    low = bracket_space(full_space(g), radical(g))  # radical(g) is memoised from here on
+    contains_space = Subspace.contains_space
+    patches = [
+        ("liecert.algebra.restrict_operators", lambda ops, basis: [None] * len(ops),
+         "does not keep [g, radical]"),
+        ("liecert.algebra.Subspace.is_ideal", lambda self: False, "non-ideal span"),
+        ("liecert.algebra.subspace_is_nilpotent", lambda s: False, "non-nilpotent span"),
+        ("liecert.algebra.Subspace.contains_space",
+         lambda self, other: other != low and contains_space(self, other),
+         "misses [g, radical]"),
+    ]
+    assert nilradical(g) == low
+    for target, patch, message in patches:
+        with monkeypatch.context() as m:
+            m.setattr(target, patch)
+            with pytest.raises(AlgebraError, match=re.escape(message)):
+                nilradical(g)
+    assert nilradical(g) == low
 
 
 def test_quotient_heisenberg_by_center():

@@ -19,7 +19,7 @@ from liecert.algebra import (
     LieAlgebra,
     StructureError,
     Subspace,
-    _unital_envelope,
+    _envelope_conditions,
     as_subalgebra,
     bracket_space,
     full_space,
@@ -36,6 +36,7 @@ from liecert.linalg import (
     Coordinates,
     Echelon,
     _int_matmul,
+    _rref_rows,
     combine,
     extend_basis,
     identity,
@@ -649,8 +650,8 @@ def assert_structure_matches_former(g, table):
     assert (report.antisymmetry_failures, report.jacobi_failures) == former_validate(ref, table)
     rad = radical(g)
     assert rad == former_radical(ref, g)
-    ads = [fraction_ad(g, r) for r in rad.basis]
-    assert _unital_envelope(ads, n) == former_envelope([ref.ad(r) for r in rad.basis], n)
+    envelope, _ = _envelope_conditions([g.ad_integer(r) for r in rad.basis], n)
+    assert _rref_rows(*envelope.reduced()) == former_envelope([ref.ad(r) for r in rad.basis], n)
     nil = nilradical(g)
     assert nil == former_nilradical(ref, g)
     derived = bracket_space(full, full)
