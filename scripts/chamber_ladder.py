@@ -36,12 +36,14 @@ count) and four tables:
   with the same two digests, so that equal digests mean identical
   elements, certificates and reports;
 - `nilradical`: the median of 3 `nilradical` runs, each on a freshly
-  built algebra (it memoises its radical), with the dimensions and a
-  sha256 of the nilradical's canonical basis rows (`digest`), on
-  `NIL_PER_DIM` seeded solvable closures of each dimension 4-6 (drawn
-  by `perfbench/inputs.py`'s `random_solvable` from `random.Random(NIL_SEED)`,
-  named `solvable<dim>-<i>`), on every catalog algebra and on
-  sl(2) x| Q^2 (`sl2-plane`), whose radical is [g, radical].
+  built algebra, so that the time includes the radical unless the
+  builder has memoised it (some catalog builders do), with the dimension
+  of the algebra and of the nilradical and a sha256 of the nilradical's
+  canonical basis rows (`digest`), on `NIL_PER_DIM` seeded solvable
+  closures of each dimension 4-6 (drawn by `perfbench/inputs.py`'s
+  `random_solvable` from `random.Random(NIL_SEED)`, named
+  `solvable<dim>-<i>`), on every catalog algebra and on sl(2) x| Q^2
+  (`sl2-plane`), whose radical is [g, radical].
 
 The script is a measurement, not a test; no test runs it.
 """

@@ -283,32 +283,25 @@ def test_radical_failing_its_self_check_is_not_memoised(monkeypatch):
     assert radical(g).dim == 2
 
 
-def test_nilradical_trace_counterexample():
-    # span{D, x, y} with D = [[1,1],[-1,1]] acting on Q^2: the Killing form
-    # vanishes identically yet only the translations act nilpotently.
-    d = matrix([[1, 1], [-1, 1]])
-    table = [
-        [[0, 0, 0], [0, 1, -1], [0, 1, 1]],
-        [[0, -1, 1], [0, 0, 0], [0, 0, 0]],
-        [[0, -1, -1], [0, 0, 0], [0, 0, 0]],
-    ]
-    g = LieAlgebra(table, labels=["D", "x", "y"])
-    assert g.validate().ok
-    k = killing_form(g)
-    assert all(all(x == 0 for x in row) for row in k)  # degenerate everywhere
-    n = nilradical(g)
-    assert n.dim == 2
-    assert n.contains(g.basis_vector(1)) and n.contains(g.basis_vector(2))
-
-
 def trace_counterexample() -> LieAlgebra:
-    # D = [[1, 1], [-1, 1]] acting on span{x, y}: complex characters 1 +- i
+    # span{D, x, y} with D = [[1, 1], [-1, 1]] acting on Q^2: complex characters 1 +- i
     table = [
         [[0, 0, 0], [0, 1, -1], [0, 1, 1]],
         [[0, -1, 1], [0, 0, 0], [0, 0, 0]],
         [[0, -1, -1], [0, 0, 0], [0, 0, 0]],
     ]
     return LieAlgebra(table, labels=["D", "x", "y"])
+
+
+def test_nilradical_trace_counterexample():
+    # the Killing form vanishes identically yet only the translations act nilpotently
+    g = trace_counterexample()
+    assert g.validate().ok
+    k = killing_form(g)
+    assert all(all(x == 0 for x in row) for row in k)  # degenerate everywhere
+    n = nilradical(g)
+    assert n.dim == 2
+    assert n.contains(g.basis_vector(1)) and n.contains(g.basis_vector(2))
 
 
 def sl2_on_plane() -> LieAlgebra:
@@ -333,7 +326,8 @@ def test_nilradical_is_the_nilpotent_part_of_the_radical():
     """x in the radical lies in the nilradical exactly when charpoly(ad x) = t^n."""
     rng = random.Random(27)
     cases = [generators.random_solvable(rng) for _ in range(30)]
-    plane, with_line, abelian = sl2_on_plane(), direct_sum(sl2(), LieAlgebra([[[0]]])), LieAlgebra([[[0] * 3] * 3] * 3)
+    plane, with_line = sl2_on_plane(), direct_sum(sl2(), LieAlgebra([[[0]]]))
+    abelian = LieAlgebra([[[0] * 3] * 3] * 3)
     cases += [plane, with_line, abelian, trace_counterexample(), heisenberg(), two_tori()]
     assert bracket_space(full_space(plane), radical(plane)) == radical(plane)
     for g in (with_line, abelian):
@@ -341,7 +335,7 @@ def test_nilradical_is_the_nilpotent_part_of_the_radical():
     for g in cases:
         n, rad, nil = g.dim, radical(g), nilradical(g)
         combos = [tuple(F(rng.randint(-1, 1)) for _ in rad.basis) for _ in range(20)]
-        xs = list(rad.basis) + [
+        xs = list(rad.basis) + list(nil.basis) + [
             tuple(sum((c * r[j] for c, r in zip(cs, rad.basis)), F(0)) for j in range(n))
             for cs in combos
         ]
