@@ -1,4 +1,4 @@
-"""Chamber ladder: weyl_chambers, sl(n) stage and nilradical times.
+"""Chamber ladder: weyl_chambers, sl(n) stage and structure-theory times.
 
 Usage, from the repository root:
 
@@ -35,15 +35,19 @@ count) and four tables:
   `find_anosov_elements` and then `classify` on a freshly built action,
   with the same two digests, so that equal digests mean identical
   elements, certificates and reports;
-- `nilradical`: the median of 3 `nilradical` runs, each on a freshly
-  built algebra, so that the time includes the radical unless the
-  builder has memoised it (some catalog builders do), with the dimension
-  of the algebra and of the nilradical and a sha256 of the nilradical's
-  canonical basis rows (`digest`), on `NIL_PER_DIM` seeded solvable
-  closures of each dimension 4-6 (drawn by `perfbench/inputs.py`'s
-  `random_solvable` from `random.Random(NIL_SEED)`, named
-  `solvable<dim>-<i>`), on every catalog algebra and on sl(2) x| Q^2
-  (`sl2-plane`), whose radical is [g, radical].
+- `nilradical`: the median of 3 runs of each of `nilradical`,
+  `radical`, `find_csa` and `is_csa` of that Cartan subalgebra, each
+  run on a freshly built algebra, so that the nilradical's time
+  includes the radical unless the builder has memoised it (some catalog
+  builders do), with the dimension of the algebra and of the
+  nilradical, a sha256 of the canonical basis rows of the nilradical
+  (`digest`), of the radical (`radical_digest`) and of the Cartan
+  subalgebra (`csa_digest`), and the `is_csa` verdict, on `NIL_PER_DIM`
+  seeded solvable closures of each dimension 4-6 (drawn by
+  `perfbench/inputs.py`'s `random_solvable` from
+  `random.Random(NIL_SEED)`, named `solvable<dim>-<i>`), on every
+  catalog algebra and on sl(2) x| Q^2 (`sl2-plane`), whose radical is
+  [g, radical].
 
 The script is a measurement, not a test; no test runs it.
 """
@@ -192,6 +196,7 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(src))
     from liecert import (
         ActionSpec,
+        Subspace,
         build_example,
         cartan,
         catalog_names,
@@ -200,6 +205,7 @@ def main(argv: list[str]) -> int:
         find_anosov_elements,
         lie_algebra_from_matrices,
         nilradical,
+        radical,
     )
 
     arrangements = {}
@@ -290,11 +296,18 @@ def main(argv: list[str]) -> int:
             g = build()
             times = {}
             nil = _timed(times, "nilradical_s", nilradical, g)
+            rad = _timed(times, "radical_s", radical, build())
+            csa = _timed(times, "find_csa_s", cartan.find_csa, build())
+            fresh = build()
+            is_csa = _timed(times, "is_csa_s", cartan.is_csa, fresh, Subspace(fresh, csa.basis))
             runs.append(times)
         nil_table[name] = {
             "dim": g.dim,
             "nilradical": nil.dim,
             "digest": _digest(nil.basis),
+            "radical_digest": _digest(rad.basis),
+            "csa_digest": _digest(csa.basis),
+            "is_csa": is_csa,
             **_medians(runs, 6),
         }
         print(f"{column} {name}: {nil_table[name]}", file=sys.stderr)

@@ -440,13 +440,19 @@ class Subspace:
         return self.contains_space(bracket_space(self, self))
 
     def is_ideal(self) -> bool:
-        g = full_space(self.algebra)
-        return self.contains_space(bracket_space(g, self))
+        g = self.algebra
+        return self.dim == g.dim or self.contains_space(bracket_space(full_space(g), self))
 
     def is_abelian(self) -> bool:
         g, (terms, _) = self.algebra, _integer_terms(self._rows)
         pairs = ((x, y) for i, x in enumerate(terms) for y in terms[i + 1 :])
         return not any(any(g._int_brackets((x,), (y,))[0]) for x, y in pairs)
+
+    def is_central(self) -> bool:
+        """[g, s] = 0, read off the brackets of the basis of g with the rows, unreduced."""
+        g, (terms, _) = self.algebra, _integer_terms(self._rows)
+        units = [((a, 1),) for a in range(g.dim)]
+        return not any(map(any, g._int_brackets(units, terms)))
 
 
 def full_space(g: LieAlgebra) -> Subspace:
@@ -529,29 +535,34 @@ def normalizer(g: LieAlgebra, s: Subspace) -> Subalgebra:
     return Subalgebra(g, nullspace(stacked))
 
 
-def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
-    """g = g1, g_{k+1} = [g, g_k], until stable."""
-    out = [full_space(g)]
-    while True:
-        nxt = bracket_space(out[0], out[-1])
-        if nxt == out[-1]:
-            break
+def _series(s: Subspace, lower: bool) -> tuple[Subspace, ...]:
+    """Lower central (`lower`) or derived series of the subalgebra s, until stable.
+
+    s_1 = s and s_{k+1} = [s, s_k] (lower central) or [s_k, s_k]
+    (derived), each a bracket span taken in the coordinates of g, the
+    algebra of s; these are the images of the series of s's own
+    structure constants under its basis, so no table of s is built.  The
+    first bracket [s, s] is also the closure test: a span that is not a
+    subalgebra raises StructureError.
+    """
+    out, nxt = [s], bracket_space(s, s)
+    if not s.contains_space(nxt):
+        raise StructureError("span is not closed under the bracket")
+    while nxt != out[-1]:
         out.append(nxt)
         if nxt.dim == 0:
             break
+        nxt = bracket_space(s if lower else nxt, nxt)
     return tuple(out)
+
+
+def lower_central_series(g: LieAlgebra) -> tuple[Subspace, ...]:
+    """g = g1, g_{k+1} = [g, g_k], until stable."""
+    return _series(full_space(g), True)
 
 
 def derived_series(g: LieAlgebra) -> tuple[Subspace, ...]:
-    out = [full_space(g)]
-    while True:
-        nxt = bracket_space(out[-1], out[-1])
-        if nxt == out[-1]:
-            break
-        out.append(nxt)
-        if nxt.dim == 0:
-            break
-    return tuple(out)
+    return _series(full_space(g), False)
 
 
 def is_nilpotent(g: LieAlgebra) -> bool:
@@ -563,14 +574,14 @@ def is_solvable(g: LieAlgebra) -> bool:
 
 
 def subspace_is_nilpotent(s: Subspace) -> bool:
-    """Whether the span, which must be a subalgebra, is nilpotent."""
-    sub, _ = as_subalgebra(s).as_algebra()
-    return is_nilpotent(sub)
+    """Whether the span is a nilpotent subalgebra: its lower central series,
+    taken in the coordinates of g, reaches zero.  The first bracket [s, s]
+    is the closure test, so a span that is not closed raises StructureError."""
+    return _series(s, True)[-1].dim == 0
 
 
 def subspace_is_solvable(s: Subspace) -> bool:
-    sub, _ = as_subalgebra(s).as_algebra()
-    return is_solvable(sub)
+    return _series(s, False)[-1].dim == 0
 
 
 def killing_form(g: LieAlgebra) -> Matrix:

@@ -44,10 +44,9 @@ from .algebra import (
     StructureError,
     Subspace,
     ValidationError,
-    as_subalgebra,
+    _series,
     bracket_space,
     full_space,
-    lower_central_series,
     nilradical,
     quotient_by_ideal,
     radical,
@@ -172,11 +171,7 @@ class ActionSpec:
             flow_nil = subspace_is_nilpotent(h)
         except StructureError:
             flow_nil = False
-        try:
-            as_subalgebra(k)
-            k_closed = True
-        except StructureError:
-            k_closed = False
+        k_closed = k.is_subalgebra()
         normal = k_closed and k.contains_space(bracket_space(h, k))
         elliptic = k_closed and ellipticity_proxy(g, k).passed
         self._checked = ActionCheck(
@@ -635,8 +630,7 @@ def _classify_solvable(
     flow_is_csa = is_csa(g, simp.flow)
     nil = nilradical(g)
     su_in_nilradical = nil.contains_space(Subspace(g, cert.carrier))
-    nil_alg, _ = as_subalgebra(nil).as_algebra()
-    tower = tuple(s.dim for s in lower_central_series(nil_alg))
+    tower = tuple(s.dim for s in _series(nil, True))
     ref_csa_dim = find_csa(g).dim
     evidence = {
         "flow_is_csa": flow_is_csa,
@@ -681,7 +675,7 @@ def _classify_semisimple(
 def _is_reductive_case(g: LieAlgebra, rad: Subspace) -> bool:
     if rad.dim == 0 or rad.dim == g.dim:
         return False
-    return bracket_space(full_space(g), rad).dim == 0
+    return rad.is_central()
 
 
 def _classify_reductive(
@@ -847,7 +841,7 @@ def nil_suspension_check(
     # induced operator on the quotient is hyperbolic exactly when these
     # are all the axis eigenvalues of ad(lift) on the fiber.
     hyp = operator_sign_counts(on_fiber).n_zero_real == fixed.dim
-    central = bracket_space(full_space(g), fiber).dim == 0
+    central = fiber.is_central()
     if central:
         kind = "central"
     elif fixed.dim == 0 and hyp:

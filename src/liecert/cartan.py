@@ -46,6 +46,7 @@ from .algebra import (
     normalizer,
     quotient_by_ideal,
     radical,
+    subspace_is_nilpotent,
     zero_space,
 )
 from .linalg import (
@@ -101,10 +102,9 @@ def is_csa(g: LieAlgebra, s: Subspace) -> bool:
     if s.dim == 0:
         return g.dim == 0
     try:
-        sub, _ = as_subalgebra(s).as_algebra()
+        if not subspace_is_nilpotent(s):
+            return False
     except StructureError:
-        return False
-    if not is_nilpotent(sub):
         return False
     return normalizer(g, s).basis == s.basis
 
@@ -125,7 +125,7 @@ def find_csa(g: LieAlgebra, seed: int = 0) -> Subspace:
     if g.dim == 0:
         return zero_space(g)
     current = full_space(g)
-    sub, basis = as_subalgebra(current).as_algebra()
+    sub, basis = g, current.basis
     rng = random.Random(seed)
     for attempt in range(CSA_ATTEMPTS):
         d = sub.dim

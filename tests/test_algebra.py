@@ -34,8 +34,10 @@ from liecert.algebra import (
     quotient_by_ideal,
     radical,
     subspace_is_nilpotent,
+    subspace_is_solvable,
     zero_space,
     _envelope_conditions,
+    _series,
 )
 from liecert.builders import build_example, catalog_names
 from liecert.linalg import (
@@ -364,6 +366,96 @@ def test_nilradical_self_checks_fire(monkeypatch):
             with pytest.raises(AlgebraError, match=re.escape(message)):
                 nilradical(g)
     assert nilradical(g) == low
+
+
+# -- series of a span taken in the coordinates of g ---------------------------
+
+
+def _structure_cases():
+    """The catalog algebras, 30 seeded solvable closures, sl(2) x| Q^2 and Heisenberg."""
+    rng = random.Random(28)
+    cases = [build_example(name).ambient for name in catalog_names()]
+    cases += [generators.random_solvable(rng) for _ in range(30)]
+    return cases + [sl2_on_plane(), heisenberg()]
+
+
+def _structure_spans(g):
+    """g, [g, g], the radical, the nilradical, the center, a CSA and each series term."""
+    from liecert.cartan import find_csa
+
+    whole = full_space(g)
+    spans = [whole, bracket_space(whole, whole), radical(g), nilradical(g), center(g), find_csa(g)]
+    return spans + list(lower_central_series(g)) + list(derived_series(g))
+
+
+def test_series_in_g_match_the_series_of_the_subalgebra():
+    for g in _structure_cases():
+        for s in _structure_spans(g):
+            sub, _ = as_subalgebra(s).as_algebra()
+            assert subspace_is_nilpotent(s) == is_nilpotent(sub)
+            assert subspace_is_solvable(s) == is_solvable(sub)
+            assert [t.dim for t in _series(s, True)] == [t.dim for t in lower_central_series(sub)]
+            assert [t.dim for t in _series(s, False)] == [t.dim for t in derived_series(sub)]
+
+
+def test_is_central_matches_bracket_space():
+    for g in _structure_cases():
+        whole = full_space(g)
+        for s in _structure_spans(g):
+            assert s.is_central() == (bracket_space(whole, s).dim == 0)
+        assert center(g).is_central()
+
+
+def test_series_of_a_span_that_is_not_closed_raise():
+    g = sl2()
+    ef = Subspace(g, [g.basis_vector(1), g.basis_vector(2)])  # [e, f] = h
+    for check in (subspace_is_nilpotent, subspace_is_solvable):
+        with pytest.raises(StructureError, match="not closed"):
+            check(ef)
+
+
+def test_full_space_is_an_ideal():
+    for g in [sl2(), heisenberg(), affine_line(), sl2_on_plane(), LieAlgebra.from_entries(0, ())]:
+        assert full_space(g).is_ideal()
+
+
+def former_find_csa(g, seed=0):
+    """find_csa as it was before its descent started from g itself: from the
+    table of full_space(g) rebuilt through as_subalgebra."""
+    from liecert.cartan import CSA_ATTEMPTS, engel_subalgebra
+
+    if g.dim == 0:
+        return zero_space(g)
+    current = full_space(g)
+    sub, basis = as_subalgebra(current).as_algebra()
+    rng = random.Random(seed)
+    for attempt in range(CSA_ATTEMPTS):
+        d = sub.dim
+        if attempt < d:
+            x_local = sub.basis_vector(attempt)
+        else:
+            height = 1 + attempt // 20
+            x_local = tuple(F(rng.randint(-height, height)) for _ in range(d))
+            if not any(x_local):
+                continue
+        e_local = engel_subalgebra(sub, x_local)
+        if e_local.dim < d:
+            current = Subspace(g, matmul(e_local.basis, basis))
+            sub, basis = as_subalgebra(current).as_algebra()
+            continue
+        if is_nilpotent(sub) and normalizer(g, current) == current:
+            return current
+    raise AlgebraError("no Cartan subalgebra found within the attempt budget")
+
+
+def test_find_csa_matches_the_former_descent():
+    from liecert.cartan import find_csa, is_csa
+
+    for g in _structure_cases():
+        for seed in (0, 3):
+            csa = find_csa(g, seed)
+            assert csa == former_find_csa(g, seed)
+            assert is_csa(g, csa)
 
 
 def test_quotient_heisenberg_by_center():
