@@ -24,15 +24,16 @@ from .linalg import (
     Matrix,
     Vector,
     _from_integer,
+    _int_kernel,
     _int_matmul,
+    _integer_echelon,
     _integer_form,
-    _kernel,
+    _integer_reduced,
     _rref_rows,
     combine,
     extend_basis,
     frac,
     identity,
-    integer_row,
     intersect_spaces,
     matmul,
     matvec,
@@ -78,12 +79,15 @@ class LieAlgebra:
     inverse problem, y with ad(y) given, is solved from the integer
     brackets `_int_brackets` in one place in `cartan`.  `table` is the
     dense `Fraction` view,
-    rebuilt on each access.  `_cache` memoises derived data (Killing
-    form, radical basis, ad-hyperbolicity verdicts per vector) that passed
-    its self-checks; it holds nothing that refers back to the algebra.
+    rebuilt on each access.  `_antisymmetric` records once whether
+    [e_j, e_i] = -[e_i, e_j] for every i, j (so [e_i, e_i] = 0), which lets
+    `bracket_space` bracket half the pairs.  `_cache` memoises derived
+    data (Killing form, radical basis, ad-hyperbolicity verdicts per
+    vector) that passed its self-checks; it holds nothing that refers back
+    to the algebra.
     """
 
-    __slots__ = ("labels", "_constants", "_den", "_cache")
+    __slots__ = ("labels", "_constants", "_den", "_antisymmetric", "_cache")
 
     def __init__(self, table, labels: Sequence[str] | None = None):
         n = len(table)
@@ -143,6 +147,7 @@ class LieAlgebra:
             self.labels = tuple(f"e{i}" for i in range(n))
         self._constants = constants
         self._den = den
+        self._antisymmetric = _is_antisymmetric(constants)
         self._cache: dict = {}
 
     @classmethod
@@ -283,6 +288,16 @@ class LieAlgebra:
         )
 
 
+def _is_antisymmetric(constants) -> bool:
+    """Whether [e_j, e_i] = -[e_i, e_j] for all i <= j.  The terms are
+    nonzero and ordered by k, so each pair is one tuple comparison."""
+    for i, row in enumerate(constants):
+        for terms, other in zip(row[i:], constants[i:]):
+            if (other[i] != tuple((k, -c) for k, c in terms)) if terms else other[i]:
+                return False
+    return True
+
+
 def _integer_terms(vs: Sequence[Vector]) -> tuple[list[list[tuple[int, int]]], int]:
     """(terms, d): each vector's nonzero (index, integer) pairs over one denominator d."""
     rows, d = _integer_form(vs)
@@ -399,6 +414,19 @@ class Subspace:
         self.pivots = tuple(pivots)
         self._basis = None
 
+    @classmethod
+    def _of_integers(cls, algebra: LieAlgebra, rows: Iterable[list[int]]) -> "Subspace":
+        """The span of integer rows of length algebra.dim, the same as
+        `Subspace(algebra, rows)`: a zero row is dropped unread, and the
+        others go into the `Echelon` as their primitive parts."""
+        s = cls.__new__(cls)
+        s.algebra = algebra
+        s._span = _integer_echelon(rows)
+        s._rows, pivots = s._span.reduced()
+        s.pivots = tuple(pivots)
+        s._basis = None
+        return s
+
     @property
     def basis(self) -> Matrix:
         if self._basis is None:
@@ -431,7 +459,7 @@ class Subspace:
         return all(map(self._span.contains, other._rows))
 
     def sum(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.algebra, self._rows + other._rows)
+        return Subspace._of_integers(self.algebra, self._rows + other._rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         return Subspace(self.algebra, intersect_spaces(self._rows, other._rows))
@@ -444,13 +472,13 @@ class Subspace:
         return self.dim == g.dim or self.contains_space(bracket_space(full_space(g), self))
 
     def is_abelian(self) -> bool:
-        g, (terms, _) = self.algebra, _integer_terms(self._rows)
+        g, terms = self.algebra, _row_terms(self._rows)
         pairs = ((x, y) for i, x in enumerate(terms) for y in terms[i + 1 :])
         return not any(any(g._int_brackets((x,), (y,))[0]) for x, y in pairs)
 
     def is_central(self) -> bool:
         """[g, s] = 0, read off the brackets of the basis of g with the rows, unreduced."""
-        g, (terms, _) = self.algebra, _integer_terms(self._rows)
+        g, terms = self.algebra, _row_terms(self._rows)
         units = [((a, 1),) for a in range(g.dim)]
         return not any(map(any, g._int_brackets(units, terms)))
 
@@ -469,9 +497,25 @@ def zero_space(g: LieAlgebra) -> Subspace:
     return Subspace(g, ())
 
 
+def _row_terms(rows: Sequence[list[int]]) -> list[list[tuple[int, int]]]:
+    """Each integer row's nonzero (index, integer) pairs."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+
+
 def bracket_space(a: Subspace, b: Subspace) -> Subspace:
-    g, (xs, _), (ys, _) = a.algebra, _integer_terms(a._rows), _integer_terms(b._rows)
-    return Subspace(g, g._int_brackets(xs, ys))
+    """[a, b], the span of the brackets of the rows of a with those of b.
+
+    When a and b are one span and the table is antisymmetric, only the
+    pairs i < j of its rows are bracketed: there [x, x] = 0 and
+    [y, x] = -[x, y], so the other pairs add nothing to the span.  Any
+    other table keeps every ordered pair.
+    """
+    g, xs = a.algebra, _row_terms(a._rows)
+    if g._antisymmetric and a._rows == b._rows:
+        brackets = [w for i, x in enumerate(xs) for w in g._int_brackets((x,), xs[i + 1 :])]
+    else:
+        brackets = g._int_brackets(xs, _row_terms(b._rows))
+    return Subspace._of_integers(g, brackets)
 
 
 class Subalgebra(Subspace):
@@ -506,33 +550,49 @@ def as_subalgebra(s: Subspace) -> Subalgebra:
 # -- classical constructions ----------------------------------------------
 
 
-def centralizer(g: LieAlgebra, s: Subspace) -> Subalgebra:
-    """{x : [x, v] = 0 for all v in s}."""
+def _kernel_space(g: LieAlgebra, stacked: list[list[int]]) -> Subspace:
+    """The x in g with w . x = 0 for every integer row w of `stacked`."""
+    return Subspace._of_integers(g, _int_kernel(*_integer_reduced(stacked), g.dim))
+
+
+def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
+    """{x : [x, v] = 0 for all v in s}, the integer kernel of the stacked
+    ad(v) over the rows v of s, checked to be closed under the bracket."""
     if s.dim == 0:
-        return Subalgebra(g, tuple(g.basis_vector(i) for i in range(g.dim)))
+        return full_space(g)
     stacked = []
-    for v in s.basis:
-        stacked.extend(g.ad_integer(v).rows)
-    return Subalgebra(g, nullspace(stacked))
+    for t in _row_terms(s._rows):
+        stacked.extend(g._int_ad(t))
+    c = _kernel_space(g, stacked)
+    if not c.is_subalgebra():
+        raise StructureError("span is not closed under the bracket")
+    return c
 
 
-def center(g: LieAlgebra) -> Subalgebra:
+def center(g: LieAlgebra) -> Subspace:
     return centralizer(g, full_space(g))
 
 
-def normalizer(g: LieAlgebra, s: Subspace) -> Subalgebra:
-    """{x : [x, s] inside s}."""
-    if s.dim == 0:
-        return Subalgebra(g, tuple(g.basis_vector(i) for i in range(g.dim)))
-    ann = [integer_row(w) for w in nullspace(s.basis)]
-    if not ann:
-        return Subalgebra(g, tuple(g.basis_vector(i) for i in range(g.dim)))
-    # x is in the normalizer when w . [v, x] = -(w . ad(v)) x vanishes for
-    # every v in s and w in the annihilator of s; the sign leaves the kernel
+def normalizer(g: LieAlgebra, s: Subspace) -> Subspace:
+    """{x : [x, s] inside s}, an integer kernel.
+
+    x is in it when w . [v, x] = -(w . ad(v)) x vanishes for every row v
+    of s and w of the annihilator of s, read off the reduced rows of s;
+    the sign leaves the kernel.  The result is checked to be closed under
+    the bracket, StructureError otherwise, except when it is s itself:
+    N(s) = s means [v, x] in s for all v, x in s, for any bilinear table,
+    so s is closed.
+    """
+    ann = _int_kernel(s._rows, s.pivots, g.dim)
+    if not ann or s.dim == 0:  # s is g or 0
+        return full_space(g)
     stacked = []
-    for v in s.basis:
-        stacked.extend(_int_matmul(ann, g.ad_integer(v).rows))
-    return Subalgebra(g, nullspace(stacked))
+    for t in _row_terms(s._rows):
+        stacked.extend(_int_matmul(ann, g._int_ad(t)))
+    n = _kernel_space(g, stacked)
+    if n != s and not n.is_subalgebra():
+        raise StructureError("span is not closed under the bracket")
+    return n
 
 
 def _series(s: Subspace, lower: bool) -> tuple[Subspace, ...]:
@@ -681,8 +741,8 @@ def nilradical(g: LieAlgebra) -> Subspace:
     if None in ops:
         raise AlgebraError("nilradical: ad(radical) does not keep [g, radical]")
     _, conditions = _envelope_conditions(ops, low.dim)
-    coeffs = _kernel(*conditions.reduced(), len(ys))
-    nil = Subspace(g, low._rows + _int_matmul([integer_row(c) for c in coeffs], ys))
+    coeffs = _int_kernel(*conditions.reduced(), len(ys))
+    nil = Subspace._of_integers(g, low._rows + _int_matmul(coeffs, ys))
     if not nil.is_ideal():
         raise AlgebraError("nilradical computation produced a non-ideal span")
     if not subspace_is_nilpotent(nil):

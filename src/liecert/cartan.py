@@ -41,7 +41,6 @@ from .algebra import (
     center,
     centralizer,
     full_space,
-    is_nilpotent,
     killing_form,
     normalizer,
     quotient_by_ideal,
@@ -106,7 +105,7 @@ def is_csa(g: LieAlgebra, s: Subspace) -> bool:
             return False
     except StructureError:
         return False
-    return normalizer(g, s).basis == s.basis
+    return normalizer(g, s)._rows == s._rows  # s may belong to another equal algebra
 
 
 # elements sampled by find_csa before it gives up
@@ -121,16 +120,21 @@ def find_csa(g: LieAlgebra, seed: int = 0) -> Subspace:
     strictly drops.  When a level stops shrinking it is checked to be
     nilpotent and self-normalizing in the ambient algebra; failure
     resumes sampling.  Deterministic in (table, seed).
+
+    Each level is a span of g with its canonical basis: an element is
+    drawn in coordinates of that basis and taken into g, and ad of it
+    restricted to the span, in that basis, is the ad of the level's own
+    structure constants, so no table of the level is built.
     """
     if g.dim == 0:
         return zero_space(g)
     current = full_space(g)
-    sub, basis = g, current.basis
+    basis = current.basis
     rng = random.Random(seed)
     for attempt in range(CSA_ATTEMPTS):
-        d = sub.dim
+        d = current.dim
         if attempt < d:
-            x_local = sub.basis_vector(attempt)
+            x = basis[attempt]
         else:
             height = 1 + attempt // 20
             x_local = tuple(
@@ -138,12 +142,17 @@ def find_csa(g: LieAlgebra, seed: int = 0) -> Subspace:
             )
             if is_zero_vector(x_local):
                 continue
-        e_local = engel_subalgebra(sub, x_local)
-        if e_local.dim < d:
-            current = Subspace(g, matmul(e_local.basis, basis))
-            sub, basis = as_subalgebra(current).as_algebra()
+            x = combine(x_local, basis, g.dim)
+        # on all of g the restriction is ad(x) itself
+        ad = g.ad_integer(x) if d == g.dim else restrict_operators([g.ad_integer(x)], basis)[0]
+        e_local = generalized_kernel(ad)
+        if len(e_local) < d:
+            current = Subspace(g, matmul(e_local, basis))
+            if not current.is_subalgebra():
+                raise StructureError("span is not closed under the bracket")
+            basis = current.basis
             continue
-        if is_nilpotent(sub) and normalizer(g, current) == current:
+        if subspace_is_nilpotent(current) and normalizer(g, current) == current:
             return current
     raise AlgebraError("no Cartan subalgebra found within the attempt budget")
 

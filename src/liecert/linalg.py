@@ -299,25 +299,36 @@ def row_basis(m: Matrix) -> Matrix:
     return red[: len(piv)]
 
 
-def _kernel(rows: list[list[int]], pivots: list[int], nc: int) -> tuple[Vector, ...]:
-    """Right kernel read off reduced integer pivot rows, free columns in order."""
+def _int_kernel(rows: list[list[int]], pivots: list[int], nc: int) -> list[list[int]]:
+    """Right kernel read off reduced integer pivot rows, free columns in order.
+
+    The vector of free column f is f's unit vector minus row[f] / row[pc]
+    at each pivot column pc, scaled by the lcm m of those pivots to
+    integers: m at f.
+    """
     pivset = set(pivots)
     basis = []
     for fc in range(nc):
         if fc in pivset:
             continue
-        v = [_ZERO] * nc
-        v[fc] = _ONE
-        for row, pc in zip(rows, pivots):
-            if row[fc]:
-                v[pc] = Fraction(-row[fc], row[pc])
-        basis.append(tuple(v))
-    return tuple(basis)
+        used = [(row, pc) for row, pc in zip(rows, pivots) if row[fc]]
+        m = lcm(*(row[pc] for row, pc in used))
+        v = [0] * nc
+        v[fc] = m
+        for row, pc in used:
+            v[pc] = -row[fc] * (m // row[pc])
+        basis.append(v)
+    return basis
 
 
 def nullspace(m: Matrix) -> tuple[Vector, ...]:
-    """Deterministic basis of the right kernel, free columns in order."""
-    return _kernel(*Echelon(m).reduced(), shape(m)[1])
+    """Deterministic basis of the right kernel, free columns in order,
+    each vector 1 at its free column: `_int_kernel` divided by its entry there."""
+    rows, pivots = Echelon(m).reduced()
+    nc = shape(m)[1]
+    pivset = set(pivots)
+    free = [c for c in range(nc) if c not in pivset]
+    return tuple(_from_integer((v,), v[f])[0] for v, f in zip(_int_kernel(rows, pivots, nc), free))
 
 
 def generalized_kernel(b: Matrix) -> Matrix:
@@ -337,7 +348,7 @@ def generalized_kernel(b: Matrix) -> Matrix:
         if len(npiv) == len(piv):
             break
         red, piv = nxt, npiv
-    return row_basis(_kernel(red, piv, len(rows)))
+    return _rref_rows(*_integer_reduced(_int_kernel(red, piv, len(rows))))
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:
@@ -456,11 +467,17 @@ class Echelon:
         return rows, pivots
 
 
-def _integer_reduced(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """`Echelon(rows).reduced()` for integer rows: only their content is divided out."""
+def _integer_echelon(rows: Iterable[list[int]]) -> Echelon:
+    """`Echelon(rows)` for integer rows: a zero row is dropped unread, and
+    only the content of the others is divided out."""
     span = Echelon()
-    span._insert(map(primitive, rows))
-    return span.reduced()
+    span._insert(primitive(w) for w in rows if any(w))
+    return span
+
+
+def _integer_reduced(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """`Echelon(rows).reduced()` for integer rows."""
+    return _integer_echelon(rows).reduced()
 
 
 def in_span(rows: Matrix, v: Vector) -> bool:

@@ -47,11 +47,18 @@ from liecert.linalg import (
     charpoly,
     identity,
     matmul,
+    nullspace,
     restrict_operators,
     vector,
 )
 from test_linalg import reference_rref
-from test_sparse_kernel import reference_rref_coords
+from test_sparse_kernel import (
+    Former,
+    former_bracket_space,
+    former_normalizer,
+    fraction_tables,
+    reference_rref_coords,
+)
 
 
 def sl2() -> LieAlgebra:
@@ -707,3 +714,157 @@ def test_subspace_rejects_floats():
     for rows in ([(1.5, 0)], [(F(1), 0.25)], [(1, 2), (0.0, 1)]):
         with pytest.raises(TypeError):
             Subspace(g, rows)
+
+
+# -- integer spans: half the pairs, and integer kernels -----------------------
+
+
+def _antisymmetric_as_validated(g):
+    return g._antisymmetric == (not g.validate().antisymmetry_failures)
+
+
+@given(fraction_tables())
+@settings(max_examples=150, deadline=None)
+def test_antisymmetry_slot_matches_validate_on_any_table(table):
+    assert _antisymmetric_as_validated(LieAlgebra(table))
+
+
+def test_antisymmetry_slot_matches_validate_on_every_constructor():
+    broken = LieAlgebra.from_entries(3, [(0, 1, 2, 1), (1, 0, 2, 1)])  # [e1, e0] = +e2
+    diagonal = LieAlgebra.from_entries(2, [(1, 1, 0, 3)])  # [e1, e1] = 3 e0
+    built = [
+        LieAlgebra.from_entries(3, [(0, 1, 2, 1), (1, 0, 2, -1)]),
+        broken,
+        diagonal,
+        LieAlgebra.from_entries(0, ()),
+        as_subalgebra(Subspace(sl2(), [sl2().basis_vector(0), sl2().basis_vector(1)])).as_algebra()[0],
+        as_subalgebra(Subspace(broken, [broken.basis_vector(0)])).as_algebra()[0],
+        direct_sum(sl2(), heisenberg()),
+        direct_sum(sl2(), broken),
+        lie_algebra_from_matrices([matrix([[1, 0], [0, -1]]), matrix([[0, 1], [0, 0]])]),
+    ]
+    built += [generators.random_solvable(random.Random(k)) for k in range(5)]
+    assert [g._antisymmetric for g in built[:4]] == [True, False, False, True]
+    assert not built[7]._antisymmetric
+    for g in built:
+        assert _antisymmetric_as_validated(g)
+
+
+def sl2_broken_at_ef() -> tuple:
+    """sl(2)'s Fraction table with [e, f] = 0 but [f, e] = -h: antisymmetry
+    fails at the pair (1, 2) only, so the pairs i < j of span(e, f) give 0."""
+    z = (F(0),) * 3
+    table = [[list(v) for v in row] for row in sl2().table]
+    table[1][2] = z
+    table[2][1] = (F(-1), F(0), F(0))
+    return tuple(tuple(tuple(v) for v in row) for row in table)
+
+
+def test_bracket_space_keeps_every_pair_of_a_table_that_is_not_antisymmetric():
+    table = sl2_broken_at_ef()
+    g, ref = LieAlgebra(table), Former(table)
+    assert [(i, j) for i, j, _ in g.validate().antisymmetry_failures] == [(1, 2)]
+    assert not g._antisymmetric
+    ef = Subspace(g, [g.basis_vector(1), g.basis_vector(2)])
+    for s in (ef, full_space(g), Subspace(g, [g.basis_vector(0), g.basis_vector(2)])):
+        assert bracket_space(s, s) == former_bracket_space(ref, s, s)
+    assert bracket_space(ef, ef) == Subspace(g, [g.basis_vector(0)])
+
+
+def test_bracket_space_of_a_span_with_itself_brackets_half_the_pairs(monkeypatch):
+    calls = []  # the number of pairs each _int_brackets call brackets
+    real = LieAlgebra._int_brackets
+    monkeypatch.setattr(
+        LieAlgebra,
+        "_int_brackets",
+        lambda self, xs, ys: calls.append(len(xs) * len(ys)) or real(self, xs, ys),
+    )
+    for name in catalog_names():
+        g = build_example(name).ambient
+        ref = Former(g.table)
+        for s in (full_space(g), radical(g), Subspace(g, [g.basis_vector(0), g.basis_vector(1)])):
+            calls.clear()
+            got = bracket_space(s, s)
+            assert sum(calls) == s.dim * (s.dim - 1) // 2
+            assert got == former_bracket_space(ref, s, s)
+
+
+def fraction_centralizer(ref, s):
+    """The centralizer as it was: the kernel of the stacked Fraction ad(v), v in s."""
+    g, n = s.algebra, s.algebra.dim
+    if s.dim == 0:
+        return Subspace(g, identity(n))
+    return Subspace(g, nullspace(tuple(row for v in s.basis for row in ref.ad(v))))
+
+
+def test_normalizer_and_centralizer_are_integer_kernels_matching_the_former():
+    from liecert.cartan import find_csa
+
+    for g in _structure_cases():
+        ref = Former(g.table)
+        whole = full_space(g)
+        spans = [
+            zero_space(g), whole, bracket_space(whole, whole), radical(g), nilradical(g),
+            find_csa(g), Subspace(g, [g.basis_vector(0)]),
+        ]
+        for s in spans:
+            norm, cent = normalizer(g, s), centralizer(g, s)
+            assert type(norm) is Subspace and type(cent) is Subspace
+            assert norm == former_normalizer(ref, s)
+            assert cent == fraction_centralizer(ref, s)
+        assert center(g) == fraction_centralizer(ref, whole)
+
+
+def test_normalizer_centralizer_and_find_csa_build_no_subalgebra(monkeypatch):
+    from liecert.cartan import find_csa, is_csa
+
+    def refuse(self, *args):
+        raise AssertionError("a Subalgebra table was built")
+
+    cases = _structure_cases()  # some catalog builders check their isotropy on a table
+    monkeypatch.setattr(Subalgebra, "__init__", refuse)
+    for g in cases:
+        csa = find_csa(g)
+        assert is_csa(g, csa)
+        for s in (csa, full_space(g), Subspace(g, [g.basis_vector(0)])):
+            normalizer(g, s), centralizer(g, s)
+        center(g)
+
+
+def test_normalizer_that_is_not_closed_raises():
+    # [e0, e0] = e1, [e0, e1] = e2: N(span(e0, e1)) = span(e0, e2) by the
+    # e2-coordinate of [e0, x], and [e0, e0] = e1 leaves it
+    g = LieAlgebra.from_entries(3, [(0, 0, 1, 1), (0, 1, 2, 1)])
+    s = Subspace(g, [g.basis_vector(0), g.basis_vector(1)])
+    assert former_normalizer(Former(g.table), s) == Subspace(g, [g.basis_vector(0), g.basis_vector(2)])
+    with pytest.raises(StructureError, match="not closed"):
+        normalizer(g, s)
+
+
+def test_centralizer_that_is_not_closed_raises():
+    # [e0, e0] = e0, [e1, e1] = e0: C(span(e0)) = span(e1, e2), and [e1, e1] = e0
+    g = LieAlgebra.from_entries(3, [(0, 0, 0, 1), (1, 1, 0, 1)])
+    s = Subspace(g, [g.basis_vector(0)])
+    assert fraction_centralizer(Former(g.table), s) == Subspace(g, [g.basis_vector(1), g.basis_vector(2)])
+    with pytest.raises(StructureError, match="not closed"):
+        centralizer(g, s)
+
+
+def test_find_csa_raises_on_a_descent_level_that_is_not_closed():
+    # not a Lie table: the Engel subspace of e0 is span(e0, e1 - 2 e2, e3),
+    # which the table does not close; below it the descent would reach a
+    # closed line that is not self-normalizing and spend every attempt
+    from liecert.cartan import engel_subalgebra, find_csa
+
+    g = LieAlgebra([
+        [[0, 0, 0, 0], [2, 0, -2, -2], [0, 0, -1, 1], [0, 0, 0, 0]],
+        [[-2, 0, 2, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1]],
+        [[0, 0, 1, -1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+        [[0, 0, 0, 2], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, -1, 2]],
+    ])
+    level = engel_subalgebra(g, g.basis_vector(0))
+    assert level == Subspace(g, [(1, 0, 0, 0), (0, 1, -2, 0), (0, 0, 0, 1)])
+    assert not level.is_subalgebra()
+    for seed in (0, 3):
+        with pytest.raises(StructureError, match="not closed"):
+            find_csa(g, seed)
