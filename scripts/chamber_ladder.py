@@ -13,6 +13,9 @@ example the parent commit, gives the before/after pair:
     python scripts/chamber_ladder.py BENCH_13.json parent /path/to/parent/src
     python scripts/chamber_ladder.py BENCH_13.json change
 
+The sl(n) bases come from SRC's `liecert.sl_basis`; a checkout without
+it is timed with that checkout's own copy of this script.
+
 A column holds its provenance (commit, Python and sympy versions, core
 count) and four tables:
 
@@ -116,18 +119,6 @@ def _root_system(cartan, positive):
     return cartan.RootSystem(base, tuple(roots), True, ())
 
 
-def _sl_basis(n):
-    """sl(n, R): the diagonal differences E_ii - E_i+1,i+1, then every E_ij, i != j."""
-
-    def unit(entries):
-        return tuple(
-            tuple(F(entries.get((r, c), 0)) for c in range(n)) for r in range(n)
-        )
-
-    diag = [unit({(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
-    return tuple(diag + [unit({(i, j): 1}) for i in range(n) for j in range(n) if i != j])
-
-
 def _sl2_plane():
     """sl(2) x| Q^2 as 3x3 matrices: h, e, f, then the two translations."""
 
@@ -145,7 +136,7 @@ def _sl2_plane():
 
 
 def _sl_regular(n):
-    """diag(n-1, n-3, ..., 1-n) in the coordinates of `_sl_basis(n)`."""
+    """diag(n-1, n-3, ..., 1-n) in the coordinates of `sl_basis(n)`."""
     d = [n - 1 - 2 * i for i in range(n)]
     return tuple(F(sum(d[: i + 1])) for i in range(n - 1)) + (F(0),) * (n * n - n)
 
@@ -206,6 +197,7 @@ def main(argv: list[str]) -> int:
         lie_algebra_from_matrices,
         nilradical,
         radical,
+        sl_basis,
     )
 
     arrangements = {}
@@ -228,7 +220,7 @@ def main(argv: list[str]) -> int:
         # each run builds a fresh algebra: it caches its radical and Killing form
         runs = []
         for _ in range(RUNS):
-            g = lie_algebra_from_matrices(_sl_basis(n))
+            g = lie_algebra_from_matrices(sl_basis(n))
             times = {}
             a = _timed(times, "cartan_subspace_s", cartan.cartan_subspace, g)
             rs = _timed(times, "restricted_roots_s", cartan.restricted_roots, g, a)

@@ -13,10 +13,8 @@ from .algebra import (
     LieAlgebra,
     Quotient,
     StructureError,
-    Subalgebra,
     Subspace,
     ValidationError,
-    as_subalgebra,
     bracket_space,
     center,
     centralizer,
@@ -33,6 +31,7 @@ from .algebra import (
     normalizer,
     quotient_by_ideal,
     radical,
+    subalgebra_table,
     zero_space,
 )
 from .anosov import (
@@ -66,6 +65,7 @@ from .builders import (
     build_wedge_example,
     build_weyl_chamber,
     catalog_names,
+    sl_basis,
 )
 from .cartan import (
     Chamber,

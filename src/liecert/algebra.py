@@ -18,10 +18,13 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .linalg import (
+    AlgebraError,
     Coordinates,
     Echelon,
     IntMatrix,
     Matrix,
+    StructureError,
+    ValidationError,
     Vector,
     _from_integer,
     _int_kernel,
@@ -33,11 +36,7 @@ from .linalg import (
     combine,
     extend_basis,
     frac,
-    identity,
-    intersect_spaces,
     matmul,
-    matvec,
-    nullspace,
     primitive,
     restrict_operators,
     solve,
@@ -47,18 +46,6 @@ from .linalg import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-class AlgebraError(Exception):
-    """Base class for structural failures in this package."""
-
-
-class ValidationError(AlgebraError):
-    """The input table is not a Lie algebra."""
-
-
-class StructureError(AlgebraError):
-    """A span lacked the property an operation required of it."""
 
 
 class LieAlgebra:
@@ -462,7 +449,13 @@ class Subspace:
         return Subspace._of_integers(self.algebra, self._rows + other._rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.algebra, intersect_spaces(self._rows, other._rows))
+        """The x = alpha . a = beta . b over the integer kernel of [a^T | -b^T]."""
+        a, b = self._rows, other._rows
+        if not a or not b:
+            return zero_space(self.algebra)
+        stacked = [list(ca) + [-x for x in cb] for ca, cb in zip(zip(*a), zip(*b))]
+        ker = _int_kernel(*_integer_reduced(stacked), len(a) + len(b))
+        return Subspace._of_integers(self.algebra, _int_matmul([c[: len(a)] for c in ker], a))
 
     def is_subalgebra(self) -> bool:
         return self.contains_space(bracket_space(self, self))
@@ -518,41 +511,28 @@ def bracket_space(a: Subspace, b: Subspace) -> Subspace:
     return Subspace._of_integers(g, brackets)
 
 
-class Subalgebra(Subspace):
-    """Subspace validated to be closed under the bracket.
-
-    The closure check maps the brackets of every ordered pair of basis
-    vectors, antisymmetry not assumed, as one integer block through the
-    coordinates in the basis; `_table` keeps that block and its
-    denominator as the structure constants.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, algebra: LieAlgebra, vectors: Iterable[Vector] = ()):
-        super().__init__(algebra, vectors)
-        terms, d = _integer_terms(self.basis)
-        block = algebra._int_brackets(terms, terms)
-        coords, den = Coordinates(self.basis).map_integer(block, d * d * algebra._den)
-        if None in coords:
-            raise StructureError("span is not closed under the bracket")
-        self._table = (coords, den)
-
-    def as_algebra(self) -> tuple[LieAlgebra, Matrix]:
-        """Structure constants in the canonical basis, plus that basis."""
-        return LieAlgebra._from_block(*self._table), self.basis
-
-
-def as_subalgebra(s: Subspace) -> Subalgebra:
-    return Subalgebra(s.algebra, s.basis)
-
-
 # -- classical constructions ----------------------------------------------
 
 
 def _kernel_space(g: LieAlgebra, stacked: list[list[int]]) -> Subspace:
     """The x in g with w . x = 0 for every integer row w of `stacked`."""
     return Subspace._of_integers(g, _int_kernel(*_integer_reduced(stacked), g.dim))
+
+
+def subalgebra_table(s: Subspace) -> tuple[LieAlgebra, Matrix]:
+    """Structure constants of the subalgebra s in its basis, plus that basis.
+
+    The brackets of every ordered pair of basis vectors, antisymmetry not
+    assumed, are mapped as one integer block through the coordinates in
+    the basis; a span that is not closed raises StructureError.
+    """
+    g, basis = s.algebra, s.basis
+    terms, d = _integer_terms(basis)
+    block = g._int_brackets(terms, terms)
+    coords, den = Coordinates(basis).map_integer(block, d * d * g._den)
+    if None in coords:
+        raise StructureError("span is not closed under the bracket")
+    return LieAlgebra._from_block(coords, den), basis
 
 
 def centralizer(g: LieAlgebra, s: Subspace) -> Subspace:
@@ -649,13 +629,17 @@ def killing_form(g: LieAlgebra) -> Matrix:
     cached = g._cache.get("killing_form")
     if cached is not None:
         return cached
-    ads = [g._int_ad(((a, 1),)) for a in range(g.dim)]  # ad(e_a) times _den
-    # trace(a b) is the dot product of a, read by rows, with b, read by columns
-    by_rows = [[x for row in a for x in row] for a in ads]
-    by_cols = [[x for col in zip(*b) for x in col] for b in ads]
-    k = _from_integer(_int_matmul(by_rows, transpose(by_cols)), g._den**2)
+    k = _trace_form([g._int_ad(((a, 1),)) for a in range(g.dim)], g._den)
     g._cache["killing_form"] = k
     return k
+
+
+def _trace_form(ops: Sequence[list[list[int]]], den: int) -> Matrix:
+    """K[i][j] = trace(A_i A_j) for the operators A_i = ops[i] / den."""
+    # trace(a b) is the dot product of a, read by rows, with b, read by columns
+    by_rows = [[x for row in a for x in row] for a in ops]
+    by_cols = [[x for col in zip(*b) for x in col] for b in ops]
+    return _from_integer(_int_matmul(by_rows, transpose(by_cols)), den**2)
 
 
 def radical(g: LieAlgebra) -> Subspace:
@@ -675,7 +659,7 @@ def radical(g: LieAlgebra) -> Subspace:
     if derived.dim == 0:
         rad = whole
     else:
-        rad = Subspace(g, nullspace(matmul(derived.basis, k)))  # k is symmetric
+        rad = _kernel_space(g, _int_matmul(derived._rows, _integer_form(k).rows))  # k is symmetric
         if not rad.is_ideal() or not subspace_is_solvable(rad):
             raise AlgebraError("radical computation produced a non-solvable span")
     g._cache["radical"] = rad._rows
@@ -757,56 +741,51 @@ def nilradical(g: LieAlgebra) -> Subspace:
 
 @dataclass(frozen=True)
 class Quotient:
-    """g / ideal with explicit projection and a linear section.
+    """g / ideal, coordinatized by the standard-vector complement of the ideal.
 
-    projection: (q.dim x n) matrix, section: (n x q.dim); the quotient is
-    coordinatized by the deterministic standard-vector complement of the
-    ideal, and projection . section is the identity.
+    `complement` holds the indices j of the unit vectors e_j that complete
+    the ideal to g (`extend_basis`, deterministic), and quotient basis
+    vector a is the class of e_{complement[a]}.  `coords` are the
+    coordinates in the ideal's reduced rows followed by those unit
+    vectors; a class is read off the complement block.
     """
 
     algebra: LieAlgebra
     ideal: Subspace
     quotient: LieAlgebra
-    projection: Matrix
-    section: Matrix
+    complement: tuple[int, ...]
+    coords: Coordinates
 
     def push(self, v: Vector) -> Vector:
-        return matvec(self.projection, v)
-
-    def lift(self, v: Vector) -> Vector:
-        return matvec(self.section, v)
+        return self.coords.map((v,))[0][self.ideal.dim :]
 
     def push_space(self, s: Subspace) -> Subspace:
-        return Subspace(self.quotient, tuple(self.push(v) for v in s.basis))
+        rows, _ = self.coords.map_integer(s._rows, 1)
+        k = self.ideal.dim
+        return Subspace._of_integers(self.quotient, [row[k:] for row in rows])
 
     def pull_space(self, s: Subspace) -> Subspace:
-        vecs = tuple(self.lift(v) for v in s.basis) + self.ideal.basis
-        return Subspace(self.algebra, vecs)
+        rows = []
+        for row in s._rows:
+            w = [0] * self.algebra.dim
+            for j, x in zip(self.complement, row):
+                w[j] = x
+            rows.append(w)
+        return Subspace._of_integers(self.algebra, rows + self.ideal._rows)
 
 
 def quotient_by_ideal(g: LieAlgebra, ideal: Subspace) -> Quotient:
     if not ideal.is_ideal():
         raise StructureError("quotient requires an ideal")
-    n = g.dim
-    comp = extend_basis(ideal.basis, n)
-    q = len(comp)
-    full = ideal.basis + tuple(g.basis_vector(j) for j in comp)
-    k = ideal.dim
-    # projection: coordinates in `full`, keeping the complement block
-    coords = Coordinates(full)
-    inv_cols = coords.map(identity(n))
-    projection = tuple(
-        tuple(inv_cols[i][k + a] for i in range(n)) for a in range(q)
-    )
-    section = tuple(
-        tuple(_ONE if comp[a] == i else _ZERO for a in range(q)) for i in range(n)
-    )
+    n, k = g.dim, ideal.dim
+    comp = extend_basis(ideal._rows, n)
+    coords = Coordinates(ideal._rows + [[int(i == j) for i in range(n)] for j in comp])
     # the quotient brackets are the complement coordinates of [e_a, e_b]
     xs = [((j, 1),) for j in comp]
     br, den = coords.map_integer(g._int_brackets(xs, xs), g._den)
     labels = tuple(g.labels[j] for j in comp)
     qalg = LieAlgebra._from_block([c[k:] for c in br], den, labels)
-    return Quotient(g, ideal, qalg, projection, section)
+    return Quotient(g, ideal, qalg, comp, coords)
 
 
 # -- Levi decomposition ----------------------------------------------------
@@ -840,7 +819,7 @@ def _levi_complement(g: LieAlgebra, rad: Subspace) -> Subspace:
         qrad = quo.push_space(rad)
         qlevi = _levi_complement(quo.quotient, qrad)
         pre = quo.pull_space(qlevi)
-        sub, bs = as_subalgebra(pre).as_algebra()
+        sub, bs = subalgebra_table(pre)
         inner = _levi_complement(sub, radical(sub))
         return Subspace(g, matmul(inner.basis, bs))
     # abelian radical: correct the deterministic complement section

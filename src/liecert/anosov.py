@@ -651,7 +651,7 @@ def _classify_semisimple(
     if frame is None:
         raise Inconclusive("flow generator has an irrational semisimple refinement")
     g, a, rs = action.ambient, frame.a, frame.roots
-    k0 = Subspace(g, rs.zero_complement or ())
+    k0 = Subspace(g, rs.zero_complement)
     chcsa = a.sum(k0) == action.joint
     torus_flow = k0.intersect(action.flow)
     torus_isotropy = k0.intersect(action.isotropy)

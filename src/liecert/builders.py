@@ -201,6 +201,18 @@ def _madd(*pairs) -> Matrix:
     return tuple(tuple(r) for r in out)
 
 
+def sl_basis(n: int) -> tuple[Matrix, ...]:
+    """sl(n, R): the diagonal differences E_ii - E_i+1,i+1, then every E_ij, i != j."""
+
+    def unit(entries):
+        return tuple(
+            tuple(Fraction(entries.get((r, c), 0)) for c in range(n)) for r in range(n)
+        )
+
+    diag = [unit({(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
+    return tuple(diag + [unit({(i, j): 1}) for i in range(n) for j in range(n) if i != j])
+
+
 def _so13() -> LieAlgebra:
     """Lorentz algebra in the boost/rotation basis B1 B2 B3 R1 R2 R3."""
     b1 = _madd((_ONE, _e(0, 1)), (_ONE, _e(1, 0)))
@@ -258,7 +270,7 @@ def build_weyl_chamber(alg: LieAlgebra) -> ActionSpec:
         raise StructureError("chamber data requires a semisimple algebra")
     a = cartan_subspace(alg)
     rs = restricted_roots(alg, a)
-    k = Subspace(alg, rs.zero_complement or ())
+    k = Subspace(alg, rs.zero_complement)
     spec = ActionSpec(alg, a, k, name="weyl-chamber")
     spec.require_valid()
     return spec

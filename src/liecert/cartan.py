@@ -36,9 +36,8 @@ from .algebra import (
     StructureError,
     Subspace,
     _integer_terms,
-    as_subalgebra,
+    _trace_form,
     bracket_space,
-    center,
     centralizer,
     full_space,
     killing_form,
@@ -54,6 +53,7 @@ from .linalg import (
     Matrix,
     Vector,
     _from_integer,
+    _integer_echelon,
     _integer_form,
     combine,
     generalized_kernel,
@@ -201,14 +201,19 @@ def ellipticity_proxy(g: LieAlgebra, k: Subspace) -> EllipticityReport:
             break
     if k.dim == 0:
         return EllipticityReport(True, True, True)
-    try:
-        sub, _ = as_subalgebra(k).as_algebra()
-    except StructureError:
+    # ad(v) on k for each basis vector v of k; None when [v, k] leaves k,
+    # so this is the closure test
+    rs = restrict_operators([g.ad_integer(v) for v in k.basis], k.basis)
+    if None in rs:
         return EllipticityReport(all_axis, False, False)
-    # a symmetric matrix has only real eigenvalues, so the sign counts of
-    # its characteristic polynomial are its inertia (Sylvester)
-    inertia = operator_sign_counts(killing_form(sub))
-    zdim = center(sub).dim
+    den = lcm(*(r.den for r in rs))
+    ops = [[[x * (den // r.den) for x in row] for row in r.rows] for r in rs]
+    # the Killing form of k is the trace form of its adjoint; a symmetric
+    # matrix has only real eigenvalues, so the sign counts of its
+    # characteristic polynomial are its inertia (Sylvester)
+    inertia = operator_sign_counts(_trace_form(ops, den))
+    # the center of k is the common kernel of the ad(v) on k
+    zdim = k.dim - _integer_echelon([row for op in ops for row in op]).rank
     return EllipticityReport(all_axis, inertia.n_pos == 0, inertia.n_zero_real == zdim)
 
 
@@ -499,7 +504,7 @@ class RootSystem:
     base: Matrix  # basis of the Cartan subspace the functionals pair with
     roots: tuple[RootInfo, ...]
     exact: bool
-    zero_complement: Matrix | None  # Killing-perp of the base in the zero space
+    zero_complement: Matrix  # Killing-perp of the base in the zero space
 
     def nonzero_roots(self) -> tuple[RootInfo, ...]:
         return tuple(r for r in self.roots if not r.is_zero)

@@ -306,9 +306,7 @@ def root_system_payload(rs: RootSystem) -> dict:
         "base": mat_strs(rs.base),
         "exact": rs.exact,
         "roots": [root_info_payload(r) for r in rs.roots],
-        "zero_complement": (
-            mat_strs(rs.zero_complement) if rs.zero_complement is not None else None
-        ),
+        "zero_complement": mat_strs(rs.zero_complement),
     }
 
 

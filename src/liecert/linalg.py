@@ -51,7 +51,9 @@ structure constants are integers over one common denominator, brackets
 and adjoints are accumulated in integers, and a `Fraction` is built once
 per nonzero output entry; a span of brackets goes from the integer
 brackets straight into an `Echelon`.
-No floating point enters here.
+No floating point enters here.  The package's exceptions are defined
+here, in its bottom layer, so that every module can raise them;
+`algebra` re-exports them.
 """
 
 from __future__ import annotations
@@ -67,6 +69,18 @@ Matrix = tuple[Vector, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+class AlgebraError(Exception):
+    """Base class for structural failures in this package."""
+
+
+class ValidationError(AlgebraError):
+    """The input table is not a Lie algebra."""
+
+
+class StructureError(AlgebraError):
+    """A span lacked the property an operation required of it."""
 
 
 def frac(x) -> Fraction:
@@ -195,10 +209,6 @@ def combine(coeffs: Sequence[Fraction], rows: Matrix, n: int) -> Vector:
     if not rows:
         return zero_vector(n)
     return matmul((tuple(coeffs),), rows)[0]
-
-
-def matvec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -385,8 +395,6 @@ def charpoly(a: Matrix) -> tuple[Fraction, ...]:
         b = _int_matmul(c, m)
         q, r = divmod(-sum(b[i][i] for i in range(n)), k)
         if r:
-            from .algebra import AlgebraError  # algebra imports this module
-
             raise AlgebraError("Faddeev-LeVerrier division is not exact")
         coeffs[n - k] = q
     return tuple(Fraction(x, d ** (n - i)) if x else _ZERO for i, x in enumerate(coeffs))
@@ -546,20 +554,6 @@ class Coordinates:
     def map(self, block: Matrix) -> tuple[Vector | None, ...]:
         """Coordinates of each row of the block; None for a row outside."""
         return _from_integer(*self.map_integer(*_integer_form(block)))
-
-
-def intersect_spaces(a: Matrix, b: Matrix) -> Matrix:
-    """Canonical basis of the intersection of two row spaces."""
-    if not a or not b:
-        return ()
-    # Solve alpha . a - beta . b = 0; intersection vectors are alpha . a.
-    na, nb = len(a), len(b)
-    sys_rows = []
-    n = len(a[0])
-    for i in range(n):
-        sys_rows.append(tuple(a[r][i] for r in range(na)) + tuple(-b[r][i] for r in range(nb)))
-    ker = nullspace(tuple(sys_rows))
-    return row_basis(matmul(tuple(coef[:na] for coef in ker), a))
 
 
 def extend_basis(rows: Matrix, n: int) -> tuple[int, ...]:

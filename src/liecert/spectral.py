@@ -18,9 +18,10 @@ from fractions import Fraction
 from itertools import count
 from math import isqrt, prod
 
-from .algebra import AlgebraError, StructureError
 from .linalg import (
+    AlgebraError,
     Matrix,
+    StructureError,
     _int_matmul,
     _integer_form,
     charpoly,

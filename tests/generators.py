@@ -36,6 +36,11 @@ def dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), F(0))
 
 
+def matvec(a, v) -> tuple:
+    """The product a . v of a matrix and a vector."""
+    return tuple(dot(row, v) for row in a)
+
+
 def mat_sub(a, b) -> tuple:
     """The entrywise difference a - b of two matrices."""
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))

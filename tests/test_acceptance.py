@@ -28,7 +28,6 @@ from liecert import (
     Subspace,
     action_csa,
     action_to_document,
-    as_subalgebra,
     build_example,
     cartan_subspace,
     catalog_names,
@@ -49,7 +48,9 @@ from liecert import (
     restricted_roots,
     root_sign_counts,
     serialize_document,
+    sl_basis,
     splitting_invariance,
+    subalgebra_table,
     weyl_chambers,
 )
 from liecert.algebra import lie_algebra_from_matrices
@@ -90,7 +91,7 @@ def test_golden_so13_geodesic():
         spec = build_example("so13-geodesic")
         g = spec.ambient
         # isotropy is one-dimensional and abelian
-        k, _ = as_subalgebra(spec.isotropy).as_algebra()
+        k, _ = subalgebra_table(spec.isotropy)
         assert spec.isotropy.dim == 1 and len(derived_series(k)) == 2
         # restricted roots: +-alpha, each of multiplicity 2
         rs = restricted_roots(g, cartan_subspace(g))
@@ -146,7 +147,7 @@ def test_golden_heisenberg_starkov():
 def test_golden_wedge():
     def body():
         spec = build_example("wedge")
-        nil, _ = as_subalgebra(nilradical(spec.ambient)).as_algebra()
+        nil, _ = subalgebra_table(nilradical(spec.ambient))
         assert [s.dim for s in lower_central_series(nil)] == [6, 3, 0]
         assert classify(spec).case == "solvable"
 
@@ -308,20 +309,8 @@ def test_chamber_completeness(make, count):
         assert cert.dim_stable == cert.dim_unstable
 
 
-def _sl_basis(n):
-    """sl(n, R): the diagonal differences E_ii - E_i+1,i+1, then every E_ij, i != j."""
-
-    def unit(entries):
-        return tuple(
-            tuple(F(entries.get((r, c), 0)) for c in range(n)) for r in range(n)
-        )
-
-    diag = [unit({(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
-    return tuple(diag + [unit({(i, j): 1}) for i in range(n) for j in range(n) if i != j])
-
-
 def _sl_diagonal(d):
-    """Coordinates of diag(d), trace zero, in `_sl_basis(len(d))`."""
+    """Coordinates of diag(d), trace zero, in `sl_basis(len(d))`."""
     n = len(d)
     head = [sum(d[: i + 1]) for i in range(n - 1)]
     return tuple(F(x) for x in head) + (F(0),) * (n * n - n)
@@ -329,7 +318,7 @@ def _sl_diagonal(d):
 
 def test_sl6_ladder():
     # roots, chambers and one decision each way on sl(6, R), dim 35
-    g = lie_algebra_from_matrices(_sl_basis(6))
+    g = lie_algebra_from_matrices(sl_basis(6))
     assert g.dim == 35
     action = ActionSpec(g, cartan_subspace(g))
     rs = restricted_roots(g, action.flow)

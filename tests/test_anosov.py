@@ -41,6 +41,7 @@ from liecert.builders import (
     build_suspension,
     build_wedge_example,
     catalog_names,
+    sl_basis,
 )
 from liecert.cartan import (
     cartan_subspace,
@@ -64,7 +65,7 @@ from liecert.spectral import (
     char_poly,
     factor_with_multiplicity,
 )
-from test_acceptance import _sl_basis, _sl_diagonal
+from test_acceptance import _sl_diagonal
 from test_sparse_kernel import reference_quotient_operator
 
 F = Fraction
@@ -622,7 +623,7 @@ def _former_semisimple_report(spec):
     g = spec.ambient
     a = cartan_subspace(g, hint=hyperbolic_span(g, simplification(spec).flow.basis))
     rs = restricted_roots(g, a)
-    k0 = Subspace(g, rs.zero_complement or ())
+    k0 = Subspace(g, rs.zero_complement)
     torus_flow, torus_isotropy = k0.intersect(spec.flow), k0.intersect(spec.isotropy)
     evidence = {
         "cartan_subspace_dim": a.dim,
@@ -908,10 +909,10 @@ def _cartan_action(basis):
 
 
 CHAMBER_ACTIONS = {
-    "sl3": lambda: _cartan_action(_sl_basis(3)),
+    "sl3": lambda: _cartan_action(sl_basis(3)),
     "sp4": lambda: _cartan_action(_sp4_basis()),
-    "sl4": lambda: _cartan_action(_sl_basis(4)),
-    "sl5": lambda: _cartan_action(_sl_basis(5)),
+    "sl4": lambda: _cartan_action(sl_basis(4)),
+    "sl5": lambda: _cartan_action(sl_basis(5)),
     **{
         name: (lambda name=name: build_example(name))
         for name in ("sl2-geodesic", "so13-geodesic", "so13-frame-flow", "weyl-sl2sl2")
@@ -947,7 +948,7 @@ def test_chamber_certificates_match_former_check(name):
 
 def test_chamber_sweep_off_the_zero_root_space_finds_nothing():
     # flow span(diag(1, 0, -1)) in sl(3): the zero root space is the 2-dim diagonal
-    g = lie_algebra_from_matrices(_sl_basis(3))
+    g = lie_algebra_from_matrices(sl_basis(3))
     spec = ActionSpec(g, Subspace(g, [_sl_diagonal((1, 0, -1))]))
     assert _sweep(spec) == ()
     assert find_anosov_elements(spec) == ()
@@ -961,7 +962,7 @@ def test_chamber_sweep_off_the_zero_root_space_finds_nothing():
 def test_search_enumerates_only_the_chambers_it_reads(monkeypatch):
     calls = _count_calls(monkeypatch, "restricted_roots", "weyl_chambers")
     # flow + isotropy is not the zero root space: every chamber would be refused
-    g = lie_algebra_from_matrices(_sl_basis(3))
+    g = lie_algebra_from_matrices(sl_basis(3))
     assert find_anosov_elements(ActionSpec(g, Subspace(g, [_sl_diagonal((1, 0, -1))]))) == ()
     assert calls == {"restricted_roots": 1}
     calls.clear()
@@ -983,7 +984,7 @@ def _sweep_with_roots(monkeypatch, edit):
         return replace(rs, roots=tuple(roots))
 
     monkeypatch.setattr(liecert.anosov, "restricted_roots", edited)
-    return _sweep(_cartan_action(_sl_basis(3)))
+    return _sweep(_cartan_action(sl_basis(3)))
 
 
 def test_chamber_sweep_checks_the_multiplicities(monkeypatch):
@@ -1018,7 +1019,7 @@ def test_chamber_sweep_checks_each_sample_against_every_root(monkeypatch):
 
     monkeypatch.setattr(liecert.anosov, "weyl_chambers", on_a_wall)
     with pytest.raises(AlgebraError, match="vanishes on a nonzero root"):
-        _sweep(_cartan_action(_sl_basis(3)))
+        _sweep(_cartan_action(sl_basis(3)))
 
 
 def _nilpotent_flow_action():

@@ -27,7 +27,7 @@ from liecert import (
     full_space,
     lower_central_series,
     nilradical,
-    as_subalgebra,
+    subalgebra_table,
 )
 
 
@@ -97,7 +97,7 @@ def test_starkov_is_not_a_product():
 
 def test_starkov_nilradical_tower():
     g = build_heisenberg_starkov().ambient
-    nil, basis = as_subalgebra(nilradical(g)).as_algebra()
+    nil, basis = subalgebra_table(nilradical(g))
     dims = [s.dim for s in lower_central_series(nil)]
     assert dims == [3, 1, 0]
 
@@ -150,7 +150,7 @@ def test_wedge_structure():
     spec = build_wedge_example()
     g = spec.ambient
     assert g.dim == 7 and g.validate().ok
-    nil, _ = as_subalgebra(nilradical(g)).as_algebra()
+    nil, _ = subalgebra_table(nilradical(g))
     assert [s.dim for s in lower_central_series(nil)] == [6, 3, 0]
     # the wedge part is exactly the derived ideal of the nilpotent part
     assert bracket_space(full_space(nil), full_space(nil)).dim == 3

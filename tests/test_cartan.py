@@ -15,15 +15,20 @@ from liecert.algebra import (
     LieAlgebra,
     StructureError,
     Subspace,
+    bracket_space,
+    center,
     full_space,
+    killing_form,
     lie_algebra_from_matrices,
     quotient_by_ideal,
     radical,
+    subalgebra_table,
     zero_space,
 )
 from liecert.cartan import (
     Chamber,
     ChamberSet,
+    EllipticityReport,
     RootInfo,
     RootSystem,
     _fm_extend,
@@ -47,7 +52,7 @@ from liecert.cartan import (
     split_hyperbolic_csa,
     weyl_chambers,
 )
-from liecert.builders import build_example, catalog_names
+from liecert.builders import build_example, catalog_names, sl_basis
 from liecert.linalg import (
     IntMatrix,
     _from_integer,
@@ -60,8 +65,14 @@ from liecert.linalg import (
     solve,
 )
 from liecert.poly import RationalPolynomial, squarefree_part
-from liecert.spectral import apply_poly, char_poly, factor_with_multiplicity, jordan_chevalley
-from test_acceptance import _sl_basis, _sl_diagonal
+from liecert.spectral import (
+    apply_poly,
+    char_poly,
+    factor_with_multiplicity,
+    jordan_chevalley,
+    operator_sign_counts,
+)
+from test_acceptance import _sl_diagonal
 
 F = Fraction
 
@@ -300,6 +311,57 @@ def test_ellipticity_proxy_rotation_in_lorentz():
     assert rep.passed
 
 
+def table_ellipticity_proxy(g, k):
+    """The former ellipticity_proxy: the Killing form and center of k's own table."""
+    all_axis = True
+    for v in k.basis:
+        c = operator_sign_counts(g.ad_integer(v))
+        if c.n_neg or c.n_pos:
+            all_axis = False
+            break
+    if k.dim == 0:
+        return EllipticityReport(True, True, True)
+    try:
+        sub, _ = subalgebra_table(k)
+    except StructureError:
+        return EllipticityReport(all_axis, False, False)
+    inertia = operator_sign_counts(killing_form(sub))
+    return EllipticityReport(all_axis, inertia.n_pos == 0, inertia.n_zero_real == center(sub).dim)
+
+
+def _closure(s):
+    while True:
+        grown = s.sum(bracket_space(s, s))
+        if grown == s:
+            return s
+        s = grown
+
+
+def test_ellipticity_proxy_matches_the_table_reference():
+    # the catalog isotropies and flow + isotropy spans, the two parts of
+    # compact_levi_split, and random spans of the catalog algebras, closed
+    # and not; plus so(3), whose Killing form is negative definite
+    rng = random.Random(30)
+    cases = [(so3(), full_space(so3()))]
+    for name in catalog_names():
+        action = build_example(name)
+        g = action.ambient
+        split = compact_levi_split(g, action.isotropy)
+        cases += [(g, s) for s in (action.isotropy, action.joint, split.semisimple, split.central)]
+        for _ in range(12):
+            vecs = [tuple(F(rng.randint(-1, 1)) for _ in range(g.dim)) for _ in range(rng.randint(1, 3))]
+            s = Subspace(g, vecs)
+            cases += [(g, s), (g, _closure(s))]
+    reports = []
+    for g, s in cases:
+        rep = ellipticity_proxy(g, s)
+        assert rep == table_ellipticity_proxy(g, s)
+        reports.append(rep)
+    assert {r.passed for r in reports} == {True, False}
+    assert EllipticityReport(False, False, False) in reports  # a span that is not closed
+    assert any(r.all_axis and not r.kernel_matches_center for r in reports)
+
+
 # -- CSA from an action datum -------------------------------------------------
 
 
@@ -392,7 +454,7 @@ def test_hyperbolic_part_of_a_hyperbolic_element_is_itself(monkeypatch):
         raise AssertionError("jordan_chevalley called on an ad-hyperbolic element")
 
     monkeypatch.setattr("liecert.cartan.jordan_chevalley", no_refinement)
-    g = lie_algebra_from_matrices(_sl_basis(3))
+    g = lie_algebra_from_matrices(sl_basis(3))
     x = _sl_diagonal((1, 0, -1))
     assert hyperbolic_part(g, x) == x
 
@@ -411,14 +473,13 @@ def reference_solve_ad(g: LieAlgebra, target):
 
 
 def test_solve_ad_matches_the_dense_system():
-    from test_acceptance import _sl_basis
     from test_anosov import _sp4_basis
 
     cases = []
     for name in catalog_names():
         action = build_example(name)
         cases.append((action.ambient, action.flow.basis + action.isotropy.basis))
-    for basis in (_sl_basis(3), _sl_basis(4), _sl_basis(5), _sp4_basis()):
+    for basis in (sl_basis(3), sl_basis(4), sl_basis(5), _sp4_basis()):
         g = lie_algebra_from_matrices(basis)
         cases.append((g, tuple(g.basis_vector(i) for i in range(g.dim))))
     solved = 0
@@ -681,7 +742,7 @@ def _assert_witnesses(rs):
 
 
 def _companion_powers(n):
-    """Coordinates in `_sl_basis(n)` of C, C^2, ..., C^(n-1), each less its
+    """Coordinates in `sl_basis(n)` of C, C^2, ..., C^(n-1), each less its
     trace part, for C the companion matrix of t^n - t - 1: a Cartan
     subspace whose roots generate a field with Galois group S_n (Osada)."""
     c = [[int(i == j + 1) for j in range(n)] for i in range(n)]
@@ -700,7 +761,7 @@ def _companion_powers(n):
 def test_restricted_roots_fallback_witnesses_of_high_degree(n):
     # each minimal polynomial has the n(n-1) roots l_i^k - l_j^k, and at
     # n = 7 coefficients past 2e7: its Cauchy radius to the 42nd power overflows
-    g = lie_algebra_from_matrices(_sl_basis(n))
+    g = lie_algebra_from_matrices(sl_basis(n))
     rs = restricted_roots(g, Subspace(g, _companion_powers(n)))
     assert not rs.exact
     blocks = [r for r in rs.roots if not r.exact]
@@ -719,7 +780,7 @@ def test_unsettled_witness_iteration_is_an_error(monkeypatch):
 @pytest.mark.parametrize("n, axis", [(4, 2.0679641), (5, 2.1679082), (6, 2.8982231)])
 def test_witnesses_on_the_imaginary_axis_have_real_part_zero(n, axis):
     # the noise of the iteration used to be left as the real part, e.g. 4.1e-33 at n = 4
-    g = lie_algebra_from_matrices(_sl_basis(n))
+    g = lie_algebra_from_matrices(sl_basis(n))
     rs = restricted_roots(g, Subspace(g, _companion_powers(n)))
     floats = [w for r in rs.roots if not r.exact for w in r.value_floats]
     assert (0.0, pytest.approx(axis)) in floats
@@ -823,9 +884,9 @@ H_PLUS_E13 = ((0, 0, 1), (1, 1, -2), (2, 2, 1), (0, 2, 1))
 
 
 def _sl3_at(*entries):
-    """Coordinates in `_sl_basis(3)` of the sum of x E_ij over (i, j, x); the
+    """Coordinates in `sl_basis(3)` of the sum of x E_ij over (i, j, x); the
     diagonal entries must add up to 0."""
-    basis = _sl_basis(3)
+    basis = sl_basis(3)
     target = [[F(0)] * 3 for _ in range(3)]
     for i, j, x in entries:
         target[i][j] += x
@@ -839,7 +900,7 @@ def _root_cases():
     its flow and its Cartan subspace, and bases with irrational,
     non-separable or nilpotent parts."""
     for name, basis in [
-        *((f"sl{n}", _sl_basis(n)) for n in range(3, 7)),
+        *((f"sl{n}", sl_basis(n)) for n in range(3, 7)),
         ("sp4", _sp_basis(2)),
         ("sp6", _sp_basis(3)),
     ]:
@@ -864,9 +925,9 @@ def _root_cases():
     g = sl2()
     yield "sl2-irrational", g, Subspace(g, [(1, 1, 1)])
     for n in range(3, 7):
-        g = lie_algebra_from_matrices(_sl_basis(n))
+        g = lie_algebra_from_matrices(sl_basis(n))
         yield f"sl{n}-companion", g, Subspace(g, _companion_powers(n))
-    g = lie_algebra_from_matrices(_sl_basis(3))
+    g = lie_algebra_from_matrices(sl_basis(3))
     yield "sl3-not-hyperbolic", g, Subspace(g, [_sl3_at(*H_PLUS_E13)])
 
 
@@ -887,7 +948,7 @@ def test_restricted_roots_match_the_former_loop():
 def test_restricted_roots_without_a_separating_element_match_the_former_loop(monkeypatch, tries):
     # on the Cartan subspace of sl(4), lam = 1 and 2 give colliding values
     monkeypatch.setattr(liecert.cartan, "GENERIC_TRIES", tries)
-    g = lie_algebra_from_matrices(_sl_basis(4))
+    g = lie_algebra_from_matrices(sl_basis(4))
     a = cartan_subspace(g)
     got = restricted_roots(g, a)
     assert not got.exact
@@ -897,7 +958,7 @@ def test_restricted_roots_without_a_separating_element_match_the_former_loop(mon
 def test_restricted_roots_and_the_former_loop_raise_alike():
     # h + E_13 and E_13, h = diag(1, -2, 1): E_13 is in the zero root space and
     # isotropic for the Killing form, so the zero space does not split off the base
-    g = lie_algebra_from_matrices(_sl_basis(3))
+    g = lie_algebra_from_matrices(sl_basis(3))
     a = Subspace(g, [_sl3_at(*H_PLUS_E13), _sl3_at((0, 2, 1))])
     with pytest.raises(AlgebraError) as got:
         restricted_roots(g, a)
@@ -908,7 +969,7 @@ def test_restricted_roots_and_the_former_loop_raise_alike():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_restricted_roots_factor_one_generic_element(monkeypatch, n):
-    g = lie_algebra_from_matrices(_sl_basis(n))
+    g = lie_algebra_from_matrices(sl_basis(n))
     a = cartan_subspace(g)
     sizes = []
     real = liecert.cartan.char_poly
@@ -919,7 +980,7 @@ def test_restricted_roots_factor_one_generic_element(monkeypatch, n):
 
 
 def test_hyperbolicity_verdicts_are_memoised(monkeypatch):
-    g = lie_algebra_from_matrices(_sl_basis(4))
+    g = lie_algebra_from_matrices(sl_basis(4))
     refs = sys.getrefcount(g)
     tested = Counter()
     real = liecert.cartan.char_poly

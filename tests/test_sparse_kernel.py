@@ -14,13 +14,12 @@ from operator import mul
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from generators import fraction_ad, matrix, random_solvable
+from generators import fraction_ad, matrix, matvec, random_solvable
 from liecert.algebra import (
     LieAlgebra,
     StructureError,
     Subspace,
     _envelope_conditions,
-    as_subalgebra,
     bracket_space,
     full_space,
     levi_decomposition,
@@ -29,9 +28,10 @@ from liecert.algebra import (
     normalizer,
     quotient_by_ideal,
     radical,
+    subalgebra_table,
     zero_space,
 )
-from liecert.builders import build_example, catalog_names
+from liecert.builders import build_example, catalog_names, sl_basis
 from liecert.linalg import (
     Coordinates,
     Echelon,
@@ -43,7 +43,6 @@ from liecert.linalg import (
     integer_row,
     invariant_under,
     matmul,
-    matvec,
     nullspace,
     restrict_operator,
     row_basis,
@@ -478,7 +477,7 @@ def former_validate(ref, table):
 
 
 def former_closure(ref, s):
-    """The former Subalgebra closure loop: one rref_coords per ordered pair."""
+    """The former subalgebra closure loop: one rref_coords per ordered pair."""
     table = []
     for x in s.basis:
         row = []
@@ -664,9 +663,9 @@ def assert_structure_matches_former(g, table):
             expected = former_closure(ref, s)
         except StructureError:
             with pytest.raises(StructureError):
-                as_subalgebra(s)
+                subalgebra_table(s)
             continue
-        sub, basis = as_subalgebra(s).as_algebra()
+        sub, basis = subalgebra_table(s)
         assert sub.table == expected and basis == s.basis
         assert sub == LieAlgebra(expected)
     for ideal in (rad, nil, derived):
@@ -674,7 +673,8 @@ def assert_structure_matches_former(g, table):
         expected, projection, section = former_quotient(ref, ideal)
         assert quo.quotient.table == expected
         assert quo.quotient == LieAlgebra(expected)
-        assert (quo.projection, quo.section) == (projection, section)
+        for s in (full, rad, nil, derived, zero_space(g), first):
+            assert quo.push_space(s) == Subspace(quo.quotient, [matvec(projection, v) for v in s.basis])
     levi, rad_again = levi_decomposition(g)
     assert rad_again == rad
     assert levi == former_levi(ref, g, former_radical(ref, g))
@@ -752,9 +752,9 @@ def test_closure_check_and_normalizer_match_former_on_any_table(table, data):
         expected = former_closure(ref, s)
     except StructureError:
         with pytest.raises(StructureError):
-            as_subalgebra(s)
+            subalgebra_table(s)
     else:
-        sub, basis = as_subalgebra(s).as_algebra()
+        sub, basis = subalgebra_table(s)
         assert sub.table == expected and basis == s.basis
     try:
         expected_normalizer = former_normalizer(ref, s)
@@ -778,13 +778,13 @@ def test_closure_of_a_span_that_is_not_closed_raises_on_both_sides():
         with pytest.raises(StructureError):
             former_closure(ref, s)
         with pytest.raises(StructureError):
-            as_subalgebra(s)
+            subalgebra_table(s)
     lower = ((z, z, z), ((F(0), F(0), F(1)), z, z), (z, z, z))
     s = Subspace(LieAlgebra(lower), ((1, 0, 0), (0, 0, 1)))
-    assert as_subalgebra(s).as_algebra()[0].dim == 2  # (0, 1) and (1, 0) stay inside
+    assert subalgebra_table(s)[0].dim == 2  # (0, 1) and (1, 0) stay inside
     s = Subspace(LieAlgebra(lower), identity(3)[:2])
     with pytest.raises(StructureError):  # only (1, 0) leaves the span
-        as_subalgebra(s)
+        subalgebra_table(s)
 
 
 def _matrix_unit(i, j, n=3):
@@ -811,6 +811,27 @@ def _base_algebras():
 
 
 BASE_ALGEBRAS = _base_algebras()
+
+
+def test_push_space_undoes_pull_space():
+    # every ideal of the structure series, and in each quotient the zero
+    # span, every line of the basis, a seeded span and the whole quotient;
+    # pull_space(s) holds the ideal and push_space of any span holding the
+    # ideal pulls back to it
+    rng = random.Random(30)
+    for g in [build_example(name).ambient for name in catalog_names()] + [_affine(False), _affine(True)]:
+        whole = full_space(g)
+        for ideal in (zero_space(g), radical(g), nilradical(g), bracket_space(whole, whole), whole):
+            quo = quotient_by_ideal(g, ideal)
+            q = quo.quotient
+            vecs = [tuple(F(rng.randint(-2, 2)) for _ in range(q.dim)) for _ in range(2)]
+            spans = [zero_space(q), full_space(q), Subspace(q, vecs)]
+            spans += [Subspace(q, [q.basis_vector(a)]) for a in range(q.dim)]
+            for s in spans:
+                pre = quo.pull_space(s)
+                assert pre.contains_space(ideal) and pre.dim == s.dim + ideal.dim
+                assert quo.push_space(pre) == s
+                assert quo.pull_space(quo.push_space(pre)) == pre
 
 
 def rescaled(table, lams):
@@ -859,11 +880,10 @@ def test_decisions_build_no_fraction_adjoint():
         is_ad_hyperbolic,
         restricted_roots,
     )
-    from test_acceptance import _sl_basis
 
     assert not hasattr(LieAlgebra, "ad")
     assert not hasattr(LieAlgebra, "ad_basis")
-    sl3 = lie_algebra_from_matrices(_sl_basis(3))
+    sl3 = lie_algebra_from_matrices(sl_basis(3))
     actions = [ActionSpec(sl3, cartan_subspace(sl3))]
     actions += [build_example(name) for name in catalog_names()]
     for action in actions:

@@ -12,6 +12,7 @@ import liecert.spectral
 from generators import inverse, mat_sub, matrix, root_polynomials
 from liecert.algebra import StructureError, lie_algebra_from_matrices
 from liecert.anosov import ActionSpec, check_anosov
+from liecert.builders import sl_basis
 from liecert.cartan import cartan_subspace, restricted_roots
 from liecert.linalg import (
     _from_integer,
@@ -43,7 +44,7 @@ from liecert.spectral import (
     operator_sign_counts,
     spectral_gap,
 )
-from test_acceptance import _sl_basis, _sl_diagonal
+from test_acceptance import _sl_diagonal
 from test_poly import ref_root_sign_counts, ref_shift, wide_polynomials
 
 
@@ -579,7 +580,7 @@ def test_split_polynomials_never_reach_sympy(monkeypatch):
         raise AssertionError("split polynomial sent to sympy")
 
     monkeypatch.setattr(sympy.Poly, "factor_list", refuse)
-    g = lie_algebra_from_matrices(_sl_basis(4))
+    g = lie_algebra_from_matrices(sl_basis(4))
     action = ActionSpec(g, cartan_subspace(g))
     assert restricted_roots(g, action.flow).exact
     assert check_anosov(action, _sl_diagonal([3, 1, -1, -3])).accepted
