@@ -9,15 +9,20 @@ on [k, k] as a flow generator does.  Whether an element is ad-hyperbolic
 is decided once per vector and algebra (`is_ad_hyperbolic`).
 Restricted roots are read off one generic element of the Cartan
 subspace: its primary components, each split again by the first operator
-of the family that is not scalar plus nilpotent on it.  The data is exact
-whenever every joint value is rational and some generic element
-separates them, which fixes the order of the roots; otherwise each joint
-invariant subspace of a generic element is still exact and carries the
-minimal polynomial of its family of pairings, with a float witness for
-each: the root of largest modulus of that polynomial, by a Weierstrass
-iteration (`_largest_root`).  Per-root isolating intervals do not exist in the
-merged case (conjugate functionals share one rational subspace), so the
-block form is the strongest exact statement available.
+of the family that is not scalar plus nilpotent on it.  The splitting
+runs on integer reduced echelon rows from start to finish: a component
+is an integer generalized kernel, an operator is restricted to it by
+reading its images at the pivots, and the scalar test is N^d = 0 for an
+integer N, so a `Fraction` row is built once per returned block.  The
+data is exact whenever every joint value is rational and some generic
+element separates them, which fixes the order of the roots; otherwise
+each joint invariant subspace of a generic element is still exact and
+carries the minimal polynomial of its family of pairings, with a float
+witness for each: the root of largest modulus of that polynomial, by a
+Weierstrass iteration (`_largest_root`).  Per-root isolating intervals
+do not exist in the merged case (conjugate functionals share one
+rational subspace), so the block form is the strongest exact statement
+available.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
@@ -53,8 +58,12 @@ from .linalg import (
     Matrix,
     Vector,
     _from_integer,
+    _int_generalized_kernel,
+    _int_matmul,
     _integer_echelon,
     _integer_form,
+    _integer_reduced,
+    _rref_rows,
     combine,
     generalized_kernel,
     identity,
@@ -530,32 +539,64 @@ def _zero_complement(g: LieAlgebra, base: Matrix, zero_rows: Matrix) -> Matrix:
     return c_space.basis
 
 
-def _scalar(r: IntMatrix, p: RationalPolynomial) -> Fraction | None:
-    """alpha when the d x d restriction r, of characteristic polynomial p,
-    is alpha plus a nilpotent, that is when p = (t - alpha)^d; else None."""
-    d = len(r.rows)
-    alpha = Fraction(sum(r.rows[i][i] for i in range(d)), r.den * d)
-    if p != RationalPolynomial([comb(d, k) * (-alpha) ** (d - k) for k in range(d + 1)]):
-        return None
-    return alpha
+def _scalar(r: IntMatrix) -> Fraction | None:
+    """alpha when the d x d restriction r = R / den is alpha plus a
+    nilpotent, else None.
+
+    alpha can only be tr R / (d den), and r - alpha is nilpotent exactly
+    when N = d R - (tr R) I is, that is when N^d = 0, the same criterion as
+    r's characteristic polynomial being (t - alpha)^d.  N is squared until
+    it vanishes or its power reaches d, all in integers; at d = 1, N = 0.
+    """
+    rows, den = r
+    d = len(rows)
+    tr = sum(rows[i][i] for i in range(d))
+    n = [[d * x - tr * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    power = 1
+    while power < d and any(map(any, n)):
+        n = _int_matmul(n, n)
+        power *= 2
+    return None if any(map(any, n)) else Fraction(tr, d * den)
 
 
-def _restrict_block(ads: Sequence[IntMatrix], ker: Matrix) -> list[IntMatrix]:
-    """Each ad restricted to the block span(ker), in the basis ker, from one
-    elimination of the block.  The ads commute with every operator whose
-    primary components are cut here, so a restriction cannot leave its
-    block: one that does raises AlgebraError."""
-    rs = restrict_operators(ads, ker)
-    if None in rs:
-        raise AlgebraError("joint invariant subspace lost invariance")
-    return rs
+def _primary_rows(
+    op: IntMatrix, phi: RationalPolynomial, mult: int
+) -> tuple[list[list[int]], list[int]]:
+    """The primary component of op for the factor phi of multiplicity mult
+    of its characteristic polynomial: the reduced integer rows and pivots
+    of the generalized kernel of phi(op), of dimension mult deg phi."""
+    return _int_generalized_kernel(apply_poly(phi, op).rows, mult * phi.degree)
+
+
+def _restrict_block(
+    ads: Sequence[IntMatrix], ker: list[list[int]], pivots: list[int]
+) -> list[IntMatrix]:
+    """Each ad restricted to the block span(ker), in the basis ker, read off
+    the pivots.
+
+    The rows of ker are reduced: each is zero at the others' pivots, so
+    the coordinate of an image u on row j is u[p_j] / ker[j][p_j], and u
+    lies in the block exactly when it is the sum of those multiples of
+    the rows, which one integer product checks.  The ads commute with
+    every operator whose primary components are cut here, so a
+    restriction cannot leave its block: one that does raises AlgebraError.
+    """
+    m = lcm(*(row[c] for row, c in zip(ker, pivots)))
+    scales = [m // row[c] for row, c in zip(ker, pivots)]
+    out = []
+    for rows, den in ads:
+        images = _int_matmul(ker, [list(c) for c in zip(*rows)])  # row j: the ad of ker[j]
+        coords = [[u[c] * s for c, s in zip(pivots, scales)] for u in images]
+        if _int_matmul(coords, ker) != [[m * x for x in u] for u in images]:
+            raise AlgebraError("joint invariant subspace lost invariance")
+        out.append(IntMatrix([list(c) for c in zip(*coords)], m * den))
+    return out
 
 
 def _joint_blocks(
     ads: Sequence[IntMatrix],
     op: IntMatrix,
     factors: list[tuple[RationalPolynomial, int]],
-    base: Matrix | None = None,
 ) -> list[tuple[Matrix, tuple[Fraction, ...]]] | None:
     """The joint blocks of the ads inside the primary components of op, each
     with its values, or None once a factor is not linear.
@@ -563,29 +604,46 @@ def _joint_blocks(
     The ads span a nilpotent Lie algebra of operators (a commuting family
     does) that holds op, so each primary component of one of them is
     invariant under all (Jacobson, Lie Algebras, 1962, ch. II).  factors
-    are those of op's characteristic polynomial, and the ads act in the
-    coordinates of op: those of g, or of the rows of `base` in g.  A
-    component on which every ad is alpha plus a nilpotent is one joint
-    block, with those alphas as its values; on any other, the first ad
-    that is not splits it by its own primary decomposition, in the
-    component's basis, and so on down.  Each block is returned as its
-    rows in g: the reduced echelon rows of `generalized_kernel` times
-    `base`, which is again in reduced echelon form.  A factor that is not
-    linear means an irrational value.
+    are those of op's characteristic polynomial, and the ads and op act
+    in the coordinates of g.  A component on which every ad is alpha plus
+    a nilpotent is one joint block, with those alphas as its values; on
+    any other, the first ad that is not splits it by its own primary
+    decomposition, in the component's basis, and so on down
+    (`_integer_blocks`).  A factor that is not linear means an irrational
+    value.  The whole recursion runs on integer rows; each block is
+    returned as the rref rows of its span, built here and nowhere before.
+    """
+    blocks = _integer_blocks(ads, op, factors, None)
+    if blocks is None:
+        return None
+    return [(_rref_rows(*_integer_reduced(rows)), values) for rows, values in blocks]
+
+
+def _integer_blocks(
+    ads: Sequence[IntMatrix],
+    op: IntMatrix,
+    factors: list[tuple[RationalPolynomial, int]],
+    base: list[list[int]] | None,
+) -> list[tuple[list[list[int]], tuple[Fraction, ...]]] | None:
+    """`_joint_blocks` with each block as integer rows spanning it in g.
+
+    The ads and op act in the coordinates of the rows of `base` in g, or
+    of g itself when base is None.  A component's basis is the reduced
+    rows of `_primary_rows`, times `base` when there is one: a product of
+    reduced rows is reduced, up to the content of each row.
     """
     if any(phi.degree > 1 for phi, _ in factors):
         return None
     out = []
-    for phi, _ in factors:
-        ker = generalized_kernel(apply_poly(phi, op))
-        rs = _restrict_block(ads, ker)
-        space = ker if base is None else matmul(ker, base)
+    for phi, mult in factors:
+        ker, pivots = _primary_rows(op, phi, mult)
+        rs = _restrict_block(ads, ker, pivots)
+        space = ker if base is None else _int_matmul(ker, base)
         values = []
         for r in rs:
-            p = char_poly(r)
-            alpha = _scalar(r, p)
+            alpha = _scalar(r)
             if alpha is None:
-                inner = _joint_blocks(rs, r, factor_with_multiplicity(p), space)
+                inner = _integer_blocks(rs, r, factor_with_multiplicity(char_poly(r)), space)
                 if inner is None:
                     return None
                 out.extend(inner)
@@ -617,12 +675,16 @@ def _in_factor_order(
     lists their factors b t - a (`factor_key`, the block's dimension as
     multiplicity) for the generic element sum_i lam^i a_i of value a/b on
     each, at the first lam in 1..GENERIC_TRIES where these values are
-    pairwise distinct; None when there is no such lam."""
+    pairwise distinct; None when there is no such lam.  The values are
+    integers over one common denominator, so each generic value is an
+    integer and only its key is brought to lowest terms."""
+    den = lcm(*(x.denominator for _, vals in blocks for x in vals))
+    nums = [[x.numerator * (den // x.denominator) for x in vals] for _, vals in blocks]
     for lam in range(1, GENERIC_TRIES + 1):
-        vs = [sum(lam**i * x for i, x in enumerate(vals)) for _, vals in blocks]
+        vs = [sum(lam**i * x for i, x in enumerate(row)) for row in nums]
         if len(set(vs)) == len(vs):
             keys = [
-                factor_key([-v.numerator, v.denominator], len(ker))
+                factor_key([-v // gcd(v, den), den // gcd(v, den)], len(ker))
                 for v, (ker, _) in zip(vs, blocks)
             ]
             return [blocks[b] for b in sorted(range(len(blocks)), key=keys.__getitem__)]
@@ -671,16 +733,16 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
         a_star, factors = _generic(g, a, GENERIC_TRIES)
     infos = []
     zero_rows: Matrix = ()
-    for phi, _ in factors:
-        ker = generalized_kernel(apply_poly(phi, a_star))
-        rs = _restrict_block(ads, ker)
-        ps = [char_poly(r) for r in rs]
-        alphas = tuple(map(_scalar, rs, ps))
+    for phi, mult in factors:
+        rows, pivots = _primary_rows(a_star, phi, mult)
+        rs = _restrict_block(ads, rows, pivots)
+        ker = _rref_rows(rows, pivots)
+        alphas = tuple(map(_scalar, rs))
         if all(x == 0 for x in alphas):
             infos.append(RootInfo(len(ker), ker, alphas, None, ((0.0, 0.0),) * len(ads), True))
             zero_rows = ker
             continue
-        minpolys = tuple(map(squarefree_part, ps))
+        minpolys = tuple(squarefree_part(char_poly(r)) for r in rs)
         floats = tuple(map(_largest_root, minpolys))
         infos.append(RootInfo(len(ker), ker, None, minpolys, floats, False))
     comp = _zero_complement(g, a.basis, zero_rows)

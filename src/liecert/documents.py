@@ -45,8 +45,13 @@ class DocumentError(Exception):
 # -- rational scalars ----------------------------------------------------------
 
 
-def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+def frac_str(x: Fraction | int) -> str:
+    """x as "p" or "p/q" in lowest terms; only a value that is neither a
+    `Fraction` nor an int is converted to a `Fraction` first."""
+    if not isinstance(x, Fraction):
+        if isinstance(x, int):
+            return str(x)
+        x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -342,23 +342,34 @@ def nullspace(m: Matrix) -> tuple[Vector, ...]:
 
 
 def generalized_kernel(b: Matrix) -> Matrix:
-    """Canonical basis of the generalized kernel of the square matrix b.
+    """Canonical basis of the generalized kernel of the square matrix b:
+    the rows of `_int_generalized_kernel`, each divided by its pivot."""
+    return _rref_rows(*_int_generalized_kernel(_integer_form(b).rows))
+
+
+def _int_generalized_kernel(
+    rows: list[list[int]], size: int | None = None
+) -> tuple[list[list[int]], list[int]]:
+    """Reduced integer rows and pivots (`_integer_reduced`) spanning the
+    generalized kernel of the square integer matrix `rows`.
 
     ker b^j grows with j until the Fitting index and is constant from
     there on, so the first j with rank b^(j+1) = rank b^j gives it, and the
-    result equals row_basis(nullspace(b^n)).  The reduced rows of b^j have
-    the kernel of b^j, so each step multiplies those rank-many rows by b.
-    The rows stay the left factor: the kernel is read off the row space of
-    b^j, which b . rows^T would not give.  An invertible b stops at once.
+    span equals that of nullspace(b^n).  The reduced rows of b^j have the
+    kernel of b^j, so each step multiplies those rank-many rows by b.  The
+    rows stay the left factor: the kernel is read off the row space of
+    b^j, which b . rows^T would not give.  An invertible b stops at once,
+    and so does a kernel of dimension `size`, when the caller knows the
+    dimension of the generalized kernel beforehand.
     """
-    rows, _ = _integer_form(b)
+    n = len(rows)
     red, piv = _integer_reduced(rows)
-    while 0 < len(piv) < len(rows):
+    while 0 < len(piv) < n and n - len(piv) != size:
         nxt, npiv = _integer_reduced(_int_matmul(red, rows))
         if len(npiv) == len(piv):
             break
         red, piv = nxt, npiv
-    return _rref_rows(*_integer_reduced(_int_kernel(red, piv, len(rows))))
+    return _integer_reduced(_int_kernel(red, piv, n))
 
 
 def solve(a: Matrix, b: Vector) -> Vector | None:

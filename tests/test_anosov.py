@@ -655,6 +655,21 @@ def test_classify_enumerates_the_chambers_of_a_frame_outside_the_flow(monkeypatc
     assert rep == _former_semisimple_report(spec)
 
 
+def test_classify_reads_one_chamber_certificate(monkeypatch):
+    # sl(4) on its Cartan subspace: the search certifies all 24 chambers,
+    # classify reads the first, and its report is the same
+    g = lie_algebra_from_matrices(sl_basis(4))
+    spec = ActionSpec(g, cartan_subspace(g))
+    decided = _record_decisions(monkeypatch)
+    assert len(find_anosov_elements(spec)) == 24
+    assert len(decided) == 24
+    decided.clear()
+    rep = classify(spec)
+    assert [path for path, *_ in decided] == ["weights"]
+    assert rep.evidence["chambers"].count == 24
+    assert rep == _former_semisimple_report(spec)
+
+
 def test_classify_reports_no_chambers_for_irrational_roots(monkeypatch):
     spec = _irrational_sl2()
     assert len(find_anosov_elements(spec)) == 2

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import liecert.cartan
-from generators import dot, fraction_ad, functional_root_system, matrix
+import liecert.linalg
+from generators import dot, fraction_ad, functional_root_system, inverse, matrix
 from liecert.algebra import (
     AlgebraError,
     LieAlgebra,
@@ -34,7 +35,10 @@ from liecert.cartan import (
     _fm_extend,
     _inner_solution,
     _fm_sample,
+    _generic,
+    _joint_blocks,
     _largest_root,
+    _scalar,
     _zero_complement,
     cartan_subspace,
     compact_levi_split,
@@ -52,7 +56,7 @@ from liecert.cartan import (
     split_hyperbolic_csa,
     weyl_chambers,
 )
-from liecert.builders import build_example, catalog_names, sl_basis
+from liecert.builders import build_example, build_suspension, catalog_names, sl_basis
 from liecert.linalg import (
     IntMatrix,
     _from_integer,
@@ -61,7 +65,9 @@ from liecert.linalg import (
     generalized_kernel,
     identity,
     integer_row,
+    matmul,
     restrict_operator,
+    restrict_operators,
     solve,
 )
 from liecert.poly import RationalPolynomial, squarefree_part
@@ -977,6 +983,201 @@ def test_restricted_roots_factor_one_generic_element(monkeypatch, n):
     assert restricted_roots(g, a).exact
     assert sizes.count(g.dim) == 1
     assert max(sizes) == g.dim
+
+
+# -- joint blocks on integer rows, checked against the former Fraction blocks --
+
+
+def _former_scalar(r, p):
+    """The former `_scalar`: alpha when the characteristic polynomial p of
+    the d x d matrix r is (t - alpha)^d, else None."""
+    d = len(r.rows)
+    alpha = F(sum(r.rows[i][i] for i in range(d)), r.den * d)
+    if p != RationalPolynomial([math.comb(d, k) * (-alpha) ** (d - k) for k in range(d + 1)]):
+        return None
+    return alpha
+
+
+def reference_joint_blocks(ads, op, factors, base=None):
+    """The former `_joint_blocks`, on `Fraction` rows: each primary component
+    is the rref rows of `generalized_kernel`, the ads are restricted to it
+    by one `Coordinates` elimination (`restrict_operators`), each is tested
+    on its characteristic polynomial, and a nested block is its kernel
+    rows times the rows of its parent."""
+    if any(phi.degree > 1 for phi, _ in factors):
+        return None
+    out = []
+    for phi, _ in factors:
+        ker = generalized_kernel(apply_poly(phi, op))
+        rs = restrict_operators(ads, ker)
+        if None in rs:
+            raise AlgebraError("joint invariant subspace lost invariance")
+        space = ker if base is None else matmul(ker, base)
+        values = []
+        for r in rs:
+            p = char_poly(r)
+            alpha = _former_scalar(r, p)
+            if alpha is None:
+                inner = reference_joint_blocks(rs, r, factor_with_multiplicity(p), space)
+                if inner is None:
+                    return None
+                out.extend(inner)
+                break
+            values.append(alpha)
+        else:
+            out.append((space, tuple(values)))
+    return out
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of the AlgebraError it raises."""
+    try:
+        return f(*args)
+    except AlgebraError as e:
+        return type(e), str(e)
+
+
+def _assert_blocks_match_reference(g, a, name):
+    """`_joint_blocks` and the reference agree on the ads of the basis of a,
+    split from the generic element sum_i a_i; returns the blocks and the
+    number of factors of that element."""
+    ads = [g.ad_integer(v) for v in a.basis]
+    op, factors = _generic(g, a, 1)
+    got = _outcome(_joint_blocks, ads, op, factors)
+    assert got == _outcome(reference_joint_blocks, ads, op, factors), name
+    return got, len(factors)
+
+
+def test_joint_blocks_match_the_reference_on_the_root_cases():
+    for name, g, a in _root_cases():
+        _assert_blocks_match_reference(g, a, name)
+
+
+def test_joint_blocks_match_the_reference_on_the_catalog_flows():
+    for name in catalog_names():
+        spec = build_example(name)
+        _assert_blocks_match_reference(spec.ambient, spec.flow, name)
+
+
+def test_joint_blocks_and_the_reference_raise_alike_on_a_block_that_is_not_invariant():
+    # E_12 maps the eigenline e_2 of diag(1, 2) to e_1: the two do not commute
+    op = IntMatrix([[1, 0], [0, 2]], 1)
+    ads = [op, IntMatrix([[0, 1], [0, 0]], 1)]
+    factors = factor_with_multiplicity(char_poly(op))
+    got = _outcome(_joint_blocks, ads, op, factors)
+    assert got == (AlgebraError, "joint invariant subspace lost invariance")
+    assert got == _outcome(reference_joint_blocks, ads, op, factors)
+
+
+def _rational_suspension(rng):
+    """A suspension of R^p, p = 2..4, by one or two commuting derivations
+    P D P^-1 with rational spectra: D upper triangular with a repeated
+    diagonal entry for each superdiagonal entry it carries, the second a
+    polynomial in the first or diagonal beside a diagonal first."""
+    p = rng.randint(2, 4)
+    pmat = tuple(tuple(F(rng.randint(-2, 2) + 3 * (i == j)) for j in range(p)) for i in range(p))
+    pinv = inverse(pmat)
+    if pinv is None:
+        return None
+    diag = [F(rng.randint(-2, 2), rng.choice([1, 2])) for _ in range(p)]
+    d1 = [[diag[i] if i == j else F(0) for j in range(p)] for i in range(p)]
+    second = rng.choice(["none", "poly", "diagonal"])
+    if second != "diagonal":
+        for i in range(p - 1):
+            if rng.random() < 0.5:
+                diag[i + 1] = diag[i]
+                d1[i + 1][i + 1] = diag[i]
+                d1[i][i + 1] = F(rng.randint(1, 2))
+    mats = [d1]
+    if second == "poly":
+        c0, c1 = F(rng.randint(-2, 2)), F(rng.randint(-2, 2))
+        sq = matmul(d1, d1)
+        mats.append([[c0 * (i == j) + c1 * d1[i][j] + sq[i][j] for j in range(p)] for i in range(p)])
+    elif second == "diagonal":
+        mats.append([[F(rng.randint(-2, 2)) * (i == j) for j in range(p)] for i in range(p)])
+    return build_suspension([matmul(matmul(pmat, m), pinv) for m in mats])
+
+
+def test_joint_blocks_match_the_reference_on_seeded_rational_suspensions():
+    rng = random.Random(31)
+    nested = 0
+    for k in range(60):
+        spec = _rational_suspension(rng)
+        if spec is None:
+            continue
+        blocks, count = _assert_blocks_match_reference(spec.ambient, spec.flow, f"draw {k}")
+        assert blocks is not None
+        nested += len(blocks) > count
+    assert nested  # some generic element leaves a component to split
+
+
+@st.composite
+def _scalar_cases(draw):
+    """(R, den) with R a d x d integer matrix, d <= 5: a Jordan form a I + N
+    for strictly upper triangular N, conjugated by elementary integer
+    matrices; a traceless non-scalar matrix; or a random one."""
+    d = draw(st.integers(1, 5))
+    den = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["jordan", "traceless", "random"]))
+    entry = st.integers(-3, 3)
+    if kind == "jordan":
+        a = draw(entry)
+        rows = [[a * (i == j) + (draw(entry) if j > i else 0) for j in range(d)] for i in range(d)]
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+            c = draw(st.integers(-2, 2))
+            if i == j:
+                continue
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]  # E R ...
+            for row in rows:
+                row[j] -= c * row[i]  # ... E^-1, E = I + c E_ij
+    else:
+        rows = [[draw(entry) for _ in range(d)] for _ in range(d)]
+        if kind == "traceless":
+            rows[-1][-1] -= sum(rows[i][i] for i in range(d))
+            assume(d > 1 and any(map(any, rows)))
+    return rows, den
+
+
+@given(_scalar_cases())
+@example(([[0, 1], [0, 0]], 1))
+@example(([[1, 1], [-1, -1]], 3))
+@example(([[2, 0], [0, 2]], 4))
+@settings(max_examples=200, deadline=None)
+def test_integer_scalar_test_matches_the_characteristic_polynomial(case):
+    rows, den = case
+    r = IntMatrix(rows, den)
+    want = _former_restrict_block([r], identity(len(rows)))[0]
+    alpha = _scalar(r)
+    assert (None if alpha is None else (alpha,)) == want
+
+
+def test_joint_blocks_build_fraction_rows_only_for_the_returned_blocks(monkeypatch):
+    g = lie_algebra_from_matrices(sl_basis(5))
+    a = cartan_subspace(g)
+    counts = Counter()
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(liecert.linalg, "Coordinates", counted("Coordinates", liecert.linalg.Coordinates))
+    for module in (liecert.linalg, liecert.cartan):
+        monkeypatch.setattr(module, "_rref_rows", counted("_rref_rows", module._rref_rows))
+    real, used = liecert.cartan._joint_blocks, []
+
+    def blocks(*args):
+        before = counts.copy()
+        out = real(*args)
+        used.append((counts - before, len(out)))
+        return out
+
+    monkeypatch.setattr(liecert.cartan, "_joint_blocks", blocks)
+    assert restricted_roots(g, a).exact
+    assert used == [(Counter({"_rref_rows": 21}), 21)]  # 20 roots and the zero block
 
 
 def test_hyperbolicity_verdicts_are_memoised(monkeypatch):

@@ -279,6 +279,8 @@ def test_action_requires_flow_subspace():
 def test_frac_str_forms():
     assert frac_str(F(3)) == "3"
     assert frac_str(F(-1, 2)) == "-1/2"
+    assert frac_str(-12) == "-12"
+    assert frac_str("4/6") == "2/3"
     assert parse_frac("-1/2", "x") == F(-1, 2)
     assert parse_frac(7, "x") == F(7)
 
