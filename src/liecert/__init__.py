@@ -5,7 +5,8 @@ Everything is computed over the rationals: Lie algebra structure theory
 counting relative to the imaginary axis, restricted root systems with
 Weyl chambers, and the Anosov acceptance test with machine-checkable
 stable/unstable certificates, classification, and nil-suspension
-analysis.
+analysis.  Each name exported here is used by a command or by the
+benchmark, or is part of the library API that README.md lists.
 """
 
 from .algebra import (
@@ -21,8 +22,6 @@ from .algebra import (
     derived_series,
     direct_sum,
     full_space,
-    is_nilpotent,
-    is_solvable,
     killing_form,
     levi_decomposition,
     lie_algebra_from_matrices,
@@ -82,9 +81,7 @@ from .cartan import (
     hyperbolic_part,
     is_ad_hyperbolic,
     is_csa,
-    is_hyperbolic_csa,
     restricted_roots,
-    split_hyperbolic_csa,
     weyl_chambers,
 )
 from .documents import (
@@ -102,7 +99,6 @@ from .spectral import (
     JordanChevalley,
     char_poly,
     invariant_splitting,
-    is_hyperbolic,
     jordan_chevalley,
     spectral_gap,
 )

@@ -605,14 +605,6 @@ def derived_series(g: LieAlgebra) -> tuple[Subspace, ...]:
     return _series(full_space(g), False)
 
 
-def is_nilpotent(g: LieAlgebra) -> bool:
-    return lower_central_series(g)[-1].dim == 0
-
-
-def is_solvable(g: LieAlgebra) -> bool:
-    return derived_series(g)[-1].dim == 0
-
-
 def subspace_is_nilpotent(s: Subspace) -> bool:
     """Whether the span is a nilpotent subalgebra: its lower central series,
     taken in the coordinates of g, reaches zero.  The first bracket [s, s]

@@ -26,7 +26,6 @@ from .cartan import cartan_subspace, compact_levi_split, restricted_roots
 from .linalg import Matrix, Vector, matmul, vector
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _rat_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -180,49 +179,27 @@ def build_wedge_example() -> ActionSpec:
 # -- semisimple examples -------------------------------------------------------
 
 
-def _sl2() -> LieAlgebra:
-    h, e, f = 0, 1, 2
-    brackets = ((h, e, {e: 2}), (h, f, {f: -2}), (e, f, {h: 1}))
-    return LieAlgebra.from_entries(3, _antisymmetric(brackets), ["h", "e", "f"])
-
-
-def _e(i: int, j: int) -> Matrix:
-    return tuple(
-        tuple(_ONE if (r, c) == (i, j) else _ZERO for c in range(4)) for r in range(4)
-    )
-
-
-def _madd(*pairs) -> Matrix:
-    out = [[_ZERO] * 4 for _ in range(4)]
-    for coef, m in pairs:
-        for r in range(4):
-            for c in range(4):
-                out[r][c] += coef * m[r][c]
-    return tuple(tuple(r) for r in out)
+def _unit(n: int, entries: dict) -> Matrix:
+    """The n x n matrix with the given {(row, column): value} entries, 0 elsewhere."""
+    return tuple(tuple(Fraction(entries.get((r, c), 0)) for c in range(n)) for r in range(n))
 
 
 def sl_basis(n: int) -> tuple[Matrix, ...]:
     """sl(n, R): the diagonal differences E_ii - E_i+1,i+1, then every E_ij, i != j."""
+    diag = [_unit(n, {(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
+    return tuple(diag + [_unit(n, {(i, j): 1}) for i in range(n) for j in range(n) if i != j])
 
-    def unit(entries):
-        return tuple(
-            tuple(Fraction(entries.get((r, c), 0)) for c in range(n)) for r in range(n)
-        )
 
-    diag = [unit({(i, i): 1, (i + 1, i + 1): -1}) for i in range(n - 1)]
-    return tuple(diag + [unit({(i, j): 1}) for i in range(n) for j in range(n) if i != j])
+def _sl2() -> LieAlgebra:
+    return lie_algebra_from_matrices(sl_basis(2), ["h", "e", "f"])
 
 
 def _so13() -> LieAlgebra:
     """Lorentz algebra in the boost/rotation basis B1 B2 B3 R1 R2 R3."""
-    b1 = _madd((_ONE, _e(0, 1)), (_ONE, _e(1, 0)))
-    b2 = _madd((_ONE, _e(0, 2)), (_ONE, _e(2, 0)))
-    b3 = _madd((_ONE, _e(0, 3)), (_ONE, _e(3, 0)))
-    r1 = _madd((_ONE, _e(2, 3)), (-_ONE, _e(3, 2)))
-    r2 = _madd((_ONE, _e(3, 1)), (-_ONE, _e(1, 3)))
-    r3 = _madd((_ONE, _e(1, 2)), (-_ONE, _e(2, 1)))
+    boosts = [_unit(4, {(0, i): 1, (i, 0): 1}) for i in (1, 2, 3)]
+    rotations = [_unit(4, {(i, j): 1, (j, i): -1}) for i, j in ((2, 3), (3, 1), (1, 2))]
     return lie_algebra_from_matrices(
-        [b1, b2, b3, r1, r2, r3], ["B1", "B2", "B3", "R1", "R2", "R3"]
+        boosts + rotations, ["B1", "B2", "B3", "R1", "R2", "R3"]
     )
 
 

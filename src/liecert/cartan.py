@@ -7,6 +7,11 @@ never affect soundness.  Inner derivations are solved in one place,
 operator, and `inner_corrected_flow` for the element of [k, k] that acts
 on [k, k] as a flow generator does.  Whether an element is ad-hyperbolic
 is decided once per vector and algebra (`is_ad_hyperbolic`).
+An action's Cartan subalgebra is assembled from its data, flow plus a
+maximal abelian part of [k, k] plus the center of k (`csa_from_action`);
+its split into a hyperbolic and a compact part is the Cartan subspace a
+and the zero-root complement that `classify` reads off one frame, so it
+is not computed a second way here.
 Restricted roots are read off one generic element of the Cartan
 subspace: its primary components, each split again by the first operator
 of the family that is not scalar plus nilpotent on it.  The splitting
@@ -47,7 +52,6 @@ from .algebra import (
     full_space,
     killing_form,
     normalizer,
-    quotient_by_ideal,
     radical,
     subspace_is_nilpotent,
     zero_space,
@@ -382,25 +386,17 @@ def hyperbolic_span(g: LieAlgebra, vectors: Sequence[Vector]) -> Subspace | None
     return Subspace(g, parts)
 
 
-def cartan_subspace(g: LieAlgebra, hint: Subspace | None = None) -> Subspace:
+def cartan_subspace(g: LieAlgebra) -> Subspace:
     """Maximal abelian span of ad-hyperbolic elements, grown greedily.
 
     Requires a semisimple algebra.  Candidates are scanned in canonical
     basis order of the current centralizer, using each element's exact
     hyperbolic part (the element itself when hyperbolic), so the result
-    is deterministic.  A hint is verified and then extended.
+    is deterministic.
     """
     if radical(g).dim != 0:
         raise StructureError("Cartan subspaces require a semisimple algebra")
-    if hint is None:
-        a = zero_space(g)
-    else:
-        for v in hint.basis:
-            if not is_ad_hyperbolic(g, v):
-                raise StructureError("hint element is not ad-hyperbolic")
-        if not hint.is_abelian():
-            raise StructureError("hint is not abelian")
-        a = Subspace(g, hint.basis)
+    a = zero_space(g)
     while True:
         c = full_space(g) if a.dim == 0 else centralizer(g, a)
         extended = False
@@ -421,63 +417,6 @@ def cartan_subspace(g: LieAlgebra, hint: Subspace | None = None) -> Subspace:
         if not is_ad_hyperbolic(g, v):
             raise AlgebraError("candidate span contains a non-hyperbolic element")
     return a
-
-
-@dataclass(frozen=True)
-class HyperbolicCsaSplit:
-    ok: bool
-    hyperbolic: Subspace | None
-    elliptic: Subspace | None
-    reason: str | None
-
-
-def split_hyperbolic_csa(g: LieAlgebra, csa: Subspace) -> HyperbolicCsaSplit:
-    """Split a Cartan subalgebra as hyperbolic span + elliptic span.
-
-    Requires each basis element to be ad-semisimple with an exact
-    hyperbolic/elliptic refinement that stays inner.
-    """
-
-    def refused(reason: str) -> HyperbolicCsaSplit:
-        return HyperbolicCsaSplit(False, None, None, reason)
-
-    hyp_vecs = []
-    ell_vecs = []
-    for x in csa.basis:
-        jc = jordan_chevalley(g.ad_integer(x))
-        if not jc.exact:
-            return refused("refinement of ad is irrational")
-        if any(map(any, jc.nilpotent.rows)):
-            return refused("element is not ad-semisimple")
-        h, e = solve_ad(g, jc.hyperbolic), solve_ad(g, jc.elliptic)
-        if h is None or e is None:
-            return refused("component is not an inner derivation")
-        hyp_vecs.append(h)
-        ell_vecs.append(e)
-    hs = Subspace(g, hyp_vecs)
-    es = Subspace(g, ell_vecs)
-    if hs.sum(es).dim != csa.dim or hs.intersect(es).dim != 0:
-        return refused("components do not split the subalgebra")
-    if not csa.contains_space(hs) or not csa.contains_space(es):
-        return refused("components leave the subalgebra")
-    return HyperbolicCsaSplit(True, hs, es, None)
-
-
-def is_hyperbolic_csa(g: LieAlgebra, csa: Subspace) -> bool:
-    """The projection to the Levi quotient contains a Cartan subspace."""
-    if not is_csa(g, csa):
-        raise StructureError("input is not a Cartan subalgebra")
-    rad = radical(g)
-    if rad.dim == g.dim:
-        return True
-    q = quotient_by_ideal(g, rad)
-    qg = q.quotient
-    proj = q.push_space(csa)
-    hint = hyperbolic_span(qg, proj.basis)
-    if hint is None or not proj.contains_space(hint):
-        return False
-    grown = cartan_subspace(qg, hint=hint)
-    return proj.contains_space(grown)
 
 
 # -- restricted roots ---------------------------------------------------------

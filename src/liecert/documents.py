@@ -67,8 +67,13 @@ MAX_LITERAL_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 
 
+def _is_integer(x) -> bool:
+    """Whether x is a JSON integer; JSON's true and false are Python ints too."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_frac(s, path: str) -> Fraction:
-    if isinstance(s, int):
+    if _is_integer(s):
         return Fraction(s)
     if not isinstance(s, str):
         raise DocumentError(f"{path}: expected a rational string, got {type(s).__name__}")
@@ -197,14 +202,19 @@ def parse_document(text: str) -> AlgebraDocument:
             f"format_version: expected {FORMAT_VERSION!r}, got {version!r}"
         )
     dim = obj.get("dim")
-    if not isinstance(dim, int) or dim < 0:
+    if not _is_integer(dim) or dim < 0:
         raise DocumentError("dim: expected a nonnegative integer")
     if dim > MAX_DIM:
         raise DocumentError(f"dim: {dim} exceeds the maximum {MAX_DIM}")
     labels_obj = obj.get("basis_labels", [f"e{i}" for i in range(dim)])
     if not isinstance(labels_obj, list) or len(labels_obj) != dim:
         raise DocumentError(f"basis_labels: expected a list of {dim} strings")
-    labels = tuple(str(s) for s in labels_obj)
+    for i, label in enumerate(labels_obj):
+        if not isinstance(label, str):
+            raise DocumentError(
+                f"basis_labels[{i}]: expected a string, got {type(label).__name__}"
+            )
+    labels = tuple(labels_obj)
     raw = obj.get("structure_constants", [])
     if not isinstance(raw, list):
         raise DocumentError("structure_constants: expected a list")
@@ -217,7 +227,7 @@ def parse_document(text: str) -> AlgebraDocument:
             raise DocumentError(f"{path}: expected [i, j, k, num, den]")
         i, j, k, num, den = entry
         for nm, val in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(val, int):
+            if not _is_integer(val):
                 raise DocumentError(f"{path}: index {nm} must be an integer")
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise DocumentError(f"{path}: index out of range for dim {dim}")

@@ -189,13 +189,6 @@ def operator_sign_counts(op: Matrix) -> RootSignCount:
     return root_sign_counts(char_poly(op))
 
 
-def is_hyperbolic(op: Matrix) -> bool:
-    """No eigenvalue on the imaginary axis."""
-    if not op:
-        return True
-    return operator_sign_counts(op).n_zero_real == 0
-
-
 def apply_poly(p: RationalPolynomial, op: Matrix) -> Matrix:
     """p(op), by Horner on the integer form of op, of the kind of op."""
     return mat_poly(p.coeffs, op)

@@ -21,8 +21,6 @@ from liecert.algebra import (
     derived_series,
     direct_sum,
     full_space,
-    is_nilpotent,
-    is_solvable,
     killing_form,
     levi_decomposition,
     lie_algebra_from_matrices,
@@ -192,19 +190,17 @@ def test_series_heisenberg():
     g = heisenberg()
     lcs = lower_central_series(g)
     assert [s.dim for s in lcs] == [3, 1, 0]
-    assert is_nilpotent(g) and is_solvable(g)
+    assert derived_series(g)[-1].dim == 0
 
 
 def test_series_affine():
     g = affine_line()
-    assert not is_nilpotent(g)
-    assert is_solvable(g)
+    assert lower_central_series(g)[-1].dim == 1
     assert [s.dim for s in derived_series(g)] == [2, 1, 0]
 
 
 def test_series_sl2():
     g = sl2()
-    assert not is_solvable(g)
     assert [s.dim for s in derived_series(g)] == [3]
 
 
@@ -396,8 +392,8 @@ def test_series_in_g_match_the_series_of_the_subalgebra():
     for g in _structure_cases():
         for s in _structure_spans(g):
             sub, _ = subalgebra_table(s)
-            assert subspace_is_nilpotent(s) == is_nilpotent(sub)
-            assert subspace_is_solvable(s) == is_solvable(sub)
+            assert subspace_is_nilpotent(s) == (lower_central_series(sub)[-1].dim == 0)
+            assert subspace_is_solvable(s) == (derived_series(sub)[-1].dim == 0)
             assert [t.dim for t in _series(s, True)] == [t.dim for t in lower_central_series(sub)]
             assert [t.dim for t in _series(s, False)] == [t.dim for t in derived_series(sub)]
 
@@ -447,7 +443,7 @@ def former_find_csa(g, seed=0):
             current = Subspace(g, matmul(e_local.basis, basis))
             sub, basis = subalgebra_table(current)
             continue
-        if is_nilpotent(sub) and normalizer(g, current) == current:
+        if lower_central_series(sub)[-1].dim == 0 and normalizer(g, current) == current:
             return current
     raise AlgebraError("no Cartan subalgebra found within the attempt budget")
 
@@ -550,7 +546,7 @@ def test_random_solvable_algebras_have_full_radical():
         if g.dim == 0:
             continue
         assert g.validate().ok
-        assert is_solvable(g)
+        assert derived_series(g)[-1].dim == 0
         assert radical(g).dim == g.dim
         n = nilradical(g)
         assert subspace_is_nilpotent(n)
@@ -563,7 +559,7 @@ def test_subalgebra_structure_roundtrip():
     g = sl2()
     sub, basis = subalgebra_table(Subspace(g, [g.basis_vector(0), g.basis_vector(1)]))
     assert sub.dim == 2
-    assert is_solvable(sub) and not is_nilpotent(sub)
+    assert derived_series(sub)[-1].dim == 0 and lower_central_series(sub)[-1].dim > 0
 
 
 def test_subalgebra_rejects_nonclosed():

@@ -13,7 +13,9 @@ from liecert.algebra import (
     StructureError,
     Subspace,
     ValidationError,
+    centralizer,
     direct_sum,
+    full_space,
     lie_algebra_from_matrices,
 )
 from liecert.anosov import (
@@ -45,12 +47,20 @@ from liecert.builders import (
 )
 from liecert.cartan import (
     cartan_subspace,
+    hyperbolic_part,
     hyperbolic_span,
+    is_ad_hyperbolic,
     is_csa,
     restricted_roots,
     weyl_chambers,
 )
-from liecert.linalg import combine, generalized_kernel, matmul, restrict_operator
+from liecert.linalg import (
+    combine,
+    generalized_kernel,
+    is_zero_vector,
+    matmul,
+    restrict_operator,
+)
 from liecert.poly import (
     RationalPolynomial as P,
     power_of_two_root_bound,
@@ -616,12 +626,32 @@ def _irrational_sl2():
     return ActionSpec(g, Subspace(g, [(F(1), F(1), F(1))]))
 
 
+def _grown_cartan_subspace(g, a):
+    """A maximal abelian span of ad-hyperbolic elements that contains a, which
+    must be one such span: grown from a as cartan_subspace grows it from 0."""
+    assert a.is_abelian() and all(is_ad_hyperbolic(g, v) for v in a.basis)
+    while True:
+        c = full_space(g) if a.dim == 0 else centralizer(g, a)
+        for v in c.basis:
+            if a.contains(v):
+                continue
+            cand = hyperbolic_part(g, v)
+            if cand is None or is_zero_vector(cand) or a.contains(cand):
+                continue
+            if any(not is_zero_vector(g.bracket(cand, b)) for b in a.basis):
+                continue
+            a = Subspace(g, a.basis + (cand,))
+            break
+        else:
+            return a
+
+
 def _former_semisimple_report(spec):
     """classify's semisimple report, with its frame derived the former way:
-    simplification, hyperbolic_span, cartan_subspace, restricted_roots and
-    weyl_chambers."""
+    simplification, hyperbolic_span, the Cartan subspace grown from it,
+    restricted_roots and weyl_chambers."""
     g = spec.ambient
-    a = cartan_subspace(g, hint=hyperbolic_span(g, simplification(spec).flow.basis))
+    a = _grown_cartan_subspace(g, hyperbolic_span(g, simplification(spec).flow.basis))
     rs = restricted_roots(g, a)
     k0 = Subspace(g, rs.zero_complement)
     torus_flow, torus_isotropy = k0.intersect(spec.flow), k0.intersect(spec.isotropy)

@@ -50,10 +50,8 @@ from liecert.cartan import (
     hyperbolic_span,
     is_ad_hyperbolic,
     is_csa,
-    is_hyperbolic_csa,
     restricted_roots,
     solve_ad,
-    split_hyperbolic_csa,
     weyl_chambers,
 )
 from liecert.builders import build_example, build_suspension, catalog_names, sl_basis
@@ -213,6 +211,8 @@ def test_engel_contains_element_and_closed_randomized():
 def test_is_csa_span_h_in_sl2():
     g = sl2()
     assert is_csa(g, Subspace(g, [g.basis_vector(0)]))
+    # the compact line e - f is a Cartan subalgebra too
+    assert is_csa(g, Subspace(g, [(F(0), F(1), F(-1))]))
 
 
 def test_is_csa_rejects_span_e():
@@ -587,58 +587,6 @@ def test_cartan_subspace_rank_additive():
 def test_cartan_subspace_rejects_solvable():
     with pytest.raises(StructureError):
         cartan_subspace(heisenberg())
-
-
-def test_cartan_subspace_rejects_bad_hint():
-    g = sl2()
-    with pytest.raises(StructureError):
-        cartan_subspace(g, hint=Subspace(g, [g.basis_vector(1)]))
-
-
-def test_cartan_subspace_extends_hint():
-    g = sl2()
-    a = cartan_subspace(g, hint=Subspace(g, [g.basis_vector(0)]))
-    assert a.dim == 1
-
-
-def test_split_hyperbolic_csa_sl2():
-    g = sl2()
-    out = split_hyperbolic_csa(g, Subspace(g, [g.basis_vector(0)]))
-    assert out.ok
-    assert out.hyperbolic.dim == 1
-    assert out.elliptic.dim == 0
-
-
-def test_split_hyperbolic_csa_lorentz():
-    g, _ = so13()
-    csa = Subspace(g, [g.basis_vector(0), g.basis_vector(3)])
-    out = split_hyperbolic_csa(g, csa)
-    assert out.ok
-    assert out.hyperbolic == Subspace(g, [g.basis_vector(0)])
-    assert out.elliptic == Subspace(g, [g.basis_vector(3)])
-
-
-def test_is_hyperbolic_csa_split_line():
-    g = sl2()
-    assert is_hyperbolic_csa(g, Subspace(g, [g.basis_vector(0)]))
-
-
-def test_is_hyperbolic_csa_rejects_compact_line():
-    g = sl2()
-    rot = Subspace(g, [(F(0), F(1), F(-1))])
-    assert is_csa(g, rot)
-    assert not is_hyperbolic_csa(g, rot)
-
-
-def test_is_hyperbolic_csa_vacuous_for_solvable():
-    g = starkov_solvable()
-    assert is_hyperbolic_csa(g, find_csa(g))
-
-
-def test_is_hyperbolic_csa_lorentz():
-    g, _ = so13()
-    csa = Subspace(g, [g.basis_vector(0), g.basis_vector(3)])
-    assert is_hyperbolic_csa(g, csa)
 
 
 # -- restricted roots ---------------------------------------------------------

@@ -11,10 +11,12 @@ parameter or an assignment, not an import) reads that local, and an
 attribute of another object (`Echelon(m).rank` for `linalg.rank`) is
 that object's, so neither counts.  The (module, name) pairs of
 perfbench/tracing.py's PROFILED table count as uses too: the benchmark
-profiles those functions by name, so each of them must exist.  The
-public names that liecert/__init__.py re-exports may be used by the
-tests alone; any other name that only the tests use is dead code:
-delete it, and move what a test still needs of it into the tests.
+profiles those functions by name, so each of them must exist.  A public
+name that liecert/__init__.py re-exports may instead be named in
+backticks in README.md's library section, which makes it library API.
+The tests alone keep no name alive: a name that only the tests use is
+dead code; delete it, and move what a test still needs of it into the
+tests.
 
 Methods and properties defined in the package's classes are held to the
 same rule, but only src/ and perfbench/ count, whatever the class: a
@@ -30,11 +32,12 @@ import ast
 import collections
 import importlib
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "liecert"
 PROGRAM = (ROOT / "src", ROOT / "perfbench")
-TESTS = ROOT / "tests"
+README = ROOT / "README.md"
 
 
 def _definitions(path: pathlib.Path):
@@ -57,6 +60,17 @@ def _exported() -> set[str]:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def _library_api() -> set[str]:
+    """The names in inline code spans of README.md's library section, from
+    its heading to the next one, fenced code left out: `sl_basis(n)` and
+    `Subspace.basis` name sl_basis and Subspace."""
+    text = README.read_text()
+    start = text.index("\n## Library")
+    section = text[start : text.index("\n## ", start + 1)]
+    section = re.sub(r"```.*?```", "", section, flags=re.S)
+    return set(re.findall(r"`([A-Za-z_]\w*)[^`]*`", section))
 
 
 def _profiled() -> set[tuple[str, str]]:
@@ -142,18 +156,16 @@ def test_profiled_functions_exist():
 
 def test_every_top_level_name_is_used():
     program = _use_index(PROGRAM)
-    everywhere = _use_index(PROGRAM + (TESTS,))
-    exported = _exported()
+    library = _exported() & _library_api()
     profiled = _profiled()
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for name, node in _definitions(path):
-            if name.startswith("__") or (path.stem, name) in profiled:
+            if name.startswith("__") or (path.stem, name) in profiled or name in library:
                 continue
-            index = everywhere if name in exported else program
             uses = [
                 (p, line)
-                for p, line, qualifier in index.get(name, ())
+                for p, line, qualifier in program.get(name, ())
                 if qualifier in (None, path.stem)
                 and not (p == path and node.lineno <= line <= node.end_lineno)
             ]

@@ -267,6 +267,38 @@ def test_subspace_vector_wrong_length_rejected():
         parse_document(text)
 
 
+def _sl2_with(entry=(0, 1, 1, "2", "1"), **fields):
+    obj = {
+        "format_version": "1",
+        "dim": 3,
+        "structure_constants": [list(entry), [0, 2, 2, "-2", "1"], [1, 2, 0, "1", "1"]],
+        "subspaces": {"flow": [["1", "0", "0"]]},
+    }
+    obj.update(fields)
+    return obj
+
+
+# JSON's true and false are Python ints, so each field must refuse them itself
+@pytest.mark.parametrize(
+    "obj, path",
+    [
+        ({"format_version": "1", "dim": True, "subspaces": {"flow": [[True]]}}, "dim"),
+        (_sl2_with(entry=(True, 1, 1, "2", "1")), r"structure_constants\[0\]: index i"),
+        (_sl2_with(entry=(0, True, 1, "2", "1")), r"structure_constants\[0\]: index j"),
+        (_sl2_with(entry=(0, 1, True, "2", "1")), r"structure_constants\[0\]: index k"),
+        (_sl2_with(entry=(0, 1, 1, True, "1")), r"structure_constants\[0\]\[3\]"),
+        (_sl2_with(entry=(0, 1, 1, "2", True)), r"structure_constants\[0\]\[4\]"),
+        (_sl2_with(subspaces={"flow": [[True, "0", "0"]]}), r"subspaces\.flow\[0\]\[0\]"),
+        (_sl2_with(basis_labels=["h", 1, "f"]), r"basis_labels\[1\]: expected a string"),
+    ],
+    ids=["dim", "index-i", "index-j", "index-k", "numerator", "denominator", "subspace", "label"],
+)
+def test_booleans_and_non_string_labels_rejected(obj, path):
+    with pytest.raises(DocumentError, match=path):
+        parse_document(json.dumps(obj))
+    assert parse_document(json.dumps(_sl2_with())).dim == 3
+
+
 def test_action_requires_flow_subspace():
     doc = parse_document(json.dumps({"format_version": "1", "dim": 2}))
     with pytest.raises(DocumentError, match="flow"):
