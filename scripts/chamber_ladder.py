@@ -17,7 +17,7 @@ The sl(n) bases come from SRC's `liecert.sl_basis`; a checkout without
 it is timed with that checkout's own copy of this script.
 
 A column holds its provenance (commit, Python and sympy versions, core
-count) and four tables:
+count) and five tables:
 
 - `arrangements`: the median of 3 `weyl_chambers` runs on the positive
   roots of A3-A6, B3, C3, BC2 and G2, each with the chamber count and a
@@ -50,7 +50,15 @@ count) and four tables:
   `perfbench/inputs.py`'s `random_solvable` from
   `random.Random(NIL_SEED)`, named `solvable<dim>-<i>`), on every
   catalog algebra and on sl(2) x| Q^2 (`sl2-plane`), whose radical is
-  [g, radical].
+  [g, radical];
+- `cli`: for sl(n, R), n = 3..7, with the Cartan subspace as its flow,
+  `liecert anosov` and `liecert classify` run RUNS times each as a child
+  process on a document written by SRC's `serialize_document`, with the
+  median wall time (`wall_s`) and peak resident set size (`peak_rss_mb`,
+  from `os.wait4` of that child: `RUSAGE_CHILDREN` would keep the
+  largest of all earlier children), the exit code, the bytes of stdout
+  and its sha256 (`digest`), so that equal digests mean byte-identical
+  reports.
 
 The script is a measurement, not a test; no test runs it.
 """
@@ -66,6 +74,7 @@ import random
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -158,6 +167,50 @@ def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
+def _cli_run(src: Path, argv: list[str]) -> dict:
+    """One `liecert` child run on SRC: its wall time, peak RSS, exit code,
+    and the size and sha256 of its stdout, which is hashed as it arrives."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "liecert.cli", *argv], stdout=subprocess.PIPE, env=env
+    )
+    digest, size = hashlib.sha256(), 0
+    while chunk := proc.stdout.read(1 << 20):
+        digest.update(chunk)
+        size += len(chunk)
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return {
+        "wall_s": wall,
+        "peak_rss_mb": usage.ru_maxrss / 1024,  # kilobytes on Linux
+        "exit": proc.returncode,
+        "bytes": size,
+        "digest": digest.hexdigest(),
+    }
+
+
+def _cli_table(src: Path, column: str, document) -> dict:
+    """The `cli` table: `anosov` and `classify` on sl(n), n = 3..SWEEP_MAX."""
+    table = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in range(3, SWEEP_MAX + 1):
+            path = Path(tmp, f"sl{n}.json")
+            path.write_text(document(n))
+            for command in ("anosov", "classify"):
+                runs = [_cli_run(src, [command, "--input", str(path)]) for _ in range(RUNS)]
+                if len({(r["exit"], r["digest"]) for r in runs}) != 1:
+                    raise RuntimeError(f"sl({n}) {command}: runs differ")
+                row = {k: runs[0][k] for k in ("exit", "bytes", "digest")}
+                for k in ("wall_s", "peak_rss_mb"):
+                    row[k] = round(statistics.median(r[k] for r in runs), 3)
+                table[f"sl{n}/{command}"] = row
+                print(f"{column} sl({n}) {command}: {row}", file=sys.stderr)
+    return table
+
+
 def _provenance(src: Path) -> dict:
     import sympy
 
@@ -188,6 +241,7 @@ def main(argv: list[str]) -> int:
     from liecert import (
         ActionSpec,
         Subspace,
+        algebra_to_document,
         build_example,
         cartan,
         catalog_names,
@@ -197,8 +251,16 @@ def main(argv: list[str]) -> int:
         lie_algebra_from_matrices,
         nilradical,
         radical,
+        serialize_document,
         sl_basis,
     )
+
+    def sl_document(n: int) -> str:
+        g = lie_algebra_from_matrices(sl_basis(n))
+        flow = cartan.cartan_subspace(g).basis
+        return serialize_document(algebra_to_document(g, {"flow": flow}, f"sl{n}"))
+
+    cli = _cli_table(src, column, sl_document)
 
     arrangements = {}
     for name, positive in _arrangements().items():
@@ -311,6 +373,7 @@ def main(argv: list[str]) -> int:
         "sl": ladder,
         "catalog": catalog,
         "nilradical": nil_table,
+        "cli": cli,
     }
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0

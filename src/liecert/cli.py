@@ -10,9 +10,12 @@ and is its own command; it shares the `--output`-or-stdout writer.
 
 Exit codes: 0 success or accepted; 1 verified negative (invalid table,
 Anosov refusal); 2 inconclusive (search budget exhausted); 3 input
-error, a malformed command line included.  Reports are deterministic
-JSON (or a text rendering of the same data) so that fixed inputs and
-seeds reproduce byte-identical output.
+error, a malformed command line included, and an --output path that
+cannot be written.  Reports are deterministic JSON (or a text rendering
+of the same data) so that fixed inputs and seeds reproduce byte-identical
+output.  A report is streamed: its text goes out in chunks as it is
+encoded, never whole, to stdout or to the --output file, which is opened
+only once the payload is complete.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .algebra import (
     AlgebraError,
@@ -42,18 +45,19 @@ from .cartan import cartan_subspace, find_csa, is_csa, restricted_roots, weyl_ch
 from .documents import (
     DocumentError,
     action_to_document,
+    buffered,
     certificate_payload,
     chamber_set_payload,
     classification_payload,
     document_to_action,
     document_to_algebra,
-    dump_json,
     parse_document,
     parse_frac,
     provenance,
     root_system_payload,
     serialize_document,
     subspace_payload,
+    write_json,
 )
 
 EXIT_OK = 0
@@ -62,38 +66,53 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 
-def _render_text(obj, indent: int = 0, key: str | None = None) -> list[str]:
+def _render_text(obj, indent: int = 0, key: str | None = None) -> Iterator[str]:
+    """The lines of the text rendering of obj, one at a time."""
     pad = "  " * indent
     head = f"{pad}{key}: " if key is not None else pad
     if isinstance(obj, dict):
-        lines = [f"{pad}{key}:"] if key is not None else []
+        if key is not None:
+            yield f"{pad}{key}:"
         for k in sorted(obj):
-            lines.extend(_render_text(obj[k], indent + (1 if key is not None else 0), k))
-        return lines
-    if isinstance(obj, list):
+            yield from _render_text(obj[k], indent + (1 if key is not None else 0), k)
+    elif isinstance(obj, list):
         if all(not isinstance(x, (dict, list)) for x in obj):
-            return [head + "[" + ", ".join(str(x) for x in obj) + "]"]
-        lines = [f"{pad}{key}:"] if key is not None else []
+            yield head + "[" + ", ".join(str(x) for x in obj) + "]"
+            return
+        if key is not None:
+            yield f"{pad}{key}:"
         for i, x in enumerate(obj):
-            lines.extend(_render_text(x, indent + 1, f"[{i}]"))
-        return lines
-    return [head + str(obj)]
-
-
-def _write(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+            yield from _render_text(x, indent + 1, f"[{i}]")
     else:
-        sys.stdout.write(text)
+        yield head + str(obj)
+
+
+def _write_text(obj, write: Callable[[str], object]) -> None:
+    put, flush = buffered(write)
+    for line in _render_text(obj):
+        put(line)
+        put("\n")
+    flush()
+
+
+def _write(args, produce: Callable[[Callable[[str], object]], None]) -> None:
+    """produce(write) streams a complete payload's text to --output or stdout.
+
+    The output file is opened only now, so a command that fails before
+    its payload is complete leaves no file behind."""
+    if not args.output:
+        produce(sys.stdout.write)
+        return
+    try:
+        with open(args.output, "w") as fh:
+            produce(fh.write)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {args.output}: {exc}") from None
 
 
 def _emit(args, prov: dict, payload: dict) -> None:
     doc = {"provenance": prov, "result": payload}
-    if args.format == "json":
-        _write(args, dump_json(doc))
-    else:
-        _write(args, "\n".join(_render_text(doc)) + "\n")
+    _write(args, functools.partial(write_json if args.format == "json" else _write_text, doc))
 
 
 def _read_input(args) -> str:
@@ -173,9 +192,10 @@ def _anosov(doc, args):
         res = check_anosov(action, _parse_h0(args.h0, action))
         return certificate_payload(res), EXIT_OK if res.accepted else EXIT_NEGATIVE
     found = find_anosov_elements(action, budget=args.budget, seed=args.seed)
+    memo: dict = {}
     payload = {
         "budget": args.budget,
-        "found": [certificate_payload(c) for _, c in found],
+        "found": [certificate_payload(c, memo) for _, c in found],
     }
     return payload, EXIT_OK if found else EXIT_INCONCLUSIVE
 
@@ -245,7 +265,8 @@ def _cmd_build(args) -> int:
         raise DocumentError(
             f"unknown example {args.name!r}; choices: {', '.join(catalog_names())}"
         ) from None
-    _write(args, serialize_document(action_to_document(action)))
+    text = serialize_document(action_to_document(action))
+    _write(args, lambda write: write(text))
     return EXIT_OK
 
 

@@ -13,6 +13,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Callable
 
 from .algebra import LieAlgebra, Subspace
 from .anosov import (
@@ -46,13 +48,9 @@ class DocumentError(Exception):
 
 
 def frac_str(x: Fraction | int) -> str:
-    """x as "p" or "p/q" in lowest terms; only a value that is neither a
-    `Fraction` nor an int is converted to a `Fraction` first."""
-    if not isinstance(x, Fraction):
-        if isinstance(x, int):
-            return str(x)
-        x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """x as "p" or "p/q" in lowest terms, as `str` writes a `Fraction` or an
+    int; any other value is converted to a `Fraction` first."""
+    return str(x if isinstance(x, (Fraction, int)) else Fraction(x))
 
 
 # Longest rejected string quoted whole in an error message; a longer one is
@@ -72,12 +70,17 @@ def _is_integer(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def parse_frac(s, path: str) -> Fraction:
+def _rational(s) -> Fraction | int:
+    """s as a rational: an int for a JSON integer or a plain ASCII decimal
+    string (with an optional "-"), else a `Fraction`.  Raises
+    DocumentError with the reason alone, for the caller to locate."""
     if _is_integer(s):
-        return Fraction(s)
+        return s
     if not isinstance(s, str):
-        raise DocumentError(f"{path}: expected a rational string, got {type(s).__name__}")
+        raise DocumentError(f"expected a rational string, got {type(s).__name__}")
     try:
+        if s.isascii() and (s[1:] if s[:1] == "-" else s).isdigit():
+            return int(s)
         exp = _EXPONENT.search(s)
         if exp and exp.start() + abs(int(exp[1])) > MAX_LITERAL_DIGITS:
             raise ValueError(f"more than {MAX_LITERAL_DIGITS} digits")
@@ -90,7 +93,15 @@ def parse_frac(s, path: str) -> Fraction:
                 "not a rational literal" if s in reason else reason
             )
             s = s[:QUOTED_CHARS] + "..."
-        raise DocumentError(f"{path}: bad rational {s!r} ({reason})") from None
+        raise DocumentError(f"bad rational {s!r} ({reason})") from None
+
+
+def parse_frac(s, path: str) -> Fraction | int:
+    """`_rational(s)`, its error message prefixed by path."""
+    try:
+        return _rational(s)
+    except DocumentError as exc:
+        raise DocumentError(f"{path}: {exc}") from None
 
 
 def _decimal_digits(n: int) -> int:
@@ -101,17 +112,65 @@ def _decimal_digits(n: int) -> int:
 
 
 def vec_strs(v: Vector) -> list[str]:
-    return [frac_str(x) for x in v]
+    return list(map(frac_str, v))
 
 
-def mat_strs(m: Matrix) -> list[list[str]]:
-    return [vec_strs(r) for r in m]
+def mat_strs(m: Matrix, memo: dict | None = None) -> list[list[str]]:
+    """The rows of m as strings.  Within one payload build, a memo keyed by
+    the matrix object gives each distinct matrix its lists once; it holds
+    the matrix too, so that no other object takes its id meanwhile."""
+    if memo is None:
+        return [vec_strs(r) for r in m]
+    hit = memo.get(id(m))
+    if hit is None:
+        hit = memo[id(m)] = (m, [vec_strs(r) for r in m])
+    return hit[1]
 
 
-def parse_vector(obj, n: int, path: str) -> Vector:
+def _row(obj, n: int) -> Vector:
+    """A list of n rationals; a DocumentError's message continues the row's path."""
     if not isinstance(obj, list) or len(obj) != n:
-        raise DocumentError(f"{path}: expected a list of {n} rationals")
-    return tuple(parse_frac(x, f"{path}[{i}]") for i, x in enumerate(obj))
+        raise DocumentError(f": expected a list of {n} rationals")
+    v = []
+    try:
+        for x in obj:
+            v.append(_rational(x))
+    except DocumentError as exc:
+        raise DocumentError(f"[{len(v)}]: {exc}") from None
+    return tuple(v)
+
+
+def _constant(entry, dim: int, seen: set) -> tuple[int, int, int, int, int]:
+    """i, j, k, numerator and denominator of one structure-constant entry,
+    its (i, j, k) added to seen; a DocumentError's message continues the
+    entry's path."""
+    if not isinstance(entry, list) or len(entry) != 5:
+        raise DocumentError(": expected [i, j, k, num, den]")
+    i, j, k, num, den = entry
+    for nm, val in (("i", i), ("j", j), ("k", k)):
+        if not _is_integer(val):
+            raise DocumentError(f": index {nm} must be an integer")
+    if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+        raise DocumentError(f": index out of range for dim {dim}")
+    if i == j:
+        raise DocumentError(": i == j entry is forced to zero by antisymmetry")
+    if i > j:
+        raise DocumentError(": store the i < j entry only; the other half is implied")
+    if (i, j, k) in seen:
+        raise DocumentError(f": duplicate entry for ({i},{j},{k})")
+    seen.add((i, j, k))
+    parts = []
+    try:
+        for x in (num, den):
+            parts.append(_rational(x))
+    except DocumentError as exc:
+        raise DocumentError(f"[{3 + len(parts)}]: {exc}") from None
+    num, den = parts
+    if num.denominator != 1 or den.denominator != 1:
+        raise DocumentError(": numerator and denominator must be integers")
+    if den == 0:
+        raise DocumentError(": zero denominator")
+    return i, j, k, num.numerator, den.numerator
 
 
 # -- algebra documents ---------------------------------------------------------
@@ -222,40 +281,19 @@ def parse_document(text: str) -> AlgebraDocument:
     seen = set()
     digits = 0
     for idx, entry in enumerate(raw):
-        path = f"structure_constants[{idx}]"
-        if not isinstance(entry, list) or len(entry) != 5:
-            raise DocumentError(f"{path}: expected [i, j, k, num, den]")
-        i, j, k, num, den = entry
-        for nm, val in (("i", i), ("j", j), ("k", k)):
-            if not _is_integer(val):
-                raise DocumentError(f"{path}: index {nm} must be an integer")
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise DocumentError(f"{path}: index out of range for dim {dim}")
-        if i == j:
-            raise DocumentError(
-                f"{path}: i == j entry is forced to zero by antisymmetry"
-            )
-        if i > j:
-            raise DocumentError(
-                f"{path}: store the i < j entry only; the other half is implied"
-            )
-        if (i, j, k) in seen:
-            raise DocumentError(f"{path}: duplicate entry for ({i},{j},{k})")
-        seen.add((i, j, k))
-        n_num = parse_frac(num, f"{path}[3]")
-        n_den = parse_frac(den, f"{path}[4]")
-        if n_num.denominator != 1 or n_den.denominator != 1:
-            raise DocumentError(f"{path}: numerator and denominator must be integers")
-        if n_den == 0:
-            raise DocumentError(f"{path}: zero denominator")
-        digits += _decimal_digits(n_num.numerator) + _decimal_digits(n_den.numerator)
+        # a path is spelled out only for an error
+        try:
+            i, j, k, num, den = _constant(entry, dim, seen)
+        except DocumentError as exc:
+            raise DocumentError(f"structure_constants[{idx}]{exc}") from None
+        digits += _decimal_digits(num) + _decimal_digits(den)
         if digits > MAX_CONSTANT_DIGITS:
             raise DocumentError(
-                f"{path}: structure constants exceed {MAX_CONSTANT_DIGITS} digits in total"
+                f"structure_constants[{idx}]: structure constants exceed "
+                f"{MAX_CONSTANT_DIGITS} digits in total"
             )
-        v = Fraction(n_num.numerator, n_den.numerator)
-        if v != 0:
-            entries.append((i, j, k, v))
+        if num:
+            entries.append((i, j, k, Fraction(num, den)))
     subspaces_obj = obj.get("subspaces", {})
     if not isinstance(subspaces_obj, dict):
         raise DocumentError("subspaces: expected an object")
@@ -264,15 +302,17 @@ def parse_document(text: str) -> AlgebraDocument:
         if not isinstance(rows, list):
             raise DocumentError(f"subspaces.{key}: expected a list of vectors")
         parsed = []
-        for ri, r in enumerate(rows):
-            path = f"subspaces.{key}[{ri}]"
-            v = parse_vector(r, dim, path)
+        for r in rows:
+            try:
+                v = _row(r, dim)
+            except DocumentError as exc:
+                raise DocumentError(f"subspaces.{key}[{len(parsed)}]{exc}") from None
             for i, x in enumerate(v):
                 digits += _decimal_digits(x.numerator) + _decimal_digits(x.denominator)
                 if digits > MAX_CONSTANT_DIGITS:
                     raise DocumentError(
-                        f"{path}[{i}]: structure constants and subspace entries "
-                        f"exceed {MAX_CONSTANT_DIGITS} digits in total"
+                        f"subspaces.{key}[{len(parsed)}][{i}]: structure constants and "
+                        f"subspace entries exceed {MAX_CONSTANT_DIGITS} digits in total"
                     )
             parsed.append(v)
         subspaces[str(key)] = tuple(parsed)
@@ -283,8 +323,110 @@ def parse_document(text: str) -> AlgebraDocument:
     return AlgebraDocument(dim, labels, tuple(entries), subspaces, name)
 
 
+# A streamed report reaches its sink in pieces of about this many characters.
+CHUNK_CHARS = 1 << 16
+
+
+def buffered(write: Callable[[str], object]) -> tuple[Callable[[str], None], Callable[[], None]]:
+    """(put, flush): put holds strings and passes them on to write about
+    CHUNK_CHARS characters at a time; flush passes on the rest."""
+    held: list[str] = []
+    size = 0
+
+    def put(s: str) -> None:
+        nonlocal size
+        held.append(s)
+        size += len(s)
+        if size >= CHUNK_CHARS:
+            flush()
+
+    def flush() -> None:
+        nonlocal size
+        if held:
+            write("".join(held))
+            held.clear()
+            size = 0
+
+    return put, flush
+
+
+_INF = float("inf")
+
+
+def _float_str(x: float) -> str:
+    """A float as `json.dumps` writes it."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def write_json(obj, write: Callable[[str], object]) -> None:
+    """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" through write,
+    in pieces of about CHUNK_CHARS characters.
+
+    obj is built of dicts with string keys, lists, tuples, strings, ints,
+    bools, None and floats.  A list of strings alone, such as a matrix row,
+    is joined in one call."""
+    put, flush = buffered(write)
+
+    def value(x, pad: str) -> None:
+        # pad is the newline and indentation that closes x
+        if isinstance(x, str):
+            put(_quote(x))
+        elif x is None:
+            put("null")
+        elif x is True:
+            put("true")
+        elif x is False:
+            put("false")
+        elif isinstance(x, int):
+            put(int.__repr__(x))
+        elif isinstance(x, float):
+            put(_float_str(x))
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                put("[]")
+                return
+            inner = pad + "  "
+            try:
+                put("[" + inner + ("," + inner).join(map(_quote, x)) + pad + "]")
+                return
+            except TypeError:  # not all strings
+                pass
+            sep = "[" + inner
+            for item in x:
+                put(sep)
+                value(item, inner)
+                sep = "," + inner
+            put(pad + "]")
+        elif isinstance(x, dict):
+            if not x:
+                put("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key in sorted(x):
+                put(sep + _quote(key) + ": ")
+                value(x[key], inner)
+                sep = "," + inner
+            put(pad + "}")
+        else:
+            raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+    value(obj, "\n")
+    put("\n")
+    flush()
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", by `write_json`."""
+    parts: list[str] = []
+    write_json(obj, parts.append)
+    return "".join(parts)
 
 
 def serialize_document(doc: AlgebraDocument) -> str:
@@ -348,7 +490,11 @@ def invariance_payload(rep: InvarianceReport) -> dict:
     }
 
 
-def certificate_payload(res: AnosovCertificate | AnosovRefusal) -> dict:
+def certificate_payload(
+    res: AnosovCertificate | AnosovRefusal, memo: dict | None = None
+) -> dict:
+    """The payload of one certificate; a memo shared by the certificates of
+    one report gives each distinct matrix its strings once (`mat_strs`)."""
     if isinstance(res, AnosovRefusal):
         return {
             "accepted": False,
@@ -360,13 +506,13 @@ def certificate_payload(res: AnosovCertificate | AnosovRefusal) -> dict:
     return {
         "accepted": True,
         "element": vec_strs(res.h0),
-        "neutral": mat_strs(res.neutral),
-        "carrier": mat_strs(res.carrier),
+        "neutral": mat_strs(res.neutral, memo),
+        "carrier": mat_strs(res.carrier, memo),
         "stable_dim": res.dim_stable,
         "unstable_dim": res.dim_unstable,
-        "stable_exact": mat_strs(res.stable_exact),
-        "mixed": mat_strs(res.mixed),
-        "unstable_exact": mat_strs(res.unstable_exact),
+        "stable_exact": mat_strs(res.stable_exact, memo),
+        "mixed": mat_strs(res.mixed, memo),
+        "unstable_exact": mat_strs(res.unstable_exact, memo),
         "gap": {"exact": res.gap_exact, "value": frac_str(res.gap)},
         "invariance": invariance_payload(res.invariance) if res.invariance else None,
     }

@@ -1,6 +1,7 @@
 """Exit codes, determinism, and the document pipeline."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 import liecert
 from liecert import action_to_document, build_suspension, check_anosov, serialize_document
 from liecert.cli import build_parser, main
-from liecert.documents import MAX_CONSTANT_DIGITS, MAX_DIM
+from liecert.documents import CHUNK_CHARS, MAX_CONSTANT_DIGITS, MAX_DIM
 
 SL2_DOC = json.dumps(
     {
@@ -447,6 +448,179 @@ def test_input_flag_reads_file(tmp_path, monkeypatch, capsys, command):
     assert (code, out) == run([command], SL2_DOC, monkeypatch, capsys)[:2]
     if command == "validate":
         assert json.loads(out)["result"]["valid"] is True
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["build", "sl2-geodesic"]], ids=lambda a: a[0])
+def test_unwritable_output_is_input_error(tmp_path, monkeypatch, capsys, argv):
+    target = tmp_path / "no" / "such" / "dir" / "report.json"
+    code, out, err = run(argv + ["--output", str(target)], SL2_DOC, monkeypatch, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"input error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+def test_failed_command_leaves_no_output_file(tmp_path, monkeypatch, capsys):
+    target = tmp_path / "report.json"
+    code, _, err = run(["validate", "--output", str(target)], "{", monkeypatch, capsys)
+    assert code == 3 and err.startswith("input error: invalid JSON")
+    assert not target.exists()
+
+
+def _sl2_text(entries, flow=None) -> str:
+    obj = {"format_version": "1", "dim": 3, "basis_labels": ["h", "e", "f"],
+           "structure_constants": entries}
+    if flow is not None:
+        obj["subspaces"] = {"flow": flow}
+    return json.dumps(obj)
+
+
+SL2_ENTRIES = json.loads(SL2_DOC)["structure_constants"]
+DIGITS = "7" * 5000
+TOO_LONG = (
+    "(5000 characters; Exceeds the limit (4300 digits) for integer string conversion: "
+    "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit)"
+)
+SEVENS = "7" * 40
+# (argv, document, exit code, stderr): each row's exit code and message
+# are those of the reader before integer strings took a fast path
+PARSE_TABLE = {
+    "numerator-5000-digits": (
+        ["validate"], _sl2_text([[0, 1, 1, DIGITS, "1"]]), 3,
+        f"input error: structure_constants[0][3]: bad rational '{SEVENS}...' {TOO_LONG}",
+    ),
+    "numerator-minus-5000-digits": (
+        ["validate"], _sl2_text([[0, 1, 1, "-" + DIGITS, "1"]]), 3,
+        f"input error: structure_constants[0][3]: bad rational '-{SEVENS[1:]}...' "
+        + TOO_LONG.replace("5000 characters", "5001 characters"),
+    ),
+    "flow-5000-digits": (
+        ["validate"], _sl2_text(SL2_ENTRIES, [["1", DIGITS, "0"]]), 3,
+        f"input error: subspaces.flow[0][1]: bad rational '{SEVENS}...' {TOO_LONG}",
+    ),
+    "h0-5000-digits": (
+        ["anosov", "--h0", f"1,{DIGITS},0"], _sl2_text(SL2_ENTRIES, [["1", "0", "0"]]), 3,
+        f"input error: --h0[1]: bad rational '{SEVENS}...' {TOO_LONG}",
+    ),
+    "numerator-plus": (["validate"], _sl2_text([[0, 1, 1, "+5", "1"], *SL2_ENTRIES[1:]]), 1, ""),
+    "numerator-spaces": (["validate"], _sl2_text([[0, 1, 1, " 5 ", "1"], *SL2_ENTRIES[1:]]), 1, ""),
+    "numerator-underscore": (
+        ["validate"], _sl2_text([[0, 1, 1, "1_000", "1"], *SL2_ENTRIES[1:]]), 1, "",
+    ),
+    "numerator-arabic-digit": (
+        ["validate"], _sl2_text([[0, 1, 1, "\u0663", "1"], *SL2_ENTRIES[1:]]), 1, "",
+    ),
+    "numerator-exponent": (["validate"], _sl2_text([[0, 1, 1, "1e5", "1"], *SL2_ENTRIES[1:]]), 1, ""),
+    "flow-plus": (["validate"], _sl2_text(SL2_ENTRIES, [["1", "+5", "0"]]), 0, ""),
+    "flow-spaces": (["validate"], _sl2_text(SL2_ENTRIES, [["1", " 5 ", "0"]]), 0, ""),
+    "flow-underscore": (["validate"], _sl2_text(SL2_ENTRIES, [["1", "1_000", "0"]]), 0, ""),
+    "flow-arabic-digit": (["validate"], _sl2_text(SL2_ENTRIES, [["1", "\u0663", "0"]]), 0, ""),
+    "flow-exponent": (["validate"], _sl2_text(SL2_ENTRIES, [["1", "1e5", "0"]]), 0, ""),
+    "h0-plus": (["anosov", "--h0", "+1,0,0"], _sl2_text(SL2_ENTRIES, [["1", "0", "0"]]), 0, ""),
+    "numerator-lone-minus": (
+        ["validate"], _sl2_text([[0, 1, 1, "-", "1"]]), 3,
+        "input error: structure_constants[0][3]: bad rational '-' (Invalid literal for Fraction: '-')",
+    ),
+    "numerator-superscript-two": (
+        ["validate"], _sl2_text([[0, 1, 1, "\u00b2", "1"]]), 3,
+        "input error: structure_constants[0][3]: bad rational '\u00b2' "
+        "(Invalid literal for Fraction: '\u00b2')",
+    ),
+    "integer-entries": (
+        ["validate"], _sl2_text([[0, 1, 1, 2, 1], [0, 2, 2, -2, 1], [1, 2, 0, 1, 1]]), 0, "",
+    ),
+    "index-true": (
+        ["validate"], _sl2_text([[True, 1, 1, "2", "1"]]), 3,
+        "input error: structure_constants[0]: index i must be an integer",
+    ),
+    "numerator-true": (
+        ["validate"], _sl2_text([[0, 1, 1, True, "1"]]), 3,
+        "input error: structure_constants[0][3]: expected a rational string, got bool",
+    ),
+    "denominator-true": (
+        ["validate"], _sl2_text([[0, 1, 1, "2", True]]), 3,
+        "input error: structure_constants[0][4]: expected a rational string, got bool",
+    ),
+    "flow-true": (
+        ["validate"], _sl2_text(SL2_ENTRIES, [[True, "0", "0"]]), 3,
+        "input error: subspaces.flow[0][0]: expected a rational string, got bool",
+    ),
+    "flow-short-row": (
+        ["validate"], _sl2_text(SL2_ENTRIES, [["1", "0"]]), 3,
+        "input error: subspaces.flow[0]: expected a list of 3 rationals",
+    ),
+    "shape-short": (
+        ["validate"], _sl2_text([[0, 1, 1, "2"]]), 3,
+        "input error: structure_constants[0]: expected [i, j, k, num, den]",
+    ),
+    "shape-object": (
+        ["validate"], _sl2_text([{"i": 0}]), 3,
+        "input error: structure_constants[0]: expected [i, j, k, num, den]",
+    ),
+    "index-string": (
+        ["validate"], _sl2_text([[0, "1", 1, "2", "1"]]), 3,
+        "input error: structure_constants[0]: index j must be an integer",
+    ),
+    "index-float": (
+        ["validate"], _sl2_text([[0, 1, 1.0, "2", "1"]]), 3,
+        "input error: structure_constants[0]: index k must be an integer",
+    ),
+    "index-range": (
+        ["validate"], _sl2_text([[0, 3, 1, "2", "1"]]), 3,
+        "input error: structure_constants[0]: index out of range for dim 3",
+    ),
+    "index-negative": (
+        ["validate"], _sl2_text([[-1, 1, 1, "2", "1"]]), 3,
+        "input error: structure_constants[0]: index out of range for dim 3",
+    ),
+    "i-equals-j": (
+        ["validate"], _sl2_text([[1, 1, 0, "2", "1"]]), 3,
+        "input error: structure_constants[0]: i == j entry is forced to zero by antisymmetry",
+    ),
+    "i-above-j": (
+        ["validate"], _sl2_text([[1, 0, 1, "2", "1"]]), 3,
+        "input error: structure_constants[0]: store the i < j entry only; "
+        "the other half is implied",
+    ),
+    "duplicate": (
+        ["validate"], _sl2_text([[0, 1, 1, "2", "1"], [0, 1, 1, "3", "1"]]), 3,
+        "input error: structure_constants[1]: duplicate entry for (0,1,1)",
+    ),
+    "fraction-numerator": (
+        ["validate"], _sl2_text([[0, 1, 1, "1/2", "1"]]), 3,
+        "input error: structure_constants[0]: numerator and denominator must be integers",
+    ),
+    "zero-denominator": (
+        ["validate"], _sl2_text([[0, 1, 1, "1", "0"]]), 3,
+        "input error: structure_constants[0]: zero denominator",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PARSE_TABLE)
+def test_parse_errors_keep_their_messages(monkeypatch, capsys, case):
+    argv, text, want_code, want_err = PARSE_TABLE[case]
+    code, _, err = run(argv, text, monkeypatch, capsys)
+    assert (code, err.strip()) == (want_code, want_err)
+
+
+# sha256 of the sl(5) `anosov` report (120 certificates, 2 394 345 bytes) as
+# json.dumps wrote it whole, before reports were streamed
+SL5_ANOSOV_SHA256 = "83c4cf7e8fab832c219bca2058dbf3aa72797b4d5dedd2334b01ce69a2fe687d"
+MAX_WRITE = 256 * 1024
+
+
+def test_anosov_report_is_streamed_in_bounded_writes(monkeypatch):
+    g = liecert.lie_algebra_from_matrices(liecert.sl_basis(5))
+    flow = liecert.cartan_subspace(g).basis
+    text = serialize_document(liecert.algebra_to_document(g, {"flow": flow}, "sl5"))
+    writes = []
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdout", argparse.Namespace(write=writes.append))
+    assert main(["anosov"]) == 0
+    assert CHUNK_CHARS <= MAX_WRITE
+    assert len(writes) > 1 and max(map(len, writes)) <= MAX_WRITE
+    report = "".join(writes).encode()
+    assert hashlib.sha256(report).hexdigest() == SL5_ANOSOV_SHA256
 
 
 @pytest.mark.parametrize("command", DOCUMENT_COMMANDS)

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liecert import documents
 from liecert.algebra import LieAlgebra, ValidationError
@@ -24,6 +25,7 @@ from liecert import (
     serialize_document,
 )
 from liecert.documents import (
+    CHUNK_CHARS,
     certificate_payload,
     classification_payload,
     dump_json,
@@ -31,6 +33,7 @@ from liecert.documents import (
     parse_frac,
     provenance,
     root_system_payload,
+    write_json,
 )
 
 
@@ -384,6 +387,49 @@ def test_dump_json_is_deterministic():
     obj = {"b": 1, "a": [1, 2]}
     assert dump_json(obj) == dump_json({"a": [1, 2], "b": 1})
     assert dump_json(obj).endswith("\n")
+
+
+_TRICKY = st.sampled_from(['"', "\\", "\n", "\x00\x1f", "\u00e9", "\u2028", "\U0001f600", "a/b"])
+_TEXT = st.text(max_size=6) | _TRICKY
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _TEXT
+)
+_JSON = st.recursive(
+    _SCALARS | st.lists(_TEXT, max_size=4),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=25,
+)
+
+
+def _chunks(obj) -> list[str]:
+    chunks = []
+    write_json(obj, chunks.append)
+    return chunks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_writer_matches_json_dumps(obj):
+    want = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert dump_json(obj) == want
+    assert "".join(_chunks(obj)) == want
+
+
+def test_writer_streams_a_large_report_in_bounded_chunks():
+    row = [str(F(i, 7)) for i in range(50)]
+    obj = {"rows": [row] * 2000, "tail": [1, -2.5, None, True, {}, [], ()]}
+    chunks = _chunks(obj)
+    assert "".join(chunks) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert len(chunks) > 1 and max(map(len, chunks)) < 2 * CHUNK_CHARS
+    with pytest.raises(TypeError):
+        dump_json({"x": F(1, 2)})
 
 
 # -- schema ------------------------------------------------------------------------
