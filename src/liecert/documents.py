@@ -350,27 +350,13 @@ def buffered(write: Callable[[str], object]) -> tuple[Callable[[str], None], Cal
     return put, flush
 
 
-_INF = float("inf")
-
-
-def _float_str(x: float) -> str:
-    """A float as `json.dumps` writes it."""
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
 def write_json(obj, write: Callable[[str], object]) -> None:
     """Write json.dumps(obj, sort_keys=True, indent=2) + "\n" through write,
     in pieces of about CHUNK_CHARS characters.
 
     obj is built of dicts with string keys, lists, tuples, strings, ints,
-    bools, None and floats.  A list of strings alone, such as a matrix row,
-    is joined in one call."""
+    bools, None and finite floats.  A list of strings alone, such as a
+    matrix row, is joined in one call."""
     put, flush = buffered(write)
 
     def value(x, pad: str) -> None:
@@ -386,23 +372,23 @@ def write_json(obj, write: Callable[[str], object]) -> None:
         elif isinstance(x, int):
             put(int.__repr__(x))
         elif isinstance(x, float):
-            put(_float_str(x))
+            put(float.__repr__(x))
         elif isinstance(x, (list, tuple)):
             if not x:
                 put("[]")
                 return
             inner = pad + "  "
             try:
-                put("[" + inner + ("," + inner).join(map(_quote, x)) + pad + "]")
-                return
+                flat = ("," + inner).join(map(_quote, x))
             except TypeError:  # not all strings
-                pass
-            sep = "[" + inner
-            for item in x:
-                put(sep)
-                value(item, inner)
-                sep = "," + inner
-            put(pad + "]")
+                sep = "[" + inner
+                for item in x:
+                    put(sep)
+                    value(item, inner)
+                    sep = "," + inner
+                put(pad + "]")
+            else:
+                put("[" + inner + flat + pad + "]")
         elif isinstance(x, dict):
             if not x:
                 put("{}")
