@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Callable, Iterator, NamedTuple
 
@@ -101,7 +102,13 @@ def _write(args, produce: Callable[[Callable[[str], object]], None]) -> None:
     The output file is opened only now, so a command that fails before
     its payload is complete leaves no file behind."""
     if not args.output:
-        produce(sys.stdout.write)
+        try:
+            produce(sys.stdout.write)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader stopped early, as `liecert ... | head` does: drop
+            # the rest quietly, and keep the exit flush off the closed pipe
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return
     try:
         with open(args.output, "w") as fh:

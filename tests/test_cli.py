@@ -615,7 +615,8 @@ def test_anosov_report_is_streamed_in_bounded_writes(monkeypatch):
     text = serialize_document(liecert.algebra_to_document(g, {"flow": flow}, "sl5"))
     writes = []
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    monkeypatch.setattr("sys.stdout", argparse.Namespace(write=writes.append))
+    sink = argparse.Namespace(write=writes.append, flush=lambda: None)
+    monkeypatch.setattr("sys.stdout", sink)
     assert main(["anosov"]) == 0
     assert CHUNK_CHARS <= MAX_WRITE
     assert len(writes) > 1 and max(map(len, writes)) <= MAX_WRITE
@@ -707,6 +708,30 @@ def test_shell_pipeline():
     assert classify.returncode == 0
     assert json.loads(classify.stdout)["result"]["case"] == "solvable"
 
+
+
+def test_reader_that_stops_early_ends_the_report_quietly():
+    """`liecert anosov | head -c 100`: the report outgrows the pipe, the
+    reader closes it, and the command still exits 0 with nothing on stderr."""
+    src = os.path.dirname(os.path.dirname(liecert.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    g = liecert.lie_algebra_from_matrices(liecert.sl_basis(4))
+    flow = liecert.cartan_subspace(g).basis
+    text = serialize_document(liecert.algebra_to_document(g, {"flow": flow}))
+    for fmt in ("json", "text"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "liecert.cli", "anosov", "--format", fmt],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        proc.stdin.write(text.encode())
+        proc.stdin.close()
+        assert proc.stdout.read(100)
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (0, b"")
+        proc.stderr.close()
 
 _LAZY_SYMPY = """
 import json, sys
