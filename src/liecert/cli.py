@@ -91,8 +91,7 @@ def _render_text(obj, indent: int = 0, key: str | None = None) -> Iterator[str]:
 def _write_text(obj, write: Callable[[str], object]) -> None:
     put, flush = buffered(write)
     for line in _render_text(obj):
-        put(line)
-        put("\n")
+        put(line + "\n")
     flush()
 
 
