@@ -20,9 +20,12 @@ A column holds its provenance (commit, Python and sympy versions, core
 count) and five tables:
 
 - `arrangements`: the median of 3 `weyl_chambers` runs on the positive
-  roots of A3-A6, B3, C3, BC2 and G2, each with the chamber count and a
-  sha256 of the returned ChamberSet's repr, so that equal digests across
-  columns mean identical chambers, order, signs and samples;
+  roots of A3-A6, B3, C3, BC2 and G2, which cross walls, and on the B2
+  near-miss (B2's positive roots with (1, 2) moved to (1, 3)), which is
+  no root system and takes the Fourier-Motzkin search, each with the
+  chamber count and a sha256 of the returned ChamberSet's repr, so that
+  equal digests across columns mean identical chambers, order, signs and
+  samples;
 - `sl`: for sl(n, R), n = 3..7, built from matrices, the median of 3
   runs of each stage: `cartan_subspace`, `restricted_roots` on it,
   `weyl_chambers` and one `check_anosov` of diag(n-1, n-3, ..., 1-n),
@@ -111,6 +114,7 @@ def _arrangements():
         ],
         "BC2": [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, -1)],
         "G2": [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)],
+        "B2-near-miss": [(1, 0), (0, 1), (1, 1), (1, 3)],
     }
 
 

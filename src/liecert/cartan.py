@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 from .algebra import (
@@ -768,9 +768,9 @@ class ChamberSet:
 
 
 def _fm_extend(
-    levels: tuple[tuple[tuple[int, ...], ...], ...], row: tuple[int, ...]
+    levels: tuple[tuple[tuple[int, ...], ...], ...], *rows: tuple[int, ...]
 ) -> tuple[tuple[tuple[int, ...], ...], ...] | None:
-    """The Fourier-Motzkin levels of a feasible system with the row . x > 0 added.
+    """The Fourier-Motzkin levels of a feasible system with each row . x > 0 added.
 
     A system {x in Q^k : r . x > 0 for every row r} of primitive integer
     rows is held as its levels: levels[d] is the system in k - d
@@ -778,7 +778,7 @@ def _fm_extend(
     and eliminating its last variable gives levels[d + 1].  The empty
     system is k empty levels, and level 0 keeps the rows in the order they
     were added.  Positive scaling and repetition of a row change neither
-    the set nor the sample bounds.  Only the rows the new row creates are
+    the set nor the sample bounds.  Only the rows the new rows create are
     added.  At each level, the rows not yet in it eliminate its last
     variable: a row whose coefficient there is 0 is truncated, any other
     is combined (made primitive) with every row of the level of the
@@ -789,7 +789,7 @@ def _fm_extend(
     """
     k = len(levels)
     out = []
-    new = [row]
+    new = list(rows)
     for d, level in enumerate(levels):
         seen = set(level)
         fresh = []
@@ -872,19 +872,166 @@ def _fm_sample(levels: Sequence[tuple[tuple[int, ...], ...]]) -> Vector:
     return tuple(x)
 
 
+def _reflections(
+    reps: list[Vector], k: int
+) -> tuple[list[int], list[list[int]]] | None:
+    """The simple roots and the reflections of a root system, or None.
+
+    reps are the positive roots of the arrangement R = reps u -reps,
+    distinct and lex-positive, read as integer vectors over one common
+    denominator: root i is reps[i] and root n + i its negative.  R passes
+    when
+    - its indecomposable roots, the positive ones that are no sum of two
+      positive roots, are k independent roots, the simple roots; every
+      positive root is then a sum of simple roots, as both terms of a sum
+      of lex-positive roots come before it in lex order;
+    - for each positive alpha, s(beta) = beta - c(beta) alpha maps R into
+      R, where the linear c has c(delta) = p - q on each simple delta,
+      for the alpha-string delta - p alpha, ..., delta + q alpha through
+      delta (0 counts as a member), and c(alpha) = 2.
+    Every root system passes, a non-reduced one too (Humphreys,
+    Reflection Groups and Coxeter Groups, 1.3-1.14; Bourbaki, Lie Groups
+    and Lie Algebras, ch. VI 1), and whatever passes is one: the chamber
+    on which every positive root is positive has the simple roots as its
+    walls, and each s is an involution that negates alpha, fixes the
+    points of its hyperplane and permutes R, so it maps a chamber with
+    the wall alpha onto the chamber across that wall, and the walls of
+    the one onto those of the other.  Returns the indices of the simple
+    roots and, for each positive alpha, the index of s(beta) for every
+    root index beta; the guard is integer arithmetic and set lookups only.
+    """
+    n = len(reps)
+    den = lcm(*(x.denominator for rep in reps for x in rep))
+    roots = [tuple([x.numerator * (den // x.denominator) for x in rep]) for rep in reps]
+    index = {r: i for i, r in enumerate(roots)}
+    parts = {}  # b: (i, j) with roots[b] = roots[i] + roots[j]
+    for i, r in enumerate(roots):
+        for j in range(i, n):
+            b = index.get(tuple(map(add, r, roots[j])))
+            if b is not None and b not in parts:
+                parts[b] = i, j
+    simple = [i for i in range(n) if i not in parts]
+    if len(simple) != k or k > 1 and _integer_echelon([list(roots[i]) for i in simple]).rank < k:
+        return None
+    # roots[i], roots[j] <lex roots[b]: each root is a sum of simple roots
+    order = sorted(parts, key=roots.__getitem__)
+    index.update((tuple([-x for x in r]), n + i) for i, r in enumerate(roots))
+    members = index.keys() | {(0,) * k}
+    tables = []
+    for a, alpha in enumerate(roots):
+        c = [0] * n
+        for s in simple:
+            p = q = 0
+            v = tuple(map(sub, roots[s], alpha))
+            while v in members:
+                p += 1
+                v = tuple(map(sub, v, alpha))
+            v = tuple(map(add, roots[s], alpha))
+            while v in members:
+                q += 1
+                v = tuple(map(add, v, alpha))
+            c[s] = p - q
+        for b in order:
+            i, j = parts[b]
+            c[b] = c[i] + c[j]
+        if c[a] != 2:
+            return None
+        table = [
+            index.get(tuple([x - cb * y for x, y in zip(beta, alpha)]))
+            for beta, cb in zip(roots, c)
+        ]
+        if None in table:
+            return None
+        tables.append(table + [(t + n) % (2 * n) for t in table])
+    return simple, tables
+
+
+def _crossed_chambers(
+    rows: list[tuple[int, ...]], simple: list[int], tables: list[list[int]]
+) -> list[tuple[tuple[int, ...], tuple]]:
+    """(signs, levels) of every chamber of a root system (`_reflections`),
+    in binary order, levels being the elimination of its k walls alone.
+
+    Depth first from the all-plus chamber, whose walls are the simple
+    roots: crossing the wall alpha flips the signs of every representative
+    on alpha's line (alpha and 2 alpha in BC) and maps the walls by
+    s_alpha.  A chamber is held as the bit mask of its minus signs.
+    """
+    n = len(rows)
+    signed = rows + [tuple([-x for x in r]) for r in rows]
+    lines: dict[tuple[int, ...], int] = {}
+    for i, r in enumerate(rows):
+        lines[r] = lines.get(r, 0) | 1 << i
+    flips = [lines[r] for r in rows]
+    walls = {0: simple}
+    stack = [0]
+    while stack:
+        mask = stack.pop()
+        ws = walls[mask]
+        for w in ws:
+            a = w % n
+            crossed = mask ^ flips[a]
+            if crossed not in walls:
+                walls[crossed] = [tables[a][x] for x in ws]
+                stack.append(crossed)
+    empty = ((),) * len(simple)
+    return [
+        (
+            tuple([-1 if mask >> i & 1 else 1 for i in range(n)]),
+            _fm_extend(empty, *[signed[w] for w in walls[mask]]),
+        )
+        for mask in sorted(walls)
+    ]
+
+
+def _searched_chambers(
+    rows: list[tuple[int, ...]], k: int
+) -> list[tuple[tuple[int, ...], tuple]]:
+    """(signs, levels) of every chamber of the arrangement of rows, in
+    binary order, by a depth-first search over signs.
+
+    Signs are assigned from the last row to the first and + before -.  A
+    partial assignment is extended only while its system is feasible,
+    decided by exact Fourier-Motzkin elimination; each node of the
+    search extends its parent's elimination by its one new row
+    (`_fm_extend`).
+    """
+    out = []
+
+    def visit(i: int, signs: tuple[int, ...], levels) -> None:
+        # levels: the elimination of rows[i:] signed by signs
+        if i == 0:
+            out.append((signs, levels))
+            return
+        row = rows[i - 1]
+        for s, signed in ((1, row), (-1, tuple(-x for x in row))):
+            extended = _fm_extend(levels, signed)
+            if extended is not None:
+                visit(i - 1, (s,) + signs, extended)
+
+    visit(len(rows), (), ((),) * k)
+    return out
+
+
 def weyl_chambers(rs: RootSystem) -> ChamberSet:
     """Connected components of the base minus the root hyperplanes.
 
     The hyperplanes may be any rational arrangement, not only those of a
-    root system.  Signs are assigned depth first, from the last root
-    representative to the first and + before -, so chambers come out in
-    the order of the sign vectors read as binary numbers (- is a one bit,
-    the first representative the lowest bit).  A partial assignment is
-    extended only while its system is feasible, decided by exact
-    Fourier-Motzkin elimination on primitive integer rows; each node of
-    the search extends its parent's elimination by its one new row
-    (`_fm_extend`).  Every sample point is re-checked against all its
-    strict inequalities, in integers, and a failure raises AlgebraError.
+    root system.  The chambers come out in the order of their sign
+    vectors read as binary numbers (- is a one bit, the first root
+    representative the lowest bit).  When there are more representatives
+    than the rank k and they pass the integer root-system guard
+    (`_reflections`), the chambers are reached by crossing walls with the
+    reflections of the Weyl group, each eliminated on its k walls alone
+    (`_crossed_chambers`).  Every other arrangement goes to a depth-first
+    search over signs by exact Fourier-Motzkin elimination
+    (`_searched_chambers`); a root system with at most k representatives
+    is k independent lines, all of whose sign vectors the search visits
+    without a dead end.  A sample point depends only on its open cone
+    (each coordinate is a fiber midpoint, one past the only bound, or 1,
+    of the exact projection of the cone), so both paths give the same
+    ChamberSet.  Every sample point is re-checked against all its strict
+    inequalities, in integers, and a failure raises AlgebraError.
     """
     if not rs.exact:
         raise StructureError("chamber enumeration requires exact root values")
@@ -903,23 +1050,14 @@ def weyl_chambers(rs: RootSystem) -> ChamberSet:
             reps.append(v)
     # positive multiples of reps, so each has the sign of its representative
     rows = [tuple(integer_row(rep)) for rep in reps]
+    system = _reflections(reps, k) if len(reps) > k else None
+    cones = _searched_chambers(rows, k) if system is None else _crossed_chambers(rows, *system)
     chambers = []
-
-    def visit(i: int, signs: tuple[int, ...], levels) -> None:
-        # levels: the elimination of the rows of reps[i:] signed by signs
-        if i == 0:
-            sample = _fm_sample(levels)
-            point = integer_row(sample)  # a positive multiple of sample
-            for s, row in zip(signs, rows):
-                if s * sum(map(mul, row, point)) <= 0:
-                    raise AlgebraError("chamber sample point fails its inequalities")
-            chambers.append(Chamber(signs, sample))
-            return
-        row = rows[i - 1]
-        for s, signed in ((1, row), (-1, tuple(-x for x in row))):
-            extended = _fm_extend(levels, signed)
-            if extended is not None:
-                visit(i - 1, (s,) + signs, extended)
-
-    visit(len(reps), (), ((),) * k)
+    for signs, levels in cones:
+        sample = _fm_sample(levels)
+        point = integer_row(sample)  # a positive multiple of sample
+        for s, row in zip(signs, rows):
+            if s * sum(map(mul, row, point)) <= 0:
+                raise AlgebraError("chamber sample point fails its inequalities")
+        chambers.append(Chamber(signs, sample))
     return ChamberSet(tuple(reps), tuple(chambers))

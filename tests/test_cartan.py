@@ -1513,12 +1513,30 @@ def test_fm_extend_matches_full_elimination_on_every_prefix(case):
         assert all(len(set(level)) == len(level) for level in levels)
 
 
+@given(_int_rows)
+@example((2, [(1, 1), (1, -1), (1, 1), (-1, 0)]))
+@settings(max_examples=100, deadline=None)
+def test_fm_extend_by_several_rows_is_extending_by_each(case):
+    k, rows = case
+    once = _fm_extend(_fm_levels((), k), *rows)
+    folded = _fm_levels(rows, k)
+    assert (once is None) == (folded is None)
+    if once is not None:
+        assert [set(level) for level in once] == [set(level) for level in folded]
+        assert all(len(set(level)) == len(level) for level in once)
+
+
 BC2_VALUES = [(1, 0), (0, 1), (2, 0), (0, 2), (1, 1), (1, -1)]
 C3_VALUES = [
     (1, -1, 0), (0, 1, -1), (1, 0, -1), (1, 1, 0), (1, 0, 1), (0, 1, 1),
     (2, 0, 0), (0, 2, 0), (0, 0, 2),
 ]
 G2_POSITIVE = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
+A1XA2_POSITIVE = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)]
+# B2's positive roots with (1, 2) moved to (1, 3): no root system
+B2_NEAR_MISS = [(1, 0), (0, 1), (1, 1), (1, 3)]
+# three indecomposable roots in Q^3, all in one plane: no root system
+FLAT = [(1, 0, 0), (1, 2, 0), (2, 0, 0), (3, -1, 0)]
 
 
 @pytest.mark.parametrize(
@@ -1529,8 +1547,10 @@ G2_POSITIVE = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
         (C3_VALUES, 48),
         (BC2_VALUES, 8),
         (G2_POSITIVE, 12),
+        (A1XA2_POSITIVE, 12),
+        (B2_NEAR_MISS, 8),
     ],
-    ids=["A5", "B3", "C3", "BC2", "G2"],
+    ids=["A5", "B3", "C3", "BC2", "G2", "A1xA2", "B2-near-miss"],
 )
 def test_weyl_chambers_match_prefix_search(values, count):
     rng = random.Random(count)
@@ -1540,6 +1560,99 @@ def test_weyl_chambers_match_prefix_search(values, count):
     rs = functional_root_system(values, len(values[0]))
     got = weyl_chambers(rs)
     assert got.count == count
+    assert got == reference_prefix_chambers(rs)
+
+
+def _counted_chambers(rs):
+    """weyl_chambers(rs), with the number of `_fm_extend` calls and of
+    Fourier-Motzkin searches over signs that it made."""
+    import liecert.cartan as cartan
+
+    calls = Counter()
+
+    def counted(name):
+        inner = getattr(cartan, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_fm_extend", "_searched_chambers"):
+            patch.setattr(cartan, name, counted(name))
+        got = weyl_chambers(rs)
+    return got, calls["_fm_extend"], calls["_searched_chambers"]
+
+
+def sl3_rational_base():
+    """sl(3) restricted to the line of 3H1 + 2H2, whose roots 5/3, 4/3 and 1/3
+    on the base vector H1 + 2/3 H2 are no root system."""
+    g = lie_algebra_from_matrices(sl_basis(3))
+    return restricted_roots(g, Subspace(g, [(F(3), F(2)) + (F(0),) * 6]))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [positive_roots_a(5), B3_POSITIVE, C3_VALUES, BC2_VALUES, G2_POSITIVE, A1XA2_POSITIVE],
+    ids=["A5", "B3", "C3", "BC2", "G2", "A1xA2"],
+)
+def test_root_systems_cross_walls_without_a_search(values):
+    rs = functional_root_system(values, len(values[0]))
+    got, extends, searches = _counted_chambers(rs)
+    assert searches == 0
+    assert extends == got.count
+
+
+@pytest.mark.parametrize("case", ["B2-near-miss", "flat", "sl3-base"])
+def test_other_arrangements_take_the_search(case):
+    if case == "sl3-base":
+        rs = sl3_rational_base()
+    else:
+        values = {"B2-near-miss": B2_NEAR_MISS, "flat": FLAT}[case]
+        rs = functional_root_system(values, len(values[0]))
+    got, _, searches = _counted_chambers(rs)
+    assert searches == 1
+    assert got == reference_weyl_chambers(rs)
+    assert got.count == {"B2-near-miss": 8, "flat": 6, "sl3-base": 2}[case]
+    if case == "sl3-base":
+        assert got.representatives == ((F(5, 3),), (F(4, 3),), (F(1, 3),))
+
+
+# rank 2 and 3 root systems with more positive roots than their rank
+ROOT_SYSTEMS = [
+    [(1, 0), (0, 1), (1, 1)],
+    [(1, 0), (0, 1), (1, 1), (1, 2)],
+    BC2_VALUES,
+    G2_POSITIVE,
+    positive_roots_a(3),
+    B3_POSITIVE,
+    C3_VALUES,
+    A1XA2_POSITIVE,
+]
+
+
+@given(
+    st.sampled_from(ROOT_SYSTEMS),
+    st.lists(st.integers(-2, 2), min_size=9, max_size=9),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_root_systems_in_other_coordinates_cross_walls(positive, entries, den, rng):
+    # the image of a root system under an invertible rational map is a root
+    # system, and its lex-positive roots are a positive system of it
+    k = len(positive[0])
+    m = tuple(tuple(F(entries[k * i + j] + (i == j) * 3, den) for j in range(k)) for i in range(k))
+    assume(inverse(m) is not None)
+    values = [tuple(sum((v[i] * m[i][j] for i in range(k)), F(0)) for j in range(k)) for v in positive]
+    signs = [rng.choice((1, -1)) for _ in values]
+    values = [tuple(s * x for x in v) for s, v in zip(signs, values)]
+    rng.shuffle(values)
+    rs = functional_root_system(values, k)
+    got, extends, searches = _counted_chambers(rs)
+    assert (searches, extends) == (0, got.count)
     assert got == reference_prefix_chambers(rs)
 
 

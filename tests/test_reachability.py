@@ -1,7 +1,7 @@
 """Every function of the package is reached by some command line.
 
 `cli.main` runs in-process under `sys.setprofile` over the catalog and
-over nine documents built here, each of which reaches a path that the
+over ten documents built here, each of which reaches a path that the
 catalog does not (see `_documents`).  On the catalog the runs are
 `build`, the six report commands in both formats, `anosov --h0` on the
 first flow row, `catalog` and one malformed command line; on each test
@@ -88,8 +88,9 @@ def _action(action: ActionSpec) -> str:
 
 @functools.cache
 def _documents() -> dict[str, str]:
-    """Nine action documents; each comment names paths that it reaches and the catalog does not."""
+    """Ten action documents; each comment names paths that it reaches and the catalog does not."""
     g = sl2()
+    sl3 = lie_algebra_from_matrices(sl_basis(3))
     plane = sl2_semidirect_plane()
     starkov = direct_sum(sl2(), build_heisenberg_starkov().ambient)
     so3r = direct_sum(so3(), LieAlgebra.from_entries(1, ()))
@@ -104,8 +105,15 @@ def _documents() -> dict[str, str]:
         "tilted-so13": _action(_tilted_so13()),
         # the inexact restricted roots of the hyperbolic base e + 2f
         "sl2-base": _document(g, flow=[(1, 0, 0)], base=[(0, 1, 2)]),
-        # the Fourier-Motzkin combination of a rank-two arrangement
-        "sl3-chambers": _action(build_weyl_chamber(lie_algebra_from_matrices(sl_basis(3)))),
+        # the root-system guard, wall crossing and the Fourier-Motzkin
+        # combination of a rank-two root system
+        "sl3-chambers": _action(build_weyl_chamber(sl3)),
+        # the guard's refusal: on the base 3H1 + 2H2 the roots 5/3, 4/3 and
+        # 1/3 are no root system, so `roots` runs the search over signs
+        "sl3-base": _document(
+            sl3, flow=[(1, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0)],
+            base=[(3, 2, 0, 0, 0, 0, 0, 0)],
+        ),
         # a flow that is not nilpotent: ActionCheck.summary, exit 3
         "sl2-ef": _document(g, flow=[(0, 1, 0), (0, 0, 1)]),
         # the reductive branch, Subspace.is_central and the inner correction
