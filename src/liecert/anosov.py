@@ -58,7 +58,7 @@ from .cartan import (
     ChamberSet,
     RootSystem,
     _generic,
-    _joint_blocks,
+    _integer_blocks,
     csa_from_action,
     ellipticity_proxy,
     find_csa,
@@ -72,7 +72,10 @@ from .linalg import (
     Echelon,
     Matrix,
     Vector,
+    _integer_echelon,
     _integer_form,
+    _integer_reduced,
+    _rref_rows,
     combine,
     integer_row,
     invariant_under,
@@ -358,33 +361,35 @@ def action_csa(action: ActionSpec) -> ActionCsa:
 
 
 def _weight_reader(
-    action: ActionSpec, blocks: Sequence[tuple[Matrix, Sequence[Fraction]]]
+    action: ActionSpec, blocks: Sequence[tuple[Sequence[list[int]], Sequence[Fraction]]]
 ) -> Callable[[Vector, Sequence[Fraction]], AnosovCertificate | AnosovRefusal]:
     """Decide flow elements off joint weight spaces, as `check_anosov` would.
 
     blocks holds pairs (B, values) for elements x_1, ..., x_k of the flow:
-    subspaces B of g, invariant under every flow ad, on which
-    ad(sum_i c_i x_i) has the one eigenvalue lambda_B(c) = sum_i c_i
-    values_i.  The returned read(h0, c) decides h0 = sum_i c_i x_i.  Since
-    w = flow + isotropy is the sum of its parts w & B, ad(h0) has
-    dim(w & B) eigenvalues lambda_B(c) inside w and the other dim B
-    outside, so the refusal's two counts are sums of these dimensions;
-    on acceptance w is the sum of the B with lambda_B(c) = 0, the stable
-    (unstable) space the sum of those with lambda_B(c) < 0 (> 0), the
-    carrier the sum of the rest, and the gap min |lambda_B(c)|, attained:
-    the canonical rows and values `check_anosov` gives.  The values and
-    each c are integer rows over one denominator, so each sign is that of
-    an integer dot product.  Raises AlgebraError when the blocks are not
-    an invariant splitting of g that splits w too.
+    subspaces B of g, given by integer rows spanning them, invariant under
+    every flow ad, on which ad(sum_i c_i x_i) has the one eigenvalue
+    lambda_B(c) = sum_i c_i values_i.  The returned read(h0, c) decides
+    h0 = sum_i c_i x_i.  Since w = flow + isotropy is the sum of its parts
+    w & B, ad(h0) has dim(w & B) eigenvalues lambda_B(c) inside w and the
+    other dim B outside, so the refusal's two counts are sums of these
+    dimensions; on acceptance w is the sum of the B with lambda_B(c) = 0,
+    the stable (unstable) space the sum of those with lambda_B(c) < 0
+    (> 0), the carrier the sum of the rest, and the gap min |lambda_B(c)|,
+    attained: the canonical rows and values `check_anosov` gives.  The
+    values and each c are integer rows over one denominator, so each sign
+    is that of an integer dot product; a `Fraction` row is built only for
+    a certificate's sums of spaces.  Raises AlgebraError when the blocks
+    are not an invariant splitting of g that splits w too.
     """
     g, w = action.ambient, action.joint
     spaces = [space for space, _ in blocks]
-    if sum(map(len, spaces)) != g.dim or Echelon(r for s in spaces for r in s).rank != g.dim:
+    rank = _integer_echelon(r for s in spaces for r in s).rank
+    if sum(map(len, spaces)) != g.dim or rank != g.dim:
         raise AlgebraError("weight spaces are not independent")
     ads = [g.ad_integer(v) for v in action.flow.basis]
     if not all(all(invariant_under(ads, s)) for s in spaces):
         raise AlgebraError("a weight space is not invariant under the flow")
-    inside = [w.dim + len(s) - Echelon((*w.basis, *s)).rank for s in spaces]
+    inside = [w.dim + len(s) - _integer_echelon([*w._rows, *s]).rank for s in spaces]
     if sum(inside) != w.dim:
         raise AlgebraError("flow + isotropy is not the sum of its weight parts")
     weights = _integer_form([values for _, values in blocks])
@@ -394,7 +399,7 @@ def _weight_reader(
     def space_sum(picked: tuple[int, ...]) -> Matrix:
         # an element's stable sum is the unstable sum of its negative
         if picked not in sums:
-            sums[picked] = row_basis(tuple(r for i in picked for r in spaces[i]))
+            sums[picked] = _rref_rows(*_integer_reduced([r for i in picked for r in spaces[i]]))
         return sums[picked]
 
     def read(h0: Vector, c: Sequence[Fraction]) -> AnosovCertificate | AnosovRefusal:
@@ -477,7 +482,7 @@ def _chamber_sweep(
         return None
     if sum(r.multiplicity for r in rs.roots) != g.dim:
         raise AlgebraError("root multiplicities do not add up to the dimension")
-    read = _weight_reader(action, [(r.space, r.values) for r in rs.roots])
+    read = _weight_reader(action, [(_integer_form(r.space).rows, r.values) for r in rs.roots])
     if action.joint != Subspace(g, next((r.space for r in rs.roots if r.is_zero), ())):
         return ()
     found = []
@@ -495,10 +500,10 @@ def _flow_reader(
 ) -> Callable[[Vector, Sequence[Fraction]], AnosovCertificate | AnosovRefusal] | None:
     """`_weight_reader` on the joint weight spaces of the flow's basis f_i,
     or None when a weight is not rational.  The flow is nilpotent, so
-    `_joint_blocks` splits g into them, starting from ad(sum_i f_i)."""
+    `_integer_blocks` splits g into them, starting from ad(sum_i f_i)."""
     g = action.ambient
     op, factors = _generic(g, action.flow, 1)
-    blocks = _joint_blocks([g.ad_integer(v) for v in action.flow.basis], op, factors)
+    blocks = _integer_blocks([g.ad_integer(v) for v in action.flow.basis], op, factors, None)
     return None if blocks is None else _weight_reader(action, blocks)
 
 

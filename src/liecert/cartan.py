@@ -532,44 +532,29 @@ def _restrict_block(
     return out
 
 
-def _joint_blocks(
-    ads: Sequence[IntMatrix],
-    op: IntMatrix,
-    factors: list[tuple[RationalPolynomial, int]],
-) -> list[tuple[Matrix, tuple[Fraction, ...]]] | None:
-    """The joint blocks of the ads inside the primary components of op, each
-    with its values, or None once a factor is not linear.
-
-    The ads span a nilpotent Lie algebra of operators (a commuting family
-    does) that holds op, so each primary component of one of them is
-    invariant under all (Jacobson, Lie Algebras, 1962, ch. II).  factors
-    are those of op's characteristic polynomial, and the ads and op act
-    in the coordinates of g.  A component on which every ad is alpha plus
-    a nilpotent is one joint block, with those alphas as its values; on
-    any other, the first ad that is not splits it by its own primary
-    decomposition, in the component's basis, and so on down
-    (`_integer_blocks`).  A factor that is not linear means an irrational
-    value.  The whole recursion runs on integer rows; each block is
-    returned as the rref rows of its span, built here and nowhere before.
-    """
-    blocks = _integer_blocks(ads, op, factors, None)
-    if blocks is None:
-        return None
-    return [(_rref_rows(*_integer_reduced(rows)), values) for rows, values in blocks]
-
-
 def _integer_blocks(
     ads: Sequence[IntMatrix],
     op: IntMatrix,
     factors: list[tuple[RationalPolynomial, int]],
     base: list[list[int]] | None,
 ) -> list[tuple[list[list[int]], tuple[Fraction, ...]]] | None:
-    """`_joint_blocks` with each block as integer rows spanning it in g.
+    """The joint blocks of the ads inside the primary components of op, each
+    as integer rows spanning it in g, with its values, or None once a
+    factor is not linear.
 
-    The ads and op act in the coordinates of the rows of `base` in g, or
-    of g itself when base is None.  A component's basis is the reduced
-    rows of `_primary_rows`, times `base` when there is one: a product of
-    reduced rows is reduced, up to the content of each row.
+    The ads span a nilpotent Lie algebra of operators (a commuting family
+    does) that holds op, so each primary component of one of them is
+    invariant under all (Jacobson, Lie Algebras, 1962, ch. II).  factors
+    are those of op's characteristic polynomial, and the ads and op act
+    in the coordinates of the rows of `base` in g, or of g itself when
+    base is None.  A component on which every ad is alpha plus a
+    nilpotent is one joint block, with those alphas as its values; on any
+    other, the first ad that is not splits it by its own primary
+    decomposition, in the component's basis, and so on down.  A factor
+    that is not linear means an irrational value.  A component's basis
+    is the reduced rows of `_primary_rows`, times `base` when there is
+    one: a product of reduced rows is reduced, up to the content of each
+    row.  No `Fraction` row is built here.
     """
     if any(phi.degree > 1 for phi, _ in factors):
         return None
@@ -608,8 +593,8 @@ GENERIC_TRIES = 60
 
 
 def _in_factor_order(
-    blocks: list[tuple[Matrix, tuple[Fraction, ...]]]
-) -> list[tuple[Matrix, tuple[Fraction, ...]]] | None:
+    blocks: list[tuple[list[list[int]], tuple[Fraction, ...]]]
+) -> list[tuple[list[list[int]], tuple[Fraction, ...]]] | None:
     """The joint blocks in the order in which `factor_with_multiplicity`
     lists their factors b t - a (`factor_key`, the block's dimension as
     multiplicity) for the generic element sum_i lam^i a_i of value a/b on
@@ -617,14 +602,13 @@ def _in_factor_order(
     pairwise distinct; None when there is no such lam.  The values are
     integers over one common denominator, so each generic value is an
     integer and only its key is brought to lowest terms."""
-    den = lcm(*(x.denominator for _, vals in blocks for x in vals))
-    nums = [[x.numerator * (den // x.denominator) for x in vals] for _, vals in blocks]
+    nums, den = _integer_form([vals for _, vals in blocks])
     for lam in range(1, GENERIC_TRIES + 1):
         vs = [sum(lam**i * x for i, x in enumerate(row)) for row in nums]
         if len(set(vs)) == len(vs):
             keys = [
-                factor_key([-v // gcd(v, den), den // gcd(v, den)], len(ker))
-                for v, (ker, _) in zip(vs, blocks)
+                factor_key([-v // gcd(v, den), den // gcd(v, den)], len(rows))
+                for v, (rows, _) in zip(vs, blocks)
             ]
             return [blocks[b] for b in sorted(range(len(blocks)), key=keys.__getitem__)]
     return None
@@ -635,7 +619,7 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
 
     One generic element, sum_i a_i, is factored; when every factor is
     linear, its primary components are split into the joint blocks by
-    `_joint_blocks`.  When every joint value is rational, the roots come
+    `_integer_blocks`.  When every joint value is rational, the roots come
     in the order of `_in_factor_order`: that of the first generic element
     sum_i lam^i a_i, lam = 1, 2, ..., whose primary components are the
     joint blocks.  Otherwise exact blocks with algebraic value descriptors
@@ -654,12 +638,19 @@ def restricted_roots(g: LieAlgebra, a: Subspace) -> RootSystem:
         raise StructureError("root decomposition requires an abelian base")
     ads = [g.ad_integer(v) for v in a.basis]
     a_star, factors = _generic(g, a, 1)
-    joint = _joint_blocks(ads, a_star, factors)
+    joint = _integer_blocks(ads, a_star, factors, None)
     ordered = None if joint is None else _in_factor_order(joint)
     if ordered is not None:
         infos = tuple(
-            RootInfo(len(ker), ker, vals, None, tuple((float(v), 0.0) for v in vals), True)
-            for ker, vals in ordered
+            RootInfo(
+                len(rows),
+                _rref_rows(*_integer_reduced(rows)),
+                vals,
+                None,
+                tuple((float(v), 0.0) for v in vals),
+                True,
+            )
+            for rows, vals in ordered
         )
         zero_rows = next((r.space for r in infos if r.is_zero), ())
         return RootSystem(a.basis, infos, True, _zero_complement(g, a.basis, zero_rows))
@@ -901,8 +892,7 @@ def _reflections(
     root index beta; the guard is integer arithmetic and set lookups only.
     """
     n = len(reps)
-    den = lcm(*(x.denominator for rep in reps for x in rep))
-    roots = [tuple([x.numerator * (den // x.denominator) for x in rep]) for rep in reps]
+    roots = [tuple(row) for row in _integer_form(reps).rows]
     index = {r: i for i, r in enumerate(roots)}
     parts = {}  # b: (i, j) with roots[b] = roots[i] + roots[j]
     for i, r in enumerate(roots):

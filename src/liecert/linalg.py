@@ -98,10 +98,6 @@ def vector(xs: Iterable) -> Vector:
     return tuple(frac(x) for x in xs)
 
 
-def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
-
-
 def zeros(r: int, c: int) -> Matrix:
     return tuple((_ZERO,) * c for _ in range(r))
 
@@ -207,7 +203,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def combine(coeffs: Sequence[Fraction], rows: Matrix, n: int) -> Vector:
     """sum_i coeffs[i] rows[i]; the zero vector of length n when rows is empty."""
     if not rows:
-        return zero_vector(n)
+        return (_ZERO,) * n
     return matmul((tuple(coeffs),), rows)[0]
 
 

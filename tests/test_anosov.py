@@ -42,6 +42,7 @@ from liecert.builders import (
     build_example,
     build_suspension,
     build_wedge_example,
+    build_weyl_chamber,
     catalog_names,
     sl_basis,
 )
@@ -1157,11 +1158,45 @@ def test_weight_decisions_match_check_anosov_on_suspensions(p, squared):
 
 
 def _search_with_blocks(monkeypatch, spec, edit):
-    """find_anosov_elements(spec) with the joint weight spaces of its flow
-    replaced by edit(blocks)."""
-    real = liecert.anosov._joint_blocks
-    monkeypatch.setattr(liecert.anosov, "_joint_blocks", lambda *a: edit(real(*a)))
+    """find_anosov_elements(spec) with the joint weight spaces of its flow,
+    integer rows spanning each, replaced by edit(blocks)."""
+    real = liecert.anosov._integer_blocks
+    monkeypatch.setattr(liecert.anosov, "_integer_blocks", lambda *a: edit(real(*a)))
     return find_anosov_elements(spec)
+
+
+@pytest.mark.parametrize("name", ["sl4-chambers", "suspension-r2"])
+def test_weight_reader_reads_without_making_rows_integer(monkeypatch, name):
+    """The weight and root spaces reach the reader as integer rows, so
+    deciding an element, in the chamber sweep of sl(4) or the grid search
+    off the flow's weights, turns no `Fraction` row back into integers."""
+    if name == "sl4-chambers":
+        spec = build_weyl_chamber(lie_algebra_from_matrices(sl_basis(4)))
+    else:
+        spec = build_example(name)
+    calls, reads = Counter(), Counter()
+    real_row, real_reader = liecert.linalg.integer_row, liecert.anosov._weight_reader
+
+    def row(v):
+        calls["integer_row"] += 1
+        return real_row(v)
+
+    def reader(action, blocks):
+        read = real_reader(action, blocks)
+
+        def counted(h0, coords):
+            reads["read"] += 1
+            before = calls["integer_row"]
+            res = read(h0, coords)
+            reads["integer_row"] += calls["integer_row"] - before
+            return res
+
+        return counted
+
+    monkeypatch.setattr(liecert.linalg, "integer_row", row)
+    monkeypatch.setattr(liecert.anosov, "_weight_reader", reader)
+    assert find_anosov_elements(spec)
+    assert reads["read"] > 1 and reads["integer_row"] == 0
 
 
 def test_weight_search_checks_the_weight_spaces_are_independent(monkeypatch):
@@ -1176,8 +1211,8 @@ def test_weight_search_checks_each_weight_space_is_flow_invariant(monkeypatch):
     # e_1 + e_2 for eigenvectors of weights 1 and -1: invariant under no flow element
     def mixed(blocks):
         (first, _), (second, values) = blocks[:2]
-        row = tuple(x + y for x, y in zip(first[0], second[0]))
-        return [blocks[0], ((row,), values)] + blocks[2:]
+        row = [x + y for x, y in zip(first[0], second[0])]
+        return [blocks[0], ([row], values)] + blocks[2:]
 
     with pytest.raises(AlgebraError, match="not invariant"):
         _search_with_blocks(monkeypatch, build_example("suspension-hyperbolic"), mixed)
@@ -1187,8 +1222,7 @@ def test_weight_search_checks_flow_isotropy_splits_along_the_weight_spaces(monke
     # every ad is zero, so any splitting is invariant; the flow span(e_2)
     # meets none of span(e_0), span(e_1), span(e_0 + e_2)
     spec = build_suspension([[[0, 0], [0, 0]]])
-    g = spec.ambient
-    lines = ((g.basis_vector(0),), (g.basis_vector(1),), (tuple(F(i != 1) for i in range(3)),))
+    lines = ([[1, 0, 0]], [[0, 1, 0]], [[1, 0, 1]])
     with pytest.raises(AlgebraError, match="sum of its weight parts"):
         _search_with_blocks(monkeypatch, spec, lambda blocks: [(line, (F(0),)) for line in lines])
 

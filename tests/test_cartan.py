@@ -36,7 +36,7 @@ from liecert.cartan import (
     _inner_solution,
     _fm_sample,
     _generic,
-    _joint_blocks,
+    _integer_blocks,
     _largest_root,
     _scalar,
     _zero_complement,
@@ -58,6 +58,8 @@ from liecert.builders import build_example, build_suspension, catalog_names, sl_
 from liecert.linalg import (
     IntMatrix,
     _from_integer,
+    _integer_reduced,
+    _rref_rows,
     combine,
     frac,
     generalized_kernel,
@@ -985,13 +987,21 @@ def _outcome(f, *args):
         return type(e), str(e)
 
 
+def _rref_blocks(ads, op, factors):
+    """`_integer_blocks` from g itself, each block as the rref rows of its span."""
+    blocks = _integer_blocks(ads, op, factors, None)
+    if blocks is None:
+        return None
+    return [(_rref_rows(*_integer_reduced(rows)), values) for rows, values in blocks]
+
+
 def _assert_blocks_match_reference(g, a, name):
-    """`_joint_blocks` and the reference agree on the ads of the basis of a,
-    split from the generic element sum_i a_i; returns the blocks and the
-    number of factors of that element."""
+    """`_integer_blocks` and the reference agree, up to the rref of each
+    block, on the ads of the basis of a, split from the generic element
+    sum_i a_i; returns the blocks and the number of factors of that element."""
     ads = [g.ad_integer(v) for v in a.basis]
     op, factors = _generic(g, a, 1)
-    got = _outcome(_joint_blocks, ads, op, factors)
+    got = _outcome(_rref_blocks, ads, op, factors)
     assert got == _outcome(reference_joint_blocks, ads, op, factors), name
     return got, len(factors)
 
@@ -1012,7 +1022,7 @@ def test_joint_blocks_and_the_reference_raise_alike_on_a_block_that_is_not_invar
     op = IntMatrix([[1, 0], [0, 2]], 1)
     ads = [op, IntMatrix([[0, 1], [0, 0]], 1)]
     factors = factor_with_multiplicity(char_poly(op))
-    got = _outcome(_joint_blocks, ads, op, factors)
+    got = _outcome(_rref_blocks, ads, op, factors)
     assert got == (AlgebraError, "joint invariant subspace lost invariance")
     assert got == _outcome(reference_joint_blocks, ads, op, factors)
 
@@ -1100,32 +1110,49 @@ def test_integer_scalar_test_matches_the_characteristic_polynomial(case):
     assert (None if alpha is None else (alpha,)) == want
 
 
-def test_joint_blocks_build_fraction_rows_only_for_the_returned_blocks(monkeypatch):
+def _count_calls(monkeypatch, counts, module, name):
+    """Count the calls of module.name in counts[name]."""
+    real = getattr(module, name)
+
+    def call(*args):
+        counts[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, call)
+
+
+def test_integer_blocks_build_no_fraction_row(monkeypatch):
     g = lie_algebra_from_matrices(sl_basis(5))
     a = cartan_subspace(g)
     counts = Counter()
-
-    def counted(name, real):
-        def call(*args):
-            counts[name] += 1
-            return real(*args)
-
-        return call
-
-    monkeypatch.setattr(liecert.linalg, "Coordinates", counted("Coordinates", liecert.linalg.Coordinates))
+    _count_calls(monkeypatch, counts, liecert.linalg, "Coordinates")
     for module in (liecert.linalg, liecert.cartan):
-        monkeypatch.setattr(module, "_rref_rows", counted("_rref_rows", module._rref_rows))
-    real, used = liecert.cartan._joint_blocks, []
+        for name in ("_rref_rows", "_from_integer"):
+            _count_calls(monkeypatch, counts, module, name)
+    real, used = liecert.cartan._integer_blocks, []
 
     def blocks(*args):
+        # the recursion goes through the module global, so nested calls land here too
         before = counts.copy()
         out = real(*args)
         used.append((counts - before, len(out)))
         return out
 
-    monkeypatch.setattr(liecert.cartan, "_joint_blocks", blocks)
+    monkeypatch.setattr(liecert.cartan, "_integer_blocks", blocks)
     assert restricted_roots(g, a).exact
-    assert used == [(Counter({"_rref_rows": 21}), 21)]  # 20 roots and the zero block
+    assert used and all(not built for built, _ in used)
+    assert used[-1][1] == 21  # the outermost call: 20 roots and the zero block
+
+
+def test_joint_blocks_build_fraction_rows_only_for_the_returned_blocks(monkeypatch):
+    # restricted_roots makes the rref rows of each returned root space, once
+    g = lie_algebra_from_matrices(sl_basis(5))
+    a = cartan_subspace(g)
+    counts = Counter()
+    _count_calls(monkeypatch, counts, liecert.cartan, "_rref_rows")
+    rs = restricted_roots(g, a)
+    assert rs.exact and len(rs.roots) == 21  # 20 roots and the zero block
+    assert counts == Counter({"_rref_rows": 21})
 
 
 def test_hyperbolicity_verdicts_are_memoised(monkeypatch):

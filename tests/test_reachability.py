@@ -70,8 +70,6 @@ EXEMPT = {
     ("spectral", "spectral_gap"): "library API named in README.md, and "
     "profiled by name in perfbench/tracing.py",
     ("linalg", "in_span"): "profiled by name in perfbench/tracing.py",
-    ("linalg", "zero_vector"): "combine's case of no rows, which no command "
-    "line produces",
     ("poly", "RationalPolynomial.monic"): "the monic form of a constant, and "
     "no command makes a constant monic",
 }
