@@ -617,13 +617,27 @@ def subspace_is_solvable(s: Subspace) -> bool:
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
-    """K[i][j] = trace(ad e_i . ad e_j), memoised on g."""
+    """K[i][j] = trace(ad e_i . ad e_j) = sum c_ik^m c_jm^k, memoised on g:
+    each nonzero integer term (i, k -> m) of the table, whatever its
+    symmetries, meets the terms (j, m -> k), and no ad matrix is built."""
     cached = g._cache.get("killing_form")
     if cached is not None:
         return cached
-    k = _trace_form([g._int_ad(((a, 1),)) for a in range(g.dim)], g._den)
-    g._cache["killing_form"] = k
-    return k
+    n, table = g.dim, g._constants
+    into = {}  # (m, k) -> the (j, c_jm^k)
+    for j, row in enumerate(table):
+        for m, terms in enumerate(row):
+            for k, c in terms:
+                into.setdefault((m, k), []).append((j, c))
+    acc = [[0] * n for _ in range(n)]
+    for i, row in enumerate(table):
+        for k, terms in enumerate(row):
+            for m, c in terms:
+                for j, d in into.get((m, k), ()):
+                    acc[i][j] += c * d
+    form = _from_integer(acc, g._den**2)
+    g._cache["killing_form"] = form
+    return form
 
 
 def _trace_form(ops: Sequence[list[list[int]]], den: int) -> Matrix:
@@ -637,22 +651,27 @@ def _trace_form(ops: Sequence[list[list[int]]], den: int) -> Matrix:
 def radical(g: LieAlgebra) -> Subspace:
     """Largest solvable ideal: the Killing-orthogonal of [g, g].
 
-    Its integer rows are memoised on g once it has passed its ideal and
-    solvability checks.  Only the rows: a Subspace refers back to g, and
-    that cycle would keep every analysed algebra alive until a full garbage
-    collection.
+    [g, g] is bracketed once.  The kernel must pass an ideal and a
+    solvability check, skipped only where the verdict is known: 0 passes
+    both; g is an ideal, solvable exactly when [g, g] is.  The Killing form
+    alone decides nothing, as a table that breaks Jacobi must still fail.
+    Only the rows are memoised on g: a Subspace would refer back to g.
     """
     cached = g._cache.get("radical")
     if cached is not None:
         return Subspace(g, cached)
-    k = killing_form(g)
     whole = full_space(g)
     derived = bracket_space(whole, whole)
     if derived.dim == 0:
         rad = whole
     else:
-        rad = _kernel_space(g, _int_matmul(derived._rows, _integer_form(k).rows))  # k is symmetric
-        if not rad.is_ideal() or not subspace_is_solvable(rad):
+        k = _integer_form(killing_form(g)).rows  # k is symmetric
+        rad = _kernel_space(g, _int_matmul(derived._rows, k))
+        if rad.dim == g.dim:
+            solvable = subspace_is_solvable(derived)
+        else:
+            solvable = rad.dim == 0 or (rad.is_ideal() and subspace_is_solvable(rad))
+        if not solvable:
             raise AlgebraError("radical computation produced a non-solvable span")
     g._cache["radical"] = rad._rows
     return rad

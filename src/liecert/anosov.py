@@ -485,9 +485,9 @@ def _chamber_sweep(
     read = _weight_reader(action, [(_integer_form(r.space).rows, r.values) for r in rs.roots])
     if action.joint != Subspace(g, next((r.space for r in rs.roots if r.is_zero), ())):
         return ()
-    found = []
+    found, basis = [], _integer_form(a_h.basis)
     for ch in frame.chambers.chambers[:limit]:
-        h0 = combine(ch.sample, a_h.basis, g.dim)
+        h0 = combine(ch.sample, basis, g.dim)
         cert = read(h0, ch.sample)
         if not cert.accepted:
             raise AlgebraError("chamber sample vanishes on a nonzero root")
@@ -555,7 +555,7 @@ def _grid_search(
     read = _flow_reader(action)
     found: list[tuple[Vector, AnosovCertificate]] = []
     rays = set()
-    n, basis, d = action.ambient.dim, action.flow.basis, action.flow.dim
+    n, basis, d = action.ambient.dim, _integer_form(action.flow.basis), action.flow.dim
     spent = 0
 
     def try_candidate(coords: Sequence[Fraction]) -> None:
@@ -583,7 +583,7 @@ def _grid_search(
             spent += 1
     rng = random.Random(seed)
     while not done():
-        try_candidate([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in basis])
+        try_candidate([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)])
         spent += 1
     return tuple(found)
 
@@ -638,11 +638,12 @@ def _classify_solvable(
     nil = nilradical(g)
     su_in_nilradical = nil.contains_space(Subspace(g, cert.carrier))
     tower = tuple(s.dim for s in _series(nil, True))
-    ref_csa_dim = find_csa(g).dim
+    # all Cartan subalgebras have one dimension (Jacobson, Lie Algebras, ch. III)
+    csa_dim = simp.flow.dim if flow_is_csa else find_csa(g).dim
     evidence = {
         "flow_is_csa": flow_is_csa,
         "flow_dim": simp.flow.dim,
-        "csa_dim": ref_csa_dim,
+        "csa_dim": csa_dim,
         "stable_unstable_in_nilradical": su_in_nilradical,
         "nilradical_dim": nil.dim,
         "nilradical_tower": tower,

@@ -333,23 +333,27 @@ def csa_from_action(g: LieAlgebra, h: Subspace, k: Subspace) -> ActionCsa:
 # -- hyperbolic elements and Cartan subspaces --------------------------------
 
 
-def is_ad_hyperbolic(g: LieAlgebra, x: Vector) -> bool:
-    """ad(x) is semisimple with all-real spectrum.
-
-    The verdict is memoised in `g._cache` as a dict from the tuple x to a
-    bool, which refers nothing back to g, so each vector is tested once.
-    """
+def _ad_spectrum(g: LieAlgebra, x: Vector) -> tuple[bool, RationalPolynomial]:
+    """(ad(x) is hyperbolic, the squarefree part of its characteristic
+    polynomial), memoised in `g._cache` by the tuple x, with no reference
+    back to g, so each vector's polynomial is computed once."""
     memo = g._cache.setdefault("ad_hyperbolic", {})
     key = tuple(x)
-    verdict = memo.get(key)
-    if verdict is None:
+    entry = memo.get(key)
+    if entry is None:
         a = g.ad_integer(x)
         m = squarefree_part(char_poly(a))
         verdict = count_real_roots_squarefree(m) == m.degree and not any(
             map(any, apply_poly(m, a).rows)
         )
-        memo[key] = verdict
-    return verdict
+        entry = memo[key] = (verdict, m)
+    return entry
+
+
+def is_ad_hyperbolic(g: LieAlgebra, x: Vector) -> bool:
+    """ad(x) is semisimple with all-real spectrum: its squarefree part m has
+    only real roots and m(ad x) = 0.  Decided once per vector (`_ad_spectrum`)."""
+    return _ad_spectrum(g, x)[0]
 
 
 def solve_ad(g: LieAlgebra, target: IntMatrix) -> Vector | None:
@@ -368,9 +372,14 @@ def hyperbolic_part(g: LieAlgebra, x: Vector) -> Vector | None:
     The refinement of ad(x) must be exact and its hyperbolic part must
     itself be an inner derivation; both hold in a semisimple algebra.
     An ad-hyperbolic x is its own hyperbolic part and is returned as is.
+    When every eigenvalue of ad(x) lies on the imaginary axis (a nilpotent
+    or elliptic x), the hyperbolic part is 0 without Jordan-Chevalley.
     """
-    if is_ad_hyperbolic(g, x):
+    hyperbolic, m = _ad_spectrum(g, x)
+    if hyperbolic:
         return x
+    if squarefree_sign_counts(m).n_zero_real == m.degree:
+        return (Fraction(0),) * g.dim
     jc = jordan_chevalley(g.ad_integer(x))
     return solve_ad(g, jc.hyperbolic) if jc.exact else None
 

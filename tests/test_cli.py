@@ -66,6 +66,35 @@ def test_validate_negative(monkeypatch, capsys):
     assert obj["result"]["jacobi_failures"]
 
 
+# BROKEN_DOC with a flow, for the commands that read one
+BROKEN_ACTION = json.dumps({**json.loads(BROKEN_DOC), "subspaces": {"flow": [["0", "0", "1"]]}})
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("analyze", BROKEN_DOC), ("roots", BROKEN_DOC), ("anosov", BROKEN_ACTION),
+     ("classify", BROKEN_ACTION)],
+)
+def test_broken_jacobi_fails_the_radical_check(command, doc, monkeypatch, capsys):
+    # the Killing-orthogonal of [g, g] is no solvable ideal here, and no
+    # shortcut through the Killing form may turn that into a report
+    for fmt in ("json", "text"):
+        got = run([command, "--format", fmt], doc, monkeypatch, capsys)
+        assert got == (3, "", "input error: radical computation produced a non-solvable span\n")
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [("json", "98f228e45323ca75dd4369d99ac2ee6aa45bd3c81ad9657b386e2a8a316e0be0"),
+     ("text", "ce799e185abd784196c1a08db0f81258a673dfbd85db6e53bbcdeca5f189aa3a")],
+)
+def test_broken_jacobi_csa_report_is_pinned(fmt, digest, monkeypatch, capsys):
+    # find_csa needs no radical: the report is the sha256-pinned stdout
+    code, out, err = run(["csa", "--format", fmt], BROKEN_DOC, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_anosov_accepts_element(monkeypatch, capsys):
     code, out, _ = run(
         ["anosov", "--h0", "1,0,0"], SL2_DOC, monkeypatch, capsys
