@@ -384,11 +384,47 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
 def charpoly(a: Matrix) -> tuple[Fraction, ...]:
     """Characteristic polynomial det(tI - A), ascending coefficients.
 
-    Faddeev-LeVerrier on the integer matrix C = dA, where every M_k and
-    every coefficient is an integer, so each division by k is exact.
-    Coefficient i of det(tI - C) is d^(n-i) times that of det(tI - A).
+    On the integer matrix C = dA.  An index whose row or column of C is
+    zero off the diagonal, among the indices left, has the factor t - c_ii
+    (expand det(tI - C) along that row or column) and leaves; its
+    neighbours may then qualify in turn, so a queue over the off-diagonal
+    in- and out-neighbours peels a triangular matrix, up to a permutation,
+    down to nothing.  `_faddeev_leverrier` takes the core that is left, and
+    the factors multiply in integers.  Coefficient i of det(tI - C) is
+    d^(n-i) times that of det(tI - A).
     """
     c, d = _integer_form(a)
+    n = len(c)
+    outs = [{j for j, x in enumerate(row) if x and j != i} for i, row in enumerate(c)]
+    ins = [{j for j in range(n) if c[j][i] and j != i} for i in range(n)]
+    queue = [i for i in range(n) if not outs[i] or not ins[i]]
+    left = set(range(n))
+    peeled = []
+    while queue:
+        i = queue.pop()
+        if i not in left:
+            continue
+        left.remove(i)
+        peeled.append(c[i][i])
+        for j in outs[i]:
+            ins[j].remove(i)
+            if not ins[j]:
+                queue.append(j)
+        for j in ins[i]:
+            outs[j].remove(i)
+            if not outs[j]:
+                queue.append(j)
+    core = sorted(left)
+    coeffs = _faddeev_leverrier([[c[i][j] for j in core] for i in core])
+    for x in peeled:  # times t - x
+        coeffs = list(map(sub, [0] + coeffs, [x * y for y in coeffs] + [0]))
+    return tuple(Fraction(x, d ** (n - i)) if x else _ZERO for i, x in enumerate(coeffs))
+
+
+def _faddeev_leverrier(c: list[list[int]]) -> list[int]:
+    """det(tI - C) of the integer matrix C, ascending, by Faddeev-LeVerrier:
+    every M_k and every coefficient is an integer, so each division by k is
+    exact, and a remainder raises AlgebraError."""
     n = len(c)
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
@@ -404,7 +440,7 @@ def charpoly(a: Matrix) -> tuple[Fraction, ...]:
         if r:
             raise AlgebraError("Faddeev-LeVerrier division is not exact")
         coeffs[n - k] = q
-    return tuple(Fraction(x, d ** (n - i)) if x else _ZERO for i, x in enumerate(coeffs))
+    return coeffs
 
 
 class Echelon:

@@ -627,6 +627,75 @@ def test_charpoly_matches_reference(m):
     assert all(type(x) is F for x in cp)
 
 
+@st.composite
+def permuted_block_triangular(draw, max_blocks=4):
+    """Block upper-triangular with dense diagonal blocks of size 1-3 and
+    rational entries, conjugated by a random permutation: what the
+    linear-factor peel of `charpoly` takes apart, down to its dense blocks."""
+    sizes = draw(st.lists(st.integers(1, 3), max_size=max_blocks))
+    n = sum(sizes)
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    rows = [[draw(wide_rationals) if block[i] <= block[j] else F(0) for j in range(n)] for i in range(n)]
+    perm = draw(st.permutations(range(n)))
+    out = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = rows[i][j]
+    return matrix(out) if n else ()
+
+
+@given(permuted_block_triangular())
+@example(matrix([[1, 0, 0], [2, 3, 0], [4, 5, 6]]))
+@example(matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+@example(matrix([[0, 1, 7], [1, 0, 0], [0, 0, F(2, 3)]]))
+@settings(max_examples=150, deadline=None)
+def test_charpoly_of_a_permuted_block_triangular_matrix_matches_reference(m):
+    assert charpoly(m) == reference_charpoly(m)
+
+
+def _charpoly_products(monkeypatch, m):
+    """The shapes (rows of a, rows of b) of every `_int_matmul` in charpoly(m)."""
+    from liecert import linalg
+
+    calls = []
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
+
+    real = linalg._int_matmul
+    monkeypatch.setattr(linalg, "_int_matmul", counted)
+    assert charpoly(m) == reference_charpoly(m)
+    return calls
+
+
+def test_charpoly_peels_triangular_matrices_without_products(monkeypatch):
+    diagonal = matrix([[F(i, 3) if i == j else 0 for j in range(6)] for i in range(6)])
+    assert _charpoly_products(monkeypatch, diagonal) == []
+    # strictly lower triangular, conjugated by the permutation i -> 3i mod 7
+    perm = [3 * i % 7 for i in range(7)]
+    rows = [[0] * 7 for _ in range(7)]
+    for i in range(7):
+        for j in range(i):
+            rows[perm[i]][perm[j]] = F(i - 2 * j, j + 1)
+    assert _charpoly_products(monkeypatch, matrix(rows)) == []
+
+
+def test_charpoly_runs_faddeev_leverrier_on_the_core_only(monkeypatch):
+    # indices 1 and 3 form the dense 2 x 2 core [[1, 2], [3, 4]]; 4 peels
+    # off by its row, 0 by its column, and 2 by its column once 0 has gone
+    m = matrix(
+        [
+            [5, 7, 6, 0, 1],
+            [0, 1, 0, 2, 1],
+            [0, 0, -1, 1, 1],
+            [0, 3, 0, 4, 0],
+            [0, 0, 0, 0, F(1, 2)],
+        ]
+    )
+    assert _charpoly_products(monkeypatch, m) == [(2, 2)]
+
+
 @with_examples([F(1, 2), F(-3, 10**9), F(7, 5)])
 @given(square_matrices(), st.lists(wide_rationals, max_size=6))
 @example((), [])
@@ -671,7 +740,8 @@ def test_charpoly_self_check_raises_algebra_error(monkeypatch):
 
     monkeypatch.setattr(linalg, "_int_matmul", broken)
     with pytest.raises(AlgebraError):
-        charpoly(matrix([[0, 0], [0, 0]]))
+        # no index peels off, so the product runs
+        charpoly(matrix([[0, 1], [1, 0]]))
 
 
 def reference_combine(coeffs, rows, n):

@@ -1,7 +1,7 @@
 """Every function of the package is reached by some command line.
 
 `cli.main` runs in-process under `sys.setprofile` over the catalog and
-over eleven documents built here, each of which reaches a path that the
+over ten documents built here, each of which reaches a path that the
 catalog does not (see `_documents`).  On the catalog the runs are
 `build`, the six report commands in both formats, `anosov --h0` on the
 first flow row, `catalog` and one malformed command line; on each test
@@ -86,7 +86,7 @@ def _action(action: ActionSpec) -> str:
 
 @functools.cache
 def _documents() -> dict[str, str]:
-    """Eleven action documents; each comment names paths that it reaches and the catalog does not."""
+    """Ten action documents; each comment names paths that it reaches and the catalog does not."""
     g = sl2()
     sl3 = lie_algebra_from_matrices(sl_basis(3))
     plane = sl2_semidirect_plane()
@@ -118,9 +118,6 @@ def _documents() -> dict[str, str]:
         "so3-r": _document(
             so3r, flow=[(1, 0, 0, 1)], isotropy=[(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
         ),
-        # a nilpotent flow: its hyperbolic part is 0, read off the spectrum
-        # without Jordan-Chevalley (as on the catalog's root vectors)
-        "sl2-e": _document(g, flow=[(0, 1, 0)]),
         # the Newton step of the Jordan-Chevalley decomposition, on
         # diag(1, 1, -2) + E_12, whose ad is neither semisimple nor nilpotent
         "sl3-jordan": _document(sl3, flow=[(1, 2, 1, 0, 0, 0, 0, 0)]),
