@@ -658,12 +658,12 @@ def _charpoly_products(monkeypatch, m):
     from liecert import linalg
 
     calls = []
+    real = linalg._int_matmul
 
     def counted(a, b):
         calls.append((len(a), len(b)))
         return real(a, b)
 
-    real = linalg._int_matmul
     monkeypatch.setattr(linalg, "_int_matmul", counted)
     assert charpoly(m) == reference_charpoly(m)
     return calls
